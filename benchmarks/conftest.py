@@ -3,8 +3,9 @@
 The simulated worlds are the expensive part (the cameras world indexes
 ~7,000 pages and simulates 120,000 sessions), so they are built once per
 benchmark session and shared by every benchmark.  Rendered experiment
-output is written to ``benchmarks/results/`` so the rows/series the paper
-reports can be inspected after a run.
+output is written to ``benchmarks/results/`` only when pytest runs with
+``--write-results``, so the rows/series the paper reports can be refreshed
+on purpose while an ordinary test run leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -42,11 +43,15 @@ def toy_world():
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(request: pytest.FixtureRequest) -> Path | None:
+    """Where rendered tables go, or ``None`` without ``--write-results``."""
+    if not request.config.getoption("--write-results"):
+        return None
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
 
 
-def write_result(results_dir: Path, name: str, text: str) -> None:
+def write_result(results_dir: Path | None, name: str, text: str) -> None:
     """Persist a rendered experiment table next to the benchmark timings."""
-    (results_dir / name).write_text(text + "\n", encoding="utf-8")
+    if results_dir is not None:
+        (results_dir / name).write_text(text + "\n", encoding="utf-8")

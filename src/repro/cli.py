@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--watch-interval", type=float, default=2.0,
-        help="seconds between artifact hot-swap polls, 0 disables the watcher (default 2)",
+        help="mean seconds between artifact hot-swap polls (each wait is jittered to "
+        "0.5-1.5x), 0 disables the watcher (default 2)",
     )
     server.add_argument(
         "--max-batch", type=_positive_int, default=1024,

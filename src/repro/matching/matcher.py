@@ -11,18 +11,24 @@ so which one?*  It works in two stages:
 2. **Fuzzy fallback** (optional) — if no span matches exactly, shortlist
    dictionary strings sharing a token with the query and accept the best
    one above an edit-distance-based similarity threshold.  This catches
-   unseen misspellings without re-running the offline miner.
+   unseen misspellings without re-running the offline miner.  The fallback
+   counts shared tokens per shortlisted string while it reads the token
+   postings, bounds candidates by length, and cuts the edit distance off at
+   the threshold, so its cost follows the postings it touches; ties go to
+   the lexicographically smallest string
+   (see :meth:`QueryMatcher._fuzzy_match`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from repro.matching.index import DictionaryIndex
 from repro.matching.segmentation import QuerySegmenter, Segment
 from repro.text.normalize import normalize
-from repro.text.similarity import levenshtein_similarity, token_containment
+from repro.text.similarity import levenshtein_distance
 from repro.text.tokenize import tokenize
 
 __all__ = ["MatchOutcome", "EntityMatch", "QueryMatcher"]
@@ -63,7 +69,9 @@ class QueryMatcher:
 
     Any index implementation works — the in-memory
     :class:`~repro.matching.dictionary.SynonymDictionary` or a compiled
-    :class:`~repro.serving.artifact.SynonymArtifact`.
+    :class:`~repro.serving.artifact.SynonymArtifact` — and every one gives
+    the same answer for the same entries: the outcome never depends on the
+    order an index (or ``PYTHONHASHSEED``) happens to list candidates in.
     """
 
     def __init__(
@@ -83,6 +91,10 @@ class QueryMatcher:
         self.enable_fuzzy = enable_fuzzy
         self.fuzzy_similarity_threshold = fuzzy_similarity_threshold
         self.fuzzy_containment_threshold = fuzzy_containment_threshold
+        # Memo of a pure function of the string, bounded by the dictionary's
+        # strings; it lives as long as the matcher, which the serving layer
+        # rebuilds with every artifact generation.
+        self._token_counts = _DistinctTokenCounts()
 
     # ------------------------------------------------------------------ #
     # Matching
@@ -139,24 +151,62 @@ class QueryMatcher:
     def _fuzzy_match(self, normalized_query: str) -> tuple[str, float] | None:
         """Best fuzzy dictionary string for the query, or ``None``.
 
-        Candidates are shortlisted through the token index (strings sharing
-        at least one query token), then ranked by edit-distance similarity;
-        token containment filters out candidates that share a token but are
-        otherwise unrelated.
+        Work is proportional to the postings touched, not to the shortlist
+        times a tokenization:
+
+        1. *Containment by counting.*  The token index is probed once per
+           distinct query token and every returned string gets one count,
+           so ``count / distinct_tokens(string)`` is the share of the
+           string's tokens the query contains; strings below
+           ``fuzzy_containment_threshold`` are dropped.  The denominator is
+           a pure function of the string, memoized on this matcher.
+        2. *Length bound.*  Edit distance is at least the length difference,
+           so a survivor whose length alone puts it below
+           ``fuzzy_similarity_threshold`` is dropped without being compared.
+        3. *Cut-off distance.*  The rest get an edit distance that gives up
+           beyond the largest distance the threshold could admit; the
+           threshold itself is then applied to the similarity exactly as
+           :func:`~repro.text.similarity.levenshtein_similarity` computes it.
+
+        The best similarity wins; equally similar strings are ordered
+        lexicographically and the smallest wins, so the answer does not
+        depend on set iteration order (``PYTHONHASHSEED``) or on which index
+        implementation produced the shortlist.
         """
-        query_tokens = tokenize(normalized_query, normalized=True)
-        shortlist: set[str] = set()
-        for token in query_tokens:
-            shortlist.update(self.dictionary.strings_containing_token(token))
+        shared: Counter[str] = Counter()
+        for token in dict.fromkeys(tokenize(normalized_query, normalized=True)):
+            shared.update(self.dictionary.strings_containing_token(token))
+        token_counts = self._token_counts
+        containment_threshold = self.fuzzy_containment_threshold
+        similarity_threshold = self.fuzzy_similarity_threshold
+        query_length = len(normalized_query)
         best: tuple[str, float] | None = None
-        for candidate in shortlist:
-            candidate_tokens = tokenize(candidate, normalized=True)
-            containment = token_containment(candidate_tokens, query_tokens)
-            if containment < self.fuzzy_containment_threshold:
+        for candidate, count in shared.items():
+            if count / token_counts[candidate] < containment_threshold:
                 continue
-            similarity = levenshtein_similarity(normalized_query, candidate)
-            if similarity < self.fuzzy_similarity_threshold:
+            length_gap = abs(query_length - len(candidate))
+            longest = max(query_length, len(candidate))
+            if 1.0 - length_gap / longest < similarity_threshold:
                 continue
-            if best is None or similarity > best[1]:
+            # One more than the real bound, so rounding in this product can
+            # never cut off a distance the comparison below would accept.
+            max_edits = int((1.0 - similarity_threshold) * longest) + 1
+            distance = levenshtein_distance(normalized_query, candidate, max_edits)
+            similarity = 1.0 - distance / longest
+            if similarity < similarity_threshold:
+                continue
+            if (
+                best is None
+                or similarity > best[1]
+                or (similarity == best[1] and candidate < best[0])
+            ):
                 best = (candidate, similarity)
         return best
+
+
+class _DistinctTokenCounts(dict[str, int]):
+    """``string -> number of distinct tokens``, computed on first use."""
+
+    def __missing__(self, text: str) -> int:
+        count = self[text] = len(set(tokenize(text, normalized=True)))
+        return count

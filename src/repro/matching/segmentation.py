@@ -11,6 +11,7 @@ together with the remainder of the query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.matching.index import DictionaryIndex
 from repro.text.normalize import normalize
@@ -55,17 +56,9 @@ class QuerySegmenter:
         limit = dictionary.max_entry_tokens or 1
         self.max_span_tokens = max_span_tokens or limit
 
-    def segments(self, query: str) -> list[Segment]:
-        """Return every dictionary-matching segmentation of *query*.
-
-        Segments are ordered longest-mention-first (ties broken by earlier
-        start), which is the preference order the matcher uses: the longest
-        explained span wins.
-        """
+    def _iter_segments(self, query: str) -> Iterator[Segment]:
+        """Dictionary-matching spans of *query*, longest first, then leftmost."""
         tokens = tokenize(normalize(query), normalized=True)
-        if not tokens:
-            return []
-        found: list[Segment] = []
         max_len = min(self.max_span_tokens, len(tokens))
         for length in range(max_len, 0, -1):
             for start in range(0, len(tokens) - length + 1):
@@ -74,20 +67,27 @@ class QuerySegmenter:
                 entity_ids = self.dictionary.entities_for(mention)
                 if not entity_ids:
                     continue
-                remainder_tokens = tokens[:start] + tokens[end:]
-                found.append(
-                    Segment(
-                        mention=mention,
-                        remainder=" ".join(remainder_tokens),
-                        start=start,
-                        end=end,
-                        entity_ids=frozenset(entity_ids),
-                    )
+                yield Segment(
+                    mention=mention,
+                    remainder=" ".join(tokens[:start] + tokens[end:]),
+                    start=start,
+                    end=end,
+                    entity_ids=frozenset(entity_ids),
                 )
-        found.sort(key=lambda segment: (-segment.token_length, segment.start))
-        return found
+
+    def segments(self, query: str) -> list[Segment]:
+        """Return every dictionary-matching segmentation of *query*.
+
+        Segments are ordered longest-mention-first (ties broken by earlier
+        start), which is the preference order the matcher uses: the longest
+        explained span wins.
+        """
+        return list(self._iter_segments(query))
 
     def best_segment(self, query: str) -> Segment | None:
-        """The preferred segmentation of *query*, or ``None`` if no span matches."""
-        segments = self.segments(query)
-        return segments[0] if segments else None
+        """The preferred segmentation of *query*, or ``None`` if no span matches.
+
+        Stops at the first hit: the enumeration order is the preference
+        order, so no shorter or later span is probed once one matches.
+        """
+        return next(self._iter_segments(query), None)

@@ -7,7 +7,8 @@ Architecture — three kinds of thread share one
   handlers parse JSON, call ``service.match`` / ``service.resolve`` and
   write JSON back;
 * **the watcher thread** — polls ``service.maybe_reload()`` every
-  ``watch_interval`` seconds, so republishing the artifact file atomically
+  ``watch_interval`` seconds on average (each wait is jittered, see
+  :class:`_Watcher`), so republishing the artifact file atomically
   hot-swaps the dictionary under live traffic without dropping in-flight
   requests (each request matches against the state it captured); an
   incremental publish that ships a ``<artifact>.delta`` sidecar
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import signal
 import socket
 import sys
@@ -155,12 +157,25 @@ class _Watcher(threading.Thread):
     A failed poll (e.g. a half-second where the artifact is being verified
     against a corrupted copy) is counted and retried on the next tick — the
     daemon keeps serving the artifact it already has.
+
+    Each wait is drawn uniformly from ``[0.5, 1.5] x interval`` (mean: the
+    interval).  A fixed period locks the poll phase to anything else that is
+    periodic — a publisher on a timer, sibling ``--procs`` workers started
+    together, a client replaying the same requests — and the time a publish
+    waits for the next poll then sits at one point of ``[0, interval)`` for
+    as long as the lock holds, a different point after any small change in
+    timing.  With jitter the phase is random within two or three polls, so
+    the pickup delay averages half an interval whoever publishes, and is
+    never above one and a half.
     """
+
+    JITTER = (0.5, 1.5)
 
     def __init__(self, service: MatchService, interval: float) -> None:
         super().__init__(name="repro-artifact-watcher", daemon=True)
         self.service = service
         self.interval = interval
+        self._jitter = random.Random()  # os-seeded: differs between workers
         # Counters are written by this thread and read by request threads
         # building /stats; one small lock keeps a reader from seeing a
         # swap counted without its timestamp (or vice versa).
@@ -172,7 +187,7 @@ class _Watcher(threading.Thread):
         self._stop_event = threading.Event()
 
     def run(self) -> None:
-        while not self._stop_event.wait(self.interval):
+        while not self._stop_event.wait(self.interval * self._jitter.uniform(*self.JITTER)):
             with self._counter_lock:
                 self._checks += 1
             try:
@@ -218,8 +233,9 @@ class MatchDaemon:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` — this is what the tests and the benchmark do).
     watch_interval:
-        Seconds between ``maybe_reload()`` polls; ``0`` disables the
-        watcher (reloads then only happen via ``/admin/reload``).
+        Mean seconds between ``maybe_reload()`` polls (each wait is
+        jittered to 0.5-1.5x); ``0`` disables the watcher (reloads then
+        only happen via ``/admin/reload``).
     max_batch:
         Admission bound on ``{"queries": [...]}`` length; longer batches
         are rejected with HTTP 413 instead of tying a request thread up.

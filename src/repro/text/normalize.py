@@ -26,6 +26,10 @@ _SEPARATOR_PUNCT_RE = re.compile(r"[-_/\\:;,.!?()\[\]{}\"']+")
 # Apostrophes inside words are removed rather than replaced by a space so
 # "director's" normalises to "directors", matching query-log behaviour.
 _INNER_APOSTROPHE_RE = re.compile(r"(?<=\w)['’](?=\w)")
+# What :func:`normalize` leaves alone: ASCII lowercase alphanumeric words
+# separated by single spaces.  Always used with ``fullmatch`` (``$`` would
+# let a trailing newline through).
+_ALREADY_NORMALIZED_RE = re.compile(r"[a-z0-9]+(?: [a-z0-9]+)*")
 
 
 def strip_accents(text: str) -> str:
@@ -56,9 +60,16 @@ def normalize(text: str) -> str:
     whitespace.  The result is the string-identity used by the click log,
     the search engine and the synonym dictionary.
 
+    Idempotent, and cheap on its own output: the online path normalizes a
+    query once and then probes the dictionary with spans of it, each of
+    which is normalized again by the index, so an already-normalized ASCII
+    string is recognised by one regex match and returned unchanged.
+
     >>> normalize("  Indiana Jones: and the Kingdom of the Crystal Skull ")
     'indiana jones and the kingdom of the crystal skull'
     """
+    if _ALREADY_NORMALIZED_RE.fullmatch(text):
+        return text
     text = strip_accents(text)
     text = text.lower()
     text = strip_punctuation(text)

@@ -37,25 +37,60 @@ __all__ = [
 ]
 
 
-def levenshtein_distance(a: str, b: str) -> int:
-    """Classic edit distance (insert / delete / substitute, unit costs)."""
+def levenshtein_distance(a: str, b: str, max_distance: int | None = None) -> int:
+    """Classic edit distance (insert / delete / substitute, unit costs).
+
+    With ``max_distance=k`` the result is exact whenever the distance is at
+    most *k*; otherwise *some* value greater than *k* is returned.  The
+    cut-off confines the dynamic programme to the diagonal band
+    ``|i - j| <= k`` (an edit script of cost *k* cannot leave it) and stops
+    at the first row whose band minimum already exceeds *k*.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # Keep the shorter string in the inner loop for memory locality.
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
+    # A common prefix or suffix never takes part in an optimal edit script.
+    start, end_a, end_b = 0, len(a), len(b)
+    while start < end_b and a[start] == b[start]:
+        start += 1
+    while end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
+    len_a, len_b = len(a), len(b)
+    limit = len_a if max_distance is None else min(max_distance, len_a)
+    if not len_b or len_a - len_b > limit:
+        return len_a
+    # One row, updated in place.  Row 0 is ``row[j] = j``, so a cell right
+    # of the band that no row has written yet still holds a value > limit,
+    # which is all an out-of-band neighbour has to be.
+    row = list(range(len_b + 1))
+    beyond = limit + 1
     for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+        if i > limit:
+            low, left = i - limit, beyond
+        else:
+            low, left = 1, i
+        high = min(len_b, i + limit)
+        diagonal = row[low - 1]
+        row[low - 1] = left
+        for j in range(low, high + 1):
+            above = row[j]
+            if ch_a == b[j - 1]:
+                left = diagonal
+            else:
+                if above < left:
+                    left = above
+                if diagonal < left:
+                    left = diagonal
+                left += 1
+            diagonal = above
+            row[j] = left
+        # (With no cut-off in force no row can exceed the limit: skip the scan.)
+        if limit < len_a and min(row[low : high + 1]) > limit:
+            return beyond
+    return row[len_b]
 
 
 def damerau_levenshtein_distance(a: str, b: str) -> int:
@@ -170,8 +205,11 @@ def dice_coefficient(a: Iterable[str], b: Iterable[str]) -> float:
 def token_containment(needle: Iterable[str], haystack: Iterable[str]) -> float:
     """Fraction of *needle* tokens that also appear in *haystack*.
 
-    The online matcher uses this asymmetric measure: a short alias is a good
-    match for a long canonical title when all alias tokens are contained.
+    An asymmetric measure: a short alias is a good match for a long
+    canonical title when all alias tokens are contained.  The online matcher
+    applies the same measure but derives it from token-index posting counts
+    (:meth:`repro.matching.matcher.QueryMatcher._fuzzy_match`) instead of
+    calling this per candidate.
     """
     needle_set, haystack_set = set(needle), set(haystack)
     if not needle_set:

@@ -1,9 +1,15 @@
 """Tests for the online query matcher."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
 from repro.matching.matcher import MatchOutcome, QueryMatcher
+
+from tests.conftest import SRC_DIR
 
 
 @pytest.fixture()
@@ -104,6 +110,55 @@ class TestFuzzyMatching:
             fuzzy_containment_threshold=1.0,
         )
         assert permissive.match("madagascar x").outcome is MatchOutcome.NO_MATCH
+
+
+_TIE_SCRIPT = """
+import sys
+from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.matcher import QueryMatcher
+from repro.serving.artifact import SynonymArtifact, compile_dictionary
+
+dictionary = SynonymDictionary(
+    [DictionaryEntry("canon eos 350d", "c350"), DictionaryEntry("canon eos 450d", "c450")]
+)
+compile_dictionary(dictionary, sys.argv[1])
+for index in (dictionary, SynonymArtifact.load(sys.argv[1])):
+    match = QueryMatcher(index).match("canon eos 550d")
+    print(type(index).__name__, match.outcome.value, match.matched_text, sorted(match.entity_ids))
+"""
+
+
+class TestFuzzyTieBreak:
+    def test_equally_similar_candidates_resolve_to_the_smallest_string(self):
+        dictionary = SynonymDictionary(
+            [DictionaryEntry("canon eos 450d", "c450"), DictionaryEntry("canon eos 350d", "c350")]
+        )
+        match = QueryMatcher(dictionary).match("canon eos 550d")
+        assert match.outcome is MatchOutcome.FUZZY
+        assert match.matched_text == "canon eos 350d"
+        assert match.entity_ids == {"c350"}
+
+    def test_answer_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # The shortlist is a set of strings, so its iteration order follows
+        # PYTHONHASHSEED; two daemon workers (or the daemon and an oracle)
+        # are separate processes with separate seeds and must still agree.
+        # At the parent of this test seeds 1 and 2 answered "350d", 3 and 6
+        # "450d".
+        outputs = set()
+        for seed in ("1", "2", "3", "6"):
+            done = subprocess.run(
+                [sys.executable, "-c", _TIE_SCRIPT, str(tmp_path / f"tie-{seed}.synart")],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC_DIR},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {
+            "SynonymDictionary fuzzy canon eos 350d ['c350']\n"
+            "SynonymArtifact fuzzy canon eos 350d ['c350']\n"
+        }
 
 
 class TestBatchAndCoverage:

@@ -2,10 +2,15 @@
 
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.text.normalize import normalize
+from repro.text.normalize import (
+    normalize,
+    normalize_whitespace,
+    strip_accents,
+    strip_punctuation,
+)
 from repro.text.similarity import (
     damerau_levenshtein_distance,
     jaccard_similarity,
@@ -17,10 +22,14 @@ from repro.text.similarity import (
 from repro.text.stem import stem
 from repro.text.tokenize import tokenize
 
+from tests.matching.fuzzy_reference import classic_levenshtein_distance
+
 # Strategies: printable text with a bias toward short query-like strings.
 text_strategy = st.text(alphabet=string.printable, max_size=40)
 word_strategy = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=15)
 token_list_strategy = st.lists(word_strategy, max_size=8)
+# Few letters and a space: common prefixes, suffixes and repeats are likely.
+edit_text_strategy = st.text(alphabet="ab c", max_size=12)
 
 
 class TestNormalizeProperties:
@@ -28,6 +37,22 @@ class TestNormalizeProperties:
     def test_idempotent(self, text):
         once = normalize(text)
         assert normalize(once) == once
+
+    @given(st.text(max_size=40))
+    @example("a\n")
+    @example("a  b")
+    @example("É")
+    @example("director's")
+    @example("")
+    @example("indy 4")
+    def test_fast_path_agrees_with_the_full_pipeline(self, text):
+        # normalize() returns already-normalized ASCII unchanged without
+        # running the pipeline; spelled out from its public steps, the
+        # pipeline must agree on every input, and be idempotent on all of
+        # Unicode, not just printable ASCII.
+        full = normalize_whitespace(strip_punctuation(strip_accents(text).lower()))
+        assert normalize(text) == full
+        assert normalize(full) == full
 
     @given(text_strategy)
     def test_output_is_lowercase_and_trimmed(self, text):
@@ -64,6 +89,19 @@ class TestLevenshteinProperties:
         assert levenshtein_distance(a, c) <= (
             levenshtein_distance(a, b) + levenshtein_distance(b, c)
         )
+
+    @given(edit_text_strategy, edit_text_strategy)
+    @example("canon eos 350d", "canon eos 450d")
+    @example("abc", "")
+    def test_cut_off_is_exact_up_to_the_bound_and_above_it_beyond(self, a, b):
+        distance = classic_levenshtein_distance(a, b)
+        assert levenshtein_distance(a, b) == distance
+        for bound in range(0, max(len(a), len(b)) + 2):
+            bounded = levenshtein_distance(a, b, max_distance=bound)
+            if distance <= bound:
+                assert bounded == distance, bound
+            else:
+                assert bounded > bound, bound
 
     @given(word_strategy, word_strategy)
     def test_damerau_never_exceeds_levenshtein(self, a, b):

@@ -302,6 +302,30 @@ class TestHotSwap:
             resolved = client.resolve("journal synonym")
             assert resolved["ranked"][0]["entity_id"] == "m3"
 
+    def test_watcher_waits_are_jittered_around_the_interval(self):
+        """No fixed poll period: each wait is 0.5-1.5x the interval, and varies."""
+        from repro.server.daemon import _Watcher
+
+        class _Service:
+            def maybe_reload(self):
+                return False
+
+        class _RecordingEvent:
+            def __init__(self, polls):
+                self.timeouts, self.polls = [], polls
+
+            def wait(self, timeout):
+                self.timeouts.append(timeout)
+                return len(self.timeouts) > self.polls
+
+        watcher = _Watcher(_Service(), 0.2)
+        watcher._stop_event = event = _RecordingEvent(polls=200)
+        watcher.run()  # in this thread: returns once the event reports "stopped"
+        assert watcher.counters()["checks"] == 200
+        assert all(0.1 <= timeout <= 0.3 for timeout in event.timeouts)
+        assert max(event.timeouts) - min(event.timeouts) > 0.1
+        assert sum(event.timeouts) / len(event.timeouts) == pytest.approx(0.2, rel=0.1)
+
     def test_reload_without_path_conflicts_409(self, artifact_path):
         with daemon_server(SynonymArtifact.load(artifact_path)) as (_daemon, client):
             with pytest.raises(ServerError) as excinfo:
