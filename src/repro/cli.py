@@ -8,8 +8,8 @@ without writing any Python:
   pipeline would produce);
 * ``mine``        — run the two-phase miner over JSONL logs and write the
   expanded dictionary as JSONL (and optionally into a SQLite database);
-  ``--workers N`` switches to the sharded batch miner with a shared
-  profile cache (``--shard-size``, ``--backend`` tune the pool);
+  one sharded loop over a shared profile cache, on a process pool when
+  ``--workers N`` is above 1 (``--shard-size`` sets the shard length);
 * ``compile``     — freeze a mined synonyms JSONL into a compiled serving
   artifact (one immutable file, cold-loadable in one read);
   ``--priors CLICKS_JSONL`` embeds per-entity click priors so ``server``
@@ -121,16 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--database", type=Path, default=None, help="also persist into this SQLite file")
     mine.add_argument(
         "--workers", type=_positive_int, default=None,
-        help="mine with the sharded batch miner using this many workers "
-             "(omit for the classic serial miner)",
+        help="above 1, mine the shards on a process pool of this size "
+             "(default: one in-process loop; output is identical either way)",
     )
     mine.add_argument(
         "--shard-size", type=_positive_int, default=None,
-        help="entities per shard for --workers (default: ~4 shards per worker)",
-    )
-    mine.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default=None,
-        help="worker pool backend for --workers (default: thread)",
+        help="entities per shard (default: ~4 shards per worker)",
     )
 
     compile_ = subparsers.add_parser(
@@ -379,28 +375,17 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         if line.strip()
     ]
     config = MinerConfig(surrogate_k=args.top_k, ipc_threshold=args.ipc, icr_threshold=args.icr)
-    if args.workers is None and (args.shard_size is not None or args.backend is not None):
-        raise SystemExit("repro mine: error: --shard-size/--backend require --workers")
-    batch_note = ""
-    if args.workers is not None:
-        batch = BatchMiner(
-            click_log=click_log,
-            search_log=search_log,
-            config=config,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            backend=args.backend or "thread",
-        )
-        result = batch.mine(values)
-        stats = batch.last_run_stats
-        if stats is not None:
-            batch_note = (
-                f" [{stats.backend} x{stats.workers}, {stats.shard_count} shards, "
-                f"profile cache hit rate {stats.cache.hit_rate:.0%}]"
-            )
-    else:
-        miner = SynonymMiner(click_log=click_log, search_log=search_log, config=config)
-        result = miner.mine(values)
+    batch = BatchMiner(
+        click_log=click_log,
+        search_log=search_log,
+        config=config,
+        workers=args.workers,
+        shard_size=args.shard_size,
+        backend="process" if (args.workers or 1) > 1 else "serial",
+    )
+    result = batch.mine(values)
+    stats = batch.last_run_stats
+    assert stats is not None  # mine() ran to completion
 
     rows = [
         {
@@ -419,7 +404,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             SynonymMiner.store(result, database)
     print(
         f"mined {result.synonym_count} synonyms for {result.hit_count}/{len(result)} values "
-        f"-> {args.output}{batch_note}"
+        f"-> {args.output} [{stats.backend} x{stats.workers}, {stats.shard_count} shards, "
+        f"profile cache hit rate {stats.cache.hit_rate:.0%}]"
     )
     return 0
 

@@ -17,7 +17,7 @@ from repro.core.config import MinerConfig
 from repro.core.types import SynonymCandidate, EntitySynonyms, MiningResult
 from repro.core.surrogates import SurrogateFinder
 from repro.core.candidates import CandidateGenerator
-from repro.core.selection import CandidateScorer, CandidateSelector, intersecting_page_count, intersecting_click_ratio
+from repro.core.selection import CandidateSelector, intersecting_page_count, intersecting_click_ratio
 from repro.core.pipeline import SynonymMiner, mine_synonyms
 from repro.core.classification import (
     CandidateRelation,
@@ -48,7 +48,6 @@ __all__ = [
     "MiningResult",
     "SurrogateFinder",
     "CandidateGenerator",
-    "CandidateScorer",
     "CandidateSelector",
     "intersecting_page_count",
     "intersecting_click_ratio",

@@ -1,39 +1,39 @@
-"""Parallel sharded batch mining with shared score caches.
+"""Sharded batch mining over one profile-caching index.
 
 The paper's miner is an offline batch job over months of logs for large
-entity catalogs.  :class:`~repro.core.pipeline.SynonymMiner` processes
-entities one at a time and re-materialises each candidate query's click
-profile per entity, even though high-volume candidates recur across
-thousands of entities.  This module is the production-scale counterpart:
+entity catalogs, and high-volume candidate queries recur across thousands
+of entities.  This module is the one loop every catalog-sized mining job
+runs:
 
 * :class:`FrozenClickIndex` — a read-only snapshot of the
   :class:`~repro.clicklog.log.ClickLog` / :class:`~repro.clicklog.log.SearchLog`
-  pair that is cheap to share with workers (threads share it by reference,
-  process workers receive it once via the pool initializer) and memoizes
-  each candidate's ``(clicked_urls, total_clicks, clicks_by_url)`` profile,
-  so shared candidates are materialised once per run instead of once per
-  entity;
+  pair that caches each candidate's ``(clicked_urls, total_clicks,
+  clicks_by_url)`` profile, so shared candidates are materialised once per
+  run instead of once per entity (process workers receive the index once
+  via the pool initializer);
 * :func:`mine_entity` — the single two-phase mining implementation used by
-  the serial miner, the incremental miner and every batch worker;
-* :class:`BatchMiner` — shards the catalog across a configurable worker
-  pool (``serial`` / ``thread`` / ``process`` backends) and exposes both a
-  collect-everything :meth:`BatchMiner.mine` and a streaming
-  :meth:`BatchMiner.mine_iter` that yields per-entity results shard by
-  shard with progress callbacks, for catalogs too large to hold a full
+  :class:`~repro.core.pipeline.SynonymMiner`, the incremental miner and
+  every batch worker;
+* :class:`BatchMiner` — shards the catalog, mines the shards in process
+  (``serial``, the default) or on a process pool (``process``, the only
+  path that uses more than one core) and exposes both a collect-everything
+  :meth:`BatchMiner.mine` and a streaming :meth:`BatchMiner.mine_iter` that
+  yields per-entity results shard by shard with progress callbacks, for
+  catalogs too large to hold a full
   :class:`~repro.core.types.MiningResult` comfortably.
 
-Results are deterministic and identical to the serial miner's: shards are
-consecutive slices of the (normalized, deduplicated) input order, every
-scored list is fully sorted by ``(clicks desc, query asc)``, and all ICR
-arithmetic is integer sums, so thread/process scheduling cannot change a
-single byte of the output.
+Results are deterministic and identical to per-entity mining over the live
+logs: shards are consecutive slices of the (normalized, deduplicated) input
+order, every scored list is fully sorted by ``(clicks desc, query asc)``,
+and all ICR arithmetic is integer sums, so process scheduling cannot change
+a single byte of the output.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -53,7 +53,7 @@ __all__ = [
     "BatchMiner",
 ]
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ class FrozenClickIndex:
 
     The constructor copies the aggregated log state (one level deep), so
     later mutations of the source logs never leak in: the index answers
-    every lookup from the moment of the snapshot.  ``memoize=True`` caches
-    candidate profiles across entities; ``memoize=False`` gives the exact
-    per-entity cost profile of the classic serial miner (fresh profile per
-    lookup) while still sharing the same code path.
+    every lookup from the moment of the snapshot.  Candidate profiles are
+    cached across entities.
 
     The index pickles its data but not its cache, so process-pool workers
     start with cold caches that warm up independently.
@@ -102,15 +100,13 @@ class FrozenClickIndex:
         url_to_queries: dict[str, set[str]],
         query_totals: dict[str, int],
         surrogate_urls: dict[str, list[str]],
-        memoize: bool = True,
     ) -> None:
         self._clicks = clicks
         self._url_to_queries = url_to_queries
         self._query_totals = query_totals
         self._surrogate_urls = surrogate_urls
-        self.memoize = memoize
         self._profiles: dict[str, CandidateProfile] = {}
-        # Guards the cache map and counters so concurrent thread workers
+        # Guards the cache map and counters so threads sharing one index
         # neither lose counter increments nor race cache insertion.
         self._lock = threading.Lock()
         self._hits = 0
@@ -123,7 +119,6 @@ class FrozenClickIndex:
         search_log: SearchLog | None = None,
         *,
         surrogate_k: int = 10,
-        memoize: bool = True,
     ) -> "FrozenClickIndex":
         """Snapshot *click_log* (and optionally *search_log*) into an index.
 
@@ -141,7 +136,6 @@ class FrozenClickIndex:
             url_to_queries=snapshot.url_to_queries,
             query_totals=snapshot.query_totals,
             surrogate_urls=surrogate_urls,
-            memoize=memoize,
         )
 
     # ------------------------------------------------------------------ #
@@ -169,17 +163,13 @@ class FrozenClickIndex:
         return self.candidate_profile(query).clicks_by_url
 
     def candidate_profile(self, query: str) -> CandidateProfile:
-        """The scoring profile of *query*, memoized when enabled."""
-        if self.memoize:
-            with self._lock:
-                cached = self._profiles.get(query)
-                if cached is not None:
-                    self._hits += 1
-                    return cached
-                self._misses += 1
-        else:
-            with self._lock:
-                self._misses += 1
+        """The scoring profile of *query*, built once and then shared."""
+        with self._lock:
+            cached = self._profiles.get(query)
+            if cached is not None:
+                self._hits += 1
+                return cached
+            self._misses += 1
         per_query = self._clicks.get(query, {})
         profile = CandidateProfile(
             query=query,
@@ -187,12 +177,10 @@ class FrozenClickIndex:
             total_clicks=self._query_totals.get(query, 0),
             clicks_by_url=per_query,
         )
-        if self.memoize:
-            with self._lock:
-                # Two threads may build the same profile concurrently; the
-                # first insertion wins so callers share one object.
-                return self._profiles.setdefault(query, profile)
-        return profile
+        with self._lock:
+            # Two threads may build the same profile concurrently; the
+            # first insertion wins so callers share one object.
+            return self._profiles.setdefault(query, profile)
 
     # ------------------------------------------------------------------ #
     # Cache management
@@ -205,7 +193,7 @@ class FrozenClickIndex:
             return CacheStats(hits=self._hits, misses=self._misses)
 
     def reset_cache(self) -> None:
-        """Drop memoized profiles and zero the counters."""
+        """Drop cached profiles and zero the counters."""
         with self._lock:
             self._profiles.clear()
             self._hits = 0
@@ -402,7 +390,7 @@ class BatchRunStats:
 
 
 class BatchMiner:
-    """Shards a catalog across a worker pool and mines it against one index.
+    """Shards a catalog and mines it against one index.
 
     Parameters
     ----------
@@ -415,14 +403,15 @@ class BatchMiner:
         A pre-built index to reuse; its profile cache then persists across
         runs (the "shared score cache" for repeated mining jobs).
     workers:
-        Pool size; defaults to ``os.cpu_count()``.
+        Size of the process pool (``os.cpu_count()`` when omitted); the
+        in-process loop is one worker whatever is passed.
     shard_size:
         Entities per shard; defaults to slicing the input into roughly
         ``4 × workers`` shards so the pool stays busy near the tail.
     backend:
-        ``"serial"`` (in-process loop, still sharded), ``"thread"`` (shared
-        index, cheap; wins come from the profile cache) or ``"process"``
-        (true CPU parallelism; the index is pickled once per worker and each
+        ``"serial"`` (the default: one in-process loop, still sharded for
+        streaming and progress) or ``"process"`` (the only path that uses
+        more than one core; the index is pickled once per worker and each
         worker warms its own cache).
     """
 
@@ -435,8 +424,13 @@ class BatchMiner:
         config: MinerConfig | None = None,
         workers: int | None = None,
         shard_size: int | None = None,
-        backend: str = "thread",
+        backend: str = "serial",
     ) -> None:
+        if backend == "thread":
+            # Accepted spelling of the in-process loop: the frozen harness
+            # (benchmarks/perf/offline.py) still passes it.  The thread pool
+            # it used to select never beat the loop it wrapped.
+            backend = "serial"
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if workers is not None and workers < 1:
@@ -449,8 +443,8 @@ class BatchMiner:
                 raise ValueError("provide click_log and search_log, or a prebuilt index")
             if search_log is None:
                 # Without Search Data every surrogate set is empty and every
-                # entity silently mines to nothing; fail loudly instead (the
-                # serial miner's SurrogateFinder raises the same way).
+                # entity silently mines to nothing; fail loudly instead
+                # (SurrogateFinder raises the same way for SynonymMiner).
                 raise ValueError(
                     "batch mining requires materialised Search Data; "
                     "pass search_log or a prebuilt index"
@@ -459,10 +453,10 @@ class BatchMiner:
                 click_log,
                 search_log,
                 surrogate_k=self.config.surrogate_k,
-                memoize=True,
             )
         self.index = index
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        # Only a process pool has a size; the in-process loop is one worker.
+        self.workers = (workers or os.cpu_count() or 1) if backend == "process" else 1
         self.shard_size = shard_size
         self.backend = backend
         self._last_run_stats: BatchRunStats | None = None
@@ -475,18 +469,10 @@ class BatchMiner:
         """Normalize and deduplicate, keeping first-occurrence order.
 
         Duplicate raw values collapse onto one canonical just as they do in
-        the serial miner's result dict, so batch output keys match serial
-        output keys exactly.
+        a :class:`MiningResult`, so batch output keys match per-entity
+        mining's keys exactly.
         """
-        seen: set[str] = set()
-        canonicals: list[str] = []
-        for value in values:
-            canonical = normalize(value)
-            if canonical in seen:
-                continue
-            seen.add(canonical)
-            canonicals.append(canonical)
-        return canonicals
+        return list(dict.fromkeys(normalize(value) for value in values))
 
     def _shards(self, canonicals: Sequence[str]) -> list[list[str]]:
         size = self.shard_size
@@ -518,8 +504,8 @@ class BatchMiner:
     ) -> Iterator[EntitySynonyms]:
         """Stream per-entity results in input order, shard by shard.
 
-        Shards are dispatched to the pool concurrently but yielded in
-        catalog order, so consumers can write results out incrementally
+        Shards are yielded in catalog order (the process pool runs them
+        concurrently), so consumers can write results out incrementally
         without holding a million-entity result in memory.  *progress* is
         invoked after each completed shard.
         """
@@ -529,8 +515,6 @@ class BatchMiner:
 
         if self.backend == "process":
             shard_results = self._iter_process(shards)
-        elif self.backend == "thread" and self.workers > 1 and len(shards) > 1:
-            shard_results = self._iter_thread(shards)
         else:
             shard_results = (
                 (_mine_shard(self.index, self.config, shard), None) for shard in shards
@@ -565,13 +549,6 @@ class BatchMiner:
             cache=cache,
         )
 
-    def _iter_thread(self, shards: Sequence[Sequence[str]]):
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            for entries in pool.map(
-                lambda shard: _mine_shard(self.index, self.config, shard), shards
-            ):
-                yield entries, None
-
     def _iter_process(self, shards: Sequence[Sequence[str]]):
         with ProcessPoolExecutor(
             max_workers=self.workers,
@@ -592,5 +569,5 @@ class BatchMiner:
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Cumulative cache counters of the underlying index (thread/serial)."""
+        """Cumulative cache counters of the underlying index (in-process runs)."""
         return self.index.cache_stats

@@ -68,10 +68,11 @@ class IncrementalSynonymMiner:
     ----------
     batch_threshold:
         When a refresh has at least this many dirty entities it is routed
-        through :class:`~repro.core.batch.BatchMiner` (shared profile cache,
-        optional worker pool) instead of the per-entity serial loop.
+        through :class:`~repro.core.batch.BatchMiner` (shared profile cache)
+        instead of per-entity mining over the live logs.
     batch_workers / batch_backend:
-        Pool shape for those large refreshes (see :class:`BatchMiner`).
+        Passed to :class:`BatchMiner` for those large refreshes; the default
+        is its in-process loop.
     """
 
     def __init__(
@@ -82,7 +83,7 @@ class IncrementalSynonymMiner:
         config: MinerConfig | None = None,
         batch_threshold: int = 64,
         batch_workers: int | None = None,
-        batch_backend: str = "thread",
+        batch_backend: str = "serial",
     ) -> None:
         if batch_threshold < 1:
             raise ValueError(f"batch_threshold must be >= 1, got {batch_threshold}")
@@ -92,7 +93,8 @@ class IncrementalSynonymMiner:
         self.batch_backend = batch_backend
         self.search_log = search_log
         self.click_log = click_log if click_log is not None else ClickLog()
-        self._tracked: list[str] = []
+        # Registration order with O(1) membership (an insertion-ordered set).
+        self._tracked: dict[str, None] = {}
         self._url_to_values: dict[str, set[str]] = {}
         self._candidate_to_values: dict[str, set[str]] = {}
         # Reverse edges of _candidate_to_values: which candidate queries each
@@ -125,9 +127,9 @@ class IncrementalSynonymMiner:
         """
         for value in values:
             canonical = normalize(value)
-            if canonical in self._result or canonical in self._dirty:
+            if canonical in self._tracked:
                 continue
-            self._tracked.append(canonical)
+            self._tracked[canonical] = None
             self._dirty.add(canonical)
             self._index_surrogates(canonical)
 
@@ -181,7 +183,7 @@ class IncrementalSynonymMiner:
             self.search_log.add(record)
             count += 1
             canonical = record.query
-            if canonical in self._result or canonical in set(self._tracked):
+            if canonical in self._tracked:
                 self._dirty.add(canonical)
                 self._url_to_values.setdefault(record.url, set()).add(canonical)
         return count

@@ -6,7 +6,7 @@
    string ``u`` to its surrogate pages ``G_A(u, P)``;
 2. :class:`~repro.core.candidates.CandidateGenerator` collects every query
    whose clicks touch a surrogate (candidate generation);
-3. :class:`~repro.core.selection.CandidateScorer` /
+3. :func:`~repro.core.selection.score_profile` /
    :class:`~repro.core.selection.CandidateSelector` compute IPC and ICR and
    keep the candidates clearing the β / γ thresholds (candidate selection).
 
@@ -20,10 +20,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.core.batch import FrozenClickIndex, mine_entity
-from repro.core.candidates import CandidateGenerator
+from repro.core.batch import FrozenClickIndex, _mine_shard, mine_entity
 from repro.core.config import MinerConfig
-from repro.core.selection import CandidateScorer, CandidateSelector
+from repro.core.selection import CandidateSelector
 from repro.core.surrogates import SurrogateFinder
 from repro.core.types import EntitySynonyms, MiningResult
 from repro.search.engine import SearchEngine
@@ -62,10 +61,6 @@ class SynonymMiner:
         self.surrogate_finder = SurrogateFinder(
             search_log=search_log, engine=engine, k=self.config.surrogate_k
         )
-        self.candidate_generator = CandidateGenerator(
-            click_log, min_clicks=self.config.min_clicks
-        )
-        self.scorer = CandidateScorer(click_log)
         self.selector = CandidateSelector(
             ipc_threshold=self.config.ipc_threshold,
             icr_threshold=self.config.icr_threshold,
@@ -75,7 +70,7 @@ class SynonymMiner:
     # Mining
     # ------------------------------------------------------------------ #
 
-    def build_index(self, *, memoize: bool = True) -> FrozenClickIndex | None:
+    def build_index(self) -> FrozenClickIndex | None:
         """Snapshot this miner's logs into a :class:`FrozenClickIndex`.
 
         Returns ``None`` when the miner is backed by a live engine (the
@@ -88,31 +83,19 @@ class SynonymMiner:
             self.click_log,
             self._search_log,
             surrogate_k=self.config.surrogate_k,
-            memoize=memoize,
         )
 
-    def mine_one(
-        self, value: str, *, index: FrozenClickIndex | None = None
-    ) -> EntitySynonyms:
-        """Run both phases for a single input string ``u``.
+    def mine_one(self, value: str) -> EntitySynonyms:
+        """Run both phases for a single input string ``u`` over the live logs.
 
-        When *index* is given, surrogates and click profiles are read from
-        that frozen snapshot instead of the live logs — this is how
-        :meth:`mine` and the batch/incremental miners share both the data
-        view and the single :func:`~repro.core.batch.mine_entity`
-        implementation.
+        Nothing is cached between calls, which makes this the reference the
+        equivalence tests compare every indexed path against.
         """
         canonical = normalize(value)
-        if index is not None:
-            source = index
-            surrogates = index.surrogates(canonical)
-        else:
-            source = self.click_log
-            surrogates = self.surrogate_finder.surrogates(canonical)
         return mine_entity(
             canonical,
-            source=source,
-            surrogates=surrogates,
+            source=self.click_log,
+            surrogates=self.surrogate_finder.surrogates(canonical),
             config=self.config,
             selector=self.selector,
         )
@@ -125,21 +108,20 @@ class SynonymMiner:
     def mine(self, values: Iterable[str]) -> MiningResult:
         """Run the miner over a whole input set U.
 
-        For catalog-sized inputs the serial path snapshots the logs into a
-        (non-memoizing) frozen index so it runs the exact implementation the
-        sharded :class:`~repro.core.batch.BatchMiner` runs; use the batch
-        miner when you want the cross-entity profile cache and a worker
-        pool.
+        Catalog-sized inputs over materialised logs run the loop
+        :class:`~repro.core.batch.BatchMiner` runs, over the same
+        profile-caching index; use the batch miner itself for streaming,
+        progress callbacks or a process pool.
         """
         values = list(values)
-        index = (
-            self.build_index(memoize=False)
-            if len(values) >= self._INDEX_THRESHOLD
-            else None
-        )
+        index = self.build_index() if len(values) >= self._INDEX_THRESHOLD else None
+        if index is None:
+            entries: Iterable[EntitySynonyms] = map(self.mine_one, values)
+        else:
+            entries = _mine_shard(index, self.config, [normalize(v) for v in values])
         result = MiningResult()
-        for value in values:
-            result.add(self.mine_one(value, index=index))
+        for entry in entries:
+            result.add(entry)
         return result
 
     # ------------------------------------------------------------------ #
@@ -219,7 +201,7 @@ class SynonymMiner:
 
         Returns the number of rows written to the ``synonyms`` table.
         (A static method: results from the batch miner can be stored the
-        same way without constructing a serial miner.)
+        same way without constructing a miner.)
         """
         rows: list[tuple[str, str, int, float, int]] = []
         for entry in result:

@@ -23,20 +23,16 @@ The final synonyms are the candidates with ``IPC ≥ β`` and ``ICR ≥ γ``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import Iterable, Protocol
 
 from repro.clicklog.log import CandidateProfile
 from repro.core.types import SynonymCandidate
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.clicklog.log import ClickLog
 
 __all__ = [
     "intersecting_page_count",
     "intersecting_click_ratio",
     "score_profile",
     "ProfileSource",
-    "CandidateScorer",
     "CandidateSelector",
 ]
 
@@ -46,8 +42,8 @@ class ProfileSource(Protocol):
 
     Both the live :class:`~repro.clicklog.log.ClickLog` (fresh profile per
     call) and the batch :class:`~repro.core.batch.FrozenClickIndex`
-    (memoized profiles) satisfy this, which is what lets the serial and the
-    sharded miners share one scoring implementation.
+    (cached profiles) satisfy this, which is what lets live-log and indexed
+    mining share one scoring implementation.
     """
 
     def candidate_profile(self, query: str) -> CandidateProfile: ...
@@ -79,11 +75,11 @@ def intersecting_click_ratio(
 def score_profile(profile: CandidateProfile, surrogates: set[str]) -> SynonymCandidate:
     """Score one candidate profile against one surrogate set.
 
-    This is the single scoring implementation shared by the serial miner and
-    the batch miner: IPC is the intersection size (Eq. 3), ICR the clicks
-    landing inside the intersection over the candidate's total volume
-    (Eq. 4).  All sums are over ints, so the result is bit-identical no
-    matter which path (or worker) computed it.
+    This is the single scoring implementation behind every mining path: IPC
+    is the intersection size (Eq. 3), ICR the clicks landing inside the
+    intersection over the candidate's total volume (Eq. 4).  All sums are
+    over ints, so the result is bit-identical no matter which path (or
+    worker) computed it.
     """
     intersection = profile.clicked_urls & surrogates
     intersecting_urls = tuple(sorted(intersection))
@@ -100,34 +96,6 @@ def score_profile(profile: CandidateProfile, surrogates: set[str]) -> SynonymCan
         clicks=profile.total_clicks,
         intersecting_urls=intersecting_urls,
     )
-
-
-class CandidateScorer:
-    """Computes the (IPC, ICR, clicks) triple of candidates from a profile source.
-
-    *click_log* may be a live :class:`~repro.clicklog.log.ClickLog` or any
-    other :class:`ProfileSource` (e.g. a memoizing
-    :class:`~repro.core.batch.FrozenClickIndex`).
-    """
-
-    def __init__(self, click_log: "ClickLog | ProfileSource") -> None:
-        self.click_log = click_log
-
-    def score(self, candidate: str, surrogates: set[str]) -> SynonymCandidate:
-        """Score one candidate query against one surrogate set."""
-        return score_profile(self.click_log.candidate_profile(candidate), surrogates)
-
-    def score_all(
-        self, candidates: Iterable[str], surrogates: set[str]
-    ) -> list[SynonymCandidate]:
-        """Score every candidate, ordered by (clicks desc, query asc).
-
-        The ordering makes downstream reports deterministic and puts the
-        highest-volume (most user-visible) candidates first.
-        """
-        scored = [self.score(candidate, surrogates) for candidate in candidates]
-        scored.sort(key=lambda candidate: (-candidate.clicks, candidate.query))
-        return scored
 
 
 class CandidateSelector:

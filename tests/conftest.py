@@ -31,6 +31,9 @@ from typing import Any, Iterator
 import pytest
 
 from repro.clicklog.log import ClickLog, SearchLog
+from repro.core.batch import BatchMiner
+from repro.core.config import MinerConfig
+from repro.core.pipeline import SynonymMiner
 from repro.search.documents import Corpus, WebPage
 from repro.search.engine import SearchEngine
 from repro.simulation.aliases import build_alias_table
@@ -167,6 +170,29 @@ def cli_server(
             except subprocess.TimeoutExpired:  # pragma: no cover - hung server
                 proc.kill()
                 proc.communicate(timeout=15)
+
+
+def assert_mining_paths_agree(
+    search_log: SearchLog, click_log: ClickLog, values: list[str], config: MinerConfig
+) -> None:
+    """Every remaining mining path must reproduce per-entity live-log mining.
+
+    The reference is :meth:`SynonymMiner.mine_one` over the live logs (no
+    index, no cache); against it: ``SynonymMiner.mine``, the in-process
+    ``BatchMiner`` loop, its process pool, and the legacy ``"thread"``
+    spelling of the in-process loop.  *values* must be distinct canonicals.
+    """
+    miner = SynonymMiner(click_log=click_log, search_log=search_log, config=config)
+    reference = [miner.mine_one(value) for value in values]
+    logs = {"click_log": click_log, "search_log": search_log, "config": config}
+    paths = {
+        "SynonymMiner.mine": miner.mine(values),
+        "in-process": BatchMiner(**logs).mine(values),
+        "process": BatchMiner(**logs, workers=2, backend="process").mine(values),
+        "thread spelling": BatchMiner(**logs, workers=2, backend="thread").mine(values),
+    }
+    for name, result in paths.items():
+        assert list(result) == reference, name
 
 
 @pytest.fixture(scope="session")

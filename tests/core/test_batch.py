@@ -2,8 +2,9 @@
 
 The load-bearing guarantee is *equivalence*: whatever combination of
 workers, shard size and backend is used, the batch miner must return
-results identical to the serial ``SynonymMiner.mine()`` — same entities,
-same key order, same scored candidate lists, same selections.
+results identical to ``SynonymMiner.mine()`` and to per-entity mining over
+the live logs — same entities, same key order, same scored candidate
+lists, same selections.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 
+from tests.conftest import assert_mining_paths_agree
+
 
 CONFIG = MinerConfig(ipc_threshold=2, icr_threshold=0.1)
 
@@ -39,6 +42,24 @@ def assert_results_identical(actual, expected):
         assert entry.surrogates == expected_entry.surrogates
         assert entry.candidates == expected_entry.candidates
         assert entry.selected == expected_entry.selected
+
+
+def shared_candidate_logs(entities: int = 40):
+    """The production shape: broad head queries whose click footprint
+    crosses many entities' surrogate hubs, so the same hot queries are
+    candidates of every entity."""
+    hub_urls = [f"https://hub{i}.example/very/long/portal/path" for i in range(20)]
+    values = [f"entity {e:02d}" for e in range(entities)]
+    search = SearchLog.from_tuples(
+        (value, url, rank)
+        for value in values
+        for rank, url in enumerate(hub_urls[:10], start=1)
+    )
+    clicks = ClickLog.from_tuples(
+        [(f"hot query {q}", url, 3) for q in range(8) for url in hub_urls]
+        + [(value, hub_urls[0], 2) for value in values]
+    )
+    return search, clicks, values
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +106,6 @@ class TestFrozenClickIndex:
         assert index.cache_stats.hit_rate == pytest.approx(1 / 3)
         assert index.candidate_profile("indy 4") is index.candidate_profile("indy 4")
 
-    def test_memoize_disabled_never_hits(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(
-            mini_click_log, mini_search_log, memoize=False
-        )
-        index.candidate_profile("indy 4")
-        index.candidate_profile("indy 4")
-        assert index.cache_stats == CacheStats(hits=0, misses=2)
-
     def test_pickle_round_trip_drops_cache(self, mini_click_log, mini_search_log):
         index = FrozenClickIndex.from_logs(mini_click_log, mini_search_log)
         index.candidate_profile("indy 4")
@@ -115,9 +128,7 @@ class TestBatchEquivalence:
         ("workers", "backend", "shard_size"),
         [
             (1, "serial", None),
-            (1, "thread", 3),
-            (3, "thread", None),
-            (3, "thread", 1),
+            (None, "serial", 3),
             (2, "process", 5),
             (1, "process", None),
         ],
@@ -151,18 +162,45 @@ class TestBatchEquivalence:
         )
         assert_results_identical(batch.mine(noisy), serial)
 
+    def test_every_path_agrees_on_shared_candidates(self):
+        search_log, click_log, values = shared_candidate_logs()
+        assert len(values) >= SynonymMiner._INDEX_THRESHOLD
+        assert_mining_paths_agree(search_log, click_log, values, CONFIG)
+
+    def test_synonym_miner_mine_shares_the_profile_cache(self, monkeypatch):
+        search_log, click_log, values = shared_candidate_logs()
+        miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
+        built = []
+        build_index = miner.build_index
+
+        def spy():
+            built.append(build_index())
+            return built[-1]
+
+        monkeypatch.setattr(miner, "build_index", spy)
+        miner.mine(values)
+        (index,) = built
+        # Eight hot queries are candidates of all 40 entities: everything
+        # after each one's first profile is a hit.
+        assert index.cache_stats.hits > index.cache_stats.misses
+
+    def test_below_index_threshold_reads_live_logs(self, monkeypatch):
+        search_log, click_log, values = shared_candidate_logs()
+        miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
+        monkeypatch.setattr(miner, "build_index", lambda: pytest.fail("index built"))
+        few = values[: SynonymMiner._INDEX_THRESHOLD - 1]
+        assert list(miner.mine(few)) == [miner.mine_one(value) for value in few]
+
     def test_cache_hits_on_shared_candidates(self, toy_world):
         batch = BatchMiner(
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
-            workers=2,
-            backend="thread",
         )
         batch.mine(toy_world.canonical_queries())
         stats = batch.last_run_stats
         assert stats is not None
-        assert stats.backend == "thread"
+        assert stats.backend == "serial"
         assert stats.entities == len(toy_world.canonical_queries())
         assert stats.cache.lookups > 0
         # The toy world's entities share head queries, so the cross-entity
@@ -186,9 +224,7 @@ class TestMineIter:
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
-            workers=2,
             shard_size=4,
-            backend="thread",
         )
         yielded = list(batch.mine_iter(values, progress=events.append))
         assert [entry.canonical for entry in yielded] == list(
@@ -221,6 +257,26 @@ class TestValidation:
     def test_rejects_unknown_backend(self, toy_world):
         with pytest.raises(ValueError):
             BatchMiner(click_log=toy_world.click_log, backend="gpu")
+
+    def test_defaults_are_the_in_process_loop(self, toy_world):
+        logs = {"click_log": toy_world.click_log, "search_log": toy_world.search_log}
+        batch = BatchMiner(**logs)
+        assert (batch.backend, batch.workers) == ("serial", 1)
+        assert IncrementalSynonymMiner(search_log=toy_world.search_log).batch_backend == "serial"
+        # A pool size is resolved only where a pool is built.
+        assert BatchMiner(**logs, backend="process").workers >= 1
+        assert BatchMiner(**logs, workers=3, backend="process").workers == 3
+
+    def test_thread_spelling_reports_what_ran(self, toy_world):
+        batch = BatchMiner(
+            click_log=toy_world.click_log,
+            search_log=toy_world.search_log,
+            workers=2,
+            backend="thread",
+        )
+        batch.mine(toy_world.canonical_queries()[:4])
+        stats = batch.last_run_stats
+        assert (stats.backend, stats.workers) == ("serial", 1)
 
     def test_rejects_bad_workers_and_shard_size(self, toy_world):
         with pytest.raises(ValueError):
@@ -351,24 +407,11 @@ class TestCompactShardTransfer:
         )
 
     def test_packed_payload_shrinks_hard_on_shared_candidates(self):
-        # The production shape: broad head queries whose click footprint
-        # crosses many entities' surrogate hubs.  Intersections are wide, so
-        # shipping them as surrogate indices instead of URL strings is the
-        # bulk of the win.
-        hub_urls = [f"https://hub{i}.example/very/long/portal/path" for i in range(20)]
-        search = SearchLog.from_tuples(
-            (f"entity {e:02d}", url, rank)
-            for e in range(30)
-            for rank, url in enumerate(hub_urls[:10], start=1)
-        )
-        clicks = ClickLog.from_tuples(
-            [(f"hot query {q}", url, 3) for q in range(8) for url in hub_urls]
-            + [(f"entity {e:02d}", hub_urls[0], 2) for e in range(30)]
-        )
+        # Intersections are wide on shared-candidate logs, so shipping them
+        # as surrogate indices instead of URL strings is the bulk of the win.
+        search, clicks, values = shared_candidate_logs(30)
         index = FrozenClickIndex.from_logs(clicks, search)
-        entries = _mine_shard(
-            index, CONFIG, [f"entity {e:02d}" for e in range(30)]
-        )
+        entries = _mine_shard(index, CONFIG, values)
         assert any(entry.candidates for entry in entries)
         packed = [_pack_entry(entry) for entry in entries]
         dataclass_payload = len(pickle.dumps(entries))

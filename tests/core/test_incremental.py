@@ -75,6 +75,22 @@ class TestIngestion:
         )
         assert CANONICAL in incremental.dirty_values
 
+    def test_search_data_for_tracked_but_unrefreshed_value_dirties_it(self, incremental):
+        late = "a value tracked before its search data arrives"
+        incremental.refresh()
+        incremental.track([late])
+        incremental.ingest_search(
+            [
+                SearchRecord(late, "https://late.example.com/page", 1),
+                SearchRecord("never tracked", "https://late.example.com/page", 1),
+            ]
+        )
+        # Membership is "tracked", not "already mined": the value has no
+        # cached entry yet and must still be picked up.
+        assert incremental.dirty_values == {late}
+        assert incremental.refresh() == [late]
+        assert incremental.result[late].surrogates == ("https://late.example.com/page",)
+
     def test_candidate_volume_change_dirties_dependents(self, incremental):
         # After "indy 4" becomes a candidate of CANONICAL, clicks from
         # "indy 4" anywhere change its ICR denominator and must dirty it.

@@ -6,7 +6,9 @@ These pin down the algebra of the miner on arbitrary small logs:
 * IPC is bounded by both sides of the intersection it counts — the
   entity's surrogate set and the candidate's clicked-URL set;
 * tightening β / γ can only shrink the selection (monotonicity);
-* ``reselect(result, β, γ)`` is exactly mining fresh at (β, γ).
+* ``reselect(result, β, γ)`` is exactly mining fresh at (β, γ);
+* every mining path (``SynonymMiner.mine``, the in-process ``BatchMiner``
+  loop, its process pool) reproduces per-entity mining over the live logs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
 from repro.core.selection import CandidateSelector
+
+from tests.conftest import assert_mining_paths_agree
 
 CANONICAL = "the example entity title"
 
@@ -31,6 +35,15 @@ search_tuples = st.lists(
 click_tuples = st.lists(
     st.tuples(st.sampled_from(QUERIES), st.sampled_from(URLS), st.integers(1, 30)),
     max_size=40,
+)
+# Several entities with overlapping surrogates, padded with values that have
+# no Search Data so the catalog is long enough for SynonymMiner.mine to index.
+CATALOG = [CANONICAL, "second entity", "third entity"] + [
+    f"filler value {i}" for i in range(SynonymMiner._INDEX_THRESHOLD)
+]
+catalog_search_tuples = st.lists(
+    st.tuples(st.sampled_from(CATALOG[:3]), st.sampled_from(URLS), st.integers(1, 10)),
+    max_size=24,
 )
 ipc_thresholds = st.integers(0, 6)
 icr_thresholds = st.floats(0.0, 1.0)
@@ -129,3 +142,13 @@ class TestReselectEquivalence:
         for canonical, fresh_entry in fresh.per_entity.items():
             assert reselected[canonical].candidates == fresh_entry.candidates
             assert reselected[canonical].selected == fresh_entry.selected
+
+
+class TestPathEquivalence:
+    # Each example starts a process pool, hence few examples and no deadline.
+    @settings(max_examples=10, deadline=None)
+    @given(catalog_search_tuples, click_tuples, ipc_thresholds, icr_thresholds)
+    def test_every_path_equals_live_log_mining(self, search, clicks, ipc, icr):
+        search_log, click_log = _build_logs(search, clicks)
+        config = MinerConfig(ipc_threshold=ipc, icr_threshold=icr)
+        assert_mining_paths_agree(search_log, click_log, CATALOG, config)

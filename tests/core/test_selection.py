@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.batch import mine_entity
+from repro.core.config import MinerConfig
 from repro.core.selection import (
-    CandidateScorer,
     CandidateSelector,
     intersecting_click_ratio,
     intersecting_page_count,
+    score_profile,
 )
 from repro.core.types import SynonymCandidate
 
@@ -40,10 +42,9 @@ class TestMeasures:
         assert intersecting_click_ratio({}, SURROGATES) == 0.0
 
 
-class TestScorer:
+class TestScoreProfile:
     def test_scores_match_paper_definitions(self, mini_click_log):
-        scorer = CandidateScorer(mini_click_log)
-        candidate = scorer.score("indy 4", SURROGATES)
+        candidate = score_profile(mini_click_log.candidate_profile("indy 4"), SURROGATES)
         # Both clicked URLs are surrogates: IPC 2, ICR 1.0, 90 clicks.
         assert candidate.ipc == 2
         assert candidate.icr == pytest.approx(1.0)
@@ -54,28 +55,36 @@ class TestScorer:
         }
 
     def test_hypernym_profile(self, mini_click_log):
-        scorer = CandidateScorer(mini_click_log)
-        candidate = scorer.score("indiana jones", SURROGATES)
+        candidate = score_profile(
+            mini_click_log.candidate_profile("indiana jones"), SURROGATES
+        )
         # 20 of 90 clicks land on a surrogate: low ICR, IPC 1.
         assert candidate.ipc == 1
         assert candidate.icr == pytest.approx(20 / 90)
 
     def test_related_profile(self, mini_click_log):
-        scorer = CandidateScorer(mini_click_log)
-        candidate = scorer.score("harrison ford", SURROGATES)
+        candidate = score_profile(
+            mini_click_log.candidate_profile("harrison ford"), SURROGATES
+        )
         assert candidate.ipc == 1
         assert candidate.icr == pytest.approx(5 / 95)
 
-    def test_score_all_orders_by_clicks(self, mini_click_log):
-        scorer = CandidateScorer(mini_click_log)
-        scored = scorer.score_all(["indy 4", "harrison ford", "indiana jones"], SURROGATES)
-        assert [candidate.clicks for candidate in scored] == sorted(
-            (candidate.clicks for candidate in scored), reverse=True
+    def test_mined_candidates_ordered_by_clicks(self, mini_click_log):
+        entry = mine_entity(
+            "indiana jones and the kingdom of the crystal skull",
+            source=mini_click_log,
+            surrogates=sorted(SURROGATES),
+            config=MinerConfig(),
+        )
+        assert {"indy 4", "harrison ford", "indiana jones"} <= {
+            candidate.query for candidate in entry.candidates
+        }
+        assert [candidate.clicks for candidate in entry.candidates] == sorted(
+            (candidate.clicks for candidate in entry.candidates), reverse=True
         )
 
     def test_score_unknown_query(self, mini_click_log):
-        scorer = CandidateScorer(mini_click_log)
-        candidate = scorer.score("never asked", SURROGATES)
+        candidate = score_profile(mini_click_log.candidate_profile("never asked"), SURROGATES)
         assert candidate.ipc == 0 and candidate.icr == 0.0 and candidate.clicks == 0
 
 

@@ -153,38 +153,39 @@ class TestBatchMineCLI:
         assert main(args) == 0
         return list(read_jsonl(output))
 
-    def test_workers_flag_matches_serial_output(self, simulated, workdir, capsys):
-        serial_rows = self._mine(simulated, workdir / "serial.jsonl")
-        batch_rows = self._mine(
-            simulated, workdir / "batch.jsonl",
-            "--workers", "2", "--shard-size", "3",
-        )
-        assert batch_rows == serial_rows
-        assert "profile cache hit rate" in capsys.readouterr().out
+    def test_plain_mine_runs_the_in_process_loop(self, simulated, workdir, capsys):
+        self._mine(simulated, workdir / "plain.jsonl")
+        out = capsys.readouterr().out
+        assert "[serial x1," in out and "profile cache hit rate" in out
+        self._mine(simulated, workdir / "one.jsonl", "--workers", "1", "--shard-size", "3")
+        assert "[serial x1," in capsys.readouterr().out
+        assert (workdir / "one.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
 
-    def test_workers_with_process_backend(self, simulated, workdir):
-        serial_rows = self._mine(simulated, workdir / "serial2.jsonl")
-        process_rows = self._mine(
-            simulated, workdir / "process.jsonl",
-            "--workers", "2", "--backend", "process",
-        )
-        assert process_rows == serial_rows
-
-    def test_batch_flags_without_workers_rejected(self, simulated, workdir):
-        with pytest.raises(SystemExit, match="require --workers"):
-            self._mine(simulated, workdir / "orphan.jsonl", "--backend", "process")
-        with pytest.raises(SystemExit, match="require --workers"):
-            self._mine(simulated, workdir / "orphan.jsonl", "--shard-size", "10")
+    def test_workers_above_one_is_the_process_pool(self, simulated, workdir, capsys):
+        self._mine(simulated, workdir / "serial.jsonl")
+        capsys.readouterr()
+        self._mine(simulated, workdir / "process.jsonl", "--workers", "2", "--shard-size", "3")
+        assert "[process x2," in capsys.readouterr().out
+        assert (workdir / "process.jsonl").read_bytes() == (workdir / "serial.jsonl").read_bytes()
 
     def test_parser_accepts_batch_flags(self):
         args = build_parser().parse_args(
             [
                 "mine", "--search", "s", "--clicks", "c", "--values", "v",
                 "--output", "o", "--workers", "4", "--shard-size", "100",
-                "--backend", "process",
             ]
         )
-        assert args.workers == 4 and args.shard_size == 100 and args.backend == "process"
+        assert args.workers == 4 and args.shard_size == 100
+
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [
+                    "mine", "--search", "s", "--clicks", "c", "--values", "v",
+                    "--output", "o", "--workers", "2", "--backend", "process",
+                ]
+            )
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestCompileAndServeCLI:
