@@ -12,7 +12,7 @@ package holds:
 """
 
 from repro.clicklog.records import ClickRecord, SearchRecord, ImpressionRecord
-from repro.clicklog.log import CandidateProfile, ClickLog, ClickLogSnapshot, SearchLog
+from repro.clicklog.log import CacheStats, CandidateProfile, ClickLog, SearchLog
 from repro.clicklog.graph import ClickGraph
 from repro.clicklog.stats import (
     QueryLogStats,
@@ -26,9 +26,9 @@ __all__ = [
     "ClickRecord",
     "SearchRecord",
     "ImpressionRecord",
+    "CacheStats",
     "CandidateProfile",
     "ClickLog",
-    "ClickLogSnapshot",
     "SearchLog",
     "ClickGraph",
     "QueryLogStats",

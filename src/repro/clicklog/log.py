@@ -13,13 +13,14 @@ ask, all in O(1) dictionary lookups after aggregation:
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.clicklog.records import ClickRecord, ImpressionRecord, SearchRecord
 
-__all__ = ["ClickLog", "SearchLog", "CandidateProfile", "ClickLogSnapshot"]
+__all__ = ["ClickLog", "SearchLog", "CandidateProfile", "CacheStats"]
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,29 @@ class CandidateProfile:
     clicks_by_url: Mapping[str, int]
 
 
-class ClickLogSnapshot(NamedTuple):
-    """A detached copy of a :class:`ClickLog`'s aggregated state."""
+@dataclass(frozen=True)
+class CacheStats:
+    """Hit/miss counters of a :class:`ClickLog`'s profile cache."""
 
-    clicks: dict[str, dict[str, int]]
-    url_to_queries: dict[str, set[str]]
-    query_totals: dict[str, int]
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of profile lookups served from the cache (0 when idle)."""
+        if not self.lookups:
+            return 0.0
+        return self.hits / self.lookups
+
+    def __add__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(self.hits + other.hits, self.misses + other.misses)
+
+    def __sub__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(self.hits - other.hits, self.misses - other.misses)
 
 
 class SearchLog:
@@ -106,12 +124,26 @@ class SearchLog:
 
 
 class ClickLog:
-    """Click Data ``L``: aggregated (query, url) → click-count map."""
+    """Click Data ``L``: aggregated (query, url) → click-count map.
+
+    Concurrency contract: any number of threads may read a quiescent log at
+    once; :meth:`add` is exclusive — no reader and no other writer may run
+    alongside it.
+    """
 
     def __init__(self, records: Iterable[ClickRecord] = ()) -> None:
         self._clicks: dict[str, dict[str, int]] = defaultdict(dict)
         self._url_to_queries: dict[str, set[str]] = defaultdict(set)
         self._query_totals: dict[str, int] = defaultdict(int)
+        # Per-query scoring profiles; invalidated per-query by add().  Broad
+        # queries recur as candidates of thousands of entities, so building
+        # the same profile once per entity is most of what mining would cost.
+        self._profiles: dict[str, CandidateProfile] = {}
+        # Guards the cache map and counters so concurrent readers neither
+        # lose counter increments nor race cache insertion.
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
         for record in records:
             self.add(record)
 
@@ -125,6 +157,7 @@ class ClickLog:
         per_query[record.url] = per_query.get(record.url, 0) + record.clicks
         self._url_to_queries[record.url].add(record.query)
         self._query_totals[record.query] += record.clicks
+        self._profiles.pop(record.query, None)
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[tuple[str, str, int]]) -> "ClickLog":
@@ -169,33 +202,54 @@ class ClickLog:
         return dict(self._clicks.get(query, {}))
 
     def candidate_profile(self, query: str) -> CandidateProfile:
-        """Materialise the full scoring view of *query*.
+        """The scoring view of *query*, built once and shared until the next
+        :meth:`add` for that query.
 
-        A live log recomputes the profile on every call (the log may have
-        mutated since the last one); :class:`~repro.core.batch.FrozenClickIndex`
-        provides the memoizing counterpart for batch runs.
+        Only queries present in the log are cached, so the cache is bounded
+        by the log's own per-query state.
         """
-        per_query = self._clicks.get(query, {})
-        return CandidateProfile(
+        with self._lock:
+            cached = self._profiles.get(query)
+            if cached is not None:
+                self._hits += 1
+                return cached
+            self._misses += 1
+        per_query = self._clicks.get(query)
+        if per_query is None:
+            return CandidateProfile(query, frozenset(), 0, {})
+        profile = CandidateProfile(
             query=query,
             clicked_urls=frozenset(per_query),
             total_clicks=self._query_totals.get(query, 0),
             clicks_by_url=dict(per_query),
         )
+        with self._lock:
+            # Two threads may build the same profile concurrently; the
+            # first insertion wins so callers share one object.
+            return self._profiles.setdefault(query, profile)
 
-    def snapshot(self) -> ClickLogSnapshot:
-        """Copy the aggregated state out of the log.
+    @property
+    def cache_stats(self) -> CacheStats:
+        """Cumulative profile-cache counters since construction."""
+        with self._lock:
+            return CacheStats(hits=self._hits, misses=self._misses)
 
-        The copy is one level deep (fresh per-query dicts and per-URL sets),
-        so later :meth:`add` calls on this log cannot leak into consumers of
-        the snapshot — the contract :class:`~repro.core.batch.FrozenClickIndex`
-        relies on.
-        """
-        return ClickLogSnapshot(
-            clicks={query: dict(per_query) for query, per_query in self._clicks.items()},
-            url_to_queries={url: set(queries) for url, queries in self._url_to_queries.items()},
-            query_totals=dict(self._query_totals),
-        )
+    # ------------------------------------------------------------------ #
+    # Pickling (process-pool workers): the data travels, the cache and its
+    # lock do not
+    # ------------------------------------------------------------------ #
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_profiles"] = {}
+        state["_hits"] = 0
+        state["_misses"] = 0
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Whole-log iteration and statistics

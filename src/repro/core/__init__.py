@@ -31,7 +31,6 @@ from repro.core.batch import (
     BatchProgress,
     BatchRunStats,
     CacheStats,
-    FrozenClickIndex,
     mine_entity,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "BatchProgress",
     "BatchRunStats",
     "CacheStats",
-    "FrozenClickIndex",
     "mine_entity",
     "MinerConfig",
     "SynonymCandidate",

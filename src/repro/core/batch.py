@@ -1,16 +1,12 @@
-"""Sharded batch mining over one profile-caching index.
+"""Sharded batch mining over the click log's profile cache.
 
 The paper's miner is an offline batch job over months of logs for large
 entity catalogs, and high-volume candidate queries recur across thousands
-of entities.  This module is the one loop every catalog-sized mining job
-runs:
+of entities.  :class:`~repro.clicklog.log.ClickLog` caches each candidate's
+``(clicked_urls, total_clicks, clicks_by_url)`` profile, so shared
+candidates are materialised once per log instead of once per entity; this
+module is the one loop every mining job runs over it:
 
-* :class:`FrozenClickIndex` — a read-only snapshot of the
-  :class:`~repro.clicklog.log.ClickLog` / :class:`~repro.clicklog.log.SearchLog`
-  pair that caches each candidate's ``(clicked_urls, total_clicks,
-  clicks_by_url)`` profile, so shared candidates are materialised once per
-  run instead of once per entity (process workers receive the index once
-  via the pool initializer);
 * :func:`mine_entity` — the single two-phase mining implementation used by
   :class:`~repro.core.pipeline.SynonymMiner`, the incremental miner and
   every batch worker;
@@ -22,22 +18,21 @@ runs:
   catalogs too large to hold a full
   :class:`~repro.core.types.MiningResult` comfortably.
 
-Results are deterministic and identical to per-entity mining over the live
-logs: shards are consecutive slices of the (normalized, deduplicated) input
-order, every scored list is fully sorted by ``(clicks desc, query asc)``,
-and all ICR arithmetic is integer sums, so process scheduling cannot change
-a single byte of the output.
+Results are deterministic and identical whichever path mines them: shards
+are consecutive slices of the (normalized, deduplicated) input order, every
+scored list is fully sorted by ``(clicks desc, query asc)``, and all ICR
+arithmetic is integer sums, so process scheduling cannot change a single
+byte of the output.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.clicklog.log import CandidateProfile, ClickLog, SearchLog
+from repro.clicklog.log import CacheStats, ClickLog, SearchLog
 from repro.core.candidates import CandidateGenerator
 from repro.core.config import MinerConfig
 from repro.core.selection import CandidateSelector, score_profile
@@ -46,7 +41,6 @@ from repro.text.normalize import normalize
 
 __all__ = [
     "CacheStats",
-    "FrozenClickIndex",
     "mine_entity",
     "BatchProgress",
     "BatchRunStats",
@@ -56,181 +50,19 @@ __all__ = [
 BACKENDS = ("serial", "process")
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters of a :class:`FrozenClickIndex` profile cache."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of profile lookups served from the cache (0 when idle)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(self.hits + other.hits, self.misses + other.misses)
-
-    def __sub__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(self.hits - other.hits, self.misses - other.misses)
-
-
-class FrozenClickIndex:
-    """A read-only, shareable snapshot of Click Data + Search Data.
-
-    The constructor copies the aggregated log state (one level deep), so
-    later mutations of the source logs never leak in: the index answers
-    every lookup from the moment of the snapshot.  Candidate profiles are
-    cached across entities.
-
-    The index pickles its data but not its cache, so process-pool workers
-    start with cold caches that warm up independently.
-    """
-
-    def __init__(
-        self,
-        *,
-        clicks: dict[str, dict[str, int]],
-        url_to_queries: dict[str, set[str]],
-        query_totals: dict[str, int],
-        surrogate_urls: dict[str, list[str]],
-    ) -> None:
-        self._clicks = clicks
-        self._url_to_queries = url_to_queries
-        self._query_totals = query_totals
-        self._surrogate_urls = surrogate_urls
-        self._profiles: dict[str, CandidateProfile] = {}
-        # Guards the cache map and counters so threads sharing one index
-        # neither lose counter increments nor race cache insertion.
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    @classmethod
-    def from_logs(
-        cls,
-        click_log: ClickLog,
-        search_log: SearchLog | None = None,
-        *,
-        surrogate_k: int = 10,
-    ) -> "FrozenClickIndex":
-        """Snapshot *click_log* (and optionally *search_log*) into an index.
-
-        Surrogate sets are materialised eagerly at the ``surrogate_k``
-        cut-off for every query in the search log, so the index is fully
-        self-contained (and picklable) afterwards.
-        """
-        snapshot = click_log.snapshot()
-        surrogate_urls: dict[str, list[str]] = {}
-        if search_log is not None:
-            for query in search_log.queries():
-                surrogate_urls[query] = search_log.top_urls(query, k=surrogate_k)
-        return cls(
-            clicks=snapshot.clicks,
-            url_to_queries=snapshot.url_to_queries,
-            query_totals=snapshot.query_totals,
-            surrogate_urls=surrogate_urls,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Lookups (the ClickLog/SearchLog surface the miner needs)
-    # ------------------------------------------------------------------ #
-
-    def surrogates(self, query: str) -> tuple[str, ...]:
-        """``G_A(query, P)``: the frozen surrogate URLs of *query*."""
-        return tuple(self._surrogate_urls.get(query, ()))
-
-    def queries_clicking(self, url: str) -> set[str]:
-        """All queries with ≥ 1 click on *url* (treat as read-only)."""
-        return self._url_to_queries.get(url, set())
-
-    def urls_clicked_for(self, query: str) -> set[str]:
-        """``G_L(query, P)``: URLs with ≥ 1 click for *query*."""
-        return set(self._clicks.get(query, ()))
-
-    def total_clicks(self, query: str) -> int:
-        """Total clicks issued from *query* (ICR denominator)."""
-        return self._query_totals.get(query, 0)
-
-    def clicks_by_url(self, query: str) -> Mapping[str, int]:
-        """The {url: clicks} map of *query* (treat as read-only)."""
-        return self.candidate_profile(query).clicks_by_url
-
-    def candidate_profile(self, query: str) -> CandidateProfile:
-        """The scoring profile of *query*, built once and then shared."""
-        with self._lock:
-            cached = self._profiles.get(query)
-            if cached is not None:
-                self._hits += 1
-                return cached
-            self._misses += 1
-        per_query = self._clicks.get(query, {})
-        profile = CandidateProfile(
-            query=query,
-            clicked_urls=frozenset(per_query),
-            total_clicks=self._query_totals.get(query, 0),
-            clicks_by_url=per_query,
-        )
-        with self._lock:
-            # Two threads may build the same profile concurrently; the
-            # first insertion wins so callers share one object.
-            return self._profiles.setdefault(query, profile)
-
-    # ------------------------------------------------------------------ #
-    # Cache management
-    # ------------------------------------------------------------------ #
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Cumulative profile-cache counters since construction/reset."""
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses)
-
-    def reset_cache(self) -> None:
-        """Drop cached profiles and zero the counters."""
-        with self._lock:
-            self._profiles.clear()
-            self._hits = 0
-            self._misses = 0
-
-    # ------------------------------------------------------------------ #
-    # Pickling (process backend)
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_profiles"] = {}
-        state["_hits"] = 0
-        state["_misses"] = 0
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-
 def mine_entity(
     canonical: str,
     *,
-    source,
+    source: ClickLog,
     surrogates: Sequence[str],
     config: MinerConfig,
     selector: CandidateSelector | None = None,
 ) -> EntitySynonyms:
     """Run both mining phases for one already-normalized input string.
 
-    *source* is anything providing ``queries_clicking``, ``total_clicks``
-    and ``candidate_profile`` — a live :class:`ClickLog` or a
-    :class:`FrozenClickIndex`.  This is the one implementation behind
-    :meth:`SynonymMiner.mine_one`, :meth:`IncrementalSynonymMiner.refresh`
-    and every :class:`BatchMiner` worker.
+    This is the one implementation behind :meth:`SynonymMiner.mine_one`,
+    :meth:`IncrementalSynonymMiner.refresh` and every :class:`BatchMiner`
+    worker.
     """
     if selector is None:
         selector = CandidateSelector(
@@ -256,17 +88,17 @@ def mine_entity(
 
 
 def _mine_shard(
-    index: FrozenClickIndex, config: MinerConfig, shard: Sequence[str]
+    click_log: ClickLog, search_log: SearchLog, config: MinerConfig, shard: Sequence[str]
 ) -> list[EntitySynonyms]:
-    """Mine one shard of already-normalized canonicals against *index*."""
+    """Mine one shard of already-normalized canonicals over the logs."""
     selector = CandidateSelector(
         ipc_threshold=config.ipc_threshold, icr_threshold=config.icr_threshold
     )
     return [
         mine_entity(
             canonical,
-            source=index,
-            surrogates=index.surrogates(canonical),
+            source=click_log,
+            surrogates=search_log.top_urls(canonical, k=config.surrogate_k),
             config=config,
             selector=selector,
         )
@@ -275,8 +107,8 @@ def _mine_shard(
 
 
 # ------------------------------------------------------------------------- #
-# Process-backend plumbing: the index is shipped to each worker exactly once
-# (pool initializer), then shards reference it through this module global.
+# Process-backend plumbing: the logs are shipped to each worker exactly once
+# (pool initializer), then shards reference them through this module global.
 # Results travel back as compact tuples (see _pack_entry) rather than whole
 # dataclass graphs: pickling a dataclass ships its qualified class name and
 # per-field name/value pairs for every candidate, while a tuple ships only
@@ -346,20 +178,17 @@ def _unpack_entry(packed: _PackedEntry) -> EntitySynonyms:
     )
 
 
-def _init_batch_worker(index: FrozenClickIndex, config: MinerConfig) -> None:
-    _WORKER_STATE["index"] = index
-    _WORKER_STATE["config"] = config
-    index.reset_cache()
+def _init_batch_worker(click_log: ClickLog, search_log: SearchLog, config: MinerConfig) -> None:
+    _WORKER_STATE["logs"] = (click_log, search_log, config)
 
 
 def _mine_shard_in_worker(
     shard: Sequence[str],
 ) -> tuple[list[_PackedEntry], CacheStats]:
-    index: FrozenClickIndex = _WORKER_STATE["index"]
-    config: MinerConfig = _WORKER_STATE["config"]
-    before = index.cache_stats
-    entries = _mine_shard(index, config, shard)
-    return [_pack_entry(entry) for entry in entries], index.cache_stats - before
+    click_log, search_log, config = _WORKER_STATE["logs"]
+    before = click_log.cache_stats
+    entries = _mine_shard(click_log, search_log, config, shard)
+    return [_pack_entry(entry) for entry in entries], click_log.cache_stats - before
 
 
 @dataclass(frozen=True)
@@ -390,18 +219,17 @@ class BatchRunStats:
 
 
 class BatchMiner:
-    """Shards a catalog and mines it against one index.
+    """Shards a catalog and mines it over one pair of logs.
 
     Parameters
     ----------
     click_log / search_log:
-        The logs to snapshot into a :class:`FrozenClickIndex` (ignored when
-        *index* is given).  Unlike :class:`~repro.core.pipeline.SynonymMiner`
-        there is no live-engine fallback: batch mining is the offline,
-        materialised-Search-Data shape.
-    index:
-        A pre-built index to reuse; its profile cache then persists across
-        runs (the "shared score cache" for repeated mining jobs).
+        The logs to mine; they are read in place, so do not ``add()`` to
+        them while a :meth:`mine_iter` is being consumed.  The profile cache
+        lives on *click_log* and outlives this miner.  Unlike
+        :class:`~repro.core.pipeline.SynonymMiner` there is no live-engine
+        fallback: batch mining is the offline, materialised-Search-Data
+        shape.
     workers:
         Size of the process pool (``os.cpu_count()`` when omitted); the
         in-process loop is one worker whatever is passed.
@@ -411,16 +239,15 @@ class BatchMiner:
     backend:
         ``"serial"`` (the default: one in-process loop, still sharded for
         streaming and progress) or ``"process"`` (the only path that uses
-        more than one core; the index is pickled once per worker and each
+        more than one core; the logs are shipped once per worker and each
         worker warms its own cache).
     """
 
     def __init__(
         self,
         *,
-        click_log: ClickLog | None = None,
+        click_log: ClickLog,
         search_log: SearchLog | None = None,
-        index: FrozenClickIndex | None = None,
         config: MinerConfig | None = None,
         workers: int | None = None,
         shard_size: int | None = None,
@@ -437,24 +264,14 @@ class BatchMiner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+        if search_log is None:
+            # Without Search Data every surrogate set is empty and every
+            # entity silently mines to nothing; fail loudly instead
+            # (SurrogateFinder raises the same way for SynonymMiner).
+            raise ValueError("batch mining requires materialised Search Data; pass search_log")
         self.config = config or MinerConfig()
-        if index is None:
-            if click_log is None:
-                raise ValueError("provide click_log and search_log, or a prebuilt index")
-            if search_log is None:
-                # Without Search Data every surrogate set is empty and every
-                # entity silently mines to nothing; fail loudly instead
-                # (SurrogateFinder raises the same way for SynonymMiner).
-                raise ValueError(
-                    "batch mining requires materialised Search Data; "
-                    "pass search_log or a prebuilt index"
-                )
-            index = FrozenClickIndex.from_logs(
-                click_log,
-                search_log,
-                surrogate_k=self.config.surrogate_k,
-            )
-        self.index = index
+        self.click_log = click_log
+        self.search_log = search_log
         # Only a process pool has a size; the in-process loop is one worker.
         self.workers = (workers or os.cpu_count() or 1) if backend == "process" else 1
         self.shard_size = shard_size
@@ -511,13 +328,14 @@ class BatchMiner:
         """
         canonicals = self._canonicalize(values)
         shards = self._shards(canonicals)
-        stats_before = self.index.cache_stats
+        stats_before = self.click_log.cache_stats
 
         if self.backend == "process":
             shard_results = self._iter_process(shards)
         else:
             shard_results = (
-                (_mine_shard(self.index, self.config, shard), None) for shard in shards
+                (_mine_shard(self.click_log, self.search_log, self.config, shard), None)
+                for shard in shards
             )
 
         entities_done = 0
@@ -540,7 +358,7 @@ class BatchMiner:
         if self.backend == "process":
             cache = worker_cache
         else:
-            cache = self.index.cache_stats - stats_before
+            cache = self.click_log.cache_stats - stats_before
         self._last_run_stats = BatchRunStats(
             entities=len(canonicals),
             shard_count=len(shards),
@@ -553,7 +371,7 @@ class BatchMiner:
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_batch_worker,
-            initargs=(self.index, self.config),
+            initargs=(self.click_log, self.search_log, self.config),
         ) as pool:
             for packed, delta in pool.map(_mine_shard_in_worker, shards):
                 yield [_unpack_entry(entry) for entry in packed], delta
@@ -566,8 +384,3 @@ class BatchMiner:
     def last_run_stats(self) -> BatchRunStats | None:
         """Stats of the most recently *completed* mine/mine_iter run."""
         return self._last_run_stats
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Cumulative cache counters of the underlying index (in-process runs)."""
-        return self.index.cache_stats

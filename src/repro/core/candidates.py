@@ -22,15 +22,9 @@ __all__ = ["CandidateGenerator"]
 
 
 class CandidateGenerator:
-    """Generates Web-synonym candidates from the click log.
+    """Generates Web-synonym candidates from the click log."""
 
-    *click_log* may be a live :class:`~repro.clicklog.log.ClickLog` or any
-    read-only view with the same ``queries_clicking`` / ``total_clicks`` /
-    ``urls_clicked_for`` surface (e.g. a
-    :class:`~repro.core.batch.FrozenClickIndex`).
-    """
-
-    def __init__(self, click_log: "ClickLog", *, min_clicks: int = 1) -> None:
+    def __init__(self, click_log: ClickLog, *, min_clicks: int = 1) -> None:
         if min_clicks < 0:
             raise ValueError(f"min_clicks must be >= 0, got {min_clicks}")
         self.click_log = click_log

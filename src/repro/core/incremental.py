@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
-from repro.core.batch import BatchMiner
+from repro.core.batch import _mine_shard
 from repro.core.config import MinerConfig
-from repro.core.pipeline import SynonymMiner
-from repro.core.types import EntitySynonyms, MiningResult
+from repro.core.types import MiningResult
 from repro.text.normalize import normalize
 
 if TYPE_CHECKING:  # serving sits above core in the layering
@@ -64,15 +63,9 @@ class _PublishedState:
 class IncrementalSynonymMiner:
     """Maintains an up-to-date :class:`MiningResult` under log updates.
 
-    Parameters
-    ----------
-    batch_threshold:
-        When a refresh has at least this many dirty entities it is routed
-        through :class:`~repro.core.batch.BatchMiner` (shared profile cache)
-        instead of per-entity mining over the live logs.
-    batch_workers / batch_backend:
-        Passed to :class:`BatchMiner` for those large refreshes; the default
-        is its in-process loop.
+    Every refresh runs the in-process mining loop over the live logs; the
+    click log's profile cache survives from one refresh to the next, and
+    :meth:`ingest_clicks` invalidates exactly the queries it touches.
     """
 
     def __init__(
@@ -81,16 +74,12 @@ class IncrementalSynonymMiner:
         search_log: SearchLog,
         click_log: ClickLog | None = None,
         config: MinerConfig | None = None,
-        batch_threshold: int = 64,
+        # Accepted and ignored: it only ever sized a process pool, which a
+        # refresh no longer starts, and the frozen harness
+        # (benchmarks/perf/offline.py) still passes it.
         batch_workers: int | None = None,
-        batch_backend: str = "serial",
     ) -> None:
-        if batch_threshold < 1:
-            raise ValueError(f"batch_threshold must be >= 1, got {batch_threshold}")
         self.config = config or MinerConfig()
-        self.batch_threshold = batch_threshold
-        self.batch_workers = batch_workers
-        self.batch_backend = batch_backend
         self.search_log = search_log
         self.click_log = click_log if click_log is not None else ClickLog()
         # Registration order with O(1) membership (an insertion-ordered set).
@@ -193,12 +182,7 @@ class IncrementalSynonymMiner:
     # ------------------------------------------------------------------ #
 
     def refresh(self) -> list[str]:
-        """Re-mine every dirty entity and return the list of refreshed values.
-
-        Small dirty sets are re-mined serially; once the dirty set reaches
-        ``batch_threshold`` the refresh is a batch job and goes through
-        :class:`BatchMiner` so shared candidates are profiled once.
-        """
+        """Re-mine every dirty entity and return the list of refreshed values."""
         if not self._dirty:
             return []
         refreshed = sorted(self._dirty)
@@ -206,7 +190,7 @@ class IncrementalSynonymMiner:
             # Drop stale candidate-dependency edges for this entity before
             # re-mining; they are rebuilt from the fresh candidate list.
             self._drop_candidate_edges(canonical)
-        for entry in self._mine_refreshed(refreshed):
+        for entry in _mine_shard(self.click_log, self.search_log, self.config, refreshed):
             canonical = entry.canonical
             self._result.add(entry)
             self._index_surrogates(canonical)
@@ -228,24 +212,6 @@ class IncrementalSynonymMiner:
             dependents.discard(canonical)
             if not dependents:
                 del self._candidate_to_values[candidate]
-
-    def _mine_refreshed(self, refreshed: list[str]) -> Iterator[EntitySynonyms]:
-        if len(refreshed) >= self.batch_threshold:
-            batch = BatchMiner(
-                click_log=self.click_log,
-                search_log=self.search_log,
-                config=self.config,
-                workers=self.batch_workers,
-                backend=self.batch_backend,
-            )
-            return batch.mine_iter(refreshed)
-        # Small dirty sets read the live logs directly: snapshotting the
-        # whole log to re-mine a handful of entities would make refresh cost
-        # O(log size) — the exact regression this class exists to avoid.
-        miner = SynonymMiner(
-            click_log=self.click_log, search_log=self.search_log, config=self.config
-        )
-        return (miner.mine_one(canonical) for canonical in refreshed)
 
     def refresh_all(self) -> list[str]:
         """Force a full re-mine of every tracked value."""
@@ -418,15 +384,14 @@ class IncrementalSynonymMiner:
         if include_priors:
             prior_updates = compute_priors(mini_entries, self.click_log)
             # Unchanged entities whose strings received clicks: their prior
-            # moved even though their entries did not.
-            owners: dict[str, set[str]] = {}
-            for text, entity_id, _source, _weight in base.entries:
-                owners.setdefault(text, set()).add(entity_id)
-            untouched_dirty: set[str] = set()
-            for query in self._clicked_since_publish:
-                for entity_id in owners.get(query, ()):
-                    if entity_id not in prior_updates and entity_id not in removed:
-                        untouched_dirty.add(entity_id)
+            # moved even though their entries did not.  One scan of the base
+            # entries that allocates nothing per entry.
+            clicked = self._clicked_since_publish
+            untouched_dirty = {
+                entity_id
+                for text, entity_id, _source, _weight in base.entries
+                if text in clicked and entity_id not in prior_updates and entity_id not in removed
+            }
             if untouched_dirty:
                 dirty_entries = [
                     entry for entry in base.entries if entry[1] in untouched_dirty

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.core.batch import FrozenClickIndex, _mine_shard, mine_entity
+from repro.core.batch import mine_entity
 from repro.core.config import MinerConfig
 from repro.core.selection import CandidateSelector
 from repro.core.surrogates import SurrogateFinder
@@ -56,8 +56,6 @@ class SynonymMiner:
     ) -> None:
         self.config = config or MinerConfig()
         self.click_log = click_log
-        self._search_log = search_log
-        self._engine = engine
         self.surrogate_finder = SurrogateFinder(
             search_log=search_log, engine=engine, k=self.config.surrogate_k
         )
@@ -70,27 +68,8 @@ class SynonymMiner:
     # Mining
     # ------------------------------------------------------------------ #
 
-    def build_index(self) -> FrozenClickIndex | None:
-        """Snapshot this miner's logs into a :class:`FrozenClickIndex`.
-
-        Returns ``None`` when the miner is backed by a live engine (the
-        index can only freeze materialised Search Data, and dropping the
-        engine fallback would change results).
-        """
-        if self._engine is not None or self._search_log is None:
-            return None
-        return FrozenClickIndex.from_logs(
-            self.click_log,
-            self._search_log,
-            surrogate_k=self.config.surrogate_k,
-        )
-
     def mine_one(self, value: str) -> EntitySynonyms:
-        """Run both phases for a single input string ``u`` over the live logs.
-
-        Nothing is cached between calls, which makes this the reference the
-        equivalence tests compare every indexed path against.
-        """
+        """Run both phases for a single input string ``u``."""
         canonical = normalize(value)
         return mine_entity(
             canonical,
@@ -100,28 +79,16 @@ class SynonymMiner:
             selector=self.selector,
         )
 
-    # Below this many values, snapshotting the logs into an index costs more
-    # than it buys; mine() reads the live logs instead (same implementation,
-    # same results either way).
-    _INDEX_THRESHOLD = 32
-
     def mine(self, values: Iterable[str]) -> MiningResult:
         """Run the miner over a whole input set U.
 
-        Catalog-sized inputs over materialised logs run the loop
-        :class:`~repro.core.batch.BatchMiner` runs, over the same
-        profile-caching index; use the batch miner itself for streaming,
-        progress callbacks or a process pool.
+        This is the loop :class:`~repro.core.batch.BatchMiner` runs, over
+        the same profile cache on the click log; use the batch miner itself
+        for streaming, progress callbacks or a process pool.
         """
-        values = list(values)
-        index = self.build_index() if len(values) >= self._INDEX_THRESHOLD else None
-        if index is None:
-            entries: Iterable[EntitySynonyms] = map(self.mine_one, values)
-        else:
-            entries = _mine_shard(index, self.config, [normalize(v) for v in values])
         result = MiningResult()
-        for entry in entries:
-            result.add(entry)
+        for value in values:
+            result.add(self.mine_one(value))
         return result
 
     # ------------------------------------------------------------------ #

@@ -23,7 +23,7 @@ The final synonyms are the candidates with ``IPC ≥ β`` and ``ICR ≥ γ``.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from repro.clicklog.log import CandidateProfile
 from repro.core.types import SynonymCandidate
@@ -32,21 +32,8 @@ __all__ = [
     "intersecting_page_count",
     "intersecting_click_ratio",
     "score_profile",
-    "ProfileSource",
     "CandidateSelector",
 ]
-
-
-class ProfileSource(Protocol):
-    """Anything that can materialise a candidate's scoring profile.
-
-    Both the live :class:`~repro.clicklog.log.ClickLog` (fresh profile per
-    call) and the batch :class:`~repro.core.batch.FrozenClickIndex`
-    (cached profiles) satisfy this, which is what lets live-log and indexed
-    mining share one scoring implementation.
-    """
-
-    def candidate_profile(self, query: str) -> CandidateProfile: ...
 
 
 def intersecting_page_count(clicked_urls: set[str], surrogates: set[str]) -> int:

@@ -6,8 +6,9 @@ regress:
 
 * ``LatencyHistogram.count`` read ``_count`` outside the histogram lock
   (torn read against ``record()`` on another thread).
-* ``FrozenClickIndex.cache_stats`` read ``_hits``/``_misses`` outside the
-  cache lock (a snapshot could pair a new ``hits`` with a stale ``misses``).
+* the profile cache's ``cache_stats`` (then on ``FrozenClickIndex``, now on
+  ``ClickLog``) read ``_hits``/``_misses`` outside the cache lock (a
+  snapshot could pair a new ``hits`` with a stale ``misses``).
 * ``merge_state`` iterated a bare set of entity ids when rebuilding the
   priors table, making the priors dict order depend on hash seeding.
 
@@ -18,11 +19,11 @@ the fix trips the analyzer (and the self-clean test) again.
 
 from __future__ import annotations
 
+import sys
 import threading
 from pathlib import Path
 
 from repro.analysis import analyze_paths
-from repro.core.batch import FrozenClickIndex
 from repro.serving.delta import _DeltaSpec, merge_state
 from repro.server.metrics import LatencyHistogram
 
@@ -61,33 +62,64 @@ class TestHistogramCountUnderLock:
 
 
 class TestCacheStatsUnderLock:
-    def test_snapshot_totals_never_regress(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(mini_click_log, mini_search_log)
-        queries = list(mini_click_log.queries())
+    def test_snapshot_totals_never_regress(self, mini_click_log):
+        log = mini_click_log
+        queries = list(log.queries())
         stop = threading.Event()
 
         def lookups() -> None:
             for _ in range(300):
                 for query in queries:
-                    index.candidate_profile(query)
+                    log.candidate_profile(query)
             stop.set()
 
         worker = threading.Thread(target=lookups)
         worker.start()
         last_total = 0
         while not stop.is_set():
-            stats = index.cache_stats
+            stats = log.cache_stats
             total = stats.hits + stats.misses
             assert total >= last_total
             last_total = total
         worker.join()
-        stats = index.cache_stats
+        stats = log.cache_stats
         assert stats.hits + stats.misses == 300 * len(queries)
         # Every query past its first lookup hits the per-query cache.
         assert stats.misses == len(queries)
 
-    def test_batch_module_stays_lock_clean(self):
-        assert _findings_for("repro/core/batch.py", "lock-guarded-attr") == []
+    def test_concurrent_readers_lose_no_count_and_share_one_profile(self, mini_click_log):
+        log = mini_click_log
+        queries = list(log.queries())
+        rounds, readers = 200, 6  # more readers than cores
+        seen: list[dict[str, int]] = []
+
+        def read() -> None:
+            mine = {}
+            for _ in range(rounds):
+                for query in queries:
+                    mine[query] = id(log.candidate_profile(query))
+            seen.append(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read) for _ in range(readers)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        stats = log.cache_stats
+        # A lost update would break the total; a raced insertion would hand
+        # two readers different objects for one query.
+        assert stats.hits + stats.misses == rounds * readers * len(queries)
+        assert len(seen) == readers
+        assert all(reader == seen[0] for reader in seen)
+
+    def test_log_module_stays_lock_clean(self):
+        assert _findings_for("repro/clicklog/log.py", "lock-guarded-attr") == []
 
 
 class TestMergeStatePriorsOrder:

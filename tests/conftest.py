@@ -33,7 +33,10 @@ import pytest
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
+from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
+from repro.core.selection import intersecting_click_ratio, intersecting_page_count
+from repro.core.types import EntitySynonyms, SynonymCandidate
 from repro.search.documents import Corpus, WebPage
 from repro.search.engine import SearchEngine
 from repro.simulation.aliases import build_alias_table
@@ -172,27 +175,69 @@ def cli_server(
                 proc.communicate(timeout=15)
 
 
+def reference_entry(
+    search_log: SearchLog, click_log: ClickLog, canonical: str, config: MinerConfig
+) -> EntitySynonyms:
+    """The paper's formulas (Eq. 1-4, Definition 6) spelled out per entity.
+
+    This is the reference every mining path is held to.  It reads the click
+    log only through ``queries_clicking`` / ``urls_clicked_for`` /
+    ``clicks_by_url`` / ``total_clicks`` — raw reads that never touch the
+    profile cache — and scores with the standalone IPC / ICR functions, so a
+    stale or wrong cached profile cannot be wrong on both sides.
+    """
+    surrogates = tuple(search_log.top_urls(canonical, k=config.surrogate_k))
+    surrogate_set = set(surrogates)
+    queries = {q for url in surrogates for q in click_log.queries_clicking(url)}
+    queries.discard(canonical)
+    scored = []
+    for query in queries:
+        if click_log.total_clicks(query) < config.min_clicks:
+            continue
+        clicked = click_log.urls_clicked_for(query)
+        scored.append(
+            SynonymCandidate(
+                query=query,
+                ipc=intersecting_page_count(clicked, surrogate_set),
+                icr=intersecting_click_ratio(click_log.clicks_by_url(query), surrogate_set),
+                clicks=click_log.total_clicks(query),
+                intersecting_urls=tuple(sorted(clicked & surrogate_set)),
+            )
+        )
+    scored.sort(key=lambda candidate: (-candidate.clicks, candidate.query))
+    selected = [
+        candidate
+        for candidate in scored
+        if candidate.ipc >= config.ipc_threshold and candidate.icr >= config.icr_threshold
+    ]
+    return EntitySynonyms(canonical, surrogates, scored, selected)
+
+
 def assert_mining_paths_agree(
     search_log: SearchLog, click_log: ClickLog, values: list[str], config: MinerConfig
 ) -> None:
-    """Every remaining mining path must reproduce per-entity live-log mining.
+    """Every mining path must reproduce :func:`reference_entry`.
 
-    The reference is :meth:`SynonymMiner.mine_one` over the live logs (no
-    index, no cache); against it: ``SynonymMiner.mine``, the in-process
-    ``BatchMiner`` loop, its process pool, and the legacy ``"thread"``
-    spelling of the in-process loop.  *values* must be distinct canonicals.
+    Held to it: ``SynonymMiner.mine``, the in-process ``BatchMiner`` loop,
+    its process pool, the legacy ``"thread"`` spelling of the in-process
+    loop, and ``IncrementalSynonymMiner.refresh``.  *values* must be
+    distinct canonicals.
     """
-    miner = SynonymMiner(click_log=click_log, search_log=search_log, config=config)
-    reference = [miner.mine_one(value) for value in values]
+    reference = [reference_entry(search_log, click_log, value, config) for value in values]
     logs = {"click_log": click_log, "search_log": search_log, "config": config}
+    incremental = IncrementalSynonymMiner(**logs)
+    incremental.track(values)
+    incremental.refresh()
     paths = {
-        "SynonymMiner.mine": miner.mine(values),
-        "in-process": BatchMiner(**logs).mine(values),
-        "process": BatchMiner(**logs, workers=2, backend="process").mine(values),
-        "thread spelling": BatchMiner(**logs, workers=2, backend="thread").mine(values),
+        "SynonymMiner.mine": list(SynonymMiner(**logs).mine(values)),
+        "in-process": list(BatchMiner(**logs).mine(values)),
+        "process": list(BatchMiner(**logs, workers=2, backend="process").mine(values)),
+        "thread spelling": list(BatchMiner(**logs, workers=2, backend="thread").mine(values)),
+        # refresh() mines in sorted order; compare in catalog order.
+        "incremental refresh": [incremental.result[value] for value in values],
     }
-    for name, result in paths.items():
-        assert list(result) == reference, name
+    for name, entries in paths.items():
+        assert entries == reference, name
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
-"""Tests for the sharded batch miner and the frozen click index.
+"""Tests for the sharded batch miner and the click log's profile cache.
 
 The load-bearing guarantee is *equivalence*: whatever combination of
 workers, shard size and backend is used, the batch miner must return
-results identical to ``SynonymMiner.mine()`` and to per-entity mining over
-the live logs — same entities, same key order, same scored candidate
-lists, same selections.
+results identical to ``SynonymMiner.mine()`` and to the formula-level
+reference — same entities, same key order, same scored candidate lists,
+same selections.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.batch import (
     BatchMiner,
     BatchProgress,
     CacheStats,
-    FrozenClickIndex,
     _mine_shard,
     _pack_entry,
     _unpack_entry,
@@ -28,7 +27,7 @@ from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 
-from tests.conftest import assert_mining_paths_agree
+from tests.conftest import assert_mining_paths_agree, reference_entry
 
 
 CONFIG = MinerConfig(ipc_threshold=2, icr_threshold=0.1)
@@ -70,57 +69,50 @@ def toy_serial_result(toy_world):
     return miner.mine(toy_world.canonical_queries())
 
 
-class TestFrozenClickIndex:
-    def test_profiles_match_live_log(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(mini_click_log, mini_search_log)
-        for query in mini_click_log.queries():
-            frozen = index.candidate_profile(query)
-            live = mini_click_log.candidate_profile(query)
-            assert frozen.clicked_urls == live.clicked_urls
-            assert frozen.total_clicks == live.total_clicks
-            assert dict(frozen.clicks_by_url) == dict(live.clicks_by_url)
+class TestProfileCache:
+    def test_memoization_counts_hits_and_misses(self, mini_click_log):
+        log = mini_click_log
+        log.candidate_profile("indy 4")
+        log.candidate_profile("indy 4")
+        log.candidate_profile("harrison ford")
+        assert log.cache_stats == CacheStats(hits=1, misses=2)
+        assert log.cache_stats.hit_rate == pytest.approx(1 / 3)
+        assert log.candidate_profile("indy 4") is log.candidate_profile("indy 4")
 
-    def test_surrogates_respect_top_k(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(
-            mini_click_log, mini_search_log, surrogate_k=2
-        )
-        canonical = "indiana jones and the kingdom of the crystal skull"
-        assert index.surrogates(canonical) == tuple(
-            mini_search_log.top_urls(canonical, k=2)
-        )
-        assert index.surrogates("unknown") == ()
+    def test_add_invalidates_only_the_touched_query(self, mini_click_log):
+        log = mini_click_log
+        stale = log.candidate_profile("indy 4")
+        kept = log.candidate_profile("harrison ford")
+        log.add(ClickRecord("indy 4", "https://new.example/page", 7))
+        fresh = log.candidate_profile("indy 4")
+        assert fresh.total_clicks == stale.total_clicks + 7
+        assert "https://new.example/page" in fresh.clicked_urls
+        assert fresh.clicks_by_url == log.clicks_by_url("indy 4")
+        # The profile handed out earlier is a snapshot, not a view.
+        assert "https://new.example/page" not in stale.clicks_by_url
+        assert log.candidate_profile("harrison ford") is kept
 
-    def test_snapshot_is_isolated_from_later_mutation(self, mini_search_log):
-        log = ClickLog.from_tuples([("q", "u1", 5)])
-        index = FrozenClickIndex.from_logs(log, mini_search_log)
-        log.add(ClickRecord("q", "u2", 7))
-        assert index.total_clicks("q") == 5
-        assert index.urls_clicked_for("q") == {"u1"}
+    def test_absent_queries_are_not_cached(self, mini_click_log):
+        # The cache is bounded by the log's own queries: probing strings the
+        # log has never seen must not grow it.
+        log = mini_click_log
+        for _ in range(2):
+            profile = log.candidate_profile("never asked")
+            assert (profile.clicked_urls, profile.total_clicks) == (frozenset(), 0)
+        assert log.cache_stats == CacheStats(hits=0, misses=2)
+        log.add(ClickRecord("never asked", "https://new.example/page", 3))
+        assert log.candidate_profile("never asked").total_clicks == 3
 
-    def test_memoization_counts_hits_and_misses(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(mini_click_log, mini_search_log)
-        index.candidate_profile("indy 4")
-        index.candidate_profile("indy 4")
-        index.candidate_profile("harrison ford")
-        assert index.cache_stats == CacheStats(hits=1, misses=2)
-        assert index.cache_stats.hit_rate == pytest.approx(1 / 3)
-        assert index.candidate_profile("indy 4") is index.candidate_profile("indy 4")
-
-    def test_pickle_round_trip_drops_cache(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(mini_click_log, mini_search_log)
-        index.candidate_profile("indy 4")
-        clone = pickle.loads(pickle.dumps(index))
+    def test_pickle_round_trip_drops_cache(self, mini_click_log):
+        log = mini_click_log
+        log.candidate_profile("indy 4")
+        clone = pickle.loads(pickle.dumps(log))
         assert clone.cache_stats == CacheStats()
-        assert clone.total_clicks("indy 4") == index.total_clicks("indy 4")
-        assert clone.surrogates(
-            "indiana jones and the kingdom of the crystal skull"
-        ) == index.surrogates("indiana jones and the kingdom of the crystal skull")
-
-    def test_reset_cache(self, mini_click_log, mini_search_log):
-        index = FrozenClickIndex.from_logs(mini_click_log, mini_search_log)
-        index.candidate_profile("indy 4")
-        index.reset_cache()
-        assert index.cache_stats == CacheStats()
+        assert list(clone.iter_records()) == list(log.iter_records())
+        assert clone.candidate_profile("indy 4") == log.candidate_profile("indy 4")
+        # The clone is a working log with its own lock and cache.
+        clone.add(ClickRecord("indy 4", "https://new.example/page", 1))
+        assert clone.total_clicks("indy 4") == log.total_clicks("indy 4") + 1
 
 
 class TestBatchEquivalence:
@@ -164,32 +156,27 @@ class TestBatchEquivalence:
 
     def test_every_path_agrees_on_shared_candidates(self):
         search_log, click_log, values = shared_candidate_logs()
-        assert len(values) >= SynonymMiner._INDEX_THRESHOLD
         assert_mining_paths_agree(search_log, click_log, values, CONFIG)
 
-    def test_synonym_miner_mine_shares_the_profile_cache(self, monkeypatch):
+    def test_every_path_respects_surrogate_k(self):
+        # Ten hubs per entity in the Search Data, three allowed as surrogates.
+        search_log, click_log, values = shared_candidate_logs(6)
+        config = MinerConfig(surrogate_k=3, ipc_threshold=2, icr_threshold=0.1)
+        assert_mining_paths_agree(search_log, click_log, values, config)
+        result = BatchMiner(click_log=click_log, search_log=search_log, config=config).mine(values)
+        assert all(len(entry.surrogates) == 3 for entry in result)
+
+    def test_synonym_miner_mine_shares_the_profile_cache(self):
         search_log, click_log, values = shared_candidate_logs()
         miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
-        built = []
-        build_index = miner.build_index
-
-        def spy():
-            built.append(build_index())
-            return built[-1]
-
-        monkeypatch.setattr(miner, "build_index", spy)
         miner.mine(values)
-        (index,) = built
         # Eight hot queries are candidates of all 40 entities: everything
         # after each one's first profile is a hit.
-        assert index.cache_stats.hits > index.cache_stats.misses
-
-    def test_below_index_threshold_reads_live_logs(self, monkeypatch):
-        search_log, click_log, values = shared_candidate_logs()
-        miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
-        monkeypatch.setattr(miner, "build_index", lambda: pytest.fail("index built"))
-        few = values[: SynonymMiner._INDEX_THRESHOLD - 1]
-        assert list(miner.mine(few)) == [miner.mine_one(value) for value in few]
+        cold = click_log.cache_stats
+        assert cold.hits > cold.misses
+        # The cache lives on the log, so a second miner over it starts warm.
+        SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG).mine(values)
+        assert (click_log.cache_stats - cold).misses == 0
 
     def test_cache_hits_on_shared_candidates(self, toy_world):
         batch = BatchMiner(
@@ -255,14 +242,13 @@ class TestMineIter:
 
 class TestValidation:
     def test_rejects_unknown_backend(self, toy_world):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="backend"):
             BatchMiner(click_log=toy_world.click_log, backend="gpu")
 
     def test_defaults_are_the_in_process_loop(self, toy_world):
         logs = {"click_log": toy_world.click_log, "search_log": toy_world.search_log}
         batch = BatchMiner(**logs)
         assert (batch.backend, batch.workers) == ("serial", 1)
-        assert IncrementalSynonymMiner(search_log=toy_world.search_log).batch_backend == "serial"
         # A pool size is resolved only where a pool is built.
         assert BatchMiner(**logs, backend="process").workers >= 1
         assert BatchMiner(**logs, workers=3, backend="process").workers == 3
@@ -284,8 +270,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchMiner(click_log=toy_world.click_log, shard_size=0)
 
-    def test_requires_logs_or_index(self):
-        with pytest.raises(ValueError):
+    def test_requires_click_log(self):
+        with pytest.raises(TypeError):
             BatchMiner()
 
     def test_requires_search_log_with_click_log(self, toy_world):
@@ -293,30 +279,50 @@ class TestValidation:
         with pytest.raises(ValueError, match="Search Data"):
             BatchMiner(click_log=toy_world.click_log)
 
-    def test_prebuilt_index_reused_across_runs(self, toy_world):
-        index = FrozenClickIndex.from_logs(
-            toy_world.click_log, toy_world.search_log, surrogate_k=CONFIG.surrogate_k
-        )
-        batch = BatchMiner(index=index, config=CONFIG, workers=1, backend="serial")
+    def test_logs_are_read_in_place_between_runs(self):
+        # No snapshot: a record added after construction is mined by the
+        # next run, from a fresh profile.
+        search_log, click_log, values = shared_candidate_logs(4)
+        batch = BatchMiner(click_log=click_log, search_log=search_log, config=CONFIG)
+        before = batch.mine(values)[values[0]].candidate("hot query 0")
+        click_log.add(ClickRecord("hot query 0", "https://elsewhere.example", 40))
+        after = batch.mine(values)[values[0]].candidate("hot query 0")
+        assert after.clicks == before.clicks + 40
+        assert after.icr < before.icr
+
+    def test_process_pool_counts_lookups_like_the_loop(self):
+        # Workers report per-shard counter deltas, so what a forked worker
+        # inherits from a warm parent log must not leak into the run's stats.
+        search_log, click_log, values = shared_candidate_logs()
+        logs = {"click_log": click_log, "search_log": search_log, "config": CONFIG}
+        loop = BatchMiner(**logs)
+        loop.mine(values)
+        pool = BatchMiner(**logs, workers=2, backend="process")
+        pool.mine(values)
+        assert pool.last_run_stats.cache.lookups == loop.last_run_stats.cache.lookups
+        assert (pool.last_run_stats.backend, pool.last_run_stats.workers) == ("process", 2)
+
+    def test_cache_survives_across_miners_on_one_log(self, toy_world):
+        click_log = ClickLog(toy_world.click_log.iter_records())  # private and cold
+        logs = {"click_log": click_log, "search_log": toy_world.search_log, "config": CONFIG}
         values = toy_world.canonical_queries()[:6]
-        batch.mine(values)
-        first = batch.last_run_stats.cache
-        batch.mine(values)
-        second = batch.last_run_stats.cache
-        # Second run over the same catalog is served entirely from the cache
-        # that survived on the shared index.
+        first_miner = BatchMiner(**logs)
+        first_miner.mine(values)
+        first = first_miner.last_run_stats.cache
+        second_miner = BatchMiner(**logs)
+        second_miner.mine(values)
+        second = second_miner.last_run_stats.cache
+        # A second job over the same catalog is served entirely from the
+        # cache that survived on the log, not on any miner.
+        assert first.misses > 0
         assert second.misses == 0
         assert second.hits == first.lookups
 
 
 class TestIncrementalEquivalence:
-    def _streamed_world(self, batch_threshold):
+    def _streamed_world(self):
         search_log = SearchLog()
-        incremental = IncrementalSynonymMiner(
-            search_log=search_log,
-            config=CONFIG,
-            batch_threshold=batch_threshold,
-        )
+        incremental = IncrementalSynonymMiner(search_log=search_log, config=CONFIG)
         entities = [f"entity number {i}" for i in range(8)]
         for i, canonical in enumerate(entities):
             for rank in range(1, 4):
@@ -343,24 +349,46 @@ class TestIncrementalEquivalence:
         incremental.refresh()
         return incremental, entities
 
-    @pytest.mark.parametrize("batch_threshold", [1, 64])
-    def test_matches_from_scratch_batch_mine(self, batch_threshold):
-        incremental, entities = self._streamed_world(batch_threshold)
+    @staticmethod
+    def _assert_matches_reference(incremental, entities):
+        for canonical in entities:
+            assert incremental.result[canonical] == reference_entry(
+                incremental.search_log, incremental.click_log, canonical, CONFIG
+            ), canonical
+
+    def test_matches_from_scratch_batch_mine(self):
+        incremental, entities = self._streamed_world()
+        # From scratch means a rebuilt log: nothing cached, nothing stale.
         scratch = BatchMiner(
-            click_log=incremental.click_log,
+            click_log=ClickLog(incremental.click_log.iter_records()),
             search_log=incremental.search_log,
             config=CONFIG,
             workers=2,
         ).mine(entities)
         assert incremental.result.per_entity.keys() == scratch.per_entity.keys()
         for canonical in scratch.per_entity:
-            assert (
-                incremental.result[canonical].candidates
-                == scratch[canonical].candidates
-            )
-            assert (
-                incremental.result[canonical].selected == scratch[canonical].selected
-            )
+            assert incremental.result[canonical] == scratch[canonical]
+        self._assert_matches_reference(incremental, entities)
+
+    def test_second_round_on_a_hot_shared_candidate(self):
+        # "hub query" is a candidate of every entity and its profile is
+        # cached by now; a second ingest -> refresh round that moves its
+        # volume must be scored from a fresh profile (fails if add() forgets
+        # to invalidate the touched query).
+        incremental, entities = self._streamed_world()
+        before = {c: incremental.result[c].candidate("hub query") for c in entities}
+        incremental.ingest_clicks(
+            [
+                ClickRecord("hub query", "https://site3.example/p2", 40),
+                ClickRecord("hub query", "https://site3.example/p3", 40),
+            ]
+        )
+        assert set(incremental.refresh()) == set(entities)
+        for canonical in entities:
+            after = incremental.result[canonical].candidate("hub query")
+            assert after.clicks == before[canonical].clicks + 80
+        assert incremental.result[entities[3]].candidate("hub query").ipc == 3
+        self._assert_matches_reference(incremental, entities)
 
 
 class TestCompactShardTransfer:
@@ -410,8 +438,7 @@ class TestCompactShardTransfer:
         # Intersections are wide on shared-candidate logs, so shipping them
         # as surrogate indices instead of URL strings is the bulk of the win.
         search, clicks, values = shared_candidate_logs(30)
-        index = FrozenClickIndex.from_logs(clicks, search)
-        entries = _mine_shard(index, CONFIG, values)
+        entries = _mine_shard(clicks, search, CONFIG, values)
         assert any(entry.candidates for entry in entries)
         packed = [_pack_entry(entry) for entry in entries]
         dataclass_payload = len(pickle.dumps(entries))

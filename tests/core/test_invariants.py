@@ -7,8 +7,12 @@ These pin down the algebra of the miner on arbitrary small logs:
   entity's surrogate set and the candidate's clicked-URL set;
 * tightening β / γ can only shrink the selection (monotonicity);
 * ``reselect(result, β, γ)`` is exactly mining fresh at (β, γ);
+* a long-lived ``ClickLog`` whose ``add()`` calls interleave with profile
+  reads and mining answers exactly like a log rebuilt from the same records
+  (the profile cache is never stale);
 * every mining path (``SynonymMiner.mine``, the in-process ``BatchMiner``
-  loop, its process pool) reproduces per-entity mining over the live logs.
+  loop, its process pool, ``IncrementalSynonymMiner.refresh``) reproduces the
+  formula-level reference in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clicklog.log import ClickLog, SearchLog
+from repro.clicklog.records import ClickRecord
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
 from repro.core.selection import CandidateSelector
@@ -36,14 +41,22 @@ click_tuples = st.lists(
     st.tuples(st.sampled_from(QUERIES), st.sampled_from(URLS), st.integers(1, 30)),
     max_size=40,
 )
-# Several entities with overlapping surrogates, padded with values that have
-# no Search Data so the catalog is long enough for SynonymMiner.mine to index.
-CATALOG = [CANONICAL, "second entity", "third entity"] + [
-    f"filler value {i}" for i in range(SynonymMiner._INDEX_THRESHOLD)
-]
+# Several entities with overlapping surrogates, plus one with no Search Data.
+CATALOG = [CANONICAL, "second entity", "third entity", "entity without search data"]
 catalog_search_tuples = st.lists(
     st.tuples(st.sampled_from(CATALOG[:3]), st.sampled_from(URLS), st.integers(1, 10)),
     max_size=24,
+)
+# add a record / read one profile / mine the entity, in any order.
+log_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"), st.sampled_from(QUERIES), st.sampled_from(URLS), st.integers(1, 30)
+        ),
+        st.tuples(st.just("profile"), st.sampled_from(QUERIES)),
+        st.tuples(st.just("mine")),
+    ),
+    max_size=40,
 )
 ipc_thresholds = st.integers(0, 6)
 icr_thresholds = st.floats(0.0, 1.0)
@@ -144,11 +157,32 @@ class TestReselectEquivalence:
             assert reselected[canonical].selected == fresh_entry.selected
 
 
+class TestProfileCacheFreshness:
+    @settings(max_examples=60)
+    @given(search_tuples, log_operations)
+    def test_long_lived_log_answers_like_a_rebuilt_one(self, search, operations):
+        search_log, log = _build_logs(search, [])
+        miner = _miner(search_log, log)
+        records = []
+        for operation in operations:
+            if operation[0] == "add":
+                records.append(ClickRecord(*operation[1:]))
+                log.add(records[-1])
+                continue
+            rebuilt = ClickLog(records)
+            if operation[0] == "profile":
+                query = operation[1]
+                assert log.candidate_profile(query) == rebuilt.candidate_profile(query)
+            else:
+                fresh = _miner(search_log, rebuilt)
+                assert miner.mine_one(CANONICAL) == fresh.mine_one(CANONICAL)
+
+
 class TestPathEquivalence:
     # Each example starts a process pool, hence few examples and no deadline.
     @settings(max_examples=10, deadline=None)
     @given(catalog_search_tuples, click_tuples, ipc_thresholds, icr_thresholds)
-    def test_every_path_equals_live_log_mining(self, search, clicks, ipc, icr):
+    def test_every_path_equals_the_formula_reference(self, search, clicks, ipc, icr):
         search_log, click_log = _build_logs(search, clicks)
         config = MinerConfig(ipc_threshold=ipc, icr_threshold=icr)
         assert_mining_paths_agree(search_log, click_log, CATALOG, config)
