@@ -6,8 +6,7 @@ goal — it builds a 1,000-entity synthetic catalog whose entities share
 high-volume candidate queries (the shape that makes per-entity profile
 re-materialisation quadratic-ish in practice) and records what the
 :class:`~repro.core.batch.BatchMiner` loop does with it: entities/s with a
-cold and a warm profile cache and on a two-worker process pool, and the
-cache hit rates.
+cold and a warm profile cache, and the cache hit rates.
 
 What is asserted is what does not depend on the machine: results equal the
 formula-level reference (``tests/conftest.py::reference_entry``), and the
@@ -27,7 +26,6 @@ import pytest
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
-from repro.core.pipeline import SynonymMiner
 
 from benchmarks.conftest import write_result
 from tests.conftest import reference_entry
@@ -122,12 +120,9 @@ class TestBatchScaling:
         warm = BatchMiner(**logs)
         warm_s, batch_result = _best_of(3, lambda: warm.mine(values))
         warm_stats = warm.last_run_stats
-        pool = BatchMiner(**logs, workers=2, backend="process")
-        pool_s, pool_result = _best_of(1, lambda: pool.mine(values))
 
         reference = [reference_entry(search_log, click_log, value, config) for value in values]
         assert list(batch_result) == reference
-        assert list(pool_result) == reference
         lines = [
             "Batch mining scaling — 1,000-entity catalog with shared candidates",
             f"  entities                 {len(values)}",
@@ -136,14 +131,11 @@ class TestBatchScaling:
             f"({len(values) / cold_s:8.0f} entities/s)  [cold cache]",
             f"  in-process loop          {warm_s:8.3f} s  "
             f"({len(values) / warm_s:8.0f} entities/s)  [warm cache]",
-            f"  process pool x2          {pool_s:8.3f} s  "
-            f"({len(values) / pool_s:8.0f} entities/s)  [pool start included]",
             f"  cold-run profile cache   {cold_stats.cache.hits} hits / "
             f"{cold_stats.cache.lookups} lookups "
             f"(hit rate {cold_stats.cache.hit_rate:.1%})",
             f"  warm-run profile cache   hit rate {warm_stats.cache.hit_rate:.1%}",
-            f"  shards                   {cold_stats.shard_count} "
-            f"({cold_stats.backend} backend)",
+            f"  shards                   {cold_stats.shard_count}",
         ]
         write_result(results_dir, "batch_scaling.txt", "\n".join(lines))
 
@@ -155,22 +147,3 @@ class TestBatchScaling:
         batch = BatchMiner(click_log=click_log, search_log=search_log, config=MinerConfig())
         result = benchmark.pedantic(batch.mine, args=(values,), rounds=3, iterations=1)
         assert len(result) == len(values)
-
-    def test_process_backend_round_trip(self, shared_catalog):
-        """The process pool ships the logs once per worker and returns
-        identical results; timed informally (fork + pickle costs dominate
-        on small shards, so this is a correctness benchmark, not a race)."""
-        search_log, click_log, values = shared_catalog
-        subset = values[:200]
-        config = MinerConfig()
-        serial = SynonymMiner(
-            click_log=click_log, search_log=search_log, config=config
-        ).mine(subset)
-        batch = BatchMiner(
-            click_log=click_log,
-            search_log=search_log,
-            config=config,
-            workers=2,
-            backend="process",
-        )
-        assert batch.mine(subset).per_entity == serial.per_entity

@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
-"""An operational offline pipeline: logs on disk → SQLite → mined dictionary.
+"""An operational offline pipeline: logs on disk → mined dictionary → artifact.
 
-The previous examples hold everything in memory.  Production deployments of
-the paper's method are batch jobs over log files, so this example shows the
-storage-backed path end to end:
+The previous examples build their logs in memory.  Production deployments
+of the paper's method are batch jobs over log files, so this example shows
+the file-backed path end to end:
 
 1. generate a world and dump Search Data / Click Data to JSONL (the shape a
    log-delivery pipeline would hand you);
-2. bulk-load the JSONL dumps into the SQLite log database;
-3. rebuild the miner *from the database only* and mine synonyms;
-4. persist the mined dictionary back into the same database;
-5. show a few SQL-backed lookups an application would run at serving time;
-6. publish the dictionary as a compiled serving artifact; and
-7. ingest a fresh day of clicks, refresh incrementally and publish the
+2. read the JSONL dumps back into a ``SearchLog`` / ``ClickLog``;
+3. mine synonyms *from the loaded logs only*;
+4. publish the dictionary as a compiled serving artifact; and
+5. ingest a fresh day of clicks, refresh incrementally and publish the
    change as a **delta sidecar** — the bandwidth-proportional-to-change
    path a production publisher would run on every refresh.
 
@@ -30,13 +28,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.clicklog.records import ClickRecord
-from repro.core import MinerConfig, SynonymMiner
+from repro.clicklog.records import ClickRecord, SearchRecord
+from repro.core import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.serving.delta import delta_path_for
 from repro.simulation import ScenarioConfig, build_world
-from repro.storage.jsonl import read_jsonl, write_jsonl
-from repro.storage.sqlite_store import LogDatabase
+from repro.storage.jsonl import read_jsonl_as, write_jsonl
 
 
 def main() -> None:
@@ -44,7 +41,6 @@ def main() -> None:
     workdir.mkdir(parents=True, exist_ok=True)
     search_path = workdir / "search_data.jsonl"
     click_path = workdir / "click_data.jsonl"
-    database_path = workdir / "logs.db"
 
     print("1. Generating logs and dumping them to JSONL...")
     world = build_world(ScenarioConfig.toy())
@@ -53,50 +49,36 @@ def main() -> None:
     print(f"   {search_rows} search tuples -> {search_path}")
     print(f"   {click_rows} click tuples  -> {click_path}")
 
-    print("\n2. Bulk-loading the JSONL dumps into SQLite...")
-    with LogDatabase(database_path) as database:
-        database.add_search_records(
-            (row["query"], row["url"], row["rank"]) for row in read_jsonl(search_path)
-        )
-        database.add_click_records(
-            (row["query"], row["url"], row["clicks"]) for row in read_jsonl(click_path)
-        )
-        print(
-            f"   search_log={database.count('search_log')} rows, "
-            f"click_log={database.count('click_log')} rows, "
-            f"{database.distinct_queries('click_log')} distinct click queries"
-        )
+    print("\n2. Loading the JSONL dumps into SearchLog / ClickLog...")
+    search_log = SearchLog(read_jsonl_as(search_path, SearchRecord))
+    click_log = ClickLog(read_jsonl_as(click_path, ClickRecord))
+    print(
+        f"   search log: {len(search_log)} tuples, click log: {len(click_log)} tuples, "
+        f"{len(click_log.queries())} distinct click queries"
+    )
 
-        print("\n3. Mining synonyms from the database-backed logs...")
-        miner = SynonymMiner.from_database(database, config=MinerConfig.paper_default())
-        result = miner.mine(world.canonical_queries())
-        print(f"   {result.synonym_count} synonyms for {result.hit_count} entities")
-
-        print("\n4. Persisting the mined dictionary...")
-        written = miner.store(result, database)
-        print(f"   {written} rows written to the synonyms table in {database_path}")
-
-        print("\n5. Serving-time lookups straight from SQLite:")
-        for canonical in world.canonical_queries()[:3]:
-            rows = database.synonyms_for(canonical)[:3]
-            rendered = ", ".join(f"{synonym!r} (ipc={ipc}, icr={icr:.2f})" for synonym, ipc, icr, _clicks in rows)
-            print(f"   {canonical!r}\n      -> {rendered or '(no synonyms)'}")
-
-    print("\n6. Publishing the dictionary as a compiled serving artifact...")
+    print("\n3. Mining synonyms from the loaded logs...")
     incremental = IncrementalSynonymMiner(
-        search_log=SearchLog(world.search_log.iter_records()),
-        click_log=ClickLog(world.click_log.iter_records()),
-        config=MinerConfig.paper_default(),
+        search_log=search_log, click_log=click_log, config=MinerConfig.paper_default()
     )
     incremental.track(world.canonical_queries())
     incremental.refresh()
+    result = incremental.result
+    print(f"   {result.synonym_count} synonyms for {result.hit_count} entities")
+    for canonical in world.canonical_queries()[:3]:
+        rendered = ", ".join(
+            f"{c.query!r} (ipc={c.ipc}, icr={c.icr:.2f})" for c in result[canonical].selected[:3]
+        )
+        print(f"   {canonical!r}\n      -> {rendered or '(no synonyms)'}")
+
+    print("\n4. Publishing the dictionary as a compiled serving artifact...")
     artifact_path = workdir / "dictionary.synart"
     manifest = incremental.publish(world.catalog, artifact_path)
     full_bytes = artifact_path.stat().st_size
     print(f"   {manifest.counts['entries']} entries, version {manifest.version} "
           f"-> {artifact_path} [{full_bytes} bytes]")
 
-    print("\n7. A new day of clicks arrives: refresh + delta publish...")
+    print("\n5. A new day of clicks arrives: refresh + delta publish...")
     hot_value = world.canonical_queries()[0]
     hot_url = incremental.search_log.top_urls(hot_value, k=1)[0]
     incremental.ingest_clicks([ClickRecord(hot_value, hot_url, 40)])

@@ -7,9 +7,8 @@ without writing any Python:
   Data and Click Data as JSONL files (the shape a real log-delivery
   pipeline would produce);
 * ``mine``        — run the two-phase miner over JSONL logs and write the
-  expanded dictionary as JSONL (and optionally into a SQLite database);
-  one sharded loop over a shared profile cache, on a process pool when
-  ``--workers N`` is above 1 (``--shard-size`` sets the shard length);
+  expanded dictionary as JSONL; one sharded loop over a shared profile
+  cache (``--shard-size`` sets the shard length);
 * ``compile``     — freeze a mined synonyms JSONL into a compiled serving
   artifact (one immutable file, cold-loadable in one read);
   ``--priors CLICKS_JSONL`` embeds per-entity click priors so ``server``
@@ -59,13 +58,12 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
-from repro.core.pipeline import SynonymMiner
 from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
 from repro.matching.index import DictionaryIndex
 from repro.matching.matcher import EntityMatch, QueryMatcher
@@ -73,10 +71,11 @@ from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.service import MatchService
 from repro.simulation.scenario import ScenarioConfig, build_world
-from repro.storage.jsonl import read_jsonl, write_jsonl
-from repro.storage.sqlite_store import LogDatabase
+from repro.storage.jsonl import read_jsonl, read_jsonl_as, write_jsonl
 
 __all__ = ["main", "build_parser"]
+
+_Log = TypeVar("_Log", SearchLog, ClickLog)
 
 
 # --------------------------------------------------------------------------- #
@@ -118,15 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--icr", type=float, default=0.1, help="ICR threshold γ (default 0.1)")
     mine.add_argument("--top-k", type=int, default=10, help="surrogate top-k cut-off")
     mine.add_argument("--output", type=Path, required=True, help="output synonyms JSONL")
-    mine.add_argument("--database", type=Path, default=None, help="also persist into this SQLite file")
-    mine.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="above 1, mine the shards on a process pool of this size "
-             "(default: one in-process loop; output is identical either way)",
-    )
     mine.add_argument(
         "--shard-size", type=_positive_int, default=None,
-        help="entities per shard (default: ~4 shards per worker)",
+        help="entities per shard (default: four shards; output is identical either way)",
     )
 
     compile_ = subparsers.add_parser(
@@ -362,13 +355,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_log(log_type: type[_Log], path: Path, record_type: type) -> _Log:
+    """Build a log from a JSONL dump.
+
+    A corrupt line is an input error, not a crash: the command ends with
+    exit code 2 and the reader's ``<path>:<line>: reason`` on stderr.
+    """
+    try:
+        return log_type(read_jsonl_as(path, record_type))
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
-    search_log = SearchLog(
-        SearchRecord(row["query"], row["url"], row["rank"]) for row in read_jsonl(args.search)
-    )
-    click_log = ClickLog(
-        ClickRecord(row["query"], row["url"], row["clicks"]) for row in read_jsonl(args.clicks)
-    )
+    search_log = _load_log(SearchLog, args.search, SearchRecord)
+    click_log = _load_log(ClickLog, args.clicks, ClickRecord)
     values = [
         line.strip()
         for line in args.values.read_text(encoding="utf-8").splitlines()
@@ -379,9 +381,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         click_log=click_log,
         search_log=search_log,
         config=config,
-        workers=args.workers,
         shard_size=args.shard_size,
-        backend="process" if (args.workers or 1) > 1 else "serial",
     )
     result = batch.mine(values)
     stats = batch.last_run_stats
@@ -399,12 +399,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         for candidate in entry.selected
     ]
     write_jsonl(args.output, rows)
-    if args.database is not None:
-        with LogDatabase(args.database) as database:
-            SynonymMiner.store(result, database)
     print(
         f"mined {result.synonym_count} synonyms for {result.hit_count}/{len(result)} values "
-        f"-> {args.output} [{stats.backend} x{stats.workers}, {stats.shard_count} shards, "
+        f"-> {args.output} [{stats.shard_count} shards, "
         f"profile cache hit rate {stats.cache.hit_rate:.0%}]"
     )
     return 0
@@ -452,10 +449,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     dictionary = _dictionary_from_synonyms(args.synonyms)
     click_log = None
     if args.priors is not None:
-        click_log = ClickLog(
-            ClickRecord(row["query"], row["url"], row["clicks"])
-            for row in read_jsonl(args.priors)
-        )
+        click_log = _load_log(ClickLog, args.priors, ClickRecord)
     if args.delta is not None:
         from repro.serving.delta import delta_path_for, diff_delta
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.clicklog.records import ClickRecord, ImpressionRecord, SearchRecord
 
@@ -56,9 +56,6 @@ class CacheStats:
         if not self.lookups:
             return 0.0
         return self.hits / self.lookups
-
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(self.hits + other.hits, self.misses + other.misses)
 
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(self.hits - other.hits, self.misses - other.misses)
@@ -233,23 +230,6 @@ class ClickLog:
         """Cumulative profile-cache counters since construction."""
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses)
-
-    # ------------------------------------------------------------------ #
-    # Pickling (process-pool workers): the data travels, the cache and its
-    # lock do not
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_profiles"] = {}
-        state["_hits"] = 0
-        state["_misses"] = 0
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Whole-log iteration and statistics

@@ -9,26 +9,23 @@ module is the one loop every mining job runs over it:
 
 * :func:`mine_entity` — the single two-phase mining implementation used by
   :class:`~repro.core.pipeline.SynonymMiner`, the incremental miner and
-  every batch worker;
-* :class:`BatchMiner` — shards the catalog, mines the shards in process
-  (``serial``, the default) or on a process pool (``process``, the only
-  path that uses more than one core) and exposes both a collect-everything
+  :class:`BatchMiner`;
+* :class:`BatchMiner` — shards the catalog, mines the shards one after
+  another in process and exposes both a collect-everything
   :meth:`BatchMiner.mine` and a streaming :meth:`BatchMiner.mine_iter` that
   yields per-entity results shard by shard with progress callbacks, for
   catalogs too large to hold a full
   :class:`~repro.core.types.MiningResult` comfortably.
 
-Results are deterministic and identical whichever path mines them: shards
+Results are deterministic and identical whatever the shard length: shards
 are consecutive slices of the (normalized, deduplicated) input order, every
 scored list is fully sorted by ``(clicks desc, query asc)``, and all ICR
-arithmetic is integer sums, so process scheduling cannot change a single
-byte of the output.
+arithmetic is integer sums, so sharding cannot change a single byte of the
+output.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -36,7 +33,7 @@ from repro.clicklog.log import CacheStats, ClickLog, SearchLog
 from repro.core.candidates import CandidateGenerator
 from repro.core.config import MinerConfig
 from repro.core.selection import CandidateSelector, score_profile
-from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
+from repro.core.types import EntitySynonyms, MiningResult
 from repro.text.normalize import normalize
 
 __all__ = [
@@ -47,7 +44,8 @@ __all__ = [
     "BatchMiner",
 ]
 
-BACKENDS = ("serial", "process")
+# Shards a catalog is sliced into when no ``shard_size`` is given.
+_DEFAULT_SHARD_COUNT = 4
 
 
 def mine_entity(
@@ -61,8 +59,7 @@ def mine_entity(
     """Run both mining phases for one already-normalized input string.
 
     This is the one implementation behind :meth:`SynonymMiner.mine_one`,
-    :meth:`IncrementalSynonymMiner.refresh` and every :class:`BatchMiner`
-    worker.
+    :meth:`IncrementalSynonymMiner.refresh` and :class:`BatchMiner`.
     """
     if selector is None:
         selector = CandidateSelector(
@@ -106,91 +103,6 @@ def _mine_shard(
     ]
 
 
-# ------------------------------------------------------------------------- #
-# Process-backend plumbing: the logs are shipped to each worker exactly once
-# (pool initializer), then shards reference them through this module global.
-# Results travel back as compact tuples (see _pack_entry) rather than whole
-# dataclass graphs: pickling a dataclass ships its qualified class name and
-# per-field name/value pairs for every candidate, while a tuple ships only
-# the values.  The two big strings wins: every candidate's
-# ``intersecting_urls`` is by construction a subset of the entity's
-# surrogate set (see score_profile), so URLs cross the channel once in the
-# surrogate tuple and every intersection is a tuple of small ints; and
-# ``selected`` rides along as indices into ``candidates`` instead of a
-# second copy of each candidate.  The parent rehydrates.
-# ------------------------------------------------------------------------- #
-
-_WORKER_STATE: dict = {}
-
-# (canonical, surrogates, candidate value tuples, indices of selected ones);
-# inside each candidate tuple the last element holds surrogate indices (int)
-# for intersecting URLs, with a raw-string fallback for any URL that is not
-# a surrogate (defensive: score_profile never produces one today).
-_PackedEntry = tuple[
-    str,
-    tuple[str, ...],
-    tuple[tuple[str, int, float, int, tuple[int | str, ...]], ...],
-    tuple[int, ...],
-]
-
-
-def _pack_entry(entry: EntitySynonyms) -> _PackedEntry:
-    """Flatten one entity's result into plain tuples for the IPC channel."""
-    candidate_index = {c.query: i for i, c in enumerate(entry.candidates)}
-    surrogate_index = {url: i for i, url in enumerate(entry.surrogates)}
-    return (
-        entry.canonical,
-        tuple(entry.surrogates),
-        tuple(
-            (
-                c.query,
-                c.ipc,
-                c.icr,
-                c.clicks,
-                tuple(surrogate_index.get(url, url) for url in c.intersecting_urls),
-            )
-            for c in entry.candidates
-        ),
-        tuple(candidate_index[c.query] for c in entry.selected),
-    )
-
-
-def _unpack_entry(packed: _PackedEntry) -> EntitySynonyms:
-    """Rehydrate a worker's packed tuple back into an :class:`EntitySynonyms`."""
-    canonical, surrogates, candidate_rows, selected_indices = packed
-    candidates = [
-        SynonymCandidate(
-            query=query,
-            ipc=ipc,
-            icr=icr,
-            clicks=clicks,
-            intersecting_urls=tuple(
-                surrogates[ref] if isinstance(ref, int) else ref for ref in url_refs
-            ),
-        )
-        for query, ipc, icr, clicks, url_refs in candidate_rows
-    ]
-    return EntitySynonyms(
-        canonical=canonical,
-        surrogates=surrogates,
-        candidates=candidates,
-        selected=[candidates[i] for i in selected_indices],
-    )
-
-
-def _init_batch_worker(click_log: ClickLog, search_log: SearchLog, config: MinerConfig) -> None:
-    _WORKER_STATE["logs"] = (click_log, search_log, config)
-
-
-def _mine_shard_in_worker(
-    shard: Sequence[str],
-) -> tuple[list[_PackedEntry], CacheStats]:
-    click_log, search_log, config = _WORKER_STATE["logs"]
-    before = click_log.cache_stats
-    entries = _mine_shard(click_log, search_log, config, shard)
-    return [_pack_entry(entry) for entry in entries], click_log.cache_stats - before
-
-
 @dataclass(frozen=True)
 class BatchProgress:
     """Progress snapshot handed to ``progress`` callbacks after each shard."""
@@ -213,8 +125,6 @@ class BatchRunStats:
 
     entities: int
     shard_count: int
-    workers: int
-    backend: str
     cache: CacheStats
 
 
@@ -230,17 +140,10 @@ class BatchMiner:
         :class:`~repro.core.pipeline.SynonymMiner` there is no live-engine
         fallback: batch mining is the offline, materialised-Search-Data
         shape.
-    workers:
-        Size of the process pool (``os.cpu_count()`` when omitted); the
-        in-process loop is one worker whatever is passed.
     shard_size:
-        Entities per shard; defaults to slicing the input into roughly
-        ``4 × workers`` shards so the pool stays busy near the tail.
-    backend:
-        ``"serial"`` (the default: one in-process loop, still sharded for
-        streaming and progress) or ``"process"`` (the only path that uses
-        more than one core; the logs are shipped once per worker and each
-        worker warms its own cache).
+        Entities per shard; defaults to slicing the input into four
+        shards.  Shards are the unit of :meth:`mine_iter` streaming and of
+        ``progress`` callbacks.
     """
 
     def __init__(
@@ -249,19 +152,13 @@ class BatchMiner:
         click_log: ClickLog,
         search_log: SearchLog | None = None,
         config: MinerConfig | None = None,
-        workers: int | None = None,
         shard_size: int | None = None,
-        backend: str = "serial",
+        # Accepted and ignored: they sized and selected pools that no longer
+        # exist, and the frozen harness (benchmarks/perf/offline.py) still
+        # passes them; ROADMAP open item 1 frees the spelling.
+        workers: int | None = None,
+        backend: str | None = None,
     ) -> None:
-        if backend == "thread":
-            # Accepted spelling of the in-process loop: the frozen harness
-            # (benchmarks/perf/offline.py) still passes it.  The thread pool
-            # it used to select never beat the loop it wrapped.
-            backend = "serial"
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         if search_log is None:
@@ -272,10 +169,7 @@ class BatchMiner:
         self.config = config or MinerConfig()
         self.click_log = click_log
         self.search_log = search_log
-        # Only a process pool has a size; the in-process loop is one worker.
-        self.workers = (workers or os.cpu_count() or 1) if backend == "process" else 1
         self.shard_size = shard_size
-        self.backend = backend
         self._last_run_stats: BatchRunStats | None = None
 
     # ------------------------------------------------------------------ #
@@ -294,7 +188,7 @@ class BatchMiner:
     def _shards(self, canonicals: Sequence[str]) -> list[list[str]]:
         size = self.shard_size
         if size is None:
-            size = max(1, -(-len(canonicals) // (self.workers * 4)))
+            size = max(1, -(-len(canonicals) // _DEFAULT_SHARD_COUNT))
         return [list(canonicals[i : i + size]) for i in range(0, len(canonicals), size)]
 
     # ------------------------------------------------------------------ #
@@ -321,28 +215,17 @@ class BatchMiner:
     ) -> Iterator[EntitySynonyms]:
         """Stream per-entity results in input order, shard by shard.
 
-        Shards are yielded in catalog order (the process pool runs them
-        concurrently), so consumers can write results out incrementally
-        without holding a million-entity result in memory.  *progress* is
-        invoked after each completed shard.
+        Shards are mined and yielded in catalog order, so consumers can
+        write results out incrementally without holding a million-entity
+        result in memory.  *progress* is invoked after each completed shard.
         """
         canonicals = self._canonicalize(values)
         shards = self._shards(canonicals)
         stats_before = self.click_log.cache_stats
 
-        if self.backend == "process":
-            shard_results = self._iter_process(shards)
-        else:
-            shard_results = (
-                (_mine_shard(self.click_log, self.search_log, self.config, shard), None)
-                for shard in shards
-            )
-
         entities_done = 0
-        worker_cache = CacheStats()
-        for shards_done, (entries, delta) in enumerate(shard_results, start=1):
-            if delta is not None:
-                worker_cache = worker_cache + delta
+        for shards_done, shard in enumerate(shards, start=1):
+            entries = _mine_shard(self.click_log, self.search_log, self.config, shard)
             entities_done += len(entries)
             yield from entries
             if progress is not None:
@@ -355,26 +238,11 @@ class BatchMiner:
                     )
                 )
 
-        if self.backend == "process":
-            cache = worker_cache
-        else:
-            cache = self.click_log.cache_stats - stats_before
         self._last_run_stats = BatchRunStats(
             entities=len(canonicals),
             shard_count=len(shards),
-            workers=self.workers,
-            backend=self.backend,
-            cache=cache,
+            cache=self.click_log.cache_stats - stats_before,
         )
-
-    def _iter_process(self, shards: Sequence[Sequence[str]]):
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_batch_worker,
-            initargs=(self.click_log, self.search_log, self.config),
-        ) as pool:
-            for packed, delta in pool.map(_mine_shard_in_worker, shards):
-                yield [_unpack_entry(entry) for entry in packed], delta
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -74,9 +74,9 @@ class IncrementalSynonymMiner:
         search_log: SearchLog,
         click_log: ClickLog | None = None,
         config: MinerConfig | None = None,
-        # Accepted and ignored: it only ever sized a process pool, which a
-        # refresh no longer starts, and the frozen harness
-        # (benchmarks/perf/offline.py) still passes it.
+        # Accepted and ignored: it sized a pool that no longer exists, and
+        # the frozen harness (benchmarks/perf/offline.py) still passes it;
+        # ROADMAP open item 1 frees the spelling.
         batch_workers: int | None = None,
     ) -> None:
         self.config = config or MinerConfig()

@@ -26,7 +26,6 @@ from repro.core.selection import CandidateSelector
 from repro.core.surrogates import SurrogateFinder
 from repro.core.types import EntitySynonyms, MiningResult
 from repro.search.engine import SearchEngine
-from repro.storage.sqlite_store import LogDatabase
 from repro.text.normalize import normalize
 
 __all__ = ["SynonymMiner"]
@@ -84,7 +83,7 @@ class SynonymMiner:
 
         This is the loop :class:`~repro.core.batch.BatchMiner` runs, over
         the same profile cache on the click log; use the batch miner itself
-        for streaming, progress callbacks or a process pool.
+        for streaming and progress callbacks.
         """
         result = MiningResult()
         for value in values:
@@ -161,36 +160,6 @@ class SynonymMiner:
             config_fingerprint=self.config.fingerprint(),
             click_log=self.click_log if include_priors else None,
         )
-
-    @staticmethod
-    def store(result: MiningResult, database: LogDatabase) -> int:
-        """Persist the selected synonyms of *result* into *database*.
-
-        Returns the number of rows written to the ``synonyms`` table.
-        (A static method: results from the batch miner can be stored the
-        same way without constructing a miner.)
-        """
-        rows: list[tuple[str, str, int, float, int]] = []
-        for entry in result:
-            for candidate in entry.selected:
-                rows.append(
-                    (entry.canonical, candidate.query, candidate.ipc, candidate.icr, candidate.clicks)
-                )
-        return database.add_synonym_records(rows)
-
-    # ------------------------------------------------------------------ #
-    # Convenience constructors
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_database(
-        cls, database: LogDatabase, *, config: MinerConfig | None = None
-    ) -> "SynonymMiner":
-        """Build a miner from logs previously loaded into a
-        :class:`~repro.storage.sqlite_store.LogDatabase`."""
-        search_log = SearchLog.from_tuples(database.iter_search_log())
-        click_log = ClickLog.from_tuples(database.iter_click_log())
-        return cls(click_log=click_log, search_log=search_log, config=config)
 
 
 def mine_synonyms(

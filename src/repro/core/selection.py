@@ -65,8 +65,8 @@ def score_profile(profile: CandidateProfile, surrogates: set[str]) -> SynonymCan
     This is the single scoring implementation behind every mining path: IPC
     is the intersection size (Eq. 3), ICR the clicks landing inside the
     intersection over the candidate's total volume (Eq. 4).  All sums are
-    over ints, so the result is bit-identical no matter which path (or
-    worker) computed it.
+    over ints, so the result is bit-identical no matter which path
+    computed it.
     """
     intersection = profile.clicked_urls & surrogates
     intersecting_urls = tuple(sorted(intersection))

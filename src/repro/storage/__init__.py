@@ -1,22 +1,18 @@
-"""Storage substrate: JSONL files and a SQLite-backed log store.
+"""Storage substrate: JSONL log files and the binary artifact container.
 
 The paper's pipeline is an offline batch job over months of query and click
-logs.  This package provides the two persistence formats the reproduction
-uses for those logs and for the mined synonym tables:
+logs.  This package provides the on-disk format the reproduction uses for
+those logs and for the mined synonym rows, and the one it publishes
+compiled dictionaries in:
 
 * :mod:`repro.storage.jsonl` — newline-delimited JSON for portable dumps of
   dataclass records (search tuples, click tuples, synonym rows);
-* :mod:`repro.storage.sqlite_store` — an embedded SQLite database with the
-  search-log / click-log / synonym schema, supporting the aggregation
-  queries the miner needs without loading everything into memory;
 * :mod:`repro.storage.artifact` — the single-file binary artifact container
   (manifest + named blocks + content hash, atomic publication) that the
   serving layer compiles dictionaries into.
 """
 
 from repro.storage.jsonl import read_jsonl, write_jsonl, append_jsonl
-from repro.storage.sqlite_store import LogDatabase
-from repro.storage.tables import TableSchema, ColumnSpec
 from repro.storage.artifact import (
     ArtifactError,
     ArtifactManifest,
@@ -29,9 +25,6 @@ __all__ = [
     "read_jsonl",
     "write_jsonl",
     "append_jsonl",
-    "LogDatabase",
-    "TableSchema",
-    "ColumnSpec",
     "ArtifactError",
     "ArtifactManifest",
     "read_artifact",

@@ -36,8 +36,9 @@ def _to_plain(record: Any) -> Any:
 def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     """Write *records* to *path*, one JSON object per line.
 
-    Returns the number of records written.  Dataclass instances are
-    converted via :func:`dataclasses.asdict`.
+    Returns the number of records written.  Dataclass instances (also
+    nested in containers) are written field by field and sets as sorted
+    lists, see :func:`_to_plain`.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -63,29 +64,46 @@ def append_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield each line of *path* parsed as a JSON object.
-
-    Blank lines are skipped; malformed lines raise ``ValueError`` with the
-    offending line number so corrupt log dumps fail loudly.
-    """
-    path = Path(path)
+def _numbered_rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """``(line number, parsed object)`` for every non-blank line of *path*."""
     with path.open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_number}: invalid JSON line") from exc
+            if not isinstance(row, dict):
+                raise ValueError(
+                    f"{path}:{line_number}: expected a JSON object, got {type(row).__name__}"
+                )
+            yield line_number, row
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield each line of *path* parsed as a JSON object.
+
+    Blank lines are skipped; a line that is not valid JSON, or is valid JSON
+    but not an object, raises ``ValueError`` with the offending line number
+    so corrupt log dumps fail loudly.
+    """
+    for _line_number, row in _numbered_rows(Path(path)):
+        yield row
 
 
 def read_jsonl_as(path: str | Path, factory: Callable[..., T]) -> Iterator[T]:
     """Read *path* and construct ``factory(**record)`` for every line.
 
-    *factory* is typically a dataclass; extra keys raise ``TypeError`` so
-    schema drift between writer and reader is detected immediately.
+    *factory* is typically a dataclass.  A missing or extra key, or a value
+    the factory rejects, raises ``ValueError("<path>:<line>: ...")`` so
+    schema drift between writer and reader names the line it was found on.
     """
-    for record in read_jsonl(path):
-        yield factory(**record)
+    path = Path(path)
+    for line_number, row in _numbered_rows(path):
+        try:
+            record = factory(**row)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{line_number}: {exc}") from exc
+        yield record

@@ -218,10 +218,9 @@ def assert_mining_paths_agree(
 ) -> None:
     """Every mining path must reproduce :func:`reference_entry`.
 
-    Held to it: ``SynonymMiner.mine``, the in-process ``BatchMiner`` loop,
-    its process pool, the legacy ``"thread"`` spelling of the in-process
-    loop, and ``IncrementalSynonymMiner.refresh``.  *values* must be
-    distinct canonicals.
+    Held to it: ``SynonymMiner.mine``, ``BatchMiner`` and
+    ``IncrementalSynonymMiner.refresh``.  *values* must be distinct
+    canonicals.
     """
     reference = [reference_entry(search_log, click_log, value, config) for value in values]
     logs = {"click_log": click_log, "search_log": search_log, "config": config}
@@ -230,9 +229,7 @@ def assert_mining_paths_agree(
     incremental.refresh()
     paths = {
         "SynonymMiner.mine": list(SynonymMiner(**logs).mine(values)),
-        "in-process": list(BatchMiner(**logs).mine(values)),
-        "process": list(BatchMiner(**logs, workers=2, backend="process").mine(values)),
-        "thread spelling": list(BatchMiner(**logs, workers=2, backend="thread").mine(values)),
+        "BatchMiner": list(BatchMiner(**logs).mine(values)),
         # refresh() mines in sorted order; compare in catalog order.
         "incremental refresh": [incremental.result[value] for value in values],
     }

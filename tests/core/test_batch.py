@@ -1,28 +1,18 @@
 """Tests for the sharded batch miner and the click log's profile cache.
 
-The load-bearing guarantee is *equivalence*: whatever combination of
-workers, shard size and backend is used, the batch miner must return
-results identical to ``SynonymMiner.mine()`` and to the formula-level
-reference — same entities, same key order, same scored candidate lists,
-same selections.
+The load-bearing guarantee is *equivalence*: whatever the shard size, the
+batch miner must return results identical to ``SynonymMiner.mine()`` and to
+the formula-level reference — same entities, same key order, same scored
+candidate lists, same selections.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
-from repro.core.batch import (
-    BatchMiner,
-    BatchProgress,
-    CacheStats,
-    _mine_shard,
-    _pack_entry,
-    _unpack_entry,
-)
+from repro.core.batch import BatchMiner, BatchProgress, CacheStats
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
@@ -103,17 +93,6 @@ class TestProfileCache:
         log.add(ClickRecord("never asked", "https://new.example/page", 3))
         assert log.candidate_profile("never asked").total_clicks == 3
 
-    def test_pickle_round_trip_drops_cache(self, mini_click_log):
-        log = mini_click_log
-        log.candidate_profile("indy 4")
-        clone = pickle.loads(pickle.dumps(log))
-        assert clone.cache_stats == CacheStats()
-        assert list(clone.iter_records()) == list(log.iter_records())
-        assert clone.candidate_profile("indy 4") == log.candidate_profile("indy 4")
-        # The clone is a working log with its own lock and cache.
-        clone.add(ClickRecord("indy 4", "https://new.example/page", 1))
-        assert clone.total_clicks("indy 4") == log.total_clicks("indy 4") + 1
-
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize(
@@ -121,8 +100,6 @@ class TestBatchEquivalence:
         [
             (1, "serial", None),
             (None, "serial", 3),
-            (2, "process", 5),
-            (1, "process", None),
         ],
     )
     def test_identical_to_serial(
@@ -149,7 +126,6 @@ class TestBatchEquivalence:
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
-            workers=2,
             shard_size=2,
         )
         assert_results_identical(batch.mine(noisy), serial)
@@ -187,7 +163,6 @@ class TestBatchEquivalence:
         batch.mine(toy_world.canonical_queries())
         stats = batch.last_run_stats
         assert stats is not None
-        assert stats.backend == "serial"
         assert stats.entities == len(toy_world.canonical_queries())
         assert stats.cache.lookups > 0
         # The toy world's entities share head queries, so the cross-entity
@@ -229,7 +204,6 @@ class TestMineIter:
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
-            workers=2,
             shard_size=3,
         )
         values = toy_world.canonical_queries()[:7]
@@ -241,32 +215,42 @@ class TestMineIter:
 
 
 class TestValidation:
-    def test_rejects_unknown_backend(self, toy_world):
-        with pytest.raises(ValueError, match="backend"):
-            BatchMiner(click_log=toy_world.click_log, backend="gpu")
-
-    def test_defaults_are_the_in_process_loop(self, toy_world):
-        logs = {"click_log": toy_world.click_log, "search_log": toy_world.search_log}
-        batch = BatchMiner(**logs)
-        assert (batch.backend, batch.workers) == ("serial", 1)
-        # A pool size is resolved only where a pool is built.
-        assert BatchMiner(**logs, backend="process").workers >= 1
-        assert BatchMiner(**logs, workers=3, backend="process").workers == 3
-
-    def test_thread_spelling_reports_what_ran(self, toy_world):
-        batch = BatchMiner(
-            click_log=toy_world.click_log,
-            search_log=toy_world.search_log,
-            workers=2,
-            backend="thread",
-        )
-        batch.mine(toy_world.canonical_queries()[:4])
+    def test_defaults_are_the_in_process_loop(self):
+        # Four shards whatever the catalog size, mined over the caller's own
+        # log: the run's cache counters are that log's counter movement.
+        search_log, click_log, values = shared_candidate_logs()
+        batch = BatchMiner(click_log=click_log, search_log=search_log, config=CONFIG)
+        before = click_log.cache_stats
+        batch.mine(values)
         stats = batch.last_run_stats
-        assert (stats.backend, stats.workers) == ("serial", 1)
+        assert (stats.entities, stats.shard_count) == (len(values), 4)
+        assert stats.cache == click_log.cache_stats - before
+        assert stats.cache.lookups > 0
 
-    def test_rejects_bad_workers_and_shard_size(self, toy_world):
-        with pytest.raises(ValueError):
-            BatchMiner(click_log=toy_world.click_log, workers=0)
+    def test_harness_spelling_is_accepted_and_ignored(self):
+        # benchmarks/perf/offline.py (frozen) constructs the miner this way;
+        # both keywords are accepted and select nothing.
+        search_log, click_log, values = shared_candidate_logs()
+        logs = {"click_log": click_log, "search_log": search_log, "config": CONFIG}
+        harness = BatchMiner(**logs, workers=2, backend="thread")
+        mined = harness.mine(values)
+        assert list(mined) == [
+            reference_entry(search_log, click_log, value, CONFIG) for value in values
+        ]
+        default = BatchMiner(**logs)
+        assert_results_identical(default.mine(values), mined)
+        assert harness.last_run_stats.shard_count == default.last_run_stats.shard_count
+
+    def test_sharding_does_not_change_results(self):
+        search_log, click_log, values = shared_candidate_logs(10)
+        logs = {"click_log": click_log, "search_log": search_log, "config": CONFIG}
+        reference = [reference_entry(search_log, click_log, value, CONFIG) for value in values]
+        for shard_size, shard_count in ((1, 10), (3, 4), (None, 4)):
+            batch = BatchMiner(**logs, shard_size=shard_size)
+            assert list(batch.mine(values)) == reference, shard_size
+            assert batch.last_run_stats.shard_count == shard_count
+
+    def test_rejects_bad_shard_size(self, toy_world):
         with pytest.raises(ValueError):
             BatchMiner(click_log=toy_world.click_log, shard_size=0)
 
@@ -289,18 +273,6 @@ class TestValidation:
         after = batch.mine(values)[values[0]].candidate("hot query 0")
         assert after.clicks == before.clicks + 40
         assert after.icr < before.icr
-
-    def test_process_pool_counts_lookups_like_the_loop(self):
-        # Workers report per-shard counter deltas, so what a forked worker
-        # inherits from a warm parent log must not leak into the run's stats.
-        search_log, click_log, values = shared_candidate_logs()
-        logs = {"click_log": click_log, "search_log": search_log, "config": CONFIG}
-        loop = BatchMiner(**logs)
-        loop.mine(values)
-        pool = BatchMiner(**logs, workers=2, backend="process")
-        pool.mine(values)
-        assert pool.last_run_stats.cache.lookups == loop.last_run_stats.cache.lookups
-        assert (pool.last_run_stats.backend, pool.last_run_stats.workers) == ("process", 2)
 
     def test_cache_survives_across_miners_on_one_log(self, toy_world):
         click_log = ClickLog(toy_world.click_log.iter_records())  # private and cold
@@ -363,7 +335,6 @@ class TestIncrementalEquivalence:
             click_log=ClickLog(incremental.click_log.iter_records()),
             search_log=incremental.search_log,
             config=CONFIG,
-            workers=2,
         ).mine(entities)
         assert incremental.result.per_entity.keys() == scratch.per_entity.keys()
         for canonical in scratch.per_entity:
@@ -389,71 +360,3 @@ class TestIncrementalEquivalence:
             assert after.clicks == before[canonical].clicks + 80
         assert incremental.result[entities[3]].candidate("hub query").ipc == 3
         self._assert_matches_reference(incremental, entities)
-
-
-class TestCompactShardTransfer:
-    """Process workers ship packed tuples, not whole dataclass graphs."""
-
-    def _mined_entries(self, toy_world):
-        miner = SynonymMiner(
-            click_log=toy_world.click_log,
-            search_log=toy_world.search_log,
-            config=CONFIG,
-        )
-        return [
-            miner.mine_one(value) for value in toy_world.canonical_queries()[:10]
-        ]
-
-    def test_pack_unpack_round_trip(self, toy_world):
-        for entry in self._mined_entries(toy_world):
-            restored = _unpack_entry(_pack_entry(entry))
-            assert restored.canonical == entry.canonical
-            assert restored.surrogates == entry.surrogates
-            assert restored.candidates == entry.candidates
-            assert restored.selected == entry.selected
-
-    def test_unpacked_selected_alias_candidates(self, toy_world):
-        # Selected entries must be the same objects as their candidate rows,
-        # mirroring what mine_entity produces, not equal copies.
-        for entry in self._mined_entries(toy_world):
-            restored = _unpack_entry(_pack_entry(entry))
-            for selected in restored.selected:
-                assert any(selected is candidate for candidate in restored.candidates)
-
-    def test_packed_payload_is_smaller(self, toy_world):
-        entries = self._mined_entries(toy_world)
-        assert any(entry.selected for entry in entries)
-        packed = [_pack_entry(entry) for entry in entries]
-        dataclass_payload = len(pickle.dumps(entries))
-        packed_payload = len(pickle.dumps(packed))
-        # The tuple encoding must shrink the worker→parent transfer even on
-        # the toy world, where unique long URLs (which pickle cannot dedup
-        # away) put a high floor under both encodings.
-        assert packed_payload < dataclass_payload * 0.9, (
-            packed_payload,
-            dataclass_payload,
-        )
-
-    def test_packed_payload_shrinks_hard_on_shared_candidates(self):
-        # Intersections are wide on shared-candidate logs, so shipping them
-        # as surrogate indices instead of URL strings is the bulk of the win.
-        search, clicks, values = shared_candidate_logs(30)
-        entries = _mine_shard(clicks, search, CONFIG, values)
-        assert any(entry.candidates for entry in entries)
-        packed = [_pack_entry(entry) for entry in entries]
-        dataclass_payload = len(pickle.dumps(entries))
-        packed_payload = len(pickle.dumps(packed))
-        assert packed_payload < dataclass_payload * 0.75, (
-            packed_payload,
-            dataclass_payload,
-        )
-
-    def test_process_backend_still_identical(self, toy_world, toy_serial_result):
-        batch = BatchMiner(
-            click_log=toy_world.click_log,
-            search_log=toy_world.search_log,
-            config=CONFIG,
-            workers=2,
-            backend="process",
-        )
-        assert_results_identical(batch.mine(toy_world.canonical_queries()), toy_serial_result)

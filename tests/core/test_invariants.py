@@ -10,9 +10,9 @@ These pin down the algebra of the miner on arbitrary small logs:
 * a long-lived ``ClickLog`` whose ``add()`` calls interleave with profile
   reads and mining answers exactly like a log rebuilt from the same records
   (the profile cache is never stale);
-* every mining path (``SynonymMiner.mine``, the in-process ``BatchMiner``
-  loop, its process pool, ``IncrementalSynonymMiner.refresh``) reproduces the
-  formula-level reference in ``tests/conftest.py``.
+* every mining path (``SynonymMiner.mine``, ``BatchMiner``,
+  ``IncrementalSynonymMiner.refresh``) reproduces the formula-level
+  reference in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ class TestProfileCacheFreshness:
 
 
 class TestPathEquivalence:
-    # Each example starts a process pool, hence few examples and no deadline.
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=60)
     @given(catalog_search_tuples, click_tuples, ipc_thresholds, icr_thresholds)
     def test_every_path_equals_the_formula_reference(self, search, clicks, ipc, icr):
         search_log, click_log = _build_logs(search, clicks)

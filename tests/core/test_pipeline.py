@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner, mine_synonyms
-from repro.storage.sqlite_store import LogDatabase
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
 
@@ -90,28 +89,3 @@ class TestReselect:
             config=MinerConfig(ipc_threshold=1, icr_threshold=0.0),
         ).mine([CANONICAL])
         assert set(reselected[CANONICAL].synonyms) == set(fresh[CANONICAL].synonyms)
-
-
-class TestPersistence:
-    def test_store_and_reload(self, miner):
-        result = miner.mine([CANONICAL])
-        with LogDatabase() as database:
-            written = miner.store(result, database)
-            assert written == result.synonym_count
-            rows = database.synonyms_for(CANONICAL)
-            assert [row[0] for row in rows] == ["indy 4"]
-
-    def test_from_database_roundtrip(self, mini_search_log, mini_click_log):
-        with LogDatabase() as database:
-            database.add_search_records(
-                (record.query, record.url, record.rank)
-                for record in mini_search_log.iter_records()
-            )
-            database.add_click_records(
-                (record.query, record.url, record.clicks)
-                for record in mini_click_log.iter_records()
-            )
-            rebuilt = SynonymMiner.from_database(
-                database, config=MinerConfig(ipc_threshold=2, icr_threshold=0.5)
-            )
-            assert rebuilt.mine_one(CANONICAL).synonyms == ["indy 4"]

@@ -13,7 +13,6 @@ from repro.eval.labeling import GroundTruthOracle
 from repro.eval.metrics import coverage_increase, precision, weighted_precision
 from repro.matching.dictionary import SynonymDictionary
 from repro.matching.matcher import QueryMatcher
-from repro.storage.sqlite_store import LogDatabase
 
 
 @pytest.fixture(scope="module")
@@ -67,17 +66,6 @@ class TestMiningQuality:
     def test_expansion_ratio_substantial(self, mined):
         _miner, result = mined
         assert result.expansion_ratio() > 2.0
-
-
-class TestPersistenceIntegration:
-    def test_mine_store_reload_and_rematch(self, mined, toy_world, tmp_path):
-        miner, result = mined
-        path = tmp_path / "synonyms.db"
-        with LogDatabase(path) as database:
-            miner.store(result, database)
-        with LogDatabase(path) as database:
-            stored = list(database.iter_synonyms())
-        assert len(stored) == result.synonym_count
 
 
 class TestOnlineMatchingIntegration:

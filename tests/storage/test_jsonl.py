@@ -77,5 +77,29 @@ class TestErrors:
     def test_read_as_rejects_schema_drift(self, tmp_path):
         path = tmp_path / "drift.jsonl"
         path.write_text('{"name": "x", "value": 1, "extra": true}\n', encoding="utf-8")
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"drift\.jsonl:1: .*extra"):
             list(read_jsonl_as(path, _Row))
+
+    def test_non_object_line_raises_with_location(self, tmp_path):
+        path = tmp_path / "array.jsonl"
+        path.write_text('{"ok": 1}\n\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"array\.jsonl:3: expected a JSON object, got list"):
+            list(read_jsonl(path))
+
+    def test_read_as_names_the_line_missing_a_key(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        path.write_text(
+            '{"query": "q", "url": "u", "clicks": 2}\n{"query": "q", "url": "u"}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"short\.jsonl:2: .*clicks"):
+            list(read_jsonl_as(path, ClickRecord))
+
+    def test_read_as_names_the_line_with_a_rejected_value(self, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"query": "q", "url": "u", "clicks": "3"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"typed\.jsonl:1: "):
+            list(read_jsonl_as(path, ClickRecord))
+        path.write_text('{"query": "q", "url": "u", "clicks": 0}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"typed\.jsonl:1: clicks must be >= 1"):
+            list(read_jsonl_as(path, ClickRecord))

@@ -81,7 +81,6 @@ class TestEndToEndWorkflow:
                 "--clicks", str(simulated / "click_data.jsonl"),
                 "--values", str(simulated / "values.txt"),
                 "--output", str(output),
-                "--database", str(workdir / "synonyms.db"),
                 "--ipc", "3", "--icr", "0.1",
             ]
         )
@@ -93,12 +92,6 @@ class TestEndToEndWorkflow:
         assert rows, "expected at least one mined synonym"
         assert {"canonical", "synonym", "ipc", "icr", "clicks"} <= set(rows[0])
         assert all(row["ipc"] >= 3 for row in rows)
-
-    def test_mine_persists_database(self, mined, workdir):
-        from repro.storage.sqlite_store import LogDatabase
-
-        with LogDatabase(workdir / "synonyms.db") as database:
-            assert database.count("synonyms") == len(list(read_jsonl(mined)))
 
     def test_match_resolves_mined_synonym(self, mined, capsys):
         rows = list(read_jsonl(mined))
@@ -156,36 +149,58 @@ class TestBatchMineCLI:
     def test_plain_mine_runs_the_in_process_loop(self, simulated, workdir, capsys):
         self._mine(simulated, workdir / "plain.jsonl")
         out = capsys.readouterr().out
-        assert "[serial x1," in out and "profile cache hit rate" in out
-        self._mine(simulated, workdir / "one.jsonl", "--workers", "1", "--shard-size", "3")
-        assert "[serial x1," in capsys.readouterr().out
-        assert (workdir / "one.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
+        assert "[4 shards," in out and "profile cache hit rate" in out
+        self._mine(simulated, workdir / "short.jsonl", "--shard-size", "3")
+        assert (workdir / "short.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
 
-    def test_workers_above_one_is_the_process_pool(self, simulated, workdir, capsys):
-        self._mine(simulated, workdir / "serial.jsonl")
-        capsys.readouterr()
-        self._mine(simulated, workdir / "process.jsonl", "--workers", "2", "--shard-size", "3")
-        assert "[process x2," in capsys.readouterr().out
-        assert (workdir / "process.jsonl").read_bytes() == (workdir / "serial.jsonl").read_bytes()
+    def test_mine_rejects_a_corrupt_log_line(self, simulated, workdir, capsys):
+        clicks = workdir / "corrupt_clicks.jsonl"
+        good = (simulated / "click_data.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        clicks.write_text("\n".join(good + ['{"query": "q", "url": "u"}']) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "mine",
+                    "--search", str(simulated / "search_data.jsonl"),
+                    "--clicks", str(clicks),
+                    "--values", str(simulated / "values.txt"),
+                    "--output", str(workdir / "never.jsonl"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{clicks}:3: " in err[0] and "clicks" in err[0]
 
     def test_parser_accepts_batch_flags(self):
         args = build_parser().parse_args(
             [
                 "mine", "--search", "s", "--clicks", "c", "--values", "v",
-                "--output", "o", "--workers", "4", "--shard-size", "100",
+                "--output", "o", "--shard-size", "100",
             ]
         )
-        assert args.workers == 4 and args.shard_size == 100
+        assert args.shard_size == 100
 
     def test_backend_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 [
                     "mine", "--search", "s", "--clicks", "c", "--values", "v",
-                    "--output", "o", "--workers", "2", "--backend", "process",
+                    "--output", "o", "--backend", "process",
                 ]
             )
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--database"])
+    def test_pool_and_database_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [
+                    "mine", "--search", "s", "--clicks", "c", "--values", "v",
+                    "--output", "o", flag, "2",
+                ]
+            )
+        assert flag in capsys.readouterr().err
 
 
 class TestCompileAndServeCLI:
