@@ -5,7 +5,7 @@ reports no running times.  This benchmark exists for the production-scale
 goal — it builds a 1,000-entity synthetic catalog whose entities share
 high-volume candidate queries (the shape that makes per-entity profile
 re-materialisation quadratic-ish in practice) and records what the
-:class:`~repro.core.batch.BatchMiner` loop does with it: entities/s with a
+:class:`~repro.core.pipeline.SynonymMiner` loop does with it: entities/s with a
 cold and a warm profile cache, and the cache hit rates.
 
 What is asserted is what does not depend on the machine: results equal the
@@ -24,8 +24,8 @@ import time
 import pytest
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
+from repro.core.pipeline import SynonymMiner
 
 from benchmarks.conftest import write_result
 from tests.conftest import reference_entry
@@ -111,13 +111,13 @@ class TestBatchScaling:
         config = MinerConfig()
         logs = {"click_log": click_log, "search_log": search_log, "config": config}
 
-        batch = BatchMiner(**logs)
+        batch = SynonymMiner(**logs)
         # Cold run: the profile cache warms up inside the measured window.
         cold_s, _ = _best_of(1, lambda: batch.mine(values))
         cold_stats = batch.last_run_stats
         # Warm run: the cache lives on the click log, so a later job over
         # the same logs (a new miner, not a reused one) is served from it.
-        warm = BatchMiner(**logs)
+        warm = SynonymMiner(**logs)
         warm_s, batch_result = _best_of(3, lambda: warm.mine(values))
         warm_stats = warm.last_run_stats
 
@@ -135,7 +135,6 @@ class TestBatchScaling:
             f"{cold_stats.cache.lookups} lookups "
             f"(hit rate {cold_stats.cache.hit_rate:.1%})",
             f"  warm-run profile cache   hit rate {warm_stats.cache.hit_rate:.1%}",
-            f"  shards                   {cold_stats.shard_count}",
         ]
         write_result(results_dir, "batch_scaling.txt", "\n".join(lines))
 
@@ -144,6 +143,6 @@ class TestBatchScaling:
 
     def test_batch_mine_full_catalog(self, benchmark, shared_catalog):
         search_log, click_log, values = shared_catalog
-        batch = BatchMiner(click_log=click_log, search_log=search_log, config=MinerConfig())
+        batch = SynonymMiner(click_log=click_log, search_log=search_log, config=MinerConfig())
         result = benchmark.pedantic(batch.mine, args=(values,), rounds=3, iterations=1)
         assert len(result) == len(values)

@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.cli import _dictionary_from_synonyms, _percentile
+from repro.cli import _dictionary_from_synonyms
 from repro.clicklog.log import ClickLog
 from repro.clicklog.records import ClickRecord
 from repro.serving.artifact import compile_dictionary
@@ -34,6 +34,7 @@ from repro.server.client import ServerClient
 from repro.storage.jsonl import write_jsonl
 
 from benchmarks.conftest import write_result
+from benchmarks.perf.stats import percentile
 from benchmarks.test_bench_match_throughput import build_synonym_rows
 from tests.conftest import start_daemon
 
@@ -131,10 +132,10 @@ class TestServerLatency:
 
         match_latencies.sort()
         resolve_latencies.sort()
-        match_p50 = _percentile(match_latencies, 0.50) * 1e3
-        match_p99 = _percentile(match_latencies, 0.99) * 1e3
-        resolve_p50 = _percentile(resolve_latencies, 0.50) * 1e3
-        resolve_p99 = _percentile(resolve_latencies, 0.99) * 1e3
+        match_p50 = percentile(match_latencies, 50) * 1e3
+        match_p99 = percentile(match_latencies, 99) * 1e3
+        resolve_p50 = percentile(resolve_latencies, 50) * 1e3
+        resolve_p99 = percentile(resolve_latencies, 99) * 1e3
 
         # The daemon's own histograms saw the same traffic: /stats must
         # report the production shape for every endpoint exercised above.

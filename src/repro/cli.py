@@ -1,14 +1,14 @@
 """Command-line interface.
 
-Ten subcommands cover the offline *and* online workflow end to end
+Nine subcommands cover the offline *and* online workflow end to end
 without writing any Python:
 
 * ``simulate``    — build a simulated world and dump its catalog, Search
   Data and Click Data as JSONL files (the shape a real log-delivery
   pipeline would produce);
 * ``mine``        — run the two-phase miner over JSONL logs and write the
-  expanded dictionary as JSONL; one sharded loop over a shared profile
-  cache (``--shard-size`` sets the shard length);
+  expanded dictionary as JSONL, streamed entity by entity from the one
+  mining loop over the click log's profile cache;
 * ``compile``     — freeze a mined synonyms JSONL into a compiled serving
   artifact (one immutable file, cold-loadable in one read);
   ``--priors CLICKS_JSONL`` embeds per-entity click priors so ``server``
@@ -21,11 +21,6 @@ without writing any Python:
 * ``match``       — match live queries (arguments or stdin) against a
   mined dictionary, from ``--synonyms`` JSONL (rebuilt in memory) or a
   compiled ``--artifact`` (fast path);
-* ``serve``       — run a :class:`~repro.serving.service.MatchService`
-  over a compiled artifact: queries from a file or stdin, JSONL results
-  on stdout, latency percentiles on stderr, ``--watch`` hot-swaps when
-  the artifact file is re-published; SIGINT/SIGTERM end the stream
-  cleanly with the summary flushed;
 * ``server``      — run the long-lived HTTP/JSON match daemon
   (:mod:`repro.server`) over a compiled artifact: ``/match``,
   ``/resolve``, ``/healthz``, ``/stats`` (with per-endpoint latency
@@ -53,25 +48,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
-import signal
 import sys
-import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
-from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
+from repro.core.pipeline import SynonymMiner
 from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
 from repro.matching.index import DictionaryIndex
 from repro.matching.matcher import EntityMatch, QueryMatcher
 from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
-from repro.serving.service import MatchService
 from repro.simulation.scenario import ScenarioConfig, build_world
-from repro.storage.jsonl import read_jsonl, read_jsonl_as, write_jsonl
+from repro.storage.jsonl import read_jsonl_as, write_jsonl
 
 __all__ = ["main", "build_parser"]
 
@@ -117,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--icr", type=float, default=0.1, help="ICR threshold γ (default 0.1)")
     mine.add_argument("--top-k", type=int, default=10, help="surrogate top-k cut-off")
     mine.add_argument("--output", type=Path, required=True, help="output synonyms JSONL")
-    mine.add_argument(
-        "--shard-size", type=_positive_int, default=None,
-        help="entities per shard (default: four shards; output is identical either way)",
-    )
 
     compile_ = subparsers.add_parser(
         "compile", help="freeze a mined synonyms JSONL into a compiled serving artifact"
@@ -167,28 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     match.add_argument("--no-fuzzy", action="store_true", help="disable the fuzzy fallback")
     match.add_argument("queries", nargs="*", help="queries to match (reads stdin when omitted)")
-
-    serve = subparsers.add_parser(
-        "serve", help="serve queries from a compiled artifact and report latency percentiles"
-    )
-    serve.add_argument("--artifact", type=Path, required=True, help="compiled artifact file")
-    serve.add_argument(
-        "--queries", type=Path, default=None,
-        help="file with one query per line (reads stdin when omitted)",
-    )
-    serve.add_argument("--no-fuzzy", action="store_true", help="disable the fuzzy fallback")
-    serve.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="LRU result cache size, 0 disables (default 4096)",
-    )
-    serve.add_argument(
-        "--watch", action="store_true",
-        help="re-load the artifact when its file changes (hot swap between queries)",
-    )
-    serve.add_argument(
-        "--mmap", action="store_true",
-        help="serve out of a read-only mmap of the artifact instead of a heap copy",
-    )
 
     server = subparsers.add_parser(
         "server", help="run the long-lived HTTP/JSON match daemon over a compiled artifact"
@@ -356,16 +321,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_log(log_type: type[_Log], path: Path, record_type: type) -> _Log:
-    """Build a log from a JSONL dump.
-
-    A corrupt line is an input error, not a crash: the command ends with
-    exit code 2 and the reader's ``<path>:<line>: reason`` on stderr.
-    """
-    try:
-        return log_type(read_jsonl_as(path, record_type))
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
+    """Build a log from a JSONL dump."""
+    return log_type(read_jsonl_as(path, record_type))
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
@@ -377,34 +334,36 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         if line.strip()
     ]
     config = MinerConfig(surrogate_k=args.top_k, ipc_threshold=args.ipc, icr_threshold=args.icr)
-    batch = BatchMiner(
-        click_log=click_log,
-        search_log=search_log,
-        config=config,
-        shard_size=args.shard_size,
-    )
-    result = batch.mine(values)
-    stats = batch.last_run_stats
-    assert stats is not None  # mine() ran to completion
+    miner = SynonymMiner(click_log=click_log, search_log=search_log, config=config)
+    hits = 0
 
-    rows = [
-        {
-            "canonical": entry.canonical,
-            "synonym": candidate.query,
-            "ipc": candidate.ipc,
-            "icr": round(candidate.icr, 4),
-            "clicks": candidate.clicks,
-        }
-        for entry in result
-        for candidate in entry.selected
-    ]
-    write_jsonl(args.output, rows)
+    def rows() -> Iterator[dict]:
+        nonlocal hits
+        for entry in miner.mine_iter(values):
+            hits += entry.has_synonyms
+            for candidate in entry.selected:
+                yield {
+                    "canonical": entry.canonical,
+                    "synonym": candidate.query,
+                    "ipc": candidate.ipc,
+                    "icr": round(candidate.icr, 4),
+                    "clicks": candidate.clicks,
+                }
+
+    synonyms = write_jsonl(args.output, rows())
+    stats = miner.last_run_stats
+    assert stats is not None  # mine_iter() ran to completion
     print(
-        f"mined {result.synonym_count} synonyms for {result.hit_count}/{len(result)} values "
-        f"-> {args.output} [{stats.shard_count} shards, "
-        f"profile cache hit rate {stats.cache.hit_rate:.0%}]"
+        f"mined {synonyms} synonyms for {hits}/{stats.entities} values "
+        f"-> {args.output} [profile cache hit rate {stats.cache.hit_rate:.0%}]"
     )
     return 0
+
+
+def _synonym_row(
+    *, canonical: str, synonym: str, clicks: float = 1, **_scores: object
+) -> tuple[str, str, float]:
+    return canonical, synonym, float(clicks)
 
 
 def _dictionary_from_synonyms(path: Path) -> SynonymDictionary:
@@ -413,36 +372,23 @@ def _dictionary_from_synonyms(path: Path) -> SynonymDictionary:
     Without a catalog the canonical string doubles as the entity id (the
     convention `match` has always used); mined entries carry their click
     volume as the weight so duplicate (text, entity) pairs keep the
-    best-evidenced entry.
+    best-evidenced entry.  A row missing ``canonical`` / ``synonym`` or with
+    non-numeric ``clicks`` raises the reader's ``<path>:<line>: reason``.
     """
     dictionary = SynonymDictionary()
-    for row in read_jsonl(path):
-        dictionary.add(DictionaryEntry(row["canonical"], row["canonical"], source="canonical"))
-        dictionary.add(
-            DictionaryEntry(
-                row["synonym"], row["canonical"], source="mined",
-                weight=float(row.get("clicks", 1)),
-            )
-        )
+    for canonical, synonym, clicks in read_jsonl_as(path, _synonym_row):
+        dictionary.add(DictionaryEntry(canonical, canonical, source="canonical"))
+        dictionary.add(DictionaryEntry(synonym, canonical, source="mined", weight=clicks))
     return dictionary
 
 
 def _match_payload(query: str, match: EntityMatch) -> dict:
     # One wire shape everywhere: the daemon's match_payload is the single
-    # source of truth, so `match`/`serve` JSONL and the HTTP endpoints
+    # source of truth, so `match` JSONL and the HTTP endpoints
     # stay field-for-field interchangeable.
     payload = match_payload(match)
     payload["query"] = query
     return payload
-
-
-def _iter_query_lines(path: Path | None) -> Iterator[str]:
-    """Non-blank query lines from *path*, or stdin when no file is given."""
-    if path is None:
-        source: Iterable[str] = sys.stdin
-    else:
-        source = path.read_text(encoding="utf-8").splitlines()
-    return (line.strip() for line in source if line.strip())
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -527,90 +473,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
-    rank = max(1, math.ceil(fraction * len(sorted_values)))
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
-class _GracefulExit(Exception):
-    """Raised by the SIGINT/SIGTERM handlers installed for streaming serve."""
-
-
-@contextlib.contextmanager
-def _graceful_signals():
-    """Map SIGINT/SIGTERM to :class:`_GracefulExit` inside the block.
-
-    Streaming `serve` and the daemon both promise a clean shutdown (final
-    stats flushed, exit code 0) instead of a KeyboardInterrupt traceback
-    when the operator hits Ctrl-C or systemd sends SIGTERM.
-    """
-
-    def _raise(signum, _frame):
-        raise _GracefulExit(signal.Signals(signum).name)
-
-    previous = {}
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, _raise)
-    except ValueError:
-        # Not the main thread (e.g. tests driving main() from a worker):
-        # signals cannot be installed there; run unprotected.
-        pass
-    try:
-        yield
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.cache_size < 0:
-        raise SystemExit("repro serve: error: --cache-size must be >= 0")
-    service = MatchService(
-        args.artifact,
-        cache_size=args.cache_size,
-        enable_fuzzy=not args.no_fuzzy,
-        mmap=args.mmap,
-    )
-    latencies: list[float] = []
-    interrupted = ""
-    try:
-        with _graceful_signals():
-            for query in _iter_query_lines(args.queries):
-                if args.watch:
-                    service.maybe_reload()
-                started = time.perf_counter()
-                match = service.match(query)
-                latencies.append(time.perf_counter() - started)
-                print(json.dumps(_match_payload(query, match), ensure_ascii=False), flush=True)
-    except (_GracefulExit, KeyboardInterrupt) as exc:
-        interrupted = str(exc) or "SIGINT"
-
-    stats = service.stats
-    summary = [f"served {stats.queries} queries from {args.artifact}"]
-    if latencies:
-        latencies.sort()
-        summary.append(
-            "latency p50 {:.3f} ms, p90 {:.3f} ms, p99 {:.3f} ms, max {:.3f} ms".format(
-                _percentile(latencies, 0.50) * 1e3,
-                _percentile(latencies, 0.90) * 1e3,
-                _percentile(latencies, 0.99) * 1e3,
-                latencies[-1] * 1e3,
-            )
-        )
-    summary.append(
-        f"cache hit rate {stats.hit_rate:.1%} ({stats.cache_hits}/{stats.queries}), "
-        f"reloads {stats.reloads}, artifact version {service.manifest.version}"
-    )
-    if interrupted:
-        summary.append(f"stopped by {interrupted}")
-    print("\n".join(summary), file=sys.stderr, flush=True)
-    service.close()
-    return 0
-
-
-def _cmd_server(args: argparse.Namespace) -> int:
+def _cmd_daemon(args: argparse.Namespace) -> int:
     if args.cache_size < 0:
         raise SystemExit("repro server: error: --cache-size must be >= 0")
     if args.watch_interval < 0:
@@ -808,8 +671,7 @@ _COMMANDS = {
     "compile": _cmd_compile,
     "delta-apply": _cmd_delta_apply,
     "match": _cmd_match,
-    "serve": _cmd_serve,
-    "server": _cmd_server,
+    "server": _cmd_daemon,
     "experiments": _cmd_experiments,
     "scenario": _cmd_scenario,
     "analyze": _cmd_analyze,
@@ -821,7 +683,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (OSError, ValueError) as exc:
+        # Bad input is not a crash: an unreadable path, a corrupt artifact
+        # (ArtifactError is a ValueError) or a reader's "<path>:<line>:
+        # reason" ends every command the same way.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
 
 
 if __name__ == "__main__":

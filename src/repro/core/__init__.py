@@ -18,7 +18,7 @@ from repro.core.types import SynonymCandidate, EntitySynonyms, MiningResult
 from repro.core.surrogates import SurrogateFinder
 from repro.core.candidates import CandidateGenerator
 from repro.core.selection import CandidateSelector, intersecting_page_count, intersecting_click_ratio
-from repro.core.pipeline import SynonymMiner, mine_synonyms
+from repro.core.pipeline import BatchRunStats, SynonymMiner, mine_entity
 from repro.core.classification import (
     CandidateRelation,
     ClassifiedCandidate,
@@ -26,19 +26,9 @@ from repro.core.classification import (
     RelationThresholds,
 )
 from repro.core.incremental import IncrementalSynonymMiner
-from repro.core.batch import (
-    BatchMiner,
-    BatchProgress,
-    BatchRunStats,
-    CacheStats,
-    mine_entity,
-)
 
 __all__ = [
-    "BatchMiner",
-    "BatchProgress",
     "BatchRunStats",
-    "CacheStats",
     "mine_entity",
     "MinerConfig",
     "SynonymCandidate",
@@ -50,7 +40,6 @@ __all__ = [
     "intersecting_page_count",
     "intersecting_click_ratio",
     "SynonymMiner",
-    "mine_synonyms",
     "CandidateRelation",
     "ClassifiedCandidate",
     "RelationClassifier",

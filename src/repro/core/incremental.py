@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
-from repro.core.batch import _mine_shard
 from repro.core.config import MinerConfig
+from repro.core.pipeline import SynonymMiner
 from repro.core.types import MiningResult
 from repro.text.normalize import normalize
 
@@ -82,6 +82,9 @@ class IncrementalSynonymMiner:
         self.config = config or MinerConfig()
         self.search_log = search_log
         self.click_log = click_log if click_log is not None else ClickLog()
+        self._miner = SynonymMiner(
+            click_log=self.click_log, search_log=search_log, config=self.config
+        )
         # Registration order with O(1) membership (an insertion-ordered set).
         self._tracked: dict[str, None] = {}
         self._url_to_values: dict[str, set[str]] = {}
@@ -190,7 +193,7 @@ class IncrementalSynonymMiner:
             # Drop stale candidate-dependency edges for this entity before
             # re-mining; they are rebuilt from the fresh candidate list.
             self._drop_candidate_edges(canonical)
-        for entry in _mine_shard(self.click_log, self.search_log, self.config, refreshed):
+        for entry in self._miner.mine_iter(refreshed):
             canonical = entry.canonical
             self._result.add(entry)
             self._index_surrogates(canonical)

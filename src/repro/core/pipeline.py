@@ -13,22 +13,75 @@
 The miner is deliberately *data-driven and offline*: its only inputs are
 Search Data, Click Data and the list of canonical strings — it never looks
 at the entity attributes or at any ground truth.
+
+High-volume candidate queries recur across thousands of entities, so
+:class:`~repro.clicklog.log.ClickLog` caches each candidate's
+``(clicked_urls, total_clicks, clicks_by_url)`` profile and every mining
+job — :meth:`SynonymMiner.mine`, :meth:`SynonymMiner.mine_iter`, the
+incremental miner's refresh — is the one :func:`mine_entity` loop over it.
+Results are deterministic: every scored list is fully sorted by
+``(clicks desc, query asc)`` and all ICR arithmetic is integer sums.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
-from repro.clicklog.log import ClickLog, SearchLog
-from repro.core.batch import mine_entity
+from repro.clicklog.log import CacheStats, ClickLog, SearchLog
+from repro.core.candidates import CandidateGenerator
 from repro.core.config import MinerConfig
-from repro.core.selection import CandidateSelector
+from repro.core.selection import CandidateSelector, score_profile
 from repro.core.surrogates import SurrogateFinder
 from repro.core.types import EntitySynonyms, MiningResult
 from repro.search.engine import SearchEngine
 from repro.text.normalize import normalize
 
-__all__ = ["SynonymMiner"]
+__all__ = ["mine_entity", "BatchRunStats", "SynonymMiner"]
+
+
+def mine_entity(
+    canonical: str,
+    *,
+    source: ClickLog,
+    surrogates: Sequence[str],
+    config: MinerConfig,
+    selector: CandidateSelector | None = None,
+) -> EntitySynonyms:
+    """Run both mining phases for one already-normalized input string.
+
+    This is the one implementation behind :class:`SynonymMiner` and, through
+    it, :meth:`IncrementalSynonymMiner.refresh`.
+    """
+    if selector is None:
+        selector = CandidateSelector(
+            ipc_threshold=config.ipc_threshold, icr_threshold=config.icr_threshold
+        )
+    surrogate_set = set(surrogates)
+    generator = CandidateGenerator(source, min_clicks=config.min_clicks)
+    candidates = generator.candidates_for(canonical, surrogate_set)
+    if config.exclude_canonical:
+        candidates.discard(canonical)
+    scored = [
+        score_profile(source.candidate_profile(candidate), surrogate_set)
+        for candidate in candidates
+    ]
+    scored.sort(key=lambda candidate: (-candidate.clicks, candidate.query))
+    selected = selector.select(scored)
+    return EntitySynonyms(
+        canonical=canonical,
+        surrogates=tuple(surrogates),
+        candidates=scored,
+        selected=selected,
+    )
+
+
+@dataclass(frozen=True)
+class BatchRunStats:
+    """Summary of the last completed :meth:`SynonymMiner.mine_iter` run."""
+
+    entities: int
+    cache: CacheStats
 
 
 class SynonymMiner:
@@ -40,7 +93,9 @@ class SynonymMiner:
         At least one source of Search Data ``A`` (see
         :class:`~repro.core.surrogates.SurrogateFinder`).
     click_log:
-        Click Data ``L``.
+        Click Data ``L``.  It is read in place, so do not ``add()`` to it
+        while a :meth:`mine_iter` is being consumed; the profile cache lives
+        on it and outlives this miner.
     config:
         Thresholds; defaults to the paper's Table-I operating point.
     """
@@ -62,33 +117,54 @@ class SynonymMiner:
             ipc_threshold=self.config.ipc_threshold,
             icr_threshold=self.config.icr_threshold,
         )
+        self._last_run_stats: BatchRunStats | None = None
 
     # ------------------------------------------------------------------ #
     # Mining
     # ------------------------------------------------------------------ #
 
-    def mine_one(self, value: str) -> EntitySynonyms:
-        """Run both phases for a single input string ``u``."""
-        canonical = normalize(value)
+    def _mine_canonical(self, canonical: str) -> EntitySynonyms:
         return mine_entity(
             canonical,
             source=self.click_log,
-            surrogates=self.surrogate_finder.surrogates(canonical),
+            surrogates=self.surrogate_finder.for_canonical(canonical),
             config=self.config,
             selector=self.selector,
         )
 
-    def mine(self, values: Iterable[str]) -> MiningResult:
-        """Run the miner over a whole input set U.
+    def mine_one(self, value: str) -> EntitySynonyms:
+        """Run both phases for a single input string ``u``."""
+        return self._mine_canonical(normalize(value))
 
-        This is the loop :class:`~repro.core.batch.BatchMiner` runs, over
-        the same profile cache on the click log; use the batch miner itself
-        for streaming and progress callbacks.
+    def mine_iter(self, values: Iterable[str]) -> Iterator[EntitySynonyms]:
+        """Stream one result per canonical, in input order, as it is mined.
+
+        *values* are normalized and deduplicated once (first occurrence
+        wins), so duplicate raw values yield once, exactly as they collapse
+        onto one key in a :class:`MiningResult`.  Consumers can write results
+        out incrementally without holding a whole catalog's result.
         """
+        canonicals = list(dict.fromkeys(normalize(value) for value in values))
+        stats_before = self.click_log.cache_stats
+        for canonical in canonicals:
+            yield self._mine_canonical(canonical)
+        self._last_run_stats = BatchRunStats(
+            entities=len(canonicals),
+            cache=self.click_log.cache_stats - stats_before,
+        )
+
+    def mine(self, values: Iterable[str]) -> MiningResult:
+        """Run the miner over a whole input set U and collect the result."""
         result = MiningResult()
-        for value in values:
-            result.add(self.mine_one(value))
+        for entry in self.mine_iter(values):
+            result.add(entry)
         return result
+
+    @property
+    def last_run_stats(self) -> BatchRunStats | None:
+        """Entities mined and the click log's cache-counter movement during
+        the most recently *completed* :meth:`mine` / :meth:`mine_iter` run."""
+        return self._last_run_stats
 
     # ------------------------------------------------------------------ #
     # Re-thresholding without re-scoring
@@ -161,17 +237,3 @@ class SynonymMiner:
             click_log=self.click_log if include_priors else None,
         )
 
-
-def mine_synonyms(
-    values: Sequence[str],
-    *,
-    click_log: ClickLog,
-    search_log: SearchLog | None = None,
-    engine: SearchEngine | None = None,
-    config: MinerConfig | None = None,
-) -> MiningResult:
-    """Functional one-call façade over :class:`SynonymMiner`."""
-    miner = SynonymMiner(
-        click_log=click_log, search_log=search_log, engine=engine, config=config
-    )
-    return miner.mine(values)

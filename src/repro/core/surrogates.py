@@ -33,7 +33,7 @@ class SurrogateFinder:
         k: int = 10,
     ) -> None:
         if search_log is None and engine is None:
-            raise ValueError("provide a search_log, an engine, or both")
+            raise ValueError("no Search Data: provide a search_log, an engine, or both")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._search_log = search_log
@@ -47,7 +47,11 @@ class SurrogateFinder:
         what the search API returned); the live engine is the fallback for
         strings that were never materialised into Search Data.
         """
-        query = normalize(value)
+        return self.for_canonical(normalize(value))
+
+    def for_canonical(self, query: str) -> tuple[str, ...]:
+        """:meth:`surrogates` for an already-normalized string (the mining
+        loop normalizes each value once and must not pay for it again)."""
         if self._search_log is not None:
             urls = self._search_log.top_urls(query, k=self.k)
             if urls:

@@ -116,8 +116,8 @@ def match_payload(match: EntityMatch) -> dict[str, Any]:
     """The wire shape of one :class:`EntityMatch`.
 
     The single source of truth for the JSON match shape: the CLI's
-    ``match``/``serve`` JSONL streams and the daemon's ``/match`` and
-    ``/resolve`` responses all emit exactly this.
+    ``match`` JSONL stream and the daemon's ``/match`` and ``/resolve``
+    responses all emit exactly this.
     """
     return {
         "query": match.query,

@@ -346,8 +346,8 @@ class MatchService:
         """Pick up a republished artifact or delta sidecar, if any.
 
         Cheap enough to call before every batch (two ``stat`` calls);
-        returns True when a swap happened.  Used by ``repro serve --watch``
-        and the daemon's background watcher thread.  Preference order: a
+        returns True when a swap happened.  Used by the daemon's background
+        watcher thread.  Preference order: a
         new **delta sidecar** that chains onto the current state is applied
         in memory (no full cold load); a changed **full artifact file** is
         reloaded from disk, after which a pending sidecar is re-evaluated

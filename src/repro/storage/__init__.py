@@ -12,7 +12,7 @@ compiled dictionaries in:
   serving layer compiles dictionaries into.
 """
 
-from repro.storage.jsonl import read_jsonl, write_jsonl, append_jsonl
+from repro.storage.jsonl import read_jsonl, write_jsonl
 from repro.storage.artifact import (
     ArtifactError,
     ArtifactManifest,
@@ -24,7 +24,6 @@ from repro.storage.artifact import (
 __all__ = [
     "read_jsonl",
     "write_jsonl",
-    "append_jsonl",
     "ArtifactError",
     "ArtifactManifest",
     "read_artifact",

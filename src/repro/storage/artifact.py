@@ -17,8 +17,8 @@ container *and* every layout is ``docs/ARTIFACT_FORMAT.md``).  It handles
 * **atomic, durable publication** — artifacts are written to a temp file
   in the destination directory, fsync-ed and ``os.replace``-d into place,
   after which the *parent directory* is fsync-ed too: a watcher (the
-  ``serve --watch`` loop, a :class:`~repro.serving.service.MatchService`
-  reload) never observes a half-written file, and the rename itself
+  daemon's poll, a :class:`~repro.serving.service.MatchService` reload)
+  never observes a half-written file, and the rename itself
   survives power loss, not just process crash;
 * **zero-copy mmap loads** — :func:`read_artifact` with ``mmap=True``
   returns block views over one shared read-only file mapping

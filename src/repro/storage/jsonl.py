@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-__all__ = ["write_jsonl", "append_jsonl", "read_jsonl", "read_jsonl_as"]
+__all__ = ["write_jsonl", "read_jsonl", "read_jsonl_as"]
 
 T = TypeVar("T")
 
@@ -44,19 +44,6 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(_to_plain(record), ensure_ascii=False, sort_keys=True))
-            handle.write("\n")
-            count += 1
-    return count
-
-
-def append_jsonl(path: str | Path, records: Iterable[Any]) -> int:
-    """Append *records* to *path* (creating it if needed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("a", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(_to_plain(record), ensure_ascii=False, sort_keys=True))
             handle.write("\n")

@@ -218,7 +218,8 @@ def assert_mining_paths_agree(
 ) -> None:
     """Every mining path must reproduce :func:`reference_entry`.
 
-    Held to it: ``SynonymMiner.mine``, ``BatchMiner`` and
+    Held to it: ``SynonymMiner.mine`` and ``mine_iter``, the frozen perf
+    harness's ``BatchMiner(workers=2, backend="thread")`` spelling and
     ``IncrementalSynonymMiner.refresh``.  *values* must be distinct
     canonicals.
     """
@@ -229,7 +230,10 @@ def assert_mining_paths_agree(
     incremental.refresh()
     paths = {
         "SynonymMiner.mine": list(SynonymMiner(**logs).mine(values)),
-        "BatchMiner": list(BatchMiner(**logs).mine(values)),
+        "SynonymMiner.mine_iter": list(SynonymMiner(**logs).mine_iter(values)),
+        "harness spelling": list(
+            BatchMiner(**logs, workers=2, backend="thread").mine(values)
+        ),
         # refresh() mines in sorted order; compare in catalog order.
         "incremental refresh": [incremental.result[value] for value in values],
     }

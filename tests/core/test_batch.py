@@ -1,8 +1,9 @@
-"""Tests for the sharded batch miner and the click log's profile cache.
+"""Tests for the catalog miner's streaming surface, the frozen harness's
+``BatchMiner`` spelling of it, and the click log's profile cache.
 
-The load-bearing guarantee is *equivalence*: whatever the shard size, the
-batch miner must return results identical to ``SynonymMiner.mine()`` and to
-the formula-level reference — same entities, same key order, same scored
+The load-bearing guarantee is *equivalence*: ``mine``, ``mine_iter``, the
+harness spelling and the incremental refresh must return results identical
+to the formula-level reference — same entities, same key order, same scored
 candidate lists, same selections.
 """
 
@@ -10,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clicklog.log import ClickLog, SearchLog
+from repro.clicklog.log import CacheStats, ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
-from repro.core.batch import BatchMiner, BatchProgress, CacheStats
+from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
@@ -96,21 +97,18 @@ class TestProfileCache:
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize(
-        ("workers", "backend", "shard_size"),
+        ("workers", "backend"),
         [
-            (1, "serial", None),
-            (None, "serial", 3),
+            (1, "serial"),
+            (None, "serial"),
         ],
     )
-    def test_identical_to_serial(
-        self, toy_world, toy_serial_result, workers, backend, shard_size
-    ):
+    def test_identical_to_serial(self, toy_world, toy_serial_result, workers, backend):
         batch = BatchMiner(
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
             workers=workers,
-            shard_size=shard_size,
             backend=backend,
         )
         result = batch.mine(toy_world.canonical_queries())
@@ -126,7 +124,6 @@ class TestBatchEquivalence:
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
-            shard_size=2,
         )
         assert_results_identical(batch.mine(noisy), serial)
 
@@ -179,36 +176,36 @@ class TestBatchEquivalence:
 
 
 class TestMineIter:
-    def test_yields_in_input_order_with_progress(self, toy_world, toy_serial_result):
-        values = toy_world.canonical_queries()
-        events: list[BatchProgress] = []
-        batch = BatchMiner(
-            click_log=toy_world.click_log,
-            search_log=toy_world.search_log,
-            config=CONFIG,
-            shard_size=4,
-        )
-        yielded = list(batch.mine_iter(values, progress=events.append))
-        assert [entry.canonical for entry in yielded] == list(
-            toy_serial_result.per_entity
-        )
-        assert len(events) == batch.last_run_stats.shard_count
-        assert [event.shards_done for event in events] == list(
-            range(1, len(events) + 1)
-        )
-        assert events[-1].entities_done == len(values)
-        assert events[-1].fraction == pytest.approx(1.0)
+    def test_mine_iter_streams_in_input_order_and_dedupes(self):
+        search_log, click_log, values = shared_candidate_logs(4)
+        miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
+        noisy = [values[0].upper()] + values + values[:2]
+        stream = miner.mine_iter(noisy)
+        first = next(stream)
+        assert first == reference_entry(search_log, click_log, values[0], CONFIG)
+        # Lazy, entity by entity: after one item the log has served exactly
+        # one entity's profile lookups, and the run is not over.
+        alone = ClickLog(click_log.iter_records())
+        SynonymMiner(click_log=alone, search_log=search_log, config=CONFIG).mine_one(values[0])
+        assert click_log.cache_stats == alone.cache_stats
+        assert miner.last_run_stats is None
+        rest = list(stream)
+        assert click_log.cache_stats.lookups > alone.cache_stats.lookups
+        # Duplicate raw values yield once, in first-occurrence order.
+        assert [entry.canonical for entry in [first] + rest] == values
+        stats = miner.last_run_stats
+        assert stats.entities == len(values)
+        assert stats.cache == click_log.cache_stats
 
     def test_streaming_matches_collected(self, toy_world):
-        batch = BatchMiner(
+        miner = SynonymMiner(
             click_log=toy_world.click_log,
             search_log=toy_world.search_log,
             config=CONFIG,
-            shard_size=3,
         )
         values = toy_world.canonical_queries()[:7]
-        streamed = {entry.canonical: entry for entry in batch.mine_iter(values)}
-        collected = batch.mine(values)
+        streamed = {entry.canonical: entry for entry in miner.mine_iter(values)}
+        collected = miner.mine(values)
         assert streamed.keys() == collected.per_entity.keys()
         for canonical, entry in streamed.items():
             assert entry.candidates == collected[canonical].candidates
@@ -216,14 +213,14 @@ class TestMineIter:
 
 class TestValidation:
     def test_defaults_are_the_in_process_loop(self):
-        # Four shards whatever the catalog size, mined over the caller's own
-        # log: the run's cache counters are that log's counter movement.
+        # Mined over the caller's own log: the run's cache counters are that
+        # log's counter movement.
         search_log, click_log, values = shared_candidate_logs()
         batch = BatchMiner(click_log=click_log, search_log=search_log, config=CONFIG)
         before = click_log.cache_stats
         batch.mine(values)
         stats = batch.last_run_stats
-        assert (stats.entities, stats.shard_count) == (len(values), 4)
+        assert stats.entities == len(values)
         assert stats.cache == click_log.cache_stats - before
         assert stats.cache.lookups > 0
 
@@ -239,20 +236,7 @@ class TestValidation:
         ]
         default = BatchMiner(**logs)
         assert_results_identical(default.mine(values), mined)
-        assert harness.last_run_stats.shard_count == default.last_run_stats.shard_count
-
-    def test_sharding_does_not_change_results(self):
-        search_log, click_log, values = shared_candidate_logs(10)
-        logs = {"click_log": click_log, "search_log": search_log, "config": CONFIG}
-        reference = [reference_entry(search_log, click_log, value, CONFIG) for value in values]
-        for shard_size, shard_count in ((1, 10), (3, 4), (None, 4)):
-            batch = BatchMiner(**logs, shard_size=shard_size)
-            assert list(batch.mine(values)) == reference, shard_size
-            assert batch.last_run_stats.shard_count == shard_count
-
-    def test_rejects_bad_shard_size(self, toy_world):
-        with pytest.raises(ValueError):
-            BatchMiner(click_log=toy_world.click_log, shard_size=0)
+        assert harness.last_run_stats.entities == default.last_run_stats.entities
 
     def test_requires_click_log(self):
         with pytest.raises(TypeError):

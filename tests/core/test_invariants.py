@@ -10,7 +10,7 @@ These pin down the algebra of the miner on arbitrary small logs:
 * a long-lived ``ClickLog`` whose ``add()`` calls interleave with profile
   reads and mining answers exactly like a log rebuilt from the same records
   (the profile cache is never stale);
-* every mining path (``SynonymMiner.mine``, ``BatchMiner``,
+* every mining path (``SynonymMiner.mine`` / ``mine_iter``, the harness spelling,
   ``IncrementalSynonymMiner.refresh``) reproduces the formula-level
   reference in ``tests/conftest.py``.
 """

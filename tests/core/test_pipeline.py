@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import MinerConfig
-from repro.core.pipeline import SynonymMiner, mine_synonyms
+from repro.core.pipeline import SynonymMiner
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
 
@@ -55,15 +55,6 @@ class TestMineMany:
         result = miner.mine([CANONICAL, "unknown title"])
         assert len(result) == 2
         assert result.hit_count == 1
-
-    def test_functional_facade(self, mini_search_log, mini_click_log):
-        result = mine_synonyms(
-            [CANONICAL],
-            click_log=mini_click_log,
-            search_log=mini_search_log,
-            config=MinerConfig(ipc_threshold=2, icr_threshold=0.5),
-        )
-        assert result[CANONICAL].synonyms == ["indy 4"]
 
 
 class TestReselect:

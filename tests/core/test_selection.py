@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.batch import mine_entity
 from repro.core.config import MinerConfig
+from repro.core.pipeline import mine_entity
 from repro.core.selection import (
     CandidateSelector,
     intersecting_click_ratio,

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.clicklog.records import ClickRecord
-from repro.storage.jsonl import append_jsonl, read_jsonl, read_jsonl_as, write_jsonl
+from repro.storage.jsonl import read_jsonl, read_jsonl_as, write_jsonl
 
 
 @dataclass
@@ -32,17 +32,6 @@ class TestWriteRead:
         path = tmp_path / "nested" / "deeper" / "rows.jsonl"
         write_jsonl(path, [{"a": 1}])
         assert path.exists()
-
-    def test_append(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        write_jsonl(path, [{"a": 1}])
-        append_jsonl(path, [{"a": 2}])
-        assert [row["a"] for row in read_jsonl(path)] == [1, 2]
-
-    def test_append_creates_file(self, tmp_path):
-        path = tmp_path / "fresh.jsonl"
-        assert append_jsonl(path, [{"a": 1}]) == 1
-        assert list(read_jsonl(path)) == [{"a": 1}]
 
     def test_empty_write(self, tmp_path):
         path = tmp_path / "empty.jsonl"

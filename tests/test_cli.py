@@ -149,9 +149,10 @@ class TestBatchMineCLI:
     def test_plain_mine_runs_the_in_process_loop(self, simulated, workdir, capsys):
         self._mine(simulated, workdir / "plain.jsonl")
         out = capsys.readouterr().out
-        assert "[4 shards," in out and "profile cache hit rate" in out
-        self._mine(simulated, workdir / "short.jsonl", "--shard-size", "3")
-        assert (workdir / "short.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
+        assert "profile cache hit rate" in out
+        # Deterministic to the byte: a second run writes the same file.
+        self._mine(simulated, workdir / "again.jsonl")
+        assert (workdir / "again.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()
 
     def test_mine_rejects_a_corrupt_log_line(self, simulated, workdir, capsys):
         clicks = workdir / "corrupt_clicks.jsonl"
@@ -172,15 +173,6 @@ class TestBatchMineCLI:
         assert len(err) == 1
         assert f"{clicks}:3: " in err[0] and "clicks" in err[0]
 
-    def test_parser_accepts_batch_flags(self):
-        args = build_parser().parse_args(
-            [
-                "mine", "--search", "s", "--clicks", "c", "--values", "v",
-                "--output", "o", "--shard-size", "100",
-            ]
-        )
-        assert args.shard_size == 100
-
     def test_backend_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -191,7 +183,7 @@ class TestBatchMineCLI:
             )
         assert "--backend" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--database"])
+    @pytest.mark.parametrize("flag", ["--workers", "--database", "--shard-size"])
     def test_pool_and_database_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -296,92 +288,6 @@ class TestCompileAndServeCLI:
         assert payload["outcome"] == "exact"
         assert payload["entities"] == ["alpha camera", "alpha movie"]
 
-    def test_serve_from_query_file(self, mined, compiled, workdir, capsys):
-        rows = list(read_jsonl(mined))
-        queries_file = workdir / "queries.txt"
-        queries_file.write_text(
-            rows[0]["synonym"] + "\n\n" + "unmatched zzz query\n", encoding="utf-8"
-        )
-        assert main(
-            ["serve", "--artifact", str(compiled), "--queries", str(queries_file)]
-        ) == 0
-        captured = capsys.readouterr()
-        lines = [json.loads(line) for line in captured.out.strip().splitlines()]
-        assert len(lines) == 2
-        assert lines[0]["matched"] is True
-        assert lines[1]["matched"] is False
-        assert "latency p50" in captured.err
-        assert "artifact version cli-v1" in captured.err
-
-    def test_serve_reads_stdin(self, mined, compiled, capsys, monkeypatch):
-        import io
-
-        rows = list(read_jsonl(mined))
-        monkeypatch.setattr("sys.stdin", io.StringIO(rows[0]["synonym"] + "\n"))
-        assert main(["serve", "--artifact", str(compiled)]) == 0
-        captured = capsys.readouterr()
-        assert json.loads(captured.out.strip())["matched"] is True
-
-    def test_serve_cache_hits_reported(self, mined, compiled, workdir, capsys):
-        rows = list(read_jsonl(mined))
-        queries_file = workdir / "repeat.txt"
-        queries_file.write_text((rows[0]["synonym"] + "\n") * 5, encoding="utf-8")
-        assert main(
-            ["serve", "--artifact", str(compiled), "--queries", str(queries_file)]
-        ) == 0
-        assert "cache hit rate 80.0% (4/5)" in capsys.readouterr().err
-
-    def test_serve_watch_hot_swaps(self, mined, compiled, workdir, capsys, monkeypatch):
-        import io
-
-        from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
-        from repro.serving.artifact import compile_dictionary
-
-        artifact = workdir / "swap.synart"
-        compile_dictionary(
-            SynonymDictionary([DictionaryEntry("old synonym", "e1", "mined", 5.0)]),
-            artifact,
-            version="gen-1",
-        )
-
-        def feeding_stdin():
-            text = "".join(["old synonym\n", "fresh synonym\n"])
-            return io.StringIO(text)
-
-        # Republish between the two queries by hooking the reload poll: the
-        # first maybe_reload sees gen-1, then we atomically replace the file.
-        republished = {"done": False}
-        from repro.serving.service import MatchService
-
-        original = MatchService.maybe_reload
-
-        def republish_then_poll(self):
-            result = original(self)
-            if not republished["done"]:
-                republished["done"] = True
-                compile_dictionary(
-                    SynonymDictionary(
-                        [DictionaryEntry("fresh synonym", "e2", "mined", 9.0)]
-                    ),
-                    artifact,
-                    version="gen-2",
-                )
-            return result
-
-        monkeypatch.setattr(MatchService, "maybe_reload", republish_then_poll)
-        monkeypatch.setattr("sys.stdin", feeding_stdin())
-        assert main(["serve", "--artifact", str(artifact), "--watch"]) == 0
-        captured = capsys.readouterr()
-        lines = [json.loads(line) for line in captured.out.strip().splitlines()]
-        assert lines[0]["matched"] is True          # served by gen-1
-        assert lines[1]["entities"] == ["e2"]       # served by gen-2 after swap
-        assert "reloads 1" in captured.err
-        assert "artifact version gen-2" in captured.err
-
-    def test_serve_rejects_negative_cache_size(self, compiled):
-        with pytest.raises(SystemExit, match="cache-size"):
-            main(["serve", "--artifact", str(compiled), "--cache-size", "-1"])
-
     def test_compile_priors_embeds_click_priors(self, mined, simulated, workdir, capsys):
         from repro.serving.artifact import SynonymArtifact
 
@@ -399,32 +305,92 @@ class TestCompileAndServeCLI:
         priors = loaded.priors()
         assert priors and any(value > 0 for value in priors.values())
 
-    def test_serve_interrupt_flushes_summary(self, mined, compiled, capsys, monkeypatch):
-        """Ctrl-C mid-stream: summary still flushed, exit code 0, no traceback."""
-        rows = list(read_jsonl(mined))
-
-        class InterruptedStdin:
-            def __init__(self):
-                self._lines = iter([rows[0]["synonym"] + "\n"])
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                try:
-                    return next(self._lines)
-                except StopIteration:
-                    raise KeyboardInterrupt
-
-        monkeypatch.setattr("sys.stdin", InterruptedStdin())
-        assert main(["serve", "--artifact", str(compiled)]) == 0
-        captured = capsys.readouterr()
-        assert json.loads(captured.out.strip())["matched"] is True
-        assert "served 1 queries" in captured.err
-        assert "stopped by" in captured.err
-
     def test_server_rejects_bad_flags(self, compiled):
         with pytest.raises(SystemExit, match="cache-size"):
             main(["server", "--artifact", str(compiled), "--cache-size", "-1"])
         with pytest.raises(SystemExit, match="watch-interval"):
             main(["server", "--artifact", str(compiled), "--watch-interval", "-2"])
+
+    def test_serve_subcommand_is_gone(self, compiled, capsys):
+        # `match --artifact` (stdin or argv -> JSONL) and `server` (LRU, hot
+        # swap, latency percentiles, clean SIGTERM) cover what it did.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--artifact", str(compiled)])
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Bad input ends every command with exit 2 and one ``repro: error:`` line."""
+
+    @pytest.fixture()
+    def logs(self, tmp_path):
+        (tmp_path / "search.jsonl").write_text(
+            '{"query": "alpha movie", "url": "https://a.example/1", "rank": 1}\n', encoding="utf-8"
+        )
+        (tmp_path / "clicks.jsonl").write_text(
+            '{"query": "alpha", "url": "https://a.example/1", "clicks": 3}\n', encoding="utf-8"
+        )
+        (tmp_path / "values.txt").write_text("alpha movie\n", encoding="utf-8")
+        return tmp_path
+
+    @staticmethod
+    def _error_line(argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(arg) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: ")
+        return err[0]
+
+    def test_compile_names_the_row_missing_a_synonym(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(
+            '{"canonical": "alpha movie", "synonym": "alpha", "clicks": 3}\n'
+            '{"canonical": "alpha movie"}\n',
+            encoding="utf-8",
+        )
+        line = self._error_line(
+            ["compile", "--synonyms", rows, "--output", tmp_path / "out.synart"], capsys
+        )
+        assert f"{rows}:2: " in line and "synonym" in line
+        assert not (tmp_path / "out.synart").exists()
+
+    def test_match_names_the_row_with_non_numeric_clicks(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(
+            '{"canonical": "alpha movie", "synonym": "alpha", "clicks": "many"}\n',
+            encoding="utf-8",
+        )
+        line = self._error_line(["match", "--synonyms", rows, "alpha"], capsys)
+        assert f"{rows}:1: " in line and "many" in line
+
+    def test_mine_missing_values_file(self, logs, capsys):
+        line = self._error_line(
+            [
+                "mine", "--search", logs / "search.jsonl", "--clicks", logs / "clicks.jsonl",
+                "--values", logs / "nope.txt", "--output", logs / "never.jsonl",
+            ],
+            capsys,
+        )
+        assert "nope.txt" in line
+        assert not (logs / "never.jsonl").exists()
+
+    def test_mine_missing_search_log(self, logs, capsys):
+        line = self._error_line(
+            [
+                "mine", "--search", logs / "nope.jsonl", "--clicks", logs / "clicks.jsonl",
+                "--values", logs / "values.txt", "--output", logs / "never.jsonl",
+            ],
+            capsys,
+        )
+        assert "nope.jsonl" in line
+
+    def test_match_missing_artifact(self, tmp_path, capsys):
+        line = self._error_line(["match", "--artifact", tmp_path / "nope.synart", "alpha"], capsys)
+        assert "nope.synart" in line
+
+    def test_server_rejects_a_corrupt_artifact(self, tmp_path, capsys):
+        junk = tmp_path / "junk.synart"
+        junk.write_bytes(b"not an artifact at all")
+        line = self._error_line(["server", "--artifact", junk, "--port", "0"], capsys)
+        assert "junk.synart" in line
