@@ -37,12 +37,6 @@ def cameras_world():
 
 
 @pytest.fixture(scope="session")
-def toy_world():
-    """A small world for micro-benchmarks that only need realistic data."""
-    return build_world(ScenarioConfig.toy())
-
-
-@pytest.fixture(scope="session")
 def results_dir(request: pytest.FixtureRequest) -> Path | None:
     """Where rendered tables go, or ``None`` without ``--write-results``."""
     if not request.config.getoption("--write-results"):

@@ -1,13 +1,14 @@
 """Experiment runner: drive a live daemon with a scenario's workload.
 
-An :class:`Experiment` is the harness every perf claim routes through:
-it compiles the scenario's catalog into a real artifact, boots a real
-:class:`~repro.server.daemon.MatchDaemon` (or a ``--procs N``
-:class:`~repro.server.supervisor.ServerSupervisor` group, optionally
-mmap-backed), drives it **over the wire** with
+An :class:`Experiment` compiles the scenario's catalog into a real
+artifact, boots a real :class:`~repro.server.daemon.MatchDaemon` (or a
+``--procs N`` :class:`~repro.server.supervisor.ServerSupervisor` group,
+optionally mmap-backed), drives it **over the wire** with
 :class:`~repro.server.client.ServerClient`, republishes chained delta
 sidecars mid-run when the scenario calls for churn, and writes one
-versioned JSON result per run.
+versioned JSON result per run.  (The gated performance record is
+``benchmarks/perf`` + ``BENCHMARK.json``; a scenario result is a
+replayable observation, not a ledger row.)
 
 Two honesty rules shape the design:
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -73,8 +75,8 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     """Nearest-rank percentile (same convention as the daemon's /stats)."""
     if not sorted_values:
         return 0.0
-    rank = max(0, min(len(sorted_values) - 1, round(fraction * len(sorted_values)) - 1))
-    return sorted_values[rank]
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 def _summarize_latencies(samples_ms: list[float]) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Text substrate: normalization, tokenization, stemming and string similarity.
+"""Text substrate: normalization, tokenization and string similarity.
 
 Every other subsystem (the search engine, the click-log simulator, the
 synonym miner and the online matcher) funnels raw strings through this
@@ -9,18 +9,10 @@ same normalized form everywhere.
 from repro.text.normalize import normalize, strip_accents, normalize_whitespace
 from repro.text.tokenize import tokenize, ngrams, char_ngrams, token_set
 from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
-from repro.text.stem import PorterStemmer, stem, stem_tokens
 from repro.text.similarity import (
     levenshtein_distance,
-    damerau_levenshtein_distance,
     levenshtein_similarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
-    jaccard_similarity,
-    dice_coefficient,
     token_containment,
-    cosine_ngram_similarity,
-    longest_common_subsequence,
 )
 
 __all__ = [
@@ -34,17 +26,7 @@ __all__ = [
     "STOPWORDS",
     "is_stopword",
     "remove_stopwords",
-    "PorterStemmer",
-    "stem",
-    "stem_tokens",
     "levenshtein_distance",
-    "damerau_levenshtein_distance",
     "levenshtein_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "jaccard_similarity",
-    "dice_coefficient",
     "token_containment",
-    "cosine_ngram_similarity",
-    "longest_common_subsequence",
 ]

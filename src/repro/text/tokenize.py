@@ -61,8 +61,7 @@ def char_ngrams(text: str, n: int = 3, *, pad: bool = True) -> list[str]:
     """Return overlapping character n-grams of *text*.
 
     With ``pad=True`` the string is wrapped in boundary markers so short
-    strings still produce at least one gram; this is the representation used
-    by the cosine-similarity baseline.
+    strings still produce at least one gram.
 
     >>> char_ngrams("abc", 3, pad=False)
     ['abc']

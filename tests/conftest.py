@@ -5,14 +5,13 @@ suite builds them once; the handcrafted fixtures are tiny and rebuilt per
 test for isolation.
 
 This is also the home of the **one** daemon spin-up/teardown helper the
-server tests, serving tests and benchmarks all share (it used to be
-copy-pasted per file): :func:`start_daemon` / :func:`daemon_server` boot
+server tests and serving tests share (it used to be copy-pasted per
+file): :func:`start_daemon` / :func:`daemon_server` boot
 an in-process :class:`~repro.server.daemon.MatchDaemon` on a free port —
 retrying the bind on ``EADDRINUSE``, which port-reuse under parallel CI
 runs occasionally hits — and :func:`cli_server` runs the real
 ``python -m repro server`` process with a parsed address banner, a
 readiness wait via ``/healthz`` and guaranteed SIGTERM cleanup.
-Benchmarks import these as ``from tests.conftest import daemon_server``.
 """
 
 from __future__ import annotations

@@ -11,15 +11,7 @@ from repro.text.normalize import (
     strip_accents,
     strip_punctuation,
 )
-from repro.text.similarity import (
-    damerau_levenshtein_distance,
-    jaccard_similarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
-    levenshtein_distance,
-    levenshtein_similarity,
-)
-from repro.text.stem import stem
+from repro.text.similarity import levenshtein_distance, levenshtein_similarity
 from repro.text.tokenize import tokenize
 
 from tests.matching.fuzzy_reference import classic_levenshtein_distance
@@ -27,7 +19,6 @@ from tests.matching.fuzzy_reference import classic_levenshtein_distance
 # Strategies: printable text with a bias toward short query-like strings.
 text_strategy = st.text(alphabet=string.printable, max_size=40)
 word_strategy = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=15)
-token_list_strategy = st.lists(word_strategy, max_size=8)
 # Few letters and a space: common prefixes, suffixes and repeats are likely.
 edit_text_strategy = st.text(alphabet="ab c", max_size=12)
 
@@ -104,49 +95,5 @@ class TestLevenshteinProperties:
                 assert bounded > bound, bound
 
     @given(word_strategy, word_strategy)
-    def test_damerau_never_exceeds_levenshtein(self, a, b):
-        assert damerau_levenshtein_distance(a, b) <= levenshtein_distance(a, b)
-
-    @given(word_strategy, word_strategy)
     def test_similarity_bounds(self, a, b):
         assert 0.0 <= levenshtein_similarity(a, b) <= 1.0
-
-
-class TestJaroProperties:
-    @given(word_strategy, word_strategy)
-    def test_bounds(self, a, b):
-        assert 0.0 <= jaro_similarity(a, b) <= 1.0
-
-    @given(word_strategy, word_strategy)
-    def test_winkler_at_least_jaro(self, a, b):
-        assert jaro_winkler_similarity(a, b) >= jaro_similarity(a, b) - 1e-12
-
-    @given(word_strategy)
-    def test_self_similarity_is_one(self, a):
-        assert jaro_similarity(a, a) == 1.0
-
-    @given(word_strategy, word_strategy)
-    def test_symmetry(self, a, b):
-        assert jaro_similarity(a, b) == jaro_similarity(b, a)
-
-
-class TestJaccardProperties:
-    @given(token_list_strategy, token_list_strategy)
-    def test_bounds_and_symmetry(self, a, b):
-        value = jaccard_similarity(a, b)
-        assert 0.0 <= value <= 1.0
-        assert value == jaccard_similarity(b, a)
-
-    @given(token_list_strategy)
-    def test_self_similarity(self, a):
-        assert jaccard_similarity(a, a) == 1.0
-
-
-class TestStemmerProperties:
-    @given(word_strategy)
-    def test_stem_never_longer_than_word(self, word):
-        assert len(stem(word)) <= len(word)
-
-    @given(word_strategy)
-    def test_stem_is_deterministic(self, word):
-        assert stem(word) == stem(word)

@@ -22,8 +22,9 @@ from repro.scenarios import (
     render_comparison,
     write_result,
 )
-from repro.scenarios.experiment import RESULT_FORMAT, RESULT_KIND
+from repro.scenarios.experiment import RESULT_FORMAT, RESULT_KIND, _percentile
 from repro.server import reuse_port_supported
+from repro.server.metrics import LatencyHistogram
 
 needs_reuse_port = pytest.mark.skipif(
     not reuse_port_supported(), reason="SO_REUSEPORT unavailable on this platform"
@@ -131,6 +132,38 @@ class TestResultSchema:
         bad.write_text(json.dumps(wrong_format), encoding="utf-8")
         with pytest.raises(ValueError, match="unsupported result format"):
             load_result(bad)
+
+
+class TestResultPercentiles:
+    """A result file's client-side pNN and the daemon's ``/stats`` pNN are
+    read side by side, so both must pick the same sample."""
+
+    @pytest.mark.parametrize(
+        ("count", "q", "rank"),  # 1-based nearest rank, ceil(q * count)
+        [
+            (1, 0.5, 1), (1, 0.9, 1), (1, 0.99, 1),
+            (2, 0.5, 1), (2, 0.9, 2), (2, 0.99, 2),
+            (5, 0.5, 3), (5, 0.9, 5), (5, 0.99, 5),
+            (50, 0.5, 25), (50, 0.9, 45), (50, 0.99, 50),
+            (150, 0.5, 75), (150, 0.9, 135), (150, 0.99, 149),
+        ],
+    )
+    def test_same_rank_as_the_daemon_histogram(self, count, q, rank):
+        assert _percentile([float(i) for i in range(1, count + 1)], q) == rank
+
+        # The histogram only reports bucket bounds, so its rank is read off
+        # a two-valued sample: it must land on the slow value when fewer
+        # than `rank` samples are fast, and on the fast one from `rank` on.
+        fast, slow = 0.001, 1.0
+
+        def histogram_quantile(fast_samples: int) -> float:
+            histogram = LatencyHistogram()
+            for i in range(count):
+                histogram.record(fast if i < fast_samples else slow)
+            return histogram.quantile(q)
+
+        assert histogram_quantile(rank - 1) == slow
+        assert histogram_quantile(rank) < slow
 
 
 class TestDeterminismAndCompare:

@@ -7,17 +7,27 @@ against the heap path.  On top of that the ownership rules are pinned
 "delta = republish + remap" fold behavior: a sidecar is folded to
 ``<artifact>.applied`` and remapped, a restart re-folds, and a full
 republish sweeps the stale fold file.
+
+Last, the one fact that is the reason the mmap path exists and that no
+``benchmarks/perf`` workload can see (none runs ``--procs``): two worker
+processes mapping one artifact share its pages (:class:`TestSharedPages`).
 """
+
+import os
 
 import pytest
 
 from repro.clicklog.log import ClickLog
 from repro.matching.dictionary import DictionaryEntry
-from repro.server.daemon import match_payload
-from repro.serving.artifact import SynonymArtifact, compile_dictionary
+from repro.server.client import ServerClient
+from repro.server.daemon import match_payload, reuse_port_supported
+from repro.server.supervisor import ServerSupervisor
+from repro.serving.artifact import SynonymArtifact, compile_dictionary, compile_entries
 from repro.serving.delta import delta_path_for, diff_delta, fold_path_for
 from repro.serving.service import MatchService
 from repro.storage.artifact import ArtifactError, ArtifactMapping, read_artifact
+
+from tests.conftest import SRC_DIR, daemon_server
 
 ENTRIES = [
     DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
@@ -229,9 +239,64 @@ class TestServiceMmap:
         service.close()
 
     def test_stats_payload_reports_mmap(self, artifact_path):
-        from tests.conftest import daemon_server
-
         with daemon_server(artifact_path, watch_interval=0, mmap=True) as (_d, client):
             assert client.stats()["artifact"]["mmap"] is True
         with daemon_server(artifact_path, watch_interval=0) as (_d, client):
             assert client.stats()["artifact"]["mmap"] is False
+
+
+def _pss_kb(pid: int) -> int:
+    """Proportional set size of *pid* in kB, from smaps_rollup."""
+    with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("Pss:"):
+                return int(line.split()[1])
+    raise OSError("smaps_rollup has no Pss line")
+
+
+def _worker_group_pss_kb(artifact, *, mmap: bool) -> int:
+    """Combined PSS of a ``--procs 2`` group serving *artifact*."""
+    supervisor = ServerSupervisor(artifact, procs=2, port=0, watch_interval=0, mmap=mmap)
+    supervisor.start()
+    try:
+        # The group really serves from this artifact in this mode before
+        # anything is measured.
+        with ServerClient(supervisor.host, supervisor.port) as client:
+            assert client.match("benchmark title 00042")["matched"] is True
+            assert client.stats()["artifact"]["mmap"] is mmap
+        return sum(_pss_kb(worker.pid) for worker in supervisor._workers)
+    finally:
+        supervisor.shutdown()
+
+
+class TestSharedPages:
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps_rollup"),
+        reason="PSS measurement needs /proc/<pid>/smaps_rollup",
+    )
+    @pytest.mark.skipif(not reuse_port_supported(), reason="--procs needs SO_REUSEPORT")
+    def test_two_workers_share_artifact_pages(self, tmp_path, monkeypatch):
+        # PSS, not RSS: RSS counts a shared page once *per process* and
+        # would show no difference.  ~6.7 MB on disk, so the artifact's
+        # pages stand clear of the interpreter's own ~30 MB per worker.
+        entries = []
+        for i in range(20_000):
+            entries.append((f"benchmark title {i:05d}", f"e-{i:05d}", "canonical", 1.0))
+            for j in range(3):
+                entries.append((f"alias {j} title {i:05d}", f"e-{i:05d}", "mined", 10.0 + j))
+        path = tmp_path / "catalog.synart"
+        compile_entries(entries, path, version="pss-1")
+        size = path.stat().st_size
+
+        monkeypatch.setenv(
+            "PYTHONPATH", SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", "")
+        )
+        heap_kb = _worker_group_pss_kb(path, mmap=False)
+        mmap_kb = _worker_group_pss_kb(path, mmap=True)
+
+        # Two heap workers carry two private artifact copies; two mmap
+        # workers share one.  The PSS delta must recover at least half an
+        # artifact (it recovers ~one full artifact in practice).
+        assert (heap_kb - mmap_kb) * 1024 >= 0.5 * size, (
+            f"combined PSS heap {heap_kb} kB, mmap {mmap_kb} kB, artifact {size} bytes"
+        )
