@@ -46,6 +46,6 @@ def results_dir(request: pytest.FixtureRequest) -> Path | None:
 
 
 def write_result(results_dir: Path | None, name: str, text: str) -> None:
-    """Persist a rendered experiment table next to the benchmark timings."""
+    """Persist a rendered experiment table under ``benchmarks/results/``."""
     if results_dir is not None:
         (results_dir / name).write_text(text + "\n", encoding="utf-8")

@@ -12,14 +12,8 @@ from repro.eval.experiments import run_measure_ablation, run_surrogate_k_ablatio
 from repro.eval.reporting import render_ablation
 
 
-def test_ablation_surrogate_topk(benchmark, movies_world, results_dir):
-    points = benchmark.pedantic(
-        run_surrogate_k_ablation,
-        args=(movies_world,),
-        kwargs={"k_values": (3, 5, 10)},
-        rounds=2,
-        iterations=1,
-    )
+def test_ablation_surrogate_topk(movies_world, results_dir):
+    points = run_surrogate_k_ablation(movies_world, k_values=(3, 5, 10))
     write_result(
         results_dir,
         "ablation_surrogate_topk.txt",
@@ -34,10 +28,8 @@ def test_ablation_surrogate_topk(benchmark, movies_world, results_dir):
     assert by_label["k=5"].synonym_count >= by_label["k=3"].synonym_count
 
 
-def test_ablation_ipc_vs_icr(benchmark, movies_world, results_dir):
-    points = benchmark.pedantic(
-        run_measure_ablation, args=(movies_world,), rounds=2, iterations=1
-    )
+def test_ablation_ipc_vs_icr(movies_world, results_dir):
+    points = run_measure_ablation(movies_world)
     write_result(
         results_dir,
         "ablation_ipc_vs_icr.txt",

@@ -1,7 +1,7 @@
 """Figure 2 — IPC threshold sweep (precision / weighted precision / coverage).
 
 Regenerates the series behind the paper's Figure 2 on the movies dataset:
-β swept from 2 to 10 with ICR disabled.  The benchmark times the full sweep
+β swept from 2 to 10 with ICR disabled.  The benchmark runs the full sweep
 (mine once with open thresholds, then re-filter per β) and asserts the
 qualitative shape the paper reports: precision rises and coverage increase
 falls as β grows, while even strict settings keep a substantial coverage
@@ -15,10 +15,8 @@ from repro.eval.experiments import run_ipc_sweep
 from repro.eval.reporting import render_ipc_sweep
 
 
-def test_figure2_ipc_sweep(benchmark, movies_world, results_dir):
-    result = benchmark.pedantic(
-        run_ipc_sweep, args=(movies_world,), rounds=3, iterations=1, warmup_rounds=1
-    )
+def test_figure2_ipc_sweep(movies_world, results_dir):
+    result = run_ipc_sweep(movies_world)
 
     rendered = render_ipc_sweep(result)
     write_result(results_dir, "figure2_ipc_sweep.txt", rendered)

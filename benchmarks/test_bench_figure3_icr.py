@@ -14,10 +14,8 @@ from repro.eval.experiments import run_icr_sweep
 from repro.eval.reporting import render_icr_sweep
 
 
-def test_figure3_icr_sweep(benchmark, movies_world, results_dir):
-    result = benchmark.pedantic(
-        run_icr_sweep, args=(movies_world,), rounds=3, iterations=1, warmup_rounds=1
-    )
+def test_figure3_icr_sweep(movies_world, results_dir):
+    result = run_icr_sweep(movies_world)
 
     rendered = render_icr_sweep(result)
     write_result(results_dir, "figure3_icr_sweep.txt", rendered)

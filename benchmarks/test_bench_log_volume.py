@@ -3,7 +3,7 @@
 The paper mines five months of logs (July–November 2008) but never varies
 that window.  This benchmark makes log volume an explicit axis: it splits
 the movies world's traffic into monthly slices and re-mines on growing
-prefixes, timing the sweep and asserting the expected saturation shape
+prefixes, asserting the expected saturation shape
 (more months → more coverage and synonyms, with diminishing returns).
 """
 
@@ -27,10 +27,8 @@ def _render(points) -> str:
     return "\n".join(lines)
 
 
-def test_log_volume_sweep(benchmark, movies_world, results_dir):
-    points = benchmark.pedantic(
-        run_log_volume_sweep, args=(movies_world,), kwargs={"months": 5}, rounds=1, iterations=1
-    )
+def test_log_volume_sweep(movies_world, results_dir):
+    points = run_log_volume_sweep(movies_world, months=5)
     write_result(results_dir, "log_volume_sweep.txt", _render(points))
 
     assert len(points) == 5

@@ -2,7 +2,7 @@
 
 Rebuilds small worlds with the misclick probability and the share of
 navigational-noise traffic scaled up, and re-runs the miner at the paper's
-operating point.  Times the whole sweep (world construction dominates) and
+operating point (world construction dominates the run time) and
 asserts that the method keeps working — and keeps being reasonably precise —
 as the logs get noisier, which is the robustness claim implicit in using
 five months of raw Bing traffic.
@@ -15,16 +15,9 @@ from repro.eval.experiments import run_noise_ablation
 from repro.eval.reporting import render_ablation
 
 
-def test_ablation_click_noise(benchmark, results_dir):
-    points = benchmark.pedantic(
-        run_noise_ablation,
-        kwargs={
-            "noise_multipliers": (0.5, 1.0, 2.0, 4.0),
-            "entity_count": 20,
-            "session_count": 6_000,
-        },
-        rounds=1,
-        iterations=1,
+def test_ablation_click_noise(results_dir):
+    points = run_noise_ablation(
+        noise_multipliers=(0.5, 1.0, 2.0, 4.0), entity_count=20, session_count=6_000
     )
     write_result(
         results_dir,

@@ -18,10 +18,8 @@ from repro.eval.experiments import run_table1
 from repro.eval.reporting import render_table1
 
 
-def test_table1_hits_and_expansion(benchmark, movies_world, cameras_world, results_dir):
-    table = benchmark.pedantic(
-        run_table1, args=([movies_world, cameras_world],), rounds=2, iterations=1
-    )
+def test_table1_hits_and_expansion(movies_world, cameras_world, results_dir):
+    table = run_table1([movies_world, cameras_world])
 
     rendered = render_table1(table)
     write_result(results_dir, "table1_hits_expansion.txt", rendered)

@@ -23,7 +23,6 @@ setup(
             "mypy==1.15.0",
             "ruff==0.9.6",
             "pytest>=8.0",
-            "pytest-benchmark>=4.0",
             "hypothesis>=6.98",
         ]
     },

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.clicklog.graph import ClickGraph
+from repro.clicklog.log import ClickLog
 from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
 from repro.text.normalize import normalize
 
@@ -58,11 +58,34 @@ class RandomWalkConfig:
 
 
 class RandomWalkSynonymFinder:
-    """Synonyms via a lazy random walk on the click graph."""
+    """Synonyms via a lazy random walk on the click graph.
 
-    def __init__(self, click_graph: ClickGraph, config: RandomWalkConfig | None = None) -> None:
-        self.graph = click_graph
+    The graph is the :class:`ClickLog` itself: nodes are its queries and
+    URLs, edge weights its click counts.
+    """
+
+    def __init__(self, click_log: ClickLog, config: RandomWalkConfig | None = None) -> None:
+        self.click_log = click_log
         self.config = config or RandomWalkConfig()
+
+    def _from_query(self, query: str) -> dict[str, float]:
+        """Click-weighted transition distribution query → URLs."""
+        total = self.click_log.total_clicks(query)
+        return {
+            url: clicks / total
+            for url, clicks in self.click_log.clicks_by_url(query).items()
+        }
+
+    def _from_url(self, url: str) -> dict[str, float]:
+        """Click-weighted transition distribution URL → queries."""
+        # sorted: a set's order varies between processes, and the order mass
+        # arrives in decides the order the float sums below are taken in.
+        weights = {
+            query: self.click_log.clicks(query, url)
+            for query in sorted(self.click_log.queries_clicking(url))
+        }
+        total = sum(weights.values())
+        return {query: clicks / total for query, clicks in weights.items()}
 
     # ------------------------------------------------------------------ #
     # The walk
@@ -77,7 +100,7 @@ class RandomWalkSynonymFinder:
         Returns an empty dict when the start query is not in the graph.
         """
         start = normalize(start_query)
-        if not self.graph.has_query(start):
+        if start not in self.click_log:
             return {}
         stay = self.config.self_transition
         move = 1.0 - stay
@@ -90,12 +113,12 @@ class RandomWalkSynonymFinder:
             # Mass on query nodes: part stays, part flows to URLs.
             for query, mass in query_mass.items():
                 next_query[query] = next_query.get(query, 0.0) + mass * stay
-                for url, probability in self.graph.transition_from_query(query).items():
+                for url, probability in self._from_query(query).items():
                     next_url[url] = next_url.get(url, 0.0) + mass * move * probability
             # Mass on URL nodes: part stays, part flows back to queries.
             for url, mass in url_mass.items():
                 next_url[url] = next_url.get(url, 0.0) + mass * stay
-                for query, probability in self.graph.transition_from_url(url).items():
+                for query, probability in self._from_url(url).items():
                     next_query[query] = next_query.get(query, 0.0) + mass * move * probability
             query_mass, url_mass = next_query, next_url
 

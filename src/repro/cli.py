@@ -50,7 +50,7 @@ import contextlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
@@ -60,6 +60,8 @@ from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
 from repro.matching.index import DictionaryIndex
 from repro.matching.matcher import EntityMatch, QueryMatcher
 from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
+from repro.server.metrics import AccessLog
+from repro.server.supervisor import ServerSupervisor
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.simulation.scenario import ScenarioConfig, build_world
 from repro.storage.jsonl import read_jsonl_as, write_jsonl
@@ -73,11 +75,26 @@ _Log = TypeVar("_Log", SearchLog, ClickLog)
 # Parser
 # --------------------------------------------------------------------------- #
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(
+    cast: Callable[[str], Any], low: float, high: float | None = None
+) -> Callable[[str], Any]:
+    """An argparse ``type=``: *cast* the text, require ``low <= value [<= high]``."""
+    wanted = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if not low <= value <= (value if high is None else high):  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's own "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _bounded(int, 1)
+_non_negative_int = _bounded(int, 0)
+_non_negative_float = _bounded(float, 0)
+_unit_fraction = _bounded(float, 0, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument("--no-fuzzy", action="store_true", help="disable the fuzzy fallback")
     server.add_argument(
-        "--cache-size", type=int, default=4096,
+        "--cache-size", type=_non_negative_int, default=4096,
         help="LRU result cache size, 0 disables (default 4096)",
     )
     server.add_argument(
-        "--watch-interval", type=float, default=2.0,
+        "--watch-interval", type=_non_negative_float, default=2.0,
         help="mean seconds between artifact hot-swap polls (each wait is jittered to "
         "0.5-1.5x), 0 disables the watcher (default 2)",
     )
@@ -189,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: stderr when sampling is enabled)",
     )
     server.add_argument(
-        "--access-log-sample", type=float, default=None, metavar="R",
+        "--access-log-sample", type=_unit_fraction, default=None, metavar="R",
         help="fraction of requests written to the access log, 0..1 "
              "(default: 0 — access logging off — unless --access-log is "
              "given, which implies 1.0)",
@@ -423,7 +440,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             )
         return 0
     if args.output is None:
-        raise SystemExit("repro compile: error: --output is required without --delta")
+        raise ValueError("compile: --output is required without --delta")
     manifest = compile_dictionary(
         dictionary, args.output, version=args.version_label, click_log=click_log
     )
@@ -474,18 +491,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_daemon(args: argparse.Namespace) -> int:
-    if args.cache_size < 0:
-        raise SystemExit("repro server: error: --cache-size must be >= 0")
-    if args.watch_interval < 0:
-        raise SystemExit("repro server: error: --watch-interval must be >= 0")
     # --access-log without an explicit rate means "log everything there":
     # a silently-empty log file would be worse than either behavior.
     if args.access_log_sample is None:
         access_log_sample = 1.0 if args.access_log is not None else 0.0
     else:
         access_log_sample = args.access_log_sample
-    if not 0.0 <= access_log_sample <= 1.0:
-        raise SystemExit("repro server: error: --access-log-sample must be in [0, 1]")
     watch_note = (
         f"watching {args.artifact} every {args.watch_interval:g}s"
         if args.watch_interval > 0
@@ -494,62 +505,46 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     if args.mmap:
         watch_note = f"mmap, {watch_note}"
 
+    # The worker options, spelled once: a supervisor forwards them to each
+    # worker's MatchDaemon verbatim.
+    options: dict[str, Any] = {
+        "host": args.host,
+        "port": args.port,
+        "cache_size": args.cache_size,
+        "enable_fuzzy": not args.no_fuzzy,
+        "watch_interval": args.watch_interval,
+        "max_batch": args.max_batch,
+        "mmap": args.mmap,
+    }
+    server: MatchDaemon | ServerSupervisor
     if args.procs > 1:
-        from repro.server.supervisor import ServerSupervisor
-
         try:
-            supervisor = ServerSupervisor(
-                args.artifact,
-                procs=args.procs,
-                host=args.host,
-                port=args.port,
-                cache_size=args.cache_size,
-                enable_fuzzy=not args.no_fuzzy,
-                watch_interval=args.watch_interval,
-                max_batch=args.max_batch,
-                access_log_path=args.access_log,
-                access_log_sample=access_log_sample,
-                mmap=args.mmap,
-            )
             # Every worker is listening before the address line goes out —
             # the same bind-before-banner promise the single-process path
             # makes, so a wrapper may connect the moment it reads it.
-            supervisor.start()
+            server = ServerSupervisor(
+                args.artifact,
+                procs=args.procs,
+                access_log_path=args.access_log,
+                access_log_sample=access_log_sample,
+                **options,
+            ).start()
         except RuntimeError as exc:  # no SO_REUSEPORT, or startup failure
             raise SystemExit(f"repro server: error: {exc}") from exc
-        # Same machine-readable address line as the single-process path:
-        # with --port 0 it is how a wrapper learns the bound port.
-        print(
-            f"repro server listening on {supervisor.address} "
-            f"[{args.procs} procs via SO_REUSEPORT, {watch_note}]",
-            flush=True,
-        )
-        return supervisor.run_forever()
-
-    access_log = None
-    if access_log_sample > 0:
-        from repro.server.metrics import AccessLog
-
-        access_log = AccessLog(access_log_sample, path=args.access_log)
-    daemon = MatchDaemon(
-        args.artifact,
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-        enable_fuzzy=not args.no_fuzzy,
-        watch_interval=args.watch_interval,
-        max_batch=args.max_batch,
-        access_log=access_log,
-        mmap=args.mmap,
-    )
+        detail = f"{args.procs} procs via SO_REUSEPORT"
+    else:
+        access_log = None
+        if access_log_sample > 0:
+            access_log = AccessLog(access_log_sample, path=args.access_log)
+        server = MatchDaemon(args.artifact, access_log=access_log, **options)
+        detail = f"artifact version {server.service.manifest.version}"
     # The address line is machine-readable on purpose: with --port 0 it is
     # the only way a wrapper (tests, CI) learns the bound port.
     print(
-        f"repro server listening on {daemon.address} "
-        f"[artifact version {daemon.service.manifest.version}, {watch_note}]",
+        f"repro server listening on {server.address} [{detail}, {watch_note}]",
         flush=True,
     )
-    return daemon.run_forever()
+    return server.run_forever()
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -607,7 +602,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
         scenario = get_scenario(args.name)
     except KeyError as exc:
-        raise SystemExit(f"repro scenario: error: {exc.args[0]}")
+        raise ValueError(exc.args[0]) from exc
     scenario = scenario.with_overrides(
         seed=args.seed,
         duration_s=args.duration,
@@ -656,9 +651,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
-        raise SystemExit(
-            f"repro analyze: error: no such path: {', '.join(missing)}"
-        )
+        raise ValueError(f"analyze: no such path: {', '.join(missing)}")
     findings = analyze_paths(args.paths)
     renderer = render_json if args.format == "json" else render_text
     print(renderer(findings))

@@ -4,16 +4,14 @@ Click Data ``L`` in the paper is a set of tuples ⟨q, p, n⟩ — query, clicke
 URL, click count — aggregated from months of search-engine sessions.  This
 package holds:
 
-* the record schemas (:mod:`repro.clicklog.records`),
+* the record schemas (:mod:`repro.clicklog.records`) and
 * the aggregated :class:`~repro.clicklog.log.ClickLog` with the lookup
-  operations candidate generation needs, and
-* the bipartite query–URL :class:`~repro.clicklog.graph.ClickGraph` used by
-  the random-walk baseline.
+  operations candidate generation needs — which is also the bipartite
+  query–URL click graph the random-walk baseline walks.
 """
 
 from repro.clicklog.records import ClickRecord, SearchRecord, ImpressionRecord
 from repro.clicklog.log import CacheStats, CandidateProfile, ClickLog, SearchLog
-from repro.clicklog.graph import ClickGraph
 from repro.clicklog.stats import (
     QueryLogStats,
     compute_stats,
@@ -30,7 +28,6 @@ __all__ = [
     "CandidateProfile",
     "ClickLog",
     "SearchLog",
-    "ClickGraph",
     "QueryLogStats",
     "compute_stats",
     "head_share",

@@ -243,11 +243,6 @@ class ClickLog:
         """All distinct clicked URLs."""
         return list(self._url_to_queries)
 
-    def query_frequency(self, query: str) -> int:
-        """Alias for :meth:`total_clicks`, named as the evaluation uses it
-        (the frequency weight of a query in weighted precision)."""
-        return self.total_clicks(query)
-
     def __contains__(self, query: str) -> bool:
         return query in self._clicks
 

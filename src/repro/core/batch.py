@@ -1,10 +1,9 @@
 """The frozen perf harness's spelling of the catalog miner.
 
 There is one catalog miner, :class:`~repro.core.pipeline.SynonymMiner`
-(``mine`` / ``mine_iter`` / ``last_run_stats``).  :class:`BatchMiner` was a
-second class around the same loop — it sliced the catalog for pools that
-never beat the loop they wrapped — and is kept importable from here only
-because ``benchmarks/perf/offline.py`` constructs the miner under this name.
+(``mine`` / ``mine_iter`` / ``last_run_stats``).  :class:`BatchMiner` is a
+bare subclass of it, importable from here only because
+``benchmarks/perf/offline.py`` constructs the miner under this name.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ class BatchMiner(SynonymMiner):
         click_log: ClickLog,
         search_log: SearchLog | None = None,
         config: MinerConfig | None = None,
-        # Accepted and ignored: they sized and selected pools that no longer
-        # exist, and the frozen harness (benchmarks/perf/offline.py) still
+        # Accepted and ignored: the frozen harness (benchmarks/perf/offline.py)
         # passes them; ROADMAP open item 1 frees the spelling.
         workers: int | None = None,
         backend: str | None = None,

@@ -251,7 +251,7 @@ def run_table1(
         )
         us = miner.mine(queries)
         wiki = WikipediaSynonymFinder(world.wikipedia, world.catalog).find(queries)
-        walk = RandomWalkSynonymFinder(world.click_graph, walk_config).find(queries)
+        walk = RandomWalkSynonymFinder(world.click_log, walk_config).find(queries)
 
         for method, result in (
             ("Us", us),

@@ -75,7 +75,7 @@ class MatchResolver:
         self._prior_cache: dict[str, float] = {}
 
     @classmethod
-    def from_artifact(cls, artifact, *, context_weight: float = 2.0) -> "MatchResolver":
+    def from_artifact(cls, artifact) -> "MatchResolver":
         """Build a resolver over a compiled artifact's embedded priors.
 
         *artifact* is a :class:`~repro.serving.artifact.SynonymArtifact`;
@@ -83,7 +83,7 @@ class MatchResolver:
         uniform priors, so old artifacts keep resolving — just without the
         popularity signal.
         """
-        return cls(artifact, priors=artifact.priors(), context_weight=context_weight)
+        return cls(artifact, priors=artifact.priors())
 
     # ------------------------------------------------------------------ #
     # Signals

@@ -285,28 +285,22 @@ class Experiment:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    def _boot(self) -> tuple[Any, str, int, Callable[[], None]]:
-        """Start the server(s); returns (server, host, port, shutdown)."""
+    def _boot(self) -> tuple[str, int, Callable[[], None]]:
+        """Start the server(s); returns (host, port, shutdown)."""
+        from repro.server import MatchDaemon, ServerSupervisor
+
+        options: dict[str, Any] = {
+            "port": 0,
+            "watch_interval": self.watch_interval,
+            "mmap": self.mmap,
+        }
         if self.procs == 1:
-            from repro.server.daemon import MatchDaemon
-
-            daemon = MatchDaemon(
-                self._artifact_path,
-                port=0,
-                watch_interval=self.watch_interval,
-                mmap=self.mmap,
-            ).start()
-            return daemon, daemon.host, daemon.port, daemon.stop
-        from repro.server.supervisor import ServerSupervisor
-
+            daemon = MatchDaemon(self._artifact_path, **options).start()
+            return daemon.host, daemon.port, daemon.stop
         supervisor = ServerSupervisor(
-            self._artifact_path,
-            procs=self.procs,
-            port=0,
-            watch_interval=self.watch_interval,
-            mmap=self.mmap,
+            self._artifact_path, procs=self.procs, **options
         ).start()
-        return supervisor, supervisor.host, supervisor.port, supervisor.shutdown
+        return supervisor.host, supervisor.port, supervisor.shutdown
 
     def run(self) -> dict[str, Any]:
         """Execute every repeat and return the result payload."""
@@ -318,7 +312,7 @@ class Experiment:
             f"{len(catalog.rows)} rows, {scenario.repeats} x {scenario.duration_s:g}s, "
             f"procs={self.procs} mmap={self.mmap}"
         )
-        server, host, port, shutdown = self._boot()
+        host, port, shutdown = self._boot()
         repeats: list[dict[str, Any]] = []
         caught_up = True
         try:

@@ -72,6 +72,7 @@ from repro.serving.service import MatchService
 
 __all__ = [
     "DEFAULT_PORT",
+    "MAX_BODY_BYTES",
     "MatchDaemon",
     "match_payload",
     "ranked_payload",
@@ -79,6 +80,11 @@ __all__ = [
 ]
 
 DEFAULT_PORT = 8765
+
+# Admission bound on a request body, reported in ``/stats``.  A larger
+# ``Content-Length`` is answered 413 *before* the body is read, so an
+# oversized POST cannot make a request thread buffer and parse it.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def reuse_port_supported() -> bool:
@@ -239,11 +245,7 @@ class MatchDaemon:
     max_batch:
         Admission bound on ``{"queries": [...]}`` length; longer batches
         are rejected with HTTP 413 instead of tying a request thread up.
-    max_body_bytes:
-        Admission bound on the request body size; larger bodies are
-        rejected with HTTP 413 *before* being read, so an oversized POST
-        cannot make a request thread buffer and parse it.
-    cache_size / enable_fuzzy / verify:
+    cache_size / enable_fuzzy:
         Forwarded to :class:`MatchService`.
     access_log:
         A configured :class:`~repro.server.metrics.AccessLog`, or None
@@ -270,10 +272,8 @@ class MatchDaemon:
         port: int = DEFAULT_PORT,
         cache_size: int = 4096,
         enable_fuzzy: bool = True,
-        verify: bool = True,
         watch_interval: float = 2.0,
         max_batch: int = 1024,
-        max_body_bytes: int = 8 * 1024 * 1024,
         access_log: AccessLog | None = None,
         worker_id: int | None = None,
         reuse_port: bool = False,
@@ -283,23 +283,16 @@ class MatchDaemon:
             raise ValueError(f"watch_interval must be >= 0, got {watch_interval}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_body_bytes < 1:
-            raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
         if reuse_port and not reuse_port_supported():
             raise RuntimeError(
                 "SO_REUSEPORT is not supported on this platform; "
                 "run a single process (no --procs) instead"
             )
         self.service = MatchService(
-            artifact,
-            cache_size=cache_size,
-            enable_fuzzy=enable_fuzzy,
-            verify=verify,
-            mmap=mmap,
+            artifact, cache_size=cache_size, enable_fuzzy=enable_fuzzy, mmap=mmap
         )
         self.watch_interval = watch_interval
         self.max_batch = max_batch
-        self.max_body_bytes = max_body_bytes
         self.access_log = access_log
         self.worker_id = worker_id
         self.metrics = MetricsRegistry()
@@ -365,13 +358,17 @@ class MatchDaemon:
         actually running — otherwise a cleanup path that constructs the
         daemon and fails before ``start()`` would hang forever here.
         """
-        if self._watcher is not None:
-            self._watcher.stop()
-            self._watcher = None
         if self._serve_thread is not None:
             self._httpd.shutdown()
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None
+        self._release()
+
+    def _release(self) -> None:
+        """The one teardown: watcher, socket, access log, serving state."""
+        if self._watcher is not None:
+            self._watcher.stop()
+            self._watcher = None
         self._httpd.server_close()
         if self.access_log is not None:
             self.access_log.close()
@@ -380,7 +377,7 @@ class MatchDaemon:
         # still holding views just defers the unmap to refcounting).
         self.service.close()
 
-    def run_forever(self, *, handle_signals: bool = True) -> int:
+    def run_forever(self) -> int:
         """Serve in the calling thread until SIGINT/SIGTERM (the CLI path).
 
         Both signals break ``serve_forever`` by raising inside the main
@@ -393,15 +390,14 @@ class MatchDaemon:
             raise _SignalShutdown(signum)
 
         previous: dict[int, Any] = {}
-        if handle_signals:
-            try:
-                for signum in (signal.SIGINT, signal.SIGTERM):
-                    previous[signum] = signal.signal(signum, _raise_shutdown)
-            except ValueError:
-                # Not the main thread (an embedder driving the CLI from a
-                # worker): handlers cannot be installed there; serve
-                # anyway and rely on the embedder to shut us down.
-                pass
+        try:
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous[signum] = signal.signal(signum, _raise_shutdown)
+        except ValueError:
+            # Not the main thread (an embedder driving the CLI from a
+            # worker): handlers cannot be installed there; serve
+            # anyway and rely on the embedder to shut us down.
+            pass
         self._start_watcher()
         reason = "shutdown"
         try:
@@ -411,14 +407,9 @@ class MatchDaemon:
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-            if self._watcher is not None:
-                self._watcher.stop()
-                self._watcher = None
-            self._httpd.server_close()
-            print(self._shutdown_line(reason), file=sys.stderr, flush=True)
-            if self.access_log is not None:
-                self.access_log.close()
-            self.service.close()
+            line = self._shutdown_line(reason)  # reads the state _release() closes
+            self._release()
+            print(line, file=sys.stderr, flush=True)
         return 0
 
     def _shutdown_line(self, reason: str) -> str:
@@ -493,7 +484,7 @@ class MatchDaemon:
                 "requests": requests,
                 "errors": errors,
                 "max_batch": self.max_batch,
-                "max_body_bytes": self.max_body_bytes,
+                "max_body_bytes": MAX_BODY_BYTES,
                 "access_log": {
                     "enabled": self.access_log is not None,
                     "sample": self.access_log.sample if self.access_log else 0.0,
@@ -634,12 +625,10 @@ def _make_handler(daemon: MatchDaemon) -> type[BaseHTTPRequestHandler]:
             except ValueError as exc:
                 self.close_connection = True
                 raise _RequestError(400, "invalid Content-Length header") from exc
-            if length > daemon.max_body_bytes:
+            if length > MAX_BODY_BYTES:
                 self.close_connection = True
                 raise _RequestError(
-                    413,
-                    f"body of {length} bytes exceeds max_body_bytes="
-                    f"{daemon.max_body_bytes}",
+                    413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
                 )
             if length <= 0:
                 return b""

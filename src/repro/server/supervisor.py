@@ -30,7 +30,7 @@ Design points:
 * **Shutdown** — SIGINT/SIGTERM to the parent is forwarded to every
   worker as SIGTERM; workers exit 0 through the daemon's own clean
   shutdown, the parent reaps them all (escalating to SIGKILL only after
-  ``shutdown_timeout``) and exits 0 — no orphans.  A worker dying on its
+  ``SHUTDOWN_TIMEOUT_S``) and exits 0 — no orphans.  A worker dying on its
   own is fail-fast: the supervisor tears the group down and exits with
   the dead worker's code.
 
@@ -42,6 +42,7 @@ processes.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import os
 import signal
@@ -56,9 +57,17 @@ from repro.server.metrics import AccessLog
 
 __all__ = ["ServerSupervisor"]
 
+# How long a SIGTERMed worker may take to exit before it is SIGKILLed.
+SHUTDOWN_TIMEOUT_S = 10.0
+
 
 def _worker_main(
-    worker_id: int, host: str, port: int, config: dict[str, Any], ready: Any
+    worker_id: int,
+    artifact: str,
+    access_log_path: str | None,
+    access_log_sample: float,
+    daemon_options: dict[str, Any],
+    ready: Any,
 ) -> None:
     """Entry point of one worker process (module-level: spawn pickles it).
 
@@ -68,26 +77,14 @@ def _worker_main(
     usual clean-shutdown handlers in the child's main thread.
     """
     access_log = None
-    if config["access_log_sample"] > 0:
-        access_log = AccessLog(
-            config["access_log_sample"],
-            path=config["access_log_path"],
-            worker=worker_id,
-        )
+    if access_log_sample > 0:
+        access_log = AccessLog(access_log_sample, path=access_log_path, worker=worker_id)
     daemon = MatchDaemon(
-        config["artifact"],
-        host=host,
-        port=port,
-        cache_size=config["cache_size"],
-        enable_fuzzy=config["enable_fuzzy"],
-        verify=config["verify"],
-        watch_interval=config["watch_interval"],
-        max_batch=config["max_batch"],
-        max_body_bytes=config["max_body_bytes"],
+        artifact,
+        **daemon_options,
         access_log=access_log,
         worker_id=worker_id,
         reuse_port=True,
-        mmap=config["mmap"],
     )
     ready.set()
     sys.exit(daemon.run_forever())
@@ -96,11 +93,16 @@ def _worker_main(
 class ServerSupervisor:
     """Parent process of a ``--procs N`` daemon group.
 
-    Parameters mirror :class:`MatchDaemon` (each worker gets its own
-    service, watcher and metrics); ``access_log_path``/``access_log_sample``
-    configure per-worker access logs appending to one shared file.
-    ``host``/``port`` are resolved at construction (``port=0`` picks a free
-    port), so the address can be printed before :meth:`run_forever`.
+    The parent consumes ``procs``, ``host``/``port`` (resolved at
+    construction — ``port=0`` picks a free port — so the address can be
+    printed before :meth:`run_forever`) and
+    ``access_log_path``/``access_log_sample`` (per-worker access logs
+    appending to one shared file).  Every other keyword is a
+    :class:`MatchDaemon` option, handed verbatim to each worker's daemon;
+    one it does not accept raises :class:`TypeError` here, before any
+    process is spawned.  With the daemon's mmap option every worker maps
+    the same published file: one set of physical pages serves the whole
+    group, so adding workers does not add copies of the catalog.
     """
 
     def __init__(
@@ -110,16 +112,9 @@ class ServerSupervisor:
         procs: int,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        cache_size: int = 4096,
-        enable_fuzzy: bool = True,
-        verify: bool = True,
-        watch_interval: float = 2.0,
-        max_batch: int = 1024,
-        max_body_bytes: int = 8 * 1024 * 1024,
         access_log_path: str | Path | None = None,
         access_log_sample: float = 0.0,
-        shutdown_timeout: float = 10.0,
-        mmap: bool = False,
+        **daemon_options: Any,
     ) -> None:
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
@@ -132,25 +127,12 @@ class ServerSupervisor:
                 "cannot run a multi-process server: SO_REUSEPORT is not "
                 "supported on this platform; run a single process (no --procs)"
             )
+        # The worker's exact call, bound now: an option MatchDaemon does not
+        # take (or one the worker sets itself) fails here, not in N children.
+        inspect.signature(MatchDaemon).bind_partial(
+            artifact, access_log=None, worker_id=0, reuse_port=True, **daemon_options
+        )
         self.procs = procs
-        self.shutdown_timeout = shutdown_timeout
-        self._config: dict[str, Any] = {
-            "artifact": str(artifact),
-            "cache_size": cache_size,
-            "enable_fuzzy": enable_fuzzy,
-            "verify": verify,
-            "watch_interval": watch_interval,
-            "max_batch": max_batch,
-            "max_body_bytes": max_body_bytes,
-            "access_log_path": (
-                str(access_log_path) if access_log_path is not None else None
-            ),
-            "access_log_sample": access_log_sample,
-            # With mmap=True every worker maps the same published file:
-            # one set of physical pages serves the whole group, so adding
-            # workers does not add copies of the catalog.
-            "mmap": mmap,
-        }
         # Reserve the address: bound (never listening) with SO_REUSEPORT,
         # this socket pins port=0 to one concrete port for the lifetime of
         # the group, and guarantees every worker can join it.
@@ -158,6 +140,13 @@ class ServerSupervisor:
         self._anchor.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         self._anchor.bind((host, port))
         self.host, self.port = self._anchor.getsockname()[:2]
+        # _worker_main's arguments between worker_id and ready (all picklable).
+        self._worker_args = (
+            str(artifact),
+            str(access_log_path) if access_log_path is not None else None,
+            access_log_sample,
+            {**daemon_options, "host": self.host, "port": self.port},
+        )
         # spawn, not fork: workers re-import and build their own state, so
         # they cannot inherit half-initialized parent threads or sockets,
         # and behavior matches across platforms.
@@ -183,14 +172,16 @@ class ServerSupervisor:
     def shutdown(self) -> None:
         """Stop the group and release every resource (idempotent).
 
-        The embedding API counterpart of :meth:`run_forever`'s teardown:
-        callers that drove the group via :meth:`start` (tests,
-        benchmarks, the experiment harness) use this instead of reaching
-        for ``_reap_workers``/``_anchor`` — SIGTERM every worker, join
-        them (escalating per ``shutdown_timeout``), close the anchor
-        socket so the port is free the moment this returns.
+        The embedding API counterpart of :meth:`run_forever`'s teardown,
+        for callers that drove the group via :meth:`start` (tests, the
+        experiment harness): SIGTERM every worker, then the same
+        :meth:`_release` — the port is free the moment this returns.
         """
         self.stop()
+        self._release()
+
+    def _release(self) -> None:
+        """The one teardown: join every worker, then free the port."""
         self._reap_workers()
         self._anchor.close()
 
@@ -219,7 +210,7 @@ class ServerSupervisor:
         self._workers = [
             self._context.Process(
                 target=_worker_main,
-                args=(worker_id, self.host, self.port, self._config, ready),
+                args=(worker_id, *self._worker_args, ready),
                 name=f"repro-server-worker-{worker_id}",
                 daemon=True,  # safety net: die with an abnormally-exiting parent
             )
@@ -243,7 +234,7 @@ class ServerSupervisor:
             time.sleep(0.05)
         return self
 
-    def run_forever(self, *, handle_signals: bool = True) -> int:
+    def run_forever(self) -> int:
         """Supervise until shutdown; returns the group's exit code.
 
         Calls :meth:`start` first unless it already ran.  SIGINT/SIGTERM
@@ -261,12 +252,13 @@ class ServerSupervisor:
             self._signal_workers(signal.SIGTERM)
 
         previous: dict[int, Any] = {}
-        if handle_signals:
-            try:
-                for signum in (signal.SIGINT, signal.SIGTERM):
-                    previous[signum] = signal.signal(signum, _propagate)
-            except ValueError:  # pragma: no cover - not the main thread
-                pass
+        try:
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous[signum] = signal.signal(signum, _propagate)
+        except ValueError:
+            # Not the main thread: handlers cannot be installed there;
+            # supervise anyway, the embedder shuts us down via stop().
+            pass
 
         exit_code = 0
         reason = "shutdown"
@@ -287,11 +279,10 @@ class ServerSupervisor:
                 time.sleep(0.05)
             else:
                 reason = signal.Signals(self._shutdown_signum).name
-            self._reap_workers()
         finally:
+            self._release()  # under our handlers: a repeated SIGTERM cannot orphan
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-            self._anchor.close()
             print(
                 f"repro server supervisor: {reason}; "
                 f"{len(self._workers)} workers stopped, socket released",
@@ -302,7 +293,7 @@ class ServerSupervisor:
 
     def _reap_workers(self) -> None:
         """Join every worker, escalating to SIGKILL after the timeout."""
-        deadline = time.monotonic() + self.shutdown_timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT_S
         for worker in self._workers:
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
         for worker in self._workers:

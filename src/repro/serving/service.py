@@ -145,13 +145,13 @@ class MatchService:
     artifact:
         Path to a compiled artifact file, or an already-loaded
         :class:`SynonymArtifact` (then :meth:`reload` requires a path).
+        Every file read on its behalf — the artifact, a delta sidecar, a
+        fold — has its content hash checked.
     cache_size:
         Maximum number of distinct normalized queries memoized (0 disables
         the cache).
-    enable_fuzzy / fuzzy_similarity_threshold / fuzzy_containment_threshold:
-        Forwarded to :class:`QueryMatcher`.
-    verify:
-        Verify the artifact's content hash on every (re)load.
+    enable_fuzzy:
+        Forwarded to :class:`QueryMatcher` (which owns the fuzzy thresholds).
     mmap:
         Serve out of a read-only file mapping instead of a heap copy.
         Requires a path-backed service; workers in separate processes
@@ -167,9 +167,6 @@ class MatchService:
         *,
         cache_size: int = 4096,
         enable_fuzzy: bool = True,
-        fuzzy_similarity_threshold: float = 0.84,
-        fuzzy_containment_threshold: float = 0.6,
-        verify: bool = True,
         mmap: bool = False,
     ) -> None:
         if cache_size < 0:
@@ -178,9 +175,6 @@ class MatchService:
             raise ValueError("mmap serving requires a path-backed service")
         self.cache_size = cache_size
         self.enable_fuzzy = enable_fuzzy
-        self.fuzzy_similarity_threshold = fuzzy_similarity_threshold
-        self.fuzzy_containment_threshold = fuzzy_containment_threshold
-        self.verify = verify
         self.mmap = mmap
         self._path: Path | None = None
         self._queries = 0
@@ -212,15 +206,9 @@ class MatchService:
     def _build_state(
         self, artifact: SynonymArtifact, *, stamp: tuple[int, int, int] | None
     ) -> _ServingState:
-        matcher = QueryMatcher(
-            artifact,
-            enable_fuzzy=self.enable_fuzzy,
-            fuzzy_similarity_threshold=self.fuzzy_similarity_threshold,
-            fuzzy_containment_threshold=self.fuzzy_containment_threshold,
-        )
         return _ServingState(
             artifact=artifact,
-            matcher=matcher,
+            matcher=QueryMatcher(artifact, enable_fuzzy=self.enable_fuzzy),
             resolver=MatchResolver.from_artifact(artifact),
             cache=_LRUCache(self.cache_size),
             source_stamp=stamp,
@@ -230,7 +218,7 @@ class MatchService:
         from repro.serving.delta import fold_path_for
 
         stat = path.stat()
-        artifact = SynonymArtifact.load(path, verify=self.verify, mmap=self.mmap)
+        artifact = SynonymArtifact.load(path, mmap=self.mmap)
         # A full (re)load obsoletes any fold file left by an earlier delta:
         # the watched artifact is now the newest full state.  Unlinking is
         # safe even while an old worker still maps the fold — POSIX keeps
@@ -317,11 +305,11 @@ class MatchService:
         if stamp is None or state.delta_stamp == stamp:
             return False
         try:
-            delta = DictionaryDelta.load(self.delta_path, verify=self.verify)
+            delta = DictionaryDelta.load(self.delta_path)
             if self.mmap:
                 fold = fold_path_for(self._path)  # type: ignore[arg-type]
                 apply_delta(state.artifact, delta, output_path=fold, materialize=False)
-                artifact = SynonymArtifact.load(fold, verify=self.verify, mmap=True)
+                artifact = SynonymArtifact.load(fold, mmap=True)
             else:
                 artifact = state.artifact.apply_delta(delta)
         except FileNotFoundError:

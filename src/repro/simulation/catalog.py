@@ -114,10 +114,6 @@ class EntityCatalog:
         """Map normalized canonical name → entity."""
         return {entity.normalized_name: entity for entity in self._entities.values()}
 
-    def total_popularity(self) -> float:
-        """Sum of popularity weights (normalisation constant for sampling)."""
-        return sum(entity.popularity for entity in self._entities.values())
-
 
 # --------------------------------------------------------------------------- #
 # Vocabulary for synthetic names

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.clicklog.graph import ClickGraph
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import SearchRecord
 from repro.search.engine import SearchEngine
@@ -44,23 +43,20 @@ class LogGenerationConfig:
 
 @dataclass
 class GeneratedLogs:
-    """The two paper datasets plus the click graph derived from ``L``."""
+    """The two paper datasets and the query population that produced ``L``."""
 
     search_log: SearchLog
     click_log: ClickLog
-    click_graph: ClickGraph
     population: QueryPopulation
 
     def summary(self) -> dict[str, int]:
         """Small human-readable summary used by examples and reports."""
-        graph_stats = self.click_graph.stats()
         return {
             "search_tuples": len(self.search_log),
             "click_tuples": len(self.click_log),
             "distinct_click_queries": len(self.click_log.queries()),
             "click_volume": self.click_log.total_click_volume(),
-            "graph_queries": graph_stats.query_count,
-            "graph_urls": graph_stats.url_count,
+            "distinct_clicked_urls": len(self.click_log.urls()),
         }
 
 
@@ -70,7 +66,7 @@ def generate_logs(
     alias_table: AliasTable,
     config: LogGenerationConfig | None = None,
 ) -> GeneratedLogs:
-    """Produce Search Data ``A``, Click Data ``L`` and the click graph."""
+    """Produce Search Data ``A`` and Click Data ``L``."""
     config = config or LogGenerationConfig()
 
     # Search Data is keyed by the normalized canonical string: that is the
@@ -84,11 +80,9 @@ def generate_logs(
     population = QueryPopulation.from_alias_table(catalog, alias_table, config.user_model)
     simulator = ClickSimulator(engine, catalog, config.user_model)
     click_log = simulator.simulate_click_log(population)
-    click_graph = ClickGraph.from_click_log(click_log)
 
     return GeneratedLogs(
         search_log=search_log,
         click_log=click_log,
-        click_graph=click_graph,
         population=population,
     )

@@ -2,9 +2,9 @@
 
 A :class:`SimulatedWorld` bundles everything an experiment needs: the
 entity catalog, the ground-truth alias table, the synthetic web corpus, the
-search engine over it, Search Data ``A``, Click Data ``L``, the click graph
-and the simulated Wikipedia.  :func:`build_world` builds all of it from a
-single :class:`ScenarioConfig`, deterministically for a given seed.
+search engine over it, Search Data ``A``, Click Data ``L`` and the
+simulated Wikipedia.  :func:`build_world` builds all of it from a single
+:class:`ScenarioConfig`, deterministically for a given seed.
 
 Three presets mirror the paper's setup:
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from repro.clicklog.graph import ClickGraph
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.search.documents import Corpus
 from repro.search.engine import SearchEngine
@@ -95,7 +94,6 @@ class SimulatedWorld:
     engine: SearchEngine
     search_log: SearchLog
     click_log: ClickLog
-    click_graph: ClickGraph
     population: QueryPopulation
     wikipedia: SimulatedWikipedia
 
@@ -105,14 +103,13 @@ class SimulatedWorld:
 
     def summary(self) -> dict[str, int]:
         """Human-readable size summary (pages, log sizes, coverage)."""
-        stats = self.click_graph.stats()
         return {
             "entities": len(self.catalog),
             "pages": len(self.corpus),
             "search_tuples": len(self.search_log),
             "click_tuples": len(self.click_log),
             "click_volume": self.click_log.total_click_volume(),
-            "distinct_click_queries": stats.query_count,
+            "distinct_click_queries": len(self.click_log.queries()),
             "wikipedia_articles": self.wikipedia.article_count,
         }
 
@@ -154,7 +151,6 @@ def build_world(config: ScenarioConfig | None = None) -> SimulatedWorld:
         engine=engine,
         search_log=logs.search_log,
         click_log=logs.click_log,
-        click_graph=logs.click_graph,
         population=logs.population,
         wikipedia=wikipedia,
     )

@@ -7,7 +7,7 @@ same normalized form everywhere.
 """
 
 from repro.text.normalize import normalize, strip_accents, normalize_whitespace
-from repro.text.tokenize import tokenize, ngrams, char_ngrams, token_set
+from repro.text.tokenize import tokenize, ngrams, token_set
 from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
 from repro.text.similarity import (
     levenshtein_distance,
@@ -21,7 +21,6 @@ __all__ = [
     "normalize_whitespace",
     "tokenize",
     "ngrams",
-    "char_ngrams",
     "token_set",
     "STOPWORDS",
     "is_stopword",

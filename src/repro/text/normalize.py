@@ -17,7 +17,6 @@ __all__ = [
     "normalize_whitespace",
     "strip_punctuation",
     "normalize",
-    "normalize_aggressive",
 ]
 
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -74,13 +73,3 @@ def normalize(text: str) -> str:
     text = text.lower()
     text = strip_punctuation(text)
     return normalize_whitespace(text)
-
-
-def normalize_aggressive(text: str) -> str:
-    """Normalization that additionally removes every non-alphanumeric rune.
-
-    Used only for near-duplicate detection (e.g. treating "e-os" and "eos"
-    as the same token); never used as the identity of log entries.
-    """
-    text = normalize(text)
-    return "".join(ch for ch in text if ch.isalnum() or ch == " ").strip()

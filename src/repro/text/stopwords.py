@@ -11,7 +11,7 @@ Stopwords are used in two places:
 
 from __future__ import annotations
 
-__all__ = ["STOPWORDS", "is_stopword", "remove_stopwords", "content_tokens"]
+__all__ = ["STOPWORDS", "is_stopword", "remove_stopwords"]
 
 STOPWORDS: frozenset[str] = frozenset(
     """
@@ -31,10 +31,3 @@ def is_stopword(token: str) -> bool:
 def remove_stopwords(tokens: list[str]) -> list[str]:
     """Return *tokens* without stopwords, preserving order and duplicates."""
     return [token for token in tokens if token not in STOPWORDS]
-
-
-def content_tokens(tokens: list[str]) -> list[str]:
-    """Like :func:`remove_stopwords` but falls back to the original tokens
-    when removing stopwords would leave nothing (e.g. the query "it")."""
-    kept = remove_stopwords(tokens)
-    return kept if kept else list(tokens)

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 from repro.text.normalize import normalize
 
-__all__ = ["tokenize", "token_set", "ngrams", "char_ngrams", "word_positions"]
+__all__ = ["tokenize", "token_set", "ngrams"]
 
 # A token is a run of alphanumerics.  Model numbers such as "350d" stay as a
 # single token, which matters for camera names.
@@ -55,32 +55,3 @@ def ngrams(tokens: Iterable[str], n: int) -> Iterator[tuple[str, ...]]:
     items = list(tokens)
     for start in range(len(items) - n + 1):
         yield tuple(items[start : start + n])
-
-
-def char_ngrams(text: str, n: int = 3, *, pad: bool = True) -> list[str]:
-    """Return overlapping character n-grams of *text*.
-
-    With ``pad=True`` the string is wrapped in boundary markers so short
-    strings still produce at least one gram.
-
-    >>> char_ngrams("abc", 3, pad=False)
-    ['abc']
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if pad:
-        text = f"^{text}$"
-    if len(text) < n:
-        return [text] if text else []
-    return [text[i : i + n] for i in range(len(text) - n + 1)]
-
-
-def word_positions(text: str, *, normalized: bool = False) -> dict[str, list[int]]:
-    """Map each token of *text* to the list of positions where it occurs.
-
-    Used by the inverted index to support positional statistics.
-    """
-    positions: dict[str, list[int]] = {}
-    for idx, token in enumerate(tokenize(text, normalized=normalized)):
-        positions.setdefault(token, []).append(idx)
-    return positions

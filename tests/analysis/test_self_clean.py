@@ -53,11 +53,6 @@ def test_cli_list_rules(capsys: pytest.CaptureFixture) -> None:
     assert ids == sorted(ids)
 
 
-def test_cli_missing_path_errors() -> None:
-    with pytest.raises(SystemExit, match="no such path"):
-        main(["analyze", "does/not/exist.py"])
-
-
 def test_default_paths_is_src() -> None:
     from repro.cli import build_parser
 

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.baselines.randomwalk import RandomWalkConfig, RandomWalkSynonymFinder
-from repro.clicklog.graph import ClickGraph
 from repro.clicklog.log import ClickLog
 
 
 @pytest.fixture()
 def graph():
     """Two queries sharing a URL plus one isolated query."""
-    log = ClickLog.from_tuples(
+    return ClickLog.from_tuples(
         [
             ("indy 4", "https://a.example", 50),
             ("indy 4", "https://b.example", 50),
@@ -20,7 +19,6 @@ def graph():
             ("harrison ford", "https://a.example", 2),
         ]
     )
-    return ClickGraph.from_click_log(log)
 
 
 class TestConfig:

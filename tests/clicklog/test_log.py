@@ -67,9 +67,6 @@ class TestClickLog:
         assert log.clicks("q", "u") == 5
         assert len(log) == 1
 
-    def test_query_frequency_alias(self, mini_click_log):
-        assert mini_click_log.query_frequency("indy 4") == mini_click_log.total_clicks("indy 4")
-
     def test_total_click_volume(self, mini_click_log):
         expected = sum(record.clicks for record in mini_click_log.iter_records())
         assert mini_click_log.total_click_volume() == expected

@@ -5,8 +5,8 @@ suite builds them once; the handcrafted fixtures are tiny and rebuilt per
 test for isolation.
 
 This is also the home of the **one** daemon spin-up/teardown helper the
-server tests and serving tests share (it used to be copy-pasted per
-file): :func:`start_daemon` / :func:`daemon_server` boot
+server tests and serving tests share: :func:`start_daemon` /
+:func:`daemon_server` boot
 an in-process :class:`~repro.server.daemon.MatchDaemon` on a free port —
 retrying the bind on ``EADDRINUSE``, which port-reuse under parallel CI
 runs occasionally hits — and :func:`cli_server` runs the real
@@ -30,7 +30,6 @@ from typing import Any, Iterator
 import pytest
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.core.batch import BatchMiner
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
@@ -217,8 +216,7 @@ def assert_mining_paths_agree(
 ) -> None:
     """Every mining path must reproduce :func:`reference_entry`.
 
-    Held to it: ``SynonymMiner.mine`` and ``mine_iter``, the frozen perf
-    harness's ``BatchMiner(workers=2, backend="thread")`` spelling and
+    Held to it: ``SynonymMiner.mine`` and ``mine_iter`` and
     ``IncrementalSynonymMiner.refresh``.  *values* must be distinct
     canonicals.
     """
@@ -230,9 +228,6 @@ def assert_mining_paths_agree(
     paths = {
         "SynonymMiner.mine": list(SynonymMiner(**logs).mine(values)),
         "SynonymMiner.mine_iter": list(SynonymMiner(**logs).mine_iter(values)),
-        "harness spelling": list(
-            BatchMiner(**logs, workers=2, backend="thread").mine(values)
-        ),
         # refresh() mines in sorted order; compare in catalog order.
         "incremental refresh": [incremental.result[value] for value in values],
     }

@@ -88,7 +88,7 @@ class TestBaselineWeaknesses:
     """The qualitative failure modes the paper attributes to each baseline."""
 
     def test_walk_needs_the_canonical_query(self, toy_world):
-        finder = RandomWalkSynonymFinder(toy_world.click_graph)
+        finder = RandomWalkSynonymFinder(toy_world.click_log)
         entry = finder.find_one("a canonical string nobody ever typed")
         assert not entry.has_synonyms
 

@@ -3,7 +3,6 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.clicklog.graph import ClickGraph
 from repro.clicklog.log import ClickLog
 from repro.core.selection import intersecting_click_ratio, intersecting_page_count
 
@@ -43,15 +42,6 @@ class TestClickLogProperties:
         rebuilt = ClickLog(log.iter_records())
         assert rebuilt.total_click_volume() == log.total_click_volume()
         assert set(rebuilt.queries()) == set(log.queries())
-
-    @given(click_log_strategy)
-    def test_graph_stats_match_log(self, tuples):
-        log = ClickLog.from_tuples(tuples)
-        graph = ClickGraph.from_click_log(log)
-        stats = graph.stats()
-        assert stats.total_clicks == log.total_click_volume()
-        assert stats.query_count == len(log.queries())
-        assert stats.url_count == len(log.urls())
 
 
 class TestMeasureProperties:

@@ -242,7 +242,3 @@ class TestScenarioCli:
         out = capsys.readouterr().out
         for name in NAMED_SCENARIOS:
             assert name in out
-
-    def test_unknown_scenario_is_a_clean_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown scenario"):
-            main(["scenario", "run", "no-such-scenario", "--workdir", str(tmp_path)])

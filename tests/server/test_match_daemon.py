@@ -7,6 +7,7 @@ block must reproduce :meth:`MatchResolver.rank` over the live click log the
 artifact was compiled from, field for field.
 """
 
+import socket
 import threading
 import time
 
@@ -17,6 +18,7 @@ from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
 from repro.matching.matcher import QueryMatcher
 from repro.matching.resolver import MatchResolver
 from repro.server import MatchDaemon, ServerClient, ServerError
+from repro.server.daemon import MAX_BODY_BYTES
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from tests.conftest import cli_server, daemon_server, start_daemon
 
@@ -172,17 +174,24 @@ class TestMatchEndpoint:
         finally:
             conn.close()
 
-    def test_oversized_body_rejected_before_reading(self, artifact_path):
-        with daemon_server(
-            artifact_path, watch_interval=0, max_body_bytes=256
-        ) as (_daemon, client):
-            with pytest.raises(ServerError) as excinfo:
-                client.match("x" * 1024)
-            assert excinfo.value.status == 413
-            assert "max_body_bytes" in str(excinfo.value)
-            # The daemon closed that connection (it never read the
-            # body); the client transparently reconnects and serves on.
-            assert client.match("lyra quinn")["matched"] is True
+    def test_oversized_body_rejected_before_reading(self, daemon, client):
+        """A Content-Length one past the limit is refused on the header alone.
+
+        No body byte is ever sent: a daemon that read before refusing would
+        block until this socket's timeout instead of answering.
+        """
+        with socket.create_connection((daemon.host, daemon.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /match HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := sock.recv(65536):  # b"" = the daemon closed the stream
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 413 ")
+        assert f"{MAX_BODY_BYTES}-byte limit".encode() in response
+        assert client.stats()["server"]["max_body_bytes"] == MAX_BODY_BYTES
+        assert client.match("lyra quinn")["matched"] is True
 
 
 class TestResolveEndpoint:
@@ -425,8 +434,6 @@ class TestDaemonLifecycle:
             MatchDaemon(artifact_path, port=0, watch_interval=-1)
         with pytest.raises(ValueError):
             MatchDaemon(artifact_path, port=0, max_batch=0)
-        with pytest.raises(ValueError):
-            MatchDaemon(artifact_path, port=0, max_body_bytes=0)
 
     def test_stop_without_start_does_not_hang(self, artifact_path):
         """A constructed-but-never-started daemon must clean up, not block.

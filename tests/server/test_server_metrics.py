@@ -246,6 +246,20 @@ class TestMultiProcessFrontEnd:
         with pytest.raises(ValueError):
             ServerSupervisor(artifact_path, procs=0, port=0)
 
+    def test_unknown_daemon_option_raises_before_any_spawn(self, artifact_path):
+        """Worker options are bound against MatchDaemon in the parent."""
+        import multiprocessing
+
+        with pytest.raises(TypeError, match="no_such_option"):
+            ServerSupervisor(artifact_path, procs=2, port=0, no_such_option=1)
+        # One the worker sets itself is refused the same way.
+        with pytest.raises(TypeError, match="worker_id"):
+            ServerSupervisor(artifact_path, procs=2, port=0, worker_id=7)
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("repro-server-worker")
+        ]
+
     def test_two_workers_share_one_port_and_spread_traffic(self, artifact_path, monkeypatch):
         """In-process --procs 2: one port, both workers answer, clean stop."""
         monkeypatch.setenv("PYTHONPATH", SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -259,7 +273,7 @@ class TestMultiProcessFrontEnd:
             supervisor.start()  # double-start is refused
         codes: list[int] = []
         thread = threading.Thread(
-            target=lambda: codes.append(supervisor.run_forever(handle_signals=False))
+            target=lambda: codes.append(supervisor.run_forever())
         )
         thread.start()
         seen: set[int] = set()

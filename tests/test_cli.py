@@ -305,11 +305,15 @@ class TestCompileAndServeCLI:
         priors = loaded.priors()
         assert priors and any(value > 0 for value in priors.values())
 
-    def test_server_rejects_bad_flags(self, compiled):
-        with pytest.raises(SystemExit, match="cache-size"):
-            main(["server", "--artifact", str(compiled), "--cache-size", "-1"])
-        with pytest.raises(SystemExit, match="watch-interval"):
-            main(["server", "--artifact", str(compiled), "--watch-interval", "-2"])
+    def test_server_rejects_bad_flags(self, compiled, capsys):
+        # Refused by the parser, so also before --procs spawns anything.
+        for flag, value in (
+            ("--cache-size", "-1"), ("--watch-interval", "-2"), ("--access-log-sample", "2")
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["server", "--artifact", str(compiled), "--procs", "2", flag, value])
+            assert excinfo.value.code == 2
+            assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_serve_subcommand_is_gone(self, compiled, capsys):
         # `match --artifact` (stdin or argv -> JSONL) and `server` (LRU, hot
@@ -394,3 +398,21 @@ class TestInputErrors:
         junk.write_bytes(b"not an artifact at all")
         line = self._error_line(["server", "--artifact", junk, "--port", "0"], capsys)
         assert "junk.synart" in line
+
+    def test_compile_without_output(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text(
+            '{"canonical": "alpha movie", "synonym": "alpha", "clicks": 3}\n', encoding="utf-8"
+        )
+        line = self._error_line(["compile", "--synonyms", rows], capsys)
+        assert "--output is required without --delta" in line
+
+    def test_scenario_run_unknown_name(self, tmp_path, capsys):
+        line = self._error_line(
+            ["scenario", "run", "no-such-scenario", "--workdir", tmp_path], capsys
+        )
+        assert "unknown scenario 'no-such-scenario'" in line and "flash-crowd" in line
+
+    def test_analyze_missing_path(self, capsys):
+        line = self._error_line(["analyze", "does/not/exist.py"], capsys)
+        assert "no such path: does/not/exist.py" in line

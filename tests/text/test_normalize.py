@@ -2,7 +2,6 @@
 
 from repro.text.normalize import (
     normalize,
-    normalize_aggressive,
     normalize_whitespace,
     strip_accents,
     strip_punctuation,
@@ -65,11 +64,3 @@ class TestNormalize:
 
     def test_punctuation_only(self):
         assert normalize(":-()[]") == ""
-
-
-class TestNormalizeAggressive:
-    def test_removes_residual_symbols(self):
-        assert normalize_aggressive("mac os x 10.5 §") == "mac os x 10 5"
-
-    def test_keeps_alphanumerics_and_spaces(self):
-        assert normalize_aggressive("Canon EOS-350D") == "canon eos 350d"

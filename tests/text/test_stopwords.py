@@ -1,6 +1,6 @@
 """Tests for repro.text.stopwords."""
 
-from repro.text.stopwords import STOPWORDS, content_tokens, is_stopword, remove_stopwords
+from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
 
 
 class TestStopwords:
@@ -18,9 +18,3 @@ class TestStopwords:
 
     def test_remove_stopwords_keeps_duplicates_of_content_words(self):
         assert remove_stopwords(["new", "new", "the"]) == ["new", "new"]
-
-    def test_content_tokens_fallback_when_all_stopwords(self):
-        assert content_tokens(["the", "of"]) == ["the", "of"]
-
-    def test_content_tokens_normal_case(self):
-        assert content_tokens(["the", "skull"]) == ["skull"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text.tokenize import char_ngrams, ngrams, token_set, tokenize, word_positions
+from repro.text.tokenize import ngrams, token_set, tokenize
 
 
 class TestTokenize:
@@ -43,32 +43,3 @@ class TestNgrams:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             list(ngrams(["a"], 0))
-
-
-class TestCharNgrams:
-    def test_padded_grams(self):
-        assert char_ngrams("ab", 3) == ["^ab", "ab$"]
-
-    def test_unpadded_exact_length(self):
-        assert char_ngrams("abc", 3, pad=False) == ["abc"]
-
-    def test_short_string_returns_whole(self):
-        assert char_ngrams("a", 3, pad=False) == ["a"]
-
-    def test_empty_string_unpadded(self):
-        assert char_ngrams("", 3, pad=False) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            char_ngrams("abc", 0)
-
-
-class TestWordPositions:
-    def test_positions_recorded(self):
-        positions = word_positions("to be or not to be")
-        assert positions["to"] == [0, 4]
-        assert positions["be"] == [1, 5]
-        assert positions["or"] == [2]
-
-    def test_empty(self):
-        assert word_positions("") == {}
