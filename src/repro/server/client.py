@@ -1,11 +1,15 @@
-"""Stdlib HTTP client for the match daemon.
+"""Raw-socket HTTP/1.1 client for the match daemon.
 
-:class:`ServerClient` speaks the daemon's JSON wire format with nothing but
-:mod:`http.client`: one persistent keep-alive connection (re-opened
-transparently if the server restarts between requests), JSON in/out, and
-typed errors.  It is what the daemon tests, the latency benchmark's load
-generator and the CI smoke job drive the server with — and a reasonable
-starting point for an application client.
+:class:`ServerClient` speaks the daemon's JSON wire format over one
+persistent keep-alive socket (re-opened transparently if the server restarts
+between requests): each request leaves as a single segment — head and body
+in one ``sendall`` — and the response is read as status line +
+``Content-Length`` + body off one buffered reader, with no header parser in
+between.  JSON in/out, typed errors; of :mod:`http.client` only the exception
+classes are used, so callers keep catching ``(ServerError, OSError,
+http.client.HTTPException)``.  It is what the daemon tests, the latency
+benchmark's load generator and the CI smoke job drive the server with — and
+a reasonable starting point for an application client.
 
 The client is deliberately *not* thread-safe: it owns one socket.  Use one
 client per thread (the benchmark does exactly that).
@@ -14,13 +18,14 @@ client per thread (the benchmark does exactly that).
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import socket
 import time
 from typing import Any, Sequence
 from urllib.parse import urlparse
 
-from repro.server.daemon import DEFAULT_PORT
+from repro.server.daemon import _MAX_LINE, DEFAULT_PORT
 
 __all__ = ["ServerClient", "ServerError"]
 
@@ -43,7 +48,7 @@ class ServerClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._connection: http.client.HTTPConnection | None = None
+        self._wire: tuple[socket.socket, io.BufferedReader] | None = None
 
     @classmethod
     def from_address(cls, address: str, *, timeout: float = 10.0) -> "ServerClient":
@@ -68,9 +73,11 @@ class ServerClient:
 
     def close(self) -> None:
         """Drop the persistent connection (re-opened on the next request)."""
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._wire is not None:
+            sock, reader = self._wire
+            self._wire = None
+            reader.close()
+            sock.close()
 
     def __enter__(self) -> "ServerClient":
         return self
@@ -78,35 +85,55 @@ class ServerClient:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
+    def _round_trip(self, request: bytes) -> tuple[int, bytes]:
+        """Send one request, read one ``Content-Length``-framed response."""
+        if self._wire is None:
+            sock = socket.create_connection((self.host, self.port), self.timeout)
+            # A batch above one MSS still leaves as several segments; without
+            # Nagle the last one never waits for the ACK of the first.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._wire = (sock, sock.makefile("rb"))
+        sock, reader = self._wire
+        sock.sendall(request)
+        line = reader.readline(_MAX_LINE)  # a longer line is cut there and fails to parse
+        if not line:
+            raise http.client.RemoteDisconnected("server closed the connection")
+        words = line.split(None, 2)
+        if len(words) < 2 or not words[0].startswith(b"HTTP/1.") or not words[1].isdigit():
+            raise http.client.BadStatusLine(repr(line))
+        headers: dict[bytes, bytes] = {}
+        while (line := reader.readline(_MAX_LINE)) not in (b"\r\n", b"\n"):
+            if not line:
+                raise http.client.IncompleteRead(b"")
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip().lower()
+        declared = headers.get(b"content-length", b"")
+        if not declared.isdigit() or len(declared) > 18:  # absent (chunked), signed, not a number
+            raise http.client.HTTPException(f"no usable Content-Length: {declared!r}")
+        length = int(declared)
+        body = reader.read(length)
+        if len(body) < length:
+            raise http.client.IncompleteRead(body, length - len(body))
+        if words[0] != b"HTTP/1.1" or b"close" in headers.get(b"connection", b""):
+            self.close()
+        return int(words[1]), body
+
     def _request(
         self, method: str, path: str, body: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        encoded = None
-        headers = {}
-        if body is not None:
-            encoded = json.dumps(body, ensure_ascii=False).encode("utf-8")
-            headers["Content-Type"] = "application/json; charset=utf-8"
+        encoded = b"" if body is None else json.dumps(body, ensure_ascii=False).encode("utf-8")
+        request = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
+            "Accept-Encoding: identity\r\nContent-Type: application/json; charset=utf-8\r\n"
+            f"Content-Length: {len(encoded)}\r\n\r\n"
+        ).encode("ascii") + encoded
         # One retry on a dead socket: the server may have restarted (or an
         # idle keep-alive connection timed out) since the last request.
         for attempt in (0, 1):
-            if self._connection is None:
-                self._connection = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
             try:
-                if self._connection.sock is None:
-                    self._connection.connect()
-                    # Headers and body go out as separate writes; without
-                    # TCP_NODELAY the second one stalls a delayed-ACK
-                    # round (~40 ms) behind the first.
-                    self._connection.sock.setsockopt(
-                        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                    )
-                self._connection.request(method, path, body=encoded, headers=headers)
-                response = self._connection.getresponse()
-                raw = response.read()
+                status, raw = self._round_trip(request)
                 break
-            except (http.client.HTTPException, ConnectionError, OSError):
+            except (http.client.HTTPException, OSError):
                 self.close()
                 if attempt:
                     raise
@@ -114,8 +141,8 @@ class ServerClient:
             payload = json.loads(raw) if raw else {}
         except json.JSONDecodeError:
             payload = {"error": raw.decode("utf-8", "replace")}
-        if not 200 <= response.status < 300:
-            raise ServerError(response.status, payload)
+        if not 200 <= status < 300:
+            raise ServerError(status, payload)
         return payload
 
     # ------------------------------------------------------------------ #

@@ -4,8 +4,10 @@ Architecture — three kinds of thread share one
 :class:`~repro.serving.service.MatchService` (which is thread-safe):
 
 * **request threads** — ``ThreadingHTTPServer`` spawns one per connection;
-  handlers parse JSON, call ``service.match`` / ``service.resolve`` and
-  write JSON back;
+  the handler reads the request line and headers straight off the socket
+  into a lower-cased ``dict`` (no ``email`` parser, no ``Message`` per
+  request), parses JSON, calls ``service.match`` / ``service.resolve`` and
+  writes status + headers + JSON back as one buffered block, one segment;
 * **the watcher thread** — polls ``service.maybe_reload()`` every
   ``watch_interval`` seconds on average (each wait is jittered, see
   :class:`_Watcher`), so republishing the artifact file atomically
@@ -59,8 +61,11 @@ import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 from pathlib import Path
+from socketserver import StreamRequestHandler
 from typing import Any, Callable, Sequence
 from urllib.parse import parse_qs, urlparse
 
@@ -85,6 +90,19 @@ DEFAULT_PORT = 8765
 # ``Content-Length`` is answered 413 *before* the body is read, so an
 # oversized POST cannot make a request thread buffer and parse it.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+# Bounds on a request head, as in ``http.server``: a longer request line is
+# answered 414, a longer header line or a 101st header 431.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# The part of a JSON response's head that depends only on its status.
+_RESPONSE_HEAD = {
+    status.value: (
+        f"HTTP/1.1 {status.value} {status.phrase}\r\nServer: repro-match/1\r\n"
+        "Content-Type: application/json; charset=utf-8\r\n"
+    ).encode("ascii")
+    for status in HTTPStatus
+}
 
 
 def reuse_port_supported() -> bool:
@@ -303,6 +321,7 @@ class MatchDaemon:
         self._requests: dict[str, int] = {}
         self._errors = 0
         self._counter_lock = threading.Lock()
+        self._date = (0, b"")  # (unix second, its formatted ``Date`` value)
         self._watcher: _Watcher | None = None
         self._serve_thread: threading.Thread | None = None
         server_cls = _ReusePortHTTPServer if reuse_port else ThreadingHTTPServer
@@ -450,6 +469,13 @@ class MatchDaemon:
                 pid=os.getpid(),
             )
 
+    def _http_date(self) -> bytes:
+        """The ``Date`` header value, formatted once a second, not per response."""
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, formatdate(now, usegmt=True).encode("ascii"))
+        return self._date[1]
+
     def uptime_s(self) -> float:
         """Seconds since construction, immune to wall-clock (NTP) steps."""
         return time.monotonic() - self._started_monotonic
@@ -569,69 +595,114 @@ class MatchDaemon:
         return {"reloaded": True, "artifact_version": manifest.version}
 
 
-def _make_handler(daemon: MatchDaemon) -> type[BaseHTTPRequestHandler]:
+def _make_handler(daemon: MatchDaemon) -> type[StreamRequestHandler]:
     """Build the request-handler class bound to *daemon*."""
 
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "repro-match/1"
-        # Keep-alive: ServerClient reuses one connection per thread, which
-        # is what makes per-request latency socket-setup-free.
-        protocol_version = "HTTP/1.1"
-        # Small JSON responses written as header-then-body segments would
-        # hit the Nagle/delayed-ACK stall (~40 ms per request on Linux):
-        # disable Nagle and buffer the response so it leaves as one packet.
+    class Handler(StreamRequestHandler):
+        """One keep-alive HTTP/1.1 connection (wire rules: module docstring)."""
+
+        # A response above one MSS still leaves as several segments; without
+        # Nagle the last one never waits for the ACK of the first.
         disable_nagle_algorithm = True
+        # A response is one buffered write, flushed once the request is recorded.
         wbufsize = 64 * 1024
 
         # -------------------------------------------------------------- #
         # Plumbing
         # -------------------------------------------------------------- #
 
-        def log_message(self, format: str, *args: Any) -> None:
-            # Per-request access logging would dominate single-core serving
-            # cost; operational visibility comes from /stats instead.
-            pass
+        def handle(self) -> None:
+            self.close_connection = False
+            while not self.close_connection:
+                try:
+                    if not self._read_head():
+                        return  # the client closed the connection
+                    raw = self._read_body()
+                except _RequestError as exc:
+                    # The stream is not at a request boundary: answer and close.
+                    self.close_connection = True
+                    self._send_error_json(exc.status, str(exc))
+                    return
+                self._route(raw)
+                self.wfile.flush()
+
+        def _readline(self, status: int) -> bytes:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _RequestError(status, f"line exceeds {_MAX_LINE} bytes")
+            return line
+
+        def _read_head(self) -> bool:
+            """Parse request line + headers; False on EOF before a request."""
+            line = self._readline(414)
+            if not line:
+                return False
+            words = line.decode("iso-8859-1").split()
+            if len(words) != 3 or not words[2].startswith("HTTP/"):
+                raise _RequestError(400, f"bad request line {line[:80]!r}")
+            self.command, self.path, version = words
+            if version not in ("HTTP/1.0", "HTTP/1.1"):
+                raise _RequestError(505, f"unsupported protocol version {version}")
+            if self.command not in ("GET", "POST"):
+                raise _RequestError(501, f"unsupported method {self.command!r}")
+            self.headers: dict[str, str] = {}
+            name = ""
+            for _ in range(_MAX_HEADERS + 1):
+                text = self._readline(431).decode("iso-8859-1")
+                if text in ("\r\n", "\n", ""):
+                    break
+                if text[0] in " \t" and name:  # obs-fold continuation line
+                    self.headers[name] += " " + text.strip()
+                    continue
+                name, colon, value = text.partition(":")
+                if not colon:
+                    raise _RequestError(400, f"bad header line {text[:80]!r}")
+                name, value = name.strip().lower(), value.strip()
+                # A repeated header is a list: a repeated Content-Length
+                # thereby stops being a number and is refused below.
+                if name in self.headers:
+                    value = f"{self.headers[name]}, {value}"
+                self.headers[name] = value
+            else:
+                raise _RequestError(431, f"more than {_MAX_HEADERS} headers")
+            connection = self.headers.get("connection", "").lower()
+            self.close_connection = version == "HTTP/1.0" or "close" in connection
+            return True
 
         def _send_json(self, status: int, payload: dict[str, Any]) -> None:
             body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            close = b"Connection: close\r\n" if self.close_connection else b""
+            self.wfile.write(
+                b"%bDate: %b\r\nContent-Length: %d\r\n%b\r\n%b"
+                % (_RESPONSE_HEAD[status], daemon._http_date(), len(body), close, body)
+            )
 
         def _send_error_json(self, status: int, message: str) -> None:
             daemon._count_error()
             self._send_json(status, {"error": message})
 
         def _read_body(self) -> bytes:
-            """Read — and thereby drain — the POST body, enforcing the cap.
+            """Read — and thereby drain — the request body, enforcing the cap.
 
-            Must run before any response is written, whatever the route:
-            unread body bytes would be parsed as the start of the *next*
-            request on this keep-alive connection.  An oversized or
-            chunked body is rejected *without* reading it; that leaves the
-            stream dirty, so the connection is closed instead of reused.
+            Runs before any response is written, whatever the route: unread
+            body bytes would be parsed as the start of the *next* request on
+            this keep-alive connection.  An oversized or chunked body is
+            rejected *without* reading it (``handle`` then closes).
             """
-            if self.headers.get("Transfer-Encoding"):
-                # We only drain Content-Length bodies; an undrained chunked
-                # body would poison the stream, so refuse and close.
-                self.close_connection = True
-                raise _RequestError(
-                    411, "chunked bodies are not supported; send Content-Length"
-                )
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError as exc:
-                self.close_connection = True
-                raise _RequestError(400, "invalid Content-Length header") from exc
+            if "transfer-encoding" in self.headers:
+                raise _RequestError(411, "chunked bodies are not supported; send Content-Length")
+            declared = self.headers.get("content-length", "0")
+            if not declared.isdecimal() or len(declared) > 18:  # [0-9]+, and int() takes it
+                raise _RequestError(400, "invalid Content-Length header")
+            length = int(declared)
             if length > MAX_BODY_BYTES:
-                self.close_connection = True
                 raise _RequestError(
                     413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
                 )
-            if length <= 0:
+            if length == 0:
                 return b""
+            if self.headers.get("expect", "").lower() == "100-continue":
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
             return self.rfile.read(length)
 
         def _parse_json(self, raw: bytes) -> dict[str, Any]:
@@ -681,42 +752,22 @@ def _make_handler(daemon: MatchDaemon) -> type[BaseHTTPRequestHandler]:
         # Routes
         # -------------------------------------------------------------- #
 
-        def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        def _route(self, raw: bytes) -> None:
             url = urlparse(self.path)
-            if url.path == "/healthz":
-                self._dispatch("healthz", daemon.healthz_payload)
-            elif url.path == "/stats":
-                self._dispatch("stats", daemon.stats_payload)
-            elif url.path == "/match":
-                self._dispatch(
-                    "match",
-                    lambda: daemon.handle_match(self._query_body_from_url(url.query)),
-                )
-            elif url.path == "/resolve":
-                self._dispatch(
-                    "resolve",
-                    lambda: daemon.handle_resolve(self._query_body_from_url(url.query)),
-                )
-            else:
-                self._send_error_json(404, f"unknown endpoint {url.path!r}")
+            post = self.command == "POST"
 
-        def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-            url = urlparse(self.path)
-            # Drain the body unconditionally — routes that ignore it
-            # (/admin/reload, unknown paths) must still leave the
-            # keep-alive stream positioned at the next request.
-            try:
-                raw = self._read_body()
-            except _RequestError as exc:
-                self._send_error_json(exc.status, str(exc))
-                return
+            def body() -> dict[str, Any]:
+                return self._parse_json(raw) if post else self._query_body_from_url(url.query)
+
             if url.path == "/match":
-                self._dispatch("match", lambda: daemon.handle_match(self._parse_json(raw)))
+                self._dispatch("match", lambda: daemon.handle_match(body()))
             elif url.path == "/resolve":
-                self._dispatch(
-                    "resolve", lambda: daemon.handle_resolve(self._parse_json(raw))
-                )
-            elif url.path == "/admin/reload":
+                self._dispatch("resolve", lambda: daemon.handle_resolve(body()))
+            elif url.path == "/healthz" and not post:
+                self._dispatch("healthz", daemon.healthz_payload)
+            elif url.path == "/stats" and not post:
+                self._dispatch("stats", daemon.stats_payload)
+            elif url.path == "/admin/reload" and post:
                 self._dispatch("reload", daemon.handle_reload)
             else:
                 self._send_error_json(404, f"unknown endpoint {url.path!r}")

@@ -21,6 +21,7 @@ import errno
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -70,6 +71,21 @@ def start_daemon(artifact: Any, *, port: int = 0, bind_retries: int = 5, **kwarg
             time.sleep(0.05 * (attempt + 1))
     assert last_error is not None
     raise last_error
+
+
+@pytest.fixture()
+def connects(monkeypatch) -> list:
+    """Every ``socket.create_connection`` call made during the test.
+
+    Keep-alive is observed from outside: a client that reuses its socket
+    adds nothing here, one that reconnects adds an entry.
+    """
+    calls: list = []
+    real_connect = socket.create_connection
+    monkeypatch.setattr(
+        socket, "create_connection", lambda *a, **k: calls.append(a) or real_connect(*a, **k)
+    )
+    return calls
 
 
 @contextlib.contextmanager

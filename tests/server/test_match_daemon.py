@@ -136,7 +136,7 @@ class TestMatchEndpoint:
             client._request("GET", "/nope")
         assert excinfo.value.status == 404
 
-    def test_keep_alive_survives_unread_body_routes(self, client):
+    def test_keep_alive_survives_unread_body_routes(self, client, connects):
         """POST bodies are drained on every route, even ones ignoring them.
 
         An unread body would be parsed as the start of the next request on
@@ -145,14 +145,14 @@ class TestMatchEndpoint:
         match must succeed on the *same* socket.
         """
         client.match("lyra quinn")  # establish the connection
-        connection = client._connection
+        connects.clear()
         assert client._request("POST", "/admin/reload", {"ignored": True})["reloaded"]
         assert client.match("lyra quinn")["matched"] is True
         with pytest.raises(ServerError) as excinfo:
             client._request("POST", "/nowhere", {"also": "ignored"})
         assert excinfo.value.status == 404
         assert client.match("lyra quinn")["matched"] is True
-        assert client._connection is connection  # never had to reconnect
+        assert connects == []  # never had to reconnect
 
     def test_chunked_body_rejected_411(self, daemon):
         """Chunked bodies can't be drained by Content-Length; refuse them.
