@@ -4,8 +4,10 @@ The simulated worlds are the expensive part (the cameras world indexes
 ~7,000 pages and simulates 120,000 sessions), so they are built once per
 benchmark session and shared by every benchmark.  Rendered experiment
 output is written to ``benchmarks/results/`` only when pytest runs with
-``--write-results``, so the rows/series the paper reports can be refreshed
-on purpose while an ordinary test run leaves the working tree clean.
+``--write-results``, so the rows/series the paper reports are refreshed on
+purpose; an ordinary test run leaves the working tree clean and fails if
+any rendering differs from the committed file, so no table cell moves
+unnoticed.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ def results_dir(request: pytest.FixtureRequest) -> Path | None:
 
 
 def write_result(results_dir: Path | None, name: str, text: str) -> None:
-    """Persist a rendered experiment table under ``benchmarks/results/``."""
+    """Persist a rendered experiment table under ``benchmarks/results/``, or,
+    without ``--write-results``, require it to equal the committed file."""
     if results_dir is not None:
         (results_dir / name).write_text(text + "\n", encoding="utf-8")
+        return
+    committed = (RESULTS_DIR / name).read_text(encoding="utf-8")
+    assert text + "\n" == committed, (
+        f"benchmarks/results/{name} no longer matches this rendering; "
+        f"rerun with --write-results only to accept a deliberate change"
+    )

@@ -11,7 +11,7 @@ those properties for the simulated movies log:
    to the catalog (canonical / true synonym / other);
 3. a month-by-month view: how hit ratio, synonym count and coverage grow as
    more months of logs are accumulated (the implicit "five months" choice
-   of the paper), rendered as a table and an ASCII curve.
+   of the paper).
 
 Run with::
 
@@ -27,7 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.clicklog import compute_stats, head_share, rank_frequency
 from repro.eval import GroundTruthOracle, run_log_volume_sweep
-from repro.eval.figures import scatter_plot
 from repro.simulation import ScenarioConfig, build_world
 
 
@@ -64,11 +63,6 @@ def main() -> None:
             f"   {point.label:<18} {point.click_volume:>9} {point.hit_ratio:>9.1%} "
             f"{point.synonym_count:>9} {point.coverage_increase:>9.1%}"
         )
-    series = {
-        "hit ratio": [(point.click_volume / points[-1].click_volume, point.hit_ratio) for point in points],
-    }
-    print()
-    print(scatter_plot(series, x_label="fraction of the 5-month log", y_label="hit ratio"))
 
 
 if __name__ == "__main__":

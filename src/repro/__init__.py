@@ -13,15 +13,17 @@ Top-level packages:
   on the mined dictionary;
 * :mod:`repro.serving`     — compiled dictionary artifacts and the hot-swappable
   match service (the mine → compile → serve pipeline);
-* :mod:`repro.search`, :mod:`repro.clicklog`, :mod:`repro.storage`,
-  :mod:`repro.text`        — the substrates (search engine, click logs,
-  persistence, text processing);
-* :mod:`repro.simulation`  — synthetic stand-ins for the proprietary inputs
-  (Bing logs, catalogs, Wikipedia);
-* :mod:`repro.baselines`   — Wikipedia-redirect, random-walk and
-  string-similarity baselines;
+* :mod:`repro.clicklog`, :mod:`repro.storage`, :mod:`repro.text` — the
+  substrates (click logs, persistence, text processing);
+* :mod:`repro.simulation`, :mod:`repro.search` — synthetic stand-ins for
+  the proprietary inputs (Bing logs and search API, catalogs, Wikipedia);
+* :mod:`repro.baselines`   — the Wikipedia-redirect and random-walk
+  baselines of Table I;
 * :mod:`repro.eval`        — metrics and runners for Figure 2, Figure 3 and
   Table I.
+
+The last four packages exist to produce the paper's tables; nothing the
+miner, the compiler or the daemon imports depends on them (or on numpy).
 
 Quickstart::
 

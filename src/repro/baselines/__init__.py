@@ -1,32 +1,19 @@
-"""Baseline synonym finders the paper compares against (Section IV-B).
+"""The baseline synonym finders of Table I (Section IV-B).
 
 * :mod:`repro.baselines.wikipedia` — synonyms harvested from (simulated)
   Wikipedia redirect/disambiguation pages;
 * :mod:`repro.baselines.randomwalk` — the "Walk(0.8)" row of Table I: a
   lazy random walk on the query–URL click graph (Craswell & Szummer 2007,
-  as used by Fuxman et al. 2008 for keyword generation);
-* :mod:`repro.baselines.stringsim` — the substring/string-similarity
-  approach the introduction argues is insufficient;
-* :mod:`repro.baselines.coclick` — a co-click query-similarity method in
-  the spirit of the related work the paper discusses (query clustering /
-  query suggestion), included to demonstrate why "similar query" is not
-  the same problem as "entity synonym".
+  as used by Fuxman et al. 2008 for keyword generation).
 
 Every baseline returns the same :class:`~repro.core.types.MiningResult`
 shape as the core miner so the evaluation treats all methods uniformly.
 """
 
 from repro.baselines.wikipedia import WikipediaSynonymFinder
-from repro.baselines.randomwalk import RandomWalkConfig, RandomWalkSynonymFinder
-from repro.baselines.stringsim import StringSimilarityConfig, StringSimilaritySynonymFinder
-from repro.baselines.coclick import CoClickConfig, CoClickSynonymFinder
+from repro.baselines.randomwalk import RandomWalkSynonymFinder
 
 __all__ = [
     "WikipediaSynonymFinder",
-    "RandomWalkConfig",
     "RandomWalkSynonymFinder",
-    "StringSimilarityConfig",
-    "StringSimilaritySynonymFinder",
-    "CoClickConfig",
-    "CoClickSynonymFinder",
 ]

@@ -8,7 +8,7 @@ probability is 0.8.
 
 The walk operates entirely on the bipartite query–URL click graph: starting
 from the input value *as a query node*, probability mass alternates between
-query and URL nodes (with probability ``self_transition`` of staying put at
+query and URL nodes (with probability :data:`SELF_TRANSITION` of staying put at
 every step).  After a fixed number of steps, the probability mass that
 settled on *other* query nodes ranks candidate synonyms.
 
@@ -20,41 +20,25 @@ nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.clicklog.log import ClickLog
 from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
 from repro.text.normalize import normalize
 
-__all__ = ["RandomWalkConfig", "RandomWalkSynonymFinder"]
+__all__ = ["RandomWalkSynonymFinder", "SELF_TRANSITION"]
 
 
-@dataclass(frozen=True)
-class RandomWalkConfig:
-    """Parameters of the lazy random walk.
+SELF_TRANSITION = 0.8
+"""Probability of staying on the current node at each step (the paper's
+Walk(0.8) setting)."""
 
-    ``self_transition`` is the probability of staying on the current node
-    at each step (0.8 reproduces the paper's Walk(0.8) setting);
-    ``steps`` is the number of walk steps (Craswell & Szummer use short
-    walks); ``probability_threshold`` and ``max_synonyms`` control how much
-    of the settled probability mass is reported as synonyms.
-    """
+STEPS = 5
+"""Number of walk steps (Craswell & Szummer use short walks)."""
 
-    self_transition: float = 0.8
-    steps: int = 5
-    probability_threshold: float = 0.06
-    max_synonyms: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.self_transition < 1.0:
-            raise ValueError("self_transition must be in [0, 1)")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not 0.0 <= self.probability_threshold <= 1.0:
-            raise ValueError("probability_threshold must be in [0, 1]")
-        if self.max_synonyms < 1:
-            raise ValueError("max_synonyms must be >= 1")
+# How much of the settled probability mass is reported as synonyms.
+PROBABILITY_THRESHOLD = 0.06
+MAX_SYNONYMS = 8
 
 
 class RandomWalkSynonymFinder:
@@ -64,9 +48,8 @@ class RandomWalkSynonymFinder:
     URLs, edge weights its click counts.
     """
 
-    def __init__(self, click_log: ClickLog, config: RandomWalkConfig | None = None) -> None:
+    def __init__(self, click_log: ClickLog) -> None:
         self.click_log = click_log
-        self.config = config or RandomWalkConfig()
 
     def _from_query(self, query: str) -> dict[str, float]:
         """Click-weighted transition distribution query → URLs."""
@@ -92,22 +75,22 @@ class RandomWalkSynonymFinder:
     # ------------------------------------------------------------------ #
 
     def walk_distribution(self, start_query: str) -> dict[str, float]:
-        """Probability mass over *query nodes* after the configured walk.
+        """Probability mass over *query nodes* after a :data:`STEPS`-step walk.
 
         The walk alternates between the query side and the URL side of the
         bipartite graph; at every step the walker stays put with probability
-        ``self_transition`` and otherwise follows a click-weighted edge.
+        :data:`SELF_TRANSITION` and otherwise follows a click-weighted edge.
         Returns an empty dict when the start query is not in the graph.
         """
         start = normalize(start_query)
         if start not in self.click_log:
             return {}
-        stay = self.config.self_transition
+        stay = SELF_TRANSITION
         move = 1.0 - stay
 
         query_mass: dict[str, float] = {start: 1.0}
         url_mass: dict[str, float] = {}
-        for _step in range(self.config.steps):
+        for _step in range(STEPS):
             next_query: dict[str, float] = {}
             next_url: dict[str, float] = {}
             # Mass on query nodes: part stays, part flows to URLs.
@@ -141,9 +124,9 @@ class RandomWalkSynonymFinder:
         ranked = sorted(distribution.items(), key=lambda item: (-item[1], item[0]))
         selected: list[SynonymCandidate] = []
         for query, probability in ranked:
-            if probability < self.config.probability_threshold:
+            if probability < PROBABILITY_THRESHOLD:
                 continue
-            if len(selected) >= self.config.max_synonyms:
+            if len(selected) >= MAX_SYNONYMS:
                 break
             selected.append(
                 SynonymCandidate(

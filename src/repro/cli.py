@@ -63,7 +63,6 @@ from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
 from repro.server.metrics import AccessLog
 from repro.server.supervisor import ServerSupervisor
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
-from repro.simulation.scenario import ScenarioConfig, build_world
 from repro.storage.jsonl import read_jsonl_as, write_jsonl
 
 __all__ = ["main", "build_parser"]
@@ -298,21 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommands
 # --------------------------------------------------------------------------- #
 
-def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    # Imported lazily, like every paper-side package: the simulator (numpy,
+    # the BM25 engine) stays out of the other subcommands' processes.
+    from repro.simulation.scenario import ScenarioConfig, build_world
+
     overrides = {"seed": args.seed}
     if args.entities is not None:
         overrides["entity_count"] = args.entities
     if args.sessions is not None:
         overrides["session_count"] = args.sessions
-    if args.dataset == "movies":
-        return ScenarioConfig.movies(**overrides)
-    if args.dataset == "cameras":
-        return ScenarioConfig.cameras(**overrides)
-    return ScenarioConfig.toy(**overrides)
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    world = build_world(_scenario_from_args(args))
+    preset = {
+        "movies": ScenarioConfig.movies,
+        "cameras": ScenarioConfig.cameras,
+        "toy": ScenarioConfig.toy,
+    }[args.dataset]
+    world = build_world(preset(**overrides))
     output: Path = args.output
     output.mkdir(parents=True, exist_ok=True)
 
@@ -550,6 +550,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.eval.experiments import run_icr_sweep, run_ipc_sweep, run_table1
     from repro.eval.reporting import render_icr_sweep, render_ipc_sweep, render_table1
+    from repro.simulation.scenario import ScenarioConfig, build_world
 
     if args.quick:
         movies_config = ScenarioConfig.movies(entity_count=60, session_count=20_000)

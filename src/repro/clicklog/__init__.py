@@ -10,7 +10,7 @@ package holds:
   query–URL click graph the random-walk baseline walks.
 """
 
-from repro.clicklog.records import ClickRecord, SearchRecord, ImpressionRecord
+from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.clicklog.log import CacheStats, CandidateProfile, ClickLog, SearchLog
 from repro.clicklog.stats import (
     QueryLogStats,
@@ -23,7 +23,6 @@ from repro.clicklog.stats import (
 __all__ = [
     "ClickRecord",
     "SearchRecord",
-    "ImpressionRecord",
     "CacheStats",
     "CandidateProfile",
     "ClickLog",

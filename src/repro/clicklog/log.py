@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from repro.clicklog.records import ClickRecord, ImpressionRecord, SearchRecord
+from repro.clicklog.records import ClickRecord, SearchRecord
 
 __all__ = ["ClickLog", "SearchLog", "CandidateProfile", "CacheStats"]
 
@@ -160,19 +160,6 @@ class ClickLog:
     def from_tuples(cls, tuples: Iterable[tuple[str, str, int]]) -> "ClickLog":
         """Build from raw (query, url, clicks) tuples."""
         return cls(ClickRecord(query, url, clicks) for query, url, clicks in tuples)
-
-    @classmethod
-    def from_impressions(cls, impressions: Iterable[ImpressionRecord]) -> "ClickLog":
-        """Aggregate raw per-session impressions into click counts.
-
-        Only clicked impressions contribute; the paper's Click Data has no
-        record for shown-but-not-clicked results.
-        """
-        log = cls()
-        for impression in impressions:
-            if impression.clicked:
-                log.add(ClickRecord(impression.query, impression.url, 1))
-        return log
 
     # ------------------------------------------------------------------ #
     # Lookups used by the miner

@@ -4,18 +4,13 @@ The dataclasses mirror the tuple definitions of the paper's Section II:
 
 * ``SearchRecord``  ⟨q, p, r⟩ — Search Data ``A``
 * ``ClickRecord``   ⟨q, p, n⟩ — Click Data ``L``
-
-``ImpressionRecord`` is the raw, per-session event the user simulator emits
-before aggregation; the paper starts from already-aggregated data, but the
-simulator produces impressions first so that click counts arise from an
-actual behavioural model rather than being drawn directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SearchRecord", "ClickRecord", "ImpressionRecord"]
+__all__ = ["SearchRecord", "ClickRecord"]
 
 
 @dataclass(frozen=True)
@@ -50,32 +45,3 @@ class ClickRecord:
             raise ValueError("query must be non-empty")
         if not self.url:
             raise ValueError("url must be non-empty")
-
-
-@dataclass(frozen=True)
-class ImpressionRecord:
-    """One raw search-session event from the user simulator.
-
-    Attributes
-    ----------
-    session_id:
-        Monotonic id of the simulated session.
-    query:
-        The query string the simulated user issued (already normalized).
-    url:
-        The result URL involved.
-    position:
-        1-based rank of the URL in the result list shown to the user.
-    clicked:
-        Whether the user clicked the result.
-    """
-
-    session_id: int
-    query: str
-    url: str
-    position: int
-    clicked: bool
-
-    def __post_init__(self) -> None:
-        if self.position < 1:
-            raise ValueError(f"position must be >= 1, got {self.position}")

@@ -34,7 +34,6 @@ from repro.core.config import MinerConfig
 from repro.core.selection import CandidateSelector, score_profile
 from repro.core.surrogates import SurrogateFinder
 from repro.core.types import EntitySynonyms, MiningResult
-from repro.search.engine import SearchEngine
 from repro.text.normalize import normalize
 
 __all__ = ["mine_entity", "BatchRunStats", "SynonymMiner"]
@@ -89,9 +88,9 @@ class SynonymMiner:
 
     Parameters
     ----------
-    search_log / engine:
-        At least one source of Search Data ``A`` (see
-        :class:`~repro.core.surrogates.SurrogateFinder`).
+    search_log:
+        Search Data ``A`` (see :class:`~repro.core.surrogates.SurrogateFinder`);
+        required.
     click_log:
         Click Data ``L``.  It is read in place, so do not ``add()`` to it
         while a :meth:`mine_iter` is being consumed; the profile cache lives
@@ -105,13 +104,15 @@ class SynonymMiner:
         *,
         click_log: ClickLog,
         search_log: SearchLog | None = None,
-        engine: SearchEngine | None = None,
         config: MinerConfig | None = None,
     ) -> None:
+        if search_log is None:
+            # Without Search Data every entity would silently mine to nothing.
+            raise ValueError("no Search Data: provide a search_log")
         self.config = config or MinerConfig()
         self.click_log = click_log
         self.surrogate_finder = SurrogateFinder(
-            search_log=search_log, engine=engine, k=self.config.surrogate_k
+            search_log=search_log, k=self.config.surrogate_k
         )
         self.selector = CandidateSelector(
             ipc_threshold=self.config.ipc_threshold,

@@ -3,7 +3,8 @@
 * :mod:`repro.eval.labeling` — the ground-truth oracle (the role human
   judges play in the paper);
 * :mod:`repro.eval.metrics` — Precision, Weighted Precision, Coverage
-  Increase (Section IV-A) and Hit Ratio / Expansion Ratio (Section IV-B);
+  Increase (Section IV-A) and the per-method Table I summary (Hit Ratio /
+  Expansion Ratio, Section IV-B);
 * :mod:`repro.eval.experiments` — runners that regenerate Figure 2,
   Figure 3 and Table I, plus the ablations listed in DESIGN.md;
 * :mod:`repro.eval.reporting` — plain-text rendering of the results in the
@@ -15,8 +16,6 @@ from repro.eval.metrics import (
     precision,
     weighted_precision,
     coverage_increase,
-    hit_ratio,
-    expansion_ratio,
     MethodSummary,
     summarize_method,
 )
@@ -24,7 +23,6 @@ from repro.eval.experiments import (
     SweepPoint,
     IPCSweepResult,
     ICRSweepResult,
-    Table1Row,
     Table1Result,
     run_ipc_sweep,
     run_icr_sweep,
@@ -35,7 +33,6 @@ from repro.eval.experiments import (
     run_log_volume_sweep,
     LogVolumePoint,
 )
-from repro.eval.figures import AsciiPlotConfig, plot_icr_sweep, plot_ipc_sweep, scatter_plot
 from repro.eval.reporting import (
     render_ipc_sweep,
     render_icr_sweep,
@@ -48,14 +45,11 @@ __all__ = [
     "precision",
     "weighted_precision",
     "coverage_increase",
-    "hit_ratio",
-    "expansion_ratio",
     "MethodSummary",
     "summarize_method",
     "SweepPoint",
     "IPCSweepResult",
     "ICRSweepResult",
-    "Table1Row",
     "Table1Result",
     "run_ipc_sweep",
     "run_icr_sweep",
@@ -69,8 +63,4 @@ __all__ = [
     "render_icr_sweep",
     "render_table1",
     "render_method_summary",
-    "AsciiPlotConfig",
-    "plot_ipc_sweep",
-    "plot_icr_sweep",
-    "scatter_plot",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.baselines.randomwalk import RandomWalkConfig, RandomWalkSynonymFinder
+from repro.baselines.randomwalk import SELF_TRANSITION, RandomWalkSynonymFinder
 from repro.baselines.wikipedia import WikipediaSynonymFinder
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
@@ -38,7 +38,6 @@ __all__ = [
     "SweepPoint",
     "IPCSweepResult",
     "ICRSweepResult",
-    "Table1Row",
     "Table1Result",
     "AblationPoint",
     "run_ipc_sweep",
@@ -64,13 +63,9 @@ def _oracle(world: SimulatedWorld) -> GroundTruthOracle:
     return GroundTruthOracle(world.catalog, world.alias_table)
 
 
-def _base_miner(world: SimulatedWorld, *, surrogate_k: int | None = None) -> SynonymMiner:
+def _base_miner(world: SimulatedWorld) -> SynonymMiner:
     """Miner with both thresholds fully open (score once, re-filter later)."""
-    config = MinerConfig(
-        surrogate_k=surrogate_k or world.config.surrogate_k,
-        ipc_threshold=0,
-        icr_threshold=0.0,
-    )
+    config = MinerConfig(ipc_threshold=0, icr_threshold=0.0)
     return SynonymMiner(
         click_log=world.click_log, search_log=world.search_log, config=config
     )
@@ -192,42 +187,24 @@ def run_icr_sweep(
 # Table I — comparison against Wikipedia and the random walk
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Table1Row:
-    """One row of Table I (plus precision columns the paper reports in text)."""
-
-    dataset: str
-    method: str
-    originals: int
-    hits: int
-    hit_ratio: float
-    synonyms: int
-    expansion_ratio: float
-    precision: float
-
-
 @dataclass
 class Table1Result:
-    """All rows of Table I for the datasets it was run on."""
+    """All rows of Table I for the datasets it was run on (plus the
+    precision columns the paper reports in text)."""
 
-    rows: list[Table1Row] = field(default_factory=list)
+    rows: list[MethodSummary] = field(default_factory=list)
 
-    def for_dataset(self, dataset: str) -> list[Table1Row]:
+    def for_dataset(self, dataset: str) -> list[MethodSummary]:
         return [row for row in self.rows if row.dataset == dataset]
 
-    def row(self, dataset: str, method: str) -> Table1Row | None:
+    def row(self, dataset: str, method: str) -> MethodSummary | None:
         for candidate in self.rows:
             if candidate.dataset == dataset and candidate.method == method:
                 return candidate
         return None
 
 
-def run_table1(
-    worlds: Sequence[SimulatedWorld],
-    *,
-    miner_config: MinerConfig | None = None,
-    walk_config: RandomWalkConfig | None = None,
-) -> Table1Result:
+def run_table1(worlds: Sequence[SimulatedWorld]) -> Table1Result:
     """Reproduce Table I on each world in *worlds* (movies, cameras).
 
     Methods compared:
@@ -237,9 +214,6 @@ def run_table1(
     * ``Wiki``      — Wikipedia redirect harvesting;
     * ``Walk(0.8)`` — the lazy random walk on the click graph.
     """
-    miner_config = miner_config or MinerConfig.paper_default()
-    walk_config = walk_config or RandomWalkConfig()
-
     table = Table1Result()
     for world in worlds:
         dataset = world.config.dataset
@@ -247,33 +221,23 @@ def run_table1(
         queries = world.canonical_queries()
 
         miner = SynonymMiner(
-            click_log=world.click_log, search_log=world.search_log, config=miner_config
+            click_log=world.click_log,
+            search_log=world.search_log,
+            config=MinerConfig.paper_default(),
         )
         us = miner.mine(queries)
         wiki = WikipediaSynonymFinder(world.wikipedia, world.catalog).find(queries)
-        walk = RandomWalkSynonymFinder(world.click_log, walk_config).find(queries)
+        walk = RandomWalkSynonymFinder(world.click_log).find(queries)
 
         for method, result in (
             ("Us", us),
             ("Wiki", wiki),
-            (f"Walk({walk_config.self_transition:g})", walk),
+            (f"Walk({SELF_TRANSITION:g})", walk),
         ):
-            summary = summarize_method(method, dataset, result, oracle, world.click_log)
-            table.rows.append(_table1_row(summary))
+            table.rows.append(
+                summarize_method(method, dataset, result, oracle, world.click_log)
+            )
     return table
-
-
-def _table1_row(summary: MethodSummary) -> Table1Row:
-    return Table1Row(
-        dataset=summary.dataset,
-        method=summary.method,
-        originals=summary.originals,
-        hits=summary.hits,
-        hit_ratio=summary.hit_ratio,
-        synonyms=summary.synonyms,
-        expansion_ratio=summary.expansion_ratio,
-        precision=summary.precision,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -365,11 +329,7 @@ def run_log_volume_sweep(
     simulator = MonthlyLogSimulator(world, months=month_names)
     slices = simulator.simulate_all()
     oracle = _oracle(world)
-    config = MinerConfig(
-        surrogate_k=world.config.surrogate_k,
-        ipc_threshold=ipc_threshold,
-        icr_threshold=icr_threshold,
-    )
+    config = MinerConfig(ipc_threshold=ipc_threshold, icr_threshold=icr_threshold)
 
     points: list[LogVolumePoint] = []
     for label, click_log in cumulative_click_logs(slices):
@@ -412,8 +372,6 @@ def run_noise_ablation(
     points: list[AblationPoint] = []
     for multiplier in noise_multipliers:
         user_model = UserModelConfig(
-            session_count=session_count,
-            seed=seed + 31,
             click_prob_unrelated_entity=min(base.click_prob_unrelated_entity * multiplier, 1.0),
             click_prob_generic_page=min(base.click_prob_generic_page * multiplier, 1.0),
             noise_weight=base.noise_weight * multiplier,

@@ -43,23 +43,3 @@ class GroundTruthOracle:
     def is_true_synonym(self, candidate: str, canonical: str) -> bool:
         """True iff *candidate* is a recorded true synonym of *canonical*'s entity."""
         return self.relation(candidate, canonical) is AliasKind.SYNONYM
-
-    def true_synonyms_of(self, canonical: str) -> set[str]:
-        """All recorded true synonyms of the entity behind *canonical*."""
-        entity_id = self.entity_for(canonical)
-        if entity_id is None:
-            return set()
-        return self.alias_table.synonyms_of(entity_id)
-
-    def relation_histogram(self, candidates: list[str], canonical: str) -> dict[str, int]:
-        """Histogram of ground-truth relations for a candidate list.
-
-        Unrecorded candidates are counted under ``"unrelated"``; used by
-        diagnostics and by the error-analysis example.
-        """
-        histogram: dict[str, int] = {}
-        for candidate in candidates:
-            relation = self.relation(candidate, canonical)
-            key = relation.value if relation is not None else "unrelated"
-            histogram[key] = histogram.get(key, 0) + 1
-        return histogram

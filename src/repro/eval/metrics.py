@@ -10,7 +10,8 @@ Parameter-sensitivity metrics (Section IV-A):
   much more of the query-log volume can be matched to an entity once the
   mined synonyms are added to the canonical strings.
 
-Comparison metrics (Section IV-B):
+Comparison metrics (Section IV-B), the properties of
+:class:`MethodSummary` (and of :class:`~repro.core.types.MiningResult`):
 
 * **Hit Ratio** — "percentage of entries producing at least 1 synonym".
 * **Expansion Ratio** — "sum of synonyms and orig entries over orig
@@ -29,8 +30,6 @@ __all__ = [
     "precision",
     "weighted_precision",
     "coverage_increase",
-    "hit_ratio",
-    "expansion_ratio",
     "MethodSummary",
     "summarize_method",
 ]
@@ -97,16 +96,6 @@ def coverage_increase(result: MiningResult, click_log: ClickLog) -> float:
         # relative to a single unit of volume to keep the metric finite.
         return float(gained)
     return gained / before
-
-
-def hit_ratio(result: MiningResult) -> float:
-    """Fraction of input entries that produced at least one synonym."""
-    return result.hit_ratio()
-
-
-def expansion_ratio(result: MiningResult) -> float:
-    """(produced synonyms + original entries) / original entries."""
-    return result.expansion_ratio()
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.types import MiningResult
-from repro.simulation.catalog import EntityCatalog
 from repro.text.normalize import normalize
 from repro.text.tokenize import tokenize
+
+if TYPE_CHECKING:  # the simulator stays out of the serving process
+    from repro.simulation.catalog import EntityCatalog
 
 __all__ = ["DictionaryEntry", "SynonymDictionary"]
 

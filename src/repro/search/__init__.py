@@ -9,7 +9,7 @@ per query form the (query, url, rank) tuples of ``A``.
 
 from repro.search.documents import WebPage, Corpus
 from repro.search.index import InvertedIndex, Posting
-from repro.search.bm25 import BM25Parameters, BM25Scorer
+from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine, SearchResult
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Corpus",
     "InvertedIndex",
     "Posting",
-    "BM25Parameters",
     "BM25Scorer",
     "SearchEngine",
     "SearchResult",

@@ -10,45 +10,27 @@ name, which BM25 delivers comfortably on the entity-centric corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.search.index import InvertedIndex
 from repro.text.stopwords import STOPWORDS
 
-__all__ = ["BM25Parameters", "BM25Scorer"]
+__all__ = ["BM25Scorer", "K1", "B", "STOPWORD_WEIGHT"]
 
+K1 = 1.2
+"""Term-frequency saturation."""
 
-@dataclass(frozen=True)
-class BM25Parameters:
-    """Free parameters of BM25.
+B = 0.75
+"""Strength of document-length normalisation."""
 
-    ``k1`` controls term-frequency saturation, ``b`` the strength of
-    document-length normalisation, and ``stopword_weight`` scales the
-    contribution of stopword terms (1.0 = treat them like any other term,
-    0.0 = ignore them entirely).
-    """
-
-    k1: float = 1.2
-    b: float = 0.75
-    stopword_weight: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be non-negative, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if not 0.0 <= self.stopword_weight <= 1.0:
-            raise ValueError(
-                f"stopword_weight must be in [0, 1], got {self.stopword_weight}"
-            )
+STOPWORD_WEIGHT = 0.25
+"""Scale of a stopword term's contribution relative to any other term."""
 
 
 class BM25Scorer:
     """Scores documents of an :class:`InvertedIndex` against token queries."""
 
-    def __init__(self, index: InvertedIndex, parameters: BM25Parameters | None = None) -> None:
+    def __init__(self, index: InvertedIndex) -> None:
         self.index = index
-        self.parameters = parameters or BM25Parameters()
 
     def idf(self, term: str) -> float:
         """Robertson–Sparck-Jones idf with the +1 floor (never negative)."""
@@ -58,23 +40,18 @@ class BM25Scorer:
 
     def score_all(self, query_tokens: list[str]) -> dict[int, float]:
         """Return {doc_id: score} for every document matching ≥ 1 query term."""
-        params = self.parameters
         avg_length = self.index.average_document_length or 1.0
         scores: dict[int, float] = {}
         for term in query_tokens:
             postings = self.index.postings(term)
             if not postings:
                 continue
-            weight = params.stopword_weight if term in STOPWORDS else 1.0
-            if weight == 0.0:
-                continue
+            weight = STOPWORD_WEIGHT if term in STOPWORDS else 1.0
             term_idf = self.idf(term)
             for posting in postings:
                 doc_length = self.index.document_length(posting.doc_id)
                 tf = posting.term_frequency
-                denominator = tf + params.k1 * (
-                    1.0 - params.b + params.b * doc_length / avg_length
-                )
-                contribution = term_idf * tf * (params.k1 + 1.0) / denominator
+                denominator = tf + K1 * (1.0 - B + B * doc_length / avg_length)
+                contribution = term_idf * tf * (K1 + 1.0) / denominator
                 scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + weight * contribution
         return scores

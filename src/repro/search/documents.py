@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.text.normalize import normalize
 from repro.text.tokenize import tokenize
 
-__all__ = ["WebPage", "Corpus"]
+__all__ = ["WebPage", "Corpus", "TITLE_BOOST"]
+
+TITLE_BOOST = 3
+"""How many times a page's title tokens count in the index."""
 
 
 @dataclass(frozen=True)
@@ -46,21 +48,16 @@ class WebPage:
     site: str = ""
     entity_id: str | None = None
 
-    def indexable_tokens(self, *, title_boost: int = 3) -> list[str]:
-        """Tokens fed to the index; the title is repeated *title_boost* times.
+    def indexable_tokens(self) -> list[str]:
+        """Tokens fed to the index; the title is repeated :data:`TITLE_BOOST` times.
 
         Repeating title tokens is the simplest way to express field boosts
         in a single-field BM25 index and mirrors what simple web search
         stacks do.
         """
-        tokens = tokenize(self.title) * title_boost
+        tokens = tokenize(self.title) * TITLE_BOOST
         tokens.extend(tokenize(self.body))
         return tokens
-
-    @property
-    def normalized_title(self) -> str:
-        """Title in canonical normalized form."""
-        return normalize(self.title)
 
 
 class Corpus:
@@ -101,7 +98,3 @@ class Corpus:
     def urls(self) -> list[str]:
         """All URLs in insertion order."""
         return list(self._pages)
-
-    def pages_about(self, entity_id: str) -> list[WebPage]:
-        """Ground-truth helper: pages whose ``entity_id`` equals *entity_id*."""
-        return [page for page in self._pages.values() if page.entity_id == entity_id]

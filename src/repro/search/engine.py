@@ -1,23 +1,18 @@
 """The query-serving facade of the search substrate.
 
 :class:`SearchEngine` ties the corpus, the inverted index and the BM25
-scorer together and exposes the two operations the rest of the system
-needs:
-
-* ``search(query, k)`` — ranked top-k results for one query (what the
-  simulated users call), and
-* ``build_search_data(queries, k)`` — Search Data ``A`` as the paper
-  defines it: the (query, url, rank) tuples for the canonical entity
-  strings (what the miner consumes).
+scorer together behind one operation, ``search(query, k)``: ranked top-k
+results for one query.  The simulated users call it, and
+:func:`repro.simulation.logs.generate_logs` keeps the top-k results of each
+canonical entity string as Search Data ``A``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from repro.search.bm25 import BM25Parameters, BM25Scorer
-from repro.search.documents import Corpus, WebPage
+from repro.search.bm25 import BM25Scorer
+from repro.search.documents import Corpus
 from repro.search.index import InvertedIndex
 from repro.text.tokenize import tokenize
 
@@ -41,20 +36,10 @@ class SearchEngine:
     reproducible for a fixed corpus and seed.
     """
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        *,
-        parameters: BM25Parameters | None = None,
-        title_boost: int = 3,
-    ) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self.corpus = corpus
-        self.index = InvertedIndex.from_corpus(corpus, title_boost=title_boost)
-        self.scorer = BM25Scorer(self.index, parameters)
-
-    # ------------------------------------------------------------------ #
-    # Query execution
-    # ------------------------------------------------------------------ #
+        self.index = InvertedIndex.from_corpus(corpus)
+        self.scorer = BM25Scorer(self.index)
 
     def search(self, query: str, *, k: int = 10) -> list[SearchResult]:
         """Return the top-*k* results for *query* (possibly fewer).
@@ -78,59 +63,7 @@ class SearchEngine:
             for rank, (doc_id, score) in enumerate(ranked, start=1)
         ]
 
-    def top_urls(self, query: str, *, k: int = 10) -> list[str]:
-        """Convenience: URLs of the top-*k* results in rank order."""
-        return [result.url for result in self.search(query, k=k)]
-
-    def page(self, url: str) -> WebPage | None:
-        """Return the corpus page behind a result URL."""
-        return self.corpus.get(url)
-
-    # ------------------------------------------------------------------ #
-    # Search Data A
-    # ------------------------------------------------------------------ #
-
-    def build_search_data(
-        self, queries: Iterable[str], *, k: int = 10
-    ) -> list[tuple[str, str, int]]:
-        """Materialise Search Data ``A`` for *queries*.
-
-        Each element is a (query, url, rank) tuple with rank ≤ k, exactly
-        the tuples ⟨q, p, r⟩ of the paper's Section II.
-        """
-        search_data: list[tuple[str, str, int]] = []
-        for query in queries:
-            for result in self.search(query, k=k):
-                search_data.append((query, result.url, result.rank))
-        return search_data
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
     @property
     def document_count(self) -> int:
         """Number of indexed pages."""
         return self.index.document_count
-
-    def explain(self, query: str, url: str) -> dict[str, float]:
-        """Per-term BM25 contributions of *url* for *query* (diagnostics)."""
-        tokens = tokenize(query)
-        try:
-            doc_id = self.index.doc_id_of(url)
-        except KeyError:
-            return {}
-        contributions: dict[str, float] = {}
-        for term in tokens:
-            single = self.scorer.score_all([term])
-            if doc_id in single:
-                contributions[term] = single[doc_id]
-        return contributions
-
-
-def ensure_queries_are_strings(queries: Sequence[object]) -> list[str]:
-    """Defensive helper used by examples: reject non-string query batches."""
-    bad = [item for item in queries if not isinstance(item, str)]
-    if bad:
-        raise TypeError(f"queries must be strings; got {type(bad[0]).__name__}")
-    return list(queries)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.search.documents import Corpus, WebPage
 
@@ -33,10 +33,7 @@ class InvertedIndex:
     page URLs.
     """
 
-    def __init__(self, *, title_boost: int = 3) -> None:
-        if title_boost < 1:
-            raise ValueError(f"title_boost must be >= 1, got {title_boost}")
-        self.title_boost = title_boost
+    def __init__(self) -> None:
         self._postings: dict[str, list[Posting]] = {}
         self._doc_lengths: list[int] = []
         self._urls: list[str] = []
@@ -47,9 +44,9 @@ class InvertedIndex:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_corpus(cls, corpus: Corpus, *, title_boost: int = 3) -> "InvertedIndex":
+    def from_corpus(cls, corpus: Corpus) -> "InvertedIndex":
         """Build an index over every page of *corpus*."""
-        index = cls(title_boost=title_boost)
+        index = cls()
         for page in corpus:
             index.add_page(page)
         return index
@@ -66,7 +63,7 @@ class InvertedIndex:
         self._urls.append(page.url)
         self._url_to_doc_id[page.url] = doc_id
 
-        tokens = page.indexable_tokens(title_boost=self.title_boost)
+        tokens = page.indexable_tokens()
         self._doc_lengths.append(len(tokens))
         for term, frequency in Counter(tokens).items():
             self._postings.setdefault(term, []).append(Posting(doc_id, frequency))
@@ -110,20 +107,8 @@ class InvertedIndex:
         return len(self._urls)
 
     @property
-    def vocabulary_size(self) -> int:
-        """Number of distinct terms."""
-        return len(self._postings)
-
-    @property
     def average_document_length(self) -> float:
         """Mean indexed-token count per document (0.0 for an empty index)."""
         if not self._doc_lengths:
             return 0.0
         return sum(self._doc_lengths) / len(self._doc_lengths)
-
-    def candidate_documents(self, terms: Iterable[str]) -> set[int]:
-        """Union of the postings of *terms* — the OR candidate set for ranking."""
-        candidates: set[int] = set()
-        for term in terms:
-            candidates.update(posting.doc_id for posting in self._postings.get(term, ()))
-        return candidates

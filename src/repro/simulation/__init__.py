@@ -13,10 +13,9 @@ equivalents (see DESIGN.md §2 for the substitution table):
   the role of entity surrogates;
 * :mod:`repro.simulation.wikipedia` — a simulated redirect/disambiguation
   table with popularity-biased coverage (for the Table I baseline);
-* :mod:`repro.simulation.users` — the searcher population and click model
-  that produce raw impressions;
-* :mod:`repro.simulation.logs` — aggregation of impressions into Search
-  Data ``A`` and Click Data ``L``;
+* :mod:`repro.simulation.users` — the searcher population and click model;
+* :mod:`repro.simulation.logs` — generation of Search Data ``A`` and Click
+  Data ``L``;
 * :mod:`repro.simulation.scenario` — one-call construction of a complete
   simulated world for a dataset.
 """
@@ -26,14 +25,9 @@ from repro.simulation.aliases import AliasKind, AliasRecord, AliasTable, build_a
 from repro.simulation.webgen import WebCorpusGenerator, WebGenConfig
 from repro.simulation.wikipedia import SimulatedWikipedia, WikipediaConfig
 from repro.simulation.users import UserModelConfig, QueryPopulation, ClickSimulator
-from repro.simulation.logs import LogGenerationConfig, generate_logs, GeneratedLogs
-from repro.simulation.scenario import ScenarioConfig, SimulatedWorld, build_world
-from repro.simulation.temporal import (
-    MonthlyLogSimulator,
-    MonthlySlice,
-    cumulative_click_logs,
-    merge_click_logs,
-)
+from repro.simulation.logs import generate_logs, GeneratedLogs
+from repro.simulation.scenario import ScenarioConfig, SimulatedWorld, build_world, user_model_for
+from repro.simulation.temporal import MonthlyLogSimulator, MonthlySlice, cumulative_click_logs
 
 __all__ = [
     "Entity",
@@ -51,14 +45,13 @@ __all__ = [
     "UserModelConfig",
     "QueryPopulation",
     "ClickSimulator",
-    "LogGenerationConfig",
     "generate_logs",
     "GeneratedLogs",
     "ScenarioConfig",
     "SimulatedWorld",
     "build_world",
+    "user_model_for",
     "MonthlyLogSimulator",
     "MonthlySlice",
     "cumulative_click_logs",
-    "merge_click_logs",
 ]

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.clicklog.log import ClickLog
-from repro.simulation.scenario import SimulatedWorld
+from repro.simulation.scenario import SimulatedWorld, user_model_for
 from repro.simulation.users import ClickSimulator, QueryPopulation, UserModelConfig
 
-__all__ = ["MonthlySlice", "MonthlyLogSimulator", "cumulative_click_logs", "merge_click_logs"]
+__all__ = ["MonthlySlice", "MonthlyLogSimulator", "cumulative_click_logs"]
 
 PAPER_MONTHS: tuple[str, ...] = ("2008-07", "2008-08", "2008-09", "2008-10", "2008-11")
 """The five months of logs the paper uses (July to November 2008)."""
@@ -45,15 +45,6 @@ class MonthlySlice:
         return self.click_log.total_click_volume()
 
 
-def merge_click_logs(logs: list[ClickLog]) -> ClickLog:
-    """Aggregate several click logs into one (click counts add up)."""
-    merged = ClickLog()
-    for log in logs:
-        for record in log.iter_records():
-            merged.add(record)
-    return merged
-
-
 class MonthlyLogSimulator:
     """Produces per-month click-log slices for an existing simulated world.
 
@@ -64,34 +55,19 @@ class MonthlyLogSimulator:
     """
 
     def __init__(
-        self,
-        world: SimulatedWorld,
-        *,
-        months: tuple[str, ...] = PAPER_MONTHS,
-        sessions_per_month: int | None = None,
-        seasonality: tuple[float, ...] | None = None,
+        self, world: SimulatedWorld, *, months: tuple[str, ...] = PAPER_MONTHS
     ) -> None:
         if not months:
             raise ValueError("months must be non-empty")
         self.world = world
         self.months = months
-        base_sessions = world.config.session_count
-        self.sessions_per_month = sessions_per_month or max(base_sessions // len(months), 1)
-        if seasonality is None:
-            # A gentle ramp: later months carry a bit more traffic, the way
-            # holiday-season query volume grows.
-            seasonality = tuple(0.85 + 0.1 * index for index in range(len(months)))
-        if len(seasonality) != len(months):
-            raise ValueError("seasonality must have one multiplier per month")
-        if any(multiplier <= 0 for multiplier in seasonality):
-            raise ValueError("seasonality multipliers must be positive")
-        self.seasonality = seasonality
+        self.sessions_per_month = max(world.config.session_count // len(months), 1)
+        # A gentle ramp: later months carry a bit more traffic, the way
+        # holiday-season query volume grows.
+        self.seasonality = tuple(0.85 + 0.1 * index for index in range(len(months)))
 
     def _month_user_model(self, index: int) -> UserModelConfig:
-        base = self.world.config.user_model or UserModelConfig(
-            session_count=self.world.config.session_count,
-            seed=self.world.config.seed + 31,
-        )
+        base = user_model_for(self.world.config)
         sessions = max(int(self.sessions_per_month * self.seasonality[index]), 1)
         return replace(base, session_count=sessions, seed=base.seed + 101 * (index + 1))
 
@@ -127,6 +103,5 @@ def cumulative_click_logs(slices: list[MonthlySlice]) -> list[tuple[str, ClickLo
     for monthly_slice in slices:
         for record in monthly_slice.click_log.iter_records():
             merged.add(record)
-        snapshot = merge_click_logs([merged])
-        prefixes.append((f"through {monthly_slice.month}", snapshot))
+        prefixes.append((f"through {monthly_slice.month}", ClickLog(merged.iter_records())))
     return prefixes

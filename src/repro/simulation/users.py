@@ -31,7 +31,7 @@ import zlib
 import numpy as np
 
 from repro.clicklog.log import ClickLog
-from repro.clicklog.records import ClickRecord, ImpressionRecord
+from repro.clicklog.records import ClickRecord
 from repro.search.documents import WebPage
 from repro.search.engine import SearchEngine, SearchResult
 from repro.simulation.aliases import AliasKind, AliasTable
@@ -48,6 +48,27 @@ _NOISE_QUERIES = [
     "currency converter", "traffic update", "email login", "translate english",
 ]
 
+RESULTS_PER_QUERY = 10
+"""How many results a simulated user is shown per query."""
+
+POSITION_BIAS: tuple[float, ...] = tuple(0.72 ** position for position in range(RESULTS_PER_QUERY))
+"""Probability of examining the result at each position (1-based order)."""
+
+# Click probability given examination, by relation of the page to the
+# user's intent (the two relations no caller varies).
+CLICK_PROB_INTENDED = 0.78
+CLICK_PROB_SAME_GROUP = 0.22
+
+# Relative weight of the query kinds no caller varies.
+_KIND_WEIGHT = {
+    AliasKind.SYNONYM: 6.0,
+    AliasKind.HYPERNYM: 2.5,
+    AliasKind.HYPONYM: 1.0,
+    AliasKind.RELATED: 0.8,
+    AliasKind.AMBIGUOUS: 1.0,
+}
+_ASPECT_WEIGHT = 1.8
+
 
 @dataclass(frozen=True)
 class UserModelConfig:
@@ -55,48 +76,26 @@ class UserModelConfig:
 
     The defaults were chosen so that the qualitative shapes of the paper's
     figures emerge (see EXPERIMENTS.md); they are not fitted to any
-    proprietary data.
+    proprietary data.  The fields are the values some caller varies:
+    ``session_count`` and ``seed`` (every world and month), the cameras
+    preset's ``canonical_weight`` and the noise ablation's three noise
+    levels.
     """
 
     session_count: int = 60_000
-    results_per_query: int = 10
-    # Probability of examining a result at positions 1..results_per_query.
-    position_bias_decay: float = 0.72
-    # Click probability given examination, by relation of the page to the
-    # user's intent.
-    click_prob_intended: float = 0.78
-    click_prob_same_group: float = 0.22
     click_prob_unrelated_entity: float = 0.03
     click_prob_generic_page: float = 0.08
-    # Relative weight of query kinds in the population.
     canonical_weight: float = 30.0
-    synonym_weight: float = 6.0
-    hypernym_weight: float = 2.5
-    hyponym_weight: float = 1.0
-    related_weight: float = 0.8
-    ambiguous_weight: float = 1.0
-    aspect_weight: float = 1.8
     noise_weight: float = 12.0
     seed: int = 97
 
     def __post_init__(self) -> None:
         if self.session_count <= 0:
             raise ValueError("session_count must be positive")
-        if self.results_per_query <= 0:
-            raise ValueError("results_per_query must be positive")
-        if not 0.0 < self.position_bias_decay <= 1.0:
-            raise ValueError("position_bias_decay must be in (0, 1]")
-        for name in (
-            "click_prob_intended", "click_prob_same_group",
-            "click_prob_unrelated_entity", "click_prob_generic_page",
-        ):
+        for name in ("click_prob_unrelated_entity", "click_prob_generic_page"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-    def position_bias(self) -> list[float]:
-        """Examination probability for each result position (1-based order)."""
-        return [self.position_bias_decay ** position for position in range(self.results_per_query)]
 
 
 @dataclass(frozen=True)
@@ -150,10 +149,6 @@ class QueryPopulation:
     def total_weight(self) -> float:
         return sum(spec.weight for spec in self._specs)
 
-    def queries_of_kind(self, kind: str) -> list[str]:
-        """All distinct query strings of one kind."""
-        return [spec.query for spec in self._specs if spec.kind == kind]
-
     # ------------------------------------------------------------------ #
     # Construction from the ground truth
     # ------------------------------------------------------------------ #
@@ -167,13 +162,6 @@ class QueryPopulation:
     ) -> "QueryPopulation":
         """Build the population the paper's users would generate."""
         config = config or UserModelConfig()
-        kind_weight = {
-            AliasKind.SYNONYM: config.synonym_weight,
-            AliasKind.HYPERNYM: config.hypernym_weight,
-            AliasKind.HYPONYM: config.hyponym_weight,
-            AliasKind.RELATED: config.related_weight,
-            AliasKind.AMBIGUOUS: config.ambiguous_weight,
-        }
         aspects = _MOVIE_ASPECTS if catalog.domain == "movie" else _CAMERA_ASPECTS
         specs: list[QuerySpec] = []
 
@@ -189,7 +177,7 @@ class QueryPopulation:
             )
             records = alias_table.records_for(entity.entity_id)
             for record in records:
-                weight = kind_weight[record.kind] * record.weight * popularity
+                weight = _KIND_WEIGHT[record.kind] * record.weight * popularity
                 specs.append(
                     QuerySpec(
                         query=record.alias,
@@ -210,7 +198,7 @@ class QueryPopulation:
                         QuerySpec(
                             query=normalize(f"{best_alias} {aspect}"),
                             kind="aspect",
-                            weight=config.aspect_weight
+                            weight=_ASPECT_WEIGHT
                             * popularity
                             / (aspect_index + 1.0),
                             intents=((entity.entity_id, 1.0),),
@@ -275,9 +263,9 @@ class ClickSimulator:
         if page.entity_id is None:
             return config.click_prob_generic_page
         if page.entity_id == intent:
-            return config.click_prob_intended
+            return CLICK_PROB_INTENDED
         if self._group_of(page.entity_id) == self._group_of(intent):
-            return config.click_prob_same_group
+            return CLICK_PROB_SAME_GROUP
         return config.click_prob_unrelated_entity
 
     def _click_probability_vector(
@@ -297,7 +285,6 @@ class ClickSimulator:
         their Intersecting Page Count low, the property Figure 2's IPC
         threshold exploits.
         """
-        position_bias = self.config.position_bias()
         focused = kind in ("aspect", "hyponym") and intent is not None
         preferred_index: int | None = None
         if focused:
@@ -315,24 +302,24 @@ class ClickSimulator:
             page = self.engine.corpus[result.url]
             if focused and page.entity_id == intent:
                 relevance = (
-                    self.config.click_prob_intended
+                    CLICK_PROB_INTENDED
                     if index == preferred_index
                     else self.config.click_prob_unrelated_entity
                 )
             else:
                 relevance = self._click_probability(page, intent, kind)
-            probabilities.append(position_bias[result.rank - 1] * relevance)
+            probabilities.append(POSITION_BIAS[result.rank - 1] * relevance)
         return probabilities
 
     def _results_for(self, query: str) -> list[SearchResult]:
         cached = self._result_cache.get(query)
         if cached is None:
-            cached = self.engine.search(query, k=self.config.results_per_query)
+            cached = self.engine.search(query, k=RESULTS_PER_QUERY)
             self._result_cache[query] = cached
         return cached
 
     # ------------------------------------------------------------------ #
-    # Batch simulation (fast path used by experiments)
+    # Batch simulation
     # ------------------------------------------------------------------ #
 
     def simulate_click_log(self, population: QueryPopulation) -> ClickLog:
@@ -382,52 +369,3 @@ class ClickSimulator:
         intent_probs = intent_weights / intent_weights.sum()
         counts = rng.multinomial(sessions, intent_probs)
         return intent_ids, counts
-
-    # ------------------------------------------------------------------ #
-    # Session-level simulation (slow path, used by tests and examples)
-    # ------------------------------------------------------------------ #
-
-    def simulate_sessions(
-        self, population: QueryPopulation, *, sessions: int
-    ) -> list[ImpressionRecord]:
-        """Simulate individual sessions and return raw impressions.
-
-        This exercises the exact same relevance model as the batch path but
-        produces per-event records, which is what a real search log looks
-        like before aggregation.
-        """
-        rng = np.random.default_rng(self.config.seed + 1)
-        specs = population.specs
-        if not specs or sessions <= 0:
-            return []
-        weights = np.array([spec.weight for spec in specs], dtype=float)
-        probabilities = weights / weights.sum()
-        impressions: list[ImpressionRecord] = []
-        spec_choices = rng.choice(len(specs), size=sessions, p=probabilities)
-        for session_id, spec_index in enumerate(spec_choices):
-            spec = specs[int(spec_index)]
-            results = self._results_for(spec.query)
-            if not results:
-                continue
-            intent = self._sample_intent(spec, rng)
-            probabilities = self._click_probability_vector(results, intent, spec.kind, spec.query)
-            for result, probability in zip(results, probabilities):
-                clicked = bool(rng.random() < probability)
-                impressions.append(
-                    ImpressionRecord(
-                        session_id=session_id,
-                        query=spec.query,
-                        url=result.url,
-                        position=result.rank,
-                        clicked=clicked,
-                    )
-                )
-        return impressions
-
-    def _sample_intent(self, spec: QuerySpec, rng: np.random.Generator) -> str | None:
-        if not spec.intents:
-            return None
-        intent_weights = np.array([weight for _eid, weight in spec.intents], dtype=float)
-        intent_probs = intent_weights / intent_weights.sum()
-        index = rng.choice(len(spec.intents), p=intent_probs)
-        return spec.intents[int(index)][0]

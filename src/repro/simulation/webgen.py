@@ -8,7 +8,7 @@ reproduces that ecosystem:
 
 * each entity gets several pages across different simulated sites, whose
   number grows with entity popularity;
-* a configurable fraction of pages embed some of the entity's true aliases
+* a fixed fraction of pages embed some of the entity's true aliases
   in the body (the eBay-seller behaviour the paper describes);
 * cross-entity "list" pages (top-10 lists, brand catalog pages) mention
   many entities at once — these are the pages hypernym queries land on; and
@@ -59,43 +59,36 @@ _FILLER_SENTENCES = [
 ]
 
 
+MIN_PAGES_PER_ENTITY = 4
+MAX_PAGES_PER_ENTITY = 12
+"""Page count per entity is interpolated between these bounds by the
+entity's popularity percentile."""
+
+ALIAS_EMBEDDING_PROBABILITY = 0.6
+"""Chance that a given true alias is spelled out in the body of a given
+entity page ("also known as ...")."""
+
+ENTITIES_PER_LIST_PAGE = 10
+"""How many entities one cross-entity list page mentions."""
+
+
 @dataclass(frozen=True)
 class WebGenConfig:
     """Knobs of the corpus generator.
 
     Attributes
     ----------
-    min_pages_per_entity / max_pages_per_entity:
-        Page count per entity is interpolated between these bounds by the
-        entity's popularity percentile.
-    alias_embedding_probability:
-        Chance that a given true alias is spelled out in the body of a
-        given entity page ("also known as ...").
     list_page_count:
         Number of cross-entity list pages (each mentions several entities).
-    entities_per_list_page:
-        How many entities one list page mentions.
     background_page_count:
         Number of domain-generic pages about no particular entity.
     seed:
         Seed of the generator's private RNG.
     """
 
-    min_pages_per_entity: int = 4
-    max_pages_per_entity: int = 12
-    alias_embedding_probability: float = 0.6
     list_page_count: int = 40
-    entities_per_list_page: int = 10
     background_page_count: int = 60
     seed: int = 17
-
-    def __post_init__(self) -> None:
-        if self.min_pages_per_entity < 1:
-            raise ValueError("min_pages_per_entity must be >= 1")
-        if self.max_pages_per_entity < self.min_pages_per_entity:
-            raise ValueError("max_pages_per_entity must be >= min_pages_per_entity")
-        if not 0.0 <= self.alias_embedding_probability <= 1.0:
-            raise ValueError("alias_embedding_probability must be in [0, 1]")
 
 
 class WebCorpusGenerator:
@@ -141,7 +134,7 @@ class WebCorpusGenerator:
     # ------------------------------------------------------------------ #
 
     def _page_count(self, popularity_percentile: float) -> int:
-        low, high = self.config.min_pages_per_entity, self.config.max_pages_per_entity
+        low, high = MIN_PAGES_PER_ENTITY, MAX_PAGES_PER_ENTITY
         return low + round(popularity_percentile * (high - low))
 
     def _embeddable_aliases(self, entity: Entity, alias_table: AliasTable) -> list[str]:
@@ -175,7 +168,7 @@ class WebCorpusGenerator:
         embedded = [
             alias
             for alias in aliases
-            if rng.random() < self.config.alias_embedding_probability
+            if rng.random() < ALIAS_EMBEDDING_PROBABILITY
         ]
         if embedded:
             sentences.append("Also known as " + ", ".join(embedded) + ".")
@@ -202,7 +195,7 @@ class WebCorpusGenerator:
         rng: random.Random,
     ) -> WebPage:
         domain = catalog.domain
-        count = min(self.config.entities_per_list_page, len(ranked))
+        count = min(ENTITIES_PER_LIST_PAGE, len(ranked))
         # List pages skew toward popular entities, like real "top N" articles.
         pool = ranked[: max(count * 4, count)]
         members = rng.sample(pool, count)

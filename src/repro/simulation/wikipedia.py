@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.simulation.aliases import AliasKind, AliasTable
+from repro.simulation.aliases import AliasTable
 from repro.simulation.catalog import EntityCatalog
 from repro.text.normalize import normalize
 
@@ -40,7 +40,6 @@ class WikipediaConfig:
     popularity_exponent: float = 1.0
     min_redirects: int = 1
     max_redirects: int = 4
-    seed: int = 2001
 
     def __post_init__(self) -> None:
         for name, value in (("head_coverage", self.head_coverage), ("tail_coverage", self.tail_coverage)):
@@ -53,6 +52,9 @@ class WikipediaConfig:
         if self.max_redirects < self.min_redirects:
             raise ValueError("max_redirects must be >= min_redirects")
 
+
+WIKIPEDIA_SEED = 2001
+"""Seed of the coverage and redirect sampling."""
 
 MOVIE_WIKIPEDIA_CONFIG = WikipediaConfig(head_coverage=1.0, tail_coverage=0.9, min_redirects=1, max_redirects=4)
 """Coverage preset matching the paper's movies row (96% hit ratio)."""
@@ -99,7 +101,7 @@ class SimulatedWikipedia:
             config = (
                 MOVIE_WIKIPEDIA_CONFIG if catalog.domain == "movie" else CAMERA_WIKIPEDIA_CONFIG
             )
-        rng = random.Random(config.seed)
+        rng = random.Random(WIKIPEDIA_SEED)
         ranked = sorted(catalog, key=lambda entity: -entity.popularity)
         total = max(len(ranked) - 1, 1)
         entries: list[WikipediaEntry] = []
@@ -131,10 +133,6 @@ class SimulatedWikipedia:
     # Lookup API (what the baseline consumes)
     # ------------------------------------------------------------------ #
 
-    def entry_for(self, entity_id: str) -> WikipediaEntry | None:
-        """The article of *entity_id*, or ``None`` when not covered."""
-        return self._entries.get(entity_id)
-
     def redirects_for(self, entity_id: str) -> list[str]:
         """Redirect strings of the entity's article (empty when uncovered)."""
         entry = self._entries.get(entity_id)
@@ -148,19 +146,3 @@ class SimulatedWikipedia:
     def article_count(self) -> int:
         """Number of covered entities."""
         return len(self._entries)
-
-    def covered_entities(self) -> set[str]:
-        """Ids of all covered entities."""
-        return set(self._entries)
-
-    def kind_histogram(self, alias_table: AliasTable) -> dict[AliasKind, int]:
-        """Distribution of ground-truth kinds among stored redirects
-        (diagnostic; redirects are sampled from true synonyms so this is
-        expected to be all-SYNONYM)."""
-        histogram: dict[AliasKind, int] = {}
-        for entry in self._entries.values():
-            for redirect in entry.redirects:
-                kind = alias_table.kind_of(redirect, entry.entity_id)
-                if kind is not None:
-                    histogram[kind] = histogram.get(kind, 0) + 1
-        return histogram

@@ -6,9 +6,10 @@ so this module holds only the three measures the reproduction calls:
 
 * :func:`levenshtein_distance` (with its banded cut-off) — the online
   matcher's edit-distance fallback for misspelled queries;
-* :func:`levenshtein_similarity` and :func:`token_containment` — the
-  string-similarity baseline in :mod:`repro.baselines.stringsim`, the
-  "substring matching" approach the introduction criticises.
+* :func:`levenshtein_similarity` — the normalised form of that distance
+  the matcher documents its fuzzy score against;
+* :func:`token_containment` — the shortlist filter of the fuzzy fallback's
+  reference implementation in the tests.
 
 Every function is implemented from scratch on the standard library.
 """

@@ -24,7 +24,7 @@ class TestWikipediaBaseline:
     def test_covered_entity_produces_redirect_synonyms(self, movie_setup):
         catalog, _table, wiki = movie_setup
         finder = WikipediaSynonymFinder(wiki, catalog)
-        covered_id = next(iter(wiki.covered_entities()))
+        covered_id = next(e.entity_id for e in catalog if wiki.redirects_for(e.entity_id))
         entity = catalog[covered_id]
         entry = finder.find_one(entity.canonical_name)
         assert entry.has_synonyms

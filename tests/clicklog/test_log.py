@@ -1,7 +1,7 @@
 """Tests for SearchLog and ClickLog."""
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.clicklog.records import ClickRecord, ImpressionRecord, SearchRecord
+from repro.clicklog.records import ClickRecord, SearchRecord
 
 
 class TestSearchLog:
@@ -70,16 +70,6 @@ class TestClickLog:
     def test_total_click_volume(self, mini_click_log):
         expected = sum(record.clicks for record in mini_click_log.iter_records())
         assert mini_click_log.total_click_volume() == expected
-
-    def test_from_impressions_counts_only_clicks(self):
-        impressions = [
-            ImpressionRecord(1, "q", "u1", 1, True),
-            ImpressionRecord(1, "q", "u2", 2, False),
-            ImpressionRecord(2, "q", "u1", 1, True),
-        ]
-        log = ClickLog.from_impressions(impressions)
-        assert log.clicks("q", "u1") == 2
-        assert log.clicks("q", "u2") == 0
 
     def test_queries_and_urls_listing(self, mini_click_log):
         assert "indy 4" in mini_click_log.queries()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clicklog.records import ClickRecord, ImpressionRecord, SearchRecord
+from repro.clicklog.records import ClickRecord, SearchRecord
 
 
 class TestSearchRecord:
@@ -40,13 +40,3 @@ class TestClickRecord:
             ClickRecord(query="", url="u", clicks=1)
         with pytest.raises(ValueError):
             ClickRecord(query="q", url="", clicks=1)
-
-
-class TestImpressionRecord:
-    def test_valid(self):
-        record = ImpressionRecord(session_id=1, query="q", url="u", position=3, clicked=True)
-        assert record.clicked
-
-    def test_position_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ImpressionRecord(session_id=1, query="q", url="u", position=0, clicked=False)

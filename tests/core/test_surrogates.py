@@ -8,10 +8,6 @@ CANONICAL = "indiana jones and the kingdom of the crystal skull"
 
 
 class TestConstruction:
-    def test_requires_a_source(self):
-        with pytest.raises(ValueError, match="search_log, an engine, or both"):
-            SurrogateFinder()
-
     def test_invalid_k(self, mini_search_log):
         with pytest.raises(ValueError):
             SurrogateFinder(search_log=mini_search_log, k=0)
@@ -38,25 +34,3 @@ class TestFromSearchLog:
     def test_surrogate_set(self, mini_search_log):
         finder = SurrogateFinder(search_log=mini_search_log, k=10)
         assert finder.surrogate_set(CANONICAL) == frozenset(finder.surrogates(CANONICAL))
-
-
-class TestEngineFallback:
-    def test_engine_used_when_log_has_no_entry(self, mini_search_log, mini_engine):
-        finder = SurrogateFinder(search_log=mini_search_log, engine=mini_engine, k=5)
-        surrogates = finder.surrogates("madagascar escape 2 africa")
-        assert "https://studio.example.com/madagascar-2" in surrogates
-
-    def test_log_preferred_over_engine(self, mini_search_log, mini_engine):
-        finder = SurrogateFinder(search_log=mini_search_log, engine=mini_engine, k=3)
-        # The log's entry for the canonical string includes the box-office
-        # page at rank 3, which live BM25 would not return first; the log's
-        # version must win because it is the recorded Search Data.
-        assert finder.surrogates(CANONICAL) == (
-            "https://studio.example.com/indy-4",
-            "https://wiki.example.org/indy-4",
-            "https://magazine.example.com/box-office",
-        )
-
-    def test_engine_only(self, mini_engine):
-        finder = SurrogateFinder(engine=mini_engine, k=4)
-        assert finder.surrogates("indiana jones") != ()

@@ -44,17 +44,3 @@ class TestOracle:
 
     def test_unknown_canonical_never_synonym(self, oracle):
         assert not oracle.is_true_synonym("indy 4", "unknown canonical")
-        assert oracle.true_synonyms_of("unknown canonical") == set()
-
-    def test_true_synonyms_of(self, oracle, toy_world):
-        entity = next(iter(toy_world.catalog))
-        assert oracle.true_synonyms_of(entity.canonical_name) == toy_world.alias_table.synonyms_of(
-            entity.entity_id
-        )
-
-    def test_relation_histogram(self, oracle, toy_world):
-        entity = next(iter(toy_world.catalog))
-        synonyms = sorted(toy_world.alias_table.synonyms_of(entity.entity_id))
-        histogram = oracle.relation_histogram(synonyms + ["noise query"], entity.canonical_name)
-        assert histogram["synonym"] == len(synonyms)
-        assert histogram["unrelated"] == 1

@@ -8,8 +8,6 @@ from repro.eval.labeling import GroundTruthOracle
 from repro.eval.metrics import (
     MethodSummary,
     coverage_increase,
-    expansion_ratio,
-    hit_ratio,
     precision,
     summarize_method,
     weighted_precision,
@@ -119,8 +117,8 @@ class TestCoverageIncrease:
 class TestTableMetrics:
     def test_hit_and_expansion(self, setup):
         _oracle, result, _log = setup
-        assert hit_ratio(result) == 1.0
-        assert expansion_ratio(result) == pytest.approx((3 + 2) / 2)
+        assert result.hit_ratio() == 1.0
+        assert result.expansion_ratio() == pytest.approx((3 + 2) / 2)
 
     def test_summarize_method(self, setup):
         oracle, result, log = setup

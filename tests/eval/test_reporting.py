@@ -8,7 +8,6 @@ from repro.eval.experiments import (
     IPCSweepResult,
     SweepPoint,
     Table1Result,
-    Table1Row,
 )
 from repro.eval.metrics import MethodSummary
 from repro.eval.reporting import (
@@ -48,9 +47,9 @@ class TestRenderers:
     def test_table1_layout(self):
         table = Table1Result(
             rows=[
-                Table1Row(
+                MethodSummary(
                     dataset="movies", method="Us", originals=100, hits=99,
-                    hit_ratio=0.99, synonyms=437, expansion_ratio=5.37, precision=0.8,
+                    synonyms=437, precision=0.8, weighted_precision=0.9,
                 )
             ]
         )

@@ -10,7 +10,6 @@ the paper-scale presets.
 import pytest
 
 from repro.baselines.randomwalk import RandomWalkSynonymFinder
-from repro.baselines.stringsim import StringSimilaritySynonymFinder
 from repro.baselines.wikipedia import WikipediaSynonymFinder
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
@@ -96,29 +95,6 @@ class TestBaselineWeaknesses:
         finder = WikipediaSynonymFinder(toy_world.wikipedia, toy_world.catalog)
         result = finder.find(toy_world.canonical_queries())
         assert result.hit_count <= toy_world.wikipedia.article_count
-
-    def test_string_similarity_misses_nickname_synonyms(self, toy_world, oracle):
-        # Nickname forms ("marky 3") share few tokens with the long canonical
-        # title, so the surface baseline recovers fewer true synonyms than
-        # the click-log miner.
-        miner = SynonymMiner(
-            click_log=toy_world.click_log,
-            search_log=toy_world.search_log,
-            config=MinerConfig.paper_default(),
-        )
-        queries = toy_world.canonical_queries()
-        ours = miner.mine(queries)
-        surface = StringSimilaritySynonymFinder(toy_world.click_log).find(queries)
-
-        def true_synonyms_found(result):
-            found = 0
-            for entry in result:
-                for candidate in entry.selected:
-                    if oracle.is_true_synonym(candidate.query, entry.canonical):
-                        found += 1
-            return found
-
-        assert true_synonyms_found(ours) > true_synonyms_found(surface)
 
     def test_our_precision_reasonable_at_paper_operating_point(self, toy_world, oracle):
         miner = SynonymMiner(

@@ -67,7 +67,7 @@ class TestBM25Properties:
         scorer = BM25Scorer(index)
         tokens = tokenize(query)
         scores = scorer.score_all(tokens)
-        matching = index.candidate_documents(tokens)
+        matching = {posting.doc_id for token in tokens for posting in index.postings(token)}
         assert set(scores) <= matching
         assert all(score > 0.0 for score in scores.values())
 

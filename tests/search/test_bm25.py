@@ -2,31 +2,13 @@
 
 import pytest
 
-from repro.search.bm25 import BM25Parameters, BM25Scorer
+from repro.search.bm25 import BM25Scorer
 from repro.search.index import InvertedIndex
 
 
 @pytest.fixture()
 def scorer(mini_corpus):
     return BM25Scorer(InvertedIndex.from_corpus(mini_corpus))
-
-
-class TestParameters:
-    def test_defaults_valid(self):
-        params = BM25Parameters()
-        assert params.k1 > 0 and 0 <= params.b <= 1
-
-    def test_invalid_k1(self):
-        with pytest.raises(ValueError):
-            BM25Parameters(k1=-0.1)
-
-    def test_invalid_b(self):
-        with pytest.raises(ValueError):
-            BM25Parameters(b=1.5)
-
-    def test_invalid_stopword_weight(self):
-        with pytest.raises(ValueError):
-            BM25Parameters(stopword_weight=2.0)
 
 
 class TestScoring:
@@ -49,20 +31,6 @@ class TestScoring:
 
     def test_empty_query_returns_empty(self, scorer):
         assert scorer.score_all([]) == {}
-
-    def test_stopword_weight_zero_ignores_stopwords(self, mini_corpus):
-        index = InvertedIndex.from_corpus(mini_corpus)
-        weighted = BM25Scorer(index, BM25Parameters(stopword_weight=0.0))
-        assert weighted.score_all(["the", "of"]) == {}
-
-    def test_stopword_contribution_scaled_down(self, mini_corpus):
-        index = InvertedIndex.from_corpus(mini_corpus)
-        full = BM25Scorer(index, BM25Parameters(stopword_weight=1.0))
-        scaled = BM25Scorer(index, BM25Parameters(stopword_weight=0.25))
-        full_scores = full.score_all(["the"])
-        scaled_scores = scaled.score_all(["the"])
-        for doc_id, score in scaled_scores.items():
-            assert score < full_scores[doc_id]
 
     def test_repeated_query_terms_accumulate(self, scorer):
         single = scorer.score_all(["indiana"])

@@ -8,17 +8,13 @@ from repro.search.documents import Corpus, WebPage
 class TestWebPage:
     def test_indexable_tokens_boost_title(self):
         page = WebPage(url="u", title="Indy Four", body="body text")
-        tokens = page.indexable_tokens(title_boost=3)
+        tokens = page.indexable_tokens()
         assert tokens.count("indy") == 3
         assert tokens.count("body") == 1
 
     def test_indexable_tokens_default_boost(self):
         page = WebPage(url="u", title="one", body="two")
         assert page.indexable_tokens().count("one") == 3
-
-    def test_normalized_title(self):
-        page = WebPage(url="u", title="Canon EOS-350D!", body="")
-        assert page.normalized_title == "canon eos 350d"
 
     def test_frozen(self):
         page = WebPage(url="u", title="t", body="b")
@@ -51,11 +47,6 @@ class TestCorpus:
         urls = mini_corpus.urls
         assert urls[0] == "https://studio.example.com/indy-4"
         assert len(urls) == 4
-
-    def test_pages_about(self, mini_corpus):
-        pages = mini_corpus.pages_about("movie-indy4")
-        assert len(pages) == 2
-        assert all(page.entity_id == "movie-indy4" for page in pages)
 
     def test_iteration(self, mini_corpus):
         assert sum(1 for _page in mini_corpus) == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.search.engine import SearchEngine, SearchResult, ensure_queries_are_strings
+from repro.search.engine import SearchResult
 
 
 class TestSearch:
@@ -38,13 +38,8 @@ class TestSearch:
         assert first == second
 
     def test_top_urls(self, mini_engine):
-        urls = mini_engine.top_urls("madagascar", k=3)
-        assert urls[0] == "https://studio.example.com/madagascar-2"
-
-    def test_page_accessor(self, mini_engine):
-        page = mini_engine.page("https://studio.example.com/indy-4")
-        assert page is not None and page.entity_id == "movie-indy4"
-        assert mini_engine.page("https://missing.example.com") is None
+        results = mini_engine.search("madagascar", k=3)
+        assert results[0].url == "https://studio.example.com/madagascar-2"
 
     def test_scores_non_increasing(self, mini_engine):
         results = mini_engine.search("indiana jones crystal skull", k=10)
@@ -53,23 +48,8 @@ class TestSearch:
 
 
 class TestSearchData:
-    def test_build_search_data_shape(self, mini_engine):
-        queries = ["indiana jones", "madagascar escape 2 africa"]
-        data = mini_engine.build_search_data(queries, k=3)
-        assert all(isinstance(row, tuple) and len(row) == 3 for row in data)
-        assert all(rank <= 3 for _query, _url, rank in data)
-        assert {query for query, _url, _rank in data} == set(queries)
-
     def test_document_count(self, mini_engine, mini_corpus):
         assert mini_engine.document_count == len(mini_corpus)
-
-    def test_explain_contains_query_terms(self, mini_engine):
-        contributions = mini_engine.explain("indiana jones", "https://studio.example.com/indy-4")
-        assert set(contributions) <= {"indiana", "jones"}
-        assert all(value > 0 for value in contributions.values())
-
-    def test_explain_unknown_url(self, mini_engine):
-        assert mini_engine.explain("indiana", "https://missing.example.com") == {}
 
 
 class TestHelpers:
@@ -77,8 +57,3 @@ class TestHelpers:
         result = SearchResult(url="u", rank=1, score=1.0)
         with pytest.raises(AttributeError):
             result.rank = 2
-
-    def test_ensure_queries_are_strings(self):
-        assert ensure_queries_are_strings(["a", "b"]) == ["a", "b"]
-        with pytest.raises(TypeError):
-            ensure_queries_are_strings(["a", 3])

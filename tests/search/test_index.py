@@ -16,15 +16,11 @@ class TestConstruction:
         assert index.document_count == len(mini_corpus)
 
     def test_vocabulary_nonempty(self, index):
-        assert index.vocabulary_size > 10
+        assert sum(1 for _term in index.terms()) > 10
 
     def test_duplicate_url_rejected(self, index):
         with pytest.raises(ValueError, match="already indexed"):
             index.add_page(WebPage(url="https://studio.example.com/indy-4", title="x", body="y"))
-
-    def test_invalid_title_boost(self):
-        with pytest.raises(ValueError):
-            InvertedIndex(title_boost=0)
 
 
 class TestPostings:
@@ -68,10 +64,3 @@ class TestTranslationAndStats:
 
     def test_average_length_empty_index(self):
         assert InvertedIndex().average_document_length == 0.0
-
-    def test_candidate_documents_union(self, index):
-        candidates = index.candidate_documents(["indiana", "madagascar"])
-        assert len(candidates) == 3
-
-    def test_candidate_documents_unknown_terms(self, index):
-        assert index.candidate_documents(["zzzz", "qqqq"]) == set()

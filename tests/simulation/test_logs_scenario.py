@@ -1,37 +1,47 @@
 """Tests for log generation and the one-call scenario builder."""
 
+import hashlib
+
 import pytest
 
-from repro.simulation.logs import LogGenerationConfig, generate_logs
-from repro.simulation.scenario import ScenarioConfig, build_world
+from repro.simulation.logs import SEARCH_DATA_K, generate_logs
+from repro.simulation.scenario import ScenarioConfig, build_world, user_model_for
 from repro.simulation.users import UserModelConfig
 
+# sha256 of _fingerprint(build_world(ScenarioConfig.toy())).  Every record
+# of the toy world is behind it, so a refactor of the simulator that moves
+# any search result, click count, alias or redirect fails here.
+TOY_WORLD_SHA256 = "13a4da2ed74f3413a28df1576d6b5dc647cf88565a86cc859c8e5a47e6953f8b"
 
-class TestLogGenerationConfig:
-    def test_invalid_surrogate_k(self):
-        with pytest.raises(ValueError):
-            LogGenerationConfig(surrogate_k=0)
+
+def _fingerprint(world) -> str:
+    """sha256 over the world's sorted search-log, click-log, alias-table and
+    Wikipedia-redirect records."""
+    rows = sorted(
+        [("search", r.query, r.url, r.rank) for r in world.search_log.iter_records()]
+        + [("click", r.query, r.url, r.clicks) for r in world.click_log.iter_records()]
+        + [("alias", r.entity_id, r.alias, r.kind.value, r.weight) for r in world.alias_table]
+        + [
+            ("redirect", entity.entity_id, redirect)
+            for entity in world.catalog
+            for redirect in world.wikipedia.redirects_for(entity.entity_id)
+        ]
+    )
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
 
 
 class TestGenerateLogs:
     def test_search_data_covers_all_canonicals(self, toy_world):
-        config = LogGenerationConfig(
-            surrogate_k=5, user_model=UserModelConfig(session_count=2_000, seed=5)
+        logs = generate_logs(
+            toy_world.engine,
+            toy_world.catalog,
+            toy_world.alias_table,
+            UserModelConfig(session_count=2_000, seed=5),
         )
-        logs = generate_logs(toy_world.engine, toy_world.catalog, toy_world.alias_table, config)
         for entity in toy_world.catalog:
             urls = logs.search_log.top_urls(entity.normalized_name)
             assert urls, entity.canonical_name
-            assert len(urls) <= 5
-
-    def test_summary_keys(self, toy_world):
-        config = LogGenerationConfig(
-            surrogate_k=5, user_model=UserModelConfig(session_count=1_000, seed=5)
-        )
-        logs = generate_logs(toy_world.engine, toy_world.catalog, toy_world.alias_table, config)
-        summary = logs.summary()
-        assert {"search_tuples", "click_tuples", "click_volume", "distinct_clicked_urls"} <= set(summary)
-        assert summary["click_volume"] > 0
+            assert len(urls) <= SEARCH_DATA_K
 
 
 class TestScenarioConfig:
@@ -47,6 +57,18 @@ class TestScenarioConfig:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset"):
             build_world(ScenarioConfig(dataset="gadgets"))  # type: ignore[arg-type]
+
+    def test_cameras_preset_honours_session_count_and_seed(self):
+        small, large = (
+            build_world(ScenarioConfig.cameras(entity_count=40, session_count=sessions))
+            for sessions in (2_000, 8_000)
+        )
+        assert small.click_log.total_click_volume() < large.click_log.total_click_volume()
+        assert user_model_for(ScenarioConfig.cameras(session_count=2_000)).session_count == 2_000
+        # The scenario seed drives the user model; the default world keeps
+        # the user seed (43) the preset has always had.
+        assert user_model_for(ScenarioConfig.cameras()).seed == 43
+        assert user_model_for(ScenarioConfig.cameras(seed=12)).seed == 44
 
 
 class TestBuildWorld:
@@ -71,3 +93,4 @@ class TestBuildWorld:
         rebuilt = build_world(ScenarioConfig.toy())
         assert rebuilt.summary() == toy_world.summary()
         assert rebuilt.canonical_queries() == toy_world.canonical_queries()
+        assert _fingerprint(toy_world) == _fingerprint(rebuilt) == TOY_WORLD_SHA256

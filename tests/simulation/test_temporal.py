@@ -2,31 +2,13 @@
 
 import pytest
 
-from repro.clicklog.log import ClickLog
-from repro.simulation.temporal import (
-    PAPER_MONTHS,
-    MonthlyLogSimulator,
-    cumulative_click_logs,
-    merge_click_logs,
-)
-
-
-class TestMergeClickLogs:
-    def test_merge_adds_click_counts(self):
-        first = ClickLog.from_tuples([("q", "u", 3)])
-        second = ClickLog.from_tuples([("q", "u", 2), ("other", "u", 1)])
-        merged = merge_click_logs([first, second])
-        assert merged.clicks("q", "u") == 5
-        assert merged.clicks("other", "u") == 1
-
-    def test_merge_empty_list(self):
-        assert merge_click_logs([]).total_click_volume() == 0
+from repro.simulation.temporal import PAPER_MONTHS, MonthlyLogSimulator, cumulative_click_logs
 
 
 class TestMonthlyLogSimulator:
     @pytest.fixture(scope="class")
     def simulator(self, toy_world):
-        return MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:3], sessions_per_month=1_500)
+        return MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:3])
 
     @pytest.fixture(scope="class")
     def slices(self, simulator):
@@ -45,8 +27,8 @@ class TestMonthlyLogSimulator:
         assert len(volumes) > 1, "independent months should not be identical"
 
     def test_deterministic(self, toy_world):
-        first = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:2], sessions_per_month=800)
-        second = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:2], sessions_per_month=800)
+        first = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:2])
+        second = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:2])
         assert [m.click_volume for m in first.simulate_all()] == [
             m.click_volume for m in second.simulate_all()
         ]
@@ -58,28 +40,24 @@ class TestMonthlyLogSimulator:
     def test_invalid_configuration(self, toy_world):
         with pytest.raises(ValueError):
             MonthlyLogSimulator(toy_world, months=())
-        with pytest.raises(ValueError):
-            MonthlyLogSimulator(toy_world, months=("a", "b"), seasonality=(1.0,))
-        with pytest.raises(ValueError):
-            MonthlyLogSimulator(toy_world, months=("a",), seasonality=(0.0,))
 
 
 class TestCumulativeLogs:
     def test_prefixes_grow_monotonically(self, toy_world):
-        simulator = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:3], sessions_per_month=1_000)
+        simulator = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:3])
         prefixes = cumulative_click_logs(simulator.simulate_all())
         volumes = [log.total_click_volume() for _label, log in prefixes]
         assert volumes == sorted(volumes)
         assert len(prefixes) == 3
 
     def test_last_prefix_equals_total(self, toy_world):
-        simulator = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:2], sessions_per_month=1_000)
+        simulator = MonthlyLogSimulator(toy_world, months=PAPER_MONTHS[:2])
         slices = simulator.simulate_all()
         prefixes = cumulative_click_logs(slices)
         total = sum(monthly.click_volume for monthly in slices)
         assert prefixes[-1][1].total_click_volume() == total
 
     def test_labels_mention_months(self, toy_world):
-        simulator = MonthlyLogSimulator(toy_world, months=("2008-07",), sessions_per_month=500)
+        simulator = MonthlyLogSimulator(toy_world, months=("2008-07",))
         prefixes = cumulative_click_logs(simulator.simulate_all())
         assert prefixes[0][0] == "through 2008-07"

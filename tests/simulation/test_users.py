@@ -5,7 +5,14 @@ import pytest
 from repro.clicklog.log import ClickLog
 from repro.simulation.aliases import build_alias_table
 from repro.simulation.catalog import movie_catalog
-from repro.simulation.users import ClickSimulator, QueryPopulation, QuerySpec, UserModelConfig
+from repro.simulation.users import (
+    POSITION_BIAS,
+    RESULTS_PER_QUERY,
+    ClickSimulator,
+    QueryPopulation,
+    QuerySpec,
+    UserModelConfig,
+)
 from repro.simulation.webgen import WebCorpusGenerator, WebGenConfig
 from repro.search.engine import SearchEngine
 
@@ -30,16 +37,12 @@ class TestUserModelConfig:
 
     def test_invalid_click_probability(self):
         with pytest.raises(ValueError):
-            UserModelConfig(click_prob_intended=1.5)
-
-    def test_invalid_decay(self):
-        with pytest.raises(ValueError):
-            UserModelConfig(position_bias_decay=0.0)
+            UserModelConfig(click_prob_generic_page=1.5)
 
     def test_position_bias_is_decreasing(self):
-        bias = UserModelConfig().position_bias()
+        bias = POSITION_BIAS
         assert all(earlier >= later for earlier, later in zip(bias, bias[1:]))
-        assert len(bias) == UserModelConfig().results_per_query
+        assert len(bias) == RESULTS_PER_QUERY
 
 
 class TestQuerySpec:
@@ -74,7 +77,7 @@ class TestQueryPopulation:
 
     def test_queries_of_kind(self, small_world):
         _catalog, _aliases, _engine, population, _config = small_world
-        assert len(population.queries_of_kind("canonical")) == 12
+        assert sum(1 for spec in population if spec.kind == "canonical") == 12
 
 
 class TestClickSimulator:
@@ -107,7 +110,7 @@ class TestClickSimulator:
 
     def test_aspect_queries_touch_few_pages(self, small_world, click_log):
         catalog, _aliases, _engine, population, _config = small_world
-        aspect_queries = population.queries_of_kind("aspect")
+        aspect_queries = [spec.query for spec in population if spec.kind == "aspect"]
         distinct_counts = [
             len(click_log.urls_clicked_for(query))
             for query in aspect_queries
@@ -128,26 +131,3 @@ class TestClickSimulator:
         simulator = ClickSimulator(engine, catalog, config)
         empty = simulator.simulate_click_log(QueryPopulation([]))
         assert len(empty) == 0
-
-
-class TestSessionSimulation:
-    def test_impressions_have_valid_fields(self, small_world):
-        catalog, _aliases, engine, population, config = small_world
-        simulator = ClickSimulator(engine, catalog, config)
-        impressions = simulator.simulate_sessions(population, sessions=200)
-        assert impressions
-        assert all(impression.position >= 1 for impression in impressions)
-        clicked = [impression for impression in impressions if impression.clicked]
-        assert clicked, "expected at least one click in 200 sessions"
-
-    def test_impressions_aggregate_into_click_log(self, small_world):
-        catalog, _aliases, engine, population, config = small_world
-        simulator = ClickSimulator(engine, catalog, config)
-        impressions = simulator.simulate_sessions(population, sessions=300)
-        log = ClickLog.from_impressions(impressions)
-        assert log.total_click_volume() == sum(1 for i in impressions if i.clicked)
-
-    def test_zero_sessions(self, small_world):
-        catalog, _aliases, engine, population, config = small_world
-        simulator = ClickSimulator(engine, catalog, config)
-        assert simulator.simulate_sessions(population, sessions=0) == []

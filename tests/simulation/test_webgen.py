@@ -4,7 +4,12 @@ import pytest
 
 from repro.simulation.aliases import build_alias_table
 from repro.simulation.catalog import movie_catalog
-from repro.simulation.webgen import WebCorpusGenerator, WebGenConfig
+from repro.simulation.webgen import (
+    MAX_PAGES_PER_ENTITY,
+    MIN_PAGES_PER_ENTITY,
+    WebCorpusGenerator,
+    WebGenConfig,
+)
 from repro.text.normalize import normalize
 
 
@@ -24,40 +29,32 @@ def corpus(catalog, alias_table):
     return WebCorpusGenerator(config).generate(catalog, alias_table)
 
 
-class TestConfig:
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            WebGenConfig(min_pages_per_entity=0)
-        with pytest.raises(ValueError):
-            WebGenConfig(min_pages_per_entity=5, max_pages_per_entity=3)
-        with pytest.raises(ValueError):
-            WebGenConfig(alias_embedding_probability=1.5)
+def _pages_about(corpus, entity_id):
+    return [page for page in corpus if page.entity_id == entity_id]
 
 
 class TestGeneratedCorpus:
     def test_every_entity_has_pages_within_bounds(self, corpus, catalog):
-        config = WebGenConfig()
         for entity in catalog:
-            pages = corpus.pages_about(entity.entity_id)
-            assert WebGenConfig(list_page_count=5).min_pages_per_entity <= len(pages)
-            assert len(pages) <= config.max_pages_per_entity
+            pages = _pages_about(corpus, entity.entity_id)
+            assert MIN_PAGES_PER_ENTITY <= len(pages) <= MAX_PAGES_PER_ENTITY
 
     def test_popular_entities_get_more_pages(self, corpus, catalog):
         ranked = sorted(catalog, key=lambda entity: -entity.popularity)
-        most_popular = len(corpus.pages_about(ranked[0].entity_id))
-        least_popular = len(corpus.pages_about(ranked[-1].entity_id))
+        most_popular = len(_pages_about(corpus, ranked[0].entity_id))
+        least_popular = len(_pages_about(corpus, ranked[-1].entity_id))
         assert most_popular >= least_popular
 
     def test_entity_pages_mention_canonical_name(self, corpus, catalog):
         for entity in list(catalog)[:5]:
-            for page in corpus.pages_about(entity.entity_id):
+            for page in _pages_about(corpus, entity.entity_id):
                 assert normalize(entity.canonical_name) in normalize(page.title + " " + page.body)
 
     def test_some_pages_embed_aliases(self, corpus, catalog, alias_table):
         embedded = 0
         for entity in catalog:
             synonyms = alias_table.synonyms_of(entity.entity_id)
-            for page in corpus.pages_about(entity.entity_id):
+            for page in _pages_about(corpus, entity.entity_id):
                 body = normalize(page.body)
                 if any(synonym in body for synonym in synonyms):
                     embedded += 1

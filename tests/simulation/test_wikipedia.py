@@ -45,18 +45,13 @@ class TestMovieCoverage:
 
     def test_resolve_follows_redirects(self, wikipedia):
         wiki, catalog, _table = wikipedia
-        covered = next(iter(wiki.covered_entities()))
+        covered = next(e.entity_id for e in catalog if wiki.redirects_for(e.entity_id))
         redirect = wiki.redirects_for(covered)[0]
         assert wiki.resolve(redirect) == covered
 
     def test_resolve_unknown(self, wikipedia):
         wiki, _catalog, _table = wikipedia
         assert wiki.resolve("definitely not a redirect") is None
-
-    def test_kind_histogram_all_synonyms(self, wikipedia):
-        wiki, _catalog, table = wikipedia
-        histogram = wiki.kind_histogram(table)
-        assert set(histogram) == {AliasKind.SYNONYM}
 
 
 class TestCameraCoverage:
@@ -72,18 +67,17 @@ class TestCameraCoverage:
         table = build_alias_table(catalog, seed=3)
         wiki = SimulatedWikipedia.build(catalog, table, CAMERA_WIKIPEDIA_CONFIG)
         ranked = sorted(catalog, key=lambda entity: -entity.popularity)
-        head = sum(1 for entity in ranked[:100] if entity.entity_id in wiki.covered_entities())
-        tail = sum(1 for entity in ranked[-100:] if entity.entity_id in wiki.covered_entities())
+        head = sum(1 for entity in ranked[:100] if wiki.redirects_for(entity.entity_id))
+        tail = sum(1 for entity in ranked[-100:] if wiki.redirects_for(entity.entity_id))
         assert head > tail
 
     def test_entry_for_uncovered_entity_is_none(self):
         catalog = camera_catalog(size=100, seed=3)
         table = build_alias_table(catalog, seed=3)
         wiki = SimulatedWikipedia.build(catalog, table, CAMERA_WIKIPEDIA_CONFIG)
-        uncovered = [e for e in catalog if e.entity_id not in wiki.covered_entities()]
+        uncovered = [e for e in catalog if not wiki.redirects_for(e.entity_id)]
         assert uncovered
-        assert wiki.entry_for(uncovered[0].entity_id) is None
-        assert wiki.redirects_for(uncovered[0].entity_id) == []
+        assert wiki.article_count == len(catalog) - len(uncovered)
 
     def test_default_config_chosen_by_domain(self):
         catalog = camera_catalog(size=200, seed=3)
