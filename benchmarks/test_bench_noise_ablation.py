@@ -1,35 +1,26 @@
 """Ablation benchmark: robustness of IPC/ICR selection to click noise.
 
-Rebuilds small worlds with the misclick probability and the share of
-navigational-noise traffic scaled up, and re-runs the miner at the paper's
-operating point (world construction dominates the run time) and
-asserts that the method keeps working — and keeps being reasonably precise —
-as the logs get noisier, which is the robustness claim implicit in using
-five months of raw Bing traffic.
+Reads the grid rows of four small toy worlds whose misclick probability
+and share of navigational-noise traffic are scaled by 0.5–4, mined at the
+paper's operating point, and asserts that the method keeps working — and
+keeps being reasonably precise — as the logs get noisier, which is the
+robustness claim implicit in using five months of raw Bing traffic.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import write_result
-from repro.eval.experiments import run_noise_ablation
-from repro.eval.reporting import render_ablation
+from repro.eval.experiments import NOISE_WORLDS
+from repro.eval.reporting import render_noise_ablation, row_at
 
 
-def test_ablation_click_noise(results_dir):
-    points = run_noise_ablation(
-        noise_multipliers=(0.5, 1.0, 2.0, 4.0), entity_count=20, session_count=6_000
-    )
-    write_result(
-        results_dir,
-        "ablation_click_noise.txt",
-        render_ablation("Ablation — click-noise robustness (IPC 4, ICR 0.1)", points),
-    )
+def test_ablation_click_noise(quality_rows, results_dir):
+    write_result(results_dir, "ablation_click_noise.txt", render_noise_ablation(quality_rows))
 
-    assert [point.label for point in points] == [
-        "noise x0.5", "noise x1", "noise x2", "noise x4",
-    ]
+    # NOISE_WORLDS runs from x0.5 (cleanest) to x4 (noisiest).
+    points = [row_at(quality_rows, world) for world in NOISE_WORLDS]
     # The miner still produces synonyms at every noise level ...
-    assert all(point.synonym_count > 0 for point in points)
+    assert all(point.synonyms > 0 for point in points)
     # ... and precision does not collapse even at 4x the baseline noise.
     assert points[-1].precision > 0.3
     # The clean end of the sweep is at least as precise as the noisiest end

@@ -14,22 +14,17 @@ and asserts its qualitative findings:
 from __future__ import annotations
 
 from benchmarks.conftest import write_result
-from repro.eval.experiments import run_table1
-from repro.eval.reporting import render_table1
+from repro.eval.reporting import render_table1, row_at
 
 
-def test_table1_hits_and_expansion(movies_world, cameras_world, results_dir):
-    table = run_table1([movies_world, cameras_world])
+def test_table1_hits_and_expansion(quality_rows, results_dir):
+    write_result(results_dir, "table1_hits_expansion.txt", render_table1(quality_rows))
 
-    rendered = render_table1(table)
-    write_result(results_dir, "table1_hits_expansion.txt", rendered)
-
-    movies_us = table.row("movies", "Us")
-    movies_wiki = table.row("movies", "Wiki")
-    movies_walk = table.row("movies", "Walk(0.8)")
-    cameras_us = table.row("cameras", "Us")
-    cameras_wiki = table.row("cameras", "Wiki")
-    cameras_walk = table.row("cameras", "Walk(0.8)")
+    movies_us, movies_wiki, movies_walk, cameras_us, cameras_wiki, cameras_walk = (
+        row_at(quality_rows, world, method)
+        for world in ("movies", "cameras")
+        for method in ("Us", "Wiki", "Walk(0.8)")
+    )
 
     # Every method was run on the full catalogs.
     assert movies_us.originals == 100

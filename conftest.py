@@ -22,5 +22,6 @@ def pytest_addoption(parser):
         "--write-results",
         action="store_true",
         default=False,
-        help="let the benchmarks rewrite benchmarks/results/*.txt (default: leave the tree clean)",
+        help="let the benchmarks rewrite benchmarks/results/ (quality.json and the *.txt "
+             "tables rendered from it; default: leave the tree clean)",
     )

@@ -7,8 +7,8 @@ share no tokens with the model name ("Digital Rebel XT" vs "Canon EOS
 350D"), and far less Wikipedia coverage.  This example:
 
 1. builds the cameras world and mines synonyms;
-2. compares the miner against the Wikipedia-redirect baseline on hit ratio
-   and expansion (Table I's cameras rows); and
+2. compares the miner against the Wikipedia-redirect and random-walk
+   baselines on hit ratio and expansion (Table I's cameras rows); and
 3. demonstrates matching shopper queries, including codename queries, back
    to catalog entries.
 
@@ -27,10 +27,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.baselines import WikipediaSynonymFinder
 from repro.core import MinerConfig, SynonymMiner
-from repro.eval import GroundTruthOracle, summarize_method
-from repro.eval.reporting import render_method_summary
+from repro.eval import render_table1, run_quality
 from repro.matching import QueryMatcher, SynonymDictionary
 from repro.simulation import ScenarioConfig, build_world
 
@@ -43,21 +41,15 @@ def main() -> None:
     world = build_world(
         ScenarioConfig.cameras(entity_count=entity_count, session_count=sessions)
     )
-    oracle = GroundTruthOracle(world.catalog, world.alias_table)
-    queries = world.canonical_queries()
+    print("Mining synonyms and running both baselines...\n")
+    print(render_table1(run_quality({"cameras": world})))
 
-    print("Mining synonyms and running the Wikipedia baseline...\n")
     miner = SynonymMiner(
         click_log=world.click_log,
         search_log=world.search_log,
         config=MinerConfig.paper_default(),
     )
-    ours = miner.mine(queries)
-    wiki = WikipediaSynonymFinder(world.wikipedia, world.catalog).find(queries)
-
-    print(render_method_summary(summarize_method("Us", "cameras", ours, oracle, world.click_log)))
-    print(render_method_summary(summarize_method("Wiki", "cameras", wiki, oracle, world.click_log)))
-
+    ours = miner.mine(world.canonical_queries())
     dictionary = SynonymDictionary.from_mining_result(ours, world.catalog)
     matcher = QueryMatcher(dictionary)
 

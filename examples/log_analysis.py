@@ -26,14 +26,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.clicklog import compute_stats, head_share, rank_frequency
-from repro.eval import GroundTruthOracle, run_log_volume_sweep
+from repro.eval import prefix_worlds, run_quality
 from repro.simulation import ScenarioConfig, build_world
 
 
 def main() -> None:
     print("Building the movies world (100 titles)...")
     world = build_world(ScenarioConfig.movies(session_count=30_000))
-    oracle = GroundTruthOracle(world.catalog, world.alias_table)
 
     print("\n1. Click-log statistics")
     stats = compute_stats(world.click_log)
@@ -56,12 +55,12 @@ def main() -> None:
         print(f"   {volume:>7} clicks  {query!r:<50} [{relation}]")
 
     print("\n3. Mining quality as months of logs accumulate")
-    points = run_log_volume_sweep(world, months=5)
     print(f"   {'prefix':<18} {'clicks':>9} {'hit ratio':>10} {'synonyms':>9} {'coverage':>10}")
-    for point in points:
+    for row in run_quality(prefix_worlds(world)):  # sorted by world: month order
+        prefix = row.world.removeprefix("movies ")
         print(
-            f"   {point.label:<18} {point.click_volume:>9} {point.hit_ratio:>9.1%} "
-            f"{point.synonym_count:>9} {point.coverage_increase:>9.1%}"
+            f"   {prefix:<18} {row.click_volume:>9} {row.hit_ratio:>9.1%} "
+            f"{row.synonyms:>9} {row.coverage_increase:>9.1%}"
         )
 
 

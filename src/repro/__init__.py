@@ -19,8 +19,8 @@ Top-level packages:
   the proprietary inputs (Bing logs and search API, catalogs, Wikipedia);
 * :mod:`repro.baselines`   — the Wikipedia-redirect and random-walk
   baselines of Table I;
-* :mod:`repro.eval`        — metrics and runners for Figure 2, Figure 3 and
-  Table I.
+* :mod:`repro.eval`        — metrics and the one sweep behind Figure 2,
+  Figure 3, Table I, the ablations and the log-volume sweep.
 
 The last four packages exist to produce the paper's tables; nothing the
 miner, the compiler or the daemon imports depends on them (or on numpy).

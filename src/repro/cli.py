@@ -548,7 +548,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.eval.experiments import run_icr_sweep, run_ipc_sweep, run_table1
+    from repro.eval.experiments import run_quality
     from repro.eval.reporting import render_icr_sweep, render_ipc_sweep, render_table1
     from repro.simulation.scenario import ScenarioConfig, build_world
 
@@ -559,16 +559,18 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         movies_config = ScenarioConfig.movies()
         cameras_config = ScenarioConfig.cameras()
 
-    movies = build_world(movies_config)
+    worlds = {"movies": build_world(movies_config)}
+    if args.artifact in ("table1", "all"):
+        worlds["cameras"] = build_world(cameras_config)
+    rows = run_quality(worlds)
     if args.artifact in ("figure2", "all"):
-        print(render_ipc_sweep(run_ipc_sweep(movies)))
+        print(render_ipc_sweep(rows))
         print()
     if args.artifact in ("figure3", "all"):
-        print(render_icr_sweep(run_icr_sweep(movies)))
+        print(render_icr_sweep(rows))
         print()
     if args.artifact in ("table1", "all"):
-        cameras = build_world(cameras_config)
-        print(render_table1(run_table1([movies, cameras])))
+        print(render_table1(rows))
     return 0
 
 

@@ -1,14 +1,16 @@
-"""Evaluation framework: ground-truth labelling, metrics and experiments.
+"""Evaluation framework: ground-truth labelling, metrics and the one sweep.
 
 * :mod:`repro.eval.labeling` — the ground-truth oracle (the role human
   judges play in the paper);
-* :mod:`repro.eval.metrics` — Precision, Weighted Precision, Coverage
-  Increase (Section IV-A) and the per-method Table I summary (Hit Ratio /
-  Expansion Ratio, Section IV-B);
-* :mod:`repro.eval.experiments` — runners that regenerate Figure 2,
-  Figure 3 and Table I, plus the ablations listed in DESIGN.md;
-* :mod:`repro.eval.reporting` — plain-text rendering of the results in the
-  same layout the paper uses.
+* :mod:`repro.eval.metrics` — Precision, Weighted Precision and Coverage
+  Increase (Section IV-A);
+* :mod:`repro.eval.experiments` — :func:`run_quality`, which evaluates the
+  :data:`GRID` of (world, k, β, γ) points behind Figure 2, Figure 3,
+  Table I, the three ablations and the log-volume sweep, one
+  :class:`QualityRow` per point (Hit Ratio and Expansion Ratio, Section
+  IV-B, are properties of the row);
+* :mod:`repro.eval.reporting` — the seven tables rendered from those rows in
+  the layout the paper uses.
 """
 
 from repro.eval.labeling import GroundTruthOracle
@@ -16,28 +18,19 @@ from repro.eval.metrics import (
     precision,
     weighted_precision,
     coverage_increase,
-    MethodSummary,
-    summarize_method,
 )
 from repro.eval.experiments import (
-    SweepPoint,
-    IPCSweepResult,
-    ICRSweepResult,
-    Table1Result,
-    run_ipc_sweep,
-    run_icr_sweep,
-    run_table1,
-    run_surrogate_k_ablation,
-    run_measure_ablation,
-    run_noise_ablation,
-    run_log_volume_sweep,
-    LogVolumePoint,
+    GRID,
+    QualityRow,
+    noise_worlds,
+    prefix_worlds,
+    run_quality,
 )
 from repro.eval.reporting import (
+    TABLES,
     render_ipc_sweep,
     render_icr_sweep,
     render_table1,
-    render_method_summary,
 )
 
 __all__ = [
@@ -45,22 +38,13 @@ __all__ = [
     "precision",
     "weighted_precision",
     "coverage_increase",
-    "MethodSummary",
-    "summarize_method",
-    "SweepPoint",
-    "IPCSweepResult",
-    "ICRSweepResult",
-    "Table1Result",
-    "run_ipc_sweep",
-    "run_icr_sweep",
-    "run_table1",
-    "run_surrogate_k_ablation",
-    "run_measure_ablation",
-    "run_noise_ablation",
-    "run_log_volume_sweep",
-    "LogVolumePoint",
+    "GRID",
+    "QualityRow",
+    "run_quality",
+    "prefix_worlds",
+    "noise_worlds",
+    "TABLES",
     "render_ipc_sweep",
     "render_icr_sweep",
     "render_table1",
-    "render_method_summary",
 ]

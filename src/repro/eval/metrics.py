@@ -11,7 +11,8 @@ Parameter-sensitivity metrics (Section IV-A):
   mined synonyms are added to the canonical strings.
 
 Comparison metrics (Section IV-B), the properties of
-:class:`MethodSummary` (and of :class:`~repro.core.types.MiningResult`):
+:class:`~repro.eval.experiments.QualityRow` (and of
+:class:`~repro.core.types.MiningResult`):
 
 * **Hit Ratio** — "percentage of entries producing at least 1 synonym".
 * **Expansion Ratio** — "sum of synonyms and orig entries over orig
@@ -19,8 +20,6 @@ Comparison metrics (Section IV-B), the properties of
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.clicklog.log import ClickLog
 from repro.core.types import MiningResult
@@ -30,8 +29,6 @@ __all__ = [
     "precision",
     "weighted_precision",
     "coverage_increase",
-    "MethodSummary",
-    "summarize_method",
 ]
 
 
@@ -96,47 +93,3 @@ def coverage_increase(result: MiningResult, click_log: ClickLog) -> float:
         # relative to a single unit of volume to keep the metric finite.
         return float(gained)
     return gained / before
-
-
-@dataclass(frozen=True)
-class MethodSummary:
-    """All Table-I quantities for one method on one dataset."""
-
-    method: str
-    dataset: str
-    originals: int
-    hits: int
-    synonyms: int
-    precision: float
-    weighted_precision: float
-
-    @property
-    def hit_ratio(self) -> float:
-        if self.originals == 0:
-            return 0.0
-        return self.hits / self.originals
-
-    @property
-    def expansion_ratio(self) -> float:
-        if self.originals == 0:
-            return 0.0
-        return (self.synonyms + self.originals) / self.originals
-
-
-def summarize_method(
-    method: str,
-    dataset: str,
-    result: MiningResult,
-    oracle: GroundTruthOracle,
-    click_log: ClickLog,
-) -> MethodSummary:
-    """Build the Table-I row (plus precision columns) for one method run."""
-    return MethodSummary(
-        method=method,
-        dataset=dataset,
-        originals=len(result),
-        hits=result.hit_count,
-        synonyms=result.synonym_count,
-        precision=precision(result, oracle),
-        weighted_precision=weighted_precision(result, oracle, click_log),
-    )

@@ -62,8 +62,3 @@ class SearchEngine:
             SearchResult(url=self.index.url_of(doc_id), rank=rank, score=score)
             for rank, (doc_id, score) in enumerate(ranked, start=1)
         ]
-
-    @property
-    def document_count(self) -> int:
-        """Number of indexed pages."""
-        return self.index.document_count

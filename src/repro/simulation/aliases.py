@@ -145,25 +145,6 @@ class AliasTable:
                 return record.kind
         return None
 
-    def is_synonym(self, alias: str, entity_id: str) -> bool:
-        """True iff *alias* is a recorded true synonym of *entity_id*."""
-        return self.kind_of(alias, entity_id) is AliasKind.SYNONYM
-
-    def entities_for(self, alias: str) -> list[tuple[str, AliasKind]]:
-        """Every (entity_id, kind) pair recorded for *alias*."""
-        normalized = normalize(alias)
-        return [
-            (record.entity_id, record.kind)
-            for record in self._by_alias.get(normalized, ())
-        ]
-
-    def kinds(self) -> dict[AliasKind, int]:
-        """Histogram of record kinds (useful in tests and reports)."""
-        histogram: dict[AliasKind, int] = {}
-        for record in self._records:
-            histogram[record.kind] = histogram.get(record.kind, 0) + 1
-        return histogram
-
 
 # --------------------------------------------------------------------------- #
 # Per-domain alias generation

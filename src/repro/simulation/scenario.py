@@ -37,8 +37,9 @@ class ScenarioConfig:
 
     ``session_count`` and ``seed`` are the one home of a world's traffic
     volume and randomness: the user model always runs with this session
-    count and a seed derived from this seed (:func:`user_model_for`), so
-    ``user_model`` only carries behaviour.
+    count and a seed derived from this seed (:func:`user_model_for`), and
+    the web corpus with another seed derived from it, so ``user_model``
+    only carries behaviour and ``webgen`` only the corpus's shape.
     """
 
     dataset: Literal["movies", "cameras", "toy"] = "movies"
@@ -130,6 +131,10 @@ def _build_catalog(config: ScenarioConfig) -> EntityCatalog:
 # (the cameras preset has drawn its clicks from seed 43 at seed 11).
 _USER_SEED_OFFSET = {"movies": 31, "cameras": 32, "toy": 31}
 
+# Offset from the scenario seed to the web corpus's seed, per dataset
+# (the toy preset has drawn its pages from seed 17 at seed 11).
+_WEB_SEED_OFFSET = {"movies": 23, "cameras": 23, "toy": 6}
+
 
 def user_model_for(config: ScenarioConfig) -> UserModelConfig:
     """The user model a world built from *config* simulates: the config's
@@ -148,7 +153,9 @@ def build_world(config: ScenarioConfig | None = None) -> SimulatedWorld:
     catalog = _build_catalog(config)
     alias_table = build_alias_table(catalog, seed=config.seed + 11)
 
-    webgen_config = config.webgen or WebGenConfig(seed=config.seed + 23)
+    webgen_config = replace(
+        config.webgen or WebGenConfig(), seed=config.seed + _WEB_SEED_OFFSET[config.dataset]
+    )
     corpus = WebCorpusGenerator(webgen_config).generate(catalog, alias_table)
     engine = SearchEngine(corpus)
 

@@ -12,7 +12,7 @@ in.  This module makes that dimension explicit:
   months do);
 * :func:`cumulative_click_logs` merges the slices into growing prefixes
   ("first month", "first two months", ...), which is what the log-volume
-  experiment in :mod:`repro.eval.experiments` consumes.
+  worlds of :func:`repro.eval.experiments.prefix_worlds` consume.
 
 Everything stays deterministic for a fixed scenario seed.
 """

@@ -146,9 +146,6 @@ class QueryPopulation:
     def specs(self) -> list[QuerySpec]:
         return list(self._specs)
 
-    def total_weight(self) -> float:
-        return sum(spec.weight for spec in self._specs)
-
     # ------------------------------------------------------------------ #
     # Construction from the ground truth
     # ------------------------------------------------------------------ #
@@ -254,8 +251,8 @@ class ClickSimulator:
         self._group_cache[entity_id] = group
         return group
 
-    def _click_probability(self, page: WebPage, intent: str | None, kind: str) -> float:
-        """Probability of clicking *page* given examination, intent and query kind."""
+    def _click_probability(self, page: WebPage, intent: str | None) -> float:
+        """Probability of clicking *page* given examination and intent."""
         config = self.config
         if intent is None:
             # Navigational noise: only generic pages look relevant.
@@ -307,7 +304,7 @@ class ClickSimulator:
                     else self.config.click_prob_unrelated_entity
                 )
             else:
-                relevance = self._click_probability(page, intent, kind)
+                relevance = self._click_probability(page, intent)
             probabilities.append(POSITION_BIAS[result.rank - 1] * relevance)
         return probabilities
 

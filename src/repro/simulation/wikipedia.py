@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.simulation.aliases import AliasTable
 from repro.simulation.catalog import EntityCatalog
-from repro.text.normalize import normalize
 
 __all__ = ["WikipediaConfig", "WikipediaEntry", "SimulatedWikipedia"]
 
@@ -84,23 +83,11 @@ class SimulatedWikipedia:
 
     def __init__(self, entries: list[WikipediaEntry]) -> None:
         self._entries = {entry.entity_id: entry for entry in entries}
-        self._redirect_index: dict[str, str] = {}
-        for entry in entries:
-            for redirect in entry.redirects:
-                self._redirect_index[normalize(redirect)] = entry.entity_id
 
     @classmethod
-    def build(
-        cls,
-        catalog: EntityCatalog,
-        alias_table: AliasTable,
-        config: WikipediaConfig | None = None,
-    ) -> "SimulatedWikipedia":
-        """Sample the coverage model over *catalog* and return the table."""
-        if config is None:
-            config = (
-                MOVIE_WIKIPEDIA_CONFIG if catalog.domain == "movie" else CAMERA_WIKIPEDIA_CONFIG
-            )
+    def build(cls, catalog: EntityCatalog, alias_table: AliasTable) -> "SimulatedWikipedia":
+        """Sample the catalog's domain preset over *catalog* and return the table."""
+        config = MOVIE_WIKIPEDIA_CONFIG if catalog.domain == "movie" else CAMERA_WIKIPEDIA_CONFIG
         rng = random.Random(WIKIPEDIA_SEED)
         ranked = sorted(catalog, key=lambda entity: -entity.popularity)
         total = max(len(ranked) - 1, 1)
@@ -137,10 +124,6 @@ class SimulatedWikipedia:
         """Redirect strings of the entity's article (empty when uncovered)."""
         entry = self._entries.get(entity_id)
         return list(entry.redirects) if entry else []
-
-    def resolve(self, alias: str) -> str | None:
-        """Follow a redirect: return the entity id *alias* redirects to."""
-        return self._redirect_index.get(normalize(alias))
 
     @property
     def article_count(self) -> int:

@@ -5,18 +5,14 @@ import pytest
 from repro.baselines.wikipedia import WikipediaSynonymFinder
 from repro.simulation.aliases import build_alias_table
 from repro.simulation.catalog import camera_catalog, movie_catalog
-from repro.simulation.wikipedia import (
-    CAMERA_WIKIPEDIA_CONFIG,
-    MOVIE_WIKIPEDIA_CONFIG,
-    SimulatedWikipedia,
-)
+from repro.simulation.wikipedia import SimulatedWikipedia
 
 
 @pytest.fixture(scope="module")
 def movie_setup():
     catalog = movie_catalog(size=50, seed=31)
     table = build_alias_table(catalog, seed=31)
-    wiki = SimulatedWikipedia.build(catalog, table, MOVIE_WIKIPEDIA_CONFIG)
+    wiki = SimulatedWikipedia.build(catalog, table)
     return catalog, table, wiki
 
 
@@ -52,7 +48,7 @@ class TestWikipediaBaseline:
     def test_low_camera_coverage_flows_through(self):
         catalog = camera_catalog(size=300, seed=13)
         table = build_alias_table(catalog, seed=13)
-        wiki = SimulatedWikipedia.build(catalog, table, CAMERA_WIKIPEDIA_CONFIG)
+        wiki = SimulatedWikipedia.build(catalog, table)
         finder = WikipediaSynonymFinder(wiki, catalog)
         result = finder.find(entity.canonical_name for entity in catalog)
         assert result.hit_ratio() < 0.35

@@ -258,6 +258,14 @@ def toy_world() -> SimulatedWorld:
 
 
 @pytest.fixture(scope="session")
+def toy_rows(toy_world):
+    """The quality grid's movies points, with the toy world standing in for movies."""
+    from repro.eval.experiments import run_quality
+
+    return run_quality({"movies": toy_world})
+
+
+@pytest.fixture(scope="session")
 def toy_catalog():
     """A 20-entity movie catalog (matches the toy world's, same seeds)."""
     return movie_catalog(size=20, seed=14)

@@ -1,19 +1,34 @@
-"""Tests for the log-volume sweep experiment."""
+"""Tests for the log-volume axis of the quality grid."""
 
 import pytest
 
-from repro.eval.experiments import run_log_volume_sweep
+from repro.eval.experiments import PREFIX_WORLDS, prefix_worlds, run_quality
+from repro.eval.reporting import row_at
 
 
 @pytest.fixture(scope="module")
-def sweep(toy_world):
-    return run_log_volume_sweep(toy_world, months=3)
+def worlds(toy_world):
+    return prefix_worlds(toy_world)
+
+
+@pytest.fixture(scope="module")
+def sweep(worlds):
+    rows = run_quality(worlds)
+    return [row_at(rows, world) for world in PREFIX_WORLDS]
 
 
 class TestLogVolumeSweep:
     def test_one_point_per_prefix(self, sweep):
-        assert len(sweep) == 3
-        assert sweep[0].label == "through 2008-07"
+        assert [point.world for point in sweep] == [
+            "movies through 2008-07", "movies through 2008-08", "movies through 2008-09",
+            "movies through 2008-10", "movies through 2008-11",
+        ]
+
+    def test_prefixes_replace_only_the_click_log(self, worlds, toy_world):
+        for world in worlds.values():
+            assert world.search_log is toy_world.search_log
+            assert world.catalog is toy_world.catalog
+            assert world.click_log is not toy_world.click_log
 
     def test_click_volume_grows(self, sweep):
         volumes = [point.click_volume for point in sweep]
@@ -23,7 +38,7 @@ class TestLogVolumeSweep:
     def test_coverage_and_synonyms_never_shrink_much(self, sweep):
         # More log data can only add candidates; small fluctuations come
         # from ICR denominators, so allow a modest tolerance.
-        assert sweep[-1].synonym_count >= sweep[0].synonym_count * 0.8
+        assert sweep[-1].synonyms >= sweep[0].synonyms * 0.8
         assert sweep[-1].hit_ratio >= sweep[0].hit_ratio - 0.1
 
     def test_metrics_in_range(self, sweep):
@@ -32,8 +47,7 @@ class TestLogVolumeSweep:
             assert 0.0 <= point.precision <= 1.0
             assert point.coverage_increase >= 0.0
 
-    def test_more_months_help_or_saturate(self, toy_world):
-        short = run_log_volume_sweep(toy_world, months=1)
-        long = run_log_volume_sweep(toy_world, months=3)
-        assert long[-1].click_volume > short[-1].click_volume
-        assert long[-1].synonym_count >= short[-1].synonym_count * 0.8
+    def test_more_months_help_or_saturate(self, sweep):
+        one_month, three_months = sweep[0], sweep[2]
+        assert three_months.click_volume > one_month.click_volume
+        assert three_months.synonyms >= one_month.synonyms * 0.8

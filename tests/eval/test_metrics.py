@@ -4,14 +4,9 @@ import pytest
 
 from repro.clicklog.log import ClickLog
 from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
+from repro.eval.experiments import QualityRow
 from repro.eval.labeling import GroundTruthOracle
-from repro.eval.metrics import (
-    MethodSummary,
-    coverage_increase,
-    precision,
-    summarize_method,
-    weighted_precision,
-)
+from repro.eval.metrics import coverage_increase, precision, weighted_precision
 from repro.simulation.aliases import AliasKind, AliasRecord, AliasTable
 from repro.simulation.catalog import Entity, EntityCatalog
 
@@ -120,20 +115,11 @@ class TestTableMetrics:
         assert result.hit_ratio() == 1.0
         assert result.expansion_ratio() == pytest.approx((3 + 2) / 2)
 
-    def test_summarize_method(self, setup):
-        oracle, result, log = setup
-        summary = summarize_method("Us", "movies", result, oracle, log)
-        assert isinstance(summary, MethodSummary)
-        assert summary.hits == 2
-        assert summary.synonyms == 3
-        assert summary.hit_ratio == 1.0
-        assert summary.expansion_ratio == pytest.approx(2.5)
-        assert summary.precision == pytest.approx(2 / 3)
-
     def test_summary_zero_originals(self):
-        summary = MethodSummary(
-            method="Us", dataset="movies", originals=0, hits=0, synonyms=0,
-            precision=1.0, weighted_precision=1.0,
+        summary = QualityRow(
+            world="movies", seed=11, method="Wiki", surrogate_k=None, ipc=None, icr=None,
+            fingerprint=None, originals=0, hits=0, synonyms=0, precision=1.0,
+            weighted_precision=1.0, coverage_increase=0.0, click_volume=0,
         )
         assert summary.hit_ratio == 0.0
         assert summary.expansion_ratio == 0.0

@@ -47,11 +47,6 @@ class TestSearch:
         assert scores == sorted(scores, reverse=True)
 
 
-class TestSearchData:
-    def test_document_count(self, mini_engine, mini_corpus):
-        assert mini_engine.document_count == len(mini_corpus)
-
-
 class TestHelpers:
     def test_search_result_is_frozen(self):
         result = SearchResult(url="u", rank=1, score=1.0)

@@ -32,28 +32,6 @@ class TestAliasTable:
         assert table.kind_of("unknown", "e1") is None
         assert table.kind_of("indy 4", "other-entity") is None
 
-    def test_is_synonym(self):
-        table = AliasTable()
-        table.add(AliasRecord("e1", "indy 4", AliasKind.SYNONYM))
-        assert table.is_synonym("indy 4", "e1")
-        assert not table.is_synonym("indy 4", "e2")
-
-    def test_entities_for(self):
-        table = AliasTable()
-        table.add(AliasRecord("e1", "shared term", AliasKind.HYPERNYM))
-        table.add(AliasRecord("e2", "shared term", AliasKind.HYPERNYM))
-        assert set(table.entities_for("shared term")) == {
-            ("e1", AliasKind.HYPERNYM),
-            ("e2", AliasKind.HYPERNYM),
-        }
-
-    def test_kinds_histogram(self):
-        table = AliasTable()
-        table.add(AliasRecord("e1", "a", AliasKind.SYNONYM))
-        table.add(AliasRecord("e1", "b", AliasKind.SYNONYM))
-        table.add(AliasRecord("e1", "c", AliasKind.RELATED))
-        assert table.kinds() == {AliasKind.SYNONYM: 2, AliasKind.RELATED: 1}
-
 
 class TestBuildAliasTableMovies:
     @pytest.fixture(scope="class")

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.simulation import scenario
 from repro.simulation.logs import SEARCH_DATA_K, generate_logs
 from repro.simulation.scenario import ScenarioConfig, build_world, user_model_for
 from repro.simulation.users import UserModelConfig
@@ -69,6 +70,23 @@ class TestScenarioConfig:
         # the user seed (43) the preset has always had.
         assert user_model_for(ScenarioConfig.cameras()).seed == 43
         assert user_model_for(ScenarioConfig.cameras(seed=12)).seed == 44
+
+    @pytest.mark.parametrize("preset", ["movies", "cameras", "toy"])
+    def test_seed_reaches_the_web_corpus(self, preset, monkeypatch):
+        class Recorded(Exception):
+            pass
+
+        seeds = []
+
+        def recording_generator(config):
+            seeds.append(config.seed)
+            raise Recorded  # the corpus is all this test needs
+
+        monkeypatch.setattr(scenario, "WebCorpusGenerator", recording_generator)
+        for seed in (11, 12):
+            with pytest.raises(Recorded):
+                build_world(getattr(ScenarioConfig, preset)(entity_count=10, seed=seed))
+        assert seeds[0] != seeds[1]
 
 
 class TestBuildWorld:

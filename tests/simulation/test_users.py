@@ -73,7 +73,7 @@ class TestQueryPopulation:
 
     def test_total_weight_positive(self, small_world):
         _catalog, _aliases, _engine, population, _config = small_world
-        assert population.total_weight() > 0
+        assert sum(spec.weight for spec in population) > 0
 
     def test_queries_of_kind(self, small_world):
         _catalog, _aliases, _engine, population, _config = small_world

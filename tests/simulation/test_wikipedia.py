@@ -4,12 +4,7 @@ import pytest
 
 from repro.simulation.aliases import AliasKind, build_alias_table
 from repro.simulation.catalog import camera_catalog, movie_catalog
-from repro.simulation.wikipedia import (
-    CAMERA_WIKIPEDIA_CONFIG,
-    MOVIE_WIKIPEDIA_CONFIG,
-    SimulatedWikipedia,
-    WikipediaConfig,
-)
+from repro.simulation.wikipedia import SimulatedWikipedia, WikipediaConfig
 
 
 class TestConfig:
@@ -31,7 +26,7 @@ class TestMovieCoverage:
     def wikipedia(self):
         catalog = movie_catalog(size=100, seed=2)
         table = build_alias_table(catalog, seed=2)
-        return SimulatedWikipedia.build(catalog, table, MOVIE_WIKIPEDIA_CONFIG), catalog, table
+        return SimulatedWikipedia.build(catalog, table), catalog, table
 
     def test_high_coverage_for_movies(self, wikipedia):
         wiki, catalog, _table = wikipedia
@@ -43,29 +38,19 @@ class TestMovieCoverage:
             for redirect in wiki.redirects_for(entity.entity_id):
                 assert table.kind_of(redirect, entity.entity_id) is AliasKind.SYNONYM
 
-    def test_resolve_follows_redirects(self, wikipedia):
-        wiki, catalog, _table = wikipedia
-        covered = next(e.entity_id for e in catalog if wiki.redirects_for(e.entity_id))
-        redirect = wiki.redirects_for(covered)[0]
-        assert wiki.resolve(redirect) == covered
-
-    def test_resolve_unknown(self, wikipedia):
-        wiki, _catalog, _table = wikipedia
-        assert wiki.resolve("definitely not a redirect") is None
-
 
 class TestCameraCoverage:
     def test_low_coverage_for_cameras(self):
         catalog = camera_catalog(size=882, seed=3)
         table = build_alias_table(catalog, seed=3)
-        wiki = SimulatedWikipedia.build(catalog, table, CAMERA_WIKIPEDIA_CONFIG)
+        wiki = SimulatedWikipedia.build(catalog, table)
         ratio = wiki.article_count / len(catalog)
         assert 0.05 < ratio < 0.30
 
     def test_coverage_biased_to_popular_entities(self):
         catalog = camera_catalog(size=400, seed=3)
         table = build_alias_table(catalog, seed=3)
-        wiki = SimulatedWikipedia.build(catalog, table, CAMERA_WIKIPEDIA_CONFIG)
+        wiki = SimulatedWikipedia.build(catalog, table)
         ranked = sorted(catalog, key=lambda entity: -entity.popularity)
         head = sum(1 for entity in ranked[:100] if wiki.redirects_for(entity.entity_id))
         tail = sum(1 for entity in ranked[-100:] if wiki.redirects_for(entity.entity_id))
@@ -74,7 +59,7 @@ class TestCameraCoverage:
     def test_entry_for_uncovered_entity_is_none(self):
         catalog = camera_catalog(size=100, seed=3)
         table = build_alias_table(catalog, seed=3)
-        wiki = SimulatedWikipedia.build(catalog, table, CAMERA_WIKIPEDIA_CONFIG)
+        wiki = SimulatedWikipedia.build(catalog, table)
         uncovered = [e for e in catalog if not wiki.redirects_for(e.entity_id)]
         assert uncovered
         assert wiki.article_count == len(catalog) - len(uncovered)

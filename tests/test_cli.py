@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,18 @@ class TestEndToEndWorkflow:
         monkeypatch.setattr("sys.stdin", io.StringIO(rows[0]["synonym"] + "\n"))
         assert main(["match", "--synonyms", str(mined)]) == 0
         assert json.loads(capsys.readouterr().out.strip())["matched"] is True
+
+
+class TestExperimentsCLI:
+    # sha256 of `experiments --quick --artifact figure2` stdout, as printed
+    # when each table still had its own runner: the grid must not move it.
+    FIGURE2_QUICK_SHA256 = "6b554e730439ca1c072efab04987efe09694ba6f4c16447062ae576ed3eac8c9"
+
+    def test_quick_figure2_output_is_pinned(self, capsys):
+        assert main(["experiments", "--quick", "--artifact", "figure2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Figure 2 — IPC sweep on dataset 'movies'")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.FIGURE2_QUICK_SHA256
 
 
 class TestBatchMineCLI:
