@@ -29,7 +29,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core import MinerConfig, SynonymMiner
 from repro.eval import render_table1, run_quality
-from repro.matching import QueryMatcher, SynonymDictionary
+from repro.matching import QueryMatcher, entries_from_mining_result
+from repro.serving import SynonymArtifact
 from repro.simulation import ScenarioConfig, build_world
 
 
@@ -50,8 +51,9 @@ def main() -> None:
         config=MinerConfig.paper_default(),
     )
     ours = miner.mine(world.canonical_queries())
-    dictionary = SynonymDictionary.from_mining_result(ours, world.catalog)
-    matcher = QueryMatcher(dictionary)
+    matcher = QueryMatcher(
+        SynonymArtifact.from_entries(entries_from_mining_result(ours, world.catalog))
+    )
 
     print("\nShopper queries resolved against the catalog:")
     shown = 0

@@ -7,7 +7,7 @@ shows the before/after of plugging the mined synonym dictionary into the
 query-matching front-end:
 
 1. build the D1-style movie world and mine synonyms offline;
-2. build two dictionaries — canonical names only vs canonical + mined; and
+2. compile two dictionaries — canonical names only vs canonical + mined; and
 3. run a batch of realistic live queries through the matcher with each
    dictionary and compare how many resolve to the right movie entity.
 
@@ -24,7 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core import MinerConfig, SynonymMiner
-from repro.matching import QueryMatcher, SynonymDictionary
+from repro.matching import QueryMatcher, entries_from_mining_result
+from repro.serving import SynonymArtifact
 from repro.simulation import ScenarioConfig, build_world
 
 LOCATION_SUFFIXES = ["near san fran", "showtimes", "tickets tonight", "near me", "imax"]
@@ -41,8 +42,11 @@ def main() -> None:
     result = miner.mine(world.canonical_queries())
     print(f"  mined {result.synonym_count} synonyms for {result.hit_count} movies\n")
 
-    expanded = SynonymDictionary.from_mining_result(result, world.catalog)
-    canonical_only = SynonymDictionary.from_catalog(world.catalog)
+    entries = list(entries_from_mining_result(result, world.catalog))
+    expanded = SynonymArtifact.from_entries(entries)
+    canonical_only = SynonymArtifact.from_entries(
+        entry for entry in entries if entry.source == "canonical"
+    )
 
     expanded_matcher = QueryMatcher(expanded)
     baseline_matcher = QueryMatcher(canonical_only)

@@ -9,10 +9,11 @@ Top-level packages:
 
 * :mod:`repro.core`        — the two-phase miner (surrogates → candidates →
   IPC/ICR selection), the paper's contribution;
-* :mod:`repro.matching`    — the online fuzzy query-to-entity matcher built
-  on the mined dictionary;
-* :mod:`repro.serving`     — compiled dictionary artifacts and the hot-swappable
-  match service (the mine → compile → serve pipeline);
+* :mod:`repro.matching`    — the online fuzzy query-to-entity matcher and
+  the rules that turn mined synonyms into dictionary entries;
+* :mod:`repro.serving`     — the compiled dictionary artifact (the one index
+  that answers queries) and the hot-swappable match service (the mine →
+  compile → serve pipeline);
 * :mod:`repro.clicklog`, :mod:`repro.storage`, :mod:`repro.text` — the
   substrates (click logs, persistence, text processing);
 * :mod:`repro.simulation`, :mod:`repro.search` — synthetic stand-ins for
@@ -39,7 +40,7 @@ Quickstart::
 """
 
 from repro.core import MinerConfig, SynonymMiner, MiningResult, SynonymCandidate
-from repro.matching import QueryMatcher, SynonymDictionary
+from repro.matching import QueryMatcher
 from repro.serving import MatchService, SynonymArtifact, compile_dictionary
 
 __version__ = "1.1.0"
@@ -50,7 +51,6 @@ __all__ = [
     "MiningResult",
     "SynonymCandidate",
     "QueryMatcher",
-    "SynonymDictionary",
     "MatchService",
     "SynonymArtifact",
     "compile_dictionary",

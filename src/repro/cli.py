@@ -19,7 +19,7 @@ without writing any Python:
   offline (chain verification included), the operational tool for folding
   a delta journal back into its base;
 * ``match``       — match live queries (arguments or stdin) against a
-  mined dictionary, from ``--synonyms`` JSONL (rebuilt in memory) or a
+  mined dictionary, from ``--synonyms`` JSONL (compiled in memory) or a
   compiled ``--artifact`` (fast path);
 * ``server``      — run the long-lived HTTP/JSON match daemon
   (:mod:`repro.server`) over a compiled artifact: ``/match``,
@@ -56,8 +56,7 @@ from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
-from repro.matching.index import DictionaryIndex
+from repro.matching.index import DictionaryEntry, entries_from_mined_rows, mined_row
 from repro.matching.matcher import EntityMatch, QueryMatcher
 from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
 from repro.server.metrics import AccessLog
@@ -166,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     match_source.add_argument("--synonyms", type=Path, help="synonyms JSONL from `mine`")
     match_source.add_argument(
         "--artifact", type=Path,
-        help="compiled artifact from `compile` (fast alternative to JSONL rebuild)",
+        help="compiled artifact from `compile` (saves compiling the JSONL on every run)",
     )
     match.add_argument("--no-fuzzy", action="store_true", help="disable the fuzzy fallback")
     match.add_argument("queries", nargs="*", help="queries to match (reads stdin when omitted)")
@@ -377,26 +376,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synonym_row(
-    *, canonical: str, synonym: str, clicks: float = 1, **_scores: object
-) -> tuple[str, str, float]:
-    return canonical, synonym, float(clicks)
+def _synonym_entries(path: Path) -> list[DictionaryEntry]:
+    """Dictionary entries for a `mine` output JSONL.
 
-
-def _dictionary_from_synonyms(path: Path) -> SynonymDictionary:
-    """Rebuild the in-memory dictionary from a `mine` output JSONL.
-
-    Without a catalog the canonical string doubles as the entity id (the
-    convention `match` has always used); mined entries carry their click
-    volume as the weight so duplicate (text, entity) pairs keep the
-    best-evidenced entry.  A row missing ``canonical`` / ``synonym`` or with
-    non-numeric ``clicks`` raises the reader's ``<path>:<line>: reason``.
+    A row missing ``canonical`` / ``synonym`` or with non-numeric
+    ``clicks`` raises the reader's ``<path>:<line>: reason``.
     """
-    dictionary = SynonymDictionary()
-    for canonical, synonym, clicks in read_jsonl_as(path, _synonym_row):
-        dictionary.add(DictionaryEntry(canonical, canonical, source="canonical"))
-        dictionary.add(DictionaryEntry(synonym, canonical, source="mined", weight=clicks))
-    return dictionary
+    return list(entries_from_mined_rows(read_jsonl_as(path, mined_row)))
 
 
 def _match_payload(query: str, match: EntityMatch) -> dict:
@@ -409,7 +395,7 @@ def _match_payload(query: str, match: EntityMatch) -> dict:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    dictionary = _dictionary_from_synonyms(args.synonyms)
+    entries = _synonym_entries(args.synonyms)
     click_log = None
     if args.priors is not None:
         click_log = _load_log(ClickLog, args.priors, ClickRecord)
@@ -419,7 +405,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         output = args.output if args.output is not None else delta_path_for(args.delta)
         base = SynonymArtifact.load(args.delta)
         manifest = diff_delta(
-            base, dictionary, output,
+            base, entries, output,
             version=args.version_label, click_log=click_log,
         )
         size = output.stat().st_size
@@ -442,7 +428,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.output is None:
         raise ValueError("compile: --output is required without --delta")
     manifest = compile_dictionary(
-        dictionary, args.output, version=args.version_label, click_log=click_log
+        entries, args.output, version=args.version_label, click_log=click_log
     )
     size = args.output.stat().st_size
     priors_note = (
@@ -475,12 +461,11 @@ def _cmd_delta_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
-    dictionary: DictionaryIndex
     if args.artifact is not None:
-        dictionary = SynonymArtifact.load(args.artifact)
+        artifact = SynonymArtifact.load(args.artifact)
     else:
-        dictionary = _dictionary_from_synonyms(args.synonyms)
-    matcher = QueryMatcher(dictionary, enable_fuzzy=not args.no_fuzzy)
+        artifact = SynonymArtifact.from_entries(_synonym_entries(args.synonyms))
+    matcher = QueryMatcher(artifact, enable_fuzzy=not args.no_fuzzy)
 
     queries = list(args.queries)
     if not queries:

@@ -56,7 +56,6 @@ class _PublishedState:
     content_hash: str
     entries: "list[EntryTuple]"
     priors: dict[str, float] | None
-    include_canonical: bool
     entity_of_canonical: dict[str, str]
 
 
@@ -230,26 +229,21 @@ class IncrementalSynonymMiner:
         """How many refreshes have re-mined at least one entity."""
         return self._generation
 
-    def publish(
-        self,
-        catalog,
-        path,
-        *,
-        include_canonical: bool = True,
-        include_priors: bool = True,
-        delta: bool = False,
-    ):
+    def publish(self, catalog, path, *, delta: bool = False):
         """Compile the current cached result into a serving artifact.
 
-        The artifact version is ``gen-<n>`` where *n* is the refresh
-        generation, so successive publications of an incrementally
-        maintained dictionary are distinguishable in their manifests; a
+        The entries are every catalogued canonical string plus its selected
+        synonyms (:func:`~repro.matching.index.entries_from_mining_result`),
+        compiled straight into the artifact.  The artifact version is
+        ``gen-<n>`` where *n* is the refresh generation, so successive
+        publications of an incrementally maintained dictionary are
+        distinguishable in their manifests; a
         :class:`~repro.serving.service.MatchService` watching *path* picks
-        the new artifact up atomically.  With *include_priors* (the
-        default) the current click log is embedded as per-entity priors, so
-        each published generation carries popularity consistent with the
-        traffic it was mined from.  Call :meth:`refresh` first if there are
-        dirty entities.  Returns the written manifest.
+        the new artifact up atomically.  The current click log is embedded
+        as per-entity priors, so each published generation carries
+        popularity consistent with the traffic it was mined from.  Call
+        :meth:`refresh` first if there are dirty entities.  Returns the
+        written manifest.
 
         With ``delta=True`` the publish is **incremental**: instead of
         recompiling the whole dictionary, a layout-3 delta sidecar is
@@ -261,29 +255,20 @@ class IncrementalSynonymMiner:
         applies the sidecar in memory; applying it reproduces, content
         hash for content hash, what a full publish would have written.
         Requires a prior publish as the base (the first publish must be
-        full) with the same *include_canonical* / *include_priors*
-        settings; click traffic must arrive via :meth:`ingest_clicks` for
+        full); click traffic must arrive via :meth:`ingest_clicks` for
         prior updates to be tracked.
         """
-        # Imported lazily: serving sits above core in the layering.
-        from repro.matching.dictionary import SynonymDictionary
+        # Imported lazily: matching and serving sit above core in the layering.
+        from repro.matching.index import entries_from_mining_result
         from repro.serving.artifact import compile_entries, compute_priors, dedupe_entries
         from repro.serving.delta import delta_path_for
 
         path = Path(path)
         if delta:
-            return self._publish_delta(
-                catalog,
-                path,
-                include_canonical=include_canonical,
-                include_priors=include_priors,
-            )
+            return self._publish_delta(catalog, path)
 
-        dictionary = SynonymDictionary.from_mining_result(
-            self._result, catalog, include_canonical=include_canonical
-        )
-        entries = dedupe_entries(dictionary)
-        priors = compute_priors(entries, self.click_log) if include_priors else None
+        entries = dedupe_entries(entries_from_mining_result(self._result, catalog))
+        priors = compute_priors(entries, self.click_log)
         manifest = compile_entries(
             entries,
             path,
@@ -301,7 +286,6 @@ class IncrementalSynonymMiner:
             content_hash=manifest.content_hash,
             entries=entries,
             priors=priors,
-            include_canonical=include_canonical,
             entity_of_canonical={
                 canonical: by_name[canonical].entity_id
                 for canonical in self._result.per_entity
@@ -312,10 +296,8 @@ class IncrementalSynonymMiner:
         self._clicked_since_publish.clear()
         return manifest
 
-    def _publish_delta(
-        self, catalog, path, *, include_canonical: bool, include_priors: bool
-    ):
-        from repro.matching.dictionary import SynonymDictionary
+    def _publish_delta(self, catalog, path):
+        from repro.matching.index import entries_from_mining_result
         from repro.serving.artifact import compute_priors, dedupe_entries, state_hash
         from repro.serving.delta import _DeltaSpec, delta_path_for, merge_state, write_delta
 
@@ -323,16 +305,6 @@ class IncrementalSynonymMiner:
         if base is None:
             raise ValueError(
                 "no published base: publish a full artifact before delta=True"
-            )
-        if include_canonical != base.include_canonical:
-            raise ValueError(
-                "include_canonical differs from the published base; "
-                "publish a full artifact to change it"
-            )
-        if include_priors != (base.priors is not None):
-            raise ValueError(
-                "include_priors differs from the published base; "
-                "publish a full artifact to change it"
             )
 
         by_name = catalog.by_canonical_name()
@@ -362,10 +334,7 @@ class IncrementalSynonymMiner:
         sub = MiningResult()
         for canonical in changed_canonicals:
             sub.add(self._result[canonical])
-        mini = SynonymDictionary.from_mining_result(
-            sub, catalog, include_canonical=include_canonical
-        )
-        mini_entries = dedupe_entries(mini)
+        mini_entries = dedupe_entries(entries_from_mining_result(sub, catalog))
         groups: dict[str, list] = {}
         order: list[str] = []
         for entry in mini_entries:
@@ -375,31 +344,29 @@ class IncrementalSynonymMiner:
                 order.append(entity_id)
             groups[entity_id].append(entry)
         removed -= set(groups)
-        # A changed entity that compiled to no entries (e.g. all synonyms
-        # retracted with include_canonical=False) is a removal too: a full
+        # A changed entity that compiled to no entries (a canonical that
+        # normalizes to nothing, with no synonyms) is a removal too: a full
         # compile would not emit it at all.
         for canonical in changed_canonicals:
             entity = by_name.get(canonical)
             if entity is not None and entity.entity_id not in groups:
                 removed.add(entity.entity_id)
 
-        prior_updates: dict[str, float] | None = None
-        if include_priors:
-            prior_updates = compute_priors(mini_entries, self.click_log)
-            # Unchanged entities whose strings received clicks: their prior
-            # moved even though their entries did not.  One scan of the base
-            # entries that allocates nothing per entry.
-            clicked = self._clicked_since_publish
-            untouched_dirty = {
-                entity_id
-                for text, entity_id, _source, _weight in base.entries
-                if text in clicked and entity_id not in prior_updates and entity_id not in removed
-            }
-            if untouched_dirty:
-                dirty_entries = [
-                    entry for entry in base.entries if entry[1] in untouched_dirty
-                ]
-                prior_updates.update(compute_priors(dirty_entries, self.click_log))
+        prior_updates = compute_priors(mini_entries, self.click_log)
+        # Unchanged entities whose strings received clicks: their prior
+        # moved even though their entries did not.  One scan of the base
+        # entries that allocates nothing per entry.
+        clicked = self._clicked_since_publish
+        untouched_dirty = {
+            entity_id
+            for text, entity_id, _source, _weight in base.entries
+            if text in clicked and entity_id not in prior_updates and entity_id not in removed
+        }
+        if untouched_dirty:
+            dirty_entries = [
+                entry for entry in base.entries if entry[1] in untouched_dirty
+            ]
+            prior_updates.update(compute_priors(dirty_entries, self.click_log))
 
         spec = _DeltaSpec(
             [(entity_id, groups[entity_id]) for entity_id in order],
@@ -432,7 +399,6 @@ class IncrementalSynonymMiner:
             content_hash="",
             entries=merged_entries,
             priors=merged_priors,
-            include_canonical=include_canonical,
             entity_of_canonical=entity_of_canonical,
         )
         self._changed_since_publish.clear()

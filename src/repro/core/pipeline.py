@@ -194,47 +194,3 @@ class SynonymMiner:
                 )
             )
         return reselected
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-
-    def publish(
-        self,
-        result: MiningResult,
-        catalog,
-        path,
-        *,
-        include_canonical: bool = True,
-        include_priors: bool = True,
-        version: str = "1",
-    ):
-        """Compile *result* into a serving artifact at *path*.
-
-        This is the publish hook of the mine → compile → serve pipeline:
-        the mining result is flattened into a
-        :class:`~repro.matching.dictionary.SynonymDictionary` against
-        *catalog* (an :class:`~repro.simulation.catalog.EntityCatalog`) and
-        frozen with :func:`~repro.serving.artifact.compile_dictionary`,
-        stamping this miner's config fingerprint into the manifest.  With
-        *include_priors* (the default) the miner's click log is folded into
-        the artifact as per-entity click-volume priors, so a downstream
-        :class:`~repro.matching.resolver.MatchResolver` ranks ambiguous
-        matches without the log.  Returns the written
-        :class:`~repro.storage.artifact.ArtifactManifest`.
-        """
-        # Imported lazily: serving sits above core in the layering.
-        from repro.matching.dictionary import SynonymDictionary
-        from repro.serving.artifact import compile_dictionary
-
-        dictionary = SynonymDictionary.from_mining_result(
-            result, catalog, include_canonical=include_canonical
-        )
-        return compile_dictionary(
-            dictionary,
-            path,
-            version=version,
-            config_fingerprint=self.config.fingerprint(),
-            click_log=self.click_log if include_priors else None,
-        )
-

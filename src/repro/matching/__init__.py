@@ -7,24 +7,39 @@ so a structured source (showtimes) can answer it.
 
 The package consumes the offline miner's output:
 
-* :class:`~repro.matching.dictionary.SynonymDictionary` — the expanded
-  string → entity lookup table;
+* :mod:`repro.matching.index` — :class:`DictionaryEntry`, the builders
+  that turn mined synonyms into entries, and the :class:`DictionaryIndex`
+  lookup protocol (implemented in production by the compiled
+  :class:`~repro.serving.artifact.SynonymArtifact`);
 * :class:`~repro.matching.segmentation.QuerySegmenter` — finds which
   contiguous span of a live query matches a dictionary entry;
 * :class:`~repro.matching.matcher.QueryMatcher` — the end-to-end matcher
-  with an optional fuzzy (edit-distance) fallback for unseen misspellings.
+  with an optional fuzzy (edit-distance) fallback for unseen misspellings;
+* :class:`~repro.matching.resolver.MatchResolver` — orders the entities of
+  an ambiguous match.
+
+The in-memory reference index,
+:class:`repro.matching.dictionary.SynonymDictionary`, is not imported here:
+only tests and the perf oracle use it.
 """
 
-from repro.matching.dictionary import SynonymDictionary, DictionaryEntry
-from repro.matching.index import DictionaryIndex
+from repro.matching.index import (
+    DictionaryEntry,
+    DictionaryIndex,
+    entries_from_mined_rows,
+    entries_from_mining_result,
+    mined_row,
+)
 from repro.matching.segmentation import QuerySegmenter, Segment
 from repro.matching.matcher import QueryMatcher, EntityMatch, MatchOutcome
 from repro.matching.resolver import MatchResolver, RankedEntity
 
 __all__ = [
-    "SynonymDictionary",
     "DictionaryEntry",
     "DictionaryIndex",
+    "entries_from_mined_rows",
+    "entries_from_mining_result",
+    "mined_row",
     "QuerySegmenter",
     "Segment",
     "QueryMatcher",

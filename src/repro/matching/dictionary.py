@@ -1,44 +1,34 @@
-"""The expanded synonym dictionary: string → entity lookup.
+"""The reference string → entity index: an in-memory dict-of-dicts.
 
-The offline miner produces, for every canonical data value, a set of
-synonymous strings.  The dictionary flattens that into the two indexes the
-online matcher needs:
+:class:`SynonymDictionary` keeps the two indexes the online matcher reads
+in plain Python containers:
 
-* an exact-string index (normalized string → entity ids), and
-* a token index (token → candidate strings containing it) used by the
-  fuzzy fallback to shortlist entries without scanning the whole
-  dictionary.
+* an exact-string index (normalized string → entries), and
+* a token index (token → strings containing it) for the fuzzy fallback's
+  shortlist.
+
+No production path builds one: publishers compile entries straight into a
+:class:`~repro.serving.artifact.SynonymArtifact`.  It stays as the
+independent reference the equivalence tests, the fuzzy differential test
+and the perf oracle compare the compiled artifact against, so it keeps its
+own :meth:`~SynonymDictionary.add` and token index rather than sharing the
+compiler's code.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.core.types import MiningResult
+from repro.matching.index import DictionaryEntry, entries_from_mining_result
 from repro.text.normalize import normalize
 from repro.text.tokenize import tokenize
 
 if TYPE_CHECKING:  # the simulator stays out of the serving process
+    from repro.core.types import MiningResult
     from repro.simulation.catalog import EntityCatalog
 
-__all__ = ["DictionaryEntry", "SynonymDictionary"]
-
-
-@dataclass(frozen=True)
-class DictionaryEntry:
-    """One dictionary string and the entity it refers to.
-
-    ``source`` records where the string came from: ``"canonical"`` for the
-    original data value, ``"mined"`` for a synonym produced by the miner, or
-    ``"manual"`` for entries added by hand.
-    """
-
-    text: str
-    entity_id: str
-    source: str = "mined"
-    weight: float = 1.0
+__all__ = ["SynonymDictionary"]
 
 
 class SynonymDictionary:
@@ -88,47 +78,10 @@ class SynonymDictionary:
 
     @classmethod
     def from_mining_result(
-        cls,
-        result: MiningResult,
-        catalog: EntityCatalog,
-        *,
-        include_canonical: bool = True,
+        cls, result: MiningResult, catalog: EntityCatalog
     ) -> "SynonymDictionary":
-        """Build the dictionary from a mining result and the catalog.
-
-        The catalog provides the canonical name → entity id mapping; mined
-        synonyms inherit the entity of the canonical string they expand.
-        """
-        by_name = catalog.by_canonical_name()
-        dictionary = cls()
-        for entry in result:
-            entity = by_name.get(entry.canonical)
-            if entity is None:
-                continue
-            if include_canonical:
-                dictionary.add(
-                    DictionaryEntry(entry.canonical, entity.entity_id, source="canonical")
-                )
-            for candidate in entry.selected:
-                dictionary.add(
-                    DictionaryEntry(
-                        candidate.query,
-                        entity.entity_id,
-                        source="mined",
-                        weight=float(candidate.clicks),
-                    )
-                )
-        return dictionary
-
-    @classmethod
-    def from_catalog(cls, catalog: EntityCatalog) -> "SynonymDictionary":
-        """Canonical-names-only dictionary (the pre-expansion baseline)."""
-        dictionary = cls()
-        for entity in catalog:
-            dictionary.add(
-                DictionaryEntry(entity.canonical_name, entity.entity_id, source="canonical")
-            )
-        return dictionary
+        """The reference dictionary for a mining result and its catalog."""
+        return cls(entries_from_mining_result(result, catalog))
 
     # ------------------------------------------------------------------ #
     # Lookup

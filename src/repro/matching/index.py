@@ -1,12 +1,21 @@
-"""The lookup interface the online matching layer is built against.
+"""Dictionary entries, the rules that build them, and the lookup interface.
 
-:class:`~repro.matching.dictionary.SynonymDictionary` started life as the
-only string → entity index, and the matcher/segmenter were written directly
-against its dict-of-dicts internals.  Serving at scale needs other
-implementations — most importantly the compiled, memory-mapped-style
-:class:`~repro.serving.artifact.SynonymArtifact` — so the surface the
-online path actually consumes is spelled out here as a
-:class:`typing.Protocol`:
+A dictionary entry is one (string, entity) pair.  This module is the one
+place that knows how mined synonyms become entries:
+
+* :func:`entries_from_mining_result` — a :class:`~repro.core.types.MiningResult`
+  against a catalog: each canonical string maps to its catalog entity, and
+  its selected synonyms inherit that entity with their click volume as the
+  weight;
+* :func:`entries_from_mined_rows` — ``(canonical, synonym, clicks)`` rows as
+  ``repro mine`` writes them (:func:`mined_row` parses one), where no
+  catalog is at hand and the canonical string doubles as the entity id.
+
+Every publisher feeds these entries to
+:func:`~repro.serving.artifact.dedupe_entries` and compiles them, so the
+compiled :class:`~repro.serving.artifact.SynonymArtifact` is the one
+production implementation of :class:`DictionaryIndex`, the surface the
+online path consumes:
 
 * an **exact index** (``lookup`` / ``entities_for`` / ``__contains__``),
 * a **token shortlist** for the fuzzy fallback
@@ -16,21 +25,84 @@ online path actually consumes is spelled out here as a
   click-prior, and
 * ``max_entry_tokens``, the segmenter's span-length bound.
 
-Anything implementing this protocol can be handed to
-:class:`~repro.matching.matcher.QueryMatcher`,
-:class:`~repro.matching.segmentation.QuerySegmenter` and
-:class:`~repro.matching.resolver.MatchResolver`; the equivalence tests pin
-that the compiled artifact and the in-memory dictionary are
-indistinguishable through this interface.
+:class:`~repro.matching.dictionary.SynonymDictionary` implements it too, as
+an independent in-memory reference that only the tests and the perf oracle
+compare the artifact against.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
 
-from repro.matching.dictionary import DictionaryEntry
+if TYPE_CHECKING:  # the simulator stays out of the serving process
+    from repro.core.types import MiningResult
+    from repro.simulation.catalog import EntityCatalog
 
-__all__ = ["DictionaryIndex"]
+__all__ = [
+    "DictionaryEntry",
+    "DictionaryIndex",
+    "entries_from_mining_result",
+    "entries_from_mined_rows",
+    "mined_row",
+]
+
+
+@dataclass(frozen=True)
+class DictionaryEntry:
+    """One dictionary string and the entity it refers to.
+
+    ``source`` records where the string came from: ``"canonical"`` for the
+    original data value, ``"mined"`` for a synonym produced by the miner, or
+    ``"manual"`` for entries added by hand.
+    """
+
+    text: str
+    entity_id: str
+    source: str = "mined"
+    weight: float = 1.0
+
+
+def entries_from_mining_result(
+    result: MiningResult, catalog: EntityCatalog
+) -> Iterator[DictionaryEntry]:
+    """Entries for a mining result: each canonical, then its selected synonyms.
+
+    The catalog maps canonical strings to entity ids; a canonical the
+    catalog does not list contributes nothing.
+    """
+    by_name = catalog.by_canonical_name()
+    for entry in result:
+        entity = by_name.get(entry.canonical)
+        if entity is None:
+            continue
+        yield DictionaryEntry(entry.canonical, entity.entity_id, source="canonical")
+        for candidate in entry.selected:
+            yield DictionaryEntry(
+                candidate.query, entity.entity_id, source="mined",
+                weight=float(candidate.clicks),
+            )
+
+
+def mined_row(
+    *, canonical: str, synonym: str, clicks: float = 1, **_scores: object
+) -> tuple[str, str, float]:
+    """One ``repro mine`` output row (its score fields ignored) as a tuple."""
+    return canonical, synonym, float(clicks)
+
+
+def entries_from_mined_rows(
+    rows: Iterable[tuple[str, str, float]],
+) -> Iterator[DictionaryEntry]:
+    """Entries for ``(canonical, synonym, clicks)`` rows.
+
+    Without a catalog the canonical string is also the entity id.  The
+    canonical is emitted once per row; duplicates collapse when the entries
+    are deduplicated.
+    """
+    for canonical, synonym, clicks in rows:
+        yield DictionaryEntry(canonical, canonical, source="canonical")
+        yield DictionaryEntry(synonym, canonical, source="mined", weight=clicks)
 
 
 @runtime_checkable

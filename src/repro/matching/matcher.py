@@ -2,7 +2,9 @@
 
 :class:`QueryMatcher` answers the question the paper opens with: *does this
 Web query (approximately) reference one of our structured entities, and if
-so which one?*  It works in two stages:
+so which one?*  It reads a :class:`~repro.matching.index.DictionaryIndex` —
+in production the compiled :class:`~repro.serving.artifact.SynonymArtifact`
+— and works in two stages:
 
 1. **Exact-dictionary segmentation** — find the longest contiguous span of
    the query that exactly matches a dictionary string (canonical name or
@@ -67,9 +69,8 @@ class EntityMatch:
 class QueryMatcher:
     """Matches live Web queries against a :class:`DictionaryIndex`.
 
-    Any index implementation works — the in-memory
-    :class:`~repro.matching.dictionary.SynonymDictionary` or a compiled
-    :class:`~repro.serving.artifact.SynonymArtifact` — and every one gives
+    The compiled :class:`~repro.serving.artifact.SynonymArtifact` and the
+    reference :class:`~repro.matching.dictionary.SynonymDictionary` give
     the same answer for the same entries: the outcome never depends on the
     order an index (or ``PYTHONHASHSEED``) happens to list candidates in.
     """

@@ -34,6 +34,10 @@ from repro.text.tokenize import tokenize
 
 __all__ = ["RankedEntity", "MatchResolver"]
 
+# Weight of the context overlap (in [0, 1]) against the normalised click
+# prior (at most 1.0) in the ranking score.
+CONTEXT_WEIGHT = 2.0
+
 
 @dataclass(frozen=True)
 class RankedEntity:
@@ -62,16 +66,12 @@ class MatchResolver:
         *,
         click_log: ClickLog | None = None,
         priors: Mapping[str, float] | None = None,
-        context_weight: float = 2.0,
     ) -> None:
-        if context_weight < 0:
-            raise ValueError(f"context_weight must be >= 0, got {context_weight}")
         if click_log is not None and priors is not None:
             raise ValueError("pass click_log or priors, not both")
         self.dictionary = dictionary
         self.click_log = click_log
         self.priors = dict(priors) if priors is not None else None
-        self.context_weight = context_weight
         self._prior_cache: dict[str, float] = {}
 
     @classmethod
@@ -154,7 +154,7 @@ class MatchResolver:
                 prior=priors[entity_id],
                 context_overlap=overlaps[entity_id],
                 score=(priors[entity_id] / max_prior)
-                + self.context_weight * overlaps[entity_id],
+                + CONTEXT_WEIGHT * overlaps[entity_id],
             )
             for entity_id in entity_ids
         ]

@@ -51,10 +51,10 @@ class Segment:
 class QuerySegmenter:
     """Finds dictionary-matching spans inside live queries."""
 
-    def __init__(self, dictionary: DictionaryIndex, *, max_span_tokens: int | None = None) -> None:
+    def __init__(self, dictionary: DictionaryIndex) -> None:
         self.dictionary = dictionary
-        limit = dictionary.max_entry_tokens or 1
-        self.max_span_tokens = max_span_tokens or limit
+        # No span longer than the longest dictionary string can match.
+        self.max_span_tokens = dictionary.max_entry_tokens or 1
 
     def _iter_segments(self, query: str) -> Iterator[Segment]:
         """Dictionary-matching spans of *query*, longest first, then leftmost."""

@@ -43,7 +43,7 @@ from repro.scenarios.workload import (
     build_catalog,
     catalog_fingerprint,
     click_log_from_rows,
-    dictionary_from_rows,
+    entries_from_rows,
     mutate_rows,
     request_stream,
     stream_fingerprint,
@@ -148,7 +148,7 @@ class Experiment:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self._rows = [dict(row) for row in catalog.rows]
         compile_dictionary(
-            dictionary_from_rows(self._rows),
+            entries_from_rows(self._rows),
             self._artifact_path,
             version="gen-0",
             click_log=click_log_from_rows(self._rows),
@@ -182,7 +182,7 @@ class Experiment:
         sidecar = delta_path_for(self._artifact_path)
         diff_delta(
             self._base,
-            dictionary_from_rows(rows),
+            entries_from_rows(rows),
             sidecar,
             version=version,
             click_log=click_log_from_rows(rows),

@@ -9,9 +9,9 @@ byte-identical workloads on any machine.  The experiment runner records
 file, which is how CI proves determinism with two back-to-back runs.
 
 The catalog uses the mined-rows shape (``canonical``/``synonym``/
-``clicks``) so :func:`dictionary_from_rows` can follow the exact
-convention the CLI has always used: the canonical string doubles as the
-entity id, and click volume weights duplicate entries.
+``clicks``) that ``repro mine`` writes, so :func:`entries_from_rows` turns
+it into dictionary entries with the same builder the CLI uses
+(:func:`~repro.matching.index.entries_from_mined_rows`).
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.clicklog.log import ClickLog
 from repro.clicklog.records import ClickRecord
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.index import DictionaryEntry, entries_from_mined_rows, mined_row
 from repro.scenarios.spec import Scenario
+
+if TYPE_CHECKING:
+    from repro.matching.dictionary import SynonymDictionary
 
 __all__ = [
     "Catalog",
@@ -35,6 +38,7 @@ __all__ = [
     "catalog_fingerprint",
     "click_log_from_rows",
     "dictionary_from_rows",
+    "entries_from_rows",
     "mutate_rows",
     "query_stream",
     "request_stream",
@@ -93,9 +97,6 @@ class Catalog:
     cum_weights: tuple[float, ...]
     multilingual_aliases: frozenset[str]
     multilingual_entities: int
-
-    def dictionary(self) -> SynonymDictionary:
-        return dictionary_from_rows(self.rows)
 
     def click_log(self) -> ClickLog:
         return click_log_from_rows(self.rows)
@@ -175,20 +176,20 @@ def build_catalog(scenario: Scenario) -> Catalog:
     )
 
 
-def dictionary_from_rows(rows: Sequence[dict[str, Any]]) -> SynonymDictionary:
-    """Mined rows -> dictionary, canonical-as-entity-id convention."""
-    dictionary = SynonymDictionary()
-    for row in rows:
-        dictionary.add(
-            DictionaryEntry(row["canonical"], row["canonical"], source="canonical")
-        )
-        dictionary.add(
-            DictionaryEntry(
-                row["synonym"], row["canonical"], source="mined",
-                weight=float(row.get("clicks", 1)),
-            )
-        )
-    return dictionary
+def entries_from_rows(rows: Sequence[dict[str, Any]]) -> Iterator[DictionaryEntry]:
+    """Dictionary entries for mined rows (what the scenario driver publishes)."""
+    return entries_from_mined_rows(mined_row(**row) for row in rows)
+
+
+def dictionary_from_rows(rows: Sequence[dict[str, Any]]) -> "SynonymDictionary":
+    """The reference :class:`SynonymDictionary` over :func:`entries_from_rows`.
+
+    Only the perf harness reads it; the scenario driver compiles
+    :func:`entries_from_rows` directly.
+    """
+    from repro.matching.dictionary import SynonymDictionary
+
+    return SynonymDictionary(entries_from_rows(rows))
 
 
 def click_log_from_rows(rows: Sequence[dict[str, Any]]) -> ClickLog:

@@ -4,9 +4,9 @@ The offline miner produces a :class:`~repro.core.types.MiningResult`; the
 online matcher needs a fast, immutable index.  This package is the bridge —
 the mine → **compile** → **serve** half of the pipeline:
 
-* :func:`~repro.serving.artifact.compile_dictionary` freezes a
-  :class:`~repro.matching.dictionary.SynonymDictionary` into a single
-  versioned artifact file; :class:`~repro.serving.artifact.SynonymArtifact`
+* :func:`~repro.serving.artifact.compile_dictionary` freezes dictionary
+  entries (built by :mod:`repro.matching.index`) into a single versioned
+  artifact file; :class:`~repro.serving.artifact.SynonymArtifact`
   cold-loads that file with one read and serves the full
   :class:`~repro.matching.index.DictionaryIndex` protocol straight from the
   packed arrays, materializing entries lazily.

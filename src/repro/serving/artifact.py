@@ -1,11 +1,13 @@
 """Compiled synonym dictionaries: the ``SynonymArtifact`` format.
 
-``SynonymDictionary`` is rebuilt from raw mining output on every process
-start — fine for experiments, wrong for serving: a million-entry dictionary
-costs a normalize+tokenize pass and millions of Python objects before the
-first query can be answered.  ``compile_dictionary`` freezes a dictionary
-once, offline, into a single immutable artifact file that a server
-cold-loads with one read; :class:`SynonymArtifact` then implements the full
+:class:`SynonymArtifact` is the one index that answers queries in
+production.  Publishers turn mined synonyms into
+:class:`~repro.matching.index.DictionaryEntry` rows
+(:mod:`repro.matching.index`), collapse them with :func:`dedupe_entries`
+and pack them once, offline, into a single immutable artifact file
+(:func:`compile_entries`) that a server cold-loads with one read — or, for
+one-shot tools, straight into memory (:meth:`SynonymArtifact.from_entries`).
+The artifact implements the full
 :class:`~repro.matching.index.DictionaryIndex` protocol directly on the
 packed bytes, materializing a :class:`DictionaryEntry` only when a lookup
 actually touches it.  The packed arrays are *typed views* over the loaded
@@ -43,7 +45,7 @@ from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol
 
-from repro.matching.dictionary import DictionaryEntry
+from repro.matching.index import DictionaryEntry
 from repro.storage.artifact import (
     ArtifactError,
     ArtifactManifest,
@@ -126,13 +128,12 @@ class _StringPool:
 def dedupe_entries(dictionary: Iterable[DictionaryEntry | EntryTuple]) -> list[EntryTuple]:
     """Normalize *dictionary* into the canonical entry-tuple sequence.
 
-    Applies exactly the semantics of
-    :meth:`~repro.matching.dictionary.SynonymDictionary.add`: texts are
-    normalized, empty texts dropped, and duplicate ``(text, entity)`` pairs
-    collapse onto their first position keeping the max-weight source.  The
-    resulting sequence is what the state hash and the delta format are
-    defined over; iterating an actual ``SynonymDictionary`` is a no-op
-    pass-through (it already holds deduplicated, normalized entries).
+    Texts are normalized, empty texts dropped, and duplicate ``(text,
+    entity)`` pairs collapse onto their first position keeping the
+    max-weight source — the semantics the reference
+    :meth:`~repro.matching.dictionary.SynonymDictionary.add` implements
+    independently.  The resulting sequence is what the state hash and the
+    delta format are defined over.
     """
     rows: list[list[Any]] = []
     seen: dict[tuple[str, str], int] = {}
@@ -362,10 +363,10 @@ def compile_dictionary(
 ) -> ArtifactManifest:
     """Freeze *dictionary* into an immutable artifact file at *path*.
 
-    *dictionary* is any iterable of :class:`DictionaryEntry` — typically a
-    :class:`~repro.matching.dictionary.SynonymDictionary`.  Entry texts are
-    normalized defensively, so compiling raw (never-added) entries matches
-    dictionary semantics.  The write is atomic (temp file + rename), which
+    *dictionary* is any iterable of :class:`DictionaryEntry` — the
+    builders in :mod:`repro.matching.index` produce them; it is
+    deduplicated with :func:`dedupe_entries` first.  The write is atomic
+    (temp file + rename), which
     is what makes live hot-swap via
     :meth:`~repro.serving.service.MatchService.reload` safe.
 
@@ -390,10 +391,11 @@ def compile_dictionary(
 class SynonymArtifact:
     """A compiled dictionary, served straight from its packed arrays.
 
-    Implements :class:`~repro.matching.index.DictionaryIndex`, so it drops
-    into :class:`~repro.matching.matcher.QueryMatcher` (and the segmenter
-    and resolver) wherever a :class:`SynonymDictionary` is accepted — with
-    identical results, pinned by the serving equivalence tests.  Instances
+    Implements :class:`~repro.matching.index.DictionaryIndex` for
+    :class:`~repro.matching.matcher.QueryMatcher` (and the segmenter and
+    resolver), answering exactly as the reference
+    :class:`~repro.matching.dictionary.SynonymDictionary` does over the
+    same entries — pinned by the serving equivalence tests.  Instances
     are immutable views over one loaded file; strings and entries are
     decoded lazily and cached.
 
@@ -550,6 +552,16 @@ class SynonymArtifact:
         )
         return cls(manifest, {name: memoryview(data) for name, data in blocks.items()})
 
+    @classmethod
+    def from_entries(cls, entries: Iterable[DictionaryEntry]) -> "SynonymArtifact":
+        """Compile *entries* in memory, without priors and without a file.
+
+        For one-shot consumers (``repro match --synonyms``, the examples)
+        that would otherwise need a second index.
+        """
+        blocks, counts, extra = build_blocks(dedupe_entries(entries))
+        return cls.from_blocks(blocks, version="1", counts=counts, extra=extra)
+
     @staticmethod
     def peek_manifest(path: str | Path) -> ArtifactManifest:
         """Read an artifact's manifest without loading its payload."""
@@ -614,8 +626,7 @@ class SynonymArtifact:
     def strings_containing_token(self, token: str) -> set[str]:
         """Dictionary strings containing *token* (fuzzy-fallback shortlist).
 
-        Like :meth:`SynonymDictionary.strings_containing_token`, the token
-        is looked up raw — callers (the fuzzy fallback) tokenize normalized
+        The token is looked up raw — callers (the fuzzy fallback) tokenize normalized
         queries, so tokens are already normalized.
         """
         slot = self._find(self._token_text, token.encode("utf-8"))

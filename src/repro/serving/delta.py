@@ -38,7 +38,7 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.matching.dictionary import DictionaryEntry
+from repro.matching.index import DictionaryEntry
 from repro.serving.artifact import (
     ARTIFACT_KIND,
     ClickVolumeSource,

@@ -8,11 +8,15 @@ qualitative outcomes the paper claims, without pinning exact numbers.
 import pytest
 
 from repro.core.config import MinerConfig
+from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 from repro.eval.labeling import GroundTruthOracle
 from repro.eval.metrics import coverage_increase, precision, weighted_precision
 from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import entries_from_mining_result
 from repro.matching.matcher import QueryMatcher
+from repro.serving.artifact import SynonymArtifact
+from repro.text.normalize import normalize
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +75,11 @@ class TestMiningQuality:
 class TestOnlineMatchingIntegration:
     def test_expanded_dictionary_improves_live_query_coverage(self, mined, toy_world):
         _miner, result = mined
-        expanded = SynonymDictionary.from_mining_result(result, toy_world.catalog)
-        canonical_only = SynonymDictionary.from_catalog(toy_world.catalog)
+        entries = list(entries_from_mining_result(result, toy_world.catalog))
+        expanded = SynonymDictionary(entries)
+        canonical_only = SynonymDictionary(
+            entry for entry in entries if entry.source == "canonical"
+        )
 
         # Live queries: what the simulated users actually typed (true
         # synonyms plus noise), excluding the canonical strings themselves.
@@ -101,3 +108,47 @@ class TestOnlineMatchingIntegration:
                     correct += 1
         assert checked > 10
         assert correct / checked > 0.9
+
+
+class TestServedArtifactCrossCheck:
+    """The daemon serves exactly what the quality ledger scored.
+
+    The ``Us`` rows of ``benchmarks/results/quality.json`` score a mining
+    result; this pins that the artifact a publisher compiles from the same
+    point holds those (string, entity) pairs and nothing else.
+    """
+
+    def test_published_pairs_are_the_pairs_the_us_row_scores(self, toy_world, tmp_path):
+        config = MinerConfig.paper_default()
+        values = toy_world.canonical_queries()
+        # The Us row's selection, computed as the quality sweep does it:
+        # mine with open thresholds, then re-filter at (β, γ).
+        sweep = SynonymMiner(
+            click_log=toy_world.click_log,
+            search_log=toy_world.search_log,
+            config=config.with_thresholds(ipc=0, icr=0.0),
+        )
+        scored = sweep.reselect(
+            sweep.mine(values),
+            ipc_threshold=config.ipc_threshold,
+            icr_threshold=config.icr_threshold,
+        )
+        by_name = toy_world.catalog.by_canonical_name()
+        expected = set()
+        for entry in scored:
+            entity_id = by_name[entry.canonical].entity_id
+            expected.add((normalize(entry.canonical), entity_id))
+            expected.update((normalize(synonym), entity_id) for synonym in entry.synonyms)
+
+        publisher = IncrementalSynonymMiner(
+            search_log=toy_world.search_log, click_log=toy_world.click_log, config=config
+        )
+        publisher.track(values)
+        publisher.refresh()
+        path = tmp_path / "toy.synart"
+        publisher.publish(toy_world.catalog, path)
+        artifact = SynonymArtifact.load(path)
+
+        assert {(entry.text, entry.entity_id) for entry in artifact} == expected
+        for text, entity_id in sorted(expected):
+            assert entity_id in artifact.entities_for(text), text

@@ -1,9 +1,10 @@
-"""Tests for the synonym dictionary."""
+"""Tests for the reference in-memory index, :class:`SynonymDictionary`."""
 
 import pytest
 
 from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.simulation.catalog import Entity, EntityCatalog
 
 
@@ -113,25 +114,11 @@ class TestBuildFromMiningResult:
         ) == {"m1"}
         assert dictionary.entities_for("madagascar 2") == {"m2"}
 
-    def test_canonical_excluded_when_requested(self, mining_result, catalog):
-        dictionary = SynonymDictionary.from_mining_result(
-            mining_result, catalog, include_canonical=False
-        )
-        assert dictionary.entities_for(
-            "indiana jones and the kingdom of the crystal skull"
-        ) == set()
-        assert dictionary.entities_for("indy 4") == {"m1"}
-
     def test_unknown_canonical_skipped(self, catalog):
         result = MiningResult()
         result.add(EntitySynonyms(canonical="not in catalog", surrogates=(), selected=[]))
         dictionary = SynonymDictionary.from_mining_result(result, catalog)
         assert len(dictionary) == 0
-
-    def test_from_catalog_only(self, catalog):
-        dictionary = SynonymDictionary.from_catalog(catalog)
-        assert len(dictionary) == 2
-        assert all(entry.source == "canonical" for entry in dictionary)
 
 
 class TestLookups:

@@ -15,7 +15,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.delta import DictionaryDelta, diff_delta

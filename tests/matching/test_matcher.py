@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import MatchOutcome, QueryMatcher
 
 from tests.conftest import SRC_DIR
@@ -114,7 +115,8 @@ class TestFuzzyMatching:
 
 _TIE_SCRIPT = """
 import sys
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 

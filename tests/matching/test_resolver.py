@@ -3,7 +3,8 @@
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.matching.resolver import MatchResolver
 
@@ -37,12 +38,6 @@ def click_log():
 @pytest.fixture()
 def matcher(dictionary):
     return QueryMatcher(dictionary, enable_fuzzy=False)
-
-
-class TestValidation:
-    def test_negative_context_weight_rejected(self, dictionary):
-        with pytest.raises(ValueError):
-            MatchResolver(dictionary, context_weight=-1.0)
 
 
 class TestPriors:

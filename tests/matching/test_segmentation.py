@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.segmentation import QuerySegmenter
 
 
@@ -58,6 +59,8 @@ class TestSegmentation:
         segment = segmenter.best_segment("  INDY-4 near San-Fran!!")
         assert segment.mention == "indy 4"
 
-    def test_max_span_tokens_override(self, dictionary):
-        segmenter = QuerySegmenter(dictionary, max_span_tokens=1)
-        assert segmenter.best_segment("indy 4 near san fran") is None
+    def test_span_limit_is_the_longest_entry(self, segmenter):
+        assert segmenter.max_span_tokens == 3  # "indiana jones 4"
+
+    def test_empty_index_still_probes_single_tokens(self):
+        assert QuerySegmenter(SynonymDictionary()).max_span_tokens == 1

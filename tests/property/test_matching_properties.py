@@ -5,7 +5,8 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import MatchOutcome, QueryMatcher
 from repro.matching.segmentation import QuerySegmenter
 from repro.text.normalize import normalize

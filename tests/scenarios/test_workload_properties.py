@@ -29,7 +29,7 @@ from repro.scenarios.workload import (
     build_catalog,
     catalog_fingerprint,
     click_log_from_rows,
-    dictionary_from_rows,
+    entries_from_rows,
     mutate_rows,
     query_stream,
     request_stream,
@@ -189,7 +189,7 @@ class TestCatalogsCompile:
         catalog = build_catalog(scenario)
         path = tmp_path / "generated.synart"  # overwritten per example
         manifest = compile_dictionary(
-            dictionary_from_rows(catalog.rows),
+            entries_from_rows(catalog.rows),
             path,
             version="prop-1",
             click_log=click_log_from_rows(catalog.rows),

@@ -14,7 +14,8 @@ import time
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.matching.resolver import MatchResolver
 from repro.server import MatchDaemon, ServerClient, ServerError

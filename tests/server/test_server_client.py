@@ -9,7 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.server import DEFAULT_PORT, ServerClient, ServerError
 from repro.serving.artifact import compile_dictionary
 from tests.conftest import daemon_server, start_daemon

@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.server import MatchDaemon, ServerClient, ServerSupervisor, reuse_port_supported
 from repro.server.metrics import BUCKET_BOUNDS_S, AccessLog, LatencyHistogram, MetricsRegistry
 from repro.serving.artifact import compile_dictionary

@@ -16,7 +16,8 @@ import urllib.request
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.server import ServerClient
 from repro.serving.artifact import compile_dictionary
 from tests.conftest import start_daemon

@@ -20,7 +20,8 @@ from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.serving.artifact import (
     SynonymArtifact,
     compile_dictionary,
@@ -284,17 +285,6 @@ class TestIncrementalDeltaPublish:
         miner.refresh()
         with pytest.raises(ValueError, match="publish a full artifact"):
             miner.publish(catalog, tmp_path / "dict.synart", delta=True)
-
-    def test_publish_settings_must_match_base(self, tmp_path):
-        miner, catalog = _single_entity_miner()
-        miner.track(["alpha product"])
-        miner.refresh()
-        path = tmp_path / "dict.synart"
-        miner.publish(catalog, path)
-        with pytest.raises(ValueError, match="include_canonical"):
-            miner.publish(catalog, path, delta=True, include_canonical=False)
-        with pytest.raises(ValueError, match="include_priors"):
-            miner.publish(catalog, path, delta=True, include_priors=False)
 
     def test_refresh_retraction_drops_postings_full_and_delta(self, tmp_path):
         """A synonym the miner retracts vanishes from both publish paths."""

@@ -1,10 +1,11 @@
-"""Equivalence pin: compiled-artifact matching ≡ in-memory dictionary.
+"""Equivalence pin: compiled-artifact matching ≡ the reference dictionary.
 
-The acceptance bar for the serving pipeline is that swapping
-:class:`SynonymDictionary` for a compiled :class:`SynonymArtifact` (or the
-:class:`MatchService` over it) changes *nothing* observable: every
-:class:`EntityMatch` field is identical across the full simulated world,
-for exact hits, fuzzy recoveries and misses alike.
+The acceptance bar for the serving pipeline is that the compiled
+:class:`SynonymArtifact` (or the :class:`MatchService` over it) answers
+exactly as the independent in-memory reference, :class:`SynonymDictionary`,
+does over the same entries: every :class:`EntityMatch` field is identical
+across the full simulated world, for exact hits, fuzzy recoveries and
+misses alike.
 """
 
 import pytest
@@ -15,8 +16,9 @@ from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import entries_from_mining_result
 from repro.matching.matcher import QueryMatcher
-from repro.serving.artifact import SynonymArtifact
+from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.service import MatchService
 
 
@@ -27,23 +29,18 @@ def mined_world(toy_world):
         search_log=toy_world.search_log,
         config=MinerConfig.paper_default(),
     )
-    result = miner.mine(toy_world.canonical_queries())
-    return miner, result
+    return miner.mine(toy_world.canonical_queries())
 
 
 @pytest.fixture(scope="module")
 def dictionary(mined_world, toy_world):
-    _, result = mined_world
-    return SynonymDictionary.from_mining_result(result, toy_world.catalog)
+    return SynonymDictionary.from_mining_result(mined_world, toy_world.catalog)
 
 
 @pytest.fixture(scope="module")
 def artifact(mined_world, toy_world, tmp_path_factory):
-    miner, result = mined_world
     path = tmp_path_factory.mktemp("equivalence") / "world.synart"
-    manifest = miner.publish(result, toy_world.catalog, path, version="eq-test")
-    assert manifest.version == "eq-test"
-    assert manifest.config_fingerprint == miner.config.fingerprint()
+    compile_dictionary(entries_from_mining_result(mined_world, toy_world.catalog), path)
     return SynonymArtifact.load(path)
 
 
@@ -122,6 +119,7 @@ class TestIncrementalPublish:
         path = tmp_path / "incremental.synart"
         manifest = miner.publish(toy_world.catalog, path)
         assert manifest.version == "gen-1"
+        assert manifest.config_fingerprint == miner.config.fingerprint()
 
         # Re-publishing after another refresh bumps the version; a service
         # watching the path hot-swaps to it without a restart.

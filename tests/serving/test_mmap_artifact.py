@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import DictionaryEntry
+from repro.matching.index import DictionaryEntry
 from repro.server.client import ServerClient
 from repro.server.daemon import match_payload, reuse_port_supported
 from repro.server.supervisor import ServerSupervisor

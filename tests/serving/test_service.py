@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import MatchOutcome, QueryMatcher
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.delta import delta_path_for, diff_delta

@@ -16,7 +16,8 @@ import threading
 
 import pytest
 
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.serving.artifact import compile_dictionary
 from repro.serving.service import MatchService

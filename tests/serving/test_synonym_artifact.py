@@ -3,8 +3,8 @@
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import DictionaryEntry, SynonymDictionary
-from repro.matching.index import DictionaryIndex
+from repro.matching.dictionary import SynonymDictionary
+from repro.matching.index import DictionaryEntry, DictionaryIndex
 from repro.matching.resolver import MatchResolver
 from repro.serving.artifact import (
     ARTIFACT_KIND,
@@ -85,6 +85,13 @@ class TestCompile:
         first = compile_dictionary(dictionary, tmp_path / "a.synart")
         second = compile_dictionary(dictionary, tmp_path / "b.synart")
         assert first.content_hash == second.content_hash
+
+    def test_in_memory_compile_equals_the_file(self, tmp_path):
+        written = compile_dictionary(ENTRIES, tmp_path / "d.synart")
+        in_memory = SynonymArtifact.from_entries(ENTRIES)
+        assert in_memory.manifest.content_hash == written.content_hash
+        assert in_memory.state_hash == written.extra["state_hash"]
+        assert list(in_memory) == list(SynonymArtifact.load(tmp_path / "d.synart"))
 
 
 class TestDictionaryIndexProtocol:

@@ -14,7 +14,7 @@ import struct
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import DictionaryEntry
+from repro.matching.index import DictionaryEntry
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.storage.artifact import (
     MAGIC,
