@@ -215,11 +215,6 @@ class IncrementalSynonymMiner:
             if not dependents:
                 del self._candidate_to_values[candidate]
 
-    def refresh_all(self) -> list[str]:
-        """Force a full re-mine of every tracked value."""
-        self._dirty.update(self._tracked)
-        return self.refresh()
-
     # ------------------------------------------------------------------ #
     # Publication
     # ------------------------------------------------------------------ #

@@ -8,11 +8,11 @@ in plain Python containers:
   shortlist.
 
 No production path builds one: publishers compile entries straight into a
-:class:`~repro.serving.artifact.SynonymArtifact`.  It stays as the
-independent reference the equivalence tests, the fuzzy differential test
-and the perf oracle compare the compiled artifact against, so it keeps its
-own :meth:`~SynonymDictionary.add` and token index rather than sharing the
-compiler's code.
+:class:`~repro.serving.artifact.SynonymArtifact`.  Only the perf oracle
+(``benchmarks/perf``) still answers from it; the tests hold it, like every
+other index, to the brute-force reference in ``tests/oracle``.  Once the
+perf oracle moves onto the artifact, this module and its own test file
+can go.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ online path consumes:
 * ``max_entry_tokens``, the segmenter's span-length bound.
 
 :class:`~repro.matching.dictionary.SynonymDictionary` implements it too, as
-an independent in-memory reference that only the tests and the perf oracle
-compare the artifact against.
+the in-memory index the perf oracle answers from.
 """
 
 from __future__ import annotations

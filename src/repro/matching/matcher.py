@@ -69,10 +69,10 @@ class EntityMatch:
 class QueryMatcher:
     """Matches live Web queries against a :class:`DictionaryIndex`.
 
-    The compiled :class:`~repro.serving.artifact.SynonymArtifact` and the
-    reference :class:`~repro.matching.dictionary.SynonymDictionary` give
-    the same answer for the same entries: the outcome never depends on the
-    order an index (or ``PYTHONHASHSEED``) happens to list candidates in.
+    Every index over the same entries gives the same answer: the outcome
+    never depends on the order an index (or ``PYTHONHASHSEED``) happens to
+    list candidates in.  ``tests/oracle`` holds every representation to a
+    brute-force reference.
     """
 
     def __init__(
@@ -123,17 +123,6 @@ class QueryMatcher:
                     score=fuzzy[1],
                 )
         return EntityMatch(query=query, outcome=MatchOutcome.NO_MATCH)
-
-    def match_all(self, queries: list[str]) -> list[EntityMatch]:
-        """Match a batch of queries (order preserved)."""
-        return [self.match(query) for query in queries]
-
-    def coverage(self, queries: list[str]) -> float:
-        """Fraction of *queries* that resolve to at least one entity."""
-        if not queries:
-            return 0.0
-        matched = sum(1 for match in self.match_all(queries) if match.matched)
-        return matched / len(queries)
 
     # ------------------------------------------------------------------ #
     # Internals

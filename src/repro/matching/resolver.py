@@ -160,8 +160,3 @@ class MatchResolver:
         ]
         ranked.sort(key=lambda item: (-item.score, item.entity_id))
         return ranked
-
-    def resolve(self, match: EntityMatch) -> str | None:
-        """Return the single best entity id for *match*, or ``None``."""
-        ranked = self.rank(match)
-        return ranked[0].entity_id if ranked else None

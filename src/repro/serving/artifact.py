@@ -130,10 +130,9 @@ def dedupe_entries(dictionary: Iterable[DictionaryEntry | EntryTuple]) -> list[E
 
     Texts are normalized, empty texts dropped, and duplicate ``(text,
     entity)`` pairs collapse onto their first position keeping the
-    max-weight source — the semantics the reference
-    :meth:`~repro.matching.dictionary.SynonymDictionary.add` implements
-    independently.  The resulting sequence is what the state hash and the
-    delta format are defined over.
+    max-weight source — the rule the test reference in ``tests/oracle``
+    restates by scanning.  The resulting sequence is what the state hash
+    and the delta format are defined over.
     """
     rows: list[list[Any]] = []
     seen: dict[tuple[str, str], int] = {}
@@ -393,11 +392,10 @@ class SynonymArtifact:
 
     Implements :class:`~repro.matching.index.DictionaryIndex` for
     :class:`~repro.matching.matcher.QueryMatcher` (and the segmenter and
-    resolver), answering exactly as the reference
-    :class:`~repro.matching.dictionary.SynonymDictionary` does over the
-    same entries — pinned by the serving equivalence tests.  Instances
-    are immutable views over one loaded file; strings and entries are
-    decoded lazily and cached.
+    resolver).  Heap, mmap and delta-applied instances all answer exactly
+    as the brute-force reference in ``tests/oracle`` does over the same
+    entries.  Instances are immutable views over one loaded file; strings
+    and entries are decoded lazily and cached.
 
     On a native-endian file the packed arrays are zero-copy typed views
     (``memoryview.cast``) over the loaded buffer — heap or mmap alike —

@@ -20,7 +20,7 @@ it) and its target (``state_hash``); :func:`apply_delta` refuses a
 mismatched base and checks that the merged result lands exactly on the
 recorded target.  Because compilation is deterministic, ``gen-0`` plus N
 applied deltas is content-hash-identical to a full compile at ``gen-N``
-(pinned by the chain-apply equivalence tests).
+(``tests/oracle`` checks it at every generation it publishes).
 
 Producers: :meth:`repro.core.incremental.IncrementalSynonymMiner.publish`
 with ``delta=True`` (tracks its own dirty set), :func:`diff_delta` (diffs

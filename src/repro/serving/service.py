@@ -30,9 +30,10 @@ a bare :class:`~repro.matching.matcher.QueryMatcher`:
   single service from many request threads, including through a
   mid-traffic :meth:`reload`.
 
-The service returns exactly what the underlying matcher returns: the
-equivalence tests pin ``MatchService.match(q) == QueryMatcher.match(q)``
-field for field, cache hit or miss.
+The service returns exactly what the underlying matcher returns, cache hit
+or miss, heap or mmap, before and after a delta or a full republish:
+``tests/oracle`` holds :meth:`MatchService.match` and
+:meth:`MatchService.resolve` to the brute-force reference field for field.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.matching.matcher import EntityMatch, QueryMatcher
 from repro.matching.resolver import MatchResolver, RankedEntity
@@ -405,17 +406,6 @@ class MatchService:
         state = self._state
         match = self._match_with_state(state, query)
         return match, state.resolver.rank(match)
-
-    def rank(self, match: EntityMatch) -> list[RankedEntity]:
-        """Rank an existing match's entities with the current priors."""
-        return self._state.resolver.rank(match)
-
-    def coverage(self, queries: Sequence[str]) -> float:
-        """Fraction of *queries* that resolve to at least one entity."""
-        if not queries:
-            return 0.0
-        matched = sum(1 for match in self.match_many(queries) if match.matched)
-        return matched / len(queries)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

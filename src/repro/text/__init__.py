@@ -6,7 +6,7 @@ package so that "the same query written slightly differently" maps to the
 same normalized form everywhere.
 """
 
-from repro.text.normalize import normalize, strip_accents, normalize_whitespace
+from repro.text.normalize import normalize, strip_accents
 from repro.text.tokenize import tokenize, ngrams, token_set
 from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
 from repro.text.similarity import (
@@ -18,7 +18,6 @@ from repro.text.similarity import (
 __all__ = [
     "normalize",
     "strip_accents",
-    "normalize_whitespace",
     "tokenize",
     "ngrams",
     "token_set",

@@ -5,6 +5,15 @@ equality after light cleanup (query logs are already lowercased and
 whitespace-collapsed by the search engine's pipeline).  We centralise that
 cleanup here so Search Data, Click Data, catalog values and live queries
 all agree on what "the same string" means.
+
+There is one definition of a word: a run of letters and digits, in any
+script (``[^\\W_]+`` after accents are folded, the text is lowercased and
+apostrophes inside words are dropped).  :func:`normalize` emits exactly
+those words joined by single spaces, and
+:func:`repro.text.tokenize.tokenize` returns them, so a string's words are
+the space-separated pieces of its normalized form.  Everything else —
+whitespace, punctuation, symbols such as ``&`` and ``+`` — only separates
+words.
 """
 
 from __future__ import annotations
@@ -12,17 +21,10 @@ from __future__ import annotations
 import re
 import unicodedata
 
-__all__ = [
-    "strip_accents",
-    "normalize_whitespace",
-    "strip_punctuation",
-    "normalize",
-]
+__all__ = ["strip_accents", "normalize"]
 
-_WHITESPACE_RE = re.compile(r"\s+")
-# Characters that separate words when dropped (hyphen, slash, colon ...).
-_SEPARATOR_PUNCT_RE = re.compile(r"[-_/\\:;,.!?()\[\]{}\"']+")
-# Apostrophes inside words are removed rather than replaced by a space so
+_WORD_RE = re.compile(r"[^\W_]+")
+# Apostrophes inside words are removed rather than separating them, so
 # "director's" normalises to "directors", matching query-log behaviour.
 _INNER_APOSTROPHE_RE = re.compile(r"(?<=\w)['’](?=\w)")
 # What :func:`normalize` leaves alone: ASCII lowercase alphanumeric words
@@ -41,23 +43,13 @@ def strip_accents(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-def normalize_whitespace(text: str) -> str:
-    """Collapse runs of whitespace into single spaces and trim the ends."""
-    return _WHITESPACE_RE.sub(" ", text).strip()
-
-
-def strip_punctuation(text: str) -> str:
-    """Replace separator punctuation with spaces and drop inner apostrophes."""
-    text = _INNER_APOSTROPHE_RE.sub("", text)
-    return _SEPARATOR_PUNCT_RE.sub(" ", text)
-
-
 def normalize(text: str) -> str:
     """Canonical normalization applied to every query and data value.
 
-    Lowercases, strips accents, removes separator punctuation and collapses
-    whitespace.  The result is the string-identity used by the click log,
-    the search engine and the synonym dictionary.
+    Strips accents, lowercases, drops apostrophes inside words and joins
+    the words that remain with single spaces.  The result is the
+    string-identity used by the click log, the search engine and the
+    synonym dictionary.
 
     Idempotent, and cheap on its own output: the online path normalizes a
     query once and then probes the dictionary with spans of it, each of
@@ -66,10 +58,10 @@ def normalize(text: str) -> str:
 
     >>> normalize("  Indiana Jones: and the Kingdom of the Crystal Skull ")
     'indiana jones and the kingdom of the crystal skull'
+    >>> normalize("AT&T")
+    'at t'
     """
     if _ALREADY_NORMALIZED_RE.fullmatch(text):
         return text
-    text = strip_accents(text)
-    text = text.lower()
-    text = strip_punctuation(text)
-    return normalize_whitespace(text)
+    text = _INNER_APOSTROPHE_RE.sub("", strip_accents(text).lower())
+    return " ".join(_WORD_RE.findall(text))

@@ -8,8 +8,8 @@ so this module holds only the three measures the reproduction calls:
   matcher's edit-distance fallback for misspelled queries;
 * :func:`levenshtein_similarity` — the normalised form of that distance
   the matcher documents its fuzzy score against;
-* :func:`token_containment` — the shortlist filter of the fuzzy fallback's
-  reference implementation in the tests.
+* :func:`token_containment` — the containment measure the fuzzy
+  fallback's shortlist filter applies.
 
 Every function is implemented from scratch on the standard library.
 """

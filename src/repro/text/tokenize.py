@@ -3,25 +3,26 @@
 The search engine indexes documents word-by-word; the click simulator and
 the online matcher compare queries as bags of tokens.  Both use the same
 tokenizer defined here so the ranking function and the matcher never
-disagree about word boundaries.
+disagree about word boundaries — and neither disagrees with
+:func:`repro.text.normalize`, whose output is exactly the tokens joined by
+single spaces.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
 
 from repro.text.normalize import normalize
 
 __all__ = ["tokenize", "token_set", "ngrams"]
 
-# A token is a run of alphanumerics.  Model numbers such as "350d" stay as a
-# single token, which matters for camera names.
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
 
 def tokenize(text: str, *, normalized: bool = False) -> list[str]:
-    """Split *text* into lowercase alphanumeric tokens.
+    """The words of *text*: the space-separated pieces of its normalization.
+
+    A word is a run of letters and digits in any script, so model numbers
+    such as "350d" stay one token (which matters for camera names) and
+    "камера" or "日本" are tokens like any other.
 
     Parameters
     ----------
@@ -36,7 +37,7 @@ def tokenize(text: str, *, normalized: bool = False) -> list[str]:
     """
     if not normalized:
         text = normalize(text)
-    return _TOKEN_RE.findall(text)
+    return text.split()
 
 
 def token_set(text: str, *, normalized: bool = False) -> frozenset[str]:

@@ -38,8 +38,6 @@ from repro.core.selection import intersecting_click_ratio, intersecting_page_cou
 from repro.core.types import EntitySynonyms, SynonymCandidate
 from repro.search.documents import Corpus, WebPage
 from repro.search.engine import SearchEngine
-from repro.simulation.aliases import build_alias_table
-from repro.simulation.catalog import movie_catalog
 from repro.simulation.scenario import ScenarioConfig, SimulatedWorld, build_world
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -263,18 +261,6 @@ def toy_rows(toy_world):
     from repro.eval.experiments import run_quality
 
     return run_quality({"movies": toy_world})
-
-
-@pytest.fixture(scope="session")
-def toy_catalog():
-    """A 20-entity movie catalog (matches the toy world's, same seeds)."""
-    return movie_catalog(size=20, seed=14)
-
-
-@pytest.fixture(scope="session")
-def toy_alias_table(toy_catalog):
-    """Alias table over :func:`toy_catalog`."""
-    return build_alias_table(toy_catalog, seed=22)
 
 
 @pytest.fixture()

@@ -7,6 +7,7 @@ from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
+from repro.serving.service import MatchService
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
 OTHER = "madagascar escape 2 africa"
@@ -153,9 +154,36 @@ class TestRefreshCorrectness:
         )
         assert incremental.refresh() == [CANONICAL]
 
-    def test_refresh_all_forces_every_entity(self, incremental):
-        incremental.refresh()
-        assert set(incremental.refresh_all()) == {CANONICAL, OTHER}
+
+class TestPublish:
+    def test_generation_stamped_into_manifest(self, toy_world, tmp_path):
+        values = toy_world.canonical_queries()[:5]
+        # The miner ingests into its logs; clone them so the session-scoped
+        # world stays pristine for other tests.
+        miner = IncrementalSynonymMiner(
+            search_log=SearchLog(toy_world.search_log.iter_records()),
+            click_log=ClickLog(toy_world.click_log.iter_records()),
+            config=MinerConfig.paper_default(),
+        )
+        miner.track(values)
+        miner.refresh()
+        assert miner.generation == 1
+
+        path = tmp_path / "incremental.synart"
+        manifest = miner.publish(toy_world.catalog, path)
+        assert manifest.version == "gen-1"
+        assert manifest.config_fingerprint == miner.config.fingerprint()
+
+        # Re-publishing after another refresh bumps the version; a service
+        # watching the path hot-swaps to it without a restart.
+        service = MatchService(path)
+        assert service.manifest.version == "gen-1"
+        url = toy_world.search_log.top_urls(values[0], k=1)[0]
+        miner.ingest_clicks([ClickRecord(values[0], url, 5)])
+        miner.refresh()
+        miner.publish(toy_world.catalog, path)
+        assert service.maybe_reload() is True
+        assert service.manifest.version == "gen-2"
 
 
 class TestDependencyEdgeMaintenance:

@@ -6,16 +6,16 @@ import sys
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import MatchOutcome, QueryMatcher
+from repro.serving.artifact import SynonymArtifact
 
 from tests.conftest import SRC_DIR
 
 
 @pytest.fixture()
 def dictionary():
-    return SynonymDictionary(
+    return SynonymArtifact.from_entries(
         [
             DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
             DictionaryEntry("indy 4", "m1"),
@@ -115,24 +115,22 @@ class TestFuzzyMatching:
 
 _TIE_SCRIPT = """
 import sys
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 
-dictionary = SynonymDictionary(
-    [DictionaryEntry("canon eos 350d", "c350"), DictionaryEntry("canon eos 450d", "c450")]
-)
-compile_dictionary(dictionary, sys.argv[1])
-for index in (dictionary, SynonymArtifact.load(sys.argv[1])):
+entries = [DictionaryEntry("canon eos 350d", "c350"), DictionaryEntry("canon eos 450d", "c450")]
+compile_dictionary(entries, sys.argv[1])
+for where, index in (("memory", SynonymArtifact.from_entries(entries)),
+                     ("file", SynonymArtifact.load(sys.argv[1]))):
     match = QueryMatcher(index).match("canon eos 550d")
-    print(type(index).__name__, match.outcome.value, match.matched_text, sorted(match.entity_ids))
+    print(where, match.outcome.value, match.matched_text, sorted(match.entity_ids))
 """
 
 
 class TestFuzzyTieBreak:
     def test_equally_similar_candidates_resolve_to_the_smallest_string(self):
-        dictionary = SynonymDictionary(
+        dictionary = SynonymArtifact.from_entries(
             [DictionaryEntry("canon eos 450d", "c450"), DictionaryEntry("canon eos 350d", "c350")]
         )
         match = QueryMatcher(dictionary).match("canon eos 550d")
@@ -158,29 +156,25 @@ class TestFuzzyTieBreak:
             assert done.returncode == 0, done.stderr
             outputs.add(done.stdout)
         assert outputs == {
-            "SynonymDictionary fuzzy canon eos 350d ['c350']\n"
-            "SynonymArtifact fuzzy canon eos 350d ['c350']\n"
+            "memory fuzzy canon eos 350d ['c350']\n"
+            "file fuzzy canon eos 350d ['c350']\n"
         }
 
 
-class TestBatchAndCoverage:
-    def test_match_all_preserves_order(self, matcher):
-        queries = ["indy 4", "unknown thing", "madagascar 2"]
-        matches = matcher.match_all(queries)
-        assert [match.query for match in matches] == queries
+def _coverage(matcher, queries):
+    return sum(matcher.match(query).matched for query in queries) / len(queries)
 
+
+class TestBatchAndCoverage:
     def test_coverage_fraction(self, matcher):
         queries = ["indy 4 showtimes", "madagascar 2", "weather forecast", "lottery numbers"]
-        assert matcher.coverage(queries) == pytest.approx(0.5)
-
-    def test_coverage_empty(self, matcher):
-        assert matcher.coverage([]) == 0.0
+        assert _coverage(matcher, queries) == pytest.approx(0.5)
 
     def test_expanded_dictionary_beats_canonical_only(self, dictionary):
-        canonical_only = SynonymDictionary(
-            [entry for entry in dictionary if entry.source == "canonical"]
+        canonical_only = SynonymArtifact.from_entries(
+            entry for entry in dictionary if entry.source == "canonical"
         )
         queries = ["indy 4 near san fran", "madagascar 2 dvd", "digital rebel xt review"]
-        expanded = QueryMatcher(dictionary, enable_fuzzy=False).coverage(queries)
-        baseline = QueryMatcher(canonical_only, enable_fuzzy=False).coverage(queries)
+        expanded = _coverage(QueryMatcher(dictionary, enable_fuzzy=False), queries)
+        baseline = _coverage(QueryMatcher(canonical_only, enable_fuzzy=False), queries)
         assert expanded > baseline

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.matching.resolver import MatchResolver
+from repro.serving.artifact import SynonymArtifact
 
 
 @pytest.fixture()
 def dictionary():
-    return SynonymDictionary(
+    return SynonymArtifact.from_entries(
         [
             DictionaryEntry("lyra quinn", "m1"),
             DictionaryEntry("lyra quinn", "m2"),
@@ -72,13 +72,10 @@ class TestPrecomputedPriors:
         with pytest.raises(ValueError, match="not both"):
             MatchResolver(dictionary, click_log=click_log, priors={"m1": 1.0})
 
-    def test_rank_from_mapping_equals_rank_from_live_log(
-        self, dictionary, click_log, matcher
-    ):
+    def test_rank_from_mapping_equals_rank_from_live_log(self, dictionary, click_log, matcher):
         """The precomputed path is field-for-field the live-log path."""
         live = MatchResolver(dictionary, click_log=click_log)
-        mapping = {entity: live.prior(entity) for entity in ("m1", "m2")}
-        frozen = MatchResolver(dictionary, priors=mapping)
+        frozen = MatchResolver(dictionary, priors={e: live.prior(e) for e in ("m1", "m2")})
         for query in ("lyra quinn", "lyra quinn crystal skull", "lyra quinn shattered crown"):
             match = matcher.match(query)
             assert frozen.rank(match) == live.rank(match), query
@@ -104,18 +101,18 @@ class TestResolution:
     def test_unambiguous_match_passes_through(self, dictionary, matcher):
         resolver = MatchResolver(dictionary)
         match = matcher.match("kingdom of the crystal skull")
-        assert resolver.resolve(match) == "m1"
+        assert resolver.rank(match)[0].entity_id == "m1"
 
     def test_context_beats_popularity(self, dictionary, click_log, matcher):
         resolver = MatchResolver(dictionary, click_log=click_log)
         match = matcher.match("lyra quinn crystal skull")
         assert match.entity_ids == {"m1", "m2"}
-        assert resolver.resolve(match) == "m1"
+        assert resolver.rank(match)[0].entity_id == "m1"
 
     def test_popularity_breaks_contextless_ties(self, dictionary, click_log, matcher):
         resolver = MatchResolver(dictionary, click_log=click_log)
         match = matcher.match("lyra quinn")
-        assert resolver.resolve(match) == "m2"
+        assert resolver.rank(match)[0].entity_id == "m2"
 
     def test_rank_is_sorted_and_complete(self, dictionary, click_log, matcher):
         resolver = MatchResolver(dictionary, click_log=click_log)
@@ -126,4 +123,4 @@ class TestResolution:
 
     def test_resolve_unmatched_query(self, dictionary, matcher):
         resolver = MatchResolver(dictionary)
-        assert resolver.resolve(matcher.match("nothing here")) is None
+        assert resolver.rank(matcher.match("nothing here")) == []

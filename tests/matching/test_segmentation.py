@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.segmentation import QuerySegmenter
+from repro.serving.artifact import SynonymArtifact
 
 
 @pytest.fixture()
 def dictionary():
-    return SynonymDictionary(
+    return SynonymArtifact.from_entries(
         [
             DictionaryEntry("indy 4", "m1"),
             DictionaryEntry("indiana jones 4", "m1"),
@@ -63,4 +63,4 @@ class TestSegmentation:
         assert segmenter.max_span_tokens == 3  # "indiana jones 4"
 
     def test_empty_index_still_probes_single_tokens(self):
-        assert QuerySegmenter(SynonymDictionary()).max_span_tokens == 1
+        assert QuerySegmenter(SynonymArtifact.from_entries([])).max_span_tokens == 1

@@ -1,20 +1,16 @@
 """Property-based tests for the text substrate (hypothesis)."""
 
+import re
 import string
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.text.normalize import (
-    normalize,
-    normalize_whitespace,
-    strip_accents,
-    strip_punctuation,
-)
+from repro.text.normalize import normalize, strip_accents
 from repro.text.similarity import levenshtein_distance, levenshtein_similarity
 from repro.text.tokenize import tokenize
 
-from tests.matching.fuzzy_reference import classic_levenshtein_distance
+from tests.oracle.reference import classic_levenshtein_distance
 
 # Strategies: printable text with a bias toward short query-like strings.
 text_strategy = st.text(alphabet=string.printable, max_size=40)
@@ -36,14 +32,23 @@ class TestNormalizeProperties:
     @example("director's")
     @example("")
     @example("indy 4")
+    @example("AT&T")
+    @example("c++ primer")
+    @example("Фильм 0001")
+    @example("日本")
+    @example("snake_case")
     def test_fast_path_agrees_with_the_full_pipeline(self, text):
         # normalize() returns already-normalized ASCII unchanged without
-        # running the pipeline; spelled out from its public steps, the
-        # pipeline must agree on every input, and be idempotent on all of
-        # Unicode, not just printable ASCII.
-        full = normalize_whitespace(strip_punctuation(strip_accents(text).lower()))
-        assert normalize(text) == full
-        assert normalize(full) == full
+        # running the pipeline.  Spelled out from the definition — the
+        # [^\W_]+ words of the accent-folded, lowercased text with inner
+        # apostrophes dropped, joined by single spaces — the result must
+        # agree on every input, be idempotent on all of Unicode, not just
+        # printable ASCII, and split into exactly tokenize()'s words.
+        folded = re.sub(r"(?<=\w)['’](?=\w)", "", strip_accents(text).lower())
+        words = re.findall(r"[^\W_]+", folded)
+        assert normalize(text) == " ".join(words)
+        assert normalize(" ".join(words)) == " ".join(words)
+        assert tokenize(text) == words
 
     @given(text_strategy)
     def test_output_is_lowercase_and_trimmed(self, text):

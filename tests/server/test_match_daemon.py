@@ -2,9 +2,9 @@
 
 The daemon runs in-process on an ephemeral port (``port=0``) and is driven
 through :class:`ServerClient` — the same wire path production traffic takes.
-The acceptance pin lives here: ``/resolve`` over an artifact with a priors
-block must reproduce :meth:`MatchResolver.rank` over the live click log the
-artifact was compiled from, field for field.
+That ``/match`` and ``/resolve`` answer exactly like the reference, across
+republishes, is ``tests/oracle``'s job; these tests pin the endpoints'
+payload spelling, refusals, hot swap and lifecycle.
 """
 
 import socket
@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.matching.resolver import MatchResolver
@@ -41,19 +40,14 @@ CLICK_TUPLES = [
 
 
 @pytest.fixture(scope="module")
-def dictionary():
-    return SynonymDictionary(ENTRIES)
-
-
-@pytest.fixture(scope="module")
 def click_log():
     return ClickLog.from_tuples(CLICK_TUPLES)
 
 
 @pytest.fixture(scope="module")
-def artifact_path(dictionary, click_log, tmp_path_factory):
+def artifact_path(click_log, tmp_path_factory):
     path = tmp_path_factory.mktemp("daemon") / "dict.synart"
-    compile_dictionary(dictionary, path, version="gen-1", click_log=click_log)
+    compile_dictionary(ENTRIES, path, version="gen-1", click_log=click_log)
     return path
 
 
@@ -95,8 +89,8 @@ class TestHealthAndStats:
 
 
 class TestMatchEndpoint:
-    def test_single_match_equals_in_process_matcher(self, client, dictionary):
-        reference = QueryMatcher(dictionary)
+    def test_single_match_equals_in_process_matcher(self, client):
+        reference = QueryMatcher(SynonymArtifact.from_entries(ENTRIES))
         for query in ("lyra quinn crystal skull", "unknown stuff", "", "THE KINGDOM!!"):
             payload = client.match(query)
             match = reference.match(query)
@@ -196,15 +190,12 @@ class TestMatchEndpoint:
 
 
 class TestResolveEndpoint:
-    def test_resolve_pinned_to_live_log_resolver(self, client, dictionary, click_log):
-        """Acceptance pin: /resolve ≡ MatchResolver.rank over the live log.
-
-        The artifact's priors block was compiled from *click_log*; ranking
-        through the daemon must reproduce the in-process resolver backed by
-        that same live log — entity by entity, field for field.
-        """
-        matcher = QueryMatcher(dictionary)
-        live = MatchResolver(dictionary, click_log=click_log)
+    def test_resolve_pinned_to_live_log_resolver(self, client, click_log):
+        """/resolve ≡ MatchResolver.rank over the live log the artifact's
+        priors block was compiled from, entity by entity, field for field."""
+        index = SynonymArtifact.from_entries(ENTRIES)
+        matcher = QueryMatcher(index)
+        live = MatchResolver(index, click_log=click_log)
         for query in (
             "lyra quinn",
             "lyra quinn crystal skull",
@@ -212,9 +203,8 @@ class TestResolveEndpoint:
             "kingdom of the crystal skull",
             "zzz unmatched",
         ):
-            payload = client.resolve(query)
             expected = live.rank(matcher.match(query))
-            assert payload["ranked"] == [
+            assert client.resolve(query)["ranked"] == [
                 {
                     "entity_id": item.entity_id,
                     "score": item.score,
@@ -235,9 +225,9 @@ class TestResolveEndpoint:
         results = client.resolve_many(["lyra quinn", "zzz"])
         assert [bool(payload["ranked"]) for payload in results] == [True, False]
 
-    def test_resolve_without_priors_degrades_to_uniform(self, dictionary, tmp_path):
+    def test_resolve_without_priors_degrades_to_uniform(self, tmp_path):
         path = tmp_path / "noprior.synart"
-        compile_dictionary(dictionary, path, version="v-noprior")
+        compile_dictionary(ENTRIES, path, version="v-noprior")
         with daemon_server(path, watch_interval=0) as (_daemon, client):
             assert client.stats()["artifact"]["has_priors"] is False
             payload = client.resolve("lyra quinn")
@@ -248,18 +238,16 @@ class TestResolveEndpoint:
 
 
 class TestHotSwap:
-    def test_admin_reload_and_watcher_swap(self, dictionary, click_log, tmp_path):
+    def test_admin_reload_and_watcher_swap(self, click_log, tmp_path):
         path = tmp_path / "swap.synart"
-        compile_dictionary(dictionary, path, version="gen-1", click_log=click_log)
+        compile_dictionary(ENTRIES, path, version="gen-1", click_log=click_log)
         with daemon_server(path, watch_interval=0.05) as (_daemon, client):
             assert client.match("brand new synonym")["matched"] is False
 
             # Republish: the background watcher must pick it up without
             # any explicit reload call.
             compile_dictionary(
-                SynonymDictionary(
-                    list(ENTRIES) + [DictionaryEntry("brand new synonym", "m3", "mined", 5.0)]
-                ),
+                ENTRIES + [DictionaryEntry("brand new synonym", "m3", "mined", 5.0)],
                 path,
                 version="gen-2",
                 click_log=click_log,
@@ -279,21 +267,18 @@ class TestHotSwap:
             payload = client.reload()
             assert payload == {"reloaded": True, "artifact_version": "gen-2"}
 
-    def test_watcher_applies_delta_sidecar(self, dictionary, click_log, tmp_path):
+    def test_watcher_applies_delta_sidecar(self, click_log, tmp_path):
         """An incremental publish (delta sidecar) hot-swaps under traffic."""
         from repro.serving.delta import delta_path_for, diff_delta
 
         path = tmp_path / "delta-swap.synart"
-        compile_dictionary(dictionary, path, version="gen-1", click_log=click_log)
+        compile_dictionary(ENTRIES, path, version="gen-1", click_log=click_log)
         with daemon_server(path, watch_interval=0.05) as (_daemon, client):
             assert client.match("journal synonym")["matched"] is False
 
             diff_delta(
                 SynonymArtifact.load(path),
-                SynonymDictionary(
-                    list(ENTRIES)
-                    + [DictionaryEntry("journal synonym", "m3", "mined", 9.0)]
-                ),
+                ENTRIES + [DictionaryEntry("journal synonym", "m3", "mined", 9.0)],
                 delta_path_for(path),
                 version="gen-2",
                 click_log=click_log,
@@ -377,11 +362,11 @@ class TestSnapshotConsistency:
         with_priors = tmp_path / "with-priors.synart"
         without_priors = tmp_path / "no-priors.synart"
         manifest_a = compile_dictionary(
-            SynonymDictionary(ENTRIES), with_priors,
+            ENTRIES, with_priors,
             version="with-priors", click_log=click_log,
         )
         manifest_b = compile_dictionary(
-            SynonymDictionary(ENTRIES[:2]), without_priors, version="no-priors"
+            ENTRIES[:2], without_priors, version="no-priors"
         )
         expected = {
             manifest_a.version: (manifest_a.content_hash, True, len(ENTRIES)),

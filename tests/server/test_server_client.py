@@ -9,7 +9,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.server import DEFAULT_PORT, ServerClient, ServerError
 from repro.serving.artifact import compile_dictionary
@@ -19,9 +18,7 @@ from tests.conftest import daemon_server, start_daemon
 @pytest.fixture()
 def artifact_path(tmp_path):
     path = tmp_path / "dict.synart"
-    compile_dictionary(
-        SynonymDictionary([DictionaryEntry("indy 4", "m1", "mined", 10.0)]), path
-    )
+    compile_dictionary([DictionaryEntry("indy 4", "m1", "mined", 10.0)], path)
     return path
 
 

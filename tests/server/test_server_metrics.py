@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.server import MatchDaemon, ServerClient, ServerSupervisor, reuse_port_supported
 from repro.server.metrics import BUCKET_BOUNDS_S, AccessLog, LatencyHistogram, MetricsRegistry
@@ -32,12 +31,10 @@ needs_reuse_port = pytest.mark.skipif(
 def artifact_path(tmp_path):
     path = tmp_path / "dict.synart"
     compile_dictionary(
-        SynonymDictionary(
-            [
-                DictionaryEntry("indy 4", "m1", "mined", 10.0),
-                DictionaryEntry("kingdom of the crystal skull", "m1"),
-            ]
-        ),
+        [
+            DictionaryEntry("indy 4", "m1", "mined", 10.0),
+            DictionaryEntry("kingdom of the crystal skull", "m1"),
+        ],
         path,
         version="gen-1",
     )

@@ -16,7 +16,6 @@ import urllib.request
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.server import ServerClient
 from repro.serving.artifact import compile_dictionary
@@ -26,7 +25,7 @@ from tests.conftest import start_daemon
 @pytest.fixture(scope="module")
 def daemon(tmp_path_factory):
     path = tmp_path_factory.mktemp("wire") / "dict.synart"
-    compile_dictionary(SynonymDictionary([DictionaryEntry("lyra quinn", "m1")]), path)
+    compile_dictionary([DictionaryEntry("lyra quinn", "m1")], path)
     daemon = start_daemon(path, watch_interval=0)
     yield daemon
     daemon.stop()

@@ -1,11 +1,10 @@
 """Tests for the delta artifact format: publish, merge, chain-apply.
 
-The acceptance pins of the incremental-publish pipeline live here:
+That ``gen-0`` plus applied deltas answers like a full compile, across
+republishes, is ``tests/oracle``'s job.  The pins here:
 
-* **chain-apply equivalence** — ``gen-0`` plus N applied deltas must be
-  *content-hash-identical* to a full compile at ``gen-N``, so a server
-  that only ever saw deltas serves exactly what a freshly compiled
-  artifact would serve;
+* **chain-apply equivalence** — ``gen-0`` plus N applied deltas is
+  content-hash-identical to a full compile at ``gen-N``;
 * **no stale postings** — entries removed by a refresh must disappear
   from the applied artifact's exact and token indexes (a stale posting is
   silent corruption: the matcher would keep resolving a synonym the miner
@@ -20,14 +19,8 @@ from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
-from repro.matching.dictionary import SynonymDictionary
-from repro.matching.index import DictionaryEntry
-from repro.serving.artifact import (
-    SynonymArtifact,
-    compile_dictionary,
-    dedupe_entries,
-    state_hash,
-)
+from repro.matching.index import DictionaryEntry, entries_from_mining_result
+from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.delta import (
     DELTA_KIND,
     DictionaryDelta,
@@ -53,7 +46,7 @@ BASE_CLICKS = [("alfa", "https://a.example", 10), ("beta", "https://b.example", 
 def base_path(tmp_path):
     path = tmp_path / "dict.synart"
     compile_dictionary(
-        SynonymDictionary(BASE_ENTRIES),
+        BASE_ENTRIES,
         path,
         version="gen-1",
         click_log=ClickLog.from_tuples(BASE_CLICKS),
@@ -68,15 +61,13 @@ def base(base_path):
 
 def _new_dictionary():
     """The base with e1 shrunk (alfa retracted, alef added) and e3 new."""
-    return SynonymDictionary(
-        [
-            DictionaryEntry("alpha product", "e1", "canonical"),
-            DictionaryEntry("alef", "e1", "mined", 3.0),
-            DictionaryEntry("beta gadget", "e2", "canonical"),
-            DictionaryEntry("beta", "e2", "mined", 5.0),
-            DictionaryEntry("gamma widget", "e3", "canonical"),
-        ]
-    )
+    return [
+        DictionaryEntry("alpha product", "e1", "canonical"),
+        DictionaryEntry("alef", "e1", "mined", 3.0),
+        DictionaryEntry("beta gadget", "e2", "canonical"),
+        DictionaryEntry("beta", "e2", "mined", 5.0),
+        DictionaryEntry("gamma widget", "e3", "canonical"),
+    ]
 
 
 def _new_click_log():
@@ -107,7 +98,7 @@ class TestDiffAndRoundTrip:
         assert delta.prior_updates == {"e1": 3.0, "e2": 7.0, "e3": 0.0}
 
     def test_removed_entity_recorded(self, base, tmp_path):
-        only_e1 = SynonymDictionary(BASE_ENTRIES[:2])
+        only_e1 = BASE_ENTRIES[:2]
         sidecar = tmp_path / "d.delta"
         diff_delta(
             base, only_e1, sidecar, version="gen-2",
@@ -123,7 +114,7 @@ class TestDiffAndRoundTrip:
     def test_identical_state_yields_empty_delta(self, base, tmp_path):
         sidecar = tmp_path / "d.delta"
         manifest = diff_delta(
-            base, SynonymDictionary(BASE_ENTRIES), sidecar, version="gen-2",
+            base, BASE_ENTRIES, sidecar, version="gen-2",
             click_log=ClickLog.from_tuples(BASE_CLICKS),
         )
         assert manifest.counts["changed_entities"] == 0
@@ -202,7 +193,7 @@ class TestApply:
     def test_wrong_base_refused(self, delta, tmp_path):
         other = tmp_path / "other.synart"
         compile_dictionary(
-            SynonymDictionary([DictionaryEntry("unrelated", "e9")]),
+            [DictionaryEntry("unrelated", "e9")],
             other,
             version="gen-1",
             click_log=ClickLog(),
@@ -303,8 +294,8 @@ class TestIncrementalDeltaPublish:
 
         # Full republish drops it...
         full_path = tmp_path / "full.synart"
-        dictionary = SynonymDictionary.from_mining_result(miner.result, catalog)
-        assert "alfa" not in dictionary
+        entries = list(entries_from_mining_result(miner.result, catalog))
+        assert "alfa" not in {entry.text for entry in entries}
 
         # ...and so does the delta applied onto the old base.
         manifest = miner.publish(catalog, path, delta=True)
@@ -312,7 +303,7 @@ class TestIncrementalDeltaPublish:
         assert applied.lookup("alfa") == []
         assert applied.strings_containing_token("alfa") == set()
         compile_dictionary(
-            dictionary, full_path, version=manifest.version,
+            entries, full_path, version=manifest.version,
             config_fingerprint=miner.config.fingerprint(), click_log=miner.click_log,
         )
         assert applied.manifest.content_hash == (
@@ -371,7 +362,7 @@ class TestIncrementalDeltaPublish:
         assert applied.lookup("betta") == []
         assert applied.strings_containing_token("betta") == set()
         reference = compile_dictionary(
-            SynonymDictionary.from_mining_result(miner.result, smaller),
+            entries_from_mining_result(miner.result, smaller),
             tmp_path / "ref.synart",
             version=manifest.version,
             config_fingerprint=miner.config.fingerprint(),
@@ -403,72 +394,55 @@ class TestIncrementalDeltaPublish:
         assert list(applied) == list(base)
 
 
-class _ToyChain:
-    """An incremental miner over the toy world plus a full-compile oracle."""
-
-    def __init__(self, world):
-        self.world = world
-        self.miner = IncrementalSynonymMiner(
-            search_log=SearchLog(world.search_log.iter_records()),
-            click_log=ClickLog(world.click_log.iter_records()),
-            config=MinerConfig.paper_default(),
-        )
-        self.values = world.canonical_queries()
-        self.miner.track(self.values)
-        self.miner.refresh()
-
-    def full_compile(self, path, version):
-        """What a from-scratch publish of the current state would write."""
-        dictionary = SynonymDictionary.from_mining_result(
-            self.miner.result, self.world.catalog
-        )
-        return compile_dictionary(
-            dictionary, path, version=version,
-            config_fingerprint=self.miner.config.fingerprint(),
-            click_log=self.miner.click_log,
-        )
-
-    def perturb(self, index, clicks=25):
-        value = self.values[index]
-        url = self.miner.search_log.top_urls(value, k=1)[0]
-        self.miner.ingest_clicks([ClickRecord(value, url, clicks)])
-        return self.miner.refresh()
+def _toy_chain(world, path):
+    """An incremental miner over the toy world publishes gen-0 in full, then
+    two deltas, each after a click burst re-mines one entity.  Yields the
+    miner with each publish's delta (``None`` for gen-0)."""
+    miner = IncrementalSynonymMiner(
+        search_log=SearchLog(world.search_log.iter_records()),
+        click_log=ClickLog(world.click_log.iter_records()),
+        config=MinerConfig.paper_default(),
+    )
+    values = world.canonical_queries()
+    miner.track(values)
+    miner.refresh()
+    miner.publish(world.catalog, path)
+    yield miner, None
+    for value in values[:2]:
+        url = miner.search_log.top_urls(value, k=1)[0]
+        miner.ingest_clicks([ClickRecord(value, url, 25)])
+        assert miner.refresh()  # at least one entity re-mined
+        miner.publish(world.catalog, path, delta=True)
+        yield miner, DictionaryDelta.load(delta_path_for(path))
 
 
 class TestChainApplyEquivalence:
-    """gen-0 + N applied deltas ≡ full compile at gen-N, content hash equal."""
+    """gen-0 + N applied deltas ≡ full compile at gen-N, content hash equal;
+    deltas chain in publish order and only in publish order."""
 
     def test_two_delta_chain_matches_full_compiles(self, toy_world, tmp_path):
-        chain = _ToyChain(toy_world)
         path = tmp_path / "dict.synart"
-        chain.miner.publish(toy_world.catalog, path)
+        chain = _toy_chain(toy_world, path)
+        next(chain)
         artifact = SynonymArtifact.load(path)
-
-        for round_index in (0, 1):
-            assert chain.perturb(round_index)  # at least one entity re-mined
-            manifest = chain.miner.publish(toy_world.catalog, path, delta=True)
-            delta = DictionaryDelta.load(delta_path_for(path))
+        for round_index, (miner, delta) in enumerate(chain):
             artifact = apply_delta(artifact, delta)
-            reference = chain.full_compile(
-                tmp_path / f"ref-{round_index}.synart", manifest.version
-            )
+            reference = compile_dictionary(
+                entries_from_mining_result(miner.result, toy_world.catalog),
+                tmp_path / f"ref-{round_index}.synart", version=delta.version,
+                config_fingerprint=miner.config.fingerprint(), click_log=miner.click_log,
+            )  # fmt: skip
             assert artifact.manifest.content_hash == reference.content_hash, (
                 f"chain diverged from full compile at round {round_index}"
             )
             assert artifact.manifest.version == reference.version
 
     def test_delta_skips_chain_link_refused(self, toy_world, tmp_path):
-        chain = _ToyChain(toy_world)
         path = tmp_path / "dict.synart"
-        chain.miner.publish(toy_world.catalog, path)
+        chain = _toy_chain(toy_world, path)
+        next(chain)
         gen0 = SynonymArtifact.load(path)
-
-        chain.perturb(0)
-        chain.miner.publish(toy_world.catalog, path, delta=True)
-        delta1 = DictionaryDelta.load(delta_path_for(path))
-        chain.perturb(1)
-        chain.miner.publish(toy_world.catalog, path, delta=True)
-        delta2 = DictionaryDelta.load(delta_path_for(path))
+        delta1, delta2 = (delta for _miner, delta in chain)
 
         # Applying out of order must fail; in order must succeed.
         with pytest.raises(ArtifactError, match="base mismatch"):

@@ -1,8 +1,9 @@
 """mmap-mode serving: equivalence, ownership, and hot-swap/fold behavior.
 
-The mmap read path must be invisible to callers: identical match results,
-identical iteration order, identical priors and state hash — pinned here
-against the heap path.  On top of that the ownership rules are pinned
+That the mmap read path answers exactly like the reference, across
+republishes, is ``tests/oracle``'s job; here it is pinned to the heap path
+on one small artifact (iteration, lookups, priors, state hash, payloads,
+and a fold against a heap delta-apply).  Pinned here too are the ownership rules
 (deterministic close, refcount fallback) and the :class:`MatchService`
 "delta = republish + remap" fold behavior: a sidecar is folded to
 ``<artifact>.applied`` and remapped, a restart re-folds, and a full
@@ -39,15 +40,6 @@ ENTRIES = [
     DictionaryEntry("shared name", "m2", "mined", 9.0),
 ]
 
-QUERIES = [
-    "indy 4",
-    "indiana jones 4 trailer",
-    "madagascar 2",
-    "shared name",
-    "indiana jnoes 4",  # fuzzy fallback
-    "no such movie at all",
-]
-
 CLICKS = ClickLog.from_tuples(
     [
         ("indy 4", "https://a.example", 120),
@@ -62,6 +54,16 @@ def artifact_path(tmp_path):
     path = tmp_path / "dict.synart"
     compile_dictionary(ENTRIES, path, version="gen-1", click_log=CLICKS)
     return path
+
+
+QUERIES = [
+    "indy 4",
+    "indiana jones 4 trailer",
+    "madagascar 2",
+    "shared name",
+    "indiana jnoes 4",  # fuzzy fallback
+    "no such movie at all",
+]
 
 
 class TestEquivalence:

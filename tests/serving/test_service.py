@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import MatchOutcome, QueryMatcher
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
@@ -12,13 +11,11 @@ from repro.serving.service import MatchService
 
 @pytest.fixture()
 def dictionary():
-    return SynonymDictionary(
-        [
-            DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
-            DictionaryEntry("indy 4", "m1", "mined", 120.0),
-            DictionaryEntry("madagascar 2", "m2", "mined", 200.0),
-        ]
-    )
+    return [
+        DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
+        DictionaryEntry("indy 4", "m1", "mined", 120.0),
+        DictionaryEntry("madagascar 2", "m2", "mined", 200.0),
+    ]
 
 
 @pytest.fixture()
@@ -35,7 +32,7 @@ def service(artifact_path):
 
 class TestMatching:
     def test_match_equals_plain_matcher(self, service, dictionary):
-        matcher = QueryMatcher(dictionary)
+        matcher = QueryMatcher(SynonymArtifact.from_entries(dictionary))
         for query in ("indy 4 near san fran", "Indy 4!", "madagascar 2 dvd", "nothing here", ""):
             assert service.match(query) == matcher.match(query)
 
@@ -58,10 +55,6 @@ class TestMatching:
     def test_match_many_preserves_order(self, service):
         queries = ["indy 4", "unknown", "madagascar 2"]
         assert [m.query for m in service.match_many(queries)] == queries
-
-    def test_coverage(self, service):
-        assert service.coverage(["indy 4", "zzz nope"]) == pytest.approx(0.5)
-        assert service.coverage([]) == 0.0
 
     def test_cache_disabled(self, artifact_path):
         service = MatchService(artifact_path, cache_size=0)
@@ -91,7 +84,7 @@ class TestHotSwap:
     def test_reload_picks_up_new_artifact(self, service, artifact_path):
         assert service.match("new synonym").matched is False
         compile_dictionary(
-            SynonymDictionary([DictionaryEntry("new synonym", "m9", "mined", 10.0)]),
+            [DictionaryEntry("new synonym", "m9", "mined", 10.0)],
             artifact_path,
             version="gen-2",
         )
@@ -104,7 +97,7 @@ class TestHotSwap:
     def test_reload_clears_result_cache(self, service, artifact_path):
         service.match("new synonym")
         compile_dictionary(
-            SynonymDictionary([DictionaryEntry("new synonym", "m9", "mined", 10.0)]),
+            [DictionaryEntry("new synonym", "m9", "mined", 10.0)],
             artifact_path,
         )
         service.reload()
@@ -147,9 +140,7 @@ class TestDeltaHotSwap:
 
     @staticmethod
     def _grown_dictionary(dictionary):
-        return SynonymDictionary(
-            list(dictionary) + [DictionaryEntry("delta synonym", "m9", "mined", 7.0)]
-        )
+        return dictionary + [DictionaryEntry("delta synonym", "m9", "mined", 7.0)]
 
     def test_maybe_reload_applies_sidecar(self, service, artifact_path, dictionary):
         assert service.match("delta synonym").matched is False
@@ -185,7 +176,7 @@ class TestDeltaHotSwap:
         compile_dictionary(grown, other_base, version="gen-2")
         diff_delta(
             SynonymArtifact.load(other_base),
-            SynonymDictionary(list(grown) + [DictionaryEntry("even newer", "m10")]),
+            grown + [DictionaryEntry("even newer", "m10")],
             delta_path_for(artifact_path),
             version="gen-3",
         )
@@ -203,9 +194,7 @@ class TestDeltaHotSwap:
         # Publisher falls back to a full publish (different content) while
         # the old sidecar is still lying around.
         compile_dictionary(
-            SynonymDictionary(
-                list(dictionary) + [DictionaryEntry("full republish", "m11")]
-            ),
+            dictionary + [DictionaryEntry("full republish", "m11")],
             artifact_path,
             version="gen-3",
         )

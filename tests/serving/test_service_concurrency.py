@@ -16,10 +16,9 @@ import threading
 
 import pytest
 
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
-from repro.serving.artifact import compile_dictionary
+from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.service import MatchService
 
 THREADS = 8
@@ -28,15 +27,13 @@ QUERIES_PER_THREAD = 120
 
 @pytest.fixture()
 def dictionary():
-    return SynonymDictionary(
-        [
-            DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
-            DictionaryEntry("indy 4", "m1", "mined", 120.0),
-            DictionaryEntry("madagascar 2", "m2", "mined", 200.0),
-            DictionaryEntry("shared name", "m1", "mined", 5.0),
-            DictionaryEntry("shared name", "m2", "mined", 9.0),
-        ]
-    )
+    return [
+        DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
+        DictionaryEntry("indy 4", "m1", "mined", 120.0),
+        DictionaryEntry("madagascar 2", "m2", "mined", 200.0),
+        DictionaryEntry("shared name", "m1", "mined", 5.0),
+        DictionaryEntry("shared name", "m2", "mined", 9.0),
+    ]
 
 
 @pytest.fixture()
@@ -97,7 +94,7 @@ class TestConcurrentMatching:
         service = MatchService(artifact_path, cache_size=8)
         results, errors = _hammer(service)
         assert errors == []
-        reference = QueryMatcher(dictionary)
+        reference = QueryMatcher(SynonymArtifact.from_entries(dictionary))
         expected = {query: reference.match(query) for query in _query_mix()}
         for per_thread in results:
             for query, match in per_thread:
@@ -132,7 +129,7 @@ class TestConcurrentMatching:
             stop.set()
             swapper.join(timeout=30)
         assert errors == []
-        reference = QueryMatcher(dictionary)
+        reference = QueryMatcher(SynonymArtifact.from_entries(dictionary))
         expected = {query: reference.match(query) for query in _query_mix()}
         for per_thread in results:
             for query, match in per_thread:

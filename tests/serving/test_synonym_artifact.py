@@ -3,7 +3,6 @@
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.matching.dictionary import SynonymDictionary
 from repro.matching.index import DictionaryEntry, DictionaryIndex
 from repro.matching.resolver import MatchResolver
 from repro.serving.artifact import (
@@ -13,6 +12,8 @@ from repro.serving.artifact import (
     compile_dictionary,
 )
 from repro.storage.artifact import ArtifactError, read_artifact, write_artifact
+
+from tests.oracle import reference
 
 ENTRIES = [
     DictionaryEntry("indiana jones and the kingdom of the crystal skull", "m1", "canonical"),
@@ -26,24 +27,19 @@ ENTRIES = [
 
 
 @pytest.fixture()
-def dictionary():
-    return SynonymDictionary(ENTRIES)
-
-
-@pytest.fixture()
-def artifact(dictionary, tmp_path):
+def artifact(tmp_path):
     path = tmp_path / "dict.synart"
-    compile_dictionary(dictionary, path, version="v1", config_fingerprint="f00d")
+    compile_dictionary(ENTRIES, path, version="v1", config_fingerprint="f00d")
     return SynonymArtifact.load(path)
 
 
 class TestCompile:
-    def test_manifest_counts(self, dictionary, tmp_path):
-        manifest = compile_dictionary(dictionary, tmp_path / "d.synart")
+    def test_manifest_counts(self, tmp_path):
+        manifest = compile_dictionary(ENTRIES, tmp_path / "d.synart")
         assert manifest.kind == ARTIFACT_KIND
-        assert manifest.counts["entries"] == len(dictionary)
+        assert manifest.counts["entries"] == len(ENTRIES)
         assert manifest.counts["unique_texts"] == 6
-        assert manifest.extra["max_entry_tokens"] == dictionary.max_entry_tokens
+        assert manifest.extra["max_entry_tokens"] == 9
 
     def test_version_and_fingerprint_recorded(self, artifact):
         assert artifact.manifest.version == "v1"
@@ -74,16 +70,16 @@ class TestCompile:
 
     def test_empty_dictionary(self, tmp_path):
         path = tmp_path / "empty.synart"
-        compile_dictionary(SynonymDictionary(), path)
+        compile_dictionary([], path)
         artifact = SynonymArtifact.load(path)
         assert len(artifact) == 0
         assert artifact.lookup("anything") == []
         assert artifact.max_entry_tokens == 0
         assert list(artifact) == []
 
-    def test_recompile_is_deterministic(self, dictionary, tmp_path):
-        first = compile_dictionary(dictionary, tmp_path / "a.synart")
-        second = compile_dictionary(dictionary, tmp_path / "b.synart")
+    def test_recompile_is_deterministic(self, tmp_path):
+        first = compile_dictionary(ENTRIES, tmp_path / "a.synart")
+        second = compile_dictionary(ENTRIES, tmp_path / "b.synart")
         assert first.content_hash == second.content_hash
 
     def test_in_memory_compile_equals_the_file(self, tmp_path):
@@ -95,17 +91,33 @@ class TestCompile:
 
 
 class TestDictionaryIndexProtocol:
-    def test_artifact_satisfies_protocol(self, artifact, dictionary):
+    """Answers held to the reference's scans over the same rows."""
+
+    INDEX = reference.entries(ENTRIES)
+
+    def test_artifact_satisfies_protocol(self, artifact):
         assert isinstance(artifact, DictionaryIndex)
-        assert isinstance(dictionary, DictionaryIndex)
 
-    def test_entries_survive_round_trip(self, artifact, dictionary):
-        assert list(artifact) == list(dictionary)
+    def test_entries_survive_round_trip(self, artifact):
+        assert list(artifact) == self.INDEX
 
-    def test_lookup_matches_dictionary(self, artifact, dictionary):
-        for entry in dictionary:
-            assert artifact.lookup(entry.text) == dictionary.lookup(entry.text)
+    def test_lookup_matches_dictionary(self, artifact):
+        for entry in self.INDEX:
+            assert artifact.lookup(entry.text) == reference.lookup(self.INDEX, entry.text)
         assert artifact.lookup("not in there") == []
+
+    def test_token_shortlist_matches_dictionary(self, artifact):
+        for token in {token for entry in self.INDEX for token in entry.text.split()}:
+            expected = reference.strings_containing_token(self.INDEX, token)
+            assert artifact.strings_containing_token(token) == expected, token
+        assert artifact.strings_containing_token("zzz") == set()
+        # Tokens are looked up raw, not normalized.
+        assert artifact.strings_containing_token("Indy") == set()
+
+    def test_strings_for_entity_matches_dictionary(self, artifact):
+        for entity_id in ("m1", "m2", "ghost"):
+            expected = reference.strings_for_entity(self.INDEX, entity_id)
+            assert artifact.strings_for_entity(entity_id) == expected
 
     def test_lookup_normalizes_input(self, artifact):
         assert artifact.entities_for("  Indy 4! ") == {"m1"}
@@ -118,26 +130,8 @@ class TestDictionaryIndexProtocol:
     def test_ambiguous_string_keeps_all_entities(self, artifact):
         assert artifact.entities_for("shared name") == {"m1", "m2"}
 
-    def test_token_shortlist_matches_dictionary(self, artifact, dictionary):
-        tokens = {token for entry in dictionary for token in entry.text.split()}
-        for token in tokens:
-            assert artifact.strings_containing_token(token) == (
-                dictionary.strings_containing_token(token)
-            ), token
-        assert artifact.strings_containing_token("zzz") == set()
-        # Tokens are looked up raw (not normalized) on both implementations.
-        assert artifact.strings_containing_token("Indy") == (
-            dictionary.strings_containing_token("Indy")
-        ) == set()
-
-    def test_strings_for_entity_matches_dictionary(self, artifact, dictionary):
-        for entity_id in ("m1", "m2", "ghost"):
-            assert artifact.strings_for_entity(entity_id) == (
-                dictionary.strings_for_entity(entity_id)
-            )
-
-    def test_max_entry_tokens_precomputed(self, artifact, dictionary):
-        assert artifact.max_entry_tokens == dictionary.max_entry_tokens
+    def test_max_entry_tokens_precomputed(self, artifact):
+        assert artifact.max_entry_tokens == 9  # the m1 canonical
 
 
 class TestPriors:
@@ -155,9 +149,9 @@ class TestPriors:
         )
 
     @pytest.fixture()
-    def priored(self, dictionary, click_log, tmp_path):
+    def priored(self, click_log, tmp_path):
         path = tmp_path / "priored.synart"
-        compile_dictionary(dictionary, path, click_log=click_log)
+        compile_dictionary(ENTRIES, path, click_log=click_log)
         return SynonymArtifact.load(path)
 
     def test_priors_block_present_and_flagged(self, priored):
@@ -165,13 +159,10 @@ class TestPriors:
         assert priored.manifest.extra["has_priors"] is True
         assert priored.manifest.counts["prior_entities"] == 2
 
-    def test_priors_equal_live_log_resolver(self, priored, dictionary, click_log):
+    def test_priors_equal_live_log_resolver(self, priored, click_log):
         """The embedded prior is exactly what a live-log resolver computes."""
-        live = MatchResolver(dictionary, click_log=click_log)
-        assert priored.priors() == {
-            "m1": live.prior("m1"),
-            "m2": live.prior("m2"),
-        }
+        live = MatchResolver(SynonymArtifact.from_entries(ENTRIES), click_log=click_log)
+        assert priored.priors() == {"m1": live.prior("m1"), "m2": live.prior("m2")}
 
     def test_priors_cover_zero_click_entities(self, click_log, tmp_path):
         path = tmp_path / "zero.synart"
@@ -190,12 +181,12 @@ class TestPriors:
         assert "prior_entities" not in artifact.manifest.counts
         assert artifact.manifest.extra["layout_version"] == LAYOUT_VERSION
 
-    def test_recompile_with_priors_is_deterministic(self, dictionary, click_log, tmp_path):
-        first = compile_dictionary(dictionary, tmp_path / "a.synart", click_log=click_log)
-        second = compile_dictionary(dictionary, tmp_path / "b.synart", click_log=click_log)
+    def test_recompile_with_priors_is_deterministic(self, click_log, tmp_path):
+        first = compile_dictionary(ENTRIES, tmp_path / "a.synart", click_log=click_log)
+        second = compile_dictionary(ENTRIES, tmp_path / "b.synart", click_log=click_log)
         assert first.content_hash == second.content_hash
 
-    def test_layout1_artifact_still_loads(self, dictionary, tmp_path):
+    def test_layout1_artifact_still_loads(self, tmp_path):
         """A pre-priors (layout 1) file loads and serves unchanged.
 
         Simulated by rewriting a fresh artifact's blocks under the old
@@ -203,7 +194,7 @@ class TestPriors:
         blocks — byte-for-byte what PR 2 compilers produced.
         """
         modern = tmp_path / "modern.synart"
-        compile_dictionary(dictionary, modern, version="old-gen")
+        compile_dictionary(ENTRIES, modern, version="old-gen")
         manifest, blocks = read_artifact(modern)
         legacy_extra = dict(manifest.extra)
         legacy_extra["layout_version"] = 1
@@ -221,12 +212,12 @@ class TestPriors:
         assert artifact.manifest.extra["layout_version"] == 1
         assert artifact.has_priors is False
         assert artifact.priors() is None
-        assert list(artifact) == list(SynonymDictionary(ENTRIES))
+        assert list(artifact) == list(SynonymArtifact.load(modern))
         assert artifact.entities_for("indy 4") == {"m1"}
 
-    def test_layout1_resolver_degrades_to_uniform(self, dictionary, tmp_path):
+    def test_layout1_resolver_degrades_to_uniform(self, tmp_path):
         path = tmp_path / "uniform.synart"
-        compile_dictionary(dictionary, path)
+        compile_dictionary(ENTRIES, path)
         resolver = MatchResolver.from_artifact(SynonymArtifact.load(path))
         assert resolver.prior("m1") == resolver.prior("m2") == 1.0
 
@@ -238,16 +229,16 @@ class TestLoadValidation:
         with pytest.raises(ArtifactError):
             SynonymArtifact.load(path)
 
-    def test_corrupted_artifact_rejected(self, dictionary, tmp_path):
+    def test_corrupted_artifact_rejected(self, tmp_path):
         path = tmp_path / "corrupt.synart"
-        compile_dictionary(dictionary, path)
+        compile_dictionary(ENTRIES, path)
         data = bytearray(path.read_bytes())
         data[-3] ^= 0x55
         path.write_bytes(bytes(data))
         with pytest.raises(ArtifactError, match="hash"):
             SynonymArtifact.load(path)
 
-    def test_peek_manifest_without_loading(self, dictionary, tmp_path):
+    def test_peek_manifest_without_loading(self, tmp_path):
         path = tmp_path / "peek.synart"
-        written = compile_dictionary(dictionary, path, version="peeked")
+        written = compile_dictionary(ENTRIES, path, version="peeked")
         assert SynonymArtifact.peek_manifest(path) == written

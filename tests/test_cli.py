@@ -335,6 +335,23 @@ class TestCompileAndServeCLI:
             build_parser().parse_args(["serve", "--artifact", str(compiled)])
         assert "invalid choice: 'serve'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alias", ["at&t", "c++ primer", "фильм 0001", "日本"])
+    def test_verbatim_alias_is_exact_without_fuzzy(self, alias, tmp_path, capsys):
+        # Letters of any script and words split by a symbol are words: these
+        # once answered fuzzy (or nothing) because they had no token.
+        synonyms, artifact = tmp_path / "synonyms.jsonl", tmp_path / "dict.synart"
+        row = {"canonical": "entity", "synonym": alias, "ipc": 5, "icr": 0.5, "clicks": 10}
+        synonyms.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert main(["compile", "--synonyms", str(synonyms), "--output", str(artifact)]) == 0
+        capsys.readouterr()
+        outputs = []
+        for source in (["--synonyms", str(synonyms)], ["--artifact", str(artifact)]):
+            assert main(["match", *source, "--no-fuzzy", alias]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert (payload["outcome"], payload["entities"]) == ("exact", ["entity"])
+
 
 class TestInputErrors:
     """Bad input ends every command with exit 2 and one ``repro: error:`` line."""

@@ -1,11 +1,6 @@
 """Tests for repro.text.normalize."""
 
-from repro.text.normalize import (
-    normalize,
-    normalize_whitespace,
-    strip_accents,
-    strip_punctuation,
-)
+from repro.text.normalize import normalize, strip_accents
 
 
 class TestStripAccents:
@@ -24,24 +19,33 @@ class TestStripAccents:
 
 class TestNormalizeWhitespace:
     def test_collapses_runs(self):
-        assert normalize_whitespace("a   b\t\tc") == "a b c"
+        assert normalize("a   b\t\tc") == "a b c"
 
     def test_strips_ends(self):
-        assert normalize_whitespace("  padded  ") == "padded"
+        assert normalize("  padded  ") == "padded"
 
     def test_newlines_become_spaces(self):
-        assert normalize_whitespace("line\nbreak") == "line break"
+        assert normalize("line\nbreak") == "line break"
 
 
 class TestStripPunctuation:
     def test_separators_become_spaces(self):
-        assert strip_punctuation("a-b:c/d") == "a b c d"
+        assert normalize("a-b:c/d") == "a b c d"
 
     def test_inner_apostrophe_removed(self):
-        assert strip_punctuation("director's cut") == "directors cut"
+        assert normalize("director's cut") == "directors cut"
 
     def test_brackets_removed(self):
-        assert strip_punctuation("(2008) [HD]") == " 2008   HD "
+        assert normalize("(2008) [HD]") == "2008 hd"
+
+    def test_symbols_separate_words(self):
+        assert normalize("AT&T") == "at t"
+        assert normalize("C++ Primer") == "c primer"
+        assert normalize("snake_case") == "snake case"
+
+    def test_letters_of_any_script_are_words(self):
+        assert normalize("Фильм 0001") == "фильм 0001"
+        assert normalize("日本") == "日本"
 
 
 class TestNormalize:

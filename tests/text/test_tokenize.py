@@ -21,6 +21,9 @@ class TestTokenize:
     def test_punctuation_only(self):
         assert tokenize("!!! --- ???") == []
 
+    def test_tokens_are_the_words_of_the_normalized_string(self):
+        assert tokenize("AT&T in 日本, Фильм 0001") == ["at", "t", "in", "日本", "фильм", "0001"]
+
 
 class TestTokenSet:
     def test_deduplicates(self):
