@@ -14,16 +14,16 @@ in production the compiled :class:`~repro.serving.artifact.SynonymArtifact`
    dictionary strings sharing a token with the query and accept the best
    one above an edit-distance-based similarity threshold.  This catches
    unseen misspellings without re-running the offline miner.  The fallback
-   counts shared tokens per shortlisted string while it reads the token
-   postings, bounds candidates by length, and cuts the edit distance off at
-   the threshold, so its cost follows the postings it touches; ties go to
-   the lexicographically smallest string
-   (see :meth:`QueryMatcher._fuzzy_match`).
+   pools only the strings that can pass the containment filter — those in
+   two query tokens' postings, or in one and short enough that one shared
+   token suffices — with a few set operations over postings memoized per
+   artifact generation, then bounds the pool by length and cuts the edit
+   distance off at the threshold; ties go to the lexicographically smallest
+   string (see :meth:`QueryMatcher._fuzzy_match`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,7 +31,7 @@ from repro.matching.index import DictionaryIndex
 from repro.matching.segmentation import QuerySegmenter, Segment
 from repro.text.normalize import normalize
 from repro.text.similarity import levenshtein_distance
-from repro.text.tokenize import tokenize
+from repro.text.tokenize import token_set
 
 __all__ = ["MatchOutcome", "EntityMatch", "QueryMatcher"]
 
@@ -92,10 +92,13 @@ class QueryMatcher:
         self.enable_fuzzy = enable_fuzzy
         self.fuzzy_similarity_threshold = fuzzy_similarity_threshold
         self.fuzzy_containment_threshold = fuzzy_containment_threshold
-        # Memo of a pure function of the string, bounded by the dictionary's
-        # strings; it lives as long as the matcher, which the serving layer
-        # rebuilds with every artifact generation.
-        self._token_counts = _DistinctTokenCounts()
+        # token -> (its postings, the ones one shared token lets through).
+        # Only tokens the index knows are kept, so it is bounded by the
+        # index's vocabulary; it lives as long as the matcher, which the
+        # serving layer rebuilds with every artifact generation.  Threads
+        # that miss on one token together store equal values, so it needs
+        # no lock.
+        self._postings: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
 
     # ------------------------------------------------------------------ #
     # Matching
@@ -141,19 +144,25 @@ class QueryMatcher:
     def _fuzzy_match(self, normalized_query: str) -> tuple[str, float] | None:
         """Best fuzzy dictionary string for the query, or ``None``.
 
-        Work is proportional to the postings touched, not to the shortlist
-        times a tokenization:
+        A string ``c`` with distinct words ``W(c)`` passes the containment
+        filter iff ``|W(c) ∩ Q| / |W(c)| >= fuzzy_containment_threshold``
+        (``Q``: the query's distinct tokens), so the Python loop only sees
+        what can pass:
 
-        1. *Containment by counting.*  The token index is probed once per
-           distinct query token and every returned string gets one count,
-           so ``count / distinct_tokens(string)`` is the share of the
-           string's tokens the query contains; strings below
-           ``fuzzy_containment_threshold`` are dropped.  The denominator is
-           a pure function of the string, memoized on this matcher.
-        2. *Length bound.*  Edit distance is at least the length difference,
+        1. *Pool.*  A passing string shares a token with the query, so it is
+           in some query token's postings; it is either in at least two of
+           them, or it shares one token and ``1 / |W(c)|`` alone reaches the
+           threshold (that token's *lone* members).  Each known token's
+           postings and lone members are read from the index once per
+           matcher and memoized; one pass of set operations
+           (``pool |= lone; pool |= found & seen; seen |= found``) builds a
+           pool that is a superset of the strings that pass.
+        2. *Containment.*  Each pooled string's own words decide the filter
+           exactly as above.
+        3. *Length bound.*  Edit distance is at least the length difference,
            so a survivor whose length alone puts it below
            ``fuzzy_similarity_threshold`` is dropped without being compared.
-        3. *Cut-off distance.*  The rest get an edit distance that gives up
+        4. *Cut-off distance.*  The rest get an edit distance that gives up
            beyond the largest distance the threshold could admit; the
            threshold itself is then applied to the similarity exactly as
            :func:`~repro.text.similarity.levenshtein_similarity` computes it.
@@ -163,16 +172,32 @@ class QueryMatcher:
         depend on set iteration order (``PYTHONHASHSEED``) or on which index
         implementation produced the shortlist.
         """
-        shared: Counter[str] = Counter()
-        for token in dict.fromkeys(tokenize(normalized_query, normalized=True)):
-            shared.update(self.dictionary.strings_containing_token(token))
-        token_counts = self._token_counts
+        query_tokens = token_set(normalized_query, normalized=True)
         containment_threshold = self.fuzzy_containment_threshold
         similarity_threshold = self.fuzzy_similarity_threshold
+        postings = self._postings
+        pool: set[str] = set()
+        seen: set[str] = set()
+        for token in query_tokens:
+            if token not in postings:
+                shortlist = self.dictionary.strings_containing_token(token)
+                if not shortlist:
+                    continue
+                lone = frozenset(
+                    c
+                    for c in shortlist
+                    if 1 / len(token_set(c, normalized=True)) >= containment_threshold
+                )
+                postings[token] = (frozenset(shortlist), lone)
+            found, lone = postings[token]
+            pool |= lone
+            pool |= found & seen
+            seen |= found
         query_length = len(normalized_query)
         best: tuple[str, float] | None = None
-        for candidate, count in shared.items():
-            if count / token_counts[candidate] < containment_threshold:
+        for candidate in pool:
+            words = token_set(candidate, normalized=True)
+            if len(words & query_tokens) / len(words) < containment_threshold:
                 continue
             length_gap = abs(query_length - len(candidate))
             longest = max(query_length, len(candidate))
@@ -192,11 +217,3 @@ class QueryMatcher:
             ):
                 best = (candidate, similarity)
         return best
-
-
-class _DistinctTokenCounts(dict[str, int]):
-    """``string -> number of distinct tokens``, computed on first use."""
-
-    def __missing__(self, text: str) -> int:
-        count = self[text] = len(set(tokenize(text, normalized=True)))
-        return count

@@ -9,11 +9,7 @@ same normalized form everywhere.
 from repro.text.normalize import normalize, strip_accents
 from repro.text.tokenize import tokenize, ngrams, token_set
 from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
-from repro.text.similarity import (
-    levenshtein_distance,
-    levenshtein_similarity,
-    token_containment,
-)
+from repro.text.similarity import levenshtein_distance, levenshtein_similarity
 
 __all__ = [
     "normalize",
@@ -26,5 +22,4 @@ __all__ = [
     "remove_stopwords",
     "levenshtein_distance",
     "levenshtein_similarity",
-    "token_containment",
 ]

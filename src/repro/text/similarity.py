@@ -2,27 +2,23 @@
 
 The paper argues that plain string similarity is *insufficient* for entity
 synonym finding ("Canon EOS 350D" vs "Digital Rebel XT" share no tokens),
-so this module holds only the three measures the reproduction calls:
+so this module holds only the two measures the reproduction calls:
 
 * :func:`levenshtein_distance` (with its banded cut-off) — the online
   matcher's edit-distance fallback for misspelled queries;
 * :func:`levenshtein_similarity` — the normalised form of that distance
-  the matcher documents its fuzzy score against;
-* :func:`token_containment` — the containment measure the fuzzy
-  fallback's shortlist filter applies.
+  the matcher documents its fuzzy score against.
+
+The fuzzy fallback's token-containment filter needs each candidate's words
+and the query's, so :meth:`repro.matching.matcher.QueryMatcher._fuzzy_match`
+computes it inline rather than through a measure here.
 
 Every function is implemented from scratch on the standard library.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-__all__ = [
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "token_containment",
-]
+__all__ = ["levenshtein_distance", "levenshtein_similarity"]
 
 
 def levenshtein_distance(a: str, b: str, max_distance: int | None = None) -> int:
@@ -87,18 +83,3 @@ def levenshtein_similarity(a: str, b: str) -> float:
         return 1.0
     longest = max(len(a), len(b))
     return 1.0 - levenshtein_distance(a, b) / longest
-
-
-def token_containment(needle: Iterable[str], haystack: Iterable[str]) -> float:
-    """Fraction of *needle* tokens that also appear in *haystack*.
-
-    An asymmetric measure: a short alias is a good match for a long
-    canonical title when all alias tokens are contained.  The online matcher
-    applies the same measure but derives it from token-index posting counts
-    (:meth:`repro.matching.matcher.QueryMatcher._fuzzy_match`) instead of
-    calling this per candidate.
-    """
-    needle_set, haystack_set = set(needle), set(haystack)
-    if not needle_set:
-        return 0.0
-    return len(needle_set & haystack_set) / len(needle_set)

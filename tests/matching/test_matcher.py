@@ -1,6 +1,8 @@
 """Tests for the online query matcher."""
 
 import os
+import random
+import string
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ from repro.matching.matcher import MatchOutcome, QueryMatcher
 from repro.serving.artifact import SynonymArtifact
 
 from tests.conftest import SRC_DIR
+from tests.oracle import reference
 
 
 @pytest.fixture()
@@ -159,6 +162,59 @@ class TestFuzzyTieBreak:
             "memory fuzzy canon eos 350d ['c350']\n"
             "file fuzzy canon eos 350d ['c350']\n"
         }
+
+
+class _CountingArtifact(SynonymArtifact):
+    """Records the token of every shortlist call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shortlist_calls: list[str] = []
+
+    def strings_containing_token(self, token):
+        self.shortlist_calls.append(token)
+        return super().strings_containing_token(token)
+
+
+class TestPostingsMemo:
+    ENTRIES = [
+        DictionaryEntry("indiana jones 4", "m1"),
+        DictionaryEntry("indy 4", "m1"),
+        DictionaryEntry("madagascar escape 2 africa", "m2"),
+        DictionaryEntry("madagascar 2", "m2"),
+        DictionaryEntry("digital rebel xt", "c1"),
+        DictionaryEntry("canon eos 350d", "c1"),
+    ]
+
+    def test_memo_holds_only_index_tokens_and_is_read_once(self):
+        index = _CountingArtifact.from_entries(self.ENTRIES)
+        vocabulary = {word for entry in index for word in entry.text.split()}
+        rng = random.Random(7)
+        unknown = set()
+        while len(unknown) < 300:
+            word = "".join(rng.choices(string.ascii_lowercase + string.digits, k=rng.randint(2, 7)))
+            if word not in vocabulary:
+                unknown.add(word)
+        unknown_words = sorted(unknown)
+        queries = [
+            " ".join(rng.choices(unknown_words, k=rng.randint(1, 4))) for _ in range(1000)
+        ]
+        # Sorted, no span of it is a dictionary string: it takes the fuzzy path.
+        every_token = " ".join(sorted(vocabulary))
+        queries.append(every_token)
+        matcher = QueryMatcher(index)
+
+        assert all(not matcher.match(query).matched for query in queries[:-1])
+        assert matcher.match(every_token) == reference.match(
+            reference.entries(self.ENTRIES), every_token
+        )
+        assert set(matcher._postings) == vocabulary  # no unknown word was memoized
+
+        index.shortlist_calls.clear()
+        for query in queries:
+            matcher.match(query)
+        assert index.shortlist_calls, "unknown words are still looked up"
+        assert not set(index.shortlist_calls) & vocabulary
 
 
 def _coverage(matcher, queries):

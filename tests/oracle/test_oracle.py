@@ -324,7 +324,9 @@ def cases(draw) -> Case:
     states = draw(generations())
     texts = [row.text for rows in states for row in rows] or ["canon"]
     click_queries = st.sampled_from(texts + [normalize(text) or "x" for text in texts])
-    thresholds = st.sampled_from((0.0, 0.6, 0.84, 1.0))
+    # 1/2 and 1/3: a two- or three-word string sharing one word with the
+    # query sits exactly on the containment threshold.
+    thresholds = st.sampled_from((0.0, 1 / 3, 0.5, 0.6, 0.84, 1.0))
     return Case(
         states,
         draw(st.lists(st.tuples(click_queries, st.integers(1, 50)), max_size=6)),
@@ -372,6 +374,9 @@ SCRIPTS_AND_SYMBOLS = Case(
 )
 @example(  # three deletions at the front: the optimal path runs along the band's edge
     Case([_rows(("canon eos 350d digital", "e1"))] * 3, [], ["on eos 350d digital"])
+)
+@example(  # one shared word of two: containment exactly on the threshold
+    Case([_rows(("canon rebel", "e1"))] * 3, [], ["canon rebl"], containment=0.5)
 )
 def test_every_representation_answers_like_the_reference(case):
     with tempfile.TemporaryDirectory() as scratch:

@@ -2,13 +2,7 @@
 
 import math
 
-import pytest
-
-from repro.text.similarity import (
-    levenshtein_distance,
-    levenshtein_similarity,
-    token_containment,
-)
+from repro.text.similarity import levenshtein_distance, levenshtein_similarity
 
 
 class TestLevenshtein:
@@ -33,12 +27,3 @@ class TestLevenshtein:
 
     def test_similarity_partial(self):
         assert math.isclose(levenshtein_similarity("abcd", "abce"), 0.75)
-
-
-class TestSetSimilarities:
-    def test_token_containment_asymmetric(self):
-        assert token_containment(["indy", "4"], ["indy", "4", "trailer"]) == 1.0
-        assert token_containment(["indy", "4", "trailer"], ["indy", "4"]) == pytest.approx(2 / 3)
-
-    def test_token_containment_empty_needle(self):
-        assert token_containment([], ["a"]) == 0.0
