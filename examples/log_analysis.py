@@ -25,8 +25,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.clicklog import compute_stats, head_share, rank_frequency
 from repro.eval import prefix_worlds, run_quality
+from repro.eval.logstats import compute_stats, head_share, rank_frequency
 from repro.simulation import ScenarioConfig, build_world
 
 

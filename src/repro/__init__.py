@@ -21,7 +21,8 @@ Top-level packages:
 * :mod:`repro.baselines`   — the Wikipedia-redirect and random-walk
   baselines of Table I;
 * :mod:`repro.eval`        — metrics and the one sweep behind Figure 2,
-  Figure 3, Table I, the ablations and the log-volume sweep.
+  Figure 3, Table I, the ablations and the log-volume sweep, plus the
+  click log's descriptive statistics.
 
 The last four packages exist to produce the paper's tables; nothing the
 miner, the compiler or the daemon imports depends on them (or on numpy).

@@ -62,10 +62,16 @@ class CacheStats:
 
 
 class SearchLog:
-    """Search Data ``A``: per-query ranked URL lists."""
+    """Search Data ``A``: per-query ranked URL lists.
+
+    ``A`` is a *set* of ⟨q, p, r⟩ tuples, so a page appears at most once per
+    query: a repeated (query, url) pair keeps its best (lowest) rank.
+    """
 
     def __init__(self, records: Iterable[SearchRecord] = ()) -> None:
-        self._results: dict[str, list[tuple[int, str]]] = defaultdict(list)
+        # query -> url -> (rank, url): the value is the sort key top_urls()
+        # orders by, built once per tuple rather than on every sort.
+        self._results: dict[str, dict[str, tuple[int, str]]] = defaultdict(dict)
         # Per-query sorted views; invalidated per-query by add().  top_urls()
         # sits on the per-entity refresh hot path, so re-sorting an unchanged
         # ranking on every call is wasted work.
@@ -74,8 +80,11 @@ class SearchLog:
             self.add(record)
 
     def add(self, record: SearchRecord) -> None:
-        """Add one ⟨q, p, r⟩ tuple."""
-        self._results[record.query].append((record.rank, record.url))
+        """Add one ⟨q, p, r⟩ tuple; a page already listed keeps its best rank."""
+        entry = (record.rank, record.url)
+        per_query = self._results[record.query]
+        if per_query.setdefault(record.url, entry)[0] > record.rank:
+            per_query[record.url] = entry
         self._sorted.pop(record.query, None)
 
     @classmethod
@@ -89,7 +98,7 @@ class SearchLog:
         if cached is None:
             if query not in self._results:
                 return []
-            cached = sorted(self._results[query])
+            cached = sorted(self._results[query].values())
             self._sorted[query] = cached
         return cached
 
@@ -111,6 +120,7 @@ class SearchLog:
         return query in self._results
 
     def __len__(self) -> int:
+        """Number of distinct (query, url) pairs."""
         return sum(len(urls) for urls in self._results.values())
 
     def iter_records(self) -> Iterator[SearchRecord]:

@@ -2,8 +2,8 @@
 
 The public surface of this package is:
 
-* :class:`~repro.core.config.MinerConfig` — the thresholds (top-k, β for
-  IPC, γ for ICR);
+* :class:`~repro.core.config.MinerConfig` — the paper's three parameters
+  (top-k, β for IPC, γ for ICR);
 * :class:`~repro.core.pipeline.SynonymMiner` — the two-phase bottom-up
   algorithm (candidate generation then candidate selection);
 * :class:`~repro.core.types.SynonymCandidate` / ``MiningResult`` — the

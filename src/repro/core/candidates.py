@@ -24,11 +24,8 @@ __all__ = ["CandidateGenerator"]
 class CandidateGenerator:
     """Generates Web-synonym candidates from the click log."""
 
-    def __init__(self, click_log: ClickLog, *, min_clicks: int = 1) -> None:
-        if min_clicks < 0:
-            raise ValueError(f"min_clicks must be >= 0, got {min_clicks}")
+    def __init__(self, click_log: ClickLog) -> None:
         self.click_log = click_log
-        self.min_clicks = min_clicks
 
     def candidates_for(
         self, value: str, surrogates: Iterable[str]
@@ -39,17 +36,8 @@ class CandidateGenerator:
         by construction it trivially satisfies Definition 6 but is not a
         useful synonym of itself.
         """
-        canonical = normalize(value)
         candidates: set[str] = set()
         for url in surrogates:
-            for query in self.click_log.queries_clicking(url):
-                if query == canonical:
-                    continue
-                if self.min_clicks > 1 and self.click_log.total_clicks(query) < self.min_clicks:
-                    continue
-                candidates.add(query)
+            candidates.update(self.click_log.queries_clicking(url))
+        candidates.discard(normalize(value))
         return candidates
-
-    def clicked_urls(self, candidate: str) -> set[str]:
-        """``G_L(w', P)``: every URL clicked for the candidate query (Eq. 2)."""
-        return self.click_log.urls_clicked_for(candidate)

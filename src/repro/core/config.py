@@ -8,7 +8,9 @@ The paper exposes three free parameters:
 * ``γ``  — the Intersecting Click Ratio threshold (Eq. 4).
 
 The paper's recommended operating point for Table I is β = 4, γ = 0.1 with
-k = 10-ish surrogates, which are the defaults here.
+k = 10-ish surrogates, which are the defaults here.  These three are the
+whole configuration: the canonical string is never its own synonym, and
+every Click Data tuple carries at least one click, so neither needs a knob.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ __all__ = ["MinerConfig"]
 
 @dataclass(frozen=True)
 class MinerConfig:
-    """Thresholds and switches of the two-phase miner.
+    """The three parameters of the two-phase miner: k, β and γ.
 
     Attributes
     ----------
@@ -33,20 +35,11 @@ class MinerConfig:
         β — a candidate must have ``IPC >= β`` to be selected.
     icr_threshold:
         γ — a candidate must have ``ICR >= γ`` to be selected.
-    min_clicks:
-        Minimum total click volume a candidate query must have in the click
-        log before it is scored at all; filters one-off noise queries (the
-        paper implicitly relies on log aggregation doing this).
-    exclude_canonical:
-        When true (default) the canonical string itself is never reported
-        as its own synonym.
     """
 
     surrogate_k: int = 10
     ipc_threshold: int = 4
     icr_threshold: float = 0.1
-    min_clicks: int = 1
-    exclude_canonical: bool = True
 
     def __post_init__(self) -> None:
         if self.surrogate_k <= 0:
@@ -57,8 +50,6 @@ class MinerConfig:
             raise ValueError(
                 f"icr_threshold must be in [0, 1], got {self.icr_threshold}"
             )
-        if self.min_clicks < 0:
-            raise ValueError(f"min_clicks must be >= 0, got {self.min_clicks}")
 
     # Convenience constructors for the operating points used in the paper.
 

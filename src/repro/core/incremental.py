@@ -10,8 +10,10 @@ only change when
 * a click lands on one of its surrogate URLs (new candidate or changed
   intersection), or
 * the click volume of one of its *current candidate queries* changes
-  anywhere (the ICR denominator moves), or
-* its Search Data changes (the surrogate set itself moves).
+  anywhere (the ICR denominator moves).
+
+Search Data is fixed for a miner's lifetime: the surrogate set of a tracked
+entity is read once, when it is tracked, and only Click Data streams in.
 
 :class:`IncrementalSynonymMiner` tracks exactly those dependencies and
 re-mines only the affected entities on :meth:`refresh`, keeping the rest of
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.clicklog.records import ClickRecord, SearchRecord
+from repro.clicklog.records import ClickRecord
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
 from repro.core.types import MiningResult
@@ -84,8 +86,7 @@ class IncrementalSynonymMiner:
         self._miner = SynonymMiner(
             click_log=self.click_log, search_log=search_log, config=self.config
         )
-        # Registration order with O(1) membership (an insertion-ordered set).
-        self._tracked: dict[str, None] = {}
+        self._tracked: set[str] = set()
         self._url_to_values: dict[str, set[str]] = {}
         self._candidate_to_values: dict[str, set[str]] = {}
         # Reverse edges of _candidate_to_values: which candidate queries each
@@ -120,18 +121,10 @@ class IncrementalSynonymMiner:
             canonical = normalize(value)
             if canonical in self._tracked:
                 continue
-            self._tracked[canonical] = None
+            self._tracked.add(canonical)
             self._dirty.add(canonical)
-            self._index_surrogates(canonical)
-
-    def _index_surrogates(self, canonical: str) -> None:
-        for url in self.search_log.top_urls(canonical, k=self.config.surrogate_k):
-            self._url_to_values.setdefault(url, set()).add(canonical)
-
-    @property
-    def tracked_values(self) -> list[str]:
-        """All registered canonical strings, in registration order."""
-        return list(self._tracked)
+            for url in self.search_log.top_urls(canonical, k=self.config.surrogate_k):
+                self._url_to_values.setdefault(url, set()).add(canonical)
 
     @property
     def result(self) -> MiningResult:
@@ -167,18 +160,6 @@ class IncrementalSynonymMiner:
                 self._dirty.update(dependents)
         return count
 
-    def ingest_search(self, records: Iterable[SearchRecord]) -> int:
-        """Add new search records (changed surrogate sets) and mark entities dirty."""
-        count = 0
-        for record in records:
-            self.search_log.add(record)
-            count += 1
-            canonical = record.query
-            if canonical in self._tracked:
-                self._dirty.add(canonical)
-                self._url_to_values.setdefault(record.url, set()).add(canonical)
-        return count
-
     # ------------------------------------------------------------------ #
     # Refresh
     # ------------------------------------------------------------------ #
@@ -195,7 +176,6 @@ class IncrementalSynonymMiner:
         for entry in self._miner.mine_iter(refreshed):
             canonical = entry.canonical
             self._result.add(entry)
-            self._index_surrogates(canonical)
             depends_on = {candidate.query for candidate in entry.candidates}
             self._value_to_candidates[canonical] = depends_on
             for candidate in depends_on:
@@ -218,11 +198,6 @@ class IncrementalSynonymMiner:
     # ------------------------------------------------------------------ #
     # Publication
     # ------------------------------------------------------------------ #
-
-    @property
-    def generation(self) -> int:
-        """How many refreshes have re-mined at least one entity."""
-        return self._generation
 
     def publish(self, catalog, path, *, delta: bool = False):
         """Compile the current cached result into a serving artifact.

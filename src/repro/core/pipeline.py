@@ -57,10 +57,7 @@ def mine_entity(
             ipc_threshold=config.ipc_threshold, icr_threshold=config.icr_threshold
         )
     surrogate_set = set(surrogates)
-    generator = CandidateGenerator(source, min_clicks=config.min_clicks)
-    candidates = generator.candidates_for(canonical, surrogate_set)
-    if config.exclude_canonical:
-        candidates.discard(canonical)
+    candidates = CandidateGenerator(source).candidates_for(canonical, surrogate_set)
     scored = [
         score_profile(source.candidate_profile(candidate), surrogate_set)
         for candidate in candidates

@@ -35,7 +35,3 @@ class SurrogateFinder:
         """:meth:`surrogates` for an already-normalized string (the mining
         loop normalizes each value once and must not pay for it again)."""
         return tuple(self._search_log.top_urls(query, k=self.k))
-
-    def surrogate_set(self, value: str) -> frozenset[str]:
-        """The surrogate URLs as a set (the form IPC/ICR work with)."""
-        return frozenset(self.surrogates(value))

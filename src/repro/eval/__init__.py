@@ -10,7 +10,9 @@
   :class:`QualityRow` per point (Hit Ratio and Expansion Ratio, Section
   IV-B, are properties of the row);
 * :mod:`repro.eval.reporting` — the seven tables rendered from those rows in
-  the layout the paper uses.
+  the layout the paper uses;
+* :mod:`repro.eval.logstats` — descriptive statistics of a click log (volume,
+  skew, head share), the distributional facts the method relies on.
 """
 
 from repro.eval.labeling import GroundTruthOracle

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.clicklog.log import ClickLog
 
-__all__ = ["QueryLogStats", "compute_stats", "head_share", "rank_frequency", "matched_volume_share"]
+__all__ = ["QueryLogStats", "compute_stats", "head_share", "rank_frequency"]
 
 
 @dataclass(frozen=True)
@@ -120,18 +119,3 @@ def head_share(click_log: ClickLog, *, head_fraction: float = 0.1) -> float:
     if total == 0:
         return 0.0
     return sum(volume for _query, volume in ranked[:head_count]) / total
-
-
-def matched_volume_share(click_log: ClickLog, matched_queries: Iterable[str]) -> float:
-    """Share of the log's click volume covered by *matched_queries*.
-
-    This is the raw quantity behind the paper's Coverage Increase metric:
-    pass the canonical strings to get the before-expansion share, pass
-    canonical strings plus mined synonyms to get the after-expansion share.
-    """
-    total = click_log.total_click_volume()
-    if total == 0:
-        return 0.0
-    matched = {query for query in matched_queries}
-    covered = sum(click_log.total_clicks(query) for query in matched)
-    return covered / total

@@ -23,7 +23,6 @@ import json
 import socket
 import time
 from typing import Any, Sequence
-from urllib.parse import urlparse
 
 from repro.server.daemon import _MAX_LINE, DEFAULT_PORT
 
@@ -49,23 +48,6 @@ class ServerClient:
         self.port = port
         self.timeout = timeout
         self._wire: tuple[socket.socket, io.BufferedReader] | None = None
-
-    @classmethod
-    def from_address(cls, address: str, *, timeout: float = 10.0) -> "ServerClient":
-        """Build a client from a base URL like ``http://127.0.0.1:8765``.
-
-        The port may be omitted: a URL with a scheme defaults to that
-        scheme's well-known port (80 for http, 443 for https); a bare
-        ``host`` or ``host:port`` without a scheme defaults to the
-        daemon's :data:`DEFAULT_PORT`.
-        """
-        url = urlparse(address if "//" in address else f"//{address}")
-        if not url.hostname:
-            raise ValueError(f"address must include a host: {address!r}")
-        port = url.port
-        if port is None:
-            port = {"http": 80, "https": 443}.get(url.scheme, DEFAULT_PORT)
-        return cls(url.hostname, port, timeout=timeout)
 
     # ------------------------------------------------------------------ #
     # Transport

@@ -7,18 +7,16 @@ same normalized form everywhere.
 """
 
 from repro.text.normalize import normalize, strip_accents
-from repro.text.tokenize import tokenize, ngrams, token_set
-from repro.text.stopwords import STOPWORDS, is_stopword, remove_stopwords
+from repro.text.tokenize import tokenize, token_set
+from repro.text.stopwords import STOPWORDS, remove_stopwords
 from repro.text.similarity import levenshtein_distance, levenshtein_similarity
 
 __all__ = [
     "normalize",
     "strip_accents",
     "tokenize",
-    "ngrams",
     "token_set",
     "STOPWORDS",
-    "is_stopword",
     "remove_stopwords",
     "levenshtein_distance",
     "levenshtein_similarity",

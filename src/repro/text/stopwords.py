@@ -11,7 +11,7 @@ Stopwords are used in two places:
 
 from __future__ import annotations
 
-__all__ = ["STOPWORDS", "is_stopword", "remove_stopwords"]
+__all__ = ["STOPWORDS", "remove_stopwords"]
 
 STOPWORDS: frozenset[str] = frozenset(
     """
@@ -20,12 +20,6 @@ STOPWORDS: frozenset[str] = frozenset(
     which will with near me my your our
     """.split()
 )
-
-
-def is_stopword(token: str) -> bool:
-    """Return ``True`` when *token* is in the stopword list (case-sensitive,
-    tokens are expected to be already lowercased by the tokenizer)."""
-    return token in STOPWORDS
 
 
 def remove_stopwords(tokens: list[str]) -> list[str]:

@@ -10,11 +10,9 @@ single spaces.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 from repro.text.normalize import normalize
 
-__all__ = ["tokenize", "token_set", "ngrams"]
+__all__ = ["tokenize", "token_set"]
 
 
 def tokenize(text: str, *, normalized: bool = False) -> list[str]:
@@ -43,16 +41,3 @@ def tokenize(text: str, *, normalized: bool = False) -> list[str]:
 def token_set(text: str, *, normalized: bool = False) -> frozenset[str]:
     """Return the set of distinct tokens of *text*."""
     return frozenset(tokenize(text, normalized=normalized))
-
-
-def ngrams(tokens: Iterable[str], n: int) -> Iterator[tuple[str, ...]]:
-    """Yield consecutive *n*-token windows over *tokens*.
-
-    >>> list(ngrams(["a", "b", "c"], 2))
-    [('a', 'b'), ('b', 'c')]
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    items = list(tokens)
-    for start in range(len(items) - n + 1):
-        yield tuple(items[start : start + n])

@@ -35,6 +35,35 @@ class TestSearchLog:
         log = SearchLog.from_tuples([("q", "u1", 1), ("q", "u2", 2)])
         assert log.top_urls("q") == ["u1", "u2"]
 
+    def test_exact_duplicate_tuple_is_one_page(self):
+        # Search Data is a set of <q, p, r> tuples: G_A(u, P) holds a page once.
+        log = SearchLog.from_tuples([("q", "u", 1), ("q", "u", 1), ("q", "v", 2)])
+        assert log.top_urls("q") == ["u", "v"]
+        assert len(log) == 2
+
+    def test_repeated_page_keeps_its_best_rank(self):
+        log = SearchLog.from_tuples([("q", "v", 2), ("q", "u", 3), ("q", "u", 1)])
+        assert log.top_urls("q", k=1) == ["u"]
+        assert log.top_urls("q") == ["u", "v"]
+        assert list(log.iter_records()) == [SearchRecord("q", "u", 1), SearchRecord("q", "v", 2)]
+
+    def test_later_worse_rank_does_not_demote_a_page(self):
+        log = SearchLog.from_tuples([("q", "u", 1), ("q", "v", 2), ("q", "u", 3)])
+        assert log.top_urls("q") == ["u", "v"]
+
+    def test_better_rank_after_a_lookup_reorders(self):
+        log = SearchLog.from_tuples([("q", "v", 2), ("q", "u", 3)])
+        assert log.top_urls("q") == ["v", "u"]
+        log.add(SearchRecord("q", "u", 1))
+        assert log.top_urls("q") == ["u", "v"]
+        assert len(log) == 2
+
+    def test_same_page_under_two_queries_is_kept_for_each(self):
+        log = SearchLog.from_tuples([("q1", "u", 1), ("q2", "u", 4)])
+        assert log.top_urls("q1") == ["u"]
+        assert log.top_urls("q2") == ["u"]
+        assert len(log) == 2
+
 
 class TestClickLog:
     def test_urls_clicked_for(self, mini_click_log):

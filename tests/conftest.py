@@ -204,8 +204,6 @@ def reference_entry(
     queries.discard(canonical)
     scored = []
     for query in queries:
-        if click_log.total_clicks(query) < config.min_clicks:
-            continue
         clicked = click_log.urls_clicked_for(query)
         scored.append(
             SynonymCandidate(

@@ -270,9 +270,6 @@ class TestIncrementalEquivalence:
             )
             incremental.refresh()
         incremental.ingest_clicks([ClickRecord("hub query", "https://elsewhere.example", 200)])
-        incremental.ingest_search(
-            [SearchRecord(entities[0], "https://site0.example/p9", 4)]
-        )
         incremental.refresh()
         return incremental, entities
 

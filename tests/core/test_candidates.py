@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clicklog.records import ClickRecord
 from repro.core.candidates import CandidateGenerator
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
@@ -30,25 +31,28 @@ class TestCandidateGeneration:
         candidates = generator.candidates_for(CANONICAL, SURROGATES)
         assert CANONICAL not in candidates
 
-    def test_min_clicks_filters_rare_queries(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log, min_clicks=100)
-        candidates = generator.candidates_for(CANONICAL, SURROGATES)
-        # Only "indiana jones" (90 clicks) and "harrison ford" (95) clear 100?
-        # indy 4 has 90, indiana jones 90, harrison ford 95 -> none reach 100.
-        assert candidates == set()
+    def test_canonical_excluded_after_normalisation(self, mini_click_log):
+        generator = CandidateGenerator(mini_click_log)
+        raw = "Indiana Jones: and the Kingdom of the Crystal Skull"
+        assert generator.candidates_for(raw, SURROGATES) == generator.candidates_for(
+            CANONICAL, SURROGATES
+        )
 
-    def test_min_clicks_keeps_high_volume_queries(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log, min_clicks=91)
-        candidates = generator.candidates_for(CANONICAL, SURROGATES)
-        assert candidates == {"harrison ford"}
+    def test_every_query_clicking_a_surrogate_is_a_candidate(self, mini_click_log):
+        # Definition 6 has no volume floor: one click on a surrogate is enough.
+        mini_click_log.add(ClickRecord("indy four", "https://magazine.example.com/box-office", 1))
+        generator = CandidateGenerator(mini_click_log)
+        assert generator.candidates_for(CANONICAL, SURROGATES) == {
+            "indy 4",
+            "indy four",
+            "indiana jones",
+            "harrison ford",
+        }
 
     def test_invalid_min_clicks(self, mini_click_log):
-        with pytest.raises(ValueError):
-            CandidateGenerator(mini_click_log, min_clicks=-1)
-
-    def test_clicked_urls_passthrough(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log)
-        assert generator.clicked_urls("indy 4") == mini_click_log.urls_clicked_for("indy 4")
+        # The generator has no settable value: it reads the click log as is.
+        with pytest.raises(TypeError):
+            CandidateGenerator(mini_click_log, min_clicks=2)
 
     def test_empty_surrogates(self, mini_click_log):
         generator = CandidateGenerator(mini_click_log)

@@ -1,5 +1,7 @@
 """Tests for MinerConfig."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import MinerConfig
@@ -29,8 +31,16 @@ class TestValidation:
             MinerConfig(icr_threshold=1.5)
 
     def test_invalid_min_clicks(self):
-        with pytest.raises(ValueError):
-            MinerConfig(min_clicks=-2)
+        # Neither removed knob is a setting any more: every Click Data tuple
+        # has a click, and the canonical is never its own synonym.
+        with pytest.raises(TypeError):
+            MinerConfig(min_clicks=2)
+        with pytest.raises(TypeError):
+            MinerConfig(exclude_canonical=False)
+
+    def test_settable_values_are_the_papers_three(self):
+        names = [field.name for field in dataclasses.fields(MinerConfig)]
+        assert names == ["surrogate_k", "ipc_threshold", "icr_threshold"]
 
 
 class TestWithThresholds:

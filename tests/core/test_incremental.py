@@ -37,11 +37,12 @@ def incremental(search_log):
 class TestTracking:
     def test_newly_tracked_values_are_dirty(self, incremental):
         assert incremental.dirty_values == {CANONICAL, OTHER}
-        assert incremental.tracked_values == [CANONICAL, OTHER]
 
     def test_tracking_twice_is_idempotent(self, incremental):
-        incremental.track([CANONICAL])
-        assert incremental.tracked_values.count(CANONICAL) == 1
+        incremental.refresh()
+        incremental.track([CANONICAL, "Indiana Jones and the Kingdom of the Crystal Skull"])
+        assert incremental.dirty_values == set()
+        assert incremental.refresh() == []
 
     def test_refresh_clears_dirty_set(self, incremental):
         refreshed = incremental.refresh()
@@ -69,28 +70,18 @@ class TestIngestion:
         )
         assert incremental.dirty_values == set()
 
-    def test_new_search_data_marks_entity_dirty(self, incremental):
-        incremental.refresh()
-        incremental.ingest_search(
-            [SearchRecord(CANONICAL, "https://reviews.example.com/indy-4", 3)]
-        )
-        assert CANONICAL in incremental.dirty_values
-
-    def test_search_data_for_tracked_but_unrefreshed_value_dirties_it(self, incremental):
-        late = "a value tracked before its search data arrives"
-        incremental.refresh()
-        incremental.track([late])
-        incremental.ingest_search(
-            [
-                SearchRecord(late, "https://late.example.com/page", 1),
-                SearchRecord("never tracked", "https://late.example.com/page", 1),
-            ]
-        )
-        # Membership is "tracked", not "already mined": the value has no
-        # cached entry yet and must still be picked up.
-        assert incremental.dirty_values == {late}
-        assert incremental.refresh() == [late]
-        assert incremental.result[late].surrogates == ("https://late.example.com/page",)
+    def test_value_tracked_after_a_refresh_is_dirtied_by_clicks_on_its_surrogates(
+        self, search_log
+    ):
+        late = "a value tracked after the first refresh"
+        search_log.add(SearchRecord(late, "https://late.example.com/page", 1))
+        miner = IncrementalSynonymMiner(search_log=search_log)
+        miner.track([CANONICAL])
+        miner.refresh()
+        miner.track([late])
+        assert miner.refresh() == [late]
+        miner.ingest_clicks([ClickRecord("late alias", "https://late.example.com/page", 3)])
+        assert miner.dirty_values == {late}
 
     def test_candidate_volume_change_dirties_dependents(self, incremental):
         # After "indy 4" becomes a candidate of CANONICAL, clicks from
@@ -167,7 +158,6 @@ class TestPublish:
         )
         miner.track(values)
         miner.refresh()
-        assert miner.generation == 1
 
         path = tmp_path / "incremental.synart"
         manifest = miner.publish(toy_world.catalog, path)

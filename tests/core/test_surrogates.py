@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.clicklog.log import SearchLog
 from repro.core.surrogates import SurrogateFinder
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
@@ -31,6 +32,12 @@ class TestFromSearchLog:
         finder = SurrogateFinder(search_log=mini_search_log, k=10)
         assert finder.surrogates("unknown entity") == ()
 
-    def test_surrogate_set(self, mini_search_log):
-        finder = SurrogateFinder(search_log=mini_search_log, k=10)
-        assert finder.surrogate_set(CANONICAL) == frozenset(finder.surrogates(CANONICAL))
+    def test_surrogate_set(self):
+        # G_A(u, P) is a set: a page repeated in Search Data is one surrogate,
+        # at its best rank.
+        log = SearchLog.from_tuples(
+            [(CANONICAL, "https://a.example", 3), (CANONICAL, "https://b.example", 2),
+             (CANONICAL, "https://a.example", 1)]
+        )
+        finder = SurrogateFinder(search_log=log, k=10)
+        assert finder.surrogates(CANONICAL) == ("https://a.example", "https://b.example")

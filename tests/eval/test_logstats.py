@@ -3,12 +3,7 @@
 import pytest
 
 from repro.clicklog.log import ClickLog
-from repro.clicklog.stats import (
-    compute_stats,
-    head_share,
-    matched_volume_share,
-    rank_frequency,
-)
+from repro.eval.logstats import compute_stats, head_share, rank_frequency
 
 
 @pytest.fixture()
@@ -88,15 +83,3 @@ class TestHeadShare:
     def test_simulated_log_is_heavy_tailed(self, toy_world):
         # The property the paper's coverage argument relies on.
         assert head_share(toy_world.click_log, head_fraction=0.1) > 0.4
-
-
-class TestMatchedVolumeShare:
-    def test_share_of_matched_queries(self, click_log):
-        share = matched_volume_share(click_log, ["popular query", "rare query"])
-        assert share == pytest.approx(101 / 122)
-
-    def test_unknown_queries_contribute_nothing(self, click_log):
-        assert matched_volume_share(click_log, ["unseen"]) == 0.0
-
-    def test_empty_log(self):
-        assert matched_volume_share(ClickLog(), ["q"]) == 0.0

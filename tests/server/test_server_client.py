@@ -23,29 +23,12 @@ def artifact_path(tmp_path):
 
 
 class TestAddressing:
-    def test_from_address_parses_url(self):
-        client = ServerClient.from_address("http://127.0.0.1:9321")
-        assert (client.host, client.port) == ("127.0.0.1", 9321)
-
-    def test_from_address_parses_bare_host_port(self):
-        client = ServerClient.from_address("localhost:8080")
-        assert (client.host, client.port) == ("localhost", 8080)
-
-    def test_from_address_defaults_to_scheme_port(self):
-        """A portless URL uses its scheme's well-known port, not ValueError."""
-        assert ServerClient.from_address("http://127.0.0.1").port == 80
-        assert ServerClient.from_address("https://match.example").port == 443
-
-    def test_from_address_bare_host_defaults_to_daemon_port(self):
-        client = ServerClient.from_address("localhost")
-        assert (client.host, client.port) == ("localhost", DEFAULT_PORT)
-
-    def test_from_address_requires_host(self):
-        with pytest.raises(ValueError):
-            ServerClient.from_address("http://")
-
     def test_default_port(self):
         assert ServerClient().port == DEFAULT_PORT
+
+    def test_explicit_host_and_port(self):
+        client = ServerClient("localhost", 8080)
+        assert (client.host, client.port) == ("localhost", 8080)
 
 
 class TestTransport:

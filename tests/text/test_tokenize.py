@@ -1,8 +1,6 @@
 """Tests for repro.text.tokenize."""
 
-import pytest
-
-from repro.text.tokenize import ngrams, token_set, tokenize
+from repro.text.tokenize import token_set, tokenize
 
 
 class TestTokenize:
@@ -32,17 +30,3 @@ class TestTokenSet:
     def test_is_frozenset(self):
         assert isinstance(token_set("a b"), frozenset)
 
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert list(ngrams(["a", "b", "c"], 2)) == [("a", "b"), ("b", "c")]
-
-    def test_window_equal_to_length(self):
-        assert list(ngrams(["a", "b"], 2)) == [("a", "b")]
-
-    def test_window_longer_than_input(self):
-        assert list(ngrams(["a"], 3)) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            list(ngrams(["a"], 0))
