@@ -108,6 +108,10 @@ class SynonymDictionary:
         """Every dictionary string referring to *entity_id*."""
         return [entry.text for entry in self._entries if entry.entity_id == entity_id]
 
+    def has_token(self, token: str) -> bool:
+        """Whether *token* is a word of some dictionary string."""
+        return token in self._token_index
+
     def strings_containing_token(self, token: str) -> set[str]:
         """Dictionary strings containing *token* (fuzzy-fallback shortlist)."""
         return set(self._token_index.get(token, ()))

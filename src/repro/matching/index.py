@@ -18,6 +18,8 @@ production implementation of :class:`DictionaryIndex`, the surface the
 online path consumes:
 
 * an **exact index** (``lookup`` / ``entities_for`` / ``__contains__``),
+* a **token test** (``has_token``): the segmenter probes only spans whose
+  every word the index has,
 * a **token shortlist** for the fuzzy fallback
   (``strings_containing_token``),
 * **entry iteration** (``__iter__`` / ``__len__`` /
@@ -114,6 +116,10 @@ class DictionaryIndex(Protocol):
 
     def entities_for(self, text: str) -> set[str]:
         """Entity ids the exact string refers to (empty set when unknown)."""
+        ...
+
+    def has_token(self, token: str) -> bool:
+        """Whether *token* is a word of some dictionary string."""
         ...
 
     def strings_containing_token(self, token: str) -> set[str]:

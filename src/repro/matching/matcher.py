@@ -152,7 +152,8 @@ class QueryMatcher:
         1. *Pool.*  A passing string shares a token with the query, so it is
            in some query token's postings; it is either in at least two of
            them, or it shares one token and ``1 / |W(c)|`` alone reaches the
-           threshold (that token's *lone* members).  Each known token's
+           threshold (that token's *lone* members).  A token the index
+           lacks has no postings and is skipped; each known token's
            postings and lone members are read from the index once per
            matcher and memoized; one pass of set operations
            (``pool |= lone; pool |= found & seen; seen |= found``) builds a
@@ -176,13 +177,17 @@ class QueryMatcher:
         containment_threshold = self.fuzzy_containment_threshold
         similarity_threshold = self.fuzzy_similarity_threshold
         postings = self._postings
+        # match() segments the query first, which resolves every query token
+        # against the index: a token the segmenter does not know has no
+        # postings, so it is skipped without asking the index again.
+        known = self.segmenter._known
         pool: set[str] = set()
         seen: set[str] = set()
         for token in query_tokens:
             if token not in postings:
-                shortlist = self.dictionary.strings_containing_token(token)
-                if not shortlist:
+                if token not in known:
                     continue
+                shortlist = self.dictionary.strings_containing_token(token)
                 lone = frozenset(
                     c
                     for c in shortlist

@@ -2,10 +2,16 @@
 
 A Web query rarely consists of the entity reference alone — the paper's
 motivating example is ``"Indy 4 near San Fran"``, where only the prefix
-``"Indy 4"`` refers to the movie.  The segmenter enumerates contiguous
-token spans of the query (longest first) and checks each against the
-synonym dictionary, returning every span that matches a dictionary string
-together with the remainder of the query.
+``"Indy 4"`` refers to the movie.  The segmenter enumerates the contiguous
+token spans of the query that could be dictionary strings (longest first)
+and checks each against the synonym dictionary, returning every span that
+matches together with the remainder of the query.
+
+Every word of every dictionary string is an index token (stopwords
+included), so a span holding a word the index lacks cannot match.  The
+segmenter asks the index once per query about each distinct token it does
+not already know to be an index token, then checks only the spans that lie
+inside a run of known tokens.
 """
 
 from __future__ import annotations
@@ -55,25 +61,53 @@ class QuerySegmenter:
         self.dictionary = dictionary
         # No span longer than the longest dictionary string can match.
         self.max_span_tokens = dictionary.max_entry_tokens or 1
+        # Tokens the index has.  Unknown tokens are not kept, so the set is
+        # bounded by the index's vocabulary; it lives as long as the
+        # segmenter (one per artifact generation).  Set adds need no lock.
+        self._known: set[str] = set()
+
+    def _known_runs(self, tokens: list[str]) -> list[tuple[int, int]]:
+        """``(start, end)`` of each maximal run of tokens the index has.
+
+        Asks the index about each distinct token at most once per call.
+        """
+        known = self._known
+        unknown: set[str] = set()
+        runs: list[tuple[int, int]] = []
+        run_start = 0
+        for position, token in enumerate(tokens):
+            if token not in known:
+                if token not in unknown and self.dictionary.has_token(token):
+                    known.add(token)
+                else:
+                    unknown.add(token)
+                    if position > run_start:
+                        runs.append((run_start, position))
+                    run_start = position + 1
+        if len(tokens) > run_start:
+            runs.append((run_start, len(tokens)))
+        return runs
 
     def _iter_segments(self, query: str) -> Iterator[Segment]:
         """Dictionary-matching spans of *query*, longest first, then leftmost."""
         tokens = tokenize(normalize(query), normalized=True)
-        max_len = min(self.max_span_tokens, len(tokens))
-        for length in range(max_len, 0, -1):
-            for start in range(0, len(tokens) - length + 1):
-                end = start + length
-                mention = " ".join(tokens[start:end])
-                entity_ids = self.dictionary.entities_for(mention)
-                if not entity_ids:
-                    continue
-                yield Segment(
-                    mention=mention,
-                    remainder=" ".join(tokens[:start] + tokens[end:]),
-                    start=start,
-                    end=end,
-                    entity_ids=frozenset(entity_ids),
-                )
+        runs = self._known_runs(tokens)
+        longest_run = max((end - start for start, end in runs), default=0)
+        for length in range(min(self.max_span_tokens, longest_run), 0, -1):
+            for run_start, run_end in runs:
+                for start in range(run_start, run_end - length + 1):
+                    end = start + length
+                    mention = " ".join(tokens[start:end])
+                    entity_ids = self.dictionary.entities_for(mention)
+                    if not entity_ids:
+                        continue
+                    yield Segment(
+                        mention=mention,
+                        remainder=" ".join(tokens[:start] + tokens[end:]),
+                        start=start,
+                        end=end,
+                        entity_ids=frozenset(entity_ids),
+                    )
 
     def segments(self, query: str) -> list[Segment]:
         """Return every dictionary-matching segmentation of *query*.

@@ -237,8 +237,13 @@ class _Watcher(threading.Thread):
         self._stop_event.set()
 
 
-class _SignalShutdown(Exception):
-    """Raised inside ``serve_forever`` by the SIGINT/SIGTERM handlers."""
+class _SignalShutdown(BaseException):
+    """Raised inside ``serve_forever`` by the SIGINT/SIGTERM handlers.
+
+    A ``BaseException``, like ``KeyboardInterrupt``: the signal can land
+    while the serving thread accepts a connection, where socketserver logs
+    and swallows any ``Exception`` and would keep serving.
+    """
 
     def __init__(self, signum: int) -> None:
         super().__init__(signal.Signals(signum).name)
@@ -556,8 +561,8 @@ class MatchDaemon:
         if "query" in body:
             if not isinstance(body["query"], str):
                 raise _RequestError(400, "'query' must be a string")
-            return [body["query"]], False
-        if "queries" in body:
+            queries, batched, field = [body["query"]], False, "query"
+        elif "queries" in body:
             queries = body["queries"]
             if not isinstance(queries, list) or not all(
                 isinstance(query, str) for query in queries
@@ -567,8 +572,17 @@ class MatchDaemon:
                 raise _RequestError(
                     413, f"batch of {len(queries)} exceeds max_batch={self.max_batch}"
                 )
-            return queries, True
-        raise _RequestError(400, "body must contain 'query' or 'queries'")
+            batched, field = True, "queries"
+        else:
+            raise _RequestError(400, "body must contain 'query' or 'queries'")
+        for query in queries:
+            # JSON's \ud800 escapes decode to lone surrogates, which the
+            # echoed answer could not encode.
+            try:
+                query.encode("utf-8")
+            except UnicodeEncodeError:
+                raise _RequestError(400, f"'{field}' must be valid Unicode text") from None
+        return queries, batched
 
     def handle_match(self, body: dict[str, Any]) -> dict[str, Any]:
         queries, batched = self._queries_from_body(body)

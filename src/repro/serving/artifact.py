@@ -42,6 +42,7 @@ import hashlib
 import struct
 import sys
 from array import array
+from bisect import bisect_left
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol
 
@@ -107,6 +108,27 @@ class ClickVolumeSource(Protocol):
     """The one lookup prior computation needs (satisfied by ``ClickLog``)."""
 
     def total_clicks(self, query: str) -> int: ...
+
+
+class _DecodedStrings(dict[int, str]):
+    """String id → its string, decoded from the pool on first access and kept.
+
+    Lookups key their binary search on ``__getitem__``, so a search over
+    strings already decoded runs no Python code per step.
+    """
+
+    __slots__ = ("_blob", "_offsets")
+
+    def __init__(self, blob: memoryview, offsets: "memoryview | array[Any]") -> None:
+        super().__init__()
+        self._blob = blob
+        self._offsets = offsets
+
+    def __missing__(self, sid: int) -> str:
+        offsets = self._offsets
+        text = str(self._blob[offsets[sid] : offsets[sid + 1]], "utf-8")
+        self[sid] = text
+        return text
 
 
 class _StringPool:
@@ -461,7 +483,7 @@ class SynonymArtifact:
         else:
             self._prior_entity = None
             self._prior_value = None
-        self._strings: dict[int, str] = {}
+        self._strings = _DecodedStrings(self._blob, self._offsets)
         self._entries: dict[int, DictionaryEntry] = {}
         self._by_entity: dict[str, list[int]] | None = None
         self._priors: dict[str, float] | None = None
@@ -569,40 +591,29 @@ class SynonymArtifact:
     # String pool access
     # ------------------------------------------------------------------ #
 
-    def _string_bytes(self, sid: int) -> memoryview:
-        return self._blob[self._offsets[sid] : self._offsets[sid + 1]]
-
-    def _string(self, sid: int) -> str:
-        cached = self._strings.get(sid)
-        if cached is None:
-            cached = str(self._string_bytes(sid), "utf-8")
-            self._strings[sid] = cached
-        return cached
-
     def _entry(self, entry_id: int) -> DictionaryEntry:
         cached = self._entries.get(entry_id)
         if cached is None:
             cached = DictionaryEntry(
-                text=self._string(self._entry_text[entry_id]),
-                entity_id=self._string(self._entry_entity[entry_id]),
-                source=self._string(self._entry_source[entry_id]),
+                text=self._strings[self._entry_text[entry_id]],
+                entity_id=self._strings[self._entry_entity[entry_id]],
+                source=self._strings[self._entry_source[entry_id]],
                 weight=self._entry_weight[entry_id],
             )
             self._entries[entry_id] = cached
         return cached
 
-    def _find(self, sorted_sids: "array[Any] | memoryview", needle: bytes) -> int:
-        """Binary search *needle* in a byte-sorted string-id array (-1 miss)."""
-        lo, hi = 0, len(sorted_sids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = bytes(self._string_bytes(sorted_sids[mid]))
-            if probe < needle:
-                lo = mid + 1
-            elif probe > needle:
-                hi = mid
-            else:
-                return mid
+    def _find(self, sorted_sids: "array[Any] | memoryview", needle: str) -> int:
+        """Binary search *needle* in a byte-sorted string-id array (-1 miss).
+
+        Compares decoded strings: UTF-8 byte order is code-point order, so
+        the byte-sorted blocks are sorted for ``str`` comparison too.  Each
+        string the search touches is decoded once and kept.
+        """
+        strings = self._strings
+        slot = bisect_left(sorted_sids, needle, key=strings.__getitem__)
+        if slot < len(sorted_sids) and strings[sorted_sids[slot]] == needle:
+            return slot
         return -1
 
     # ------------------------------------------------------------------ #
@@ -611,15 +622,30 @@ class SynonymArtifact:
 
     def lookup(self, text: str) -> list[DictionaryEntry]:
         """Exact lookup of a (raw or normalized) string."""
-        slot = self._find(self._exact_text, normalize(text).encode("utf-8"))
+        slot = self._find(self._exact_text, normalize(text))
         if slot < 0:
             return []
         start, end = self._exact_starts[slot], self._exact_starts[slot + 1]
         return [self._entry(self._exact_entries[i]) for i in range(start, end)]
 
     def entities_for(self, text: str) -> set[str]:
-        """Entity ids the exact string refers to (empty set when unknown)."""
-        return {entry.entity_id for entry in self.lookup(text)}
+        """Entity ids the exact string refers to (empty set when unknown).
+
+        Reads the entity ids straight off the entry arrays; no
+        :class:`DictionaryEntry` is built.
+        """
+        slot = self._find(self._exact_text, normalize(text))
+        if slot < 0:
+            return set()
+        entity, exact_entries = self._entry_entity, self._exact_entries
+        return {
+            self._strings[entity[exact_entries[i]]]
+            for i in range(self._exact_starts[slot], self._exact_starts[slot + 1])
+        }
+
+    def has_token(self, token: str) -> bool:
+        """Whether *token* is a word of some dictionary string (taken raw)."""
+        return self._find(self._token_text, token) >= 0
 
     def strings_containing_token(self, token: str) -> set[str]:
         """Dictionary strings containing *token* (fuzzy-fallback shortlist).
@@ -627,11 +653,11 @@ class SynonymArtifact:
         The token is looked up raw — callers (the fuzzy fallback) tokenize normalized
         queries, so tokens are already normalized.
         """
-        slot = self._find(self._token_text, token.encode("utf-8"))
+        slot = self._find(self._token_text, token)
         if slot < 0:
             return set()
         start, end = self._token_starts[slot], self._token_starts[slot + 1]
-        return {self._string(self._token_postings[i]) for i in range(start, end)}
+        return {self._strings[self._token_postings[i]] for i in range(start, end)}
 
     def strings_for_entity(self, entity_id: str) -> list[str]:
         """Every dictionary string referring to *entity_id*."""
@@ -640,10 +666,10 @@ class SynonymArtifact:
             for entry_id, entity_sid in enumerate(self._entry_entity):
                 grouped.setdefault(entity_sid, []).append(entry_id)
             self._by_entity = {
-                self._string(entity_sid): ids for entity_sid, ids in grouped.items()
+                self._strings[entity_sid]: ids for entity_sid, ids in grouped.items()
             }
         return [
-            self._string(self._entry_text[entry_id])
+            self._strings[self._entry_text[entry_id]]
             for entry_id in self._by_entity.get(entity_id, ())
         ]
 
@@ -668,7 +694,7 @@ class SynonymArtifact:
             return None
         if self._priors is None:
             self._priors = {
-                self._string(entity_sid): value
+                self._strings[entity_sid]: value
                 for entity_sid, value in zip(self._prior_entity, self._prior_value)
             }
         return self._priors
@@ -694,9 +720,9 @@ class SynonymArtifact:
         """
         for entry_id in range(len(self._entry_text)):
             yield (
-                self._string(self._entry_text[entry_id]),
-                self._string(self._entry_entity[entry_id]),
-                self._string(self._entry_source[entry_id]),
+                self._strings[self._entry_text[entry_id]],
+                self._strings[self._entry_entity[entry_id]],
+                self._strings[self._entry_source[entry_id]],
                 self._entry_weight[entry_id],
             )
 
@@ -718,7 +744,7 @@ class SynonymArtifact:
         return int(self.manifest.extra.get("max_entry_tokens", 0))
 
     def __contains__(self, text: str) -> bool:
-        return self._find(self._exact_text, normalize(text).encode("utf-8")) >= 0
+        return self._find(self._exact_text, normalize(text)) >= 0
 
     def __len__(self) -> int:
         return len(self._entry_text)

@@ -52,9 +52,10 @@ def normalize(text: str) -> str:
     synonym dictionary.
 
     Idempotent, and cheap on its own output: the online path normalizes a
-    query once and then probes the dictionary with spans of it, each of
-    which is normalized again by the index, so an already-normalized ASCII
-    string is recognised by one regex match and returned unchanged.
+    query once and then probes the dictionary with the spans of it whose
+    words the index has, each of which ``entities_for`` normalizes again,
+    so an already-normalized ASCII string is recognised by one regex match
+    and returned unchanged.
 
     >>> normalize("  Indiana Jones: and the Kingdom of the Crystal Skull ")
     'indiana jones and the kingdom of the crystal skull'

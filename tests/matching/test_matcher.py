@@ -5,6 +5,8 @@ import random
 import string
 import subprocess
 import sys
+import threading
+from collections import defaultdict
 
 import pytest
 
@@ -165,14 +167,22 @@ class TestFuzzyTieBreak:
 
 
 class _CountingArtifact(SynonymArtifact):
-    """Records the token of every shortlist call."""
+    """Records, by method, the argument of every call the matcher makes."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.shortlist_calls: list[str] = []
+        self.calls: dict[str, list[str]] = defaultdict(list)
+
+    def has_token(self, token):
+        self.calls["has_token"].append(token)
+        return super().has_token(token)
+
+    def entities_for(self, text):
+        self.calls["entities_for"].append(text)
+        return super().entities_for(text)
 
     def strings_containing_token(self, token):
-        self.shortlist_calls.append(token)
+        self.calls["strings_containing_token"].append(token)
         return super().strings_containing_token(token)
 
 
@@ -186,9 +196,12 @@ class TestPostingsMemo:
         DictionaryEntry("canon eos 350d", "c1"),
     ]
 
-    def test_memo_holds_only_index_tokens_and_is_read_once(self):
+    def _index(self):
         index = _CountingArtifact.from_entries(self.ENTRIES)
-        vocabulary = {word for entry in index for word in entry.text.split()}
+        return index, {word for entry in index for word in entry.text.split()}
+
+    def test_memo_holds_only_index_tokens_and_is_read_once(self):
+        index, vocabulary = self._index()
         rng = random.Random(7)
         unknown = set()
         while len(unknown) < 300:
@@ -201,20 +214,70 @@ class TestPostingsMemo:
         ]
         # Sorted, no span of it is a dictionary string: it takes the fuzzy path.
         every_token = " ".join(sorted(vocabulary))
-        queries.append(every_token)
         matcher = QueryMatcher(index)
 
-        assert all(not matcher.match(query).matched for query in queries[:-1])
+        assert all(not matcher.match(query).matched for query in queries)
         assert matcher.match(every_token) == reference.match(
             reference.entries(self.ENTRIES), every_token
         )
         assert set(matcher._postings) == vocabulary  # no unknown word was memoized
+        assert sorted(index.calls["strings_containing_token"]) == sorted(vocabulary)
 
-        index.shortlist_calls.clear()
+        # Every known word is memoized now.  Unknown words reach the index
+        # only to ask whether it has them, once per query; never the
+        # shortlist, never an exact probe.
         for query in queries:
+            index.calls.clear()
             matcher.match(query)
-        assert index.shortlist_calls, "unknown words are still looked up"
-        assert not set(index.shortlist_calls) & vocabulary
+            assert sorted(index.calls.pop("has_token")) == sorted(set(query.split())), query
+            assert not index.calls, query
+        index.calls.clear()
+        matcher.match(every_token)
+        assert set(index.calls) == {"entities_for"}
+        assert set(matcher._postings) == vocabulary
+
+    def test_a_long_query_of_unknown_words_asks_once_per_token(self):
+        index, vocabulary = self._index()
+        words = [f"w{number:05d}" for number in range(64 * 1024 // 7 + 1)]
+        assert not set(words) & vocabulary
+        query = " ".join(words)
+        assert len(query) >= 64 * 1024
+
+        found = QueryMatcher(index).match(query)
+
+        assert found.outcome is MatchOutcome.NO_MATCH
+        assert sorted(index.calls.pop("has_token")) == sorted(words)
+        assert not index.calls  # no exact probe, no shortlist
+
+    def test_threads_sharing_the_memos_answer_like_the_reference(self):
+        index, vocabulary = self._index()
+        rng = random.Random(3)
+        words = sorted(vocabulary) + ["near", "zzz", "indi", "madagscar", "rebl", "eos350d"]
+        queries = list({" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(300)})
+        entries = reference.entries(self.ENTRIES)
+        expected = {query: reference.match(entries, query) for query in queries}
+        matcher = QueryMatcher(index)  # one matcher, so one set of memos, for every thread
+        answers = []
+
+        def work(seed):
+            order = random.Random(seed).sample(queries, len(queries))
+            answers.append({query: matcher.match(query) for query in order})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(answers) == len(workers)
+        assert all(answer == expected for answer in answers)
+        assert matcher.segmenter._known <= vocabulary
+        assert set(matcher._postings) <= vocabulary
 
 
 def _coverage(matcher, queries):

@@ -221,8 +221,9 @@ def _check_index(where: str, answering, index: list[DictionaryEntry], queries: l
         assert answering.entities_for(text) == reference.entities_for(index, text), (where, text)
         assert (text in answering) == bool(reference.lookup(index, text)), (where, text)
     for token in sorted({word for text in texts + queries for word in text.split()} | {"zzz"}):
-        found = answering.strings_containing_token(token)
-        assert found == reference.strings_containing_token(index, token), (where, token)
+        expected = reference.strings_containing_token(index, token)
+        assert answering.strings_containing_token(token) == expected, (where, token)
+        assert answering.has_token(token) == bool(expected), (where, token)
     for entity_id in sorted({entry.entity_id for entry in index} | {"ghost"}):
         found = answering.strings_for_entity(entity_id)
         assert found == reference.strings_for_entity(index, entity_id), (where, entity_id)
@@ -232,10 +233,13 @@ def _check_index(where: str, answering, index: list[DictionaryEntry], queries: l
 # are the common case.  Some normalize to other text ("É" -> "e",
 # "director's" -> "directors", "at&t" -> "at t", "&" -> ""), some are not
 # ASCII; the shared phrases make ambiguous strings (and ranking) common.
+# Letters of one, two, three and four UTF-8 bytes ("ꀀ" is U+A000, "𠀀"
+# U+20000) check that lookups comparing decoded strings agree with the
+# byte-sorted blocks.
 WORDS = [
     "canon", "eos", "350d", "450d", "550d", "rebel", "xt", "xti", "digital", "bora",
     "a", "b", "indiana", "jones", "4", "É", "café", "director's", "камера", "日本",
-    "at&t", "c++", "&",
+    "at&t", "c++", "&", "ꀀ", "𠀀",
 ]  # fmt: skip
 SHARED = ["canon", "rebel xt", "at&t", "日本 камера"]
 ENTITIES = ["e1", "e2", "e3", "e4", "e5", "e6"]

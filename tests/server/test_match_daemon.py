@@ -7,6 +7,8 @@ republishes, is ``tests/oracle``'s job; these tests pin the endpoints'
 payload spelling, refusals, hot swap and lifecycle.
 """
 
+import os
+import signal
 import socket
 import threading
 import time
@@ -462,6 +464,29 @@ class TestDaemonLifecycle:
             daemon._httpd.shutdown()
             thread.join(timeout=10)
         assert codes == [0]
+
+    def test_sigterm_while_accepting_a_connection_still_stops(self, artifact_path, capsys):
+        """The signal lands inside socketserver's per-connection code, which
+        logs and swallows any ``Exception``; the shutdown must get through."""
+        daemon = MatchDaemon(artifact_path, port=0, watch_interval=0)
+        accept = daemon._httpd.process_request
+
+        def signalled_accept(request, client_address):
+            os.kill(os.getpid(), signal.SIGTERM)
+            accept(request, client_address)
+
+        daemon._httpd.process_request = signalled_accept
+        connect = threading.Timer(0.2, lambda: socket.create_connection(
+            (daemon.host, daemon.port), timeout=5).close())  # fmt: skip
+        fallback = threading.Timer(5, daemon._httpd.shutdown)  # a lost signal: stop anyway
+        connect.start()
+        fallback.start()
+        try:
+            assert daemon.run_forever() == 0
+        finally:
+            connect.cancel()
+            fallback.cancel()
+        assert "repro server: SIGTERM; served 0 queries" in capsys.readouterr().err
 
     def test_sigterm_exits_cleanly(self, artifact_path):
         """The real ops path: `python -m repro server`, then SIGTERM.

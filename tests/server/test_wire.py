@@ -152,6 +152,22 @@ CASES = [
     ("header-without-colon", b"GET /healthz HTTP/1.1\r\nnot a header\r\n\r\n", 400, "error", False),
     ("bad-request-line", b"hello\r\n\r\n", 400, "error", False),
     ("http-0.9-request-line", b"GET /healthz\r\n\r\n", 400, "error", False),
+    # JSON escapes that decode to lone surrogates: not text, so not a query.
+    (
+        "query-lone-surrogate",
+        post("/match", rb'{"query": "\ud800"}'),
+        400, "error", True,
+    ),
+    (
+        "batch-query-lone-surrogate",
+        post("/match", rb'{"queries": ["\udfff", "lyra quinn"]}'),
+        400, "error", True,
+    ),
+    (
+        "resolve-query-lone-surrogate",
+        post("/resolve", rb'{"query": "\ud800"}'),
+        400, "error", True,
+    ),
     ("unknown-method", post("/match", MATCH).replace(b"POST", b"PUT", 1), 501, "error", False),
     ("unsupported-version", b"GET /healthz HTTP/2.0\r\n\r\n", 505, "error", False),
 ]
