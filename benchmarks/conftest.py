@@ -28,7 +28,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.eval import QualityRow, noise_worlds, prefix_worlds, run_quality  # noqa: E402
-from repro.simulation import ScenarioConfig, build_world  # noqa: E402
+from repro.simulation import WorldConfig, build_world  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 QUALITY_RECORD = RESULTS_DIR / "quality.json"
@@ -39,10 +39,10 @@ QUALITY_FORMAT = 1
 def quality_rows() -> list[QualityRow]:
     """Every grid row: D1 (100 movie titles), D2 (882 camera names), the
     five monthly prefixes of D1's log and the four noise-scaled toy worlds."""
-    movies = build_world(ScenarioConfig.movies())
+    movies = build_world(WorldConfig.movies())
     worlds = {
         "movies": movies,
-        "cameras": build_world(ScenarioConfig.cameras()),
+        "cameras": build_world(WorldConfig.cameras()),
         **prefix_worlds(movies),
         **noise_worlds(),
     }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Product search over a camera catalog: the long-tail D2 scenario.
+"""Product search over a camera catalog: the long-tail D2 world.
 
 The paper's second dataset is 882 canonical camera names.  Cameras are the
 hard case: verbose canonical strings, regional marketing codenames that
@@ -31,7 +31,7 @@ from repro.core import MinerConfig, SynonymMiner
 from repro.eval import render_table1, run_quality
 from repro.matching import QueryMatcher, entries_from_mining_result
 from repro.serving import SynonymArtifact
-from repro.simulation import ScenarioConfig, build_world
+from repro.simulation import WorldConfig, build_world
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     sessions = 120_000 if full else 40_000
     print(f"Building the cameras world ({entity_count} models)...")
     world = build_world(
-        ScenarioConfig.cameras(entity_count=entity_count, session_count=sessions)
+        WorldConfig.cameras(entity_count=entity_count, session_count=sessions)
     )
     print("Mining synonyms and running both baselines...\n")
     print(render_table1(run_quality({"cameras": world})))

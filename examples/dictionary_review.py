@@ -8,10 +8,10 @@ footprint.  A team operating this system reviews the dictionary before
 shipping it, so this example produces exactly that review sheet:
 
 * for a few entities, every scored candidate with its IPC / ICR evidence,
-  the selection decision, the rule-based relation prediction
-  (:class:`repro.core.RelationClassifier`) and the ground-truth relation;
-* a confusion summary of predicted vs. true relations over the whole
-  catalog, quantifying how well the Figure-1 intuition holds on this data.
+  the selection decision and the ground-truth relation;
+* a summary of ground-truth relation vs. keep/cut decision over the whole
+  catalog: Figure 1 as a number, i.e. how well the two thresholds separate
+  synonyms from hypernyms, hyponyms and merely-related queries on this data.
 
 Run with::
 
@@ -26,14 +26,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.core import MinerConfig, RelationClassifier, SynonymMiner
+from repro.core import MinerConfig, SynonymMiner
 from repro.eval import GroundTruthOracle
-from repro.simulation import ScenarioConfig, build_world
+from repro.simulation import WorldConfig, build_world
 
 
 def main() -> None:
     print("Building the toy world and scoring every candidate...")
-    world = build_world(ScenarioConfig.toy())
+    world = build_world(WorldConfig.toy())
     # Thresholds fully open: we want every scored candidate, then we show
     # what the paper's operating point would keep.
     miner = SynonymMiner(
@@ -50,7 +50,10 @@ def main() -> None:
     )
 
     oracle = GroundTruthOracle(world.catalog, world.alias_table)
-    classifier = RelationClassifier()
+
+    def truth_of(query: str, canonical: str) -> str:
+        relation = oracle.relation(query, canonical)
+        return relation.value if relation is not None else "unrecorded"
 
     print("\nReview sheet (first 3 entities):")
     for entry in list(scored)[:3]:
@@ -58,31 +61,23 @@ def main() -> None:
         print(f"\n  {entry.canonical!r}")
         for candidate in entry.candidates[:8]:
             decision = "KEEP" if candidate.query in selected else "cut "
-            predicted = classifier.classify(candidate, entry.canonical).relation.value
-            truth = oracle.relation(candidate.query, entry.canonical)
-            truth_label = truth.value if truth is not None else "unrecorded"
             print(
                 f"    [{decision}] {candidate.query!r:<48} "
                 f"IPC={candidate.ipc:<3} ICR={candidate.icr:.2f} "
-                f"pred={predicted:<9} truth={truth_label}"
+                f"truth={truth_of(candidate.query, entry.canonical)}"
             )
 
-    print("\nPredicted vs. ground-truth relation over all scored candidates:")
-    confusion: Counter[tuple[str, str]] = Counter()
+    print("\nGround-truth relation vs. the operating point's decision, all candidates:")
+    decisions: Counter[tuple[str, str]] = Counter()
     for entry in scored:
+        selected = set(kept[entry.canonical].synonyms)
         for candidate in entry.candidates:
-            truth = oracle.relation(candidate.query, entry.canonical)
-            if truth is None:
-                continue
-            predicted = classifier.classify(candidate, entry.canonical).relation.value
-            confusion[(truth.value, predicted)] += 1
-    truths = sorted({truth for truth, _pred in confusion})
-    preds = sorted({pred for _truth, pred in confusion})
-    header = "    truth \\ predicted " + "".join(f"{pred:>10}" for pred in preds)
-    print(header)
-    for truth in truths:
-        row = "".join(f"{confusion.get((truth, pred), 0):>10}" for pred in preds)
-        print(f"    {truth:<18}" + row)
+            decision = "keep" if candidate.query in selected else "cut"
+            decisions[(truth_of(candidate.query, entry.canonical), decision)] += 1
+    print(f"    {'truth':<18}{'keep':>8}{'cut':>8}")
+    for truth_label in sorted({truth_label for truth_label, _decision in decisions}):
+        keep, cut = decisions[(truth_label, "keep")], decisions[(truth_label, "cut")]
+        print(f"    {truth_label:<18}{keep:>8}{cut:>8}")
 
 
 if __name__ == "__main__":

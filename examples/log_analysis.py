@@ -27,12 +27,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.eval import prefix_worlds, run_quality
 from repro.eval.logstats import compute_stats, head_share, rank_frequency
-from repro.simulation import ScenarioConfig, build_world
+from repro.simulation import WorldConfig, build_world
 
 
 def main() -> None:
     print("Building the movies world (100 titles)...")
-    world = build_world(ScenarioConfig.movies(session_count=30_000))
+    world = build_world(WorldConfig.movies(session_count=30_000))
 
     print("\n1. Click-log statistics")
     stats = compute_stats(world.click_log)

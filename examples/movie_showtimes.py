@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The paper's motivating scenario: answering "Indy 4 near San Fran"-style queries.
+"""The paper's motivating example: answering "Indy 4 near San Fran"-style queries.
 
 A showtimes application has a structured movie database keyed by full,
 formal titles.  Live Web queries refer to movies informally.  This example
@@ -26,14 +26,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro.core import MinerConfig, SynonymMiner
 from repro.matching import QueryMatcher, entries_from_mining_result
 from repro.serving import SynonymArtifact
-from repro.simulation import ScenarioConfig, build_world
+from repro.simulation import WorldConfig, build_world
 
 LOCATION_SUFFIXES = ["near san fran", "showtimes", "tickets tonight", "near me", "imax"]
 
 
 def main() -> None:
     print("Building the movies world (100 titles) and mining synonyms...")
-    world = build_world(ScenarioConfig.movies(session_count=30_000))
+    world = build_world(WorldConfig.movies(session_count=30_000))
     miner = SynonymMiner(
         click_log=world.click_log,
         search_log=world.search_log,

@@ -32,7 +32,7 @@ from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.serving.delta import delta_path_for
-from repro.simulation import ScenarioConfig, build_world
+from repro.simulation import WorldConfig, build_world
 from repro.storage.jsonl import read_jsonl_as, write_jsonl
 
 
@@ -43,7 +43,7 @@ def main() -> None:
     click_path = workdir / "click_data.jsonl"
 
     print("1. Generating logs and dumping them to JSONL...")
-    world = build_world(ScenarioConfig.toy())
+    world = build_world(WorldConfig.toy())
     search_rows = write_jsonl(search_path, world.search_log.iter_records())
     click_rows = write_jsonl(click_path, world.click_log.iter_records())
     print(f"   {search_rows} search tuples -> {search_path}")

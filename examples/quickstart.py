@@ -20,12 +20,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core import MinerConfig, SynonymMiner
 from repro.eval import GroundTruthOracle, precision, weighted_precision
-from repro.simulation import ScenarioConfig, build_world
+from repro.simulation import WorldConfig, build_world
 
 
 def main() -> None:
     print("Building a toy simulated world (20 movies)...")
-    world = build_world(ScenarioConfig.toy())
+    world = build_world(WorldConfig.toy())
     summary = world.summary()
     print(
         f"  {summary['entities']} entities, {summary['pages']} web pages, "

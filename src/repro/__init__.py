@@ -29,10 +29,10 @@ miner, the compiler or the daemon imports depends on them (or on numpy).
 
 Quickstart::
 
-    from repro.simulation import ScenarioConfig, build_world
+    from repro.simulation import WorldConfig, build_world
     from repro.core import SynonymMiner, MinerConfig
 
-    world = build_world(ScenarioConfig.toy())
+    world = build_world(WorldConfig.toy())
     miner = SynonymMiner(click_log=world.click_log,
                          search_log=world.search_log,
                          config=MinerConfig.paper_default())

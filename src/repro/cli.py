@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # Imported lazily, like every paper-side package: the simulator (numpy,
     # the BM25 engine) stays out of the other subcommands' processes.
-    from repro.simulation.scenario import ScenarioConfig, build_world
+    from repro.simulation.world import WorldConfig, build_world
 
     overrides = {"seed": args.seed}
     if args.entities is not None:
@@ -307,9 +307,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.sessions is not None:
         overrides["session_count"] = args.sessions
     preset = {
-        "movies": ScenarioConfig.movies,
-        "cameras": ScenarioConfig.cameras,
-        "toy": ScenarioConfig.toy,
+        "movies": WorldConfig.movies,
+        "cameras": WorldConfig.cameras,
+        "toy": WorldConfig.toy,
     }[args.dataset]
     world = build_world(preset(**overrides))
     output: Path = args.output
@@ -535,14 +535,14 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.eval.experiments import run_quality
     from repro.eval.reporting import render_icr_sweep, render_ipc_sweep, render_table1
-    from repro.simulation.scenario import ScenarioConfig, build_world
+    from repro.simulation.world import WorldConfig, build_world
 
     if args.quick:
-        movies_config = ScenarioConfig.movies(entity_count=60, session_count=20_000)
-        cameras_config = ScenarioConfig.cameras(entity_count=250, session_count=40_000)
+        movies_config = WorldConfig.movies(entity_count=60, session_count=20_000)
+        cameras_config = WorldConfig.cameras(entity_count=250, session_count=40_000)
     else:
-        movies_config = ScenarioConfig.movies()
-        cameras_config = ScenarioConfig.cameras()
+        movies_config = WorldConfig.movies()
+        cameras_config = WorldConfig.cameras()
 
     worlds = {"movies": build_world(movies_config)}
     if args.artifact in ("table1", "all"):

@@ -19,12 +19,6 @@ from repro.core.surrogates import SurrogateFinder
 from repro.core.candidates import CandidateGenerator
 from repro.core.selection import CandidateSelector, intersecting_page_count, intersecting_click_ratio
 from repro.core.pipeline import BatchRunStats, SynonymMiner, mine_entity
-from repro.core.classification import (
-    CandidateRelation,
-    ClassifiedCandidate,
-    RelationClassifier,
-    RelationThresholds,
-)
 from repro.core.incremental import IncrementalSynonymMiner
 
 __all__ = [
@@ -40,9 +34,5 @@ __all__ = [
     "intersecting_page_count",
     "intersecting_click_ratio",
     "SynonymMiner",
-    "CandidateRelation",
-    "ClassifiedCandidate",
-    "RelationClassifier",
-    "RelationThresholds",
     "IncrementalSynonymMiner",
 ]

@@ -36,7 +36,7 @@ from repro.core.pipeline import SynonymMiner
 from repro.core.types import MiningResult
 from repro.eval.labeling import GroundTruthOracle
 from repro.eval.metrics import coverage_increase, precision, weighted_precision
-from repro.simulation.scenario import ScenarioConfig, SimulatedWorld, build_world
+from repro.simulation.world import WorldConfig, SimulatedWorld, build_world
 from repro.simulation.temporal import PAPER_MONTHS, MonthlyLogSimulator, cumulative_click_logs
 from repro.simulation.users import UserModelConfig
 
@@ -208,5 +208,5 @@ def noise_worlds() -> dict[str, SimulatedWorld]:
             click_prob_generic_page=min(base.click_prob_generic_page * level, 1.0),
             noise_weight=base.noise_weight * level,
         )
-        worlds[name] = build_world(ScenarioConfig.toy(user_model=user_model))
+        worlds[name] = build_world(WorldConfig.toy(user_model=user_model))
     return worlds

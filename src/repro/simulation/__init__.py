@@ -16,7 +16,7 @@ equivalents (see DESIGN.md §2 for the substitution table):
 * :mod:`repro.simulation.users` — the searcher population and click model;
 * :mod:`repro.simulation.logs` — generation of Search Data ``A`` and Click
   Data ``L``;
-* :mod:`repro.simulation.scenario` — one-call construction of a complete
+* :mod:`repro.simulation.world` — one-call construction of a complete
   simulated world for a dataset.
 """
 
@@ -26,7 +26,7 @@ from repro.simulation.webgen import WebCorpusGenerator, WebGenConfig
 from repro.simulation.wikipedia import SimulatedWikipedia, WikipediaConfig
 from repro.simulation.users import UserModelConfig, QueryPopulation, ClickSimulator
 from repro.simulation.logs import generate_logs, GeneratedLogs
-from repro.simulation.scenario import ScenarioConfig, SimulatedWorld, build_world, user_model_for
+from repro.simulation.world import WorldConfig, SimulatedWorld, build_world, user_model_for
 from repro.simulation.temporal import MonthlyLogSimulator, MonthlySlice, cumulative_click_logs
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
     "ClickSimulator",
     "generate_logs",
     "GeneratedLogs",
-    "ScenarioConfig",
+    "WorldConfig",
     "SimulatedWorld",
     "build_world",
     "user_model_for",

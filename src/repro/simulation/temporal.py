@@ -14,7 +14,7 @@ in.  This module makes that dimension explicit:
   ("first month", "first two months", ...), which is what the log-volume
   worlds of :func:`repro.eval.experiments.prefix_worlds` consume.
 
-Everything stays deterministic for a fixed scenario seed.
+Everything stays deterministic for a fixed world seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.clicklog.log import ClickLog
-from repro.simulation.scenario import SimulatedWorld, user_model_for
+from repro.simulation.world import SimulatedWorld, user_model_for
 from repro.simulation.users import ClickSimulator, QueryPopulation, UserModelConfig
 
 __all__ = ["MonthlySlice", "MonthlyLogSimulator", "cumulative_click_logs"]

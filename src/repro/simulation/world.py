@@ -4,13 +4,13 @@ A :class:`SimulatedWorld` bundles everything an experiment needs: the
 entity catalog, the ground-truth alias table, the synthetic web corpus, the
 search engine over it, Search Data ``A``, Click Data ``L`` and the
 simulated Wikipedia.  :func:`build_world` builds all of it from a single
-:class:`ScenarioConfig`, deterministically for a given seed.
+:class:`WorldConfig`, deterministically for a given seed.
 
 Three presets mirror the paper's setup:
 
-* ``ScenarioConfig.movies()``   — D1, 100 movie titles;
-* ``ScenarioConfig.cameras()``  — D2, 882 camera names;
-* ``ScenarioConfig.toy()``      — a small, fast world for unit tests.
+* ``WorldConfig.movies()``   — D1, 100 movie titles;
+* ``WorldConfig.cameras()``  — D2, 882 camera names;
+* ``WorldConfig.toy()``      — a small, fast world for unit tests.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from repro.simulation.users import QueryPopulation, UserModelConfig
 from repro.simulation.webgen import WebCorpusGenerator, WebGenConfig
 from repro.simulation.wikipedia import SimulatedWikipedia
 
-__all__ = ["ScenarioConfig", "SimulatedWorld", "build_world", "user_model_for"]
+__all__ = ["WorldConfig", "SimulatedWorld", "build_world", "user_model_for"]
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class WorldConfig:
     """Everything needed to build one simulated world.
 
     ``session_count`` and ``seed`` are the one home of a world's traffic
@@ -54,12 +54,12 @@ class ScenarioConfig:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def movies(cls, **overrides) -> "ScenarioConfig":
+    def movies(cls, **overrides) -> "WorldConfig":
         """The D1 preset: 100 movies, paper-scale click volume."""
         return replace(cls(dataset="movies", entity_count=100, session_count=60_000), **overrides)
 
     @classmethod
-    def cameras(cls, **overrides) -> "ScenarioConfig":
+    def cameras(cls, **overrides) -> "WorldConfig":
         """The D2 preset: 882 cameras, long-tail click volume.
 
         Canonical camera names are verbose ("Canox EON 4571 Mark II"), so the
@@ -75,7 +75,7 @@ class ScenarioConfig:
         return replace(config, **overrides)
 
     @classmethod
-    def toy(cls, **overrides) -> "ScenarioConfig":
+    def toy(cls, **overrides) -> "WorldConfig":
         """A tiny fast world (20 movies) for unit tests and doctests."""
         config = cls(
             dataset="toy",
@@ -90,7 +90,7 @@ class ScenarioConfig:
 class SimulatedWorld:
     """The fully-built simulation: data, engine, logs and ground truth."""
 
-    config: ScenarioConfig
+    config: WorldConfig
     catalog: EntityCatalog
     alias_table: AliasTable
     corpus: Corpus
@@ -117,26 +117,28 @@ class SimulatedWorld:
         }
 
 
-def _build_catalog(config: ScenarioConfig) -> EntityCatalog:
+def _build_catalog(config: WorldConfig) -> EntityCatalog:
+    # An unset ``entity_count`` is the dataset's preset size; 0 is not.
+    size = config.entity_count
     if config.dataset == "movies":
-        return movie_catalog(size=config.entity_count or 100, seed=config.seed + 1)
+        return movie_catalog(size=100 if size is None else size, seed=config.seed + 1)
     if config.dataset == "cameras":
-        return camera_catalog(size=config.entity_count or 882, seed=config.seed + 2)
+        return camera_catalog(size=882 if size is None else size, seed=config.seed + 2)
     if config.dataset == "toy":
-        return movie_catalog(size=config.entity_count or 20, seed=config.seed + 3)
+        return movie_catalog(size=20 if size is None else size, seed=config.seed + 3)
     raise ValueError(f"unknown dataset {config.dataset!r}")
 
 
-# Offset from the scenario seed to the user model's seed, per dataset
+# Offset from the world seed to the user model's seed, per dataset
 # (the cameras preset has drawn its clicks from seed 43 at seed 11).
 _USER_SEED_OFFSET = {"movies": 31, "cameras": 32, "toy": 31}
 
-# Offset from the scenario seed to the web corpus's seed, per dataset
+# Offset from the world seed to the web corpus's seed, per dataset
 # (the toy preset has drawn its pages from seed 17 at seed 11).
 _WEB_SEED_OFFSET = {"movies": 23, "cameras": 23, "toy": 6}
 
 
-def user_model_for(config: ScenarioConfig) -> UserModelConfig:
+def user_model_for(config: WorldConfig) -> UserModelConfig:
     """The user model a world built from *config* simulates: the config's
     behaviour fields with its session count and a seed derived from its seed."""
     return replace(
@@ -146,9 +148,9 @@ def user_model_for(config: ScenarioConfig) -> UserModelConfig:
     )
 
 
-def build_world(config: ScenarioConfig | None = None) -> SimulatedWorld:
+def build_world(config: WorldConfig | None = None) -> SimulatedWorld:
     """Build the complete simulated world described by *config*."""
-    config = config or ScenarioConfig()
+    config = config or WorldConfig()
 
     catalog = _build_catalog(config)
     alias_table = build_alias_table(catalog, seed=config.seed + 11)

@@ -38,7 +38,7 @@ from repro.core.selection import intersecting_click_ratio, intersecting_page_cou
 from repro.core.types import EntitySynonyms, SynonymCandidate
 from repro.search.documents import Corpus, WebPage
 from repro.search.engine import SearchEngine
-from repro.simulation.scenario import ScenarioConfig, SimulatedWorld, build_world
+from repro.simulation.world import WorldConfig, SimulatedWorld, build_world
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -250,7 +250,7 @@ def assert_mining_paths_agree(
 @pytest.fixture(scope="session")
 def toy_world() -> SimulatedWorld:
     """A small but complete simulated world shared by the whole session."""
-    return build_world(ScenarioConfig.toy())
+    return build_world(WorldConfig.toy())
 
 
 @pytest.fixture(scope="session")

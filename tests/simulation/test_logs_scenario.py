@@ -1,15 +1,14 @@
-"""Tests for log generation and the one-call scenario builder."""
+"""Tests for log generation and the one-call world builder."""
 
 import hashlib
 
 import pytest
 
-from repro.simulation import scenario
 from repro.simulation.logs import SEARCH_DATA_K, generate_logs
-from repro.simulation.scenario import ScenarioConfig, build_world, user_model_for
 from repro.simulation.users import UserModelConfig
+from repro.simulation.world import WorldConfig, build_world, user_model_for
 
-# sha256 of _fingerprint(build_world(ScenarioConfig.toy())).  Every record
+# sha256 of _fingerprint(build_world(WorldConfig.toy())).  Every record
 # of the toy world is behind it, so a refactor of the simulator that moves
 # any search result, click count, alias or redirect fails here.
 TOY_WORLD_SHA256 = "13a4da2ed74f3413a28df1576d6b5dc647cf88565a86cc859c8e5a47e6953f8b"
@@ -47,29 +46,33 @@ class TestGenerateLogs:
 
 class TestScenarioConfig:
     def test_presets(self):
-        assert ScenarioConfig.movies().entity_count == 100
-        assert ScenarioConfig.cameras().entity_count == 882
-        assert ScenarioConfig.toy().entity_count == 20
+        assert WorldConfig.movies().entity_count == 100
+        assert WorldConfig.cameras().entity_count == 882
+        assert WorldConfig.toy().entity_count == 20
 
     def test_preset_overrides(self):
-        config = ScenarioConfig.toy(session_count=123)
+        config = WorldConfig.toy(session_count=123)
         assert config.session_count == 123
+
+    def test_zero_entities_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            build_world(WorldConfig.toy(entity_count=0))
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset"):
-            build_world(ScenarioConfig(dataset="gadgets"))  # type: ignore[arg-type]
+            build_world(WorldConfig(dataset="gadgets"))  # type: ignore[arg-type]
 
     def test_cameras_preset_honours_session_count_and_seed(self):
         small, large = (
-            build_world(ScenarioConfig.cameras(entity_count=40, session_count=sessions))
+            build_world(WorldConfig.cameras(entity_count=40, session_count=sessions))
             for sessions in (2_000, 8_000)
         )
         assert small.click_log.total_click_volume() < large.click_log.total_click_volume()
-        assert user_model_for(ScenarioConfig.cameras(session_count=2_000)).session_count == 2_000
-        # The scenario seed drives the user model; the default world keeps
+        assert user_model_for(WorldConfig.cameras(session_count=2_000)).session_count == 2_000
+        # The world seed drives the user model; the default world keeps
         # the user seed (43) the preset has always had.
-        assert user_model_for(ScenarioConfig.cameras()).seed == 43
-        assert user_model_for(ScenarioConfig.cameras(seed=12)).seed == 44
+        assert user_model_for(WorldConfig.cameras()).seed == 43
+        assert user_model_for(WorldConfig.cameras(seed=12)).seed == 44
 
     @pytest.mark.parametrize("preset", ["movies", "cameras", "toy"])
     def test_seed_reaches_the_web_corpus(self, preset, monkeypatch):
@@ -82,10 +85,10 @@ class TestScenarioConfig:
             seeds.append(config.seed)
             raise Recorded  # the corpus is all this test needs
 
-        monkeypatch.setattr(scenario, "WebCorpusGenerator", recording_generator)
+        monkeypatch.setattr("repro.simulation.world.WebCorpusGenerator", recording_generator)
         for seed in (11, 12):
             with pytest.raises(Recorded):
-                build_world(getattr(ScenarioConfig, preset)(entity_count=10, seed=seed))
+                build_world(getattr(WorldConfig, preset)(entity_count=10, seed=seed))
         assert seeds[0] != seeds[1]
 
 
@@ -108,7 +111,7 @@ class TestBuildWorld:
             assert query in toy_world.search_log
 
     def test_world_is_deterministic(self, toy_world):
-        rebuilt = build_world(ScenarioConfig.toy())
+        rebuilt = build_world(WorldConfig.toy())
         assert rebuilt.summary() == toy_world.summary()
         assert rebuilt.canonical_queries() == toy_world.canonical_queries()
         assert _fingerprint(toy_world) == _fingerprint(rebuilt) == TOY_WORLD_SHA256
