@@ -76,16 +76,26 @@ class SearchLog:
         # sits on the per-entity refresh hot path, so re-sorting an unchanged
         # ranking on every call is wasted work.
         self._sorted: dict[str, list[tuple[int, str]]] = {}
-        for record in records:
-            self.add(record)
+        self._accumulate(records)
 
     def add(self, record: SearchRecord) -> None:
         """Add one ⟨q, p, r⟩ tuple; a page already listed keeps its best rank."""
-        entry = (record.rank, record.url)
-        per_query = self._results[record.query]
-        if per_query.setdefault(record.url, entry)[0] > record.rank:
-            per_query[record.url] = entry
-        self._sorted.pop(record.query, None)
+        self._accumulate((record,))
+
+    def _accumulate(self, records: Iterable[SearchRecord]) -> None:
+        """The one ingest rule, shared by the constructor and :meth:`add`."""
+        results = self._results
+        cached = self._sorted
+        for record in records:
+            query = record.query
+            url = record.url
+            rank = record.rank
+            entry = (rank, url)
+            per_query = results[query]
+            if per_query.setdefault(url, entry)[0] > rank:
+                per_query[url] = entry
+            if cached:
+                cached.pop(query, None)
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[tuple[str, str, int]]) -> "SearchLog":
@@ -151,8 +161,7 @@ class ClickLog:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        for record in records:
-            self.add(record)
+        self._accumulate(records)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -160,11 +169,24 @@ class ClickLog:
 
     def add(self, record: ClickRecord) -> None:
         """Add one ⟨q, p, n⟩ tuple, accumulating clicks for repeated pairs."""
-        per_query = self._clicks[record.query]
-        per_query[record.url] = per_query.get(record.url, 0) + record.clicks
-        self._url_to_queries[record.url].add(record.query)
-        self._query_totals[record.query] += record.clicks
-        self._profiles.pop(record.query, None)
+        self._accumulate((record,))
+
+    def _accumulate(self, records: Iterable[ClickRecord]) -> None:
+        """The one ingest rule, shared by the constructor and :meth:`add`."""
+        clicks_of = self._clicks
+        url_to_queries = self._url_to_queries
+        totals = self._query_totals
+        profiles = self._profiles
+        for record in records:
+            query = record.query
+            url = record.url
+            clicks = record.clicks
+            per_query = clicks_of[query]
+            per_query[url] = per_query.get(url, 0) + clicks
+            url_to_queries[url].add(query)
+            totals[query] += clicks
+            if profiles:
+                profiles.pop(query, None)
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[tuple[str, str, int]]) -> "ClickLog":

@@ -3,18 +3,32 @@
 JSONL is the interchange format used by the examples and the benchmark
 harness to snapshot generated Search Data and Click Data so experiments are
 replayable without re-running the simulator.
+
+Reading splits the file in text mode, which breaks lines only at ``\n``,
+``\r`` and ``\r\n``.  ``write_jsonl`` writes U+2028, U+2029 and U+0085
+unescaped (``ensure_ascii=False``), and ``str.splitlines()`` would break a
+query holding one of them into two lines.  Each stripped line is parsed by
+the ``json`` module's C scanner directly: ``json.loads`` would wrap the
+same scan in Python and run two whitespace regexes per line.  The scan must
+end at the end of the line, so trailing data is rejected as ``json.loads``
+rejects it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import json.scanner
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 __all__ = ["write_jsonl", "read_jsonl", "read_jsonl_as"]
 
 T = TypeVar("T")
+
+# The C scanner behind json.loads; called as scan(text, index) it returns
+# (value, end index) or raises StopIteration / JSONDecodeError.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _to_plain(record: Any) -> Any:
@@ -59,9 +73,11 @@ def _numbered_rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             if not line:
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
+                row, end = _scan(line, 0)
+            except (StopIteration, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{line_number}: invalid JSON line") from exc
+            if end != len(line):
+                raise ValueError(f"{path}:{line_number}: invalid JSON line (trailing data)")
             if not isinstance(row, dict):
                 raise ValueError(
                     f"{path}:{line_number}: expected a JSON object, got {type(row).__name__}"

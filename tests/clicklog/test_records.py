@@ -25,6 +25,22 @@ class TestSearchRecord:
     def test_hashable(self):
         assert len({SearchRecord("q", "u", 1), SearchRecord("q", "u", 1)}) == 1
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("q", "u", 1.5),
+            ("q", "u", float("inf")),
+            ("q", "u", float("nan")),
+            ("q", "u", True),
+            (5, "u", 1),
+            ("q", ["x"], 1),
+        ],
+    )
+    def test_rejects_values_outside_the_tuple(self, fields):
+        # ⟨q, p, r⟩: q and p are non-empty strings, r an int rank >= 1.
+        with pytest.raises(ValueError):
+            SearchRecord(*fields)
+
 
 class TestClickRecord:
     def test_valid(self):
@@ -40,3 +56,18 @@ class TestClickRecord:
             ClickRecord(query="", url="u", clicks=1)
         with pytest.raises(ValueError):
             ClickRecord(query="q", url="", clicks=1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("q", "u", float("nan")),
+            ("q", "u", 2.5),
+            ("q", "u", True),
+            (5, "u", 1),
+            ("q", ["x"], 1),
+        ],
+    )
+    def test_rejects_values_outside_the_tuple(self, fields):
+        # ⟨q, p, n⟩: q and p are non-empty strings, n an int count >= 1.
+        with pytest.raises(ValueError):
+            ClickRecord(*fields)

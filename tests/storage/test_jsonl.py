@@ -92,3 +92,38 @@ class TestErrors:
         path.write_text('{"query": "q", "url": "u", "clicks": 0}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=r"typed\.jsonl:1: clicks must be >= 1"):
             list(read_jsonl_as(path, ClickRecord))
+
+
+class TestLineSemantics:
+    """The reader splits in text mode and parses each line whole."""
+
+    SEPARATORS = "a\u2028b\u2029c\u0085d"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (None, [{"query": SEPARATORS}]),
+            ('{"a": 1}\r\n{"a": 2}\r\n', [{"a": 1}, {"a": 2}]),
+            ('{"a": 1}\n  \t \n\n{"a": 2}\n', [{"a": 1}, {"a": 2}]),
+            ('{"a": 1}\n{"a": 1} x\n', 2),
+            ('{"a": 1}{"b": 2}\n', 1),
+            ('{"a": 1}\n\n[1]\n', 3),
+            ('NaN\n', 1),
+        ],
+        ids=["unicode-separators", "crlf", "whitespace-lines", "trailing-data",
+             "two-objects", "array", "nan"],
+    )
+    def test_lines(self, tmp_path, text, expected):
+        path = tmp_path / "rows.jsonl"
+        if text is None:
+            # U+2028, U+2029 and U+0085 are written raw (ensure_ascii=False)
+            # and must not split the row.
+            write_jsonl(path, [{"query": self.SEPARATORS}])
+            assert self.SEPARATORS in path.read_text(encoding="utf-8")
+        else:
+            path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, list):
+            assert list(read_jsonl(path)) == expected
+        else:
+            with pytest.raises(ValueError, match=rf"rows\.jsonl:{expected}: "):
+                list(read_jsonl(path))

@@ -186,6 +186,29 @@ class TestBatchMineCLI:
         assert len(err) == 1
         assert f"{clicks}:3: " in err[0] and "clicks" in err[0]
 
+    def test_mine_rejects_a_fractional_click_count(self, simulated, workdir, capsys):
+        # A count of 2.5 on a real query used to load and then mine into a
+        # non-integer click total; the reader now names its line.
+        clicks = workdir / "fractional_clicks.jsonl"
+        lines = (simulated / "click_data.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        row["clicks"] = 2.5
+        clicks.write_text("\n".join([*lines, json.dumps(row)]) + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "mine",
+                    "--search", str(simulated / "search_data.jsonl"),
+                    "--clicks", str(clicks),
+                    "--values", str(simulated / "values.txt"),
+                    "--output", str(workdir / "never.jsonl"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"{clicks}:{len(lines) + 1}: clicks must be an int, got 2.5" in err[0]
+
     def test_backend_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
