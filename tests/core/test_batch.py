@@ -9,6 +9,8 @@ same selections.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.clicklog.log import CacheStats, ClickLog, SearchLog
@@ -141,6 +143,27 @@ class TestBatchEquivalence:
         result = batch.mine([])
         assert len(result) == 0
         assert batch.last_run_stats.entities == 0
+
+
+class TestScoredCandidatePin:
+    # sha256 of every scored candidate of the toy world at the default
+    # MinerConfig.  The equivalence tests compare paths within one commit;
+    # this pins the scores themselves across commits, rejected candidates
+    # included.  Recompute it only for a change that means to move a score.
+    TOY_WORLD_SCORES_SHA256 = "080671a1cd110db17e40ef4c3dbc1de78cac758eb47194f99a55638a3dbfe884"
+
+    def test_every_scored_candidate_of_the_toy_world_is_pinned(self, toy_world):
+        miner = SynonymMiner(
+            click_log=toy_world.click_log, search_log=toy_world.search_log, config=MinerConfig()
+        )
+        digest = hashlib.sha256()
+        for entry in miner.mine(toy_world.canonical_queries()):
+            digest.update(repr((entry.canonical, entry.surrogates)).encode())
+            for candidate in entry.candidates:
+                scores = (candidate.query, candidate.ipc, repr(candidate.icr), candidate.clicks)
+                digest.update(repr(scores).encode())
+            digest.update(repr(entry.synonyms).encode())
+        assert digest.hexdigest() == self.TOY_WORLD_SCORES_SHA256
 
 
 class TestMineIter:
