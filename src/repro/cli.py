@@ -8,7 +8,7 @@ without writing any Python:
   pipeline would produce);
 * ``mine``        — run the two-phase miner over JSONL logs and write the
   expanded dictionary as JSONL, streamed entity by entity from the one
-  mining loop over the click log's profile cache;
+  mining loop;
 * ``compile``     — freeze a mined synonyms JSONL into a compiled serving
   artifact (one immutable file, cold-loadable in one read);
   ``--priors CLICKS_JSONL`` embeds per-entity click priors so ``server``
@@ -351,11 +351,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     ]
     config = MinerConfig(surrogate_k=args.top_k, ipc_threshold=args.ipc, icr_threshold=args.icr)
     miner = SynonymMiner(click_log=click_log, search_log=search_log, config=config)
-    hits = 0
+    hits = entities = 0
 
     def rows() -> Iterator[dict]:
-        nonlocal hits
+        nonlocal hits, entities
         for entry in miner.mine_iter(values):
+            entities += 1
             hits += entry.has_synonyms
             for candidate in entry.selected:
                 yield {
@@ -367,12 +368,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 }
 
     synonyms = write_jsonl(args.output, rows())
-    stats = miner.last_run_stats
-    assert stats is not None  # mine_iter() ran to completion
-    print(
-        f"mined {synonyms} synonyms for {hits}/{stats.entities} values "
-        f"-> {args.output} [profile cache hit rate {stats.cache.hit_rate:.0%}]"
-    )
+    print(f"mined {synonyms} synonyms for {hits}/{entities} values -> {args.output}")
     return 0
 
 

@@ -15,13 +15,11 @@ Descriptive statistics of a log are paper-side: :mod:`repro.eval.logstats`.
 """
 
 from repro.clicklog.records import ClickRecord, SearchRecord
-from repro.clicklog.log import CacheStats, CandidateProfile, ClickLog, SearchLog
+from repro.clicklog.log import ClickLog, SearchLog
 
 __all__ = [
     "ClickRecord",
     "SearchRecord",
-    "CacheStats",
-    "CandidateProfile",
     "ClickLog",
     "SearchLog",
 ]

@@ -1,11 +1,14 @@
 """Aggregated search and click logs with the lookups the miner needs.
 
-``ClickLog`` answers the three questions candidate generation and selection
-ask, all in O(1) dictionary lookups after aggregation:
+``ClickLog`` answers the questions candidate generation and selection ask,
+in dictionary lookups after aggregation:
 
-* ``urls_clicked_for(query)``        →  G_L(q, P)
-* ``queries_clicking(url)``          →  the reverse edge (candidate discovery)
-* ``clicks(query, url)`` / ``total_clicks(query)``  →  numerator / denominator of ICR
+* ``intersecting(G_A(u, P))``  →  every candidate of ``u`` (Definition 6)
+  with its IPC and ICR numerator, in one walk over the reverse edges
+* ``total_clicks(query)``      →  the ICR denominator
+* ``urls_clicked_for(query)`` / ``queries_clicking(url)`` /
+  ``clicks(query, url)`` / ``clicks_by_url(query)``  →  G_L(q, P) and the
+  click graph's edges, read one at a time (the random-walk baseline)
 
 ``SearchLog`` is the analogous container for Search Data ``A`` and answers
 ``top_urls(query, k)`` → G_A(q, P).
@@ -13,52 +16,12 @@ ask, all in O(1) dictionary lookups after aggregation:
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.clicklog.records import ClickRecord, SearchRecord
 
-__all__ = ["ClickLog", "SearchLog", "CandidateProfile", "CacheStats"]
-
-
-@dataclass(frozen=True)
-class CandidateProfile:
-    """Everything candidate selection needs to know about one query.
-
-    ``clicked_urls`` is ``G_L(query, P)`` (Eq. 2), ``total_clicks`` the ICR
-    denominator and ``clicks_by_url`` the per-URL numerator terms.  Scoring a
-    candidate against any surrogate set only reads this triple, which is what
-    makes it worth memoizing when the same candidate recurs across entities.
-    """
-
-    query: str
-    clicked_urls: frozenset[str]
-    total_clicks: int
-    clicks_by_url: Mapping[str, int]
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters of a :class:`ClickLog`'s profile cache."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of profile lookups served from the cache (0 when idle)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def __sub__(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(self.hits - other.hits, self.misses - other.misses)
+__all__ = ["ClickLog", "SearchLog"]
 
 
 class SearchLog:
@@ -144,23 +107,14 @@ class ClickLog:
     """Click Data ``L``: aggregated (query, url) → click-count map.
 
     Concurrency contract: any number of threads may read a quiescent log at
-    once; :meth:`add` is exclusive — no reader and no other writer may run
-    alongside it.
+    once, because no read writes to it; :meth:`add` is exclusive — no reader
+    and no other writer may run alongside it.
     """
 
     def __init__(self, records: Iterable[ClickRecord] = ()) -> None:
         self._clicks: dict[str, dict[str, int]] = defaultdict(dict)
         self._url_to_queries: dict[str, set[str]] = defaultdict(set)
         self._query_totals: dict[str, int] = defaultdict(int)
-        # Per-query scoring profiles; invalidated per-query by add().  Broad
-        # queries recur as candidates of thousands of entities, so building
-        # the same profile once per entity is most of what mining would cost.
-        self._profiles: dict[str, CandidateProfile] = {}
-        # Guards the cache map and counters so concurrent readers neither
-        # lose counter increments nor race cache insertion.
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
         self._accumulate(records)
 
     # ------------------------------------------------------------------ #
@@ -176,7 +130,6 @@ class ClickLog:
         clicks_of = self._clicks
         url_to_queries = self._url_to_queries
         totals = self._query_totals
-        profiles = self._profiles
         for record in records:
             query = record.query
             url = record.url
@@ -185,8 +138,6 @@ class ClickLog:
             per_query[url] = per_query.get(url, 0) + clicks
             url_to_queries[url].add(query)
             totals[query] += clicks
-            if profiles:
-                profiles.pop(query, None)
 
     @classmethod
     def from_tuples(cls, tuples: Iterable[tuple[str, str, int]]) -> "ClickLog":
@@ -217,38 +168,29 @@ class ClickLog:
         """The {url: clicks} map of *query* (read-only view semantics)."""
         return dict(self._clicks.get(query, {}))
 
-    def candidate_profile(self, query: str) -> CandidateProfile:
-        """The scoring view of *query*, built once and shared until the next
-        :meth:`add` for that query.
+    def intersecting(self, urls: Iterable[str]) -> dict[str, list[int]]:
+        """Per query that clicked any of *urls*: ``[pages, clicks]``, how many
+        of *urls* it clicked and its clicks on them.
 
-        Only queries present in the log are cached, so the cache is bounded
-        by the log's own per-query state.
+        For the surrogate set ``G_A(u, P)`` these are IPC (Eq. 3) and the
+        numerator of ICR (Eq. 4) of every Web-synonym candidate of ``u``
+        (Definition 6).  *urls* must be distinct.  The walk reads the
+        reverse click edges of *urls* only, so it costs the click traffic of
+        those pages, not the size of the log.
         """
-        with self._lock:
-            cached = self._profiles.get(query)
-            if cached is not None:
-                self._hits += 1
-                return cached
-            self._misses += 1
-        per_query = self._clicks.get(query)
-        if per_query is None:
-            return CandidateProfile(query, frozenset(), 0, {})
-        profile = CandidateProfile(
-            query=query,
-            clicked_urls=frozenset(per_query),
-            total_clicks=self._query_totals.get(query, 0),
-            clicks_by_url=dict(per_query),
-        )
-        with self._lock:
-            # Two threads may build the same profile concurrently; the
-            # first insertion wins so callers share one object.
-            return self._profiles.setdefault(query, profile)
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Cumulative profile-cache counters since construction."""
-        with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses)
+        clicks_of = self._clicks
+        url_to_queries = self._url_to_queries
+        found: dict[str, list[int]] = {}
+        for url in urls:
+            for query in url_to_queries.get(url, ()):
+                clicks = clicks_of[query][url]
+                counts = found.get(query)
+                if counts is None:
+                    found[query] = [1, clicks]
+                else:
+                    counts[0] += 1
+                    counts[1] += clicks
+        return found
 
     # ------------------------------------------------------------------ #
     # Whole-log iteration and statistics

@@ -5,31 +5,29 @@ The public surface of this package is:
 * :class:`~repro.core.config.MinerConfig` — the paper's three parameters
   (top-k, β for IPC, γ for ICR);
 * :class:`~repro.core.pipeline.SynonymMiner` — the two-phase bottom-up
-  algorithm (candidate generation then candidate selection);
+  algorithm: :func:`~repro.core.pipeline.mine_entity` generates and scores
+  the candidates in one walk, then selects;
 * :class:`~repro.core.types.SynonymCandidate` / ``MiningResult`` — the
   scored candidates and the per-entity results;
 * the lower-level pieces (:mod:`~repro.core.surrogates`,
-  :mod:`~repro.core.candidates`, :mod:`~repro.core.selection`) for callers
-  who want to run or ablate a single phase.
+  :mod:`~repro.core.selection`) for callers who want to run or ablate a
+  single phase.
 """
 
 from repro.core.config import MinerConfig
 from repro.core.types import SynonymCandidate, EntitySynonyms, MiningResult
 from repro.core.surrogates import SurrogateFinder
-from repro.core.candidates import CandidateGenerator
 from repro.core.selection import CandidateSelector, intersecting_page_count, intersecting_click_ratio
-from repro.core.pipeline import BatchRunStats, SynonymMiner, mine_entity
+from repro.core.pipeline import SynonymMiner, mine_entity
 from repro.core.incremental import IncrementalSynonymMiner
 
 __all__ = [
-    "BatchRunStats",
     "mine_entity",
     "MinerConfig",
     "SynonymCandidate",
     "EntitySynonyms",
     "MiningResult",
     "SurrogateFinder",
-    "CandidateGenerator",
     "CandidateSelector",
     "intersecting_page_count",
     "intersecting_click_ratio",

@@ -1,12 +1,15 @@
 """The frozen perf harness's spelling of the catalog miner.
 
 There is one catalog miner, :class:`~repro.core.pipeline.SynonymMiner`
-(``mine`` / ``mine_iter`` / ``last_run_stats``).  :class:`BatchMiner` is a
-bare subclass of it, importable from here only because
-``benchmarks/perf/offline.py`` constructs the miner under this name.
+(``mine`` / ``mine_iter``).  :class:`BatchMiner` is a subclass of it that
+adds nothing to mining, importable from here only because
+``benchmarks/perf/offline.py`` constructs the miner under this name and
+reads ``last_run_stats.cache.hit_rate`` after ``mine()``.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.config import MinerConfig
@@ -28,3 +31,10 @@ class BatchMiner(SynonymMiner):
         backend: str | None = None,
     ) -> None:
         super().__init__(click_log=click_log, search_log=search_log, config=config)
+
+    @property
+    def last_run_stats(self) -> SimpleNamespace:
+        """What the frozen harness reads after ``mine()``: there is no cache,
+        so its hit rate is 0.0.  ROADMAP open item 1 frees the spelling, like
+        ``workers=`` and ``backend=``."""
+        return SimpleNamespace(cache=SimpleNamespace(hit_rate=0.0))

@@ -64,9 +64,9 @@ class _PublishedState:
 class IncrementalSynonymMiner:
     """Maintains an up-to-date :class:`MiningResult` under log updates.
 
-    Every refresh runs the in-process mining loop over the live logs; the
-    click log's profile cache survives from one refresh to the next, and
-    :meth:`ingest_clicks` invalidates exactly the queries it touches.
+    Every refresh runs the in-process mining loop over the live logs; no
+    score outlives the result it belongs to, and :meth:`ingest_clicks`
+    marks dirty exactly the entities a click can move.
     """
 
     def __init__(

@@ -1,42 +1,38 @@
 """The end-to-end two-phase synonym miner (paper Section III).
 
-:class:`SynonymMiner` wires the three pieces together:
+:func:`mine_entity` runs both phases for one input string ``u``:
 
-1. :class:`~repro.core.surrogates.SurrogateFinder` resolves each input
-   string ``u`` to its surrogate pages ``G_A(u, P)``;
-2. :class:`~repro.core.candidates.CandidateGenerator` collects every query
-   whose clicks touch a surrogate (candidate generation);
-3. :func:`~repro.core.selection.score_profile` /
-   :class:`~repro.core.selection.CandidateSelector` compute IPC and ICR and
-   keep the candidates clearing the β / γ thresholds (candidate selection).
+1. its surrogate pages ``G_A(u, P)`` come from
+   :class:`~repro.core.surrogates.SurrogateFinder` (Eq. 1);
+2. one walk over the surrogates' reverse click edges
+   (:meth:`~repro.clicklog.log.ClickLog.intersecting`) generates every
+   candidate and sums its IPC and ICR numerator on the way;
+3. :class:`~repro.core.selection.CandidateSelector` keeps the candidates
+   clearing the β / γ thresholds (candidate selection).
 
 The miner is deliberately *data-driven and offline*: its only inputs are
 Search Data, Click Data and the list of canonical strings — it never looks
 at the entity attributes or at any ground truth.
 
-High-volume candidate queries recur across thousands of entities, so
-:class:`~repro.clicklog.log.ClickLog` caches each candidate's
-``(clicked_urls, total_clicks, clicks_by_url)`` profile and every mining
-job — :meth:`SynonymMiner.mine`, :meth:`SynonymMiner.mine_iter`, the
-incremental miner's refresh — is the one :func:`mine_entity` loop over it.
-Results are deterministic: every scored list is fully sorted by
-``(clicks desc, query asc)`` and all ICR arithmetic is integer sums.
+Every mining job — :meth:`SynonymMiner.mine`, :meth:`SynonymMiner.mine_iter`,
+the incremental miner's refresh — is the one :func:`mine_entity` loop over
+the live click log, and nothing is kept between entities.  Results are
+deterministic: every scored list is fully sorted by ``(clicks desc, query
+asc)`` and all ICR arithmetic is an integer sum over an integer total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.clicklog.log import CacheStats, ClickLog, SearchLog
-from repro.core.candidates import CandidateGenerator
+from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.config import MinerConfig
-from repro.core.selection import CandidateSelector, score_profile
+from repro.core.selection import CandidateSelector
 from repro.core.surrogates import SurrogateFinder
-from repro.core.types import EntitySynonyms, MiningResult
+from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
 from repro.text.normalize import normalize
 
-__all__ = ["mine_entity", "BatchRunStats", "SynonymMiner"]
+__all__ = ["mine_entity", "SynonymMiner"]
 
 
 def mine_entity(
@@ -49,6 +45,18 @@ def mine_entity(
 ) -> EntitySynonyms:
     """Run both mining phases for one already-normalized input string.
 
+    Candidate generation (Definition 6): every query whose clicks land on at
+    least one surrogate is a Web-synonym candidate,
+
+        W'_u = { w' | G_A(u,P) ∩ G_L(w',P) ≠ ∅ }
+
+    except ``u`` itself, which trivially satisfies the definition but is not
+    a useful synonym of itself.  IPC (Eq. 3) and the numerator of ICR (Eq. 4)
+    are sums over the same surrogate URLs, so the walk that finds each
+    candidate also scores it; ICR divides by the candidate's total clicks.
+    The cost is the click traffic of the surrogate pages, not the size of
+    the log.
+
     This is the one implementation behind :class:`SynonymMiner` and, through
     it, :meth:`IncrementalSynonymMiner.refresh`.
     """
@@ -56,12 +64,13 @@ def mine_entity(
         selector = CandidateSelector(
             ipc_threshold=config.ipc_threshold, icr_threshold=config.icr_threshold
         )
-    surrogate_set = set(surrogates)
-    candidates = CandidateGenerator(source).candidates_for(canonical, surrogate_set)
-    scored = [
-        score_profile(source.candidate_profile(candidate), surrogate_set)
-        for candidate in candidates
-    ]
+    found = source.intersecting(dict.fromkeys(surrogates))
+    found.pop(canonical, None)
+    total_clicks = source.total_clicks
+    scored = []
+    for query, (ipc, inside) in found.items():
+        total = total_clicks(query)
+        scored.append(SynonymCandidate(query, ipc, inside / total if total else 0.0, total))
     scored.sort(key=lambda candidate: (-candidate.clicks, candidate.query))
     selected = selector.select(scored)
     return EntitySynonyms(
@@ -70,14 +79,6 @@ def mine_entity(
         candidates=scored,
         selected=selected,
     )
-
-
-@dataclass(frozen=True)
-class BatchRunStats:
-    """Summary of the last completed :meth:`SynonymMiner.mine_iter` run."""
-
-    entities: int
-    cache: CacheStats
 
 
 class SynonymMiner:
@@ -90,8 +91,7 @@ class SynonymMiner:
         required.
     click_log:
         Click Data ``L``.  It is read in place, so do not ``add()`` to it
-        while a :meth:`mine_iter` is being consumed; the profile cache lives
-        on it and outlives this miner.
+        while a :meth:`mine_iter` is being consumed.
     config:
         Thresholds; defaults to the paper's Table-I operating point.
     """
@@ -115,7 +115,6 @@ class SynonymMiner:
             ipc_threshold=self.config.ipc_threshold,
             icr_threshold=self.config.icr_threshold,
         )
-        self._last_run_stats: BatchRunStats | None = None
 
     # ------------------------------------------------------------------ #
     # Mining
@@ -142,14 +141,8 @@ class SynonymMiner:
         onto one key in a :class:`MiningResult`.  Consumers can write results
         out incrementally without holding a whole catalog's result.
         """
-        canonicals = list(dict.fromkeys(normalize(value) for value in values))
-        stats_before = self.click_log.cache_stats
-        for canonical in canonicals:
+        for canonical in dict.fromkeys(normalize(value) for value in values):
             yield self._mine_canonical(canonical)
-        self._last_run_stats = BatchRunStats(
-            entities=len(canonicals),
-            cache=self.click_log.cache_stats - stats_before,
-        )
 
     def mine(self, values: Iterable[str]) -> MiningResult:
         """Run the miner over a whole input set U and collect the result."""
@@ -157,12 +150,6 @@ class SynonymMiner:
         for entry in self.mine_iter(values):
             result.add(entry)
         return result
-
-    @property
-    def last_run_stats(self) -> BatchRunStats | None:
-        """Entities mined and the click log's cache-counter movement during
-        the most recently *completed* :meth:`mine` / :meth:`mine_iter` run."""
-        return self._last_run_stats
 
     # ------------------------------------------------------------------ #
     # Re-thresholding without re-scoring

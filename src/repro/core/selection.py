@@ -19,19 +19,21 @@ and merely-related queries whose clicks mostly fall outside the surrogate
 set) — this is the paper's Venn-diagram Figure 1.
 
 The final synonyms are the candidates with ``IPC ≥ β`` and ``ICR ≥ γ``.
+
+The miner sums both numerators in the walk that generates the candidates
+(:func:`~repro.core.pipeline.mine_entity`); the two functions below are the
+equations as written.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.clicklog.log import CandidateProfile
 from repro.core.types import SynonymCandidate
 
 __all__ = [
     "intersecting_page_count",
     "intersecting_click_ratio",
-    "score_profile",
     "CandidateSelector",
 ]
 
@@ -57,32 +59,6 @@ def intersecting_click_ratio(
         clicks for url, clicks in clicks_by_url.items() if url in surrogates
     )
     return intersecting / total
-
-
-def score_profile(profile: CandidateProfile, surrogates: set[str]) -> SynonymCandidate:
-    """Score one candidate profile against one surrogate set.
-
-    This is the single scoring implementation behind every mining path: IPC
-    is the intersection size (Eq. 3), ICR the clicks landing inside the
-    intersection over the candidate's total volume (Eq. 4).  All sums are
-    over ints, so the result is bit-identical no matter which path
-    computed it.
-    """
-    intersection = profile.clicked_urls & surrogates
-    intersecting_urls = tuple(sorted(intersection))
-    ipc = len(intersection)
-    if profile.total_clicks == 0:
-        icr = 0.0
-    else:
-        clicks_by_url = profile.clicks_by_url
-        icr = sum(clicks_by_url[url] for url in intersecting_urls) / profile.total_clicks
-    return SynonymCandidate(
-        query=profile.query,
-        ipc=ipc,
-        icr=icr,
-        clicks=profile.total_clicks,
-        intersecting_urls=intersecting_urls,
-    )
 
 
 class CandidateSelector:

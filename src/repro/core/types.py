@@ -24,16 +24,12 @@ class SynonymCandidate:
         Total click volume of the candidate query in the click log; used as
         the frequency weight in weighted precision and as a tie-breaker
         when ranking synonyms.
-    intersecting_urls:
-        The URLs in the intersection (kept for explainability; the paper's
-        Venn-diagram figure is exactly this set).
     """
 
     query: str
     ipc: int
     icr: float
     clicks: int
-    intersecting_urls: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.ipc < 0:

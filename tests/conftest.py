@@ -194,9 +194,10 @@ def reference_entry(
 
     This is the reference every mining path is held to.  It reads the click
     log only through ``queries_clicking`` / ``urls_clicked_for`` /
-    ``clicks_by_url`` / ``total_clicks`` — raw reads that never touch the
-    profile cache — and scores with the standalone IPC / ICR functions, so a
-    stale or wrong cached profile cannot be wrong on both sides.
+    ``clicks_by_url`` / ``total_clicks`` — one query or URL at a time, not
+    the one-walk ``intersecting`` read the miner scores from — and scores
+    with the standalone IPC / ICR functions, so a wrong walk cannot be wrong
+    on both sides.
     """
     surrogates = tuple(search_log.top_urls(canonical, k=config.surrogate_k))
     surrogate_set = set(surrogates)
@@ -211,7 +212,6 @@ def reference_entry(
                 ipc=intersecting_page_count(clicked, surrogate_set),
                 icr=intersecting_click_ratio(click_log.clicks_by_url(query), surrogate_set),
                 clicks=click_log.total_clicks(query),
-                intersecting_urls=tuple(sorted(clicked & surrogate_set)),
             )
         )
     scored.sort(key=lambda candidate: (-candidate.clicks, candidate.query))

@@ -1,5 +1,5 @@
-"""Tests for the catalog miner's streaming surface and the click log's
-profile cache (plus one test on the frozen harness's ``BatchMiner`` spelling).
+"""Tests for the catalog miner's streaming surface and the click-log read it
+scores from (plus one test on the frozen harness's ``BatchMiner`` spelling).
 
 The load-bearing guarantee is *equivalence*: ``mine``, ``mine_iter`` and the
 incremental refresh must return results identical to the formula-level
@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from repro.clicklog.log import CacheStats, ClickLog, SearchLog
+from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
@@ -53,39 +53,34 @@ def shared_candidate_logs(entities: int = 40):
     return search, clicks, values
 
 
-class TestProfileCache:
-    def test_memoization_counts_hits_and_misses(self, mini_click_log):
-        log = mini_click_log
-        log.candidate_profile("indy 4")
-        log.candidate_profile("indy 4")
-        log.candidate_profile("harrison ford")
-        assert log.cache_stats == CacheStats(hits=1, misses=2)
-        assert log.cache_stats.hit_rate == pytest.approx(1 / 3)
-        assert log.candidate_profile("indy 4") is log.candidate_profile("indy 4")
+class TestIntersecting:
+    SURROGATES = [
+        "https://studio.example.com/indy-4",
+        "https://wiki.example.org/indy-4",
+        "https://magazine.example.com/box-office",
+    ]
 
-    def test_add_invalidates_only_the_touched_query(self, mini_click_log):
-        log = mini_click_log
-        stale = log.candidate_profile("indy 4")
-        kept = log.candidate_profile("harrison ford")
-        log.add(ClickRecord("indy 4", "https://new.example/page", 7))
-        fresh = log.candidate_profile("indy 4")
-        assert fresh.total_clicks == stale.total_clicks + 7
-        assert "https://new.example/page" in fresh.clicked_urls
-        assert fresh.clicks_by_url == log.clicks_by_url("indy 4")
-        # The profile handed out earlier is a snapshot, not a view.
-        assert "https://new.example/page" not in stale.clicks_by_url
-        assert log.candidate_profile("harrison ford") is kept
+    def test_counts_pages_and_clicks_per_query(self, mini_click_log):
+        assert mini_click_log.intersecting(self.SURROGATES) == {
+            "indy 4": [2, 90],
+            "indiana jones": [1, 20],
+            "harrison ford": [1, 5],
+            "indiana jones and the kingdom of the crystal skull": [1, 10],
+        }
 
-    def test_absent_queries_are_not_cached(self, mini_click_log):
-        # The cache is bounded by the log's own queries: probing strings the
-        # log has never seen must not grow it.
+    def test_a_later_add_is_read(self, mini_click_log):
         log = mini_click_log
-        for _ in range(2):
-            profile = log.candidate_profile("never asked")
-            assert (profile.clicked_urls, profile.total_clicks) == (frozenset(), 0)
-        assert log.cache_stats == CacheStats(hits=0, misses=2)
-        log.add(ClickRecord("never asked", "https://new.example/page", 3))
-        assert log.candidate_profile("never asked").total_clicks == 3
+        log.add(ClickRecord("indy 4", "https://magazine.example.com/box-office", 7))
+        log.add(ClickRecord("indy 4", "https://new.example/page", 3))
+        assert log.intersecting(self.SURROGATES)["indy 4"] == [3, 97]
+
+    def test_absent_urls_leave_the_log_unchanged(self, mini_click_log):
+        # A read never writes: probing URLs the log has never seen must not
+        # grow its maps.
+        log = mini_click_log
+        before = (list(log.iter_records()), log.urls())
+        assert log.intersecting(["https://never.example/a", "https://never.example/b"]) == {}
+        assert (list(log.iter_records()), log.urls()) == before
 
 
 class TestBatchEquivalence:
@@ -109,40 +104,11 @@ class TestBatchEquivalence:
         result = SynonymMiner(click_log=click_log, search_log=search_log, config=config).mine(values)
         assert all(len(entry.surrogates) == 3 for entry in result)
 
-    def test_synonym_miner_mine_shares_the_profile_cache(self):
-        search_log, click_log, values = shared_candidate_logs()
-        miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
-        miner.mine(values)
-        # Eight hot queries are candidates of all 40 entities: everything
-        # after each one's first profile is a hit.
-        cold = click_log.cache_stats
-        assert cold.hits > cold.misses
-        # The cache lives on the log, so a second miner over it starts warm.
-        SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG).mine(values)
-        assert (click_log.cache_stats - cold).misses == 0
-
-    def test_cache_hits_on_shared_candidates(self, toy_world):
-        batch = SynonymMiner(
-            click_log=toy_world.click_log,
-            search_log=toy_world.search_log,
-            config=CONFIG,
-        )
-        batch.mine(toy_world.canonical_queries())
-        stats = batch.last_run_stats
-        assert stats is not None
-        assert stats.entities == len(toy_world.canonical_queries())
-        assert stats.cache.lookups > 0
-        # The toy world's entities share head queries, so the cross-entity
-        # cache must see real hits.
-        assert stats.cache.hits > 0
-
     def test_empty_catalog(self, toy_world):
         batch = SynonymMiner(
             click_log=toy_world.click_log, search_log=toy_world.search_log, config=CONFIG
         )
-        result = batch.mine([])
-        assert len(result) == 0
-        assert batch.last_run_stats.entities == 0
+        assert len(batch.mine([])) == 0
 
 
 class TestScoredCandidatePin:
@@ -166,27 +132,32 @@ class TestScoredCandidatePin:
         assert digest.hexdigest() == self.TOY_WORLD_SCORES_SHA256
 
 
+class WalkCountingLog(ClickLog):
+    """A click log that counts the miner's walks over it."""
+
+    walks = 0
+
+    def intersecting(self, urls):
+        self.walks += 1
+        return super().intersecting(urls)
+
+
 class TestMineIter:
     def test_mine_iter_streams_in_input_order_and_dedupes(self):
-        search_log, click_log, values = shared_candidate_logs(4)
+        search_log, shared_log, values = shared_candidate_logs(4)
+        click_log = WalkCountingLog(shared_log.iter_records())
         miner = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
         noisy = [values[0].upper()] + values + values[:2]
         stream = miner.mine_iter(noisy)
         first = next(stream)
         assert first == reference_entry(search_log, click_log, values[0], CONFIG)
-        # Lazy, entity by entity: after one item the log has served exactly
-        # one entity's profile lookups, and the run is not over.
-        alone = ClickLog(click_log.iter_records())
-        SynonymMiner(click_log=alone, search_log=search_log, config=CONFIG).mine_one(values[0])
-        assert click_log.cache_stats == alone.cache_stats
-        assert miner.last_run_stats is None
+        # Lazy, entity by entity: after one item the log has been walked for
+        # exactly one entity.
+        assert click_log.walks == 1
         rest = list(stream)
-        assert click_log.cache_stats.lookups > alone.cache_stats.lookups
         # Duplicate raw values yield once, in first-occurrence order.
         assert [entry.canonical for entry in [first] + rest] == values
-        stats = miner.last_run_stats
-        assert stats.entities == len(values)
-        assert stats.cache == click_log.cache_stats
+        assert click_log.walks == len(values)
 
     def test_streaming_matches_collected(self, toy_world):
         miner = SynonymMiner(
@@ -204,16 +175,14 @@ class TestMineIter:
 
 class TestValidation:
     def test_defaults_are_the_in_process_loop(self):
-        # Mined over the caller's own log: the run's cache counters are that
-        # log's counter movement.
+        # Mined over the caller's own log, which the run leaves as it found it.
         search_log, click_log, values = shared_candidate_logs()
-        batch = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
-        before = click_log.cache_stats
-        batch.mine(values)
-        stats = batch.last_run_stats
-        assert stats.entities == len(values)
-        assert stats.cache == click_log.cache_stats - before
-        assert stats.cache.lookups > 0
+        before = (list(click_log.iter_records()), click_log.urls())
+        mined = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG).mine(values)
+        assert list(mined) == [
+            reference_entry(search_log, click_log, value, CONFIG) for value in values
+        ]
+        assert (list(click_log.iter_records()), click_log.urls()) == before
 
     def test_harness_spelling_is_accepted_and_ignored(self):
         # benchmarks/perf/offline.py (frozen) constructs the miner this way;
@@ -230,7 +199,8 @@ class TestValidation:
         ]
         default = SynonymMiner(**logs)
         assert_results_identical(default.mine(values), mined)
-        assert harness.last_run_stats.entities == default.last_run_stats.entities
+        # The harness reads a cache hit rate after mine(); there is no cache.
+        assert harness.last_run_stats.cache.hit_rate == 0.0
 
     def test_requires_click_log(self):
         with pytest.raises(TypeError):
@@ -243,7 +213,7 @@ class TestValidation:
 
     def test_logs_are_read_in_place_between_runs(self):
         # No snapshot: a record added after construction is mined by the
-        # next run, from a fresh profile.
+        # next run.
         search_log, click_log, values = shared_candidate_logs(4)
         batch = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
         before = batch.mine(values)[values[0]].candidate("hot query 0")
@@ -251,22 +221,6 @@ class TestValidation:
         after = batch.mine(values)[values[0]].candidate("hot query 0")
         assert after.clicks == before.clicks + 40
         assert after.icr < before.icr
-
-    def test_cache_survives_across_miners_on_one_log(self, toy_world):
-        click_log = ClickLog(toy_world.click_log.iter_records())  # private and cold
-        logs = {"click_log": click_log, "search_log": toy_world.search_log, "config": CONFIG}
-        values = toy_world.canonical_queries()[:6]
-        first_miner = SynonymMiner(**logs)
-        first_miner.mine(values)
-        first = first_miner.last_run_stats.cache
-        second_miner = SynonymMiner(**logs)
-        second_miner.mine(values)
-        second = second_miner.last_run_stats.cache
-        # A second job over the same catalog is served entirely from the
-        # cache that survived on the log, not on any miner.
-        assert first.misses > 0
-        assert second.misses == 0
-        assert second.hits == first.lookups
 
 
 class TestIncrementalEquivalence:
@@ -305,7 +259,7 @@ class TestIncrementalEquivalence:
 
     def test_matches_from_scratch_batch_mine(self):
         incremental, entities = self._streamed_world()
-        # From scratch means a rebuilt log: nothing cached, nothing stale.
+        # From scratch means a log rebuilt from the same records.
         scratch = SynonymMiner(
             click_log=ClickLog(incremental.click_log.iter_records()),
             search_log=incremental.search_log,
@@ -317,10 +271,9 @@ class TestIncrementalEquivalence:
         self._assert_matches_reference(incremental, entities)
 
     def test_second_round_on_a_hot_shared_candidate(self):
-        # "hub query" is a candidate of every entity and its profile is
-        # cached by now; a second ingest -> refresh round that moves its
-        # volume must be scored from a fresh profile (fails if add() forgets
-        # to invalidate the touched query).
+        # "hub query" is a candidate of every entity; a second ingest ->
+        # refresh round that moves its volume must re-score it everywhere
+        # (fails if a click on a shared candidate dirties too few entities).
         incremental, entities = self._streamed_world()
         before = {c: incremental.result[c].candidate("hub query") for c in entities}
         incremental.ingest_clicks(

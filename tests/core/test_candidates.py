@@ -1,9 +1,11 @@
-"""Tests for CandidateGenerator (Definition 6)."""
+"""Tests for candidate generation (Definition 6), which ``mine_entity`` does
+in the same walk that scores the candidates."""
 
 import pytest
 
 from repro.clicklog.records import ClickRecord
-from repro.core.candidates import CandidateGenerator
+from repro.core.config import MinerConfig
+from repro.core.pipeline import SynonymMiner, mine_entity
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
 SURROGATES = {
@@ -13,36 +15,39 @@ SURROGATES = {
 }
 
 
+def candidates_for(click_log, surrogates, canonical=CANONICAL, **options):
+    entry = mine_entity(
+        canonical, source=click_log, surrogates=sorted(surrogates), config=MinerConfig(), **options
+    )
+    return {candidate.query for candidate in entry.candidates}
+
+
 class TestCandidateGeneration:
     def test_candidates_require_intersection(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log)
-        candidates = generator.candidates_for(CANONICAL, SURROGATES)
+        candidates = candidates_for(mini_click_log, SURROGATES)
         assert "indy 4" in candidates
         assert "indiana jones" in candidates
         assert "harrison ford" in candidates
 
     def test_queries_without_surrogate_clicks_excluded(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log)
-        candidates = generator.candidates_for(CANONICAL, {"https://unclicked.example.com"})
-        assert candidates == set()
+        assert candidates_for(mini_click_log, {"https://unclicked.example.com"}) == set()
 
     def test_canonical_string_excluded(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log)
-        candidates = generator.candidates_for(CANONICAL, SURROGATES)
-        assert CANONICAL not in candidates
+        # The canonical clicked a surrogate, so it meets Definition 6, but it
+        # is not a synonym of itself.
+        assert CANONICAL in mini_click_log.queries_clicking("https://studio.example.com/indy-4")
+        assert CANONICAL not in candidates_for(mini_click_log, SURROGATES)
 
-    def test_canonical_excluded_after_normalisation(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log)
-        raw = "Indiana Jones: and the Kingdom of the Crystal Skull"
-        assert generator.candidates_for(raw, SURROGATES) == generator.candidates_for(
-            CANONICAL, SURROGATES
-        )
+    def test_canonical_excluded_after_normalisation(self, mini_click_log, mini_search_log):
+        miner = SynonymMiner(click_log=mini_click_log, search_log=mini_search_log)
+        raw = miner.mine_one("Indiana Jones: and the Kingdom of the Crystal Skull")
+        assert raw == miner.mine_one(CANONICAL)
+        assert CANONICAL not in {candidate.query for candidate in raw.candidates}
 
     def test_every_query_clicking_a_surrogate_is_a_candidate(self, mini_click_log):
         # Definition 6 has no volume floor: one click on a surrogate is enough.
         mini_click_log.add(ClickRecord("indy four", "https://magazine.example.com/box-office", 1))
-        generator = CandidateGenerator(mini_click_log)
-        assert generator.candidates_for(CANONICAL, SURROGATES) == {
+        assert candidates_for(mini_click_log, SURROGATES) == {
             "indy 4",
             "indy four",
             "indiana jones",
@@ -50,10 +55,9 @@ class TestCandidateGeneration:
         }
 
     def test_invalid_min_clicks(self, mini_click_log):
-        # The generator has no settable value: it reads the click log as is.
+        # Generation has no settable value: it reads the click log as is.
         with pytest.raises(TypeError):
-            CandidateGenerator(mini_click_log, min_clicks=2)
+            candidates_for(mini_click_log, SURROGATES, min_clicks=2)
 
     def test_empty_surrogates(self, mini_click_log):
-        generator = CandidateGenerator(mini_click_log)
-        assert generator.candidates_for(CANONICAL, set()) == set()
+        assert candidates_for(mini_click_log, set()) == set()

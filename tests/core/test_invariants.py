@@ -7,9 +7,9 @@ These pin down the algebra of the miner on arbitrary small logs:
   entity's surrogate set and the candidate's clicked-URL set;
 * tightening β / γ can only shrink the selection (monotonicity);
 * ``reselect(result, β, γ)`` is exactly mining fresh at (β, γ);
-* a long-lived ``ClickLog`` whose ``add()`` calls interleave with profile
-  reads and mining answers exactly like a log rebuilt from the same records
-  (the profile cache is never stale);
+* a long-lived ``ClickLog`` whose ``add()`` calls interleave with reads and
+  mining answers exactly like a log rebuilt from the same records (no read
+  keeps state that a later ``add()`` could leave stale);
 * every mining path (``SynonymMiner.mine`` / ``mine_iter``, the harness spelling,
   ``IncrementalSynonymMiner.refresh``) reproduces the formula-level
   reference in ``tests/conftest.py``.
@@ -47,13 +47,13 @@ catalog_search_tuples = st.lists(
     st.tuples(st.sampled_from(CATALOG[:3]), st.sampled_from(URLS), st.integers(1, 10)),
     max_size=24,
 )
-# add a record / read one profile / mine the entity, in any order.
+# add a record / read one query / mine the entity, in any order.
 log_operations = st.lists(
     st.one_of(
         st.tuples(
             st.just("add"), st.sampled_from(QUERIES), st.sampled_from(URLS), st.integers(1, 30)
         ),
-        st.tuples(st.just("profile"), st.sampled_from(QUERIES)),
+        st.tuples(st.just("read"), st.sampled_from(QUERIES)),
         st.tuples(st.just("mine")),
     ),
     max_size=40,
@@ -157,7 +157,7 @@ class TestReselectEquivalence:
             assert reselected[canonical].selected == fresh_entry.selected
 
 
-class TestProfileCacheFreshness:
+class TestLongLivedLog:
     @settings(max_examples=60)
     @given(search_tuples, log_operations)
     def test_long_lived_log_answers_like_a_rebuilt_one(self, search, operations):
@@ -170,9 +170,11 @@ class TestProfileCacheFreshness:
                 log.add(records[-1])
                 continue
             rebuilt = ClickLog(records)
-            if operation[0] == "profile":
+            if operation[0] == "read":
                 query = operation[1]
-                assert log.candidate_profile(query) == rebuilt.candidate_profile(query)
+                assert log.clicks_by_url(query) == rebuilt.clicks_by_url(query)
+                assert log.total_clicks(query) == rebuilt.total_clicks(query)
+                assert log.intersecting(URLS) == rebuilt.intersecting(URLS)
             else:
                 fresh = _miner(search_log, rebuilt)
                 assert miner.mine_one(CANONICAL) == fresh.mine_one(CANONICAL)

@@ -8,10 +8,10 @@ from repro.core.selection import (
     CandidateSelector,
     intersecting_click_ratio,
     intersecting_page_count,
-    score_profile,
 )
 from repro.core.types import SynonymCandidate
 
+CANONICAL = "indiana jones and the kingdom of the crystal skull"
 SURROGATES = {
     "https://studio.example.com/indy-4",
     "https://wiki.example.org/indy-4",
@@ -42,40 +42,39 @@ class TestMeasures:
         assert intersecting_click_ratio({}, SURROGATES) == 0.0
 
 
+def mined(click_log):
+    """The Indy-4 entity mined over *click_log* at the default thresholds."""
+    return mine_entity(
+        CANONICAL, source=click_log, surrogates=sorted(SURROGATES), config=MinerConfig()
+    )
+
+
+def score(click_log, query):
+    """*query*'s scores as the miner computes them for the Indy-4 entity."""
+    return mined(click_log).candidate(query)
+
+
 class TestScoreProfile:
     def test_scores_match_paper_definitions(self, mini_click_log):
-        candidate = score_profile(mini_click_log.candidate_profile("indy 4"), SURROGATES)
+        candidate = score(mini_click_log, "indy 4")
         # Both clicked URLs are surrogates: IPC 2, ICR 1.0, 90 clicks.
         assert candidate.ipc == 2
-        assert candidate.icr == pytest.approx(1.0)
+        assert candidate.icr == 1.0
         assert candidate.clicks == 90
-        assert set(candidate.intersecting_urls) == {
-            "https://studio.example.com/indy-4",
-            "https://wiki.example.org/indy-4",
-        }
 
     def test_hypernym_profile(self, mini_click_log):
-        candidate = score_profile(
-            mini_click_log.candidate_profile("indiana jones"), SURROGATES
-        )
+        candidate = score(mini_click_log, "indiana jones")
         # 20 of 90 clicks land on a surrogate: low ICR, IPC 1.
         assert candidate.ipc == 1
-        assert candidate.icr == pytest.approx(20 / 90)
+        assert candidate.icr == 20 / 90
 
     def test_related_profile(self, mini_click_log):
-        candidate = score_profile(
-            mini_click_log.candidate_profile("harrison ford"), SURROGATES
-        )
+        candidate = score(mini_click_log, "harrison ford")
         assert candidate.ipc == 1
-        assert candidate.icr == pytest.approx(5 / 95)
+        assert candidate.icr == 5 / 95
 
     def test_mined_candidates_ordered_by_clicks(self, mini_click_log):
-        entry = mine_entity(
-            "indiana jones and the kingdom of the crystal skull",
-            source=mini_click_log,
-            surrogates=sorted(SURROGATES),
-            config=MinerConfig(),
-        )
+        entry = mined(mini_click_log)
         assert {"indy 4", "harrison ford", "indiana jones"} <= {
             candidate.query for candidate in entry.candidates
         }
@@ -84,8 +83,10 @@ class TestScoreProfile:
         )
 
     def test_score_unknown_query(self, mini_click_log):
-        candidate = score_profile(mini_click_log.candidate_profile("never asked"), SURROGATES)
-        assert candidate.ipc == 0 and candidate.icr == 0.0 and candidate.clicks == 0
+        # A query the log has never seen clicks no surrogate, so it is never
+        # scored: no candidate of any entity has IPC 0.
+        assert score(mini_click_log, "never asked") is None
+        assert all(candidate.ipc >= 1 for candidate in mined(mini_click_log).candidates)
 
 
 class TestSelector:

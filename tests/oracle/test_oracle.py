@@ -15,6 +15,12 @@ Hypothesis drives the in-process legs over a small colliding vocabulary
 with typo'd queries.  The daemon leg runs on two fixed cases: the toy
 world's incremental miner as the publisher, and rows whose words are not
 ASCII or are split by a symbol.
+
+One more check starts a step earlier, from Search and Click logs and a
+catalog: the paper's formulas (``tests.conftest.reference_entry``) feed the
+brute-force reference, and the miner feeds ``IncrementalSynonymMiner.publish``
+and ``MatchService``; both must answer every canonical, every selected
+synonym and their typos alike.
 """
 
 import sys
@@ -30,7 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clicklog.log import ClickLog, SearchLog
-from repro.clicklog.records import ClickRecord
+from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.matching.dictionary import SynonymDictionary
@@ -41,10 +47,11 @@ from repro.server.daemon import match_payload, ranked_payload
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.delta import DELTA_KIND, DictionaryDelta, delta_path_for, diff_delta
 from repro.serving.service import MatchService
+from repro.simulation.catalog import Entity, EntityCatalog
 from repro.storage.artifact import ArtifactManifest, read_artifact, write_artifact
 from repro.text.normalize import normalize
 
-from tests.conftest import daemon_server
+from tests.conftest import daemon_server, reference_entry
 from tests.oracle import reference
 
 
@@ -443,3 +450,108 @@ def test_a_dictionary_string_queried_verbatim_is_an_exact_match(rows):
             assert found.outcome is MatchOutcome.EXACT, row.text
             assert found.matched_text == normalize(row.text)
             assert found.entity_ids == reference.entities_for(reference.entries(rows), row.text)
+
+
+# --------------------------------------------------------------------------- #
+# From click log to answer: the miner half and the serving half in one check.
+# --------------------------------------------------------------------------- #
+
+# U+2028 is whitespace to normalize() but a line break to some JSON readers;
+# write_jsonl writes it unescaped.
+LOG_WORDS = WORDS + ["\u2028"]
+LOG_URLS = [f"https://site{number}.example/" for number in range(5)]
+
+
+@dataclass
+class LogWorld:
+    names: list[str]
+    searches: list[tuple[str, str, int]]
+    clicks: list[tuple[str, str, int]]
+    config: MinerConfig
+    typos: list[str]
+
+
+@st.composite
+def log_worlds(draw) -> LogWorld:
+    """A catalog of one to three entity names, Search Data for the
+    normalized names, and raw (unnormalized) click queries on the same few
+    URLs."""
+    raw = st.lists(st.sampled_from(LOG_WORDS), min_size=1, max_size=3).map(" ".join)
+    names = draw(st.lists(raw.filter(normalize), min_size=1, max_size=3, unique_by=normalize))
+    searches = []
+    for name in names:
+        urls = draw(st.lists(st.sampled_from(LOG_URLS), min_size=1, max_size=4, unique=True))
+        searches += [(normalize(name), url, rank) for rank, url in enumerate(urls, start=1)]
+    # A few queries with many clicks each, so that candidates clear β.
+    query = raw | raw.map(str.upper) | st.sampled_from(names)
+    queries = draw(st.lists(query, min_size=1, max_size=4))
+    clicks = draw(st.lists(
+        st.tuples(st.sampled_from(queries), st.sampled_from(LOG_URLS), st.integers(1, 30)),
+        min_size=1, max_size=25,
+    ))  # fmt: skip
+    config = MinerConfig(
+        surrogate_k=draw(st.sampled_from([2, 3, 5])),
+        ipc_threshold=draw(st.integers(1, 2)),
+        icr_threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
+    )
+    typos = draw(st.lists(typo_queries(names + queries), max_size=6))
+    return LogWorld(names, searches, clicks, config, typos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_worlds())
+def test_the_served_answer_to_a_logged_query_is_the_formulas_answer(world):
+    """Eq. 1-4 per entity (``reference_entry``) -> rows -> the brute-force
+    reference, against the miner -> ``IncrementalSynonymMiner.publish`` ->
+    ``MatchService``: the step where mined queries become served entries."""
+    catalog = EntityCatalog(
+        "test", [Entity(f"e{number}", name, "test") for number, name in enumerate(world.names)]
+    )
+    search_log = SearchLog.from_tuples(world.searches)
+    click_log = ClickLog.from_tuples(world.clicks)
+    rows = []
+    for entity in catalog:
+        mined = reference_entry(search_log, click_log, entity.normalized_name, world.config)
+        rows.append(DictionaryEntry(mined.canonical, entity.entity_id, "canonical"))
+        rows += [
+            DictionaryEntry(synonym.query, entity.entity_id, "mined", float(synonym.clicks))
+            for synonym in mined.selected
+        ]
+    index = reference.entries(rows)
+    clicks: dict[str, int] = {}
+    for query, _url, count in world.clicks:
+        clicks[query] = clicks.get(query, 0) + count
+    priors = reference.priors(index, clicks)
+
+    miner = IncrementalSynonymMiner(
+        search_log=search_log, click_log=click_log, config=world.config
+    )
+    miner.track(world.names)
+    miner.refresh()
+    by_name = catalog.by_canonical_name()
+    selected = [
+        (synonym.query, by_name[entry.canonical].entity_id)
+        for entry in miner.result
+        for synonym in entry.selected
+    ]
+    queries = world.names + [row.text for row in rows] + [query for query, _ in selected]
+    queries = list(dict.fromkeys(queries + world.typos))
+
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "served.synart"
+        miner.publish(catalog, path)
+        service = MatchService(path)
+        try:
+            for query in queries:
+                found = reference.match(index, query)
+                assert service.match(query) == found, query
+                assert service.resolve(query) == (found, reference.rank(index, found, priors))
+            # The invariant, by name: a selected synonym, queried verbatim, is
+            # an exact match whose entity set contains its entity.
+            for query, entity_id in selected:
+                if normalize(query):
+                    found = service.match(query)
+                    assert found.outcome is MatchOutcome.EXACT, query
+                    assert entity_id in found.entity_ids, query
+        finally:
+            service.close()

@@ -160,9 +160,11 @@ class TestBatchMineCLI:
         return list(read_jsonl(output))
 
     def test_plain_mine_runs_the_in_process_loop(self, simulated, workdir, capsys):
-        self._mine(simulated, workdir / "plain.jsonl")
+        rows = self._mine(simulated, workdir / "plain.jsonl")
         out = capsys.readouterr().out
-        assert "profile cache hit rate" in out
+        # One summary line; its entity count is the catalog the loop consumed.
+        hits = len({row["canonical"] for row in rows})
+        assert out == f"mined {len(rows)} synonyms for {hits}/10 values -> {workdir / 'plain.jsonl'}\n"
         # Deterministic to the byte: a second run writes the same file.
         self._mine(simulated, workdir / "again.jsonl")
         assert (workdir / "again.jsonl").read_bytes() == (workdir / "plain.jsonl").read_bytes()

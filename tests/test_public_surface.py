@@ -22,7 +22,7 @@ PACKAGES = ("core", "clicklog", "serving", "server", "storage", "text")
 # Kept without a caller, each for a stated reason.
 ALLOWED = {
     # Eq. 3 and Eq. 4 as the paper writes them; tests/conftest.py's
-    # reference_entry scores every candidate with them, and score_profile
+    # reference_entry scores every candidate with them, and mine_entity
     # is checked against that reference.
     "repro.core.selection.intersecting_page_count",
     "repro.core.selection.intersecting_click_ratio",
