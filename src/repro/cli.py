@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Nine subcommands cover the offline *and* online workflow end to end
+Eight subcommands cover the offline *and* online workflow end to end
 without writing any Python:
 
 * ``simulate``    — build a simulated world and dump its catalog, Search
@@ -33,12 +33,7 @@ without writing any Python:
   (:mod:`repro.scenarios`): ``list`` the named workload scenarios,
   ``run`` one against a freshly booted daemon (``--procs``/``--mmap``
   mirror ``server``) writing a versioned JSON result, and ``compare``
-  two result files metric by metric;
-* ``analyze``     — run the project-specific static checkers
-  (:mod:`repro.analysis`): lock discipline, determinism, artifact
-  safety and mmap lifetime over the given paths (default ``src/``);
-  exit 0 when clean, 1 on findings (``--format json`` for tooling,
-  ``--list-rules`` for the catalog).
+  two result files metric by metric.
 
 Invoke as ``python -m repro <subcommand> ...``.
 """
@@ -48,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
@@ -76,13 +72,13 @@ _Log = TypeVar("_Log", SearchLog, ClickLog)
 def _bounded(
     cast: Callable[[str], Any], low: float, high: float | None = None
 ) -> Callable[[str], Any]:
-    """An argparse ``type=``: *cast* the text, require ``low <= value [<= high]``."""
+    """An argparse ``type=``: *cast* the text, require a finite ``low <= value [<= high]``."""
     wanted = f">= {low}" if high is None else f"in [{low}, {high}]"
 
     def parse(text: str) -> Any:
         value = cast(text)
-        if not low <= value <= (value if high is None else high):  # NaN fails too
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        if not (math.isfinite(value) and low <= value <= (value if high is None else high)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {wanted}, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse's own "invalid int value: 'x'"
@@ -269,24 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_compare.add_argument("result_b", type=Path, help="candidate result JSON")
     scenario_compare.add_argument(
         "--json", action="store_true", help="emit the structured comparison as JSON"
-    )
-
-    analyze = subparsers.add_parser(
-        "analyze",
-        help="run the project-specific static checkers "
-             "(lock discipline, determinism, artifact safety, mmap lifetime)",
-    )
-    analyze.add_argument(
-        "paths", nargs="*", default=["src"], metavar="PATH",
-        help="files or directories to analyze (default: src)",
-    )
-    analyze.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
-    analyze.add_argument(
-        "--list-rules", action="store_true",
-        help="list the registered rules and exit",
     )
 
     return parser
@@ -626,22 +604,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0 if summary["errors"] == 0 else 1
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_paths, registered_rules, render_json, render_text
-
-    if args.list_rules:
-        for rule in registered_rules():
-            print(f"{rule.id}: {rule.summary}")
-        return 0
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        raise ValueError(f"analyze: no such path: {', '.join(missing)}")
-    findings = analyze_paths(args.paths)
-    renderer = render_json if args.format == "json" else render_text
-    print(renderer(findings))
-    return 1 if findings else 0
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "mine": _cmd_mine,
@@ -651,7 +613,6 @@ _COMMANDS = {
     "server": _cmd_daemon,
     "experiments": _cmd_experiments,
     "scenario": _cmd_scenario,
-    "analyze": _cmd_analyze,
 }
 
 

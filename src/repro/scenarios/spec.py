@@ -16,6 +16,7 @@ they measured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -93,6 +94,12 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
+        # NaN slips past every comparison below, and an infinite duration or
+        # rate never ends a drive; from_dict reads both out of JSON.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.entities < 1:
             raise ValueError(f"entities must be >= 1, got {self.entities}")
         if self.synonyms_per_entity < 1:

@@ -304,6 +304,13 @@ class MatchDaemon:
     ) -> None:
         if watch_interval < 0:
             raise ValueError(f"watch_interval must be >= 0, got {watch_interval}")
+        # The watcher's longest wait must fit Event.wait, or its thread dies
+        # on the first poll (NaN, inf and 1e300 all fail here).
+        if not watch_interval * _Watcher.JITTER[1] <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"watch_interval must be <= {threading.TIMEOUT_MAX / _Watcher.JITTER[1]:.0f} s, "
+                f"got {watch_interval}"
+            )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if reuse_port and not reuse_port_supported():

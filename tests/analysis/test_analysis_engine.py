@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import (
+from tools.analysis.engine import (
     Finding,
     ModuleInfo,
     Rule,
+    analyze_paths,
     analyze_source,
     iter_python_files,
     registered_rules,
@@ -149,3 +150,28 @@ class TestDriver:
     def test_module_info_exposes_tree(self) -> None:
         info = ModuleInfo.parse(Path("f.py"), "x = 1\n")
         assert isinstance(info.tree, ast.Module)
+
+    def test_sources_decode_as_python_decodes_them(self, tmp_path: Path) -> None:
+        torn = (
+            "import threading\n"
+            "class Torn:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "    def set(self):\n"
+            "        with self._lock:\n"
+            "            self._n = 1\n"
+            "    def get(self):\n"
+            "        return self._n\n"
+        )
+        cookie = "# -*- coding: latin-1 -*-\nname = \"caf\u00e9\"\n" + torn
+        (tmp_path / "cookie.py").write_bytes(cookie.encode("latin-1"))
+        (tmp_path / "undecodable.py").write_bytes(b"x = 1\ny = 2\nname = \"caf\xe9\"\n")
+        (tmp_path / "sibling.py").write_text(torn, encoding="utf-8")
+        found = {
+            (Path(f.path).name, f.line, f.rule) for f in analyze_paths([tmp_path])
+        }
+        assert found == {
+            ("cookie.py", 11, "lock-guarded-attr"),
+            ("sibling.py", 9, "lock-guarded-attr"),
+            ("undecodable.py", 3, "parse-error"),
+        }

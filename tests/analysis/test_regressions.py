@@ -1,6 +1,6 @@
 """Pinned regression tests for the true positives the analyzer found in src/.
 
-Each test here pins one concrete bug that ``python -m repro analyze`` flagged
+Each test here pins one concrete bug that ``python -m tools.analysis`` flagged
 when it was first run against the repository, so the fixes cannot silently
 regress:
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from repro.analysis import analyze_paths
 from repro.serving.delta import _DeltaSpec, merge_state
 from repro.server.metrics import LatencyHistogram
+from tools.analysis import analyze_paths
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 

@@ -1,11 +1,9 @@
-"""Reporter output pinned: text shape and the versioned JSON schema."""
+"""Reporter output pinned: the text shape."""
 
 from __future__ import annotations
 
-import json
-
-from repro.analysis.engine import Finding
-from repro.analysis.reporters import JSON_FORMAT_VERSION, render_json, render_text
+from tools.analysis.__main__ import render_text
+from tools.analysis.engine import Finding
 
 FINDINGS = [
     Finding(
@@ -31,30 +29,3 @@ def test_text_singular_tally() -> None:
 
 def test_text_empty() -> None:
     assert render_text([]) == "no findings"
-
-
-def test_json_schema() -> None:
-    payload = json.loads(render_json(FINDINGS))
-    assert payload["format"] == JSON_FORMAT_VERSION == 1
-    assert payload["count"] == 2
-    assert payload["findings"] == [
-        {
-            "path": "src/a.py",
-            "line": 3,
-            "col": 4,
-            "rule": "lock-guarded-attr",
-            "message": "m1",
-        },
-        {
-            "path": "src/b.py",
-            "line": 9,
-            "col": 0,
-            "rule": "explicit-endian",
-            "message": "m2",
-        },
-    ]
-
-
-def test_json_empty_is_valid_and_zero() -> None:
-    payload = json.loads(render_json([]))
-    assert payload == {"format": 1, "count": 0, "findings": []}

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, analyze_source
+from tools.analysis import analyze_paths, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

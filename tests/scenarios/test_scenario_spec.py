@@ -1,8 +1,16 @@
 """Unit tests for the Scenario spec and the named-scenario library."""
 
+import math
+
 import pytest
 
 from repro.scenarios import NAMED_SCENARIOS, Scenario, get_scenario, scenario_names
+
+FLOAT_FIELDS = (
+    "multilingual_share", "zipf_exponent", "noise_rate", "context_rate", "miss_rate",
+    "resolve_ratio", "batch_ratio", "dirty_fraction", "delta_every_s", "qps",
+    "burst_factor", "burst_every_s", "burst_duration_s", "duration_s",
+)
 
 
 class TestScenarioValidation:
@@ -36,6 +44,8 @@ class TestScenarioValidation:
             {"repeats": 0},
             # a noisy query cannot also be a context query
             {"noise_rate": 0.7, "context_rate": 0.5},
+            # NaN passes every comparison; inf never ends a drive
+            *({name: value} for name in FLOAT_FIELDS for value in (math.nan, math.inf)),
         ],
     )
     def test_invalid_fields_rejected(self, overrides):

@@ -418,8 +418,9 @@ class TestDaemonLifecycle:
             daemon.stop()
 
     def test_invalid_parameters_rejected(self, artifact_path):
-        with pytest.raises(ValueError):
-            MatchDaemon(artifact_path, port=0, watch_interval=-1)
+        for interval in (-1, float("nan"), float("inf"), 1e300):
+            with pytest.raises(ValueError):
+                MatchDaemon(artifact_path, port=0, watch_interval=interval)
         with pytest.raises(ValueError):
             MatchDaemon(artifact_path, port=0, max_batch=0)
 

@@ -346,7 +346,8 @@ class TestCompileAndServeCLI:
     def test_server_rejects_bad_flags(self, compiled, capsys):
         # Refused by the parser, so also before --procs spawns anything.
         for flag, value in (
-            ("--cache-size", "-1"), ("--watch-interval", "-2"), ("--access-log-sample", "2")
+            ("--cache-size", "-1"), ("--watch-interval", "-2"), ("--watch-interval", "inf"),
+            ("--access-log-sample", "2"),
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(["server", "--artifact", str(compiled), "--procs", "2", flag, value])
@@ -468,6 +469,9 @@ class TestInputErrors:
         )
         assert "unknown scenario 'no-such-scenario'" in line and "flash-crowd" in line
 
-    def test_analyze_missing_path(self, capsys):
-        line = self._error_line(["analyze", "does/not/exist.py"], capsys)
-        assert "no such path: does/not/exist.py" in line
+    def test_scenario_run_nan_duration(self, tmp_path, capsys):
+        # Refused before any daemon boots; a NaN deadline never passed.
+        line = self._error_line(
+            ["scenario", "run", "cold-cache", "--duration", "nan", "--workdir", tmp_path], capsys
+        )
+        assert "duration_s must be finite, got nan" in line

@@ -6,7 +6,8 @@ evaluation runners and the baselines exist to produce the paper's tables
 and must not ride along into either.  Nor does any production path build
 the reference index, :mod:`repro.matching.dictionary`: publishers compile
 entries straight into the artifact, and one-shot matching compiles in
-memory.
+memory.  The developer tools under ``tools/`` (the static analyzer) are
+never loaded by the product either.
 """
 
 import os
@@ -14,15 +15,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC_DIR = str(REPO_ROOT / "src")
 
 PAPER_SIDE = ("numpy", "repro.simulation", "repro.search", "repro.eval", "repro.baselines")
+DEV_SIDE = ("tools",)
 
 _PROBE = f"""
 import sys
 import repro.cli, repro.server.daemon, repro.serving.service, repro.core
 for name in sorted(sys.modules):
-    if any(name == p or name.startswith(p + ".") for p in {PAPER_SIDE!r}):
+    if any(name == p or name.startswith(p + ".") for p in {PAPER_SIDE + DEV_SIDE!r}):
         print(name)
 """
 
@@ -67,6 +70,7 @@ def _run(probe: str) -> str:
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=env, timeout=60, check=True,
+        cwd=REPO_ROOT,  # where ``import tools`` would succeed
     )
     return done.stdout
 

@@ -7,19 +7,21 @@ publishes, ``adopt()``-scoped mmap views.  PRs 5–7 each spent review time
 on violations (torn ``/stats`` reads, NTP-sensitive uptime) that a checker
 would have flagged immediately.  This package is that checker:
 
-* :mod:`repro.analysis.engine` — the AST walker, rule registry,
+* :mod:`tools.analysis.engine` — the AST walker, rule registry,
   ``# repro: allow(<rule>)`` suppressions and ``ModuleInfo`` parsing;
-* :mod:`repro.analysis.rules` — the four rule families (lock discipline,
-  determinism, artifact safety, mmap lifetime);
-* :mod:`repro.analysis.reporters` — text and JSON output.
+* :mod:`tools.analysis.rules` — the four rule families (lock discipline,
+  determinism, artifact safety, mmap lifetime).
 
-CLI: ``python -m repro analyze [paths]`` (exit 0 when clean, 1 on
-findings).  The suite is self-hosting: ``python -m repro analyze src/``
-must stay clean, and ``tests/analysis`` pins each rule against a committed
-fixture corpus.  Rule catalog and rationale: ``docs/STATIC_ANALYSIS.md``.
+It is a developer tool, not part of the ``repro`` package, and imports
+nothing from it.  Run it from the repository root as
+``python -m tools.analysis [PATH ...]`` (default ``src``; exit 0 when
+clean, 1 on findings).  The suite is self-hosting: ``python -m
+tools.analysis src tools`` must stay clean, and ``tests/analysis`` pins
+each rule against a committed fixture corpus.  Rule catalog and
+rationale: ``docs/STATIC_ANALYSIS.md``.
 """
 
-from repro.analysis.engine import (
+from tools.analysis.engine import (
     Finding,
     ModuleInfo,
     Rule,
@@ -27,7 +29,6 @@ from repro.analysis.engine import (
     analyze_source,
     registered_rules,
 )
-from repro.analysis.reporters import render_json, render_text
 
 __all__ = [
     "Finding",
@@ -36,6 +37,4 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "registered_rules",
-    "render_json",
-    "render_text",
 ]

@@ -3,7 +3,7 @@
 A *rule* is a class with a stable kebab-case ``id`` and a ``check()``
 method that walks one parsed module and yields :class:`Finding` objects.
 Rules register themselves with :func:`register` at import time;
-:func:`registered_rules` imports :mod:`repro.analysis.rules` so the full
+:func:`registered_rules` imports :mod:`tools.analysis.rules` so the full
 catalog is always loaded before a run.
 
 Suppressions are source comments, scoped to a single rule and a single
@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from importlib.util import decode_source
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Sequence, Tuple, Type
 
@@ -106,13 +107,15 @@ class ModuleInfo:
     def parse(cls, path: str | Path, source: str | None = None) -> "ModuleInfo":
         """Parse *path* (or the given *source*) into a ``ModuleInfo``.
 
-        Raises :class:`SyntaxError` on unparseable input; the driver turns
-        that into a ``parse-error`` finding so one broken file cannot hide
-        the rest of a run.
+        A file is decoded as Python decodes it: its PEP 263 coding cookie,
+        else UTF-8.  Raises :class:`SyntaxError` or
+        :class:`UnicodeDecodeError` on input Python could not run; the
+        driver turns either into a ``parse-error`` finding so one broken
+        file cannot hide the rest of a run.
         """
         path = Path(path)
         if source is None:
-            source = path.read_text(encoding="utf-8")
+            source = decode_source(path.read_bytes())
         tree = ast.parse(source, filename=str(path))
         return cls(
             path=path,
@@ -133,8 +136,8 @@ class Rule:
     """Base class for one checker.  Subclass, set ``id``, implement check.
 
     ``id`` is the stable kebab-case name used in findings, suppression
-    comments and the JSON report; ``summary`` is the one-liner shown by
-    ``analyze --list-rules``.
+    comments and reports; ``summary`` is the one-liner shown by
+    ``python -m tools.analysis --list-rules``.
     """
 
     id: str = ""
@@ -170,7 +173,7 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 
 def registered_rules() -> Tuple[Rule, ...]:
     """Every registered rule, id-sorted (imports the rule catalog)."""
-    import repro.analysis.rules  # noqa: F401  (registers on import)
+    import tools.analysis.rules  # noqa: F401  (registers on import)
 
     return tuple(_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY))
 
@@ -195,20 +198,18 @@ def analyze_source(
     rules: Iterable[Rule] | None = None,
 ) -> list:
     """Run *rules* over one source string; suppressed findings dropped."""
-    if rules is None:
-        rules = registered_rules()
+    return _analyze(path, source, registered_rules() if rules is None else tuple(rules))
+
+
+def _analyze(path: str | Path, source: str | None, rules: Sequence[Rule]) -> list:
+    """Check one module, read from *path* when *source* is None."""
     try:
         module = ModuleInfo.parse(path, source)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule=PARSE_ERROR_RULE,
-                message=f"cannot parse file: {exc.msg}",
-            )
-        ]
+        return [_parse_error(path, exc.lineno or 1, (exc.offset or 1) - 1, exc.msg)]
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        return [_parse_error(path, line, 0, str(exc))]
     findings = []
     for rule in rules:
         for found in rule.check(module):
@@ -223,16 +224,19 @@ def analyze_paths(
     rules: Iterable[Rule] | None = None,
 ) -> list:
     """Analyze every ``.py`` file reachable from *paths*, sorted findings."""
-    if rules is None:
-        rules = registered_rules()
-    else:
-        rules = tuple(rules)
+    rules = registered_rules() if rules is None else tuple(rules)
     findings = []
     for file in iter_python_files(paths):
-        findings.extend(
-            analyze_source(
-                file.read_text(encoding="utf-8"), path=file, rules=rules
-            )
-        )
+        findings.extend(_analyze(file, None, rules))
     findings.sort()
     return findings
+
+
+def _parse_error(path: str | Path, line: int, col: int, reason: str) -> Finding:
+    return Finding(
+        path=str(path),
+        line=line,
+        col=col,
+        rule=PARSE_ERROR_RULE,
+        message=f"cannot parse file: {reason}",
+    )

@@ -2,22 +2,22 @@
 
 Four families, seven rules:
 
-* :mod:`~repro.analysis.rules.locks` — ``lock-guarded-attr``,
+* :mod:`~tools.analysis.rules.locks` — ``lock-guarded-attr``,
   ``lock-blocking-call``;
-* :mod:`~repro.analysis.rules.determinism` — ``nondeterministic-call``,
+* :mod:`~tools.analysis.rules.determinism` — ``nondeterministic-call``,
   ``unordered-set-iteration``;
-* :mod:`~repro.analysis.rules.artifact_safety` — ``explicit-endian``,
+* :mod:`~tools.analysis.rules.artifact_safety` — ``explicit-endian``,
   ``artifact-write-path``;
-* :mod:`~repro.analysis.rules.mmap_lifetime` — ``mmap-view-escape``.
+* :mod:`~tools.analysis.rules.mmap_lifetime` — ``mmap-view-escape``.
 
-Adding a rule: write a :class:`~repro.analysis.engine.Rule` subclass in
+Adding a rule: write a :class:`~tools.analysis.engine.Rule` subclass in
 the matching family module (or a new one), decorate it with
-:func:`~repro.analysis.engine.register`, import the module here, add
+:func:`~tools.analysis.engine.register`, import the module here, add
 positive + negative fixtures under ``tests/analysis/fixtures/`` and a
 catalog entry in ``docs/STATIC_ANALYSIS.md``.
 """
 
-from repro.analysis.rules import (  # noqa: F401  (import registers rules)
+from tools.analysis.rules import (  # noqa: F401  (import registers rules)
     artifact_safety,
     determinism,
     locks,

@@ -16,8 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, ModuleInfo, Rule, register
-from repro.analysis.rules._common import dotted_name
+from tools.analysis.engine import Finding, ModuleInfo, Rule, register
+from tools.analysis.rules._common import dotted_name
 
 __all__ = ["NondeterministicCallRule", "UnorderedSetIterationRule", "DETERMINISM_MODULES"]
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.analysis.engine import Finding, ModuleInfo, Rule, register
-from repro.analysis.rules._common import dotted_name, self_attr_name
+from tools.analysis.engine import Finding, ModuleInfo, Rule, register
+from tools.analysis.rules._common import dotted_name, self_attr_name
 
 __all__ = ["LockBlockingCallRule", "LockGuardedAttrRule"]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from repro.analysis.engine import Finding, ModuleInfo, Rule, register
+from tools.analysis.engine import Finding, ModuleInfo, Rule, register
 
 __all__ = ["MmapViewEscapeRule"]
 
