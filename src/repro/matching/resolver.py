@@ -79,8 +79,8 @@ class MatchResolver:
         """Build a resolver over a compiled artifact's embedded priors.
 
         *artifact* is a :class:`~repro.serving.artifact.SynonymArtifact`;
-        when it has no priors block (layout 1) the resolver falls back to
-        uniform priors, so old artifacts keep resolving — just without the
+        when it was compiled without a priors block the resolver falls back
+        to uniform priors, so it still resolves — just without the
         popularity signal.
         """
         return cls(artifact, priors=artifact.priors())

@@ -22,7 +22,7 @@ the mine → **compile** → **serve** half of the pipeline:
   is published.  All of it is thread-safe, so the :mod:`repro.server`
   daemon drives one service from many request threads.
 
-The on-disk formats (container framing, manifest fields, block layouts 1–3,
+The on-disk formats (container framing, manifest fields, block layouts 2 and 3,
 hashes, compatibility matrix) are specified normatively in
 ``docs/ARTIFACT_FORMAT.md`` — module docstrings here only summarize.
 

@@ -16,12 +16,14 @@ mmap=True)``) serves straight out of the page cache and N workers mapping
 the same published file share one set of physical pages.
 
 The normative description of the on-disk format — container framing,
-manifest fields, byte-level block layouts for the full artifact (layouts 1
-and 2) and the delta sidecar (layout 3, :mod:`repro.serving.delta`), plus
-the reader compatibility matrix — lives in ``docs/ARTIFACT_FORMAT.md``.
+manifest fields, byte-level block layouts for the full artifact (layout 2)
+and the delta sidecar (layout 3, :mod:`repro.serving.delta`), plus the
+reader compatibility matrix — lives in ``docs/ARTIFACT_FORMAT.md``.
 In short: a full artifact packs a deduplicated string pool, the entries as
 parallel arrays in dictionary insertion order, byte-sorted exact and token
-indexes, and (layout 2) an optional per-entity click-prior block.
+indexes, and an optional per-entity click-prior block.  A reader loads only
+what this build writes (:func:`_check_layout`); any other file is refused
+with a pointer to ``repro compile``.
 
 Two integrity identities are stamped into every manifest:
 
@@ -77,9 +79,9 @@ __all__ = [
 ]
 
 ARTIFACT_KIND = "synonym-dictionary"
-# Layout 2 added the optional priors block; prior-less artifacts from
-# layout 1 load unchanged.  Layout 3 is the delta *sidecar* (a different
-# artifact kind, see repro.serving.delta) — full artifacts stay layout 2.
+# Full artifacts are layout 2 (entries, indexes and an optional priors
+# block).  Layout 3 is the delta *sidecar*, a different artifact kind (see
+# repro.serving.delta).
 LAYOUT_VERSION = 2
 
 # One dictionary entry as plain data: (text, entity_id, source, weight),
@@ -91,6 +93,10 @@ _U32 = "I"
 _U64 = "Q"
 _F64 = "d"
 
+# Blocks are packed in host order; every writer stamps these into its
+# manifest, and a reader accepts no other values (see _check_layout).
+_HOST_LAYOUT = {"byteorder": sys.byteorder, "uint_itemsize": array(_U32).itemsize}
+
 
 def _pack(typecode: str, values: Iterable[int | float]) -> bytes:
     packed = array(typecode)
@@ -98,10 +104,51 @@ def _pack(typecode: str, values: Iterable[int | float]) -> bytes:
     return packed.tobytes()
 
 
-def _unpack(typecode: str, block: memoryview) -> array[Any]:
-    values = array(typecode)
-    values.frombytes(block)
-    return values
+def _check_layout(manifest: ArtifactManifest, *, kind: str, layout: int) -> None:
+    """Refuse any file this build does not write.
+
+    The one gate both readers run before they touch a block: the reader's
+    kind and exact layout, the host's byte order and ``u32`` width (so
+    every typed block casts natively), and a ``state_hash``.  Artifacts
+    are derived data, so the remedy for every refusal is to recompile.
+    """
+    extra = manifest.extra
+    found = {**extra, "kind": manifest.kind}
+    for key, wanted in {"kind": kind, "layout_version": layout, **_HOST_LAYOUT}.items():
+        if found.get(key) != wanted:
+            raise ArtifactError(
+                f"artifact {key} is {found.get(key)!r} but this build reads only "
+                f"{wanted!r}: recompile it with `repro compile`"
+            )
+    if not isinstance(extra.get("state_hash"), str):
+        raise ArtifactError("artifact has no state_hash: recompile it with `repro compile`")
+
+
+def _typed(
+    blocks: Mapping[str, memoryview],
+    name: str,
+    typecode: str,
+    mapping: ArtifactMapping | None = None,
+) -> memoryview:
+    """Block *name* as a typed view, registered with *mapping* when given.
+
+    A missing block, or one that is not a whole number of items, is an
+    :class:`ArtifactError`.  Only the block's length is checked, never its
+    contents, so a load stays O(blocks).
+    """
+    try:
+        # repro: allow(explicit-endian) _check_layout refused a foreign byteorder
+        view = blocks[name].cast(typecode)
+    except KeyError:
+        raise ArtifactError(f"artifact has no {name!r} block: recompile it") from None
+    except TypeError:
+        raise ArtifactError(
+            f"artifact block {name!r} is not a whole number of {typecode!r} "
+            "items: recompile it"
+        ) from None
+    if mapping is not None:
+        mapping.adopt(view)
+    return view
 
 
 class ClickVolumeSource(Protocol):
@@ -119,7 +166,7 @@ class _DecodedStrings(dict[int, str]):
 
     __slots__ = ("_blob", "_offsets")
 
-    def __init__(self, blob: memoryview, offsets: "memoryview | array[Any]") -> None:
+    def __init__(self, blob: memoryview, offsets: memoryview) -> None:
         super().__init__()
         self._blob = blob
         self._offsets = offsets
@@ -340,8 +387,7 @@ def build_blocks(
     extra = {
         "layout_version": LAYOUT_VERSION,
         "max_entry_tokens": max_entry_tokens,
-        "byteorder": sys.byteorder,
-        "uint_itemsize": array(_U32).itemsize,
+        **_HOST_LAYOUT,
         "has_priors": emitted_priors is not None,
         "state_hash": state_hash(entries, emitted_priors),
     }
@@ -419,10 +465,10 @@ class SynonymArtifact:
     entries.  Instances are immutable views over one loaded file; strings
     and entries are decoded lazily and cached.
 
-    On a native-endian file the packed arrays are zero-copy typed views
-    (``memoryview.cast``) over the loaded buffer — heap or mmap alike —
-    so construction copies nothing.  Foreign-endian files fall back to
-    byteswapped :class:`array.array` copies.  When *mapping* is the
+    The packed arrays are zero-copy typed views (``memoryview.cast``) over
+    the loaded buffer — heap or mmap alike — so construction copies
+    nothing; :func:`_check_layout` has refused every file not written in
+    this host's byte order.  When *mapping* is the
     :class:`~repro.storage.artifact.ArtifactMapping` the blocks came from,
     the typed views are registered with it so :meth:`close` can tear the
     map down deterministically.
@@ -435,33 +481,14 @@ class SynonymArtifact:
         *,
         mapping: ArtifactMapping | None = None,
     ) -> None:
-        if manifest.kind != ARTIFACT_KIND:
-            raise ArtifactError(f"not a synonym dictionary artifact: {manifest.kind!r}")
-        extra = manifest.extra
-        if extra.get("layout_version", 0) > LAYOUT_VERSION:
-            raise ArtifactError(
-                f"artifact layout {extra.get('layout_version')} is newer than "
-                f"supported ({LAYOUT_VERSION})"
-            )
-        if extra.get("uint_itemsize") != array(_U32).itemsize:
-            raise ArtifactError("artifact was compiled on an incompatible platform")
+        _check_layout(manifest, kind=ARTIFACT_KIND, layout=LAYOUT_VERSION)
         self.manifest = manifest
         self._mapping = mapping
-        foreign = extra.get("byteorder", sys.byteorder) != sys.byteorder
 
-        def typed(name: str, typecode: str) -> "memoryview | array[Any]":
-            block = blocks[name]
-            if foreign:
-                values = _unpack(typecode, block)
-                values.byteswap()
-                return values
-            # repro: allow(explicit-endian) native cast is gated on the manifest byteorder above
-            view = block.cast(typecode)
-            if mapping is not None:
-                mapping.adopt(view)
-            return view
+        def typed(name: str, typecode: str) -> memoryview:
+            return _typed(blocks, name, typecode, mapping)
 
-        self._blob = blocks["strings.blob"]
+        self._blob = typed("strings.blob", "B")
         self._offsets = typed("strings.offsets", _U64)
         self._entry_text = typed("entries.text", _U32)
         self._entry_entity = typed("entries.entity", _U32)
@@ -473,10 +500,8 @@ class SynonymArtifact:
         self._token_text = typed("token.text", _U32)
         self._token_starts = typed("token.starts", _U32)
         self._token_postings = typed("token.postings", _U32)
-        # Layout-1 artifacts predate the priors block; they load unchanged
-        # and simply report has_priors == False.
-        self._prior_entity: "memoryview | array[Any] | None"
-        self._prior_value: "memoryview | array[Any] | None"
+        self._prior_entity: memoryview | None
+        self._prior_value: memoryview | None
         if "priors.entity" in blocks:
             self._prior_entity = typed("priors.entity", _U32)
             self._prior_value = typed("priors.value", _F64)
@@ -603,7 +628,7 @@ class SynonymArtifact:
             self._entries[entry_id] = cached
         return cached
 
-    def _find(self, sorted_sids: "array[Any] | memoryview", needle: str) -> int:
+    def _find(self, sorted_sids: memoryview, needle: str) -> int:
         """Binary search *needle* in a byte-sorted string-id array (-1 miss).
 
         Compares decoded strings: UTF-8 byte order is code-point order, so
@@ -683,7 +708,7 @@ class SynonymArtifact:
         return self._prior_entity is not None
 
     def priors(self) -> dict[str, float] | None:
-        """Entity id → click-volume prior, or ``None`` for layout-1 files.
+        """Entity id → click-volume prior, or ``None`` when compiled without.
 
         The mapping is exactly what
         :meth:`~repro.matching.resolver.MatchResolver.prior` would compute
@@ -705,12 +730,11 @@ class SynonymArtifact:
 
     @property
     def state_hash(self) -> str:
-        """Logical state identity, or ``""`` for pre-delta artifacts.
+        """Logical state identity: the hash deltas chain on.
 
-        Deltas chain on this hash (see :mod:`repro.serving.delta`); an
-        artifact compiled before it existed cannot be a delta base.
+        See :func:`state_hash` and :mod:`repro.serving.delta`.
         """
-        return str(self.manifest.extra.get("state_hash", ""))
+        return str(self.manifest.extra["state_hash"])
 
     def entry_tuples(self) -> Iterator[EntryTuple]:
         """Every entry as a plain ``(text, entity, source, weight)`` tuple.

@@ -33,8 +33,6 @@ memory instead of cold-loading a full file.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -45,11 +43,13 @@ from repro.serving.artifact import (
     EntryTuple,
     SynonymArtifact,
     _F64,
+    _HOST_LAYOUT,
     _StringPool,
     _U32,
     _U64,
+    _check_layout,
     _pack,
-    _unpack,
+    _typed,
     build_blocks,
     compute_priors,
     dedupe_entries,
@@ -75,9 +75,10 @@ __all__ = [
 ]
 
 DELTA_KIND = "synonym-dictionary-delta"
-# Layouts 1/2 are the full artifact (see repro.serving.artifact); layout 3
-# is this sidecar.  A pre-delta reader asked to load one fails cleanly on
-# the kind check, never on a misparse.
+# Layout 2 is the full artifact (see repro.serving.artifact); layout 3 is
+# this sidecar.  Each reader accepts only its own kind and layout, so a
+# full-artifact reader refuses a sidecar on the kind check, never on a
+# misparse.
 DELTA_LAYOUT_VERSION = 3
 
 
@@ -200,8 +201,7 @@ def write_delta(
             "base_content_hash": base_content_hash,
             "state_hash": target_state_hash,
             "has_priors": prior_updates is not None,
-            "byteorder": sys.byteorder,
-            "uint_itemsize": array(_U32).itemsize,
+            **_HOST_LAYOUT,
         },
         config_fingerprint=config_fingerprint,
         created_unix=created_unix,
@@ -219,39 +219,21 @@ class DictionaryDelta:
     """
 
     def __init__(self, manifest: ArtifactManifest, blocks: dict[str, memoryview]) -> None:
-        if manifest.kind != DELTA_KIND:
-            raise ArtifactError(f"not a synonym dictionary delta: {manifest.kind!r}")
-        extra = manifest.extra
-        if extra.get("layout_version", 0) > DELTA_LAYOUT_VERSION:
-            raise ArtifactError(
-                f"delta layout {extra.get('layout_version')} is newer than "
-                f"supported ({DELTA_LAYOUT_VERSION})"
-            )
-        if extra.get("uint_itemsize") != array(_U32).itemsize:
-            raise ArtifactError("delta was built on an incompatible platform")
+        _check_layout(manifest, kind=DELTA_KIND, layout=DELTA_LAYOUT_VERSION)
         self.manifest = manifest
 
-        offsets = _unpack(_U64, blocks["strings.offsets"])
-        changed_entity = _unpack(_U32, blocks["changed.entity"])
-        changed_starts = _unpack(_U32, blocks["changed.starts"])
-        changed_text = _unpack(_U32, blocks["changed.text"])
-        changed_source = _unpack(_U32, blocks["changed.source"])
-        changed_weight = _unpack(_F64, blocks["changed.weight"])
-        removed_entity = _unpack(_U32, blocks["removed.entity"])
+        blob = _typed(blocks, "strings.blob", "B")
+        offsets = _typed(blocks, "strings.offsets", _U64)
+        changed_entity = _typed(blocks, "changed.entity", _U32)
+        changed_starts = _typed(blocks, "changed.starts", _U32)
+        changed_text = _typed(blocks, "changed.text", _U32)
+        changed_source = _typed(blocks, "changed.source", _U32)
+        changed_weight = _typed(blocks, "changed.weight", _F64)
+        removed_entity = _typed(blocks, "removed.entity", _U32)
         prior_entity = prior_value = None
         if "priors.entity" in blocks:
-            prior_entity = _unpack(_U32, blocks["priors.entity"])
-            prior_value = _unpack(_F64, blocks["priors.value"])
-        if extra.get("byteorder", sys.byteorder) != sys.byteorder:
-            for values in (
-                offsets, changed_entity, changed_starts, changed_text,
-                changed_source, changed_weight, removed_entity,
-                prior_entity, prior_value,
-            ):
-                if values is not None:
-                    values.byteswap()
-
-        blob = blocks["strings.blob"]
+            prior_entity = _typed(blocks, "priors.entity", _U32)
+            prior_value = _typed(blocks, "priors.value", _F64)
 
         def string(sid: int) -> str:
             return str(blob[offsets[sid] : offsets[sid + 1]], "utf-8")
@@ -277,9 +259,9 @@ class DictionaryDelta:
             }
 
     @classmethod
-    def load(cls, path: str | Path, *, verify: bool = True) -> "DictionaryDelta":
-        """Load a delta sidecar (content hash verified by default)."""
-        manifest, blocks = read_artifact(path, expected_kind=DELTA_KIND, verify=verify)
+    def load(cls, path: str | Path) -> "DictionaryDelta":
+        """Load a delta sidecar; its content hash is always verified."""
+        manifest, blocks = read_artifact(path, expected_kind=DELTA_KIND)
         return cls(manifest, blocks)
 
     # Chain identities ------------------------------------------------- #
@@ -305,7 +287,7 @@ class DictionaryDelta:
     @property
     def state_hash(self) -> str:
         """State hash the applied artifact must land on."""
-        return str(self.manifest.extra.get("state_hash", ""))
+        return str(self.manifest.extra["state_hash"])
 
     @property
     def has_priors(self) -> bool:
@@ -390,10 +372,9 @@ def apply_delta(
 ) -> SynonymArtifact | None:
     """Materialize the full artifact a delta describes on top of *base*.
 
-    Verification, in order: the base must carry a state hash (pre-delta
-    artifacts cannot chain — republish full once), the delta's
-    ``base_state_hash`` must match it, the delta's ``base_content_hash``
-    (when recorded) must match the base container hash, and the merged
+    Verification, in order: the delta's ``base_state_hash`` must match
+    the base's state hash, the delta's ``base_content_hash`` (when
+    recorded) must match the base container hash, and the merged
     result must land exactly on the delta's target ``state_hash`` — so a
     divergent base can never silently produce a corrupted dictionary.
 
@@ -403,11 +384,6 @@ def apply_delta(
     ``None`` — the fold path for mmap-mode consumers, which only want the
     file (all verification still runs).
     """
-    if not base.state_hash:
-        raise ArtifactError(
-            "base artifact predates delta support (no state hash); "
-            "republish a full artifact first"
-        )
     if delta.base_state_hash != base.state_hash:
         raise ArtifactError(
             f"delta base mismatch: delta {delta.version!r} was built against "
@@ -421,7 +397,7 @@ def apply_delta(
         )
     entries, priors = merge_state(base.entry_tuples(), base.priors(), delta)
     blocks, counts, extra = build_blocks(entries, priors=priors)
-    if delta.state_hash and extra["state_hash"] != delta.state_hash:
+    if extra["state_hash"] != delta.state_hash:
         raise ArtifactError(
             "applied state hash mismatch: merging this delta did not produce "
             "the state it was published for (divergent base?)"
@@ -475,11 +451,6 @@ def diff_delta(
     self-consistent: its recorded target state hash is the merged state,
     which :func:`apply_delta` verifies.
     """
-    if not base.state_hash:
-        raise ArtifactError(
-            "base artifact predates delta support (no state hash); "
-            "recompile it full once before publishing deltas against it"
-        )
     if (click_log is not None) != base.has_priors:
         raise ArtifactError(
             "priors mismatch: pass click_log iff the base artifact has priors "

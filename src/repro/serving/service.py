@@ -399,7 +399,7 @@ class MatchService:
         """Match one query and rank its (possibly tied) entities.
 
         The ranking comes from the state's resolver over the artifact's
-        embedded click priors (uniform when the artifact predates the
+        embedded click priors (uniform when it was compiled without a
         priors block); match and ranking are computed against one state, so
         a concurrent hot swap cannot pair a new match with an old ranking.
         """

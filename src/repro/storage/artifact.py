@@ -270,14 +270,14 @@ def _sweep_stale_temps(path: Path) -> int:
 
 
 def _check_framing(magic: bytes, container_version: int, source: str) -> None:
-    """Reject foreign or future files *before* any field after the header
-    (most importantly ``manifest_len``) is trusted."""
+    """Reject foreign files and other container versions *before* any field
+    after the header (most importantly ``manifest_len``) is trusted."""
     if magic != MAGIC:
         raise ArtifactError(f"{source}: bad magic (not a repro artifact)")
-    if container_version > CONTAINER_VERSION:
+    if container_version != CONTAINER_VERSION:
         raise ArtifactError(
-            f"{source}: container version {container_version} is newer than "
-            f"supported ({CONTAINER_VERSION})"
+            f"{source}: container version {container_version} is not "
+            f"{CONTAINER_VERSION}, the only one this build reads"
         )
 
 
@@ -492,43 +492,34 @@ def read_artifact(
     without major page faults.)
     """
     path = Path(path)
-    if not mmap:
-        data = path.read_bytes()
+    mapped: _mmap.mmap | None = None
+    if mmap:
+        with path.open("rb") as handle:
+            # mmap refuses an empty file; say what is wrong with it instead.
+            if os.fstat(handle.fileno()).st_size < _HEADER.size:
+                raise ArtifactError(f"{path}: too short to be an artifact")
+            mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
+    data = path.read_bytes() if mapped is None else mapped
+    view = memoryview(data)
+    blocks: dict[str, memoryview] = {}
+    try:
         manifest, _ = _parse_header(data, str(path))
         if expected_kind is not None and manifest.kind != expected_kind:
             raise ArtifactError(
                 f"{path}: artifact kind {manifest.kind!r}, expected {expected_kind!r}"
             )
-        blocks = _slice_blocks(memoryview(data), manifest, str(path))
+        blocks = _slice_blocks(view, manifest, str(path))
         if verify:
             _verify_blocks(blocks, manifest, str(path))
-        return manifest, blocks
-
-    with path.open("rb") as handle:
-        if os.fstat(handle.fileno()).st_size < _HEADER.size:
-            raise ArtifactError(f"{path}: too short to be an artifact")
-        mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-    # Header validation needs no exported views: a failure here can close
-    # the map directly.
-    try:
-        manifest, _ = _parse_header(mapped, str(path))
-        if expected_kind is not None and manifest.kind != expected_kind:
-            raise ArtifactError(
-                f"{path}: artifact kind {manifest.kind!r}, expected {expected_kind!r}"
-            )
     except BaseException:
-        mapped.close()
-        raise
-    view = memoryview(mapped)
-    mapping_blocks: dict[str, memoryview] = {}
-    try:
-        mapping_blocks.update(_slice_blocks(view, manifest, str(path)))
-        if verify:
-            _verify_blocks(mapping_blocks, manifest, str(path))
-    except BaseException:
-        for block in mapping_blocks.values():
+        # Release every view before unmapping: a live export would make
+        # mmap.close() raise instead of returning the pages.
+        for block in blocks.values():
             block.release()
         view.release()
-        mapped.close()
+        if mapped is not None:
+            mapped.close()
         raise
-    return manifest, ArtifactMapping(path, manifest, mapped, view, mapping_blocks)
+    if mapped is None:
+        return manifest, blocks
+    return manifest, ArtifactMapping(path, manifest, mapped, view, blocks)

@@ -8,8 +8,7 @@ index lookups, ``EntityMatch`` (fuzzy on and off) and the ranked list.  It
 must hold at each of three generations, published as gen-0 (full), gen-1
 (a delta sidecar, which the services apply in memory or fold) and gen-2 (a
 full republish), and a delta-applied artifact must carry the full compile's
-content hash.  A file written in the other byte order (the full artifact,
-heap and mmap, and the deltas the chain applies) must answer the same.
+content hash.
 
 Hypothesis drives the in-process legs over a small colliding vocabulary
 with typo'd queries.  The daemon leg runs on two fixed cases: the toy
@@ -23,10 +22,8 @@ and ``MatchService``; both must answer every canonical, every selected
 synonym and their typos alike.
 """
 
-import sys
 import tempfile
 import time
-from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +45,7 @@ from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.serving.delta import DELTA_KIND, DictionaryDelta, delta_path_for, diff_delta
 from repro.serving.service import MatchService
 from repro.simulation.catalog import Entity, EntityCatalog
-from repro.storage.artifact import ArtifactManifest, read_artifact, write_artifact
+from repro.storage.artifact import ArtifactManifest
 from repro.text.normalize import normalize
 
 from tests.conftest import daemon_server, reference_entry
@@ -151,12 +148,9 @@ def check(
 
             dictionary = SynonymDictionary(generation.rows)
             indexes = {"dictionary": (dictionary, MatchResolver(dictionary, click_log=log))}
-            foreign = _foreign_endian(full, scratch / f"foreign-{number}.synart")
             artifacts = {
                 "heap": SynonymArtifact.load(full),
                 "mmap": stack.enter_context(SynonymArtifact.load(full, mmap=True)),
-                "foreign heap": SynonymArtifact.load(foreign),
-                "foreign mmap": stack.enter_context(SynonymArtifact.load(foreign, mmap=True)),
                 "delta": chain,
             }
             for name, artifact in artifacts.items():
@@ -209,7 +203,7 @@ def check(
 def _next_delta_applied(chain, generation, manifest, path, scratch) -> SynonymArtifact:
     """The previous delta-applied artifact (before gen-0: the empty one) plus
     this generation's delta: the publisher's sidecar when it shipped one,
-    else a foreign-endian ``diff_delta``."""
+    else a ``diff_delta``."""
     if manifest.kind == DELTA_KIND:
         return chain.apply_delta(DictionaryDelta.load(delta_path_for(path)))
     if chain is None:
@@ -218,29 +212,7 @@ def _next_delta_applied(chain, generation, manifest, path, scratch) -> SynonymAr
     sidecar = scratch / "chain.delta"
     diff_delta(chain, generation.rows, sidecar, version=manifest.version,
                click_log=generation.click_log)  # fmt: skip
-    foreign = _foreign_endian(sidecar, scratch / "chain-foreign.delta")
-    return chain.apply_delta(DictionaryDelta.load(foreign))
-
-
-def _foreign_endian(path: Path, target: Path) -> Path:
-    """Rewrite *path* as a host of the other byte order would have written
-    it: every typed block byteswapped and ``extra.byteorder`` flipped."""
-    manifest, blocks = read_artifact(path)
-    swapped = {}
-    for name, block in blocks.items():
-        if name == "strings.blob":
-            swapped[name] = bytes(block)
-            continue
-        float64 = name.endswith((".weight", ".value"))
-        values = array("Q" if name == "strings.offsets" else "d" if float64 else "I", bytes(block))
-        values.byteswap()
-        swapped[name] = values.tobytes()
-    write_artifact(
-        target, swapped, kind=manifest.kind, version=manifest.version, counts=manifest.counts,
-        extra={**manifest.extra, "byteorder": "big" if sys.byteorder == "little" else "little"},
-        config_fingerprint=manifest.config_fingerprint,
-    )  # fmt: skip
-    return target
+    return chain.apply_delta(DictionaryDelta.load(sidecar))
 
 
 def _each(where: str, queries: list[str], answers: list, expected: list) -> None:

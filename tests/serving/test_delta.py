@@ -30,7 +30,7 @@ from repro.serving.delta import (
     write_delta,
 )
 from repro.simulation.catalog import Entity, EntityCatalog
-from repro.storage.artifact import ArtifactError, read_artifact, write_artifact
+from repro.storage.artifact import ArtifactError
 
 BASE_ENTRIES = [
     DictionaryEntry("alpha product", "e1", "canonical"),
@@ -125,30 +125,6 @@ class TestDiffAndRoundTrip:
     def test_priors_source_must_match_base(self, base, tmp_path):
         with pytest.raises(ArtifactError, match="priors"):
             diff_delta(base, _new_dictionary(), tmp_path / "d.delta", version="x")
-
-    def test_base_without_state_hash_refused(self, base_path, tmp_path):
-        # Rewrite the base under a pre-delta manifest (no state_hash), as
-        # a PR 2/3 compiler would have produced it.
-        manifest, blocks = read_artifact(base_path)
-        legacy_extra = {
-            key: value for key, value in manifest.extra.items() if key != "state_hash"
-        }
-        legacy = tmp_path / "legacy.synart"
-        write_artifact(
-            legacy,
-            {name: bytes(block) for name, block in blocks.items()},
-            kind=manifest.kind,
-            version=manifest.version,
-            counts=manifest.counts,
-            extra=legacy_extra,
-        )
-        old = SynonymArtifact.load(legacy)
-        assert old.state_hash == ""
-        with pytest.raises(ArtifactError, match="predates delta support"):
-            diff_delta(
-                old, _new_dictionary(), tmp_path / "d.delta", version="x",
-                click_log=_new_click_log(),
-            )
 
 
 class TestApply:

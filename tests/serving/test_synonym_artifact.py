@@ -11,7 +11,7 @@ from repro.serving.artifact import (
     SynonymArtifact,
     compile_dictionary,
 )
-from repro.storage.artifact import ArtifactError, read_artifact, write_artifact
+from repro.storage.artifact import ArtifactError, write_artifact
 
 from tests.oracle import reference
 
@@ -135,7 +135,7 @@ class TestDictionaryIndexProtocol:
 
 
 class TestPriors:
-    """The layout-2 priors block and its layout-1 back-compat story."""
+    """The optional priors block, and ranking without it."""
 
     @pytest.fixture()
     def click_log(self):
@@ -186,36 +186,7 @@ class TestPriors:
         second = compile_dictionary(ENTRIES, tmp_path / "b.synart", click_log=click_log)
         assert first.content_hash == second.content_hash
 
-    def test_layout1_artifact_still_loads(self, tmp_path):
-        """A pre-priors (layout 1) file loads and serves unchanged.
-
-        Simulated by rewriting a fresh artifact's blocks under the old
-        manifest shape: layout_version 1, no ``has_priors`` key, no priors
-        blocks — byte-for-byte what PR 2 compilers produced.
-        """
-        modern = tmp_path / "modern.synart"
-        compile_dictionary(ENTRIES, modern, version="old-gen")
-        manifest, blocks = read_artifact(modern)
-        legacy_extra = dict(manifest.extra)
-        legacy_extra["layout_version"] = 1
-        del legacy_extra["has_priors"]
-        legacy = tmp_path / "legacy.synart"
-        write_artifact(
-            legacy,
-            {name: bytes(block) for name, block in blocks.items()},
-            kind=manifest.kind,
-            version=manifest.version,
-            counts=manifest.counts,
-            extra=legacy_extra,
-        )
-        artifact = SynonymArtifact.load(legacy)
-        assert artifact.manifest.extra["layout_version"] == 1
-        assert artifact.has_priors is False
-        assert artifact.priors() is None
-        assert list(artifact) == list(SynonymArtifact.load(modern))
-        assert artifact.entities_for("indy 4") == {"m1"}
-
-    def test_layout1_resolver_degrades_to_uniform(self, tmp_path):
+    def test_priorless_resolver_degrades_to_uniform(self, tmp_path):
         path = tmp_path / "uniform.synart"
         compile_dictionary(ENTRIES, path)
         resolver = MatchResolver.from_artifact(SynonymArtifact.load(path))

@@ -449,6 +449,19 @@ class TestInputErrors:
         line = self._error_line(["match", "--artifact", tmp_path / "nope.synart", "alpha"], capsys)
         assert "nope.synart" in line
 
+    def test_match_rejects_an_artifact_without_blocks(self, tmp_path, capsys):
+        # The manifest passes the reader gate and the (empty) content hash
+        # verifies; the missing blocks are still bad input, not a traceback.
+        from repro.matching.index import DictionaryEntry
+        from repro.serving.artifact import ARTIFACT_KIND, compile_dictionary
+        from repro.storage.artifact import write_artifact
+
+        manifest = compile_dictionary([DictionaryEntry("alpha", "e1")], tmp_path / "ok.synart")
+        empty = tmp_path / "empty.synart"
+        write_artifact(empty, {}, kind=ARTIFACT_KIND, extra=manifest.extra)
+        line = self._error_line(["match", "--artifact", empty, "alpha"], capsys)
+        assert "'strings.blob'" in line and "recompile" in line
+
     def test_server_rejects_a_corrupt_artifact(self, tmp_path, capsys):
         junk = tmp_path / "junk.synart"
         junk.write_bytes(b"not an artifact at all")

@@ -1,9 +1,11 @@
 """Artifact safety: explicit endianness and atomic publishes only.
 
-The on-disk artifact format (``docs/ARTIFACT_FORMAT.md``) is specified
-little-endian so a file published on one host loads on any other; a
-native-endian ``struct`` format or ``memoryview.cast`` silently bakes the
-writer's byte order into the file.  And the serving layer's durability
+The on-disk framing and the state hash (``docs/ARTIFACT_FORMAT.md``) are
+specified little-endian, so a native-endian ``struct`` format silently
+bakes the writer's byte order into them.  The typed blocks are packed in
+host order and stamped with it; a ``memoryview.cast`` reads them natively,
+so it is safe only behind the reader gate that refuses a foreign
+``byteorder``.  And the serving layer's durability
 story (PR 6) depends on *every* publish going through
 ``repro.storage.artifact.write_artifact`` — tmp file, fsync,
 ``os.replace``, directory fsync — so a crash can never leave a torn
@@ -86,9 +88,8 @@ class ExplicitEndianRule(Rule):
                     module,
                     node,
                     "memoryview.cast() always produces a *native*-endian "
-                    "view; gate it on the manifest byteorder (with a "
-                    "byteswap fallback) and suppress this finding with a "
-                    "reason",
+                    "view; refuse a foreign byteorder before it and "
+                    "suppress this finding with a reason",
                 )
 
 
