@@ -16,7 +16,7 @@ without writing any Python:
   against an existing artifact and writes a small delta sidecar instead
   of a full file (see ``docs/ARTIFACT_FORMAT.md``);
 * ``delta-apply`` — materialize ``BASE + DELTA`` as a full artifact
-  offline (chain verification included), the operational tool for folding
+  offline (chain verification included), the operational tool for merging
   a delta journal back into its base;
 * ``match``       — match live queries (arguments or stdin) against a
   mined dictionary, from ``--synonyms`` JSONL (compiled in memory) or a
@@ -25,14 +25,16 @@ without writing any Python:
   (:mod:`repro.server`) over a compiled artifact: ``/match``,
   ``/resolve``, ``/healthz``, ``/stats`` (with per-endpoint latency
   histograms), ``/admin/reload``, with a background watcher hot-swapping
-  republished artifacts; ``--procs N`` runs N worker processes sharing
-  one port via ``SO_REUSEPORT``, ``--access-log``/``--access-log-sample``
-  enable a sampled JSONL access log;
+  republished artifacts and applying delta sidecars in memory (no server
+  writes a file); ``--procs N`` runs N worker processes sharing one port
+  via ``SO_REUSEPORT`` and the mapped artifact's pages,
+  ``--access-log``/``--access-log-sample`` enable a sampled JSONL access
+  log;
 * ``experiments`` — regenerate Figure 2, Figure 3 and Table I as text;
 * ``scenario``    — the scenario & experiment harness
   (:mod:`repro.scenarios`): ``list`` the named workload scenarios,
-  ``run`` one against a freshly booted daemon (``--procs``/``--mmap``
-  mirror ``server``) writing a versioned JSON result, and ``compare``
+  ``run`` one against a freshly booted daemon (``--procs`` mirrors
+  ``server``) writing a versioned JSON result, and ``compare``
   two result files metric by metric.
 
 Invoke as ``python -m repro <subcommand> ...``.
@@ -205,11 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 0 — access logging off — unless --access-log is "
              "given, which implies 1.0)",
     )
-    server.add_argument(
-        "--mmap", action="store_true",
-        help="serve out of a read-only mmap of the artifact; --procs workers "
-             "then share one set of physical pages instead of N heap copies",
-    )
+    # Accepted and ignored: every server maps the artifact, and the frozen
+    # harness (benchmarks/perf/daemon.py) still passes it; ROADMAP open
+    # item 1 frees the spelling.
+    server.add_argument("--mmap", action="store_true", help=argparse.SUPPRESS)
 
     experiments = subparsers.add_parser(
         "experiments", help="regenerate the paper's figures and tables as text"
@@ -245,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument(
         "--procs", type=_positive_int, default=1,
         help="worker processes for the driven daemon (default 1)",
-    )
-    scenario_run.add_argument(
-        "--mmap", action="store_true", help="serve the artifact mmap-backed"
     )
     scenario_run.add_argument(
         "--output", type=Path, default=None, metavar="PATH",
@@ -461,8 +459,6 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         if args.watch_interval > 0
         else "watcher disabled"
     )
-    if args.mmap:
-        watch_note = f"mmap, {watch_note}"
 
     # The worker options, spelled once: a supervisor forwards them to each
     # worker's MatchDaemon verbatim.
@@ -473,7 +469,6 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         "enable_fuzzy": not args.no_fuzzy,
         "watch_interval": args.watch_interval,
         "max_batch": args.max_batch,
-        "mmap": args.mmap,
     }
     server: MatchDaemon | ServerSupervisor
     if args.procs > 1:
@@ -587,7 +582,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             scenario,
             workdir=workdir,
             procs=args.procs,
-            mmap=args.mmap,
             log=lambda message: print(f"scenario {scenario.name}: {message}", file=sys.stderr),
         )
         result = experiment.run()

@@ -2,8 +2,8 @@
 
 An :class:`Experiment` compiles the scenario's catalog into a real
 artifact, boots a real :class:`~repro.server.daemon.MatchDaemon` (or a
-``--procs N`` :class:`~repro.server.supervisor.ServerSupervisor` group,
-optionally mmap-backed), drives it **over the wire** with
+``--procs N`` :class:`~repro.server.supervisor.ServerSupervisor` group),
+drives it **over the wire** with
 :class:`~repro.server.client.ServerClient`, republishes chained delta
 sidecars mid-run when the scenario calls for churn, and writes one
 versioned JSON result per run.  (The gated performance record is
@@ -103,8 +103,6 @@ class Experiment:
     procs:
         1 boots an in-process :class:`MatchDaemon`; >1 boots a
         ``SO_REUSEPORT`` :class:`ServerSupervisor` worker group.
-    mmap:
-        Serve the artifact mmap-backed (deltas fold to ``*.applied``).
     watch_interval:
         Artifact watcher poll interval for the booted server(s); the
         default is deliberately tight so delta churn scenarios converge
@@ -117,7 +115,6 @@ class Experiment:
         *,
         workdir: str | Path,
         procs: int = 1,
-        mmap: bool = False,
         watch_interval: float = 0.1,
         log: Callable[[str], None] | None = None,
     ) -> None:
@@ -126,7 +123,6 @@ class Experiment:
         self.scenario = scenario
         self.workdir = Path(workdir)
         self.procs = procs
-        self.mmap = mmap
         self.watch_interval = watch_interval
         self._log = log or (lambda message: None)
         self._artifact_path = self.workdir / "catalog.artifact"
@@ -289,11 +285,7 @@ class Experiment:
         """Start the server(s); returns (host, port, shutdown)."""
         from repro.server import MatchDaemon, ServerSupervisor
 
-        options: dict[str, Any] = {
-            "port": 0,
-            "watch_interval": self.watch_interval,
-            "mmap": self.mmap,
-        }
+        options: dict[str, Any] = {"port": 0, "watch_interval": self.watch_interval}
         if self.procs == 1:
             daemon = MatchDaemon(self._artifact_path, **options).start()
             return daemon.host, daemon.port, daemon.stop
@@ -310,7 +302,7 @@ class Experiment:
         self._log(
             f"scenario {scenario.name}: {scenario.entities} entities, "
             f"{len(catalog.rows)} rows, {scenario.repeats} x {scenario.duration_s:g}s, "
-            f"procs={self.procs} mmap={self.mmap}"
+            f"procs={self.procs}"
         )
         host, port, shutdown = self._boot()
         repeats: list[dict[str, Any]] = []
@@ -358,7 +350,6 @@ class Experiment:
             "scenario": scenario.to_dict(),
             "run": {
                 "procs": self.procs,
-                "mmap": self.mmap,
                 "watch_interval_s": self.watch_interval,
                 "python": platform.python_version(),
                 "platform": platform.platform(),

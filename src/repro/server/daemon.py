@@ -280,11 +280,11 @@ class MatchDaemon:
     reuse_port:
         Bind with ``SO_REUSEPORT`` so sibling processes can listen on the
         same port (raises :class:`RuntimeError` where unsupported).
-    mmap:
-        Serve out of a read-only mapping of the artifact file instead of a
-        heap copy (forwarded to :class:`MatchService`); sibling ``--procs``
-        workers mapping the same file share its physical pages, so
-        per-worker RSS stays O(1) in catalog size.
+
+    The service maps the artifact file read-only, so sibling ``--procs``
+    workers share its physical pages and per-worker RSS stays O(1) in
+    catalog size until a delta sidecar lands; from then until the next
+    full publish each worker serves a private in-memory copy.
     """
 
     def __init__(
@@ -300,7 +300,6 @@ class MatchDaemon:
         access_log: AccessLog | None = None,
         worker_id: int | None = None,
         reuse_port: bool = False,
-        mmap: bool = False,
     ) -> None:
         if watch_interval < 0:
             raise ValueError(f"watch_interval must be >= 0, got {watch_interval}")
@@ -318,9 +317,7 @@ class MatchDaemon:
                 "SO_REUSEPORT is not supported on this platform; "
                 "run a single process (no --procs) instead"
             )
-        self.service = MatchService(
-            artifact, cache_size=cache_size, enable_fuzzy=enable_fuzzy, mmap=mmap
-        )
+        self.service = MatchService(artifact, cache_size=cache_size, enable_fuzzy=enable_fuzzy)
         self.watch_interval = watch_interval
         self.max_batch = max_batch
         self.access_log = access_log

@@ -100,9 +100,10 @@ class ServerSupervisor:
     appending to one shared file).  Every other keyword is a
     :class:`MatchDaemon` option, handed verbatim to each worker's daemon;
     one it does not accept raises :class:`TypeError` here, before any
-    process is spawned.  With the daemon's mmap option every worker maps
-    the same published file: one set of physical pages serves the whole
-    group, so adding workers does not add copies of the catalog.
+    process is spawned.  Every worker maps the same published file: one
+    set of physical pages serves the whole group, so adding workers does
+    not add copies of the catalog (until a delta sidecar lands; then each
+    worker serves its own in-memory copy until the next full publish).
     """
 
     def __init__(

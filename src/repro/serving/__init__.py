@@ -27,10 +27,10 @@ hashes, compatibility matrix) are specified normatively in
 ``docs/ARTIFACT_FORMAT.md`` — module docstrings here only summarize.
 
 CLI: ``python -m repro compile`` produces artifacts (``--priors`` embeds
-click priors, ``--delta BASE`` emits a sidecar), ``delta-apply`` folds a
-sidecar into its base offline, ``serve`` / ``server`` answer queries from
-one (following republications and deltas), and ``match --artifact`` uses
-one for ad-hoc matching.
+click priors, ``--delta BASE`` emits a sidecar), ``delta-apply`` merges a
+sidecar into its base offline, ``server`` answers queries from one
+(following republications and deltas), and ``match --artifact`` uses one
+for ad-hoc matching.
 """
 
 from repro.serving.artifact import (

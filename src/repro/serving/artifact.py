@@ -5,14 +5,14 @@ production.  Publishers turn mined synonyms into
 :class:`~repro.matching.index.DictionaryEntry` rows
 (:mod:`repro.matching.index`), collapse them with :func:`dedupe_entries`
 and pack them once, offline, into a single immutable artifact file
-(:func:`compile_entries`) that a server cold-loads with one read — or, for
+(:func:`compile_entries`) that a server cold-loads with one map — or, for
 one-shot tools, straight into memory (:meth:`SynonymArtifact.from_entries`).
 The artifact implements the full
 :class:`~repro.matching.index.DictionaryIndex` protocol directly on the
 packed bytes, materializing a :class:`DictionaryEntry` only when a lookup
 actually touches it.  The packed arrays are *typed views* over the loaded
-buffer — never eager copies — so an mmap-loaded artifact (``load(...,
-mmap=True)``) serves straight out of the page cache and N workers mapping
+buffer — never eager copies — so a loaded artifact (:meth:`load` maps the
+file read-only) serves straight out of the page cache and N workers mapping
 the same published file share one set of physical pages.
 
 The normative description of the on-disk format — container framing,
@@ -460,13 +460,13 @@ class SynonymArtifact:
 
     Implements :class:`~repro.matching.index.DictionaryIndex` for
     :class:`~repro.matching.matcher.QueryMatcher` (and the segmenter and
-    resolver).  Heap, mmap and delta-applied instances all answer exactly
-    as the brute-force reference in ``tests/oracle`` does over the same
-    entries.  Instances are immutable views over one loaded file; strings
+    resolver).  File-backed, in-memory and delta-applied instances all
+    answer exactly as the brute-force reference in ``tests/oracle`` does
+    over the same entries.  Instances are immutable views over one loaded file; strings
     and entries are decoded lazily and cached.
 
     The packed arrays are zero-copy typed views (``memoryview.cast``) over
-    the loaded buffer — heap or mmap alike — so construction copies
+    the mapped file or the in-memory blocks alike, so construction copies
     nothing; :func:`_check_layout` has refused every file not written in
     this host's byte order.  When *mapping* is the
     :class:`~repro.storage.artifact.ArtifactMapping` the blocks came from,
@@ -515,24 +515,26 @@ class SynonymArtifact:
 
     @classmethod
     def load(
-        cls, path: str | Path, *, verify: bool = True, mmap: bool = False
+        cls,
+        path: str | Path,
+        *,
+        # Accepted and ignored: every load maps and verifies the file, and
+        # the frozen harness (benchmarks/perf/layers.py) still passes both;
+        # ROADMAP open item 1 frees the spellings.
+        verify: bool = True,
+        mmap: bool = False,
     ) -> "SynonymArtifact":
-        """Cold-load an artifact: one read (or one map) plus typed views.
+        """Cold-load an artifact: one read-only map plus typed views.
 
-        With ``mmap=True`` the file is mapped read-only instead of copied
-        to the heap; the returned artifact owns the mapping (see
-        :meth:`close`) and every worker process loading the same file this
-        way shares its physical pages.
+        The returned artifact owns the mapping (see :meth:`close`), and
+        every worker process loading the same file shares its physical
+        pages.
         """
-        manifest, blocks = read_artifact(
-            path, expected_kind=ARTIFACT_KIND, verify=verify, mmap=mmap
-        )
-        mapping = blocks if isinstance(blocks, ArtifactMapping) else None
+        manifest, mapping = read_artifact(path, expected_kind=ARTIFACT_KIND)
         try:
-            return cls(manifest, blocks, mapping=mapping)
+            return cls(manifest, mapping, mapping=mapping)
         except BaseException:
-            if mapping is not None:
-                mapping.close()
+            mapping.close()
             raise
 
     # ------------------------------------------------------------------ #
@@ -546,11 +548,11 @@ class SynonymArtifact:
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` ran (always False for heap artifacts)."""
+        """True once :meth:`close` ran (always False for in-memory artifacts)."""
         return self._mapping is not None and self._mapping.closed
 
     def close(self) -> bool:
-        """Release the underlying file mapping (no-op for heap artifacts).
+        """Release the underlying file mapping (no-op for in-memory artifacts).
 
         Returns True when the map was torn down now (or there was none);
         False when live outside views deferred the unmap to CPython's

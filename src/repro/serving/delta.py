@@ -66,7 +66,6 @@ __all__ = [
     "DELTA_KIND",
     "DELTA_LAYOUT_VERSION",
     "delta_path_for",
-    "fold_path_for",
     "write_delta",
     "DictionaryDelta",
     "merge_state",
@@ -92,23 +91,6 @@ def delta_path_for(path: str | Path) -> Path:
     pick up deltas.
     """
     return Path(str(path) + ".delta")
-
-
-def fold_path_for(path: str | Path) -> Path:
-    """Where a consumer republishes a delta-merged artifact (``<path>.applied``).
-
-    An mmap-mode server cannot apply a delta in memory (there is no file to
-    map), so it *folds*: it writes the merged full artifact next to the
-    watched file and remaps from there.  The fold deliberately does **not**
-    go to the watched path itself — that path belongs to the publisher, and
-    overwriting it could clobber a newer full artifact published
-    concurrently.  Because delta application is deterministic, two workers
-    folding the same (base, delta) pair write byte-identical files, so the
-    last atomic rename wins harmlessly.  A full republish makes any fold
-    file stale; :class:`~repro.serving.service.MatchService` sweeps it on
-    full reload.
-    """
-    return Path(str(path) + ".applied")
 
 
 def write_delta(
@@ -218,7 +200,7 @@ class DictionaryDelta:
     :meth:`~repro.serving.artifact.SynonymArtifact.apply_delta`.
     """
 
-    def __init__(self, manifest: ArtifactManifest, blocks: dict[str, memoryview]) -> None:
+    def __init__(self, manifest: ArtifactManifest, blocks: Mapping[str, memoryview]) -> None:
         _check_layout(manifest, kind=DELTA_KIND, layout=DELTA_LAYOUT_VERSION)
         self.manifest = manifest
 
@@ -260,9 +242,14 @@ class DictionaryDelta:
 
     @classmethod
     def load(cls, path: str | Path) -> "DictionaryDelta":
-        """Load a delta sidecar; its content hash is always verified."""
-        manifest, blocks = read_artifact(path, expected_kind=DELTA_KIND)
-        return cls(manifest, blocks)
+        """Load a delta sidecar; its content hash is always verified.
+
+        Everything is decoded at construction, so the file is unmapped
+        before this returns.
+        """
+        manifest, mapping = read_artifact(path, expected_kind=DELTA_KIND)
+        with mapping:
+            return cls(manifest, mapping)
 
     # Chain identities ------------------------------------------------- #
 
@@ -368,8 +355,7 @@ def apply_delta(
     delta: DictionaryDelta,
     *,
     output_path: str | Path | None = None,
-    materialize: bool = True,
-) -> SynonymArtifact | None:
+) -> SynonymArtifact:
     """Materialize the full artifact a delta describes on top of *base*.
 
     Verification, in order: the delta's ``base_state_hash`` must match
@@ -379,10 +365,8 @@ def apply_delta(
     divergent base can never silently produce a corrupted dictionary.
 
     Returns the in-memory post-apply artifact; with *output_path* the same
-    blocks are also written (atomically) as a full layout-2 artifact file.
-    ``materialize=False`` skips building the in-memory artifact and returns
-    ``None`` — the fold path for mmap-mode consumers, which only want the
-    file (all verification still runs).
+    blocks are also written (atomically) as a full layout-2 artifact file
+    (``repro delta-apply``).
     """
     if delta.base_state_hash != base.state_hash:
         raise ArtifactError(
@@ -413,8 +397,6 @@ def apply_delta(
             extra=extra,
             config_fingerprint=fingerprint,
         )
-    if not materialize:
-        return None
     return SynonymArtifact.from_blocks(
         blocks,
         version=delta.version,

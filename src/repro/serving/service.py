@@ -3,9 +3,9 @@
 :class:`MatchService` is what a production front-end would hold instead of
 a bare :class:`~repro.matching.matcher.QueryMatcher`:
 
-* it **owns the artifact** — constructed from a path, it cold-loads the
-  compiled :class:`~repro.serving.artifact.SynonymArtifact` and builds the
-  matcher over it;
+* it **owns the artifact** — constructed from a path, it maps the
+  compiled :class:`~repro.serving.artifact.SynonymArtifact` read-only and
+  builds the matcher over it;
 * it **caches** — results are memoized per *normalized* query in a bounded
   LRU, so the head of a production query distribution is answered without
   re-running segmentation or the fuzzy fallback;
@@ -16,11 +16,13 @@ a bare :class:`~repro.matching.matcher.QueryMatcher`:
   half-built index; :meth:`maybe_reload` makes that a cheap poll;
 * it **applies deltas** — :meth:`maybe_reload` also watches the
   ``<artifact>.delta`` sidecar (:mod:`repro.serving.delta`): an
-  incremental publish that ships only the changed entities is applied to
-  the in-memory artifact instead of cold-loading a full file, counted in
+  incremental publish that ships only the changed entities is applied in
+  memory instead of cold-loading a full file, counted in
   ``stats.deltas_applied``; a sidecar that does not chain onto the
   current state is skipped (``stats.deltas_skipped``) and serving
-  continues on the artifact it has;
+  continues on the artifact it has.  The service never writes a file:
+  after a delta each process serves a private in-memory copy until the
+  next full publish maps a shared file again;
 * it **resolves** — :meth:`resolve` follows a match with a
   :class:`~repro.matching.resolver.MatchResolver` ranking over the
   artifact's embedded click priors, so ambiguous queries come back as an
@@ -31,7 +33,7 @@ a bare :class:`~repro.matching.matcher.QueryMatcher`:
   mid-traffic :meth:`reload`.
 
 The service returns exactly what the underlying matcher returns, cache hit
-or miss, heap or mmap, before and after a delta or a full republish:
+or miss, before and after a delta or a full republish:
 ``tests/oracle`` holds :meth:`MatchService.match` and
 :meth:`MatchService.resolve` to the brute-force reference field for field.
 """
@@ -146,20 +148,17 @@ class MatchService:
     artifact:
         Path to a compiled artifact file, or an already-loaded
         :class:`SynonymArtifact` (then :meth:`reload` requires a path).
-        Every file read on its behalf — the artifact, a delta sidecar, a
-        fold — has its content hash checked.
+        Every file read on its behalf — the artifact or a delta sidecar —
+        is mapped read-only and has its content hash checked.
     cache_size:
         Maximum number of distinct normalized queries memoized (0 disables
         the cache).
     enable_fuzzy:
         Forwarded to :class:`QueryMatcher` (which owns the fuzzy thresholds).
-    mmap:
-        Serve out of a read-only file mapping instead of a heap copy.
-        Requires a path-backed service; workers in separate processes
-        mapping the same published file share its physical pages.  A
-        pending delta sidecar is then *folded* — republished as a merged
-        full artifact at ``<path>.applied`` and remapped — instead of
-        applied in memory (see :func:`repro.serving.delta.fold_path_for`).
+
+    Workers in separate processes serving the same published file share
+    its physical pages.  A delta sidecar is applied in memory, so from then
+    until the next full publish each process serves a private copy.
     """
 
     def __init__(
@@ -168,15 +167,15 @@ class MatchService:
         *,
         cache_size: int = 4096,
         enable_fuzzy: bool = True,
+        # Accepted and ignored: every file is mapped, and the frozen harness
+        # (benchmarks/perf/layers.py) still passes it; ROADMAP open item 1
+        # frees the spelling.
         mmap: bool = False,
     ) -> None:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        if mmap and isinstance(artifact, SynonymArtifact):
-            raise ValueError("mmap serving requires a path-backed service")
         self.cache_size = cache_size
         self.enable_fuzzy = enable_fuzzy
-        self.mmap = mmap
         self._path: Path | None = None
         self._queries = 0
         self._cache_hits = 0
@@ -195,7 +194,7 @@ class MatchService:
             self._path = Path(artifact)
             self._state = self._load_state(self._path)
             # A pending sidecar from an incremental publish is part of the
-            # current logical state: fold it in before serving (a restart
+            # current logical state: apply it before serving (a restart
             # otherwise answers from the stale pre-delta base).
             with self._reload_lock:
                 self._apply_pending_delta_locked()
@@ -216,19 +215,8 @@ class MatchService:
         )
 
     def _load_state(self, path: Path) -> _ServingState:
-        from repro.serving.delta import fold_path_for
-
         stat = path.stat()
-        artifact = SynonymArtifact.load(path, mmap=self.mmap)
-        # A full (re)load obsoletes any fold file left by an earlier delta:
-        # the watched artifact is now the newest full state.  Unlinking is
-        # safe even while an old worker still maps the fold — POSIX keeps
-        # the pages alive until the last mapping drops.  If a sidecar is
-        # still pending, _apply_pending_delta_locked re-folds right after.
-        try:
-            fold_path_for(path).unlink()
-        except OSError:
-            pass
+        artifact = SynonymArtifact.load(path)
         return self._build_state(
             artifact, stamp=(stat.st_mtime_ns, stat.st_size, stat.st_ino)
         )
@@ -291,14 +279,10 @@ class MatchService:
         (``deltas_skipped``) so the poll path does not re-read it every
         tick; serving continues on the artifact already loaded.
 
-        In mmap mode there is no in-memory apply — the merged artifact is
-        *folded* to ``<path>.applied`` (never the watched path itself,
-        which belongs to the publisher) and remapped from there.  The
-        sidecar stays on disk so a restart re-folds; folding is
-        deterministic, so concurrent workers folding the same pair write
-        byte-identical files and the last atomic rename wins harmlessly.
+        The merged artifact lives in memory only: nothing is written, and
+        the sidecar stays on disk so a restart applies it again.
         """
-        from repro.serving.delta import DictionaryDelta, apply_delta, fold_path_for
+        from repro.serving.delta import DictionaryDelta
         from repro.storage.artifact import ArtifactError
 
         stamp = self._delta_stamp()
@@ -306,13 +290,7 @@ class MatchService:
         if stamp is None or state.delta_stamp == stamp:
             return False
         try:
-            delta = DictionaryDelta.load(self.delta_path)
-            if self.mmap:
-                fold = fold_path_for(self._path)  # type: ignore[arg-type]
-                apply_delta(state.artifact, delta, output_path=fold, materialize=False)
-                artifact = SynonymArtifact.load(fold, mmap=True)
-            else:
-                artifact = state.artifact.apply_delta(delta)
+            artifact = state.artifact.apply_delta(DictionaryDelta.load(self.delta_path))
         except FileNotFoundError:
             # Unlinked between the stat and the read (a concurrent full
             # publish removes its stale sidecar): nothing to apply, and
@@ -418,7 +396,7 @@ class MatchService:
         never called on hot swap, where in-flight requests may still hold
         views into the old state; a swapped-out state is simply dropped and
         refcounting unmaps it when the last reader finishes.  Returns True
-        when the map went away now (always True for heap serving).
+        when the map went away now (always True for an in-memory artifact).
         """
         return self._state.artifact.close()
 

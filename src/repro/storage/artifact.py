@@ -1,7 +1,7 @@
 """Single-file binary artifact container: manifest + named byte blocks.
 
 The serving layer publishes compiled dictionaries as *artifacts*: one
-immutable file that a server can cold-load with a single read.  This module
+immutable file that a server can cold-load with a single map.  This module
 is the storage-level codec, deliberately ignorant of what the blocks mean
 (the dictionary layouts live in :mod:`repro.serving.artifact` and
 :mod:`repro.serving.delta`; the normative byte-level specification of the
@@ -20,10 +20,10 @@ container *and* every layout is ``docs/ARTIFACT_FORMAT.md``).  It handles
   daemon's poll, a :class:`~repro.serving.service.MatchService` reload)
   never observes a half-written file, and the rename itself
   survives power loss, not just process crash;
-* **zero-copy mmap loads** — :func:`read_artifact` with ``mmap=True``
-  returns block views over one shared read-only file mapping
-  (:class:`ArtifactMapping`), so N server processes loading the same
-  published file share its pages instead of holding N heap copies.
+* **zero-copy mapped loads** — :func:`read_artifact` returns block views
+  over one shared read-only file mapping (:class:`ArtifactMapping`), so N
+  server processes loading the same published file share its pages
+  instead of holding N heap copies.
 """
 
 from __future__ import annotations
@@ -292,11 +292,11 @@ def _decode_manifest(raw: bytes, source: str) -> ArtifactManifest:
 def _parse_header(data: Any, source: str) -> tuple[ArtifactManifest, int]:
     """Validate framing and decode the manifest from a whole-file buffer.
 
-    *data* is anything sliceable with a length — ``bytes`` on the heap
-    path, the ``mmap`` object on the mapped path.  Validation order
-    matters: magic and container version are checked before
-    ``manifest_len`` is trusted, so a foreign or corrupt file gets a clear
-    error instead of a giant bounded-only-by-the-file read.
+    *data* is anything sliceable with a length (the ``mmap`` object of
+    :func:`read_artifact`).  Validation order matters: magic and container
+    version are checked before ``manifest_len`` is trusted, so a foreign or
+    corrupt file gets a clear error instead of a giant
+    bounded-only-by-the-file read.
     """
     if len(data) < _HEADER.size:
         raise ArtifactError(f"{source}: too short to be an artifact")
@@ -337,8 +337,8 @@ class ArtifactMapping(_MappingABC[str, memoryview]):
 
     Behaves as a read-only ``Mapping[str, memoryview]`` of block name →
     zero-copy view over a shared read-only file mapping, so it drops in
-    wherever the heap path's plain block dict is accepted.  On top of that
-    it owns the map's lifetime:
+    wherever a plain block dict is accepted.  On top of that it owns the
+    map's lifetime:
 
     * every view it hands out (and every derived typed view registered via
       :meth:`adopt`) is released by :meth:`close`, after which the mapping
@@ -459,67 +459,44 @@ def _slice_blocks(
     return blocks
 
 
-def _verify_blocks(
-    blocks: Mapping[str, memoryview], manifest: ArtifactManifest, source: str
-) -> None:
-    # hashlib consumes memoryviews directly — no payload copy here.
-    if content_hash(blocks) != manifest.content_hash:
-        raise ArtifactError(
-            f"{source}: content hash mismatch (file corrupted or half-copied)"
-        )
-
-
 def read_artifact(
-    path: str | Path,
-    *,
-    expected_kind: str | None = None,
-    verify: bool = True,
-    mmap: bool = False,
-) -> tuple[ArtifactManifest, Mapping[str, memoryview]]:
-    """Load an artifact; blocks come back as zero-copy views.
+    path: str | Path, *, expected_kind: str | None = None
+) -> tuple[ArtifactManifest, ArtifactMapping]:
+    """Map an artifact read-only and verify it; blocks are zero-copy views.
 
-    With the default ``mmap=False`` the whole file is read into one heap
-    buffer and the blocks are views into it.  With ``mmap=True`` the file
-    is mapped read-only instead and the returned blocks mapping is an
-    :class:`ArtifactMapping` — the ownership object that keeps the map
-    alive and closes it deterministically; the pages are shared with every
-    other process mapping the same file.
-
-    With ``verify=True`` (the default) the content hash is recomputed and a
-    mismatch raises :class:`ArtifactError`; pass ``verify=False`` to skip
-    the hash for trusted local files.  (In mmap mode verification also
-    pre-faults every page, so a verified map serves its first queries
-    without major page faults.)
+    The returned :class:`ArtifactMapping` is the ownership object that
+    keeps the map alive and closes it deterministically; the pages are
+    shared with every other process mapping the same file.  The content
+    hash is always recomputed (a mismatch raises :class:`ArtifactError`),
+    which also pre-faults every page, so a loaded artifact serves its first
+    queries without major page faults.
     """
     path = Path(path)
-    mapped: _mmap.mmap | None = None
-    if mmap:
-        with path.open("rb") as handle:
-            # mmap refuses an empty file; say what is wrong with it instead.
-            if os.fstat(handle.fileno()).st_size < _HEADER.size:
-                raise ArtifactError(f"{path}: too short to be an artifact")
-            mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-    data = path.read_bytes() if mapped is None else mapped
-    view = memoryview(data)
+    with path.open("rb") as handle:
+        # mmap refuses an empty file; say what is wrong with it instead.
+        if os.fstat(handle.fileno()).st_size < _HEADER.size:
+            raise ArtifactError(f"{path}: too short to be an artifact")
+        mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
+    view = memoryview(mapped)
     blocks: dict[str, memoryview] = {}
     try:
-        manifest, _ = _parse_header(data, str(path))
+        manifest, _ = _parse_header(mapped, str(path))
         if expected_kind is not None and manifest.kind != expected_kind:
             raise ArtifactError(
                 f"{path}: artifact kind {manifest.kind!r}, expected {expected_kind!r}"
             )
         blocks = _slice_blocks(view, manifest, str(path))
-        if verify:
-            _verify_blocks(blocks, manifest, str(path))
+        # hashlib consumes memoryviews directly — no payload copy here.
+        if content_hash(blocks) != manifest.content_hash:
+            raise ArtifactError(
+                f"{path}: content hash mismatch (file corrupted or half-copied)"
+            )
     except BaseException:
         # Release every view before unmapping: a live export would make
         # mmap.close() raise instead of returning the pages.
         for block in blocks.values():
             block.release()
         view.release()
-        if mapped is not None:
-            mapped.close()
+        mapped.close()
         raise
-    if mapped is None:
-        return manifest, blocks
     return manifest, ArtifactMapping(path, manifest, mapped, view, blocks)

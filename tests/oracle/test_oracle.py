@@ -1,13 +1,13 @@
 """One oracle for every representation that answers a query.
 
-Whatever answers — ``SynonymDictionary``, a heap, mmap or delta-applied
-``SynonymArtifact``, ``MatchService`` (heap or mmap, cold or warm LRU), or
-the daemon over the wire — must give, field for field, what the brute-force
-scans in :mod:`tests.oracle.reference` derive from the published rows:
-index lookups, ``EntityMatch`` (fuzzy on and off) and the ranked list.  It
-must hold at each of three generations, published as gen-0 (full), gen-1
-(a delta sidecar, which the services apply in memory or fold) and gen-2 (a
-full republish), and a delta-applied artifact must carry the full compile's
+Whatever answers — ``SynonymDictionary``, a file-backed or delta-applied
+``SynonymArtifact``, ``MatchService`` (cold or warm LRU), or the daemon
+over the wire — must give, field for field, what the brute-force scans in
+:mod:`tests.oracle.reference` derive from the published rows: index
+lookups, ``EntityMatch`` (fuzzy on and off) and the ranked list.  It must
+hold at each of three generations, published as gen-0 (full), gen-1 (a
+delta sidecar, which the services apply in memory) and gen-2 (a full
+republish), and a delta-applied artifact must carry the full compile's
 content hash.
 
 Hypothesis drives the in-process legs over a small colliding vocabulary
@@ -109,13 +109,13 @@ def check(
     *,
     similarity: float = reference.SIMILARITY_THRESHOLD,
     containment: float = reference.CONTAINMENT_THRESHOLD,
-    daemon_options: dict | None = None,
+    daemon: bool = False,
 ) -> None:
     """Publish each generation to one path and hold everything to the reference.
 
     The index-level matchers use the given thresholds, the services and the
-    daemon the defaults.  With *daemon_options* a daemon watches the path
-    too and is checked over the wire once it serves each generation.
+    daemon the defaults.  With *daemon* a daemon watches the path too and
+    is checked over the wire once it serves each generation.
     """
     path = scratch / "served.synart"
     chain = None  # the delta-applied artifact
@@ -137,7 +137,7 @@ def check(
 
             manifest = generation.publish(path)
             version = manifest.version
-            # Heap and mmap load what was published, or a full compile of
+            # The file leg loads what was published, or a full compile of
             # the rows when the publisher shipped a sidecar.
             full, compiled = path, manifest
             if manifest.kind == DELTA_KIND:
@@ -149,8 +149,7 @@ def check(
             dictionary = SynonymDictionary(generation.rows)
             indexes = {"dictionary": (dictionary, MatchResolver(dictionary, click_log=log))}
             artifacts = {
-                "heap": SynonymArtifact.load(full),
-                "mmap": stack.enter_context(SynonymArtifact.load(full, mmap=True)),
+                "file": stack.enter_context(SynonymArtifact.load(full)),
                 "delta": chain,
             }
             for name, artifact in artifacts.items():
@@ -169,23 +168,22 @@ def check(
                 _each(where, queries, [(m, resolver.rank(m)) for m in served], resolved)
 
             if number == 0:
-                services = {"heap": MatchService(path), "mmap": MatchService(path, mmap=True)}
-                for service in services.values():
-                    stack.callback(service.close)
-            for name, service in services.items():
-                if number:
-                    assert service.maybe_reload() is True, name
-                assert service.manifest.version == version, name
-                assert service.artifact.is_mapped == (name == "mmap")
-                for cache in ("cold", "warm"):
-                    where = f"{name} service, {cache} cache, {version}"
-                    _each(where, queries, list(map(service.resolve, queries)), resolved)
-                    _each(where, queries, list(map(service.match, queries)), served)
+                service = MatchService(path)
+                stack.callback(service.close)
+            else:
+                assert service.maybe_reload() is True, version
+            assert service.manifest.version == version
+            # A published file is mapped; a delta is applied to an in-memory copy.
+            assert service.artifact.is_mapped == (manifest.kind != DELTA_KIND), version
+            for cache in ("cold", "warm"):
+                where = f"service, {cache} cache, {version}"
+                _each(where, queries, list(map(service.resolve, queries)), resolved)
+                _each(where, queries, list(map(service.match, queries)), served)
 
-            if daemon_options is not None:
+            if daemon:
                 if number == 0:
                     _daemon, client = stack.enter_context(
-                        daemon_server(path, watch_interval=0.02, **daemon_options)
+                        daemon_server(path, watch_interval=0.02)
                     )
                 deadline = time.monotonic() + 10
                 while client.healthz()["artifact_version"] != version:
@@ -325,13 +323,13 @@ class Case:
     containment: float = reference.CONTAINMENT_THRESHOLD
     with_priors: bool = True
 
-    def run(self, scratch: Path, **daemon) -> None:
+    def run(self, scratch: Path, *, daemon: bool = False) -> None:
         log = ClickLog.from_tuples((query, "https://c.example/", n) for query, n in self.clicks)
         texts = [row.text for rows in self.generations for row in rows]
         queries = list(dict.fromkeys(self.queries + texts + EXTRA_QUERIES))
         states = row_generations(self.generations, log if self.with_priors else None)
         check(states, queries, scratch, similarity=self.similarity,
-              containment=self.containment, **daemon)  # fmt: skip
+              containment=self.containment, daemon=daemon)  # fmt: skip
 
 
 @st.composite
@@ -399,7 +397,7 @@ def test_every_representation_answers_like_the_reference(case):
 
 
 def test_the_daemon_answers_like_the_reference_across_republishes(tmp_path):
-    SCRIPTS_AND_SYMBOLS.run(tmp_path, daemon_options={"mmap": True})
+    SCRIPTS_AND_SYMBOLS.run(tmp_path, daemon=True)
 
 
 def test_the_toy_worlds_publisher_is_served_like_the_reference(toy_world, tmp_path):
@@ -408,7 +406,7 @@ def test_the_toy_worlds_publisher_is_served_like_the_reference(toy_world, tmp_pa
     queries += [record.query for record in toy_world.click_log.iter_records()]
     queries += ["oracle alias 1", "oracle alias 2 near me", "quinn lyraa kingdm", "THE KINGDOM!!"]
     queries = list(dict.fromkeys(queries + EXTRA_QUERIES))
-    check(toy_generations(toy_world), queries, tmp_path, daemon_options={})
+    check(toy_generations(toy_world), queries, tmp_path, daemon=True)
 
 
 @settings(max_examples=60, deadline=None)

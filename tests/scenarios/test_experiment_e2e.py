@@ -1,7 +1,7 @@
 """End-to-end tests for the experiment runner and the `scenario` CLI.
 
 These drive the real path: compile the scenario's catalog, boot a real
-daemon (including the ``--procs 2 --mmap`` worker-group shape), push the
+daemon (including the ``--procs 2`` worker-group shape), push the
 workload over the wire, and check the written result JSON — the same
 artifacts CI's scenario-smoke job uploads.
 """
@@ -46,15 +46,16 @@ def run_scenario_cli(tmp_path, *args: str) -> tuple[int, dict]:
 class TestDeltaStormRegression:
     @needs_reuse_port
     def test_delta_storm_against_procs2_mmap_daemon(self, tmp_path):
-        """The PR's pinned regression: churn under a multi-process mmap group.
+        """The pinned regression: churn under a multi-process group.
 
-        ``scenario run delta-storm`` against a ``--procs 2 --mmap`` daemon
+        ``scenario run delta-storm`` against a ``--procs 2`` daemon, whose
+        workers map the artifact and apply each sidecar in memory,
         must finish with zero errors, at least one delta actually applied
         (visible in the scraped ``/stats``), and a well-formed result JSON.
         """
         code, result = run_scenario_cli(
             tmp_path, "delta-storm", "--seed", "3", "--duration", "4",
-            "--procs", "2", "--mmap",
+            "--procs", "2",
         )
         assert code == 0
         summary = result["summary"]
@@ -67,9 +68,10 @@ class TestDeltaStormRegression:
         assert summary["server"]["artifact_version"] == (
             f"gen-{summary['deltas_published']}"
         )
-        assert result["run"] == {
-            **result["run"], "procs": 2, "mmap": True,
-        }
+        assert result["run"]["procs"] == 2
+        assert sorted(p.name for p in (tmp_path / "work").iterdir()) == [
+            "catalog.artifact", "catalog.artifact.delta",
+        ]  # no server wrote a file
 
     def test_delta_storm_single_process(self, tmp_path):
         scenario = get_scenario("delta-storm").with_overrides(duration_s=2.5, seed=11)

@@ -1,6 +1,6 @@
 """The artifact readers load what this build writes, and refuse the rest.
 
-Both readers (``SynonymArtifact``, heap and mmap, and ``DictionaryDelta``)
+Both readers (``SynonymArtifact`` and ``DictionaryDelta``)
 share one gate on the manifest: kind, exact layout, the host's byte order
 and ``u32`` width, and a ``state_hash``.  Each refusal below rewrites a
 freshly compiled file's manifest with ``write_artifact`` (the blocks stay
@@ -8,7 +8,7 @@ valid, so the content hash still verifies) and must raise an
 ``ArtifactError`` that says to recompile.  A file whose manifest passes but
 whose blocks are missing or ragged is refused the same way, never with a
 ``KeyError`` or ``TypeError``, and a service watching such a sidecar skips
-it once and keeps serving.
+it once and keeps serving.  Every refusal closes the map it opened.
 """
 
 import sys
@@ -45,8 +45,7 @@ REFUSED = {
 }
 
 LOADERS = {
-    "full-heap": ("full", SynonymArtifact.load),
-    "full-mmap": ("full", lambda path: SynonymArtifact.load(path, mmap=True)),
+    "full-mmap": ("full", SynonymArtifact.load),
     "delta": ("delta", DictionaryDelta.load),
 }
 
@@ -63,16 +62,16 @@ def written(tmp_path):
 
 @pytest.fixture()
 def mappings(monkeypatch):
-    """Every mapping an mmap ``SynonymArtifact.load`` opens, to check it closed."""
+    """Every mapping either reader opens, to check it closed."""
     opened: list[ArtifactMapping] = []
 
     def recording(*args, **kwargs):
-        manifest, blocks = read_artifact(*args, **kwargs)
-        if isinstance(blocks, ArtifactMapping):
-            opened.append(blocks)
-        return manifest, blocks
+        manifest, mapping = read_artifact(*args, **kwargs)
+        opened.append(mapping)
+        return manifest, mapping
 
     monkeypatch.setattr(artifact_module, "read_artifact", recording)
+    monkeypatch.setattr(delta_module, "read_artifact", recording)
     return opened
 
 
@@ -98,6 +97,7 @@ def test_every_other_file_is_refused(written, tmp_path, loader, rewrite, mapping
     refused = _rewrite(written[kind], tmp_path / "refused", extra=REFUSED[rewrite])
     with pytest.raises(ArtifactError, match="recompile"):
         load(refused)
+    assert len(mappings) == 1
     assert all(mapping.closed for mapping in mappings)
 
 
@@ -111,14 +111,15 @@ MALFORMED_FULL = {
 }
 
 
-@pytest.mark.parametrize("mmap", [False, True], ids=["heap", "mmap"])
+# Every load maps the file; the one mode keeps the tests' node IDs.
+@pytest.mark.parametrize("mode", ["mmap"])
 @pytest.mark.parametrize("malformed", MALFORMED_FULL)
-def test_malformed_blocks_are_an_artifact_error(written, tmp_path, malformed, mmap, mappings):
+def test_malformed_blocks_are_an_artifact_error(written, tmp_path, malformed, mode, mappings):
     path = tmp_path / "malformed.synart"
     _rewrite(written["full"], path, blocks=MALFORMED_FULL[malformed])
     with pytest.raises(ArtifactError, match="recompile"):
-        SynonymArtifact.load(path, mmap=mmap)
-    assert len(mappings) == mmap
+        SynonymArtifact.load(path)
+    assert len(mappings) == 1
     assert all(mapping.closed for mapping in mappings)
 
 

@@ -72,12 +72,6 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="hash"):
             read_artifact(artifact_path)
 
-    def test_corruption_ignorable_when_unverified(self, artifact_path):
-        data = bytearray(artifact_path.read_bytes())
-        data[-1] ^= 0xFF
-        artifact_path.write_bytes(bytes(data))
-        read_artifact(artifact_path, verify=False)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.art"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

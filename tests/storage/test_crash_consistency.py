@@ -3,10 +3,8 @@
 A publish can be interrupted anywhere — power loss mid-copy, a SIGKILLed
 rsync, a torn download.  Whatever prefix (or corruption) of a valid
 artifact ends up on disk, loading it must raise a clean
-:class:`ArtifactError`; it must never return garbage blocks.  Both load
-modes are pinned: the heap path (``read_bytes``) and the mmap path share
-the same validation, and the mmap path must additionally release its
-mapping on every failure.
+:class:`ArtifactError`; it must never return garbage blocks, and the
+read-only map it opened must be released on every failure.
 """
 
 import struct
@@ -37,7 +35,8 @@ CLICKS = ClickLog.from_tuples(
     [("indy 4", "https://a.example", 120), ("madagascar 2", "https://b.example", 200)]
 )
 
-MODES = ["heap", "mmap"]
+# Every load maps the file; the one mode keeps the tests' node IDs.
+MODES = ["mmap"]
 
 
 @pytest.fixture()
@@ -48,10 +47,9 @@ def artifact_path(tmp_path):
     return path
 
 
-def load(path, mode):
-    manifest, blocks = read_artifact(path, mmap=(mode == "mmap"))
-    if isinstance(blocks, ArtifactMapping):
-        blocks.close()
+def load(path):
+    manifest, mapping = read_artifact(path)
+    mapping.close()
     return manifest
 
 
@@ -80,16 +78,16 @@ class TestTruncation:
         for cut in boundaries(artifact_path):
             artifact_path.write_bytes(data[:cut])
             with pytest.raises(ArtifactError):
-                load(artifact_path, mode)
+                load(artifact_path)
         artifact_path.write_bytes(data)
-        load(artifact_path, mode)  # restored file loads again
+        load(artifact_path)  # restored file loads again
 
     @pytest.mark.parametrize("mode", MODES)
     def test_empty_file_rejected(self, tmp_path, mode):
         path = tmp_path / "empty.synart"
         path.write_bytes(b"")
         with pytest.raises(ArtifactError, match="too short"):
-            load(path, mode)
+            load(path)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_synonym_loader_never_returns_garbage(self, artifact_path, mode):
@@ -97,7 +95,7 @@ class TestTruncation:
         for cut in boundaries(artifact_path):
             artifact_path.write_bytes(data[:cut])
             with pytest.raises(ArtifactError):
-                SynonymArtifact.load(artifact_path, mmap=(mode == "mmap"))
+                SynonymArtifact.load(artifact_path)
 
 
 class TestCorruption:
@@ -112,7 +110,7 @@ class TestCorruption:
             corrupted[offset] ^= 0xFF
             artifact_path.write_bytes(bytes(corrupted))
             with pytest.raises(ArtifactError, match="hash"):
-                load(artifact_path, mode)
+                load(artifact_path)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_block_span_past_eof_rejected(self, artifact_path, mode, tmp_path):
@@ -130,7 +128,7 @@ class TestCorruption:
             + raw[_HEADER.size + len(read_manifest(artifact_path).to_json().encode()) :]
         )
         with pytest.raises(ArtifactError, match="past end"):
-            load(doctored, mode)
+            load(doctored)
 
 
 class TestManifestLenValidation:
@@ -189,17 +187,17 @@ class TestManifestLenValidation:
 
 class TestMmapFailureCleanup:
     def test_failed_mmap_load_releases_mapping(self, artifact_path):
-        # A verify failure in mmap mode must not leak the map: the file
+        # A verify failure must not leak the map: the file
         # stays replaceable/unlinkable and a subsequent good load works.
         data = bytearray(artifact_path.read_bytes())
         data[-1] ^= 0x01
         artifact_path.write_bytes(bytes(data))
         for _ in range(3):
             with pytest.raises(ArtifactError, match="hash"):
-                read_artifact(artifact_path, mmap=True)
+                read_artifact(artifact_path)
         data[-1] ^= 0x01
         artifact_path.write_bytes(bytes(data))
-        manifest, mapping = read_artifact(artifact_path, mmap=True)
+        manifest, mapping = read_artifact(artifact_path)
         assert isinstance(mapping, ArtifactMapping)
         assert mapping.close() is True
 
@@ -207,4 +205,4 @@ class TestMmapFailureCleanup:
         path = tmp_path / "other.art"
         write_artifact(path, {"x": b"abc"}, kind="something-else")
         with pytest.raises(ArtifactError, match="kind"):
-            read_artifact(path, expected_kind="synonym-dictionary", mmap=True)
+            read_artifact(path, expected_kind="synonym-dictionary")

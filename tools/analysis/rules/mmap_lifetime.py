@@ -1,8 +1,7 @@
 """Mmap lifetime: typed views over an ArtifactMapping must be adopted.
 
-``read_artifact(mmap=True)`` hands out an ``ArtifactMapping`` whose
-``close()`` unmaps the file — but only once every exported buffer is
-released.  A ``memoryview.cast`` view that escapes a function (returned,
+``read_artifact`` hands out an ``ArtifactMapping`` whose ``close()``
+unmaps the file — but only once every exported buffer is released.  A ``memoryview.cast`` view that escapes a function (returned,
 or stored on ``self``) without going through ``ArtifactMapping.adopt()``
 is invisible to that accounting: it pins the map forever or, worse, dies
 with a ``BufferError``/segfault-shaped surprise when the mapping closes
