@@ -4,8 +4,10 @@
 in plain Python containers:
 
 * an exact-string index (normalized string → entries), and
-* a token index (token → strings containing it) for the fuzzy fallback's
-  shortlist.
+* a token index (token → ids of the strings containing it) for the fuzzy
+  fallback's shortlist, served as the same
+  :class:`~repro.matching.index.TokenPostings` view the artifact returns,
+  so the matcher has one path over both.
 
 No production path builds one: publishers compile entries straight into a
 :class:`~repro.serving.artifact.SynonymArtifact`.  Only the perf oracle
@@ -18,9 +20,9 @@ can go.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from repro.matching.index import DictionaryEntry, entries_from_mining_result
+from repro.matching.index import DictionaryEntry, TokenPostings, entries_from_mining_result
 from repro.text.normalize import normalize
 from repro.text.tokenize import tokenize
 
@@ -37,7 +39,11 @@ class SynonymDictionary:
     def __init__(self, entries: Iterable[DictionaryEntry] = ()) -> None:
         self._entries: list[DictionaryEntry] = []
         self._exact: dict[str, list[DictionaryEntry]] = defaultdict(list)
-        self._token_index: dict[str, set[str]] = defaultdict(set)
+        # Each distinct text gets a string id on first add: its position in
+        # _texts.  The token index and the word counts are keyed by it.
+        self._texts: list[str] = []
+        self._word_counts: dict[int, int] = {}
+        self._token_index: dict[str, set[int]] = defaultdict(set)
         # (normalized text, entity id) → position in _entries, so duplicate
         # adds resolve in O(1) instead of scanning the exact bucket.
         self._positions: dict[tuple[str, str], int] = {}
@@ -72,9 +78,14 @@ class SynonymDictionary:
             return
         self._positions[key] = len(self._entries)
         self._entries.append(normalized_entry)
+        if text not in self._exact:
+            sid = len(self._texts)
+            self._texts.append(text)
+            words = set(tokenize(text, normalized=True))
+            self._word_counts[sid] = len(words)
+            for token in words:
+                self._token_index[token].add(sid)
         self._exact[text].append(normalized_entry)
-        for token in tokenize(text, normalized=True):
-            self._token_index[token].add(text)
 
     @classmethod
     def from_mining_result(
@@ -112,9 +123,19 @@ class SynonymDictionary:
         """Whether *token* is a word of some dictionary string."""
         return token in self._token_index
 
-    def strings_containing_token(self, token: str) -> set[str]:
-        """Dictionary strings containing *token* (fuzzy-fallback shortlist)."""
-        return set(self._token_index.get(token, ()))
+    def strings_containing_token(self, token: str) -> TokenPostings:
+        """Dictionary strings containing *token* (fuzzy-fallback shortlist).
+
+        A :class:`~repro.matching.index.TokenPostings` view over the ids of
+        those strings, sorted by string as the artifact's postings are.
+        """
+        decode = self._texts.__getitem__
+        sids = sorted(self._token_index.get(token, ()), key=decode)
+        return TokenPostings(sids, decode, self.word_counts)
+
+    def word_counts(self) -> Mapping[int, int]:
+        """String id → number of distinct words (kept as strings are added)."""
+        return self._word_counts
 
     @property
     def max_entry_tokens(self) -> int:

@@ -21,7 +21,8 @@ online path consumes:
 * a **token test** (``has_token``): the segmenter probes only spans whose
   every word the index has,
 * a **token shortlist** for the fuzzy fallback
-  (``strings_containing_token``),
+  (``strings_containing_token``), a :class:`TokenPostings` view whose
+  string ids the matcher pools and filters before it decodes a string,
 * **entry iteration** (``__iter__`` / ``__len__`` /
   ``strings_for_entity``) for offline consumers such as the resolver's
   click-prior, and
@@ -33,8 +34,19 @@ the in-memory index the perf oracle answers from.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 if TYPE_CHECKING:  # the simulator stays out of the serving process
     from repro.core.types import MiningResult
@@ -43,6 +55,7 @@ if TYPE_CHECKING:  # the simulator stays out of the serving process
 __all__ = [
     "DictionaryEntry",
     "DictionaryIndex",
+    "TokenPostings",
     "entries_from_mining_result",
     "entries_from_mined_rows",
     "mined_row",
@@ -106,6 +119,57 @@ def entries_from_mined_rows(
         yield DictionaryEntry(synonym, canonical, source="mined", weight=clicks)
 
 
+class TokenPostings(AbstractSet[str]):
+    """The dictionary strings containing one token: a read-only set view.
+
+    An index hands out its postings for a token as string ids in the byte
+    order of their strings (the artifact's ``token.postings`` slice, with
+    no copy), together with two readers over the same id space: *decode*
+    (id → string) and *word_counts* (a callable returning id → the number
+    of distinct words of that string, for every string of the index).
+    Only what a caller touches costs anything:
+
+    * ``len`` reads the slice length and decodes nothing;
+    * ``in`` bisects the byte-sorted ids, decoding only the probed ones;
+    * iteration decodes every member;
+    * :attr:`ids` is the members' ids as a ``frozenset``, built in C from
+      the slice without decoding anything.
+
+    Set comparisons (``==``, ``<=``, ``&`` …) come from
+    :class:`collections.abc.Set` and compare strings.
+    """
+
+    __slots__ = ("_sids", "decode", "word_counts")
+
+    def __init__(
+        self,
+        sids: Sequence[int],
+        decode: Callable[[int], str],
+        word_counts: Callable[[], Mapping[int, int]],
+    ) -> None:
+        self._sids = sids
+        self.decode = decode
+        self.word_counts = word_counts
+
+    @property
+    def ids(self) -> frozenset[int]:
+        """The members' string ids; nothing is decoded."""
+        return frozenset(self._sids)
+
+    def __len__(self) -> int:
+        return len(self._sids)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.decode, self._sids)
+
+    def __contains__(self, text: object) -> bool:
+        if not isinstance(text, str):
+            return False
+        sids, decode = self._sids, self.decode
+        slot = bisect_left(sids, text, key=decode)
+        return slot < len(sids) and decode(sids[slot]) == text
+
+
 @runtime_checkable
 class DictionaryIndex(Protocol):
     """String → entity lookup surface consumed by the online matchers."""
@@ -122,8 +186,14 @@ class DictionaryIndex(Protocol):
         """Whether *token* is a word of some dictionary string."""
         ...
 
-    def strings_containing_token(self, token: str) -> set[str]:
-        """Dictionary strings containing *token* (fuzzy-fallback shortlist)."""
+    def strings_containing_token(self, token: str) -> TokenPostings:
+        """Dictionary strings containing *token* (fuzzy-fallback shortlist).
+
+        A :class:`TokenPostings` view (empty when the index lacks the
+        token): the matcher reads its :attr:`~TokenPostings.ids` and the
+        index's word counts and decodes only strings that pass its
+        containment filter.  The token is taken raw (already normalized).
+        """
         ...
 
     def strings_for_entity(self, entity_id: str) -> list[str]:

@@ -14,18 +14,23 @@ in production the compiled :class:`~repro.serving.artifact.SynonymArtifact`
    dictionary strings sharing a token with the query and accept the best
    one above an edit-distance-based similarity threshold.  This catches
    unseen misspellings without re-running the offline miner.  The fallback
-   pools only the strings that can pass the containment filter — those in
-   two query tokens' postings, or in one and short enough that one shared
-   token suffices — with a few set operations over postings memoized per
-   artifact generation, then bounds the pool by length and cuts the edit
-   distance off at the threshold; ties go to the lexicographically smallest
-   string (see :meth:`QueryMatcher._fuzzy_match`).
+   works on string ids: it pools only the ids that can pass the containment
+   filter — those in two query tokens' postings, or in one and with few
+   enough distinct words that one shared token suffices — with a few set
+   operations over id postings memoized per artifact generation, decides
+   containment by count against the index's per-string word counts, and
+   decodes only the survivors; it then bounds them by length and cuts the
+   edit distance off at the threshold.  No dictionary string is split on
+   this path.  Ties go to the lexicographically smallest string (see
+   :meth:`QueryMatcher._fuzzy_match`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from typing import Callable, Mapping, NamedTuple
 
 from repro.matching.index import DictionaryIndex
 from repro.matching.segmentation import QuerySegmenter, Segment
@@ -66,6 +71,15 @@ class EntityMatch:
         return self.outcome is not MatchOutcome.NO_MATCH and bool(self.entity_ids)
 
 
+class _IdSpace(NamedTuple):
+    """An index's string ids as the fuzzy fallback reads them."""
+
+    word_counts: Mapping[int, int]  # string id -> |W(c)|, its distinct words
+    admitted: tuple[frozenset[int], ...]  # h -> the |W(c)| that h shared words pass
+    lone: frozenset[int]  # the ids one shared word lets pass
+    decode: Callable[[int], str]
+
+
 class QueryMatcher:
     """Matches live Web queries against a :class:`DictionaryIndex`.
 
@@ -73,6 +87,11 @@ class QueryMatcher:
     never depends on the order an index (or ``PYTHONHASHSEED``) happens to
     list candidates in.  ``tests/oracle`` holds every representation to a
     brute-force reference.
+
+    The fuzzy fallback reads each known token's shortlist once per matcher
+    through ``strings_containing_token`` and keeps only its string ids, so
+    a matcher holds ids and word counts, never a dictionary string it did
+    not need; build one matcher per index generation.
     """
 
     def __init__(
@@ -92,13 +111,15 @@ class QueryMatcher:
         self.enable_fuzzy = enable_fuzzy
         self.fuzzy_similarity_threshold = fuzzy_similarity_threshold
         self.fuzzy_containment_threshold = fuzzy_containment_threshold
-        # token -> (its postings, the ones one shared token lets through).
-        # Only tokens the index knows are kept, so it is bounded by the
-        # index's vocabulary; it lives as long as the matcher, which the
-        # serving layer rebuilds with every artifact generation.  Threads
-        # that miss on one token together store equal values, so it needs
-        # no lock.
-        self._postings: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+        # token -> (ids of its postings, the ones one shared token lets
+        # through).  Only tokens the index knows are kept, so it is bounded
+        # by the index's vocabulary.  _id_space is taken from the index
+        # once (see _read_postings).  Both live as long as the matcher,
+        # which the serving layer rebuilds with every artifact generation;
+        # each value is complete before it is stored, and threads that miss
+        # together store equal values, so neither needs a lock.
+        self._token_ids: dict[str, tuple[frozenset[int], frozenset[int]]] = {}
+        self._id_space: _IdSpace | None = None
 
     # ------------------------------------------------------------------ #
     # Matching
@@ -146,23 +167,30 @@ class QueryMatcher:
 
         A string ``c`` with distinct words ``W(c)`` passes the containment
         filter iff ``|W(c) ∩ Q| / |W(c)| >= fuzzy_containment_threshold``
-        (``Q``: the query's distinct tokens), so the Python loop only sees
-        what can pass:
+        (``Q``: the query's distinct tokens).  ``c`` is in the postings of
+        exactly the tokens of ``W(c)``, so ``|W(c) ∩ Q|`` is the number of
+        query tokens whose postings hold ``c`` — its *hits* — and the filter
+        is decided on string ids, by count (the T-occurrence filter of Li,
+        Lu and Lu, ICDE 2008), before any string is decoded:
 
-        1. *Pool.*  A passing string shares a token with the query, so it is
-           in some query token's postings; it is either in at least two of
-           them, or it shares one token and ``1 / |W(c)|`` alone reaches the
-           threshold (that token's *lone* members).  A token the index
-           lacks has no postings and is skipped; each known token's
-           postings and lone members are read from the index once per
-           matcher and memoized; one pass of set operations
-           (``pool |= lone; pool |= found & seen; seen |= found``) builds a
-           pool that is a superset of the strings that pass.
-        2. *Containment.*  Each pooled string's own words decide the filter
-           exactly as above.
-        3. *Length bound.*  Edit distance is at least the length difference,
-           so a survivor whose length alone puts it below
-           ``fuzzy_similarity_threshold`` is dropped without being compared.
+        1. *Lists.*  A passing string shares a token with the query, so it
+           is in some query token's postings.  A token the index lacks has
+           no postings and is skipped; each known token's postings are read
+           from the index once per matcher as a ``frozenset`` of ids (see
+           :meth:`_read_postings`).
+        2. *Count filter.*  A string in one list passes iff ``1 / |W(c)|``
+           reaches the threshold: that token's *lone* members, memoized with
+           its ids.  The rest must be in at least two lists.  Taking the
+           lists shortest first, the ids in at least ``h`` lists are
+           collected level by level with set intersections, and the longest
+           list is only probed, never copied.  An id in at least ``h`` lists
+           passes iff ``h / |W(c)|`` reaches the threshold for some such
+           ``h``; that is looked up per level, in C, against the index's
+           word counts, so no string is decoded or split.
+        3. *Length bound.*  Only now is a survivor decoded.  Edit distance is
+           at least the length difference, so a survivor whose length alone
+           puts it below ``fuzzy_similarity_threshold`` is dropped without
+           being compared.
         4. *Cut-off distance.*  The rest get an edit distance that gives up
            beyond the largest distance the threshold could admit; the
            threshold itself is then applied to the similarity exactly as
@@ -174,36 +202,45 @@ class QueryMatcher:
         implementation produced the shortlist.
         """
         query_tokens = token_set(normalized_query, normalized=True)
-        containment_threshold = self.fuzzy_containment_threshold
         similarity_threshold = self.fuzzy_similarity_threshold
-        postings = self._postings
+        memo = self._token_ids
         # match() segments the query first, which resolves every query token
         # against the index: a token the segmenter does not know has no
         # postings, so it is skipped without asking the index again.
         known = self.segmenter._known
-        pool: set[str] = set()
-        seen: set[str] = set()
+        lists: list[tuple[frozenset[int], frozenset[int]]] = []
         for token in query_tokens:
-            if token not in postings:
+            postings = memo.get(token)
+            if postings is None:
                 if token not in known:
                     continue
-                shortlist = self.dictionary.strings_containing_token(token)
-                lone = frozenset(
-                    c
-                    for c in shortlist
-                    if 1 / len(token_set(c, normalized=True)) >= containment_threshold
-                )
-                postings[token] = (frozenset(shortlist), lone)
-            found, lone = postings[token]
-            pool |= lone
-            pool |= found & seen
-            seen |= found
+                postings = memo[token] = self._read_postings(token)
+            lists.append(postings)
+        if not lists:
+            return None
+        lists.sort(key=_list_length)
+        # levels[h]: the ids in more than h of the lists taken so far.
+        levels: list[set[int]] = [set()]
+        survivors: set[int] = set()
+        for taken, (ids, lone) in enumerate(lists, start=1):
+            survivors |= lone
+            for h in range(len(levels) - 1, -1, -1):
+                found = levels[h] & ids
+                if found:
+                    if h + 1 == len(levels):
+                        levels.append(found)
+                    else:
+                        levels[h + 1] |= found
+            if taken < len(lists):  # the longest list is only probed
+                levels[0] |= ids
+        # Set by the _read_postings call that memoized the first list.
+        word_counts, admitted, _, decode = self._id_space  # type: ignore[misc]
+        for h, at_least in enumerate(levels[1:], start=2):
+            passes = map(admitted[h].__contains__, map(word_counts.__getitem__, at_least))
+            survivors.update(compress(at_least, passes))
         query_length = len(normalized_query)
         best: tuple[str, float] | None = None
-        for candidate in pool:
-            words = token_set(candidate, normalized=True)
-            if len(words & query_tokens) / len(words) < containment_threshold:
-                continue
+        for candidate in map(decode, survivors):
             length_gap = abs(query_length - len(candidate))
             longest = max(query_length, len(candidate))
             if 1.0 - length_gap / longest < similarity_threshold:
@@ -222,3 +259,29 @@ class QueryMatcher:
             ):
                 best = (candidate, similarity)
         return best
+
+    def _read_postings(self, token: str) -> tuple[frozenset[int], frozenset[int]]:
+        """*token*'s postings as ids, and the ones one shared token lets pass.
+
+        The shortlist goes through ``strings_containing_token`` (the method
+        the perf harness times); only its ids are kept.  The first call also
+        takes the index's :class:`_IdSpace`.  Nothing is decoded or split.
+        """
+        postings = self.dictionary.strings_containing_token(token)
+        space = self._id_space
+        if space is None:
+            counts = postings.word_counts()
+            threshold = self.fuzzy_containment_threshold
+            values = set(counts.values())
+            admitted = tuple(
+                frozenset(n for n in values if h / n >= threshold)
+                for h in range(max(values) + 1)
+            )
+            lone = frozenset(compress(counts, map(admitted[1].__contains__, counts.values())))
+            space = self._id_space = _IdSpace(counts, admitted, lone, postings.decode)
+        ids = postings.ids
+        return ids, ids & space.lone
+
+
+def _list_length(postings: tuple[frozenset[int], frozenset[int]]) -> int:
+    return len(postings[0])

@@ -45,10 +45,11 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Protocol
 
-from repro.matching.index import DictionaryEntry
+from repro.matching.index import DictionaryEntry, TokenPostings
 from repro.storage.artifact import (
     ArtifactError,
     ArtifactManifest,
@@ -512,6 +513,7 @@ class SynonymArtifact:
         self._entries: dict[int, DictionaryEntry] = {}
         self._by_entity: dict[str, list[int]] | None = None
         self._priors: dict[str, float] | None = None
+        self._word_counts: Counter[int] | None = None
 
     @classmethod
     def load(
@@ -674,17 +676,33 @@ class SynonymArtifact:
         """Whether *token* is a word of some dictionary string (taken raw)."""
         return self._find(self._token_text, token) >= 0
 
-    def strings_containing_token(self, token: str) -> set[str]:
+    def strings_containing_token(self, token: str) -> TokenPostings:
         """Dictionary strings containing *token* (fuzzy-fallback shortlist).
 
-        The token is looked up raw — callers (the fuzzy fallback) tokenize normalized
-        queries, so tokens are already normalized.
+        A :class:`~repro.matching.index.TokenPostings` view over the
+        token's ``token.postings`` slice: string ids in byte order, decoded
+        only when the view is iterated or probed.  The token is looked up
+        raw — callers (the fuzzy fallback) tokenize normalized queries, so
+        tokens are already normalized.
         """
         slot = self._find(self._token_text, token)
-        if slot < 0:
-            return set()
-        start, end = self._token_starts[slot], self._token_starts[slot + 1]
-        return {self._strings[self._token_postings[i]] for i in range(start, end)}
+        start, end = (0, 0) if slot < 0 else self._token_starts[slot : slot + 2]
+        return TokenPostings(
+            self._token_postings[start:end], self._strings.__getitem__, self.word_counts
+        )
+
+    def word_counts(self) -> Mapping[int, int]:
+        """String id → number of distinct words, for every dictionary string.
+
+        A string sits once in the postings of each of its distinct words,
+        so counting ids over ``token.postings`` (one pass in C, no string
+        decoded) gives exactly that number.  Built on first use, not at
+        load, and published only once complete, so threads need no lock.
+        """
+        counts = self._word_counts
+        if counts is None:
+            counts = self._word_counts = Counter(self._token_postings)
+        return counts
 
     def strings_for_entity(self, entity_id: str) -> list[str]:
         """Every dictionary string referring to *entity_id*."""

@@ -9,9 +9,12 @@ so this module holds only the two measures the reproduction calls:
 * :func:`levenshtein_similarity` — the normalised form of that distance
   the matcher documents its fuzzy score against.
 
-The fuzzy fallback's token-containment filter needs each candidate's words
-and the query's, so :meth:`repro.matching.matcher.QueryMatcher._fuzzy_match`
-computes it inline rather than through a measure here.
+The fuzzy fallback's token-containment filter is not a measure here:
+:meth:`repro.matching.matcher.QueryMatcher._fuzzy_match` decides it on
+string ids, counting how many query tokens' postings hold a candidate
+against the index's per-string distinct-word count, and never splits a
+candidate.  Only the candidates that pass reach
+:func:`levenshtein_distance`.
 
 Every function is implemented from scratch on the standard library.
 """

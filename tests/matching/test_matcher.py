@@ -220,8 +220,14 @@ class TestPostingsMemo:
         assert matcher.match(every_token) == reference.match(
             reference.entries(self.ENTRIES), every_token
         )
-        assert set(matcher._postings) == vocabulary  # no unknown word was memoized
+        assert set(matcher._token_ids) == vocabulary  # no unknown word was memoized
         assert sorted(index.calls["strings_containing_token"]) == sorted(vocabulary)
+        # The memo holds string ids only: no decoded string is kept per token.
+        assert all(
+            isinstance(sid, int)
+            for ids, lone in matcher._token_ids.values()
+            for sid in ids | lone
+        )
 
         # Every known word is memoized now.  Unknown words reach the index
         # only to ask whether it has them, once per query; never the
@@ -234,7 +240,7 @@ class TestPostingsMemo:
         index.calls.clear()
         matcher.match(every_token)
         assert set(index.calls) == {"entities_for"}
-        assert set(matcher._postings) == vocabulary
+        assert set(matcher._token_ids) == vocabulary
 
     def test_a_long_query_of_unknown_words_asks_once_per_token(self):
         index, vocabulary = self._index()
@@ -256,7 +262,10 @@ class TestPostingsMemo:
         queries = list({" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(300)})
         entries = reference.entries(self.ENTRIES)
         expected = {query: reference.match(entries, query) for query in queries}
-        matcher = QueryMatcher(index)  # one matcher, so one set of memos, for every thread
+        # One fresh matcher over a fresh index, so the threads also race the
+        # first build of the index's word counts.
+        matcher = QueryMatcher(index)
+        assert index._word_counts is None
         answers = []
 
         def work(seed):
@@ -277,7 +286,51 @@ class TestPostingsMemo:
         assert len(answers) == len(workers)
         assert all(answer == expected for answer in answers)
         assert matcher.segmenter._known <= vocabulary
-        assert set(matcher._postings) <= vocabulary
+        assert set(matcher._token_ids) <= vocabulary
+        counts = index.word_counts()
+        assert sorted(counts.values()) == sorted(
+            len(set(text.split())) for text in {entry.text for entry in index}
+        )
+
+    # "the" is in 3 002 postings; "quiet" in two.  Only the strings holding
+    # both can pass containment for "the quiet rivr" (2/3 words shared).
+    BIG = [DictionaryEntry(f"the item {number:04d}", f"i{number}") for number in range(3000)] + [
+        DictionaryEntry("the quiet river", "r1"),
+        DictionaryEntry("the quiet sea", "s1"),
+    ]
+
+    def test_a_fuzzy_query_decodes_only_strings_that_pass_containment(self):
+        index = SynonymArtifact.from_entries(self.BIG)
+        matcher = QueryMatcher(index)
+        query = "the quiet rivr"
+        assert len(index.strings_containing_token("the")) == 3002
+        assert matcher.segmenter.best_segment(query) is None  # the fuzzy path follows
+        decoded = set(index._strings)
+
+        found = matcher._fuzzy_match(query)
+        grown = {index._strings[sid] for sid in set(index._strings) - decoded}
+
+        assert found is not None and found[0] == "the quiet river"
+        assert matcher.match(query) == reference.match(reference.entries(self.BIG), query)
+        query_words = set(query.split())
+        passing = {
+            entry.text
+            for entry in self.BIG
+            if len(set(entry.text.split()) & query_words) / len(set(entry.text.split())) >= 0.6
+        }
+        assert passing == {"the quiet river", "the quiet sea"}
+        assert grown <= passing
+
+    def test_len_of_the_shortlist_view_decodes_nothing(self):
+        index = SynonymArtifact.from_entries(self.BIG)
+        view = index.strings_containing_token("the")
+        decoded = len(index._strings)
+
+        assert len(view) == 3002
+        assert len(view.ids) == 3002
+        assert len(index._strings) == decoded
+        assert "the quiet river" in view and "the quiet rivr" not in view
+        assert len(index._strings) - decoded <= 2 * 12  # two bisections of 3 002 ids
 
 
 def _coverage(matcher, queries):

@@ -391,6 +391,14 @@ SCRIPTS_AND_SYMBOLS = Case(
 @example(  # one shared word of two: containment exactly on the threshold
     Case([_rows(("canon rebel", "e1"))] * 3, [], ["canon rebl"], containment=0.5)
 )
+@example(  # containment counts distinct words: 2 of 3 passes, 2 of 5 tokens would not
+    Case([_rows(("indiana jones indiana jones 4", "e1"))] * 3, [], ["indiana jones"],
+         similarity=0.0, containment=0.6)
+)  # fmt: skip
+@example(  # "xt xt" has one distinct word, so one shared token admits it (1/1, not 1/2)
+    Case([_rows(("xt xt", "e1"), ("rebel xt digital", "e2"))] * 3, [], ["xt rebl"],
+         similarity=0.0, containment=0.6)
+)  # fmt: skip
 def test_every_representation_answers_like_the_reference(case):
     with tempfile.TemporaryDirectory() as scratch:
         case.run(Path(scratch))
