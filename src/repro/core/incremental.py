@@ -24,7 +24,6 @@ entities whose traffic actually moved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -35,30 +34,12 @@ from repro.core.pipeline import SynonymMiner
 from repro.core.types import MiningResult
 from repro.text.normalize import normalize
 
-if TYPE_CHECKING:  # serving sits above core in the layering
-    from repro.serving.artifact import EntryTuple
+if TYPE_CHECKING:  # serving and the catalog sit above core in the layering
+    from repro.serving.delta import DictionaryState
+    from repro.simulation.catalog import EntityCatalog
+    from repro.storage.artifact import ArtifactManifest
 
 __all__ = ["IncrementalSynonymMiner"]
-
-
-@dataclass
-class _PublishedState:
-    """What the last publish shipped, kept so the next one can be a delta.
-
-    ``entries`` is the full deduplicated entry sequence in compile order
-    (tuples share strings with the mining result, so this is references,
-    not copies); ``state_hash`` identifies it; ``content_hash`` is the
-    container hash of the full file when the last publish wrote one (a
-    delta publish leaves it ``""`` — the chained artifact is materialized
-    by the consumer, not here).
-    """
-
-    version: str
-    state_hash: str
-    content_hash: str
-    entries: "list[EntryTuple]"
-    priors: dict[str, float] | None
-    entity_of_canonical: dict[str, str]
 
 
 class IncrementalSynonymMiner:
@@ -99,11 +80,11 @@ class IncrementalSynonymMiner:
         # Bumped by every refresh that re-mined something; stamps published
         # artifacts so servers can tell which refresh they are serving.
         self._generation = 0
-        # Delta-publish bookkeeping: which canonicals were re-mined and
-        # which queries received clicks since the last publish (the latter
-        # bounds the prior recomputation — only entities owning a clicked
-        # dictionary string can see their prior move).
-        self._published: _PublishedState | None = None
+        # Delta-publish bookkeeping: the last published state and its
+        # canonical -> entity id map, and which canonicals were re-mined and
+        # which queries received clicks since then (see _publish_delta).
+        self._published: DictionaryState | None = None
+        self._published_ids: dict[str, str] = {}
         self._changed_since_publish: set[str] = set()
         self._clicked_since_publish: set[str] = set()
 
@@ -199,7 +180,9 @@ class IncrementalSynonymMiner:
     # Publication
     # ------------------------------------------------------------------ #
 
-    def publish(self, catalog, path, *, delta: bool = False):
+    def publish(
+        self, catalog: EntityCatalog, path: str | Path, *, delta: bool = False
+    ) -> ArtifactManifest:
         """Compile the current cached result into a serving artifact.
 
         The entries are every catalogued canonical string plus its selected
@@ -215,162 +198,100 @@ class IncrementalSynonymMiner:
         :meth:`refresh` first if there are dirty entities.  Returns the
         written manifest.
 
-        With ``delta=True`` the publish is **incremental**: instead of
-        recompiling the whole dictionary, a layout-3 delta sidecar is
-        written to ``<path>.delta`` (see
-        :func:`~repro.serving.delta.delta_path_for`) carrying only the
-        entities re-mined since the last publish plus prior updates for
-        entities whose click volume moved — payload and compile work scale
-        with the dirty set, not the catalog.  A server watching *path*
-        applies the sidecar in memory; applying it reproduces, content
-        hash for content hash, what a full publish would have written.
-        Requires a prior publish as the base (the first publish must be
-        full); click traffic must arrive via :meth:`ingest_clicks` for
-        prior updates to be tracked.
+        With ``delta=True`` the publish is **incremental**: a layout-3
+        delta sidecar against the last publish is written to
+        ``<path>.delta`` (see :func:`~repro.serving.delta.delta_path_for`)
+        by the one delta rule, :func:`~repro.serving.delta.write_diff`:
+        changed = entities whose entry group differs, removed = base
+        entities with no new group, prior updates = changed entities or
+        those whose prior moved.  It runs over the dirty scope only
+        (:meth:`_publish_delta`), so entry building and prior sums scale
+        with the dirty set, not the catalog, and the sidecar is the one
+        :func:`~repro.serving.delta.diff_delta` writes over every entity.
+        A server watching *path* applies the sidecar in memory; applying it
+        reproduces, content hash for content hash, what a full publish
+        would have written.  Requires a prior publish as the base (the
+        first publish must be full); click traffic must arrive via
+        :meth:`ingest_clicks` for prior updates to be tracked.
         """
         # Imported lazily: matching and serving sit above core in the layering.
         from repro.matching.index import entries_from_mining_result
         from repro.serving.artifact import compile_entries, compute_priors, dedupe_entries
-        from repro.serving.delta import delta_path_for
+        from repro.serving.delta import DictionaryState, delta_path_for
 
         path = Path(path)
-        if delta:
-            return self._publish_delta(catalog, path)
-
-        entries = dedupe_entries(entries_from_mining_result(self._result, catalog))
-        priors = compute_priors(entries, self.click_log)
-        manifest = compile_entries(
-            entries,
-            path,
-            version=f"gen-{self._generation}",
-            config_fingerprint=self.config.fingerprint(),
-            priors=priors,
-        )
-        # A sidecar from an earlier generation no longer applies to this
-        # base; leaving it around would only cost watchers a skip.
-        delta_path_for(path).unlink(missing_ok=True)
         by_name = catalog.by_canonical_name()
-        self._published = _PublishedState(
-            version=manifest.version,
-            state_hash=str(manifest.extra["state_hash"]),
-            content_hash=manifest.content_hash,
-            entries=entries,
-            priors=priors,
-            entity_of_canonical={
-                canonical: by_name[canonical].entity_id
-                for canonical in self._result.per_entity
-                if canonical in by_name
-            },
-        )
+        ids = {
+            canonical: by_name[canonical].entity_id
+            for canonical in self._result.per_entity
+            if canonical in by_name
+        }
+        if delta:
+            manifest, self._published = self._publish_delta(catalog, ids, delta_path_for(path))
+        else:
+            entries = dedupe_entries(entries_from_mining_result(self._result, catalog))
+            priors = compute_priors(entries, self.click_log)
+            manifest = compile_entries(
+                entries,
+                path,
+                version=f"gen-{self._generation}",
+                config_fingerprint=self.config.fingerprint(),
+                priors=priors,
+            )
+            # A sidecar from an earlier generation no longer applies to this
+            # base; leaving it around would only cost watchers a skip.
+            delta_path_for(path).unlink(missing_ok=True)
+            self._published = DictionaryState(
+                manifest.version, str(manifest.extra["state_hash"]),
+                manifest.content_hash, entries, priors,
+            )  # fmt: skip
+        self._published_ids = ids
         self._changed_since_publish.clear()
         self._clicked_since_publish.clear()
         return manifest
 
-    def _publish_delta(self, catalog, path):
+    def _publish_delta(
+        self, catalog: EntityCatalog, ids: dict[str, str], sidecar: Path
+    ) -> tuple[ArtifactManifest, DictionaryState]:
+        """Write the delta against the last publish over the dirty scope.
+
+        *ids* maps each mined canonical the catalog lists to its entity id.
+        The scope is every entity whose entries or prior can have moved
+        since the last publish: the entities of canonicals re-mined since
+        then or whose catalog id moved (old and new ids — a delisted,
+        newly listed or remapped canonical is not dirty, yet a full compile
+        moves it), and the entities owning a clicked dictionary string.
+        Every other entity has the base's entries and prior.
+        """
         from repro.matching.index import entries_from_mining_result
-        from repro.serving.artifact import compute_priors, dedupe_entries, state_hash
-        from repro.serving.delta import _DeltaSpec, delta_path_for, merge_state, write_delta
+        from repro.serving.artifact import compute_priors, dedupe_entries
+        from repro.serving.delta import write_diff
 
         base = self._published
         if base is None:
             raise ValueError(
                 "no published base: publish a full artifact before delta=True"
             )
-
-        by_name = catalog.by_canonical_name()
-        # The changed set covers re-mined canonicals *and* canonicals whose
-        # catalog mapping moved since the last publish: a delisted entity
-        # must be removed (a full compile would drop it) and a newly listed
-        # or remapped canonical must ship its entries, even though neither
-        # made the canonical dirty.  Pure dict lookups — no re-mining.
-        changed: set[str] = set(self._changed_since_publish)
-        removed: set[str] = set()
-        for canonical in self._result.per_entity:
-            old_id = base.entity_of_canonical.get(canonical)
-            entity = by_name.get(canonical)
-            new_id = entity.entity_id if entity is not None else None
-            if old_id != new_id:
-                if old_id is not None:
-                    removed.add(old_id)
-                if new_id is not None:
-                    changed.add(canonical)
-
-        # Keep per_entity (i.e. compile) order: replaced-in-place entities
-        # keep their position, new ones append in this order — which is
-        # what makes base + delta reproduce a full compile byte for byte.
-        changed_canonicals = [
-            canonical for canonical in self._result.per_entity if canonical in changed
-        ]
-        sub = MiningResult()
-        for canonical in changed_canonicals:
-            sub.add(self._result[canonical])
-        mini_entries = dedupe_entries(entries_from_mining_result(sub, catalog))
-        groups: dict[str, list] = {}
-        order: list[str] = []
-        for entry in mini_entries:
-            entity_id = entry[1]
-            if entity_id not in groups:
-                groups[entity_id] = []
-                order.append(entity_id)
-            groups[entity_id].append(entry)
-        removed -= set(groups)
-        # A changed entity that compiled to no entries (a canonical that
-        # normalizes to nothing, with no synonyms) is a removal too: a full
-        # compile would not emit it at all.
-        for canonical in changed_canonicals:
-            entity = by_name.get(canonical)
-            if entity is not None and entity.entity_id not in groups:
-                removed.add(entity.entity_id)
-
-        prior_updates = compute_priors(mini_entries, self.click_log)
-        # Unchanged entities whose strings received clicks: their prior
-        # moved even though their entries did not.  One scan of the base
-        # entries that allocates nothing per entry.
+        old_ids = self._published_ids
+        moved = {
+            canonical
+            for canonical in ids.keys() | old_ids.keys()
+            if ids.get(canonical) != old_ids.get(canonical)
+        }
+        touched = self._changed_since_publish | moved
+        scope = {ids[canonical] for canonical in touched if canonical in ids}
+        scope.update(old_ids[canonical] for canonical in touched if canonical in old_ids)
         clicked = self._clicked_since_publish
-        untouched_dirty = {
-            entity_id
-            for text, entity_id, _source, _weight in base.entries
-            if text in clicked and entity_id not in prior_updates and entity_id not in removed
-        }
-        if untouched_dirty:
-            dirty_entries = [
-                entry for entry in base.entries if entry[1] in untouched_dirty
-            ]
-            prior_updates.update(compute_priors(dirty_entries, self.click_log))
+        scope.update(entity_id for text, entity_id, _source, _weight in base.entries
+                     if text in clicked)  # fmt: skip
 
-        spec = _DeltaSpec(
-            [(entity_id, groups[entity_id]) for entity_id in order],
-            sorted(removed),
-            prior_updates,
-        )
-        merged_entries, merged_priors = merge_state(base.entries, base.priors, spec)
-        new_state_hash = state_hash(merged_entries, merged_priors)
-        sidecar = delta_path_for(path)
-        manifest = write_delta(
-            sidecar,
-            version=f"gen-{self._generation}",
-            base_version=base.version,
-            base_state_hash=base.state_hash,
-            base_content_hash=base.content_hash,
-            target_state_hash=new_state_hash,
-            changed=spec.changed,
-            removed=spec.removed,
-            prior_updates=prior_updates,
+        in_scope = MiningResult()
+        for canonical, entity_id in ids.items():
+            if entity_id in scope:
+                in_scope.add(self._result[canonical])
+        entries = dedupe_entries(entries_from_mining_result(in_scope, catalog))
+        return write_diff(
+            base, entries, compute_priors(entries, self.click_log), sidecar,
+            version=f"gen-{self._generation}", scope=scope,
             config_fingerprint=self.config.fingerprint(),
-        )
-        entity_of_canonical = {
-            canonical: by_name[canonical].entity_id
-            for canonical in self._result.per_entity
-            if canonical in by_name
-        }
-        self._published = _PublishedState(
-            version=manifest.version,
-            state_hash=new_state_hash,
-            content_hash="",
-            entries=merged_entries,
-            priors=merged_priors,
-            entity_of_canonical=entity_of_canonical,
-        )
-        self._changed_since_publish.clear()
-        self._clicked_since_publish.clear()
-        return manifest
+        )  # fmt: skip

@@ -280,22 +280,17 @@ def state_hash(
 def build_blocks(
     entries: list[EntryTuple],
     *,
-    click_log: ClickVolumeSource | None = None,
     priors: Mapping[str, float] | None = None,
 ) -> tuple[dict[str, bytes], dict[str, int], dict[str, Any]]:
     """Pack a deduplicated entry sequence into artifact blocks.
 
     Returns ``(blocks, counts, extra)`` ready for
     :func:`~repro.storage.artifact.write_artifact` (or an in-memory
-    :class:`SynonymArtifact`).  The priors block comes from exactly one
-    source: a *click_log* (priors computed here, the compile path) or a
-    precomputed *priors* mapping covering every entity in *entries* (the
-    delta-apply path, where the log that produced the base is not
-    available).  Packing is deterministic, so equal inputs produce equal
-    content and state hashes.
+    :class:`SynonymArtifact`).  With *priors* — a mapping covering every
+    entity in *entries* (:func:`compute_priors` of a click log, or a merged
+    delta state) — the artifact carries a priors block.  Packing is
+    deterministic, so equal inputs produce equal content and state hashes.
     """
-    if click_log is not None and priors is not None:
-        raise ValueError("pass click_log or priors, not both")
     pool = _StringPool()
     entry_text: list[int] = []
     entry_entity: list[int] = []
@@ -363,9 +358,7 @@ def build_blocks(
         "strings": len(pool.strings),
     }
     emitted_priors: dict[str, float] | None = None
-    if click_log is not None:
-        emitted_priors = compute_priors(entries, click_log)
-    elif priors is not None:
+    if priors is not None:
         present = {pool.strings[entity_sid] for entity_sid in entry_entity}
         missing = sorted(present - set(priors))
         if missing:
@@ -402,11 +395,10 @@ def compile_entries(
     version: str = "1",
     config_fingerprint: str = "",
     created_unix: float | None = None,
-    click_log: ClickVolumeSource | None = None,
     priors: Mapping[str, float] | None = None,
 ) -> ArtifactManifest:
     """Write an already-deduplicated entry sequence as a full artifact."""
-    blocks, counts, extra = build_blocks(entries, click_log=click_log, priors=priors)
+    blocks, counts, extra = build_blocks(entries, priors=priors)
     return write_artifact(
         path,
         blocks,
@@ -427,7 +419,6 @@ def compile_dictionary(
     config_fingerprint: str = "",
     created_unix: float | None = None,
     click_log: ClickVolumeSource | None = None,
-    priors: Mapping[str, float] | None = None,
 ) -> ArtifactManifest:
     """Freeze *dictionary* into an immutable artifact file at *path*.
 
@@ -442,17 +433,16 @@ def compile_dictionary(
     entity, the summed click volume of all its dictionary strings — exactly
     the quantity :meth:`~repro.matching.resolver.MatchResolver.prior`
     computes from a live log, precomputed so ranked resolution works
-    offline from the artifact alone.  A precomputed *priors* mapping does
-    the same without the log (used by delta application).
+    offline from the artifact alone.
     """
+    entries = dedupe_entries(dictionary)
     return compile_entries(
-        dedupe_entries(dictionary),
+        entries,
         path,
         version=version,
         config_fingerprint=config_fingerprint,
         created_unix=created_unix,
-        click_log=click_log,
-        priors=priors,
+        priors=None if click_log is None else compute_priors(entries, click_log),
     )
 
 

@@ -22,9 +22,15 @@ recorded target.  Because compilation is deterministic, ``gen-0`` plus N
 applied deltas is content-hash-identical to a full compile at ``gen-N``
 (``tests/oracle`` checks it at every generation it publishes).
 
-Producers: :meth:`repro.core.incremental.IncrementalSynonymMiner.publish`
-with ``delta=True`` (tracks its own dirty set), :func:`diff_delta` (diffs
-two dictionary states, the CLI ``compile --delta`` path).  Consumers:
+One rule decides every change set, :func:`write_diff`: given a base
+:class:`DictionaryState` and the new entries and priors of a set of
+entities, an entity is *changed* when its entry group differs from the
+base's, *removed* when the base has it and the new state does not, and gets
+a *prior update* when it changed or its prior moved.  Two producers call
+it: :func:`diff_delta` (the CLI ``compile --delta`` path) over every
+entity, and :meth:`repro.core.incremental.IncrementalSynonymMiner.publish`
+with ``delta=True`` over its dirty scope, so both write the same sidecar
+for the same base and new state.  Consumers:
 :func:`apply_delta` / ``python -m repro delta-apply`` offline, and
 :meth:`repro.serving.service.MatchService.maybe_reload`, which watches the
 ``<artifact>.delta`` sidecar (see :func:`delta_path_for`) and applies it in
@@ -33,8 +39,9 @@ memory instead of cold-loading a full file.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from repro.matching.index import DictionaryEntry
 from repro.serving.artifact import (
@@ -68,8 +75,10 @@ __all__ = [
     "delta_path_for",
     "write_delta",
     "DictionaryDelta",
+    "DictionaryState",
     "merge_state",
     "apply_delta",
+    "write_diff",
     "diff_delta",
 ]
 
@@ -276,43 +285,55 @@ class DictionaryDelta:
         """State hash the applied artifact must land on."""
         return str(self.manifest.extra["state_hash"])
 
-    @property
-    def has_priors(self) -> bool:
-        return bool(self.manifest.extra.get("has_priors", False))
 
+@dataclass(frozen=True)
+class DictionaryState:
+    """One dictionary state: what a delta is computed against and lands on.
 
-class _DeltaSpec:
-    """The in-memory change set a publisher merges before writing a delta."""
+    ``entries`` is the deduplicated entry sequence in compile order and
+    ``priors`` its click priors (``None`` without a priors block);
+    ``state_hash`` is :func:`~repro.serving.artifact.state_hash` of the
+    two.  ``content_hash`` is the container hash of the full file holding
+    this state, or ``""`` when it exists only as a base plus deltas.
+    """
 
-    def __init__(
-        self,
-        changed: Sequence[tuple[str, Sequence[EntryTuple]]],
-        removed: Sequence[str],
-        prior_updates: Mapping[str, float] | None,
-    ) -> None:
-        self.changed = list(changed)
-        self.removed = list(removed)
-        self.prior_updates = dict(prior_updates) if prior_updates is not None else None
-        self.has_priors = prior_updates is not None
+    version: str
+    state_hash: str
+    content_hash: str
+    entries: list[EntryTuple]
+    priors: dict[str, float] | None
+
+    @classmethod
+    def of(cls, artifact: SynonymArtifact) -> "DictionaryState":
+        """The state a compiled artifact holds."""
+        return cls(
+            version=artifact.manifest.version,
+            state_hash=artifact.state_hash,
+            content_hash=artifact.manifest.content_hash,
+            entries=list(artifact.entry_tuples()),
+            priors=artifact.priors(),
+        )
 
 
 def merge_state(
     base_entries: Iterable[EntryTuple],
     base_priors: Mapping[str, float] | None,
-    delta: "DictionaryDelta | _DeltaSpec",
+    changed: Sequence[tuple[str, Sequence[EntryTuple]]],
+    removed: Iterable[str],
+    prior_updates: Mapping[str, float] | None,
 ) -> tuple[list[EntryTuple], dict[str, float] | None]:
-    """Merge a delta onto a base state: ``(entries, priors)`` of the target.
+    """Merge a change set onto a base state: ``(entries, priors)`` of the target.
 
     Replace semantics, order-preserving: a changed entity's new entries
     take the position of its first base entry (later base entries of that
     entity are dropped — this is what removes stale postings), entities new
-    to the base are appended in delta order, removed entities disappear.
-    The same function backs both the publisher (computing the target state
-    hash before writing) and :func:`apply_delta`, so the two can never
-    disagree about what a delta means.
+    to the base are appended in *changed* order, removed entities disappear.
+    The same function backs both :func:`write_diff` (computing the target
+    state hash before writing) and :func:`apply_delta`, so the two can
+    never disagree about what a delta means.
     """
-    replacement = {entity_id: list(entries) for entity_id, entries in delta.changed}
-    dropped = set(delta.removed) | set(replacement)
+    replacement = {entity_id: list(entries) for entity_id, entries in changed}
+    dropped = set(removed) | set(replacement)
     emitted: set[str] = set()
     merged: list[EntryTuple] = []
     for entry in base_entries:
@@ -323,26 +344,24 @@ def merge_state(
                 emitted.add(entity_id)
             continue
         merged.append(entry)
-    for entity_id, entries in delta.changed:
+    for entity_id, entries in changed:
         if entity_id not in emitted:
             merged.extend(entries)
             emitted.add(entity_id)
 
-    if delta.has_priors != (base_priors is not None):
+    if (prior_updates is None) != (base_priors is None):
         raise ArtifactError(
             "priors mismatch: base "
-            + ("has" if base_priors is not None else "lacks")
-            + " a priors block but the delta "
-            + ("lacks" if base_priors is None else "carries")
+            + ("lacks a priors block but the delta carries" if base_priors is None
+               else "has a priors block but the delta lacks")
             + " prior updates"
-        )
-    if base_priors is None:
+        )  # fmt: skip
+    if base_priors is None or prior_updates is None:
         return merged, None
-    updates = delta.prior_updates or {}
     priors: dict[str, float] = {}
     for entity_id in sorted({entry[1] for entry in merged}):
-        if entity_id in updates:
-            priors[entity_id] = float(updates[entity_id])
+        if entity_id in prior_updates:
+            priors[entity_id] = float(prior_updates[entity_id])
         elif entity_id in base_priors:
             priors[entity_id] = float(base_priors[entity_id])
         else:
@@ -379,7 +398,9 @@ def apply_delta(
             "delta base mismatch: base container hash differs from the one "
             "the delta was published against"
         )
-    entries, priors = merge_state(base.entry_tuples(), base.priors(), delta)
+    entries, priors = merge_state(
+        base.entry_tuples(), base.priors(), delta.changed, delta.removed, delta.prior_updates
+    )
     blocks, counts, extra = build_blocks(entries, priors=priors)
     if extra["state_hash"] != delta.state_hash:
         raise ArtifactError(
@@ -407,6 +428,81 @@ def apply_delta(
     )
 
 
+def write_diff(
+    base: DictionaryState,
+    entries: Sequence[EntryTuple],
+    priors: Mapping[str, float] | None,
+    path: str | Path,
+    *,
+    version: str,
+    scope: Container[str] | None = None,
+    config_fingerprint: str = "",
+    created_unix: float | None = None,
+) -> tuple[ArtifactManifest, DictionaryState]:
+    """Write the delta from *base* to a new state; return that state.
+
+    The one delta rule.  *entries* (deduplicated, in compile order) and
+    *priors* are the new state of the entities in *scope*, or of every
+    entity when *scope* is ``None``; an entity outside *scope* keeps its
+    base entries and prior.  Over *scope*:
+
+    * **changed** — entities whose entry group differs from the base's,
+      in *entries* order;
+    * **removed** — base entities with no new group;
+    * **prior updates** — changed entities, and those whose prior moved.
+
+    The change set is merged onto *base* (:func:`merge_state`), hashed and
+    written to *path* (:func:`write_delta`).  The returned target state is
+    what the next delta chains from; it has no full file, so its
+    ``content_hash`` is ``""``.
+    """
+    new_groups = _groups(entries)
+    base_groups = _groups(
+        entry for entry in base.entries if scope is None or entry[1] in scope
+    )
+    changed = [
+        (entity_id, group)
+        for entity_id, group in new_groups.items()
+        if base_groups.get(entity_id) != group
+    ]
+    removed = sorted(base_groups.keys() - new_groups.keys())
+    prior_updates: dict[str, float] | None = None
+    if priors is not None:
+        changed_ids = {entity_id for entity_id, _group in changed}
+        base_priors = base.priors or {}
+        prior_updates = {
+            entity_id: value
+            for entity_id, value in priors.items()
+            if entity_id in changed_ids or base_priors.get(entity_id) != value
+        }
+    merged_entries, merged_priors = merge_state(
+        base.entries, base.priors, changed, removed, prior_updates
+    )
+    target = state_hash(merged_entries, merged_priors)
+    manifest = write_delta(
+        path,
+        version=version,
+        base_version=base.version,
+        base_state_hash=base.state_hash,
+        base_content_hash=base.content_hash,
+        target_state_hash=target,
+        changed=changed,
+        removed=removed,
+        prior_updates=prior_updates,
+        config_fingerprint=config_fingerprint,
+        created_unix=created_unix,
+    )
+    return manifest, DictionaryState(version, target, "", merged_entries, merged_priors)
+
+
+def _groups(entries: Iterable[EntryTuple]) -> dict[str, list[EntryTuple]]:
+    """Entity id → its entries, entities in first-seen order."""
+    groups: dict[str, list[EntryTuple]] = {}
+    for entry in entries:
+        groups.setdefault(entry[1], []).append(entry)
+    return groups
+
+
 def diff_delta(
     base: SynonymArtifact,
     new_dictionary: Iterable[DictionaryEntry | EntryTuple],
@@ -419,11 +515,8 @@ def diff_delta(
 ) -> ArtifactManifest:
     """Diff *new_dictionary* against *base* and write the delta sidecar.
 
-    The whole-state diff for producers without incremental bookkeeping
-    (``python -m repro compile --delta``): entities whose entry list
-    changed, appeared or disappeared go into the delta, plus prior updates
-    for entities whose click volume moved.  *click_log* must be given iff
-    the base carries priors.
+    :func:`write_diff` over every entity (``python -m repro compile
+    --delta``).  *click_log* must be given iff the base carries priors.
 
     Applying the result reproduces the new dictionary's entries and
     priors; the entry *order* is the base's order with new entities
@@ -433,55 +526,10 @@ def diff_delta(
     self-consistent: its recorded target state hash is the merged state,
     which :func:`apply_delta` verifies.
     """
-    if (click_log is not None) != base.has_priors:
-        raise ArtifactError(
-            "priors mismatch: pass click_log iff the base artifact has priors "
-            f"(base has_priors={base.has_priors})"
-        )
-    new_entries = dedupe_entries(new_dictionary)
-    new_groups: dict[str, list[EntryTuple]] = {}
-    new_order: list[str] = []
-    for entry in new_entries:
-        entity_id = entry[1]
-        if entity_id not in new_groups:
-            new_groups[entity_id] = []
-            new_order.append(entity_id)
-        new_groups[entity_id].append(entry)
-    base_groups: dict[str, list[EntryTuple]] = {}
-    for entry in base.entry_tuples():
-        base_groups.setdefault(entry[1], []).append(entry)
-
-    changed = [
-        (entity_id, new_groups[entity_id])
-        for entity_id in new_order
-        if base_groups.get(entity_id) != new_groups[entity_id]
-    ]
-    removed = sorted(set(base_groups) - set(new_groups))
-
-    prior_updates: dict[str, float] | None = None
-    base_priors = base.priors()
-    if click_log is not None:
-        new_priors = compute_priors(new_entries, click_log)
-        changed_ids = {entity_id for entity_id, _entries in changed}
-        assert base_priors is not None
-        prior_updates = {
-            entity_id: value
-            for entity_id, value in new_priors.items()
-            if entity_id in changed_ids or base_priors.get(entity_id) != value
-        }
-
-    spec = _DeltaSpec(changed, removed, prior_updates)
-    merged_entries, merged_priors = merge_state(base.entry_tuples(), base_priors, spec)
-    return write_delta(
-        path,
-        version=version,
-        base_version=base.manifest.version,
-        base_state_hash=base.state_hash,
-        base_content_hash=base.manifest.content_hash,
-        target_state_hash=state_hash(merged_entries, merged_priors),
-        changed=changed,
-        removed=removed,
-        prior_updates=prior_updates,
-        config_fingerprint=config_fingerprint,
-        created_unix=created_unix,
-    )
+    entries = dedupe_entries(new_dictionary)
+    priors = None if click_log is None else compute_priors(entries, click_log)
+    manifest, _target = write_diff(
+        DictionaryState.of(base), entries, priors, path, version=version,
+        config_fingerprint=config_fingerprint, created_unix=created_unix,
+    )  # fmt: skip
+    return manifest

@@ -96,6 +96,20 @@ class ServiceSnapshot:
         return self.artifact.manifest
 
 
+def _file_stamp(path: Path) -> tuple[int, int, int] | None:
+    """``(mtime_ns, size, inode)`` of *path*, or None when it is missing.
+
+    The inode is what makes the stamp robust: atomic republication always
+    creates a new inode, even when size and a coarse-granularity mtime
+    happen to collide.
+    """
+    try:
+        stat = path.stat()
+    except FileNotFoundError:
+        return None
+    return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+
+
 class _LRUCache:
     """A small bounded LRU map; ``maxsize=0`` disables caching entirely."""
 
@@ -131,9 +145,7 @@ class _ServingState:
     matcher: QueryMatcher
     resolver: MatchResolver
     cache: _LRUCache
-    # (mtime_ns, size, inode) of the loaded file; the inode is what makes
-    # the stamp robust — atomic republication always creates a new inode,
-    # even when size and a coarse-granularity mtime happen to collide.
+    # _file_stamp of the loaded file.
     source_stamp: tuple[int, int, int] | None
     # Stamp of the delta sidecar last applied (or inspected and skipped),
     # so an unchanged sidecar is never re-read on the poll path.
@@ -215,11 +227,10 @@ class MatchService:
         )
 
     def _load_state(self, path: Path) -> _ServingState:
-        stat = path.stat()
-        artifact = SynonymArtifact.load(path)
-        return self._build_state(
-            artifact, stamp=(stat.st_mtime_ns, stat.st_size, stat.st_ino)
-        )
+        # Stamp before loading: a file replaced in between is reloaded by
+        # the next poll instead of being missed.
+        stamp = _file_stamp(path)
+        return self._build_state(SynonymArtifact.load(path), stamp=stamp)
 
     def reload(self, path: str | Path | None = None) -> ArtifactManifest:
         """Load a (possibly new) artifact and atomically swap it in.
@@ -243,14 +254,6 @@ class MatchService:
             self._reloads += 1
         return state.artifact.manifest
 
-    def _current_stamp(self) -> tuple[int, int, int] | None:
-        """Stat stamp of the artifact file, or None when it is missing."""
-        try:
-            stat = self._path.stat()  # type: ignore[union-attr]
-        except FileNotFoundError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-
     @property
     def delta_path(self) -> Path | None:
         """The sidecar path :meth:`maybe_reload` watches (``<path>.delta``)."""
@@ -263,13 +266,7 @@ class MatchService:
     def _delta_stamp(self) -> tuple[int, int, int] | None:
         """Stat stamp of the delta sidecar, or None when it is missing."""
         sidecar = self.delta_path
-        if sidecar is None:
-            return None
-        try:
-            stat = sidecar.stat()
-        except FileNotFoundError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size, stat.st_ino)
+        return None if sidecar is None else _file_stamp(sidecar)
 
     def _apply_pending_delta_locked(self) -> bool:
         """Apply the sidecar to the current state if it is new and chains.
@@ -323,10 +320,11 @@ class MatchService:
         one republish perform exactly one swap — the losers observe the
         fresh state and return False instead of loading a second time.
         """
-        if self._path is None:
+        path = self._path
+        if path is None:
             return False
         state = self._state
-        full_stamp = self._current_stamp()
+        full_stamp = _file_stamp(path)
         delta_stamp = self._delta_stamp()
         full_changed = full_stamp is not None and state.source_stamp != full_stamp
         delta_changed = delta_stamp is not None and state.delta_stamp != delta_stamp
@@ -334,7 +332,7 @@ class MatchService:
             return False
         with self._reload_lock:
             swapped = False
-            full_stamp = self._current_stamp()
+            full_stamp = _file_stamp(path)
             if full_stamp is not None and self._state.source_stamp != full_stamp:
                 self._reload_locked()
                 swapped = True

@@ -39,7 +39,7 @@ import time
 from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, BinaryIO, Iterator, Mapping
 
 __all__ = [
     "ArtifactError",
@@ -269,9 +269,20 @@ def _sweep_stale_temps(path: Path) -> int:
     return removed
 
 
-def _check_framing(magic: bytes, container_version: int, source: str) -> None:
-    """Reject foreign files and other container versions *before* any field
-    after the header (most importantly ``manifest_len``) is trusted."""
+def _read_header(handle: BinaryIO, source: str) -> int:
+    """Validate the framing of an open artifact; return where its manifest ends.
+
+    The one header parser of both readers.  Validation order matters: the
+    magic and container version are checked before ``manifest_len`` is
+    trusted, and the declared length is bounded by the file size, so a
+    foreign or corrupt file gets a clear error instead of a read larger
+    than the file itself, let alone a giant allocation.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    head = handle.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise ArtifactError(f"{source}: too short to be an artifact")
+    magic, container_version, manifest_len = _HEADER.unpack(head)
     if magic != MAGIC:
         raise ArtifactError(f"{source}: bad magic (not a repro artifact)")
     if container_version != CONTAINER_VERSION:
@@ -279,6 +290,10 @@ def _check_framing(magic: bytes, container_version: int, source: str) -> None:
             f"{source}: container version {container_version} is not "
             f"{CONTAINER_VERSION}, the only one this build reads"
         )
+    end = _HEADER.size + manifest_len
+    if end > size:
+        raise ArtifactError(f"{source}: truncated manifest")
+    return end
 
 
 def _decode_manifest(raw: bytes, source: str) -> ArtifactManifest:
@@ -289,47 +304,17 @@ def _decode_manifest(raw: bytes, source: str) -> ArtifactManifest:
     return ArtifactManifest.from_json(text)
 
 
-def _parse_header(data: Any, source: str) -> tuple[ArtifactManifest, int]:
-    """Validate framing and decode the manifest from a whole-file buffer.
-
-    *data* is anything sliceable with a length (the ``mmap`` object of
-    :func:`read_artifact`).  Validation order matters: magic and container
-    version are checked before ``manifest_len`` is trusted, so a foreign or
-    corrupt file gets a clear error instead of a giant
-    bounded-only-by-the-file read.
-    """
-    if len(data) < _HEADER.size:
-        raise ArtifactError(f"{source}: too short to be an artifact")
-    magic, container_version, manifest_len = _HEADER.unpack_from(data)
-    _check_framing(magic, container_version, source)
-    end = _HEADER.size + manifest_len
-    if len(data) < end:
-        raise ArtifactError(f"{source}: truncated manifest")
-    manifest = _decode_manifest(bytes(data[_HEADER.size : end]), source)
-    return manifest, end
-
-
 def read_manifest(path: str | Path) -> ArtifactManifest:
     """Read only the header + manifest of an artifact (cheap peek).
 
-    The magic and container version are validated before ``manifest_len``
-    is trusted, and the declared length is bounded by the actual file size
-    — a foreign or corrupt file can therefore never induce a read larger
-    than the file itself, let alone a giant allocation.
+    The framing is validated first (:func:`_read_header`), so the read is
+    never larger than the file.
     """
     path = Path(path)
     with path.open("rb") as handle:
-        head = handle.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ArtifactError(f"{path}: too short to be an artifact")
-        magic, container_version, manifest_len = _HEADER.unpack(head)
-        _check_framing(magic, container_version, str(path))
-        if _HEADER.size + manifest_len > os.fstat(handle.fileno()).st_size:
-            raise ArtifactError(f"{path}: truncated manifest")
-        manifest_bytes = handle.read(manifest_len)
-    if len(manifest_bytes) < manifest_len:
-        raise ArtifactError(f"{path}: truncated manifest")
-    return _decode_manifest(manifest_bytes, str(path))
+        end = _read_header(handle, str(path))
+        raw = handle.read(end - _HEADER.size)
+    return _decode_manifest(raw, str(path))
 
 
 class ArtifactMapping(_MappingABC[str, memoryview]):
@@ -473,14 +458,13 @@ def read_artifact(
     """
     path = Path(path)
     with path.open("rb") as handle:
-        # mmap refuses an empty file; say what is wrong with it instead.
-        if os.fstat(handle.fileno()).st_size < _HEADER.size:
-            raise ArtifactError(f"{path}: too short to be an artifact")
+        # Also what keeps an empty file (which mmap refuses) from the map.
+        end = _read_header(handle, str(path))
         mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
     view = memoryview(mapped)
     blocks: dict[str, memoryview] = {}
     try:
-        manifest, _ = _parse_header(mapped, str(path))
+        manifest = _decode_manifest(mapped[_HEADER.size : end], str(path))
         if expected_kind is not None and manifest.kind != expected_kind:
             raise ArtifactError(
                 f"{path}: artifact kind {manifest.kind!r}, expected {expected_kind!r}"

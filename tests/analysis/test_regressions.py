@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from pathlib import Path
 
-from repro.serving.delta import _DeltaSpec, merge_state
+from repro.serving.delta import merge_state
 from repro.server.metrics import LatencyHistogram
 from tools.analysis import analyze_paths
 
@@ -66,20 +66,21 @@ class TestMergeStatePriorsOrder:
     PRIORS = {"zeta": 0.9, "mu": 0.6, "alpha": 0.2}
 
     def test_priors_order_is_sorted_not_hash_order(self):
-        delta = _DeltaSpec(
+        merged, priors = merge_state(
+            self.BASE,
+            self.PRIORS,
             changed=[("omega", [("omega alias", "omega", "mined", 0.7)])],
             removed=["mu"],
             prior_updates={"omega": 0.8},
         )
-        merged, priors = merge_state(self.BASE, self.PRIORS, delta)
         assert priors is not None
         assert list(priors) == sorted(priors)
         assert {entry[1] for entry in merged} == set(priors)
 
     def test_merge_is_reproducible_across_calls(self):
-        delta = _DeltaSpec(changed=[], removed=[], prior_updates={})
-        first = merge_state(self.BASE, self.PRIORS, delta)
-        second = merge_state(list(reversed(self.BASE))[::-1], dict(self.PRIORS), delta)
+        delta = {"changed": [], "removed": [], "prior_updates": {}}
+        first = merge_state(self.BASE, self.PRIORS, **delta)
+        second = merge_state(list(reversed(self.BASE))[::-1], dict(self.PRIORS), **delta)
         assert first == second
 
     def test_delta_module_stays_set_iteration_clean(self):
