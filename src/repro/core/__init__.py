@@ -7,15 +7,16 @@ The public surface of this package is:
 * :class:`~repro.core.pipeline.SynonymMiner` — the two-phase bottom-up
   algorithm: :func:`~repro.core.pipeline.mine_entity` generates and scores
   the candidates in one walk, then selects;
-* :class:`~repro.core.types.SynonymCandidate` / ``MiningResult`` — the
-  scored candidates and the per-entity results;
+* :class:`~repro.core.types.SynonymCandidate` / ``ScoredCandidates`` /
+  ``MiningResult`` — one scored candidate, an entity's scored candidates
+  as columns, and the per-entity results;
 * the lower-level pieces (:mod:`~repro.core.surrogates`,
   :mod:`~repro.core.selection`) for callers who want to run or ablate a
   single phase.
 """
 
 from repro.core.config import MinerConfig
-from repro.core.types import SynonymCandidate, EntitySynonyms, MiningResult
+from repro.core.types import SynonymCandidate, ScoredCandidates, EntitySynonyms, MiningResult
 from repro.core.surrogates import SurrogateFinder
 from repro.core.selection import CandidateSelector, intersecting_page_count, intersecting_click_ratio
 from repro.core.pipeline import SynonymMiner, mine_entity
@@ -25,6 +26,7 @@ __all__ = [
     "mine_entity",
     "MinerConfig",
     "SynonymCandidate",
+    "ScoredCandidates",
     "EntitySynonyms",
     "MiningResult",
     "SurrogateFinder",

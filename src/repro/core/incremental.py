@@ -157,7 +157,7 @@ class IncrementalSynonymMiner:
         for entry in self._miner.mine_iter(refreshed):
             canonical = entry.canonical
             self._result.add(entry)
-            depends_on = {candidate.query for candidate in entry.candidates}
+            depends_on = set(entry.candidate_queries)
             self._value_to_candidates[canonical] = depends_on
             for candidate in depends_on:
                 self._candidate_to_values.setdefault(candidate, set()).add(canonical)

@@ -10,6 +10,12 @@
 3. :class:`~repro.core.selection.CandidateSelector` keeps the candidates
    clearing the β / γ thresholds (candidate selection).
 
+About one scored candidate in twelve is selected, so the scores are kept
+as plain rows, sorted once and stored as one
+:class:`~repro.core.types.ScoredCandidates` record of columns per entity;
+a :class:`~repro.core.types.SynonymCandidate` object is built only for a
+selected candidate, or when a reader indexes or iterates the record.
+
 The miner is deliberately *data-driven and offline*: its only inputs are
 Search Data, Click Data and the list of canonical strings — it never looks
 at the entity attributes or at any ground truth.
@@ -17,19 +23,20 @@ at the entity attributes or at any ground truth.
 Every mining job — :meth:`SynonymMiner.mine`, :meth:`SynonymMiner.mine_iter`,
 the incremental miner's refresh — is the one :func:`mine_entity` loop over
 the live click log, and nothing is kept between entities.  Results are
-deterministic: every scored list is fully sorted by ``(clicks desc, query
-asc)`` and all ICR arithmetic is an integer sum over an integer total.
+deterministic: every scored record is fully sorted by ``(clicks desc,
+query asc)`` and all ICR arithmetic is an integer sum over an integer total.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.config import MinerConfig
 from repro.core.selection import CandidateSelector
 from repro.core.surrogates import SurrogateFinder
-from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
+from repro.core.types import EntitySynonyms, MiningResult, ScoredCandidates
 from repro.text.normalize import normalize
 
 __all__ = ["mine_entity", "SynonymMiner"]
@@ -67,17 +74,24 @@ def mine_entity(
     found = source.intersecting(dict.fromkeys(surrogates))
     found.pop(canonical, None)
     total_clicks = source.total_clicks
-    scored = []
+    rows = []
     for query, (ipc, inside) in found.items():
         total = total_clicks(query)
-        scored.append(SynonymCandidate(query, ipc, inside / total if total else 0.0, total))
-    scored.sort(key=lambda candidate: (-candidate.clicks, candidate.query))
-    selected = selector.select(scored)
+        rows.append((-total, query, ipc, inside / total if total else 0.0, total))
+    # Queries are distinct, so the sort never compares past the query.
+    rows.sort()
+    if rows:
+        _, queries, ipcs, icrs, clicks = zip(*rows)
+    else:
+        queries = ipcs = icrs = clicks = ()
     return EntitySynonyms(
         canonical=canonical,
         surrogates=tuple(surrogates),
-        candidates=scored,
-        selected=selected,
+        candidates=ScoredCandidates(
+            queries, array("q", ipcs), array("d", icrs), array("q", clicks)
+        ),
+        # Selected from the row tuples, whose values are already objects.
+        selected=selector.select_columns(queries, ipcs, icrs, clicks),
     )
 
 
@@ -162,19 +176,25 @@ class SynonymMiner:
 
         Scoring every candidate is the expensive part; the parameter sweeps
         of Figures 2 and 3 only change thresholds, so they reuse the scored
-        candidates and re-filter.  The input result is not modified.
+        candidates and re-filter.  Nothing modifies a :class:`ScoredCandidates`
+        record once it is built, so the new entry shares it and only the new
+        selection is built as objects; a list of candidates is copied.  The
+        input result is not modified.
         """
         selector = CandidateSelector(
             ipc_threshold=ipc_threshold, icr_threshold=icr_threshold
         )
         reselected = MiningResult()
         for entry in result:
+            candidates = entry.candidates
+            if not isinstance(candidates, ScoredCandidates):
+                candidates = list(candidates)
             reselected.add(
                 EntitySynonyms(
                     canonical=entry.canonical,
                     surrogates=entry.surrogates,
-                    candidates=list(entry.candidates),
-                    selected=selector.select(entry.candidates),
+                    candidates=candidates,
+                    selected=selector.select(candidates),
                 )
             )
         return reselected

@@ -27,9 +27,9 @@ equations as written.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.core.types import SynonymCandidate
+from repro.core.types import ScoredCandidates, SynonymCandidate
 
 __all__ = [
     "intersecting_page_count",
@@ -73,11 +73,36 @@ class CandidateSelector:
         self.icr_threshold = icr_threshold
 
     def select(self, candidates: Iterable[SynonymCandidate]) -> list[SynonymCandidate]:
-        """Return the candidates clearing both thresholds, input order kept."""
+        """Return the candidates clearing both thresholds, input order kept.
+
+        A :class:`~repro.core.types.ScoredCandidates` record is filtered on
+        its columns (:meth:`select_columns`), so only the selected
+        candidates are built.
+        """
+        if isinstance(candidates, ScoredCandidates):
+            return self.select_columns(
+                candidates.queries, candidates.ipc, candidates.icr, candidates.clicks
+            )
         return [
             candidate
             for candidate in candidates
             if candidate.passes(
                 ipc_threshold=self.ipc_threshold, icr_threshold=self.icr_threshold
             )
+        ]
+
+    def select_columns(
+        self,
+        queries: Sequence[str],
+        ipc: Sequence[int],
+        icr: Sequence[float],
+        clicks: Sequence[int],
+    ) -> list[SynonymCandidate]:
+        """Build a candidate for each row of the columns that clears both
+        thresholds, row order kept; no other row is built."""
+        beta, gamma = self.ipc_threshold, self.icr_threshold
+        return [
+            SynonymCandidate(query, pages, ratio, volume)
+            for query, pages, ratio, volume in zip(queries, ipc, icr, clicks)
+            if pages >= beta and ratio >= gamma
         ]

@@ -1,11 +1,22 @@
-"""Result types of the synonym miner."""
+"""Result types of the synonym miner.
+
+A :class:`SynonymCandidate` is one scored query.  The miner scores every
+query that clicks a surrogate but selects about one in twelve, so it keeps
+an entity's scored candidates as one :class:`ScoredCandidates` record of
+four columns and builds a :class:`SynonymCandidate` only for a candidate
+that is selected or read.  :class:`EntitySynonyms` holds either that record
+or a plain list (the baselines and the test references build lists); both
+are a ``Sequence[SynonymCandidate]`` and compare equal when their
+candidates do.
+"""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence, overload
 
-__all__ = ["SynonymCandidate", "EntitySynonyms", "MiningResult"]
+__all__ = ["SynonymCandidate", "ScoredCandidates", "EntitySynonyms", "MiningResult"]
 
 
 @dataclass(frozen=True)
@@ -44,13 +55,81 @@ class SynonymCandidate:
         return self.ipc >= ipc_threshold and self.icr >= icr_threshold
 
 
+class ScoredCandidates(Sequence[SynonymCandidate]):
+    """Every scored candidate of one entity, stored as four columns.
+
+    Row *i* is the candidate ``SynonymCandidate(queries[i], ipc[i], icr[i],
+    clicks[i])``; the miner writes the rows sorted by ``(clicks desc, query
+    asc)``.  Indexing and iteration build each candidate on demand (so its
+    ``__post_init__`` validates it), a slice is a list, and the record
+    equals a list holding the same candidates, from either side of ``==``.
+    Nothing modifies a record once it is built, so results may share one:
+    :meth:`SynonymMiner.reselect` does.  It is a plain slotted class, not a
+    frozen dataclass, because the miner builds one per entity and a frozen
+    ``__init__`` costs about four times as much.
+    """
+
+    __slots__ = ("queries", "ipc", "icr", "clicks")
+
+    def __init__(
+        self, queries: tuple[str, ...], ipc: array[int], icr: array[float], clicks: array[int]
+    ) -> None:
+        self.queries = queries
+        self.ipc = ipc
+        self.icr = icr
+        self.clicks = clicks
+
+    def __repr__(self) -> str:
+        return (
+            f"ScoredCandidates(queries={self.queries!r}, ipc={self.ipc!r}, "
+            f"icr={self.icr!r}, clicks={self.clicks!r})"
+        )
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    @overload
+    def __getitem__(self, index: int) -> SynonymCandidate: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SynonymCandidate]: ...
+
+    def __getitem__(self, index: int | slice) -> SynonymCandidate | list[SynonymCandidate]:
+        if isinstance(index, slice):
+            columns = (self.queries[index], self.ipc[index], self.icr[index], self.clicks[index])
+            return list(map(SynonymCandidate, *columns))
+        return SynonymCandidate(
+            self.queries[index], self.ipc[index], self.icr[index], self.clicks[index]
+        )
+
+    def __iter__(self) -> Iterator[SynonymCandidate]:
+        return map(SynonymCandidate, self.queries, self.ipc, self.icr, self.clicks)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ScoredCandidates):
+            return (
+                self.queries == other.queries
+                and self.ipc == other.ipc
+                and self.icr == other.icr
+                and self.clicks == other.clicks
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 @dataclass
 class EntitySynonyms:
-    """The mining outcome for one input string ``u``."""
+    """The mining outcome for one input string ``u``.
+
+    *candidates* is every scored candidate: a :class:`ScoredCandidates`
+    record from the miner, or a list from a baseline.  *selected* is always
+    a list of built candidates.
+    """
 
     canonical: str
     surrogates: tuple[str, ...]
-    candidates: list[SynonymCandidate] = field(default_factory=list)
+    candidates: Sequence[SynonymCandidate] = field(default_factory=list)
     selected: list[SynonymCandidate] = field(default_factory=list)
 
     @property
@@ -63,12 +142,20 @@ class EntitySynonyms:
         """True when at least one synonym was selected (a Table-I "hit")."""
         return bool(self.selected)
 
+    @property
+    def candidate_queries(self) -> Sequence[str]:
+        """The scored candidates' query strings, in candidate order."""
+        if isinstance(self.candidates, ScoredCandidates):
+            return self.candidates.queries
+        return [candidate.query for candidate in self.candidates]
+
     def candidate(self, query: str) -> SynonymCandidate | None:
         """Look up a scored candidate by query string."""
-        for candidate in self.candidates:
-            if candidate.query == query:
-                return candidate
-        return None
+        try:
+            slot = self.candidate_queries.index(query)
+        except ValueError:
+            return None
+        return self.candidates[slot]
 
 
 @dataclass

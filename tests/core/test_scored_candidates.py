@@ -1,0 +1,134 @@
+"""The per-entity record of scored candidates and what it builds."""
+
+from array import array
+
+import pytest
+
+from repro.core.config import MinerConfig
+from repro.core.pipeline import SynonymMiner
+from repro.core.selection import CandidateSelector
+from repro.core.types import ScoredCandidates, SynonymCandidate
+
+ROWS = [
+    SynonymCandidate("indy 4", 5, 0.9, 120),
+    SynonymCandidate("indiana jones 4", 3, 0.5, 80),
+    SynonymCandidate("harrison ford", 1, 0.05, 80),
+]
+
+
+def _record(rows):
+    return ScoredCandidates(
+        tuple(row.query for row in rows),
+        array("q", [row.ipc for row in rows]),
+        array("d", [row.icr for row in rows]),
+        array("q", [row.clicks for row in rows]),
+    )
+
+
+class TestSequence:
+    def test_equals_an_equal_list_from_either_side(self):
+        record = _record(ROWS)
+        assert record == ROWS
+        assert ROWS == record
+        assert record == _record(ROWS)
+        assert not record != ROWS
+        assert not ROWS != record
+
+    def test_differs_from_a_different_list(self):
+        record = _record(ROWS)
+        assert record != ROWS[:2]
+        assert ROWS[::-1] != record
+        changed = [ROWS[0], ROWS[1], SynonymCandidate("harrison ford", 1, 0.05, 81)]
+        assert record != changed
+        assert changed != record
+        assert record != _record(changed)
+        assert record != tuple(ROWS)
+
+    def test_len_and_indexing(self):
+        record = _record(ROWS)
+        assert len(record) == 3
+        assert record[0] == ROWS[0]
+        assert record[2] == ROWS[2]
+        assert record[-1] == ROWS[-1]
+        assert record[-3] == ROWS[0]
+        with pytest.raises(IndexError):
+            record[3]
+        with pytest.raises(IndexError):
+            record[-4]
+
+    def test_slices_are_lists(self):
+        record = _record(ROWS)
+        assert record[:2] == ROWS[:2] and type(record[:2]) is list
+        assert record[1:] == ROWS[1:]
+        assert record[::-1] == ROWS[::-1]
+        assert record[5:] == []
+
+    def test_iteration_and_membership(self):
+        record = _record(ROWS)
+        assert list(record) == ROWS
+        assert [candidate.query for candidate in record] == list(record.queries)
+        assert ROWS[1] in record
+        assert record.index(ROWS[2]) == 2
+
+    def test_empty_record(self):
+        empty = _record([])
+        assert empty == []
+        assert [] == empty
+        assert len(empty) == 0
+        assert list(empty) == []
+
+    def test_a_materialized_out_of_range_candidate_still_raises(self):
+        record = ScoredCandidates(
+            ("ok", "bad"), array("q", [1, 1]), array("d", [0.5, 1.5]), array("q", [3, 2])
+        )
+        assert record[0] == SynonymCandidate("ok", 1, 0.5, 3)
+        with pytest.raises(ValueError, match="icr"):
+            record[1]
+        with pytest.raises(ValueError, match="icr"):
+            list(record)
+
+    def test_selection_on_the_columns_keeps_row_order(self):
+        record = _record(ROWS)
+        for ipc, icr in ((3, 0.5), (0, 0.0), (6, 0.0), (1, 0.05)):
+            selector = CandidateSelector(ipc_threshold=ipc, icr_threshold=icr)
+            assert selector.select(record) == selector.select(ROWS)
+        assert CandidateSelector(ipc_threshold=3, icr_threshold=0.5).select(record) == ROWS[:2]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts every SynonymCandidate constructed while the test runs."""
+    count = [0]
+    original = SynonymCandidate.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SynonymCandidate, "__init__", counting_init)
+    return count
+
+
+class TestConstructionCount:
+    """The miner builds candidate objects only for what it selects."""
+
+    def test_mine_builds_only_the_selection(self, toy_world, built):
+        miner = SynonymMiner(
+            click_log=toy_world.click_log, search_log=toy_world.search_log, config=MinerConfig()
+        )
+        result = miner.mine(toy_world.canonical_queries())
+        scored = sum(len(entry.candidates) for entry in result)
+        assert 0 < result.synonym_count < scored
+        assert built[0] == result.synonym_count
+
+        built[0] = 0
+        reselected = miner.reselect(result, ipc_threshold=2, icr_threshold=0.05)
+        assert reselected.synonym_count != result.synonym_count
+        assert built[0] == reselected.synonym_count
+
+        built[0] = 0
+        entry = next(entry for entry in result if len(entry.candidates) > 1)
+        last = entry.candidates.queries[-1]
+        assert entry.candidate(last).query == last
+        assert entry.candidate("no such query") is None
+        assert built[0] == 1
