@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments", help="regenerate the paper's figures and tables as text"
     )
     experiments.add_argument("--artifact", choices=("figure2", "figure3", "table1", "all"), default="all")
-    experiments.add_argument("--quick", action="store_true", help="smaller worlds, faster")
 
     scenario = subparsers.add_parser(
         "scenario",
@@ -506,16 +505,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.eval.reporting import render_icr_sweep, render_ipc_sweep, render_table1
     from repro.simulation.world import WorldConfig, build_world
 
-    if args.quick:
-        movies_config = WorldConfig.movies(entity_count=60, session_count=20_000)
-        cameras_config = WorldConfig.cameras(entity_count=250, session_count=40_000)
-    else:
-        movies_config = WorldConfig.movies()
-        cameras_config = WorldConfig.cameras()
-
-    worlds = {"movies": build_world(movies_config)}
+    worlds = {"movies": build_world(WorldConfig.movies())}
     if args.artifact in ("table1", "all"):
-        worlds["cameras"] = build_world(cameras_config)
+        worlds["cameras"] = build_world(WorldConfig.cameras())
     rows = run_quality(worlds)
     if args.artifact in ("figure2", "all"):
         print(render_ipc_sweep(rows))

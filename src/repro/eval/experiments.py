@@ -2,10 +2,11 @@
 
 :data:`GRID` lists each (world, k, β, γ) point that one of the seven tables
 in ``benchmarks/results/`` prints, and :func:`run_quality` evaluates the grid
-on the worlds it is given: for each (world, k) it mines once with both
-thresholds open, then re-filters with :meth:`SynonymMiner.reselect` for each
-(β, γ).  Each Table I world also runs the two baselines once.  Every point
-becomes one :class:`QualityRow`, and the tables are renderings of the rows
+on the worlds it is given: for each (world, k) it mines once at the paper's
+β and γ, then re-filters with :meth:`SynonymMiner.reselect` for each (β, γ)
+(the scored columns hold every candidate, whatever the base selected).
+Each Table I world also runs the two baselines once.  Every point becomes
+one :class:`QualityRow`, and the tables are renderings of the rows
 (:mod:`repro.eval.reporting`).
 
 | Table                          | Grid points                                        |
@@ -159,7 +160,7 @@ def run_quality(worlds: Mapping[str, SimulatedWorld]) -> list[QualityRow]:
         miner = SynonymMiner(
             click_log=world.click_log,
             search_log=world.search_log,
-            config=MinerConfig(surrogate_k=k, ipc_threshold=0, icr_threshold=0.0),
+            config=MinerConfig(surrogate_k=k, ipc_threshold=_IPC, icr_threshold=_ICR),
         )
         scored = miner.mine(world.canonical_queries())
         for _, _, ipc, icr in points:

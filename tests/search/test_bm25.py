@@ -1,39 +1,39 @@
-"""Tests for BM25 scoring."""
+"""Tests for BM25 scoring, observed through :meth:`SearchEngine.search`."""
 
-import pytest
-
-from repro.search.bm25 import BM25Scorer
-from repro.search.index import InvertedIndex
-
-
-@pytest.fixture()
-def scorer(mini_corpus):
-    return BM25Scorer(InvertedIndex.from_corpus(mini_corpus))
+from repro.search.documents import Corpus, WebPage
+from repro.search.engine import SearchEngine
 
 
 class TestScoring:
-    def test_idf_positive_and_decreasing_with_df(self, scorer):
-        rare = scorer.idf("madagascar")   # document frequency 1
-        common = scorer.idf("indiana")    # document frequency 2
-        assert rare > common > 0.0
+    def test_idf_positive_and_decreasing_with_df(self):
+        # Every page has the same length and each term occurs once, so a
+        # term's score on a page differs from another's only by its idf.
+        engine = SearchEngine(
+            Corpus(
+                [
+                    WebPage(url="https://a.example", title="", body="rare common"),
+                    WebPage(url="https://b.example", title="", body="common other"),
+                    WebPage(url="https://c.example", title="", body="other filler"),
+                ]
+            )
+        )
+        rare = {result.url: result.score for result in engine.search("rare")}   # df 1
+        common = {result.url: result.score for result in engine.search("common")}  # df 2
+        assert rare["https://a.example"] > common["https://a.example"] > 0.0
 
-    def test_idf_unseen_term_is_largest(self, scorer):
-        assert scorer.idf("unseenterm") >= scorer.idf("madagascar")
+    def test_matching_document_scores_highest(self, mini_engine):
+        results = mini_engine.search("madagascar escape africa")
+        assert results[0].url == "https://studio.example.com/madagascar-2"
 
-    def test_matching_document_scores_highest(self, scorer):
-        scores = scorer.score_all(["madagascar", "escape", "africa"])
-        index = scorer.index
-        best_doc = max(scores, key=scores.get)
-        assert index.url_of(best_doc) == "https://studio.example.com/madagascar-2"
+    def test_no_match_returns_empty(self, mini_engine):
+        assert mini_engine.search("zzzz") == []
 
-    def test_no_match_returns_empty(self, scorer):
-        assert scorer.score_all(["zzzz"]) == {}
+    def test_empty_query_returns_empty(self, mini_engine):
+        assert mini_engine.search("") == []
 
-    def test_empty_query_returns_empty(self, scorer):
-        assert scorer.score_all([]) == {}
-
-    def test_repeated_query_terms_accumulate(self, scorer):
-        single = scorer.score_all(["indiana"])
-        double = scorer.score_all(["indiana", "indiana"])
-        for doc_id in single:
-            assert double[doc_id] > single[doc_id]
+    def test_repeated_query_terms_accumulate(self, mini_engine):
+        single = {result.url: result.score for result in mini_engine.search("indiana")}
+        double = {result.url: result.score for result in mini_engine.search("indiana indiana")}
+        assert single.keys() == double.keys()
+        for url, score in single.items():
+            assert double[url] > score

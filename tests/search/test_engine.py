@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.search.engine import SearchResult
+from repro.search.documents import Corpus, WebPage
+from repro.search.engine import SearchEngine, SearchResult
 
 
 class TestSearch:
@@ -31,6 +32,11 @@ class TestSearch:
 
     def test_out_of_vocabulary_query_returns_nothing(self, mini_engine):
         assert mini_engine.search("zzzz qqqq") == []
+
+    def test_empty_corpus_returns_nothing(self):
+        assert SearchEngine(Corpus()).search("indiana") == []
+        blank = Corpus([WebPage(url="https://blank.example", title="!!!", body="")])
+        assert SearchEngine(blank).search("indiana") == []
 
     def test_deterministic_tie_break(self, mini_engine):
         first = mini_engine.search("indiana jones")

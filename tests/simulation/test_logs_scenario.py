@@ -13,6 +13,10 @@ from repro.simulation.world import WorldConfig, build_world, user_model_for
 # any search result, click count, alias or redirect fails here.
 TOY_WORLD_SHA256 = "13a4da2ed74f3413a28df1576d6b5dc647cf88565a86cc859c8e5a47e6953f8b"
 
+# sha256 of _fingerprint(build_world(WorldConfig.movies())): the paper's D1
+# world, whose search results every quality table is mined from.
+MOVIES_WORLD_SHA256 = "910fe9698cb37b9a9b9c2d3dedf683b48f2214edcc878d8c3f4a17b5a99c89a8"
+
 
 def _fingerprint(world) -> str:
     """sha256 over the world's sorted search-log, click-log, alias-table and
@@ -115,3 +119,6 @@ class TestBuildWorld:
         assert rebuilt.summary() == toy_world.summary()
         assert rebuilt.canonical_queries() == toy_world.canonical_queries()
         assert _fingerprint(toy_world) == _fingerprint(rebuilt) == TOY_WORLD_SHA256
+
+    def test_movies_world_is_pinned(self):
+        assert _fingerprint(build_world(WorldConfig.movies())) == MOVIES_WORLD_SHA256

