@@ -48,7 +48,7 @@ def main() -> None:
     miner = SynonymMiner(
         click_log=world.click_log,
         search_log=world.search_log,
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     ours = miner.mine(world.canonical_queries())
     matcher = QueryMatcher(

@@ -41,13 +41,8 @@ def main() -> None:
         search_log=world.search_log,
         config=MinerConfig(ipc_threshold=0, icr_threshold=0.0),
     )
-    operating_point = MinerConfig.paper_default()
     scored = miner.mine(world.canonical_queries())
-    kept = miner.reselect(
-        scored,
-        ipc_threshold=operating_point.ipc_threshold,
-        icr_threshold=operating_point.icr_threshold,
-    )
+    kept = miner.reselect(scored, MinerConfig())
 
     oracle = GroundTruthOracle(world.catalog, world.alias_table)
 

@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\n3. Mining synonyms from the loaded logs...")
     incremental = IncrementalSynonymMiner(
-        search_log=search_log, click_log=click_log, config=MinerConfig.paper_default()
+        search_log=search_log, click_log=click_log, config=MinerConfig()
     )
     incremental.track(world.canonical_queries())
     incremental.refresh()

@@ -37,7 +37,7 @@ def main() -> None:
     miner = SynonymMiner(
         click_log=world.click_log,
         search_log=world.search_log,
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     result = miner.mine(world.canonical_queries())
 

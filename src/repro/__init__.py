@@ -35,7 +35,7 @@ Quickstart::
     world = build_world(WorldConfig.toy())
     miner = SynonymMiner(click_log=world.click_log,
                          search_log=world.search_log,
-                         config=MinerConfig.paper_default())
+                         config=MinerConfig())
     result = miner.mine(world.canonical_queries())
     print(result.as_dictionary())
 """

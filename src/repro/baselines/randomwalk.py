@@ -136,12 +136,7 @@ class RandomWalkSynonymFinder:
                     clicks=0,
                 )
             )
-        return EntitySynonyms(
-            canonical=canonical,
-            surrogates=(),
-            candidates=list(selected),
-            selected=selected,
-        )
+        return EntitySynonyms(canonical=canonical, surrogates=(), selected=selected)
 
     def find(self, values: Iterable[str]) -> MiningResult:
         """Run the baseline over a whole input set."""

@@ -38,15 +38,13 @@ class WikipediaSynonymFinder:
         redirects: list[str] = []
         if entity is not None:
             redirects = self.wikipedia.redirects_for(entity.entity_id)
-        candidates = [
-            SynonymCandidate(query=normalize(redirect), ipc=0, icr=0.0, clicks=0)
-            for redirect in sorted(set(redirects))
-        ]
         return EntitySynonyms(
             canonical=canonical,
             surrogates=(),
-            candidates=candidates,
-            selected=list(candidates),
+            selected=[
+                SynonymCandidate(query=normalize(redirect), ipc=0, icr=0.0, clicks=0)
+                for redirect in sorted(set(redirects))
+            ],
         )
 
     def find(self, values: Iterable[str]) -> MiningResult:

@@ -3,22 +3,19 @@
 The public surface of this package is:
 
 * :class:`~repro.core.config.MinerConfig` — the paper's three parameters
-  (top-k, β for IPC, γ for ICR);
+  (top-k, β for IPC, γ for ICR), defined and checked there only;
 * :class:`~repro.core.pipeline.SynonymMiner` — the two-phase bottom-up
   algorithm: :func:`~repro.core.pipeline.mine_entity` generates and scores
   the candidates in one walk, then selects;
 * :class:`~repro.core.types.SynonymCandidate` / ``ScoredCandidates`` /
   ``MiningResult`` — one scored candidate, an entity's scored candidates
   as columns, and the per-entity results;
-* the lower-level pieces (:mod:`~repro.core.surrogates`,
-  :mod:`~repro.core.selection`) for callers who want to run or ablate a
-  single phase.
+* Eq. 3 and Eq. 4 as written (:mod:`~repro.core.selection`).
 """
 
 from repro.core.config import MinerConfig
 from repro.core.types import SynonymCandidate, ScoredCandidates, EntitySynonyms, MiningResult
-from repro.core.surrogates import SurrogateFinder
-from repro.core.selection import CandidateSelector, intersecting_page_count, intersecting_click_ratio
+from repro.core.selection import intersecting_page_count, intersecting_click_ratio
 from repro.core.pipeline import SynonymMiner, mine_entity
 from repro.core.incremental import IncrementalSynonymMiner
 
@@ -29,8 +26,6 @@ __all__ = [
     "ScoredCandidates",
     "EntitySynonyms",
     "MiningResult",
-    "SurrogateFinder",
-    "CandidateSelector",
     "intersecting_page_count",
     "intersecting_click_ratio",
     "SynonymMiner",

@@ -8,9 +8,12 @@ The paper exposes three free parameters:
 * ``γ``  — the Intersecting Click Ratio threshold (Eq. 4).
 
 The paper's recommended operating point for Table I is β = 4, γ = 0.1 with
-k = 10-ish surrogates, which are the defaults here.  These three are the
-whole configuration: the canonical string is never its own synonym, and
-every Click Data tuple carries at least one click, so neither needs a knob.
+k = 10-ish surrogates, which are the defaults here: ``MinerConfig()`` is
+that point.  These three are the whole configuration: the canonical string
+is never its own synonym, and every Click Data tuple carries at least one
+click, so neither needs a knob.  This class is the one place they are
+defined and checked; the miner and :func:`~repro.core.selection.select`
+read them from it.
 """
 
 from __future__ import annotations
@@ -50,13 +53,6 @@ class MinerConfig:
             raise ValueError(
                 f"icr_threshold must be in [0, 1], got {self.icr_threshold}"
             )
-
-    # Convenience constructors for the operating points used in the paper.
-
-    @classmethod
-    def paper_default(cls) -> "MinerConfig":
-        """The Table I operating point: IPC 4, ICR 0.1."""
-        return cls(ipc_threshold=4, icr_threshold=0.1)
 
     def with_thresholds(self, *, ipc: int | None = None, icr: float | None = None) -> "MinerConfig":
         """Return a copy with different β / γ (used by the sweeps)."""

@@ -104,7 +104,7 @@ class IncrementalSynonymMiner:
                 continue
             self._tracked.add(canonical)
             self._dirty.add(canonical)
-            for url in self.search_log.top_urls(canonical, k=self.config.surrogate_k):
+            for url in self._miner.surrogates(canonical):
                 self._url_to_values.setdefault(url, set()).add(canonical)
 
     @property
@@ -157,7 +157,7 @@ class IncrementalSynonymMiner:
         for entry in self._miner.mine_iter(refreshed):
             canonical = entry.canonical
             self._result.add(entry)
-            depends_on = set(entry.candidate_queries)
+            depends_on = set(entry.candidates.queries)
             self._value_to_candidates[canonical] = depends_on
             for candidate in depends_on:
                 self._candidate_to_values.setdefault(candidate, set()).add(canonical)

@@ -2,13 +2,16 @@
 
 :func:`mine_entity` runs both phases for one input string ``u``:
 
-1. its surrogate pages ``G_A(u, P)`` come from
-   :class:`~repro.core.surrogates.SurrogateFinder` (Eq. 1);
+1. its surrogate pages ``G_A(u, P)`` are the top k of its Search Data
+   (Eq. 1, :meth:`SynonymMiner.surrogates`);
 2. one walk over the surrogates' reverse click edges
    (:meth:`~repro.clicklog.log.ClickLog.intersecting`) generates every
    candidate and sums its IPC and ICR numerator on the way;
-3. :class:`~repro.core.selection.CandidateSelector` keeps the candidates
-   clearing the β / γ thresholds (candidate selection).
+3. :func:`~repro.core.selection.select` keeps the candidates clearing the
+   β / γ thresholds (candidate selection).
+
+k, β and γ are read from the miner's
+:class:`~repro.core.config.MinerConfig` and nowhere else.
 
 About one scored candidate in twelve is selected, so the scores are kept
 as plain rows, sorted once and stored as one
@@ -34,8 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.clicklog.log import ClickLog, SearchLog
 from repro.core.config import MinerConfig
-from repro.core.selection import CandidateSelector
-from repro.core.surrogates import SurrogateFinder
+from repro.core.selection import select
 from repro.core.types import EntitySynonyms, MiningResult, ScoredCandidates
 from repro.text.normalize import normalize
 
@@ -48,7 +50,6 @@ def mine_entity(
     source: ClickLog,
     surrogates: Sequence[str],
     config: MinerConfig,
-    selector: CandidateSelector | None = None,
 ) -> EntitySynonyms:
     """Run both mining phases for one already-normalized input string.
 
@@ -67,10 +68,6 @@ def mine_entity(
     This is the one implementation behind :class:`SynonymMiner` and, through
     it, :meth:`IncrementalSynonymMiner.refresh`.
     """
-    if selector is None:
-        selector = CandidateSelector(
-            ipc_threshold=config.ipc_threshold, icr_threshold=config.icr_threshold
-        )
     found = source.intersecting(dict.fromkeys(surrogates))
     found.pop(canonical, None)
     total_clicks = source.total_clicks
@@ -91,7 +88,7 @@ def mine_entity(
             queries, array("q", ipcs), array("d", icrs), array("q", clicks)
         ),
         # Selected from the row tuples, whose values are already objects.
-        selected=selector.select_columns(queries, ipcs, icrs, clicks),
+        selected=select(config, queries, ipcs, icrs, clicks),
     )
 
 
@@ -101,8 +98,8 @@ class SynonymMiner:
     Parameters
     ----------
     search_log:
-        Search Data ``A`` (see :class:`~repro.core.surrogates.SurrogateFinder`);
-        required.
+        Search Data ``A``: the replayable record of what the search API
+        returned for each input string; required.
     click_log:
         Click Data ``L``.  It is read in place, so do not ``add()`` to it
         while a :meth:`mine_iter` is being consumed.
@@ -122,25 +119,25 @@ class SynonymMiner:
             raise ValueError("no Search Data: provide a search_log")
         self.config = config or MinerConfig()
         self.click_log = click_log
-        self.surrogate_finder = SurrogateFinder(
-            search_log=search_log, k=self.config.surrogate_k
-        )
-        self.selector = CandidateSelector(
-            ipc_threshold=self.config.ipc_threshold,
-            icr_threshold=self.config.icr_threshold,
-        )
+        self.search_log = search_log
 
     # ------------------------------------------------------------------ #
     # Mining
     # ------------------------------------------------------------------ #
 
+    def surrogates(self, canonical: str) -> tuple[str, ...]:
+        """``G_A(u, P)`` (Eq. 1): the top-k Search Data URLs of an
+        already-normalized string, best-ranked first; empty for a string
+        that was never materialised into Search Data.  A surrogate is a page
+        that represents the entity ``u`` describes (Definition 5)."""
+        return tuple(self.search_log.top_urls(canonical, k=self.config.surrogate_k))
+
     def _mine_canonical(self, canonical: str) -> EntitySynonyms:
         return mine_entity(
             canonical,
             source=self.click_log,
-            surrogates=self.surrogate_finder.for_canonical(canonical),
+            surrogates=self.surrogates(canonical),
             config=self.config,
-            selector=self.selector,
         )
 
     def mine_one(self, value: str) -> EntitySynonyms:
@@ -169,32 +166,31 @@ class SynonymMiner:
     # Re-thresholding without re-scoring
     # ------------------------------------------------------------------ #
 
-    def reselect(
-        self, result: MiningResult, *, ipc_threshold: int, icr_threshold: float
-    ) -> MiningResult:
-        """Re-apply different β / γ to an existing scored result.
+    def reselect(self, result: MiningResult, config: MinerConfig) -> MiningResult:
+        """Re-apply *config*'s β / γ to an existing scored result.
 
         Scoring every candidate is the expensive part; the parameter sweeps
         of Figures 2 and 3 only change thresholds, so they reuse the scored
-        candidates and re-filter.  Nothing modifies a :class:`ScoredCandidates`
-        record once it is built, so the new entry shares it and only the new
-        selection is built as objects; a list of candidates is copied.  The
+        candidates and re-filter.  The scores depend on k, so *config* must
+        keep this miner's ``surrogate_k``.  Nothing modifies a
+        :class:`ScoredCandidates` record once it is built, so the new entry
+        shares it and only the new selection is built as objects.  The
         input result is not modified.
         """
-        selector = CandidateSelector(
-            ipc_threshold=ipc_threshold, icr_threshold=icr_threshold
-        )
+        if config.surrogate_k != self.config.surrogate_k:
+            raise ValueError(
+                f"reselect keeps the scores of surrogate_k={self.config.surrogate_k}, "
+                f"got a config with surrogate_k={config.surrogate_k}"
+            )
         reselected = MiningResult()
         for entry in result:
-            candidates = entry.candidates
-            if not isinstance(candidates, ScoredCandidates):
-                candidates = list(candidates)
+            scored = entry.candidates
             reselected.add(
                 EntitySynonyms(
                     canonical=entry.canonical,
                     surrogates=entry.surrogates,
-                    candidates=candidates,
-                    selected=selector.select(candidates),
+                    candidates=scored,
+                    selected=select(config, scored.queries, scored.ipc, scored.icr, scored.clicks),
                 )
             )
         return reselected

@@ -22,19 +22,21 @@ The final synonyms are the candidates with ``IPC ≥ β`` and ``ICR ≥ γ``.
 
 The miner sums both numerators in the walk that generates the candidates
 (:func:`~repro.core.pipeline.mine_entity`); the two functions below are the
-equations as written.
+equations as written, and :func:`select` is the threshold, applied to the
+columns of an entity's scored candidates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.types import ScoredCandidates, SynonymCandidate
+from repro.core.config import MinerConfig
+from repro.core.types import SynonymCandidate
 
 __all__ = [
     "intersecting_page_count",
     "intersecting_click_ratio",
-    "CandidateSelector",
+    "select",
 ]
 
 
@@ -61,48 +63,19 @@ def intersecting_click_ratio(
     return intersecting / total
 
 
-class CandidateSelector:
-    """Applies the β (IPC) and γ (ICR) thresholds to scored candidates."""
-
-    def __init__(self, *, ipc_threshold: int = 4, icr_threshold: float = 0.1) -> None:
-        if ipc_threshold < 0:
-            raise ValueError(f"ipc_threshold must be >= 0, got {ipc_threshold}")
-        if not 0.0 <= icr_threshold <= 1.0:
-            raise ValueError(f"icr_threshold must be in [0, 1], got {icr_threshold}")
-        self.ipc_threshold = ipc_threshold
-        self.icr_threshold = icr_threshold
-
-    def select(self, candidates: Iterable[SynonymCandidate]) -> list[SynonymCandidate]:
-        """Return the candidates clearing both thresholds, input order kept.
-
-        A :class:`~repro.core.types.ScoredCandidates` record is filtered on
-        its columns (:meth:`select_columns`), so only the selected
-        candidates are built.
-        """
-        if isinstance(candidates, ScoredCandidates):
-            return self.select_columns(
-                candidates.queries, candidates.ipc, candidates.icr, candidates.clicks
-            )
-        return [
-            candidate
-            for candidate in candidates
-            if candidate.passes(
-                ipc_threshold=self.ipc_threshold, icr_threshold=self.icr_threshold
-            )
-        ]
-
-    def select_columns(
-        self,
-        queries: Sequence[str],
-        ipc: Sequence[int],
-        icr: Sequence[float],
-        clicks: Sequence[int],
-    ) -> list[SynonymCandidate]:
-        """Build a candidate for each row of the columns that clears both
-        thresholds, row order kept; no other row is built."""
-        beta, gamma = self.ipc_threshold, self.icr_threshold
-        return [
-            SynonymCandidate(query, pages, ratio, volume)
-            for query, pages, ratio, volume in zip(queries, ipc, icr, clicks)
-            if pages >= beta and ratio >= gamma
-        ]
+def select(
+    config: MinerConfig,
+    queries: Sequence[str],
+    ipc: Sequence[int],
+    icr: Sequence[float],
+    clicks: Sequence[int],
+) -> list[SynonymCandidate]:
+    """Build a candidate for each row of the columns with ``IPC >= β`` and
+    ``ICR >= γ`` (*config*'s thresholds), row order kept; no other row is
+    built."""
+    beta, gamma = config.ipc_threshold, config.icr_threshold
+    return [
+        SynonymCandidate(query, pages, ratio, volume)
+        for query, pages, ratio, volume in zip(queries, ipc, icr, clicks)
+        if pages >= beta and ratio >= gamma
+    ]

@@ -4,10 +4,9 @@ A :class:`SynonymCandidate` is one scored query.  The miner scores every
 query that clicks a surrogate but selects about one in twelve, so it keeps
 an entity's scored candidates as one :class:`ScoredCandidates` record of
 four columns and builds a :class:`SynonymCandidate` only for a candidate
-that is selected or read.  :class:`EntitySynonyms` holds either that record
-or a plain list (the baselines and the test references build lists); both
-are a ``Sequence[SynonymCandidate]`` and compare equal when their
-candidates do.
+that is selected or read.  :class:`EntitySynonyms` always holds such a
+record (empty for the baselines, which score nothing) beside the list of
+selected candidates.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ class SynonymCandidate:
         if self.clicks < 0:
             raise ValueError(f"clicks must be >= 0, got {self.clicks}")
 
-    def passes(self, *, ipc_threshold: int, icr_threshold: float) -> bool:
-        """Whether the candidate clears both thresholds (β and γ)."""
-        return self.ipc >= ipc_threshold and self.icr >= icr_threshold
-
 
 class ScoredCandidates(Sequence[SynonymCandidate]):
     """Every scored candidate of one entity, stored as four columns.
@@ -61,8 +56,9 @@ class ScoredCandidates(Sequence[SynonymCandidate]):
     Row *i* is the candidate ``SynonymCandidate(queries[i], ipc[i], icr[i],
     clicks[i])``; the miner writes the rows sorted by ``(clicks desc, query
     asc)``.  Indexing and iteration build each candidate on demand (so its
-    ``__post_init__`` validates it), a slice is a list, and the record
-    equals a list holding the same candidates, from either side of ``==``.
+    ``__post_init__`` validates it), a slice is a list, and a record equals
+    only a record with the same columns (compare ``list(record)`` with a
+    list).
     Nothing modifies a record once it is built, so results may share one:
     :meth:`SynonymMiner.reselect` does.  It is a plain slotted class, not a
     frozen dataclass, because the miner builds one per entity and a frozen
@@ -113,8 +109,6 @@ class ScoredCandidates(Sequence[SynonymCandidate]):
                 and self.icr == other.icr
                 and self.clicks == other.clicks
             )
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
 
@@ -122,14 +116,16 @@ class ScoredCandidates(Sequence[SynonymCandidate]):
 class EntitySynonyms:
     """The mining outcome for one input string ``u``.
 
-    *candidates* is every scored candidate: a :class:`ScoredCandidates`
-    record from the miner, or a list from a baseline.  *selected* is always
-    a list of built candidates.
+    *candidates* is every scored candidate, as a :class:`ScoredCandidates`
+    record (empty by default: a baseline scores nothing).  *selected* is a
+    list of built candidates.
     """
 
     canonical: str
     surrogates: tuple[str, ...]
-    candidates: Sequence[SynonymCandidate] = field(default_factory=list)
+    candidates: ScoredCandidates = field(
+        default_factory=lambda: ScoredCandidates((), array("q"), array("d"), array("q"))
+    )
     selected: list[SynonymCandidate] = field(default_factory=list)
 
     @property
@@ -142,17 +138,10 @@ class EntitySynonyms:
         """True when at least one synonym was selected (a Table-I "hit")."""
         return bool(self.selected)
 
-    @property
-    def candidate_queries(self) -> Sequence[str]:
-        """The scored candidates' query strings, in candidate order."""
-        if isinstance(self.candidates, ScoredCandidates):
-            return self.candidates.queries
-        return [candidate.query for candidate in self.candidates]
-
     def candidate(self, query: str) -> SynonymCandidate | None:
         """Look up a scored candidate by query string."""
         try:
-            slot = self.candidate_queries.index(query)
+            slot = self.candidates.queries.index(query)
         except ValueError:
             return None
         return self.candidates[slot]

@@ -43,7 +43,7 @@ from repro.simulation.users import UserModelConfig
 
 __all__ = ["QualityRow", "GRID", "run_quality", "prefix_worlds", "noise_worlds"]
 
-PAPER = MinerConfig.paper_default()
+PAPER = MinerConfig()
 """The operating point every table except the two sweeps holds fixed."""
 _K, _IPC, _ICR = PAPER.surrogate_k, PAPER.ipc_threshold, PAPER.icr_threshold
 
@@ -165,7 +165,7 @@ def run_quality(worlds: Mapping[str, SimulatedWorld]) -> list[QualityRow]:
         scored = miner.mine(world.canonical_queries())
         for _, _, ipc, icr in points:
             config = miner.config.with_thresholds(ipc=ipc, icr=icr)
-            result = miner.reselect(scored, ipc_threshold=ipc, icr_threshold=icr)
+            result = miner.reselect(scored, config)
             rows.append(_row(name, world, "Us", result, oracle, config))
 
     for name in TABLE1_WORLDS:

@@ -4,7 +4,8 @@
 operation, ``search(query, k)``: ranked top-k results for one query.  The
 simulated users call it, and :func:`repro.simulation.logs.generate_logs`
 keeps the top-k results of each canonical entity string as Search Data
-``A``.
+``A``.  Each (query, k) is searched once per engine: the log generator and
+every month's click simulator share one world's engine, and so its answers.
 
 Okapi BM25 is the stand-in for Bing's (proprietary) ranker.  What the
 synonym miner needs from the ranker is only that pages *about* an entity
@@ -52,7 +53,8 @@ class SearchEngine:
     Pages are referred to internally by their position in the corpus.
     Ties are broken deterministically by (score desc, URL asc) so that the
     whole reproduction — log generation, mining, benchmarks — is exactly
-    reproducible for a fixed corpus and seed.
+    reproducible for a fixed corpus and seed.  The corpus is indexed once,
+    at construction; pages added to it later are not searched.
     """
 
     def __init__(self, corpus: Corpus) -> None:
@@ -78,15 +80,24 @@ class SearchEngine:
                 (doc_id, weight * (idf * tf * (K1 + 1.0) / (tf + length_norms[doc_id])))
                 for doc_id, tf in postings
             ]
+        self._answers: dict[tuple[str, int], tuple[SearchResult, ...]] = {}
 
-    def search(self, query: str, *, k: int = 10) -> list[SearchResult]:
+    def search(self, query: str, *, k: int = 10) -> tuple[SearchResult, ...]:
         """Return the top-*k* results for *query* (possibly fewer).
 
         A page's score sums its contributions in query-term order, a
         repeated term counting each time.  An empty or fully
-        out-of-vocabulary query returns an empty list, mirroring a search
-        API returning no results.
+        out-of-vocabulary query returns an empty tuple, mirroring a search
+        API returning no results.  The answer is kept and returned again
+        for the same (query, k); it is a tuple, so no caller can change
+        what another caller reads.
         """
+        answer = self._answers.get((query, k))
+        if answer is None:
+            answer = self._answers[query, k] = self._rank(query, k)
+        return answer
+
+    def _rank(self, query: str, k: int) -> tuple[SearchResult, ...]:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         scores: dict[int, float] = {}
@@ -94,12 +105,12 @@ class SearchEngine:
             for doc_id, contribution in self._impacts.get(term, ()):
                 scores[doc_id] = scores.get(doc_id, 0.0) + contribution
         if not scores:
-            return []
+            return ()
         # Only pages that score at least the k-th largest can make the cut.
         cutoff = heapq.nlargest(k, scores.values())[-1]
         urls = self._urls
         ranked = sorted((-score, urls[doc_id]) for doc_id, score in scores.items() if score >= cutoff)
-        return [
+        return tuple(
             SearchResult(url=url, rank=rank, score=-negated)
             for rank, (negated, url) in enumerate(ranked[:k], start=1)
-        ]
+        )

@@ -226,7 +226,6 @@ class ClickSimulator:
         self.engine = engine
         self.catalog = catalog
         self.config = config or UserModelConfig()
-        self._result_cache: dict[str, list[SearchResult]] = {}
         self._group_cache: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
@@ -308,13 +307,6 @@ class ClickSimulator:
             probabilities.append(POSITION_BIAS[result.rank - 1] * relevance)
         return probabilities
 
-    def _results_for(self, query: str) -> list[SearchResult]:
-        cached = self._result_cache.get(query)
-        if cached is None:
-            cached = self.engine.search(query, k=RESULTS_PER_QUERY)
-            self._result_cache[query] = cached
-        return cached
-
     # ------------------------------------------------------------------ #
     # Batch simulation
     # ------------------------------------------------------------------ #
@@ -339,7 +331,7 @@ class ClickSimulator:
         for spec, sessions in zip(specs, sessions_per_spec):
             if sessions == 0:
                 continue
-            results = self._results_for(spec.query)
+            results = self.engine.search(spec.query, k=RESULTS_PER_QUERY)
             if not results:
                 continue
             intent_ids, intent_counts = self._split_sessions_by_intent(spec, int(sessions), rng)

@@ -25,8 +25,9 @@ import socket
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import pytest
 
@@ -35,7 +36,7 @@ from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 from repro.core.selection import intersecting_click_ratio, intersecting_page_count
-from repro.core.types import EntitySynonyms, SynonymCandidate
+from repro.core.types import EntitySynonyms, ScoredCandidates, SynonymCandidate
 from repro.search.documents import Corpus, WebPage
 from repro.search.engine import SearchEngine
 from repro.simulation.world import WorldConfig, SimulatedWorld, build_world
@@ -187,12 +188,37 @@ def cli_server(
                 proc.communicate(timeout=15)
 
 
+def scored_record(candidates: list[SynonymCandidate]) -> ScoredCandidates:
+    """The :class:`ScoredCandidates` record holding *candidates* as rows."""
+    return ScoredCandidates(
+        tuple(candidate.query for candidate in candidates),
+        array("q", [candidate.ipc for candidate in candidates]),
+        array("d", [candidate.icr for candidate in candidates]),
+        array("q", [candidate.clicks for candidate in candidates]),
+    )
+
+
+class ReferenceEntry(NamedTuple):
+    """One entity's mining outcome with every scored candidate as a list."""
+
+    canonical: str
+    surrogates: tuple[str, ...]
+    candidates: list[SynonymCandidate]
+    selected: list[SynonymCandidate]
+
+    @classmethod
+    def of(cls, entry: EntitySynonyms) -> ReferenceEntry:
+        """*entry* in this shape, so that it compares field for field."""
+        return cls(entry.canonical, entry.surrogates, list(entry.candidates), entry.selected)
+
+
 def reference_entry(
     search_log: SearchLog, click_log: ClickLog, canonical: str, config: MinerConfig
-) -> EntitySynonyms:
+) -> ReferenceEntry:
     """The paper's formulas (Eq. 1-4, Definition 6) spelled out per entity.
 
-    This is the reference every mining path is held to.  It reads the click
+    This is the reference every mining path is held to (compare a mined
+    entry through :meth:`ReferenceEntry.of`).  It reads the click
     log only through ``queries_clicking`` / ``urls_clicked_for`` /
     ``clicks_by_url`` / ``total_clicks`` — one query or URL at a time, not
     the one-walk ``intersecting`` read the miner scores from — and scores
@@ -220,7 +246,7 @@ def reference_entry(
         for candidate in scored
         if candidate.ipc >= config.ipc_threshold and candidate.icr >= config.icr_threshold
     ]
-    return EntitySynonyms(canonical, surrogates, scored, selected)
+    return ReferenceEntry(canonical, surrogates, scored, selected)
 
 
 def assert_mining_paths_agree(
@@ -244,7 +270,7 @@ def assert_mining_paths_agree(
         "incremental refresh": [incremental.result[value] for value in values],
     }
     for name, entries in paths.items():
-        assert entries == reference, name
+        assert [ReferenceEntry.of(entry) for entry in entries] == reference, name
 
 
 @pytest.fixture(scope="session")

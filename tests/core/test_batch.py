@@ -19,7 +19,7 @@ from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 
-from tests.conftest import assert_mining_paths_agree, reference_entry
+from tests.conftest import ReferenceEntry, assert_mining_paths_agree, reference_entry
 
 
 CONFIG = MinerConfig(ipc_threshold=2, icr_threshold=0.1)
@@ -150,7 +150,7 @@ class TestMineIter:
         noisy = [values[0].upper()] + values + values[:2]
         stream = miner.mine_iter(noisy)
         first = next(stream)
-        assert first == reference_entry(search_log, click_log, values[0], CONFIG)
+        assert ReferenceEntry.of(first) == reference_entry(search_log, click_log, values[0], CONFIG)
         # Lazy, entity by entity: after one item the log has been walked for
         # exactly one entity.
         assert click_log.walks == 1
@@ -179,7 +179,7 @@ class TestValidation:
         search_log, click_log, values = shared_candidate_logs()
         before = (list(click_log.iter_records()), click_log.urls())
         mined = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG).mine(values)
-        assert list(mined) == [
+        assert [ReferenceEntry.of(entry) for entry in mined] == [
             reference_entry(search_log, click_log, value, CONFIG) for value in values
         ]
         assert (list(click_log.iter_records()), click_log.urls()) == before
@@ -194,7 +194,7 @@ class TestValidation:
         logs = {"click_log": click_log, "search_log": search_log, "config": CONFIG}
         harness = BatchMiner(**logs, workers=2, backend="thread")
         mined = harness.mine(values)
-        assert list(mined) == [
+        assert [ReferenceEntry.of(entry) for entry in mined] == [
             reference_entry(search_log, click_log, value, CONFIG) for value in values
         ]
         default = SynonymMiner(**logs)
@@ -253,7 +253,7 @@ class TestIncrementalEquivalence:
     @staticmethod
     def _assert_matches_reference(incremental, entities):
         for canonical in entities:
-            assert incremental.result[canonical] == reference_entry(
+            assert ReferenceEntry.of(incremental.result[canonical]) == reference_entry(
                 incremental.search_log, incremental.click_log, canonical, CONFIG
             ), canonical
 

@@ -14,10 +14,6 @@ class TestValidation:
         assert config.icr_threshold == pytest.approx(0.1)
         assert config.surrogate_k == 10
 
-    def test_paper_default_constructor(self):
-        config = MinerConfig.paper_default()
-        assert (config.ipc_threshold, config.icr_threshold) == (4, 0.1)
-
     def test_invalid_surrogate_k(self):
         with pytest.raises(ValueError):
             MinerConfig(surrogate_k=0)

@@ -154,7 +154,7 @@ class TestPublish:
         miner = IncrementalSynonymMiner(
             search_log=SearchLog(toy_world.search_log.iter_records()),
             click_log=ClickLog(toy_world.click_log.iter_records()),
-            config=MinerConfig.paper_default(),
+            config=MinerConfig(),
         )
         miner.track(values)
         miner.refresh()

@@ -6,7 +6,7 @@ These pin down the algebra of the miner on arbitrary small logs:
 * IPC is bounded by both sides of the intersection it counts — the
   entity's surrogate set and the candidate's clicked-URL set;
 * tightening β / γ can only shrink the selection (monotonicity);
-* ``reselect(result, β, γ)`` is exactly mining fresh at (β, γ);
+* ``reselect(result, config)`` is exactly mining fresh at *config*;
 * a long-lived ``ClickLog`` whose ``add()`` calls interleave with reads and
   mining answers exactly like a log rebuilt from the same records (no read
   keeps state that a later ``add()`` could leave stale);
@@ -24,7 +24,7 @@ from repro.clicklog.log import ClickLog, SearchLog
 from repro.clicklog.records import ClickRecord
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
-from repro.core.selection import CandidateSelector
+from repro.core.selection import select
 
 from tests.conftest import assert_mining_paths_agree
 
@@ -127,10 +127,12 @@ class TestSelectorMonotonicity:
         entry = _miner(search_log, click_log).mine_one(CANONICAL)
         loose_ipc, tight_ipc = sorted((ipc_a, ipc_b))
         loose_icr, tight_icr = sorted((icr_a, icr_b))
-        loose = CandidateSelector(ipc_threshold=loose_ipc, icr_threshold=loose_icr)
-        tight = CandidateSelector(ipc_threshold=tight_ipc, icr_threshold=tight_icr)
-        loose_set = {candidate.query for candidate in loose.select(entry.candidates)}
-        tight_set = {candidate.query for candidate in tight.select(entry.candidates)}
+        scored = entry.candidates
+        columns = (scored.queries, scored.ipc, scored.icr, scored.clicks)
+        loose = MinerConfig(ipc_threshold=loose_ipc, icr_threshold=loose_icr)
+        tight = MinerConfig(ipc_threshold=tight_ipc, icr_threshold=tight_icr)
+        loose_set = {candidate.query for candidate in select(loose, *columns)}
+        tight_set = {candidate.query for candidate in select(tight, *columns)}
         assert tight_set <= loose_set
 
     @settings(max_examples=40)
@@ -138,8 +140,10 @@ class TestSelectorMonotonicity:
     def test_zero_thresholds_select_everything(self, search, clicks):
         search_log, click_log = _build_logs(search, clicks)
         entry = _miner(search_log, click_log).mine_one(CANONICAL)
-        selector = CandidateSelector(ipc_threshold=0, icr_threshold=0.0)
-        assert selector.select(entry.candidates) == entry.candidates
+        scored = entry.candidates
+        open_config = MinerConfig(ipc_threshold=0, icr_threshold=0.0)
+        selected = select(open_config, scored.queries, scored.ipc, scored.icr, scored.clicks)
+        assert selected == list(scored)
 
 
 class TestReselectEquivalence:
@@ -149,7 +153,7 @@ class TestReselectEquivalence:
         search_log, click_log = _build_logs(search, clicks)
         base = _miner(search_log, click_log)
         result = base.mine([CANONICAL])
-        reselected = base.reselect(result, ipc_threshold=ipc, icr_threshold=icr)
+        reselected = base.reselect(result, MinerConfig(ipc_threshold=ipc, icr_threshold=icr))
         fresh = _miner(search_log, click_log, ipc=ipc, icr=icr).mine([CANONICAL])
         assert list(reselected.per_entity) == list(fresh.per_entity)
         for canonical, fresh_entry in fresh.per_entity.items():

@@ -43,7 +43,7 @@ class TestMineOne:
     def test_unknown_value_yields_empty_entry(self, miner):
         entry = miner.mine_one("completely unknown title")
         assert entry.surrogates == ()
-        assert entry.candidates == [] and entry.selected == []
+        assert len(entry.candidates) == 0 and entry.selected == []
 
     def test_canonical_never_its_own_synonym(self, miner):
         entry = miner.mine_one(CANONICAL)
@@ -60,23 +60,29 @@ class TestMineMany:
 class TestReselect:
     def test_tighter_thresholds_shrink_selection(self, miner):
         result = miner.mine([CANONICAL])
-        loose = miner.reselect(result, ipc_threshold=1, icr_threshold=0.0)
-        tight = miner.reselect(result, ipc_threshold=2, icr_threshold=0.9)
+        loose = miner.reselect(result, MinerConfig(ipc_threshold=1, icr_threshold=0.0))
+        tight = miner.reselect(result, MinerConfig(ipc_threshold=2, icr_threshold=0.9))
         assert tight.synonym_count <= loose.synonym_count
         assert loose.synonym_count == len(result[CANONICAL].candidates)
 
     def test_reselect_does_not_mutate_input(self, miner):
         result = miner.mine([CANONICAL])
         before = list(result[CANONICAL].selected)
-        miner.reselect(result, ipc_threshold=0, icr_threshold=0.0)
+        miner.reselect(result, MinerConfig(ipc_threshold=0, icr_threshold=0.0))
         assert result[CANONICAL].selected == before
 
     def test_reselect_matches_fresh_mining(self, mini_search_log, mini_click_log, miner):
         result = miner.mine([CANONICAL])
-        reselected = miner.reselect(result, ipc_threshold=1, icr_threshold=0.0)
+        config = MinerConfig(ipc_threshold=1, icr_threshold=0.0)
+        reselected = miner.reselect(result, config)
         fresh = SynonymMiner(
-            click_log=mini_click_log,
-            search_log=mini_search_log,
-            config=MinerConfig(ipc_threshold=1, icr_threshold=0.0),
-        ).mine([CANONICAL])
-        assert set(reselected[CANONICAL].synonyms) == set(fresh[CANONICAL].synonyms)
+            click_log=mini_click_log, search_log=mini_search_log, config=config
+        ).mine_one(CANONICAL)
+        assert reselected[CANONICAL] == fresh
+
+    def test_reselect_refuses_another_surrogate_k(self, miner):
+        # The scores were summed over the top-10 surrogates; other thresholds
+        # reuse them, another k would need them summed again.
+        result = miner.mine([CANONICAL])
+        with pytest.raises(ValueError, match="surrogate_k"):
+            miner.reselect(result, MinerConfig(surrogate_k=3))

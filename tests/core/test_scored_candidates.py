@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
-from repro.core.selection import CandidateSelector
+from repro.core.selection import select
 from repro.core.types import ScoredCandidates, SynonymCandidate
+
+from tests.conftest import scored_record
 
 ROWS = [
     SynonymCandidate("indy 4", 5, 0.9, 120),
@@ -16,36 +18,27 @@ ROWS = [
 ]
 
 
-def _record(rows):
-    return ScoredCandidates(
-        tuple(row.query for row in rows),
-        array("q", [row.ipc for row in rows]),
-        array("d", [row.icr for row in rows]),
-        array("q", [row.clicks for row in rows]),
-    )
-
-
 class TestSequence:
-    def test_equals_an_equal_list_from_either_side(self):
-        record = _record(ROWS)
-        assert record == ROWS
-        assert ROWS == record
-        assert record == _record(ROWS)
-        assert not record != ROWS
-        assert not ROWS != record
+    def test_equals_only_a_record_of_the_same_rows(self):
+        record = scored_record(ROWS)
+        assert record == scored_record(ROWS)
+        assert not record != scored_record(ROWS)
+        # A list of the same candidates is another type: compare list(record).
+        assert record != ROWS and ROWS != record
+        assert list(record) == ROWS
 
     def test_differs_from_a_different_list(self):
-        record = _record(ROWS)
+        record = scored_record(ROWS)
         assert record != ROWS[:2]
         assert ROWS[::-1] != record
         changed = [ROWS[0], ROWS[1], SynonymCandidate("harrison ford", 1, 0.05, 81)]
         assert record != changed
         assert changed != record
-        assert record != _record(changed)
+        assert record != scored_record(changed)
         assert record != tuple(ROWS)
 
     def test_len_and_indexing(self):
-        record = _record(ROWS)
+        record = scored_record(ROWS)
         assert len(record) == 3
         assert record[0] == ROWS[0]
         assert record[2] == ROWS[2]
@@ -57,23 +50,23 @@ class TestSequence:
             record[-4]
 
     def test_slices_are_lists(self):
-        record = _record(ROWS)
+        record = scored_record(ROWS)
         assert record[:2] == ROWS[:2] and type(record[:2]) is list
         assert record[1:] == ROWS[1:]
         assert record[::-1] == ROWS[::-1]
         assert record[5:] == []
 
     def test_iteration_and_membership(self):
-        record = _record(ROWS)
+        record = scored_record(ROWS)
         assert list(record) == ROWS
         assert [candidate.query for candidate in record] == list(record.queries)
         assert ROWS[1] in record
         assert record.index(ROWS[2]) == 2
 
     def test_empty_record(self):
-        empty = _record([])
-        assert empty == []
-        assert [] == empty
+        empty = scored_record([])
+        assert empty == scored_record([])
+        assert empty != scored_record(ROWS[:1])
         assert len(empty) == 0
         assert list(empty) == []
 
@@ -88,11 +81,14 @@ class TestSequence:
             list(record)
 
     def test_selection_on_the_columns_keeps_row_order(self):
-        record = _record(ROWS)
+        record = scored_record(ROWS)
+        columns = (record.queries, record.ipc, record.icr, record.clicks)
         for ipc, icr in ((3, 0.5), (0, 0.0), (6, 0.0), (1, 0.05)):
-            selector = CandidateSelector(ipc_threshold=ipc, icr_threshold=icr)
-            assert selector.select(record) == selector.select(ROWS)
-        assert CandidateSelector(ipc_threshold=3, icr_threshold=0.5).select(record) == ROWS[:2]
+            config = MinerConfig(ipc_threshold=ipc, icr_threshold=icr)
+            assert select(config, *columns) == [
+                row for row in ROWS if row.ipc >= ipc and row.icr >= icr
+            ]
+        assert select(MinerConfig(ipc_threshold=3, icr_threshold=0.5), *columns) == ROWS[:2]
 
 
 @pytest.fixture
@@ -122,7 +118,7 @@ class TestConstructionCount:
         assert built[0] == result.synonym_count
 
         built[0] = 0
-        reselected = miner.reselect(result, ipc_threshold=2, icr_threshold=0.05)
+        reselected = miner.reselect(result, MinerConfig(ipc_threshold=2, icr_threshold=0.05))
         assert reselected.synonym_count != result.synonym_count
         assert built[0] == reselected.synonym_count
 

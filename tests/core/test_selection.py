@@ -4,12 +4,7 @@ import pytest
 
 from repro.core.config import MinerConfig
 from repro.core.pipeline import mine_entity
-from repro.core.selection import (
-    CandidateSelector,
-    intersecting_click_ratio,
-    intersecting_page_count,
-)
-from repro.core.types import SynonymCandidate
+from repro.core.selection import intersecting_click_ratio, intersecting_page_count, select
 
 CANONICAL = "indiana jones and the kingdom of the crystal skull"
 SURROGATES = {
@@ -90,38 +85,33 @@ class TestScoreProfile:
 
 
 class TestSelector:
-    def _scored(self):
-        return [
-            SynonymCandidate(query="synonym", ipc=5, icr=0.9, clicks=100),
-            SynonymCandidate(query="hypernym", ipc=5, icr=0.05, clicks=300),
-            SynonymCandidate(query="aspect", ipc=1, icr=0.95, clicks=50),
-            SynonymCandidate(query="related", ipc=1, icr=0.02, clicks=10),
-        ]
+    # Four scored rows as columns: a synonym, a hypernym, an aspect query and
+    # a related query.
+    COLUMNS = (
+        ("synonym", "hypernym", "aspect", "related"),
+        (5, 5, 1, 1),
+        (0.9, 0.05, 0.95, 0.02),
+        (100, 300, 50, 10),
+    )
+
+    def _select(self, ipc, icr):
+        config = MinerConfig(ipc_threshold=ipc, icr_threshold=icr)
+        return [candidate.query for candidate in select(config, *self.COLUMNS)]
 
     def test_both_thresholds_applied(self):
-        selector = CandidateSelector(ipc_threshold=4, icr_threshold=0.1)
-        selected = selector.select(self._scored())
-        assert [candidate.query for candidate in selected] == ["synonym"]
+        assert self._select(4, 0.1) == ["synonym"]
 
     def test_ipc_only(self):
-        selector = CandidateSelector(ipc_threshold=4, icr_threshold=0.0)
-        assert {c.query for c in selector.select(self._scored())} == {"synonym", "hypernym"}
+        assert self._select(4, 0.0) == ["synonym", "hypernym"]
 
     def test_icr_only(self):
-        selector = CandidateSelector(ipc_threshold=0, icr_threshold=0.5)
-        assert {c.query for c in selector.select(self._scored())} == {"synonym", "aspect"}
+        assert self._select(0, 0.5) == ["synonym", "aspect"]
 
     def test_zero_thresholds_keep_everything(self):
-        selector = CandidateSelector(ipc_threshold=0, icr_threshold=0.0)
-        assert len(selector.select(self._scored())) == 4
+        assert len(self._select(0, 0.0)) == 4
 
     def test_order_preserved(self):
-        selector = CandidateSelector(ipc_threshold=0, icr_threshold=0.0)
-        queries = [c.query for c in selector.select(self._scored())]
-        assert queries == ["synonym", "hypernym", "aspect", "related"]
+        assert self._select(0, 0.0) == ["synonym", "hypernym", "aspect", "related"]
 
-    def test_invalid_thresholds(self):
-        with pytest.raises(ValueError):
-            CandidateSelector(ipc_threshold=-1)
-        with pytest.raises(ValueError):
-            CandidateSelector(icr_threshold=2.0)
+    def test_thresholds_are_inclusive(self):
+        assert self._select(5, 0.9) == ["synonym"]

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.types import EntitySynonyms, MiningResult, SynonymCandidate
+from repro.core.types import EntitySynonyms, MiningResult, ScoredCandidates, SynonymCandidate
+
+from tests.conftest import scored_record
 
 
 def _candidate(query="indy 4", ipc=5, icr=0.9, clicks=100):
@@ -26,12 +28,6 @@ class TestSynonymCandidate:
         with pytest.raises(ValueError):
             SynonymCandidate(query="q", ipc=1, icr=0.5, clicks=-1)
 
-    def test_passes_thresholds(self):
-        candidate = _candidate(ipc=4, icr=0.1)
-        assert candidate.passes(ipc_threshold=4, icr_threshold=0.1)
-        assert not candidate.passes(ipc_threshold=5, icr_threshold=0.1)
-        assert not candidate.passes(ipc_threshold=4, icr_threshold=0.2)
-
 
 class TestEntitySynonyms:
     def test_synonyms_property(self):
@@ -45,11 +41,14 @@ class TestEntitySynonyms:
         entry = EntitySynonyms(canonical="c", surrogates=())
         assert not entry.has_synonyms
         assert entry.synonyms == []
+        # The default is an empty record, like a baseline's.
+        assert isinstance(entry.candidates, ScoredCandidates)
+        assert len(entry.candidates) == 0
 
     def test_candidate_lookup(self):
         scored = [_candidate("a"), _candidate("b")]
-        entry = EntitySynonyms(canonical="c", surrogates=(), candidates=scored)
-        assert entry.candidate("b") is scored[1]
+        entry = EntitySynonyms(canonical="c", surrogates=(), candidates=scored_record(scored))
+        assert entry.candidate("b") == scored[1]
         assert entry.candidate("missing") is None
 
 

@@ -23,7 +23,7 @@ def mined(toy_world):
     miner = SynonymMiner(
         click_log=toy_world.click_log,
         search_log=toy_world.search_log,
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     return miner, miner.mine(toy_world.canonical_queries())
 
@@ -123,7 +123,7 @@ class TestServedArtifactCrossCheck:
     """
 
     def test_published_pairs_are_the_pairs_the_us_row_scores(self, toy_world, tmp_path):
-        config = MinerConfig.paper_default()
+        config = MinerConfig()
         values = toy_world.canonical_queries()
         # The Us row's selection, computed as the quality sweep does it:
         # mine with open thresholds, then re-filter at (β, γ).
@@ -132,11 +132,7 @@ class TestServedArtifactCrossCheck:
             search_log=toy_world.search_log,
             config=config.with_thresholds(ipc=0, icr=0.0),
         )
-        scored = sweep.reselect(
-            sweep.mine(values),
-            ipc_threshold=config.ipc_threshold,
-            icr_threshold=config.icr_threshold,
-        )
+        scored = sweep.reselect(sweep.mine(values), config)
         by_name = toy_world.catalog.by_canonical_name()
         expected = set()
         for entry in scored:

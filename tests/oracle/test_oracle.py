@@ -85,7 +85,7 @@ def toy_generations(world) -> Iterator[Generation]:
     miner = IncrementalSynonymMiner(
         search_log=SearchLog(world.search_log.iter_records()),
         click_log=ClickLog(world.click_log.iter_records()),
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     values = world.canonical_queries()
     miner.track(values)

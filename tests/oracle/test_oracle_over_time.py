@@ -187,7 +187,7 @@ def test_six_toy_refreshes_ship_the_whole_state_diff(toy_world, tmp_path):
     miner = IncrementalSynonymMiner(
         search_log=SearchLog(toy_world.search_log.iter_records()),
         click_log=ClickLog(toy_world.click_log.iter_records()),
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     values = toy_world.canonical_queries()
     miner.track(values)

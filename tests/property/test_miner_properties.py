@@ -24,7 +24,7 @@ ipc_thresholds = st.integers(0, 6)
 icr_thresholds = st.floats(0.0, 1.0)
 
 
-def _build_miner(search, clicks, ipc, icr):
+def _build_miner(search, clicks, ipc, icr, k=10):
     # Deduplicate (query, rank) pairs so the search log stays a valid ranking.
     seen_ranks = set()
     deduped = []
@@ -36,7 +36,7 @@ def _build_miner(search, clicks, ipc, icr):
     return SynonymMiner(
         click_log=ClickLog.from_tuples(clicks),
         search_log=SearchLog.from_tuples(deduped),
-        config=MinerConfig(ipc_threshold=ipc, icr_threshold=icr),
+        config=MinerConfig(surrogate_k=k, ipc_threshold=ipc, icr_threshold=icr),
     )
 
 
@@ -45,8 +45,8 @@ class TestMinerInvariants:
     @given(search_tuples, click_tuples, ipc_thresholds, icr_thresholds)
     def test_selected_is_subset_of_candidates(self, search, clicks, ipc, icr):
         entry = _build_miner(search, clicks, ipc, icr).mine_one(CANONICAL)
-        candidate_queries = {candidate.query for candidate in entry.candidates}
-        assert set(entry.synonyms) <= candidate_queries
+        scored_queries = {candidate.query for candidate in entry.candidates}
+        assert set(entry.synonyms) <= scored_queries
 
     @settings(max_examples=60)
     @given(search_tuples, click_tuples, ipc_thresholds, icr_thresholds)
@@ -67,9 +67,8 @@ class TestMinerInvariants:
     def test_tightening_thresholds_never_adds_synonyms(self, search, clicks, ipc, icr):
         miner = _build_miner(search, clicks, ipc, icr)
         loose = miner.mine_one(CANONICAL)
-        tight_selector_result = miner.reselect(
-            miner.mine([CANONICAL]), ipc_threshold=ipc + 2, icr_threshold=min(icr + 0.3, 1.0)
-        )
+        tight = MinerConfig(ipc_threshold=ipc + 2, icr_threshold=min(icr + 0.3, 1.0))
+        tight_selector_result = miner.reselect(miner.mine([CANONICAL]), tight)
         assert set(tight_selector_result[CANONICAL].synonyms) <= set(loose.synonyms)
 
     @settings(max_examples=40)
@@ -87,3 +86,24 @@ class TestMinerInvariants:
     def test_ipc_zero_icr_zero_selects_every_candidate(self, search, clicks):
         entry = _build_miner(search, clicks, 0, 0.0).mine_one(CANONICAL)
         assert len(entry.selected) == len(entry.candidates)
+
+
+class TestReselect:
+    @settings(max_examples=60)
+    @given(search_tuples, click_tuples, st.integers(1, 10),
+           ipc_thresholds, icr_thresholds, ipc_thresholds, icr_thresholds)
+    def test_reselect_equals_mining_at_the_new_config(
+        self, search, clicks, k, base_ipc, base_icr, ipc, icr
+    ):
+        # What the quality sweep relies on at every grid point: re-filtering
+        # a result mined at one (β, γ) is mining afresh at another.
+        base = _build_miner(search, clicks, base_ipc, base_icr, k=k)
+        config = MinerConfig(surrogate_k=k, ipc_threshold=ipc, icr_threshold=icr)
+        reselected = base.reselect(base.mine([CANONICAL]), config)[CANONICAL]
+        fresh = SynonymMiner(
+            click_log=base.click_log, search_log=base.search_log, config=config
+        ).mine_one(CANONICAL)
+        assert reselected.canonical == fresh.canonical
+        assert reselected.surrogates == fresh.surrogates
+        assert reselected.candidates == fresh.candidates
+        assert reselected.selected == fresh.selected

@@ -121,8 +121,8 @@ class TestEngineProperties:
     @settings(max_examples=40)
     @given(corpora(), sentence)
     def test_search_is_deterministic(self, corpus, query):
-        engine = SearchEngine(corpus)
-        assert engine.search(query, k=5) == engine.search(query, k=5)
+        # Two engines over one corpus, so the second answer is not a memo hit.
+        assert SearchEngine(corpus).search(query, k=5) == SearchEngine(corpus).search(query, k=5)
 
     @settings(max_examples=40)
     @given(corpora())

@@ -26,10 +26,10 @@ class TestScoring:
         assert results[0].url == "https://studio.example.com/madagascar-2"
 
     def test_no_match_returns_empty(self, mini_engine):
-        assert mini_engine.search("zzzz") == []
+        assert mini_engine.search("zzzz") == ()
 
     def test_empty_query_returns_empty(self, mini_engine):
-        assert mini_engine.search("") == []
+        assert mini_engine.search("") == ()
 
     def test_repeated_query_terms_accumulate(self, mini_engine):
         single = {result.url: result.score for result in mini_engine.search("indiana")}

@@ -27,21 +27,26 @@ class TestSearch:
             mini_engine.search("indy", k=0)
 
     def test_empty_query_returns_nothing(self, mini_engine):
-        assert mini_engine.search("") == []
-        assert mini_engine.search("   !!!") == []
+        assert mini_engine.search("") == ()
+        assert mini_engine.search("   !!!") == ()
 
     def test_out_of_vocabulary_query_returns_nothing(self, mini_engine):
-        assert mini_engine.search("zzzz qqqq") == []
+        assert mini_engine.search("zzzz qqqq") == ()
 
     def test_empty_corpus_returns_nothing(self):
-        assert SearchEngine(Corpus()).search("indiana") == []
+        assert SearchEngine(Corpus()).search("indiana") == ()
         blank = Corpus([WebPage(url="https://blank.example", title="!!!", body="")])
-        assert SearchEngine(blank).search("indiana") == []
+        assert SearchEngine(blank).search("indiana") == ()
 
-    def test_deterministic_tie_break(self, mini_engine):
+    def test_deterministic_tie_break(self, mini_engine, mini_corpus):
         first = mini_engine.search("indiana jones")
-        second = mini_engine.search("indiana jones")
+        second = SearchEngine(mini_corpus).search("indiana jones")
         assert first == second
+
+    def test_each_query_is_ranked_once(self, mini_engine):
+        first = mini_engine.search("indiana jones", k=2)
+        assert mini_engine.search("indiana jones", k=2) is first
+        assert mini_engine.search("indiana jones", k=3)[:2] == first
 
     def test_top_urls(self, mini_engine):
         results = mini_engine.search("madagascar", k=3)

@@ -377,7 +377,7 @@ def _toy_chain(world, path):
     miner = IncrementalSynonymMiner(
         search_log=SearchLog(world.search_log.iter_records()),
         click_log=ClickLog(world.click_log.iter_records()),
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     values = world.canonical_queries()
     miner.track(values)

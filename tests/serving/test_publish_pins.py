@@ -103,7 +103,7 @@ def incremental_states(world, tmp_path):
     miner = IncrementalSynonymMiner(
         search_log=SearchLog(world.search_log.iter_records()),
         click_log=ClickLog(world.click_log.iter_records()),
-        config=MinerConfig.paper_default(),
+        config=MinerConfig(),
     )
     values = world.canonical_queries()
     miner.track(values)

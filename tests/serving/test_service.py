@@ -94,7 +94,7 @@ class TestHotSwap:
         assert service.match("new synonym").entity_ids == {"m9"}
         assert service.stats.reloads == 1
 
-    def test_reload_clears_result_cache(self, service, artifact_path):
+    def test_reload_clears_cached_answers(self, service, artifact_path):
         service.match("new synonym")
         compile_dictionary(
             [DictionaryEntry("new synonym", "m9", "mined", 10.0)],
@@ -160,7 +160,7 @@ class TestDeltaHotSwap:
         assert service.stats.deltas_applied == 1
         assert service.match("delta synonym").matched is True
 
-    def test_delta_clears_result_cache(self, service, artifact_path, dictionary):
+    def test_delta_clears_cached_answers(self, service, artifact_path, dictionary):
         assert service.match("delta synonym").matched is False  # cached NO_MATCH
         self._publish_delta(artifact_path, self._grown_dictionary(dictionary), "gen-2")
         service.maybe_reload()
