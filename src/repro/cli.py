@@ -55,7 +55,7 @@ from repro.clicklog.records import ClickRecord, SearchRecord
 from repro.core.config import MinerConfig
 from repro.core.pipeline import SynonymMiner
 from repro.matching.index import DictionaryEntry, entries_from_mined_rows, mined_row
-from repro.matching.matcher import EntityMatch, QueryMatcher
+from repro.matching.matcher import QueryMatcher
 from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
 from repro.server.metrics import AccessLog
 from repro.server.supervisor import ServerSupervisor
@@ -356,15 +356,6 @@ def _synonym_entries(path: Path) -> list[DictionaryEntry]:
     return list(entries_from_mined_rows(read_jsonl_as(path, mined_row)))
 
 
-def _match_payload(query: str, match: EntityMatch) -> dict:
-    # One wire shape everywhere: the daemon's match_payload is the single
-    # source of truth, so `match` JSONL and the HTTP endpoints
-    # stay field-for-field interchangeable.
-    payload = match_payload(match)
-    payload["query"] = query
-    return payload
-
-
 def _cmd_compile(args: argparse.Namespace) -> int:
     entries = _synonym_entries(args.synonyms)
     click_log = None
@@ -442,7 +433,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
     if not queries:
         queries = [line.strip() for line in sys.stdin if line.strip()]
     for query in queries:
-        print(json.dumps(_match_payload(query, matcher.match(query)), ensure_ascii=False))
+        # The daemon's wire shape, so `match` JSONL and the HTTP endpoints
+        # stay field-for-field interchangeable.
+        print(json.dumps(match_payload(matcher.match(query)), ensure_ascii=False))
     return 0
 
 

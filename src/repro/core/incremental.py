@@ -9,17 +9,23 @@ only change when
 
 * a click lands on one of its surrogate URLs (new candidate or changed
   intersection), or
-* the click volume of one of its *current candidate queries* changes
-  anywhere (the ICR denominator moves).
+* the click volume of one of its candidate queries changes anywhere (the
+  ICR denominator moves).
 
 Search Data is fixed for a miner's lifetime: the surrogate set of a tracked
 entity is read once, when it is tracked, and only Click Data streams in.
+The candidates of an entity ``v`` are the queries other than ``v`` that
+clicked one of its surrogates (Definition 6), so the second rule is read
+off the click log: a click by query ``q`` dirties every owner of a
+surrogate among ``q``'s clicked URLs, ``q`` itself excepted.  No candidate
+graph is stored.  A query that became a candidate of ``v`` after ``v`` was
+last mined did so by a click on one of ``v``'s surrogates, which already
+dirtied ``v`` under the first rule.
 
-:class:`IncrementalSynonymMiner` tracks exactly those dependencies and
-re-mines only the affected entities on :meth:`refresh`, keeping the rest of
-the cached result untouched.  On the simulated workloads this reduces a
-daily refresh from "re-mine the whole catalog" to re-mining the handful of
-entities whose traffic actually moved.
+:class:`IncrementalSynonymMiner` re-mines only the affected entities on
+:meth:`refresh`, keeping the rest of the cached result untouched.  On the
+simulated workloads this reduces a daily refresh from "re-mine the whole
+catalog" to re-mining the handful of entities whose traffic actually moved.
 """
 
 from __future__ import annotations
@@ -47,7 +53,11 @@ class IncrementalSynonymMiner:
 
     Every refresh runs the in-process mining loop over the live logs; no
     score outlives the result it belongs to, and :meth:`ingest_clicks`
-    marks dirty exactly the entities a click can move.
+    marks dirty exactly the entities a click can move: the owners of the
+    clicked URL, and the owners of every surrogate the clicking query has
+    clicked, which it reads from the click log.  The only dependency state
+    kept is the URL → tracked-values map built from Search Data; a value is
+    tracked once it is in the result or dirty.
     """
 
     def __init__(
@@ -67,14 +77,7 @@ class IncrementalSynonymMiner:
         self._miner = SynonymMiner(
             click_log=self.click_log, search_log=search_log, config=self.config
         )
-        self._tracked: set[str] = set()
         self._url_to_values: dict[str, set[str]] = {}
-        self._candidate_to_values: dict[str, set[str]] = {}
-        # Reverse edges of _candidate_to_values: which candidate queries each
-        # entity currently depends on.  Keeping both directions makes the
-        # stale-edge sweep in refresh() O(entity's own candidates) instead of
-        # O(dirty × whole candidate map).
-        self._value_to_candidates: dict[str, set[str]] = {}
         self._dirty: set[str] = set()
         self._result = MiningResult()
         # Bumped by every refresh that re-mined something; stamps published
@@ -100,9 +103,8 @@ class IncrementalSynonymMiner:
         """
         for value in values:
             canonical = normalize(value)
-            if canonical in self._tracked:
+            if canonical in self._result or canonical in self._dirty:
                 continue
-            self._tracked.add(canonical)
             self._dirty.add(canonical)
             for url in self._miner.surrogates(canonical):
                 self._url_to_values.setdefault(url, set()).add(canonical)
@@ -126,19 +128,24 @@ class IncrementalSynonymMiner:
 
         Returns the number of records ingested.
         """
+        url_to_values = self._url_to_values
+        dirty = self._dirty
         count = 0
         for record in records:
             self.click_log.add(record)
             count += 1
-            self._clicked_since_publish.add(record.query)
-            affected = self._url_to_values.get(record.url)
+            query = record.query
+            self._clicked_since_publish.add(query)
+            affected = url_to_values.get(record.url)
             if affected:
-                self._dirty.update(affected)
-            dependents = self._candidate_to_values.get(record.query)
-            if dependents:
-                # The query's total volume changed, which moves its ICR for
-                # every entity currently counting it as a candidate.
-                self._dirty.update(dependents)
+                dirty.update(affected)
+            # The query's total volume changed, which moves its ICR for every
+            # entity it is a candidate of: each owner of a surrogate it
+            # clicked, except the query itself (Definition 6).
+            for url in self.click_log.urls_clicked_for(query):
+                for value in url_to_values.get(url, ()):
+                    if value != query:
+                        dirty.add(value)
         return count
 
     # ------------------------------------------------------------------ #
@@ -150,31 +157,12 @@ class IncrementalSynonymMiner:
         if not self._dirty:
             return []
         refreshed = sorted(self._dirty)
-        for canonical in refreshed:
-            # Drop stale candidate-dependency edges for this entity before
-            # re-mining; they are rebuilt from the fresh candidate list.
-            self._drop_candidate_edges(canonical)
         for entry in self._miner.mine_iter(refreshed):
-            canonical = entry.canonical
             self._result.add(entry)
-            depends_on = set(entry.candidates.queries)
-            self._value_to_candidates[canonical] = depends_on
-            for candidate in depends_on:
-                self._candidate_to_values.setdefault(candidate, set()).add(canonical)
         self._dirty.clear()
         self._generation += 1
         self._changed_since_publish.update(refreshed)
         return refreshed
-
-    def _drop_candidate_edges(self, canonical: str) -> None:
-        """Remove *canonical* from the dependency edges it currently holds."""
-        for candidate in self._value_to_candidates.pop(canonical, ()):
-            dependents = self._candidate_to_values.get(candidate)
-            if dependents is None:
-                continue
-            dependents.discard(canonical)
-            if not dependents:
-                del self._candidate_to_values[candidate]
 
     # ------------------------------------------------------------------ #
     # Publication

@@ -138,14 +138,6 @@ class EntitySynonyms:
         """True when at least one synonym was selected (a Table-I "hit")."""
         return bool(self.selected)
 
-    def candidate(self, query: str) -> SynonymCandidate | None:
-        """Look up a scored candidate by query string."""
-        try:
-            slot = self.candidates.queries.index(query)
-        except ValueError:
-            return None
-        return self.candidates[slot]
-
 
 @dataclass
 class MiningResult:
@@ -170,7 +162,7 @@ class MiningResult:
         self.per_entity[entry.canonical] = entry
 
     # ------------------------------------------------------------------ #
-    # Aggregates used by Table I
+    # Counts behind Table I (QualityRow holds the ratios)
     # ------------------------------------------------------------------ #
 
     @property
@@ -182,19 +174,6 @@ class MiningResult:
     def synonym_count(self) -> int:
         """Total number of selected synonyms over all input strings."""
         return sum(len(entry.selected) for entry in self.per_entity.values())
-
-    def hit_ratio(self) -> float:
-        """Fraction of input strings producing at least one synonym."""
-        if not self.per_entity:
-            return 0.0
-        return self.hit_count / len(self.per_entity)
-
-    def expansion_ratio(self) -> float:
-        """(synonyms + original entries) / original entries, as in Table I."""
-        originals = len(self.per_entity)
-        if originals == 0:
-            return 0.0
-        return (self.synonym_count + originals) / originals
 
     def as_dictionary(self) -> dict[str, list[str]]:
         """Plain {canonical: [synonyms...]} mapping for downstream users."""

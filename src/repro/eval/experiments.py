@@ -38,7 +38,7 @@ from repro.core.types import MiningResult
 from repro.eval.labeling import GroundTruthOracle
 from repro.eval.metrics import coverage_increase, precision, weighted_precision
 from repro.simulation.world import WorldConfig, SimulatedWorld, build_world
-from repro.simulation.temporal import PAPER_MONTHS, MonthlyLogSimulator, cumulative_click_logs
+from repro.simulation.temporal import PAPER_MONTHS, cumulative_month_logs
 from repro.simulation.users import UserModelConfig
 
 __all__ = ["QualityRow", "GRID", "run_quality", "prefix_worlds", "noise_worlds"]
@@ -189,10 +189,9 @@ def prefix_worlds(movies: SimulatedWorld) -> dict[str, SimulatedWorld]:
     expected shape is that hit ratio, synonym count and coverage grow with
     log volume and begin to saturate.
     """
-    slices = MonthlyLogSimulator(movies).simulate_all()
     return {
         name: replace(movies, click_log=click_log)
-        for name, (_, click_log) in zip(PREFIX_WORLDS, cumulative_click_logs(slices))
+        for name, click_log in zip(PREFIX_WORLDS, cumulative_month_logs(movies))
     }
 
 

@@ -17,7 +17,9 @@ equivalents (see DESIGN.md §2 for the substitution table):
 * :mod:`repro.simulation.logs` — generation of Search Data ``A`` and Click
   Data ``L``;
 * :mod:`repro.simulation.world` — one-call construction of a complete
-  simulated world for a dataset.
+  simulated world for a dataset;
+* :mod:`repro.simulation.temporal` — the five months of the paper's logs
+  as growing click-log prefixes of a world (the log-volume axis).
 """
 
 from repro.simulation.catalog import Entity, EntityCatalog, movie_catalog, camera_catalog
@@ -27,7 +29,7 @@ from repro.simulation.wikipedia import SimulatedWikipedia, WikipediaConfig
 from repro.simulation.users import UserModelConfig, QueryPopulation, ClickSimulator
 from repro.simulation.logs import generate_logs, GeneratedLogs
 from repro.simulation.world import WorldConfig, SimulatedWorld, build_world, user_model_for
-from repro.simulation.temporal import MonthlyLogSimulator, MonthlySlice, cumulative_click_logs
+from repro.simulation.temporal import PAPER_MONTHS, cumulative_month_logs
 
 __all__ = [
     "Entity",
@@ -51,7 +53,6 @@ __all__ = [
     "SimulatedWorld",
     "build_world",
     "user_model_for",
-    "MonthlyLogSimulator",
-    "MonthlySlice",
-    "cumulative_click_logs",
+    "PAPER_MONTHS",
+    "cumulative_month_logs",
 ]

@@ -7,6 +7,8 @@ from repro.simulation.aliases import build_alias_table
 from repro.simulation.catalog import camera_catalog, movie_catalog
 from repro.simulation.wikipedia import SimulatedWikipedia
 
+from tests.conftest import table_row
+
 
 @pytest.fixture(scope="module")
 def movie_setup():
@@ -51,4 +53,4 @@ class TestWikipediaBaseline:
         wiki = SimulatedWikipedia.build(catalog, table)
         finder = WikipediaSynonymFinder(wiki, catalog)
         result = finder.find(entity.canonical_name for entity in catalog)
-        assert result.hit_ratio() < 0.35
+        assert table_row(result).hit_ratio < 0.35

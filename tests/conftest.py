@@ -36,7 +36,8 @@ from repro.core.config import MinerConfig
 from repro.core.incremental import IncrementalSynonymMiner
 from repro.core.pipeline import SynonymMiner
 from repro.core.selection import intersecting_click_ratio, intersecting_page_count
-from repro.core.types import EntitySynonyms, ScoredCandidates, SynonymCandidate
+from repro.core.types import EntitySynonyms, MiningResult, ScoredCandidates, SynonymCandidate
+from repro.eval.experiments import QualityRow
 from repro.search.documents import Corpus, WebPage
 from repro.search.engine import SearchEngine
 from repro.simulation.world import WorldConfig, SimulatedWorld, build_world
@@ -186,6 +187,17 @@ def cli_server(
             except subprocess.TimeoutExpired:  # pragma: no cover - hung server
                 proc.kill()
                 proc.communicate(timeout=15)
+
+
+def table_row(result: MiningResult) -> QualityRow:
+    """*result* as a Table-I row, whose hit and expansion ratios the tables
+    read; only the counts those ratios divide are filled in."""
+    return QualityRow(
+        world="test", seed=0, method="Us", surrogate_k=None, ipc=None, icr=None,
+        fingerprint=None, originals=len(result), hits=result.hit_count,
+        synonyms=result.synonym_count, precision=0.0, weighted_precision=0.0,
+        coverage_increase=0.0, click_volume=0,
+    )  # fmt: skip
 
 
 def scored_record(candidates: list[SynonymCandidate]) -> ScoredCandidates:

@@ -35,6 +35,11 @@ def assert_results_identical(actual, expected):
         assert entry.selected == expected_entry.selected
 
 
+def scored(entry, query):
+    """*entry*'s scored candidate for *query*."""
+    return next(candidate for candidate in entry.candidates if candidate.query == query)
+
+
 def shared_candidate_logs(entities: int = 40):
     """The production shape: broad head queries whose click footprint
     crosses many entities' surrogate hubs, so the same hot queries are
@@ -216,9 +221,9 @@ class TestValidation:
         # next run.
         search_log, click_log, values = shared_candidate_logs(4)
         batch = SynonymMiner(click_log=click_log, search_log=search_log, config=CONFIG)
-        before = batch.mine(values)[values[0]].candidate("hot query 0")
+        before = scored(batch.mine(values)[values[0]], "hot query 0")
         click_log.add(ClickRecord("hot query 0", "https://elsewhere.example", 40))
-        after = batch.mine(values)[values[0]].candidate("hot query 0")
+        after = scored(batch.mine(values)[values[0]], "hot query 0")
         assert after.clicks == before.clicks + 40
         assert after.icr < before.icr
 
@@ -275,7 +280,7 @@ class TestIncrementalEquivalence:
         # refresh round that moves its volume must re-score it everywhere
         # (fails if a click on a shared candidate dirties too few entities).
         incremental, entities = self._streamed_world()
-        before = {c: incremental.result[c].candidate("hub query") for c in entities}
+        before = {c: scored(incremental.result[c], "hub query") for c in entities}
         incremental.ingest_clicks(
             [
                 ClickRecord("hub query", "https://site3.example/p2", 40),
@@ -284,7 +289,7 @@ class TestIncrementalEquivalence:
         )
         assert set(incremental.refresh()) == set(entities)
         for canonical in entities:
-            after = incremental.result[canonical].candidate("hub query")
+            after = scored(incremental.result[canonical], "hub query")
             assert after.clicks == before[canonical].clicks + 80
-        assert incremental.result[entities[3]].candidate("hub query").ipc == 3
+        assert scored(incremental.result[entities[3]], "hub query").ipc == 3
         self._assert_matches_reference(incremental, entities)

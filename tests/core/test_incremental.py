@@ -44,6 +44,12 @@ class TestTracking:
         assert incremental.dirty_values == set()
         assert incremental.refresh() == []
 
+    def test_batch_workers_is_accepted_and_ignored(self, search_log):
+        # The frozen perf harness passes it; it selects nothing any more.
+        miner = IncrementalSynonymMiner(search_log=search_log, batch_workers=2)
+        miner.track([CANONICAL])
+        assert miner.refresh() == [CANONICAL]
+
     def test_refresh_clears_dirty_set(self, incremental):
         refreshed = incremental.refresh()
         assert set(refreshed) == {CANONICAL, OTHER}
@@ -97,6 +103,18 @@ class TestIngestion:
             [ClickRecord("indy 4", "https://elsewhere.example.com", 100)]
         )
         assert CANONICAL in incremental.dirty_values
+
+    def test_own_query_volume_change_does_not_dirty_the_entity(self, incremental):
+        # Definition 6 drops u from its own candidates, so u's clicks
+        # elsewhere move no ICR of u.
+        incremental.ingest_clicks(
+            [ClickRecord(CANONICAL, "https://studio.example.com/indy-4", 30)]
+        )
+        incremental.refresh()
+        incremental.ingest_clicks(
+            [ClickRecord(CANONICAL, "https://elsewhere.example.com", 100)]
+        )
+        assert incremental.dirty_values == set()
 
 
 class TestRefreshCorrectness:
@@ -174,47 +192,3 @@ class TestPublish:
         miner.publish(toy_world.catalog, path)
         assert service.maybe_reload() is True
         assert service.manifest.version == "gen-2"
-
-
-class TestDependencyEdgeMaintenance:
-    """The value→candidates reverse map keeps edge cleanup proportional to
-    the entity's own candidate list and leaves no stale edges behind."""
-
-    def test_edges_rebuilt_not_accumulated(self, incremental):
-        incremental.ingest_clicks(
-            [
-                ClickRecord("indy 4", "https://studio.example.com/indy-4", 60),
-                ClickRecord("indy 4", "https://wiki.example.org/indy-4", 30),
-            ]
-        )
-        incremental.refresh()
-        assert CANONICAL in incremental._candidate_to_values["indy 4"]
-        assert "indy 4" in incremental._value_to_candidates[CANONICAL]
-        # Re-refreshing must not duplicate or leak edges.
-        incremental.ingest_clicks(
-            [ClickRecord("indy 4", "https://studio.example.com/indy-4", 5)]
-        )
-        incremental.refresh()
-        assert incremental._candidate_to_values["indy 4"] == {CANONICAL}
-
-    def test_forward_and_reverse_maps_stay_symmetric(self, incremental):
-        incremental.ingest_clicks(
-            [
-                ClickRecord("indy 4", "https://studio.example.com/indy-4", 60),
-                ClickRecord("madagascar 2", "https://studio.example.com/madagascar-2", 40),
-            ]
-        )
-        incremental.refresh()
-        for value, candidates in incremental._value_to_candidates.items():
-            for candidate in candidates:
-                assert value in incremental._candidate_to_values[candidate]
-        for candidate, values in incremental._candidate_to_values.items():
-            assert values, f"empty dependent set left behind for {candidate!r}"
-            for value in values:
-                assert candidate in incremental._value_to_candidates[value]
-
-    def test_batch_workers_is_accepted_and_ignored(self, search_log):
-        # The frozen perf harness passes it; it selects nothing any more.
-        miner = IncrementalSynonymMiner(search_log=search_log, batch_workers=2)
-        miner.track([CANONICAL])
-        assert miner.refresh() == [CANONICAL]

@@ -1,4 +1,4 @@
-"""Property-based invariant tests for scoring, selection and re-selection.
+"""Property-based invariant tests for scoring and selection.
 
 These pin down the algebra of the miner on arbitrary small logs:
 
@@ -6,7 +6,6 @@ These pin down the algebra of the miner on arbitrary small logs:
 * IPC is bounded by both sides of the intersection it counts — the
   entity's surrogate set and the candidate's clicked-URL set;
 * tightening β / γ can only shrink the selection (monotonicity);
-* ``reselect(result, config)`` is exactly mining fresh at *config*;
 * a long-lived ``ClickLog`` whose ``add()`` calls interleave with reads and
   mining answers exactly like a log rebuilt from the same records (no read
   keeps state that a later ``add()`` could leave stale);
@@ -144,21 +143,6 @@ class TestSelectorMonotonicity:
         open_config = MinerConfig(ipc_threshold=0, icr_threshold=0.0)
         selected = select(open_config, scored.queries, scored.ipc, scored.icr, scored.clicks)
         assert selected == list(scored)
-
-
-class TestReselectEquivalence:
-    @settings(max_examples=40)
-    @given(search_tuples, click_tuples, ipc_thresholds, icr_thresholds)
-    def test_reselect_equals_fresh_mine(self, search, clicks, ipc, icr):
-        search_log, click_log = _build_logs(search, clicks)
-        base = _miner(search_log, click_log)
-        result = base.mine([CANONICAL])
-        reselected = base.reselect(result, MinerConfig(ipc_threshold=ipc, icr_threshold=icr))
-        fresh = _miner(search_log, click_log, ipc=ipc, icr=icr).mine([CANONICAL])
-        assert list(reselected.per_entity) == list(fresh.per_entity)
-        for canonical, fresh_entry in fresh.per_entity.items():
-            assert reselected[canonical].candidates == fresh_entry.candidates
-            assert reselected[canonical].selected == fresh_entry.selected
 
 
 class TestLongLivedLog:

@@ -124,7 +124,5 @@ class TestConstructionCount:
 
         built[0] = 0
         entry = next(entry for entry in result if len(entry.candidates) > 1)
-        last = entry.candidates.queries[-1]
-        assert entry.candidate(last).query == last
-        assert entry.candidate("no such query") is None
+        assert entry.candidates[-1].query == entry.candidates.queries[-1]
         assert built[0] == 1

@@ -45,8 +45,9 @@ def mined(click_log):
 
 
 def score(click_log, query):
-    """*query*'s scores as the miner computes them for the Indy-4 entity."""
-    return mined(click_log).candidate(query)
+    """*query*'s scores as the miner computes them for the Indy-4 entity;
+    None when the miner does not score it."""
+    return next((c for c in mined(click_log).candidates if c.query == query), None)
 
 
 class TestScoreProfile:

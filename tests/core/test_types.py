@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.types import EntitySynonyms, MiningResult, ScoredCandidates, SynonymCandidate
 
-from tests.conftest import scored_record
+from tests.conftest import table_row
 
 
 def _candidate(query="indy 4", ipc=5, icr=0.9, clicks=100):
@@ -45,12 +45,6 @@ class TestEntitySynonyms:
         assert isinstance(entry.candidates, ScoredCandidates)
         assert len(entry.candidates) == 0
 
-    def test_candidate_lookup(self):
-        scored = [_candidate("a"), _candidate("b")]
-        entry = EntitySynonyms(canonical="c", surrogates=(), candidates=scored_record(scored))
-        assert entry.candidate("b") == scored[1]
-        assert entry.candidate("missing") is None
-
 
 class TestMiningResult:
     def _result(self):
@@ -73,19 +67,19 @@ class TestMiningResult:
     def test_hit_count_and_ratio(self):
         result = self._result()
         assert result.hit_count == 2
-        assert result.hit_ratio() == pytest.approx(2 / 3)
+        assert table_row(result).hit_ratio == pytest.approx(2 / 3)
 
     def test_synonym_count(self):
         assert self._result().synonym_count == 3
 
     def test_expansion_ratio(self):
         # (3 synonyms + 3 originals) / 3 originals = 2.0
-        assert self._result().expansion_ratio() == pytest.approx(2.0)
+        assert table_row(self._result()).expansion_ratio == pytest.approx(2.0)
 
     def test_empty_result_ratios(self):
-        empty = MiningResult()
-        assert empty.hit_ratio() == 0.0
-        assert empty.expansion_ratio() == 0.0
+        empty = table_row(MiningResult())
+        assert empty.hit_ratio == 0.0
+        assert empty.expansion_ratio == 0.0
 
     def test_as_dictionary(self):
         dictionary = self._result().as_dictionary()

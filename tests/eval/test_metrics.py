@@ -10,6 +10,8 @@ from repro.eval.metrics import coverage_increase, precision, weighted_precision
 from repro.simulation.aliases import AliasKind, AliasRecord, AliasTable
 from repro.simulation.catalog import Entity, EntityCatalog
 
+from tests.conftest import table_row
+
 
 @pytest.fixture()
 def setup():
@@ -112,8 +114,9 @@ class TestCoverageIncrease:
 class TestTableMetrics:
     def test_hit_and_expansion(self, setup):
         _oracle, result, _log = setup
-        assert result.hit_ratio() == 1.0
-        assert result.expansion_ratio() == pytest.approx((3 + 2) / 2)
+        row = table_row(result)
+        assert row.hit_ratio == 1.0
+        assert row.expansion_ratio == pytest.approx((3 + 2) / 2)
 
     def test_summary_zero_originals(self):
         summary = QualityRow(

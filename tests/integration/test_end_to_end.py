@@ -17,6 +17,8 @@ from repro.matching.matcher import QueryMatcher
 from repro.serving.artifact import SynonymArtifact
 from repro.text.normalize import normalize
 
+from tests.conftest import table_row
+
 
 @pytest.fixture(scope="module")
 def mined(toy_world):
@@ -36,7 +38,7 @@ def oracle(toy_world):
 class TestMiningQuality:
     def test_most_entities_get_synonyms(self, mined):
         _miner, result = mined
-        assert result.hit_ratio() > 0.8
+        assert table_row(result).hit_ratio > 0.8
 
     def test_precision_well_above_chance(self, mined, oracle):
         _miner, result = mined
@@ -68,7 +70,7 @@ class TestMiningQuality:
 
     def test_expansion_ratio_substantial(self, mined):
         _miner, result = mined
-        assert result.expansion_ratio() > 2.0
+        assert table_row(result).expansion_ratio > 2.0
 
 
 class TestOnlineMatchingIntegration:

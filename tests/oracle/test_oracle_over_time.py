@@ -5,7 +5,8 @@ Here a hypothesis state machine drives one ``IncrementalSynonymMiner``
 through click batches, newly tracked values, catalog delistings and remaps,
 refreshes and publishes (full or delta) to one path.  After every publish a
 ``MatchService`` watching the path must answer ``/match`` and ``/resolve``
-exactly as the brute-force reference does over the cumulative logs, and a
+exactly as the brute-force reference does over the cumulative logs, every
+click batch must dirty exactly the tracked values it can move, and a
 delta publish must ship the change set ``diff_delta`` computes against the
 same base over the full entries: one delta rule, whoever writes the delta.
 """
@@ -92,8 +93,28 @@ class PublishOverTime(RuleBasedStateMachine):
         queries = sorted({query for query, _url, _n in self.world.clicks} | set(self.world.names))
         record = st.tuples(st.sampled_from(queries), st.sampled_from(LOG_URLS), st.integers(1, 30))
         batch = data.draw(st.lists(record, min_size=1, max_size=4))
+        dirty_before = self.miner.dirty_values
         self.clicks += batch
         self.miner.ingest_clicks(ClickRecord(query, url, count) for query, url, count in batch)
+        assert self.miner.dirty_values == dirty_before | self.moved_by(batch)
+
+    def moved_by(self, batch) -> set[str]:
+        """The tracked values whose IPC or ICR a click of *batch* can move,
+        read off Search Data and the cumulative clicks: a click landed on
+        one of v's surrogates, or came from a query q != v that has by now
+        clicked one of them (q is a candidate of v, Definition 6)."""
+        clicked: dict[str, set[str]] = {}
+        for query, url, _count in self.clicks:
+            clicked.setdefault(query, set()).add(url)
+        moved = set()
+        for value in {normalize(name) for name in self.tracked}:
+            surrogates = set(self.search_log.top_urls(value, k=self.world.config.surrogate_k))
+            if any(
+                url in surrogates or (query != value and clicked[query] & surrogates)
+                for query, url, _count in batch
+            ):
+                moved.add(value)
+        return moved
 
     @precondition(lambda self: len(self.tracked) < len(self.world.names))
     @rule(data=st.data())
