@@ -9,10 +9,12 @@ the tied entities with the two signals that are already available offline:
 * **click-volume prior** — how much query traffic each entity's known
   strings attract (popular entities win ties, which is also what a search
   engine's behaviour implies).  The prior can come from a live
-  :class:`~repro.clicklog.log.ClickLog` *or* from a precomputed mapping —
-  most usefully the ``priors`` block a compiled
-  :class:`~repro.serving.artifact.SynonymArtifact` publishes, which makes
-  ranked resolution possible in a server that never sees the log; and
+  :class:`~repro.clicklog.log.ClickLog`, from a precomputed mapping, or
+  from a per-entity lookup — most usefully
+  :meth:`~repro.serving.artifact.SynonymArtifact.prior`, a binary search
+  of the ``priors`` block a compiled artifact publishes, which makes
+  ranked resolution possible in a server that never sees the log and
+  decodes only the entities it ranks; and
 * **context overlap** — tokens of the query *outside* the matched span
   that also occur in one entity's canonical string or synonyms
   ("lyra quinn crystal skull" disambiguates to the installment whose
@@ -24,7 +26,7 @@ The resolver never overrides an unambiguous match; it only orders ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.clicklog.log import ClickLog
 from repro.matching.index import DictionaryIndex
@@ -53,11 +55,11 @@ class MatchResolver:
     """Orders the entities of an ambiguous :class:`EntityMatch`.
 
     Exactly one prior source may be given: a live *click_log* (priors are
-    summed per entity on demand) or a precomputed *priors* mapping (entity
-    id → click volume, e.g. from
-    :meth:`~repro.serving.artifact.SynonymArtifact.priors`).  With neither,
-    every entity gets the uniform prior 1.0 and ranking degrades to context
-    overlap alone.
+    summed per entity on demand) or precomputed *priors* — either a
+    mapping (entity id → click volume) or a lookup called once per entity
+    (:meth:`~repro.serving.artifact.SynonymArtifact.prior`, which
+    :meth:`from_artifact` passes).  With neither, every entity gets the
+    uniform prior 1.0 and ranking degrades to context overlap alone.
     """
 
     def __init__(
@@ -65,25 +67,32 @@ class MatchResolver:
         dictionary: DictionaryIndex,
         *,
         click_log: ClickLog | None = None,
-        priors: Mapping[str, float] | None = None,
+        priors: Mapping[str, float] | Callable[[str], float] | None = None,
     ) -> None:
         if click_log is not None and priors is not None:
             raise ValueError("pass click_log or priors, not both")
         self.dictionary = dictionary
         self.click_log = click_log
-        self.priors = dict(priors) if priors is not None else None
+        self._lookup: Callable[[str], float] | None
+        if priors is None or callable(priors):
+            self._lookup = priors
+        else:
+            mapping = dict(priors)
+            self._lookup = lambda entity_id: mapping.get(entity_id, 0.0)
         self._prior_cache: dict[str, float] = {}
 
     @classmethod
     def from_artifact(cls, artifact) -> "MatchResolver":
         """Build a resolver over a compiled artifact's embedded priors.
 
-        *artifact* is a :class:`~repro.serving.artifact.SynonymArtifact`;
-        when it was compiled without a priors block the resolver falls back
-        to uniform priors, so it still resolves — just without the
-        popularity signal.
+        *artifact* is a :class:`~repro.serving.artifact.SynonymArtifact`.
+        Each entity's prior is read on first use by
+        :meth:`~repro.serving.artifact.SynonymArtifact.prior`, so building
+        the resolver decodes nothing.  When the artifact was compiled
+        without a priors block the resolver falls back to uniform priors,
+        so it still resolves — just without the popularity signal.
         """
-        return cls(artifact, priors=artifact.priors())
+        return cls(artifact, priors=artifact.prior if artifact.has_priors else None)
 
     # ------------------------------------------------------------------ #
     # Signals
@@ -95,16 +104,16 @@ class MatchResolver:
         The prior is the total click volume of every dictionary string that
         refers to the entity, so it reflects how much user attention the
         entity receives rather than how many strings it happens to have.
-        A precomputed *priors* mapping returns the same number a live log
-        would, because the compiler sums the identical quantity; an entity
-        absent from the mapping scores 0.0 — exactly what summing over an
-        unknown entity's (empty) string set yields.
+        Precomputed *priors* return the same number a live log would,
+        because the compiler sums the identical quantity; an entity absent
+        from them scores 0.0 — exactly what summing over an unknown
+        entity's (empty) string set yields.
         """
         cached = self._prior_cache.get(entity_id)
         if cached is not None:
             return cached
-        if self.priors is not None:
-            prior = float(self.priors.get(entity_id, 0.0))
+        if self._lookup is not None:
+            prior = float(self._lookup(entity_id))
         elif self.click_log is None:
             prior = 1.0
         else:

@@ -717,13 +717,29 @@ class SynonymArtifact:
         """True when this artifact carries a click-prior block."""
         return self._prior_entity is not None
 
+    def prior(self, entity_id: str) -> float:
+        """Click-volume prior of one entity (0.0 when it is not in the block).
+
+        A binary search of the byte-sorted ``priors.entity`` block, like an
+        exact or token lookup: nothing but the strings the search touches
+        is decoded.  Equals ``priors().get(entity_id, 0.0)``; an artifact
+        compiled without priors answers 0.0 for every entity (check
+        :attr:`has_priors` first).
+        """
+        if self._prior_entity is None or self._prior_value is None:
+            return 0.0
+        slot = self._find(self._prior_entity, entity_id)
+        return 0.0 if slot < 0 else self._prior_value[slot]
+
     def priors(self) -> dict[str, float] | None:
         """Entity id → click-volume prior, or ``None`` when compiled without.
 
         The mapping is exactly what
         :meth:`~repro.matching.resolver.MatchResolver.prior` would compute
         entity by entity from the live click log the artifact was compiled
-        against; decoded once and cached.
+        against; decoded once and cached.  It decodes every entity id of
+        the block, so only whole-state readers call it (delta apply and
+        diff); serving reads one entity at a time through :meth:`prior`.
         """
         if self._prior_entity is None or self._prior_value is None:
             return None

@@ -76,11 +76,6 @@ class TestMiningResult:
         # (3 synonyms + 3 originals) / 3 originals = 2.0
         assert table_row(self._result()).expansion_ratio == pytest.approx(2.0)
 
-    def test_empty_result_ratios(self):
-        empty = table_row(MiningResult())
-        assert empty.hit_ratio == 0.0
-        assert empty.expansion_ratio == 0.0
-
     def test_as_dictionary(self):
         dictionary = self._result().as_dictionary()
         assert dictionary["one"] == ["a", "b"]

@@ -92,7 +92,23 @@ class PublishOverTime(RuleBasedStateMachine):
     def ingest(self, data):
         queries = sorted({query for query, _url, _n in self.world.clicks} | set(self.world.names))
         record = st.tuples(st.sampled_from(queries), st.sampled_from(LOG_URLS), st.integers(1, 30))
-        batch = data.draw(st.lists(record, min_size=1, max_size=4))
+        self.ingest_batch(data.draw(st.lists(record, min_size=1, max_size=4)))
+
+    @rule(data=st.data())
+    def click_own_query(self, data):
+        """A tracked value's own query clicks one of its surrogates, then,
+        once the value is clean, a page that is not one of them.  The value
+        is not a candidate of itself (Definition 6), so the second click
+        must not dirty it."""
+        value = normalize(data.draw(st.sampled_from(self.tracked)))
+        surrogates = self.search_log.top_urls(value, k=self.world.config.surrogate_k)
+        self.ingest_batch([(value, data.draw(st.sampled_from(surrogates)), 5)])
+        self.miner.refresh()
+        elsewhere = [url for url in LOG_URLS if url not in surrogates]
+        self.ingest_batch([(value, data.draw(st.sampled_from(elsewhere)), 5)])
+
+    def ingest_batch(self, batch) -> None:
+        """Ingest *batch*; it must dirty exactly the values it can move."""
         dirty_before = self.miner.dirty_values
         self.clicks += batch
         self.miner.ingest_clicks(ClickRecord(query, url, count) for query, url, count in batch)

@@ -11,6 +11,7 @@ from repro.serving.artifact import (
     SynonymArtifact,
     compile_dictionary,
 )
+from repro.serving.service import MatchService
 from repro.storage.artifact import ArtifactError, write_artifact
 
 from tests.oracle import reference
@@ -177,6 +178,7 @@ class TestPriors:
     def test_priorless_compile_has_no_block(self, artifact):
         assert artifact.has_priors is False
         assert artifact.priors() is None
+        assert artifact.prior("m1") == 0.0
         assert artifact.manifest.extra["has_priors"] is False
         assert "prior_entities" not in artifact.manifest.counts
         assert artifact.manifest.extra["layout_version"] == LAYOUT_VERSION
@@ -191,6 +193,25 @@ class TestPriors:
         compile_dictionary(ENTRIES, path)
         resolver = MatchResolver.from_artifact(SynonymArtifact.load(path))
         assert resolver.prior("m1") == resolver.prior("m2") == 1.0
+
+    def test_serving_never_decodes_the_whole_block(self, click_log, tmp_path, monkeypatch):
+        """Load, match and resolve read priors one entity at a time."""
+        path = tmp_path / "priored.synart"
+        compile_dictionary(ENTRIES, path, click_log=click_log)
+
+        def whole_block(self):
+            raise AssertionError("serving decoded the whole priors block")
+
+        monkeypatch.setattr(SynonymArtifact, "priors", whole_block)
+        service = MatchService(path)
+        assert service.match("indy 4").entity_ids == frozenset({"m1"})
+        match, ranked = service.resolve("shared name")
+        assert match.entity_ids == frozenset({"m1", "m2"})
+        # m2: madagascar 2 (200) + shared name (9); m1: 120 + 30 + 9.
+        assert [(item.entity_id, item.prior) for item in ranked] == [
+            ("m2", 209.0),
+            ("m1", 159.0),
+        ]
 
 
 class TestLoadValidation:
