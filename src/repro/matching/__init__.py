@@ -9,7 +9,8 @@ The package consumes the offline miner's output:
 
 * :mod:`repro.matching.index` — :class:`DictionaryEntry`, the builders
   that turn mined synonyms into entries, and the :class:`DictionaryIndex`
-  lookup protocol (implemented in production by the compiled
+  protocol, the five calls the readers below make (implemented in
+  production by the compiled
   :class:`~repro.serving.artifact.SynonymArtifact`);
 * :class:`~repro.matching.segmentation.QuerySegmenter` — finds which
   contiguous span of a live query matches a dictionary entry;

@@ -10,11 +10,24 @@ in plain Python containers:
   so the matcher has one path over both.
 
 No production path builds one: publishers compile entries straight into a
-:class:`~repro.serving.artifact.SynonymArtifact`.  Only the perf oracle
-(``benchmarks/perf``) still answers from it; the tests hold it, like every
-other index, to the brute-force reference in ``tests/oracle``.  Once the
-perf oracle moves onto the artifact, this module and its own test file
-can go.
+:class:`~repro.serving.artifact.SynonymArtifact`.  Only the perf harness
+(``benchmarks/perf``) still builds one; the tests hold it, like every
+other index, to the brute-force reference in ``tests/oracle``.
+
+Beyond the five :class:`~repro.matching.index.DictionaryIndex` calls it
+keeps what being that harness's reference needs:
+
+* construction — :meth:`~SynonymDictionary.add` and
+  :meth:`~SynonymDictionary.from_mining_result` (the offline bench times
+  the build as ``matching.dictionary_build_ms``);
+* iteration over its :class:`~repro.matching.index.DictionaryEntry` rows,
+  and ``len``: the harness compiles a dictionary by iterating it
+  (:func:`~repro.serving.artifact.compile_dictionary`); and
+* :meth:`~SynonymDictionary.lookup` (and ``in``), the exact bucket that
+  ``entities_for`` reads; its own tests pin the duplicate rule through it.
+
+Once the perf oracle moves onto the artifact, this module and its own
+test file can go.
 """
 
 from __future__ import annotations

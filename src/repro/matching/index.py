@@ -14,18 +14,18 @@ place that knows how mined synonyms become entries:
 Every publisher feeds these entries to
 :func:`~repro.serving.artifact.dedupe_entries` and compiles them, so the
 compiled :class:`~repro.serving.artifact.SynonymArtifact` is the one
-production implementation of :class:`DictionaryIndex`, the surface the
-online path consumes:
+production implementation of :class:`DictionaryIndex`: the five calls the
+online readers (segmenter, matcher and resolver) make, and nothing else.
 
-* an **exact index** (``lookup`` / ``entities_for`` / ``__contains__``),
-* a **token test** (``has_token``): the segmenter probes only spans whose
-  every word the index has,
-* a **token shortlist** for the fuzzy fallback
-  (``strings_containing_token``), a :class:`TokenPostings` view whose
-  string ids the matcher pools and filters before it decodes a string,
-* **entry iteration** (``__iter__`` / ``__len__`` /
-  ``strings_for_entity``) for offline consumers such as the resolver's
-  click-prior, and
+* ``entities_for``, the **exact index**: the segmenter's span probes and
+  the entities of the matcher's fuzzy winner;
+* ``has_token``, the **token test**: the segmenter probes only spans
+  whose every word the index has;
+* ``strings_containing_token``, the **token shortlist** for the fuzzy
+  fallback: a :class:`TokenPostings` view whose string ids the matcher
+  pools and filters before it decodes a string;
+* ``strings_for_entity``: an entity's strings, for the resolver's context
+  overlap (and its click prior when it sums a live log); and
 * ``max_entry_tokens``, the segmenter's span-length bound.
 
 :class:`~repro.matching.dictionary.SynonymDictionary` implements it too, as
@@ -172,11 +172,16 @@ class TokenPostings(AbstractSet[str]):
 
 @runtime_checkable
 class DictionaryIndex(Protocol):
-    """String → entity lookup surface consumed by the online matchers."""
+    """What the online readers call on an index: exactly these five members.
 
-    def lookup(self, text: str) -> list[DictionaryEntry]:
-        """Exact lookup of a (raw or normalized) string."""
-        ...
+    :class:`~repro.matching.segmentation.QuerySegmenter` calls
+    ``entities_for``, ``has_token`` and ``max_entry_tokens``;
+    :class:`~repro.matching.matcher.QueryMatcher` adds
+    ``strings_containing_token`` (and ``entities_for`` of its fuzzy
+    winner); and
+    :class:`~repro.matching.resolver.MatchResolver` calls
+    ``strings_for_entity``.
+    """
 
     def entities_for(self, text: str) -> set[str]:
         """Entity ids the exact string refers to (empty set when unknown)."""
@@ -204,9 +209,3 @@ class DictionaryIndex(Protocol):
     def max_entry_tokens(self) -> int:
         """Length (in tokens) of the longest dictionary string."""
         ...
-
-    def __contains__(self, text: str) -> bool: ...
-
-    def __len__(self) -> int: ...
-
-    def __iter__(self) -> Iterator[DictionaryEntry]: ...

@@ -8,9 +8,9 @@ the tied entities with the two signals that are already available offline:
 
 * **click-volume prior** — how much query traffic each entity's known
   strings attract (popular entities win ties, which is also what a search
-  engine's behaviour implies).  The prior can come from a live
-  :class:`~repro.clicklog.log.ClickLog`, from a precomputed mapping, or
-  from a per-entity lookup — most usefully
+  engine's behaviour implies).  The prior comes from a live
+  :class:`~repro.clicklog.log.ClickLog` or from a per-entity lookup —
+  in production
   :meth:`~repro.serving.artifact.SynonymArtifact.prior`, a binary search
   of the ``priors`` block a compiled artifact publishes, which makes
   ranked resolution possible in a server that never sees the log and
@@ -26,7 +26,7 @@ The resolver never overrides an unambiguous match; it only orders ties.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.clicklog.log import ClickLog
 from repro.matching.index import DictionaryIndex
@@ -54,10 +54,11 @@ class RankedEntity:
 class MatchResolver:
     """Orders the entities of an ambiguous :class:`EntityMatch`.
 
-    Exactly one prior source may be given: a live *click_log* (priors are
-    summed per entity on demand) or precomputed *priors* — either a
-    mapping (entity id → click volume) or a lookup called once per entity
-    (:meth:`~repro.serving.artifact.SynonymArtifact.prior`, which
+    Reads the index through one call, ``strings_for_entity`` (an entity's
+    strings, for context overlap and for a live-log prior).  At most one
+    prior source may be given: a live *click_log* (each entity's strings'
+    click volume, summed on demand) or *priors*, a lookup called once per
+    entity (:meth:`~repro.serving.artifact.SynonymArtifact.prior`, which
     :meth:`from_artifact` passes).  With neither, every entity gets the
     uniform prior 1.0 and ranking degrades to context overlap alone.
     """
@@ -67,18 +68,13 @@ class MatchResolver:
         dictionary: DictionaryIndex,
         *,
         click_log: ClickLog | None = None,
-        priors: Mapping[str, float] | Callable[[str], float] | None = None,
+        priors: Callable[[str], float] | None = None,
     ) -> None:
         if click_log is not None and priors is not None:
             raise ValueError("pass click_log or priors, not both")
         self.dictionary = dictionary
         self.click_log = click_log
-        self._lookup: Callable[[str], float] | None
-        if priors is None or callable(priors):
-            self._lookup = priors
-        else:
-            mapping = dict(priors)
-            self._lookup = lambda entity_id: mapping.get(entity_id, 0.0)
+        self._lookup = priors
         self._prior_cache: dict[str, float] = {}
 
     @classmethod
@@ -104,9 +100,9 @@ class MatchResolver:
         The prior is the total click volume of every dictionary string that
         refers to the entity, so it reflects how much user attention the
         entity receives rather than how many strings it happens to have.
-        Precomputed *priors* return the same number a live log would,
-        because the compiler sums the identical quantity; an entity absent
-        from them scores 0.0 — exactly what summing over an unknown
+        A *priors* lookup returns the same number a live log would, because
+        the compiler sums the identical quantity; it answers 0.0 for an
+        entity it does not hold — exactly what summing over an unknown
         entity's (empty) string set yields.
         """
         cached = self._prior_cache.get(entity_id)

@@ -39,7 +39,8 @@ Endpoints (all JSON):
                       latency histograms (``latency``), watcher state,
                       artifact metadata, worker id (``server.worker``)
 ``GET|POST /match``   one query (``?q=`` or ``{"query": ...}``) or a batch
-                      (``{"queries": [...]}``) → match payload(s)
+                      (``q`` repeated, or ``{"queries": [...]}``) → match
+                      payload(s); a blank ``q`` is a query, as ``""`` is
 ``GET|POST /resolve`` like ``/match`` plus ``ranked``: the tied entities
                       ordered by the artifact's click priors + context
 ``POST /admin/reload``  force a reload of the artifact file
@@ -735,7 +736,7 @@ def _make_handler(daemon: MatchDaemon) -> type[StreamRequestHandler]:
             return body
 
         def _query_body_from_url(self, query_string: str) -> dict[str, Any]:
-            params = parse_qs(query_string)
+            params = parse_qs(query_string, keep_blank_values=True)
             if "q" not in params:
                 raise _RequestError(400, "missing ?q= query parameter")
             values = params["q"]

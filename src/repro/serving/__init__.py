@@ -7,9 +7,9 @@ the mine → **compile** → **serve** half of the pipeline:
 * :func:`~repro.serving.artifact.compile_dictionary` freezes dictionary
   entries (built by :mod:`repro.matching.index`) into a single versioned
   artifact file; :class:`~repro.serving.artifact.SynonymArtifact`
-  cold-loads that file with one read and serves the full
+  cold-loads that file with one read and serves the
   :class:`~repro.matching.index.DictionaryIndex` protocol straight from the
-  packed arrays, materializing entries lazily.
+  packed arrays, decoding strings lazily.
 * :mod:`repro.serving.delta` is the incremental publish path: a small
   **delta sidecar** carries only the entities that changed since a base
   artifact, and applying it reproduces a full compile exactly (chain

@@ -7,13 +7,13 @@ production.  Publishers turn mined synonyms into
 and pack them once, offline, into a single immutable artifact file
 (:func:`compile_entries`) that a server cold-loads with one map — or, for
 one-shot tools, straight into memory (:meth:`SynonymArtifact.from_entries`).
-The artifact implements the full
+The artifact implements the
 :class:`~repro.matching.index.DictionaryIndex` protocol directly on the
-packed bytes, materializing a :class:`DictionaryEntry` only when a lookup
-actually touches it.  The packed arrays are *typed views* over the loaded
-buffer — never eager copies — so a loaded artifact (:meth:`load` maps the
-file read-only) serves straight out of the page cache and N workers mapping
-the same published file share one set of physical pages.
+packed bytes, decoding only the strings a call touches.  The packed arrays
+are *typed views* over the loaded buffer — never eager copies — so a
+loaded artifact (:meth:`load` maps the file read-only) serves straight out
+of the page cache and N workers mapping the same published file share one
+set of physical pages.
 
 The normative description of the on-disk format — container framing,
 manifest fields, byte-level block layouts for the full artifact (layout 2)
@@ -453,8 +453,9 @@ class SynonymArtifact:
     :class:`~repro.matching.matcher.QueryMatcher` (and the segmenter and
     resolver).  File-backed, in-memory and delta-applied instances all
     answer exactly as the brute-force reference in ``tests/oracle`` does
-    over the same entries.  Instances are immutable views over one loaded file; strings
-    and entries are decoded lazily and cached.
+    over the same entries.  Instances are immutable views over one loaded
+    file; strings are decoded lazily and cached, and iteration yields each
+    entry as a plain :data:`EntryTuple`.
 
     The packed arrays are zero-copy typed views (``memoryview.cast``) over
     the mapped file or the in-memory blocks alike, so construction copies
@@ -500,7 +501,6 @@ class SynonymArtifact:
             self._prior_entity = None
             self._prior_value = None
         self._strings = _DecodedStrings(self._blob, self._offsets)
-        self._entries: dict[int, DictionaryEntry] = {}
         self._by_entity: dict[str, list[int]] | None = None
         self._priors: dict[str, float] | None = None
         self._word_counts: Counter[int] | None = None
@@ -592,7 +592,9 @@ class SynonymArtifact:
         return cls(manifest, {name: memoryview(data) for name, data in blocks.items()})
 
     @classmethod
-    def from_entries(cls, entries: Iterable[DictionaryEntry]) -> "SynonymArtifact":
+    def from_entries(
+        cls, entries: Iterable[DictionaryEntry | EntryTuple]
+    ) -> "SynonymArtifact":
         """Compile *entries* in memory, without priors and without a file.
 
         For one-shot consumers (``repro match --synonyms``, the examples)
@@ -605,22 +607,6 @@ class SynonymArtifact:
     def peek_manifest(path: str | Path) -> ArtifactManifest:
         """Read an artifact's manifest without loading its payload."""
         return read_manifest(path)
-
-    # ------------------------------------------------------------------ #
-    # String pool access
-    # ------------------------------------------------------------------ #
-
-    def _entry(self, entry_id: int) -> DictionaryEntry:
-        cached = self._entries.get(entry_id)
-        if cached is None:
-            cached = DictionaryEntry(
-                text=self._strings[self._entry_text[entry_id]],
-                entity_id=self._strings[self._entry_entity[entry_id]],
-                source=self._strings[self._entry_source[entry_id]],
-                weight=self._entry_weight[entry_id],
-            )
-            self._entries[entry_id] = cached
-        return cached
 
     def _find(self, sorted_sids: memoryview, needle: str) -> int:
         """Binary search *needle* in a byte-sorted string-id array (-1 miss).
@@ -639,19 +625,10 @@ class SynonymArtifact:
     # DictionaryIndex protocol
     # ------------------------------------------------------------------ #
 
-    def lookup(self, text: str) -> list[DictionaryEntry]:
-        """Exact lookup of a (raw or normalized) string."""
-        slot = self._find(self._exact_text, normalize(text))
-        if slot < 0:
-            return []
-        start, end = self._exact_starts[slot], self._exact_starts[slot + 1]
-        return [self._entry(self._exact_entries[i]) for i in range(start, end)]
-
     def entities_for(self, text: str) -> set[str]:
         """Entity ids the exact string refers to (empty set when unknown).
 
-        Reads the entity ids straight off the entry arrays; no
-        :class:`DictionaryEntry` is built.
+        Reads the entity ids straight off the entry arrays.
         """
         slot = self._find(self._exact_text, normalize(text))
         if slot < 0:
@@ -708,6 +685,11 @@ class SynonymArtifact:
             for entry_id in self._by_entity.get(entity_id, ())
         ]
 
+    @property
+    def max_entry_tokens(self) -> int:
+        """Length (in tokens) of the longest dictionary string (precomputed)."""
+        return int(self.manifest.extra.get("max_entry_tokens", 0))
+
     # ------------------------------------------------------------------ #
     # Click priors
     # ------------------------------------------------------------------ #
@@ -751,7 +733,7 @@ class SynonymArtifact:
         return self._priors
 
     # ------------------------------------------------------------------ #
-    # Delta support
+    # State: identity, deltas and the entries
     # ------------------------------------------------------------------ #
 
     @property
@@ -761,20 +743,6 @@ class SynonymArtifact:
         See :func:`state_hash` and :mod:`repro.serving.delta`.
         """
         return str(self.manifest.extra["state_hash"])
-
-    def entry_tuples(self) -> Iterator[EntryTuple]:
-        """Every entry as a plain ``(text, entity, source, weight)`` tuple.
-
-        Cheaper than materializing :class:`DictionaryEntry` objects; this
-        is the sequence delta application merges over.
-        """
-        for entry_id in range(len(self._entry_text)):
-            yield (
-                self._strings[self._entry_text[entry_id]],
-                self._strings[self._entry_entity[entry_id]],
-                self._strings[self._entry_source[entry_id]],
-                self._entry_weight[entry_id],
-            )
 
     def apply_delta(self, delta: "DictionaryDelta") -> "SynonymArtifact":
         """Apply a :class:`~repro.serving.delta.DictionaryDelta` in memory.
@@ -788,16 +756,19 @@ class SynonymArtifact:
 
         return apply_delta(self, delta)
 
-    @property
-    def max_entry_tokens(self) -> int:
-        """Length (in tokens) of the longest dictionary string (precomputed)."""
-        return int(self.manifest.extra.get("max_entry_tokens", 0))
-
-    def __contains__(self, text: str) -> bool:
-        return self._find(self._exact_text, normalize(text)) >= 0
-
     def __len__(self) -> int:
         return len(self._entry_text)
 
-    def __iter__(self) -> Iterator[DictionaryEntry]:
-        return (self._entry(entry_id) for entry_id in range(len(self._entry_text)))
+    def __iter__(self) -> Iterator[EntryTuple]:
+        """Every entry as a plain ``(text, entity, source, weight)`` tuple.
+
+        In compile order, read straight off the entry columns: the sequence
+        the state hash is defined over and delta application merges over.
+        """
+        strings = self._strings.__getitem__
+        return zip(
+            map(strings, self._entry_text),
+            map(strings, self._entry_entity),
+            map(strings, self._entry_source),
+            self._entry_weight,
+        )

@@ -127,7 +127,7 @@ def write_delta(
     """
     if not base_state_hash:
         raise ValueError("base_state_hash is required (the base must carry one)")
-    changed_ids = {entity_id for entity_id, _entries in changed}
+    changed_ids = {entity_id for entity_id, _group in changed}
     if len(changed_ids) != len(changed):
         raise ValueError("changed entities must be unique")
     overlap = changed_ids & set(removed)
@@ -135,7 +135,7 @@ def write_delta(
         raise ValueError(f"entities both changed and removed: {sorted(overlap)[:3]}")
 
     pool = _StringPool()
-    changed_entity = [pool.intern(entity_id) for entity_id, _entries in changed]
+    changed_entity = [pool.intern(entity_id) for entity_id, _group in changed]
     changed_starts = [0]
     changed_text: list[int] = []
     changed_source: list[int] = []
@@ -310,7 +310,7 @@ class DictionaryState:
             version=artifact.manifest.version,
             state_hash=artifact.state_hash,
             content_hash=artifact.manifest.content_hash,
-            entries=list(artifact.entry_tuples()),
+            entries=list(artifact),
             priors=artifact.priors(),
         )
 
@@ -399,7 +399,7 @@ def apply_delta(
             "the delta was published against"
         )
     entries, priors = merge_state(
-        base.entry_tuples(), base.priors(), delta.changed, delta.removed, delta.prior_updates
+        base, base.priors(), delta.changed, delta.removed, delta.prior_updates
     )
     blocks, counts, extra = build_blocks(entries, priors=priors)
     if extra["state_hash"] != delta.state_hash:

@@ -293,7 +293,8 @@ class MatchService:
             # publish removes its stale sidecar): nothing to apply, and
             # nothing to remember — the next poll sees no sidecar at all.
             return False
-        except ArtifactError:
+        except (ArtifactError, OSError):
+            # Refused, or unreadable (a directory, no permission).
             self._state = replace(state, delta_stamp=stamp)
             with self._lock:
                 self._deltas_skipped += 1

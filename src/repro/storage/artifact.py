@@ -384,11 +384,6 @@ class ArtifactMapping(_MappingABC[str, memoryview]):
         """True once :meth:`close` ran (even if teardown was deferred)."""
         return self._closed
 
-    @property
-    def size(self) -> int:
-        """Mapped file size in bytes."""
-        return len(self._view) if not self._closed else 0
-
     def close(self) -> bool:
         """Release every owned view and unmap the file.
 

@@ -151,6 +151,6 @@ class TestServedArtifactCrossCheck:
         publisher.publish(toy_world.catalog, path)
         artifact = SynonymArtifact.load(path)
 
-        assert {(entry.text, entry.entity_id) for entry in artifact} == expected
+        assert {(text, entity_id) for text, entity_id, *_ in artifact} == expected
         for text, entity_id in sorted(expected):
             assert entity_id in artifact.entities_for(text), text

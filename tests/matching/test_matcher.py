@@ -198,7 +198,7 @@ class TestPostingsMemo:
 
     def _index(self):
         index = _CountingArtifact.from_entries(self.ENTRIES)
-        return index, {word for entry in index for word in entry.text.split()}
+        return index, {word for text, *_ in index for word in text.split()}
 
     def test_memo_holds_only_index_tokens_and_is_read_once(self):
         index, vocabulary = self._index()
@@ -289,7 +289,7 @@ class TestPostingsMemo:
         assert set(matcher._token_ids) <= vocabulary
         counts = index.word_counts()
         assert sorted(counts.values()) == sorted(
-            len(set(text.split())) for text in {entry.text for entry in index}
+            len(set(text.split())) for text in {text for text, *_ in index}
         )
 
     # "the" is in 3 002 postings; "quiet" in two.  Only the strings holding
@@ -344,7 +344,7 @@ class TestBatchAndCoverage:
 
     def test_expanded_dictionary_beats_canonical_only(self, dictionary):
         canonical_only = SynonymArtifact.from_entries(
-            entry for entry in dictionary if entry.source == "canonical"
+            entry for entry in dictionary if entry[2] == "canonical"
         )
         queries = ["indy 4 near san fran", "madagascar 2 dvd", "digital rebel xt review"]
         expanded = _coverage(QueryMatcher(dictionary, enable_fuzzy=False), queries)

@@ -6,7 +6,14 @@ from repro.clicklog.log import ClickLog
 from repro.matching.index import DictionaryEntry
 from repro.matching.matcher import QueryMatcher
 from repro.matching.resolver import MatchResolver
-from repro.serving.artifact import SynonymArtifact
+from repro.serving.artifact import SynonymArtifact, build_blocks
+
+
+def prior_lookup(priors):
+    """The per-entity lookup of an artifact whose priors block holds *priors*."""
+    entries = [(entity_id, entity_id, "canonical", 1.0) for entity_id in priors]
+    blocks, counts, extra = build_blocks(entries, priors=priors)
+    return SynonymArtifact.from_blocks(blocks, version="1", counts=counts, extra=extra).prior
 
 
 @pytest.fixture()
@@ -55,27 +62,28 @@ class TestPriors:
 
 
 class TestPrecomputedPriors:
-    """Priors from a mapping (e.g. an artifact's priors block) vs the live log."""
+    """Priors from a per-entity lookup (an artifact's priors block) vs the live log."""
 
     def test_mapping_values_used_directly(self, dictionary):
-        resolver = MatchResolver(dictionary, priors={"m1": 40.0, "m2": 600.0})
+        resolver = MatchResolver(dictionary, priors=prior_lookup({"m1": 40.0, "m2": 600.0}))
         assert resolver.prior("m1") == 40.0
         assert resolver.prior("m2") == 600.0
 
     def test_unknown_entity_scores_zero(self, dictionary):
         # Matches the live-log behaviour: an entity with no known strings
         # sums an empty click set.
-        resolver = MatchResolver(dictionary, priors={"m1": 40.0})
+        resolver = MatchResolver(dictionary, priors=prior_lookup({"m1": 40.0}))
         assert resolver.prior("ghost") == 0.0
 
     def test_both_sources_rejected(self, dictionary, click_log):
         with pytest.raises(ValueError, match="not both"):
-            MatchResolver(dictionary, click_log=click_log, priors={"m1": 1.0})
+            MatchResolver(dictionary, click_log=click_log, priors=prior_lookup({"m1": 1.0}))
 
     def test_rank_from_mapping_equals_rank_from_live_log(self, dictionary, click_log, matcher):
         """The precomputed path is field-for-field the live-log path."""
         live = MatchResolver(dictionary, click_log=click_log)
-        frozen = MatchResolver(dictionary, priors={e: live.prior(e) for e in ("m1", "m2")})
+        lookup = prior_lookup({e: live.prior(e) for e in ("m1", "m2")})
+        frozen = MatchResolver(dictionary, priors=lookup)
         for query in ("lyra quinn", "lyra quinn crystal skull", "lyra quinn shattered crown"):
             match = matcher.match(query)
             assert frozen.rank(match) == live.rank(match), query

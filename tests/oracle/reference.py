@@ -65,6 +65,12 @@ def entries(rows: Iterable[DictionaryEntry]) -> list[DictionaryEntry]:
     return kept
 
 
+def rows(index: Index) -> list[tuple[str, str, str, float]]:
+    """The entries as ``(text, entity, source, weight)`` tuples, as an artifact
+    iterates them."""
+    return [(entry.text, entry.entity_id, entry.source, entry.weight) for entry in index]
+
+
 def lookup(index: Index, text: str) -> list[DictionaryEntry]:
     return [entry for entry in index if entry.text == normalize(text)]
 

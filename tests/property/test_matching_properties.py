@@ -28,15 +28,15 @@ class TestDictionaryProperties:
     def test_every_entry_is_exact_lookupable(self, dictionary_entries):
         dictionary = SynonymArtifact.from_entries(dictionary_entries)
         for entry in dictionary_entries:
-            assert normalize(entry.text) in dictionary
+            assert entry.entity_id in dictionary.entities_for(normalize(entry.text))
             assert entry.entity_id in dictionary.entities_for(entry.text)
 
     @given(entries)
     def test_token_index_consistent_with_entries(self, dictionary_entries):
         dictionary = SynonymArtifact.from_entries(dictionary_entries)
-        for entry in dictionary:
-            for token in tokenize(entry.text, normalized=True):
-                assert entry.text in dictionary.strings_containing_token(token)
+        for text, *_ in dictionary:
+            for token in tokenize(text, normalized=True):
+                assert text in dictionary.strings_containing_token(token)
 
     @given(entries)
     def test_adding_twice_never_grows_dictionary(self, dictionary_entries):
@@ -71,8 +71,8 @@ class TestSegmenterProperties:
     def test_every_dictionary_string_matches_itself(self, dictionary_entries):
         dictionary = SynonymArtifact.from_entries(dictionary_entries)
         segmenter = QuerySegmenter(dictionary)
-        for entry in dictionary:
-            best = segmenter.best_segment(entry.text)
+        for text, *_ in dictionary:
+            best = segmenter.best_segment(text)
             assert best is not None
             assert best.remainder == "" or best.token_length >= 1
 
@@ -96,10 +96,10 @@ class TestMatcherProperties:
     def test_exact_dictionary_strings_always_match(self, dictionary_entries):
         dictionary = SynonymArtifact.from_entries(dictionary_entries)
         matcher = QueryMatcher(dictionary, enable_fuzzy=False)
-        for entry in dictionary:
-            match = matcher.match(entry.text)
+        for text, entity_id, *_ in dictionary:
+            match = matcher.match(text)
             assert match.outcome is MatchOutcome.EXACT
-            assert entry.entity_id in match.entity_ids
+            assert entity_id in match.entity_ids
 
     @settings(max_examples=40)
     @given(entries, raw_query)

@@ -198,4 +198,4 @@ class TestCatalogsCompile:
         loaded = SynonymArtifact.load(path)
         assert loaded.has_priors
         # Every alias the query stream can draw must be matchable.
-        assert loaded.lookup(catalog.aliases[0])
+        assert loaded.entities_for(catalog.aliases[0])

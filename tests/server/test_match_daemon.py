@@ -117,6 +117,18 @@ class TestMatchEndpoint:
         assert payload["matched"] is True
         assert payload["entities"] == ["m1", "m2"]
 
+    @pytest.mark.parametrize("endpoint", ["/match", "/resolve"])
+    def test_get_answers_blank_and_repeated_q_like_post(self, client, endpoint):
+        """A blank ``q`` is the query "", as in a POST; a repeated ``q`` is a batch."""
+        single = client._request("GET", f"{endpoint}?q=")
+        assert single == client._request("POST", endpoint, {"query": ""})
+        assert single["query"] == ""
+        batch = client._request("GET", f"{endpoint}?q=&q=lyra+quinn")
+        assert batch == client._request("POST", endpoint, {"queries": ["", "lyra quinn"]})
+        with pytest.raises(ServerError) as excinfo:
+            client._request("GET", f"{endpoint}?x=1")
+        assert excinfo.value.status == 400
+
     def test_batch_above_max_rejected_413(self, client):
         with pytest.raises(ServerError) as excinfo:
             client.match_many(["q"] * 17)

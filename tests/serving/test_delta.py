@@ -108,7 +108,7 @@ class TestDiffAndRoundTrip:
         assert delta.removed == ["e2"]
         assert delta.changed == []
         applied = apply_delta(base, delta)
-        assert "beta" not in applied
+        assert applied.entities_for("beta") == set()
         assert applied.priors() == {"e1": 10.0}
 
     def test_identical_state_yields_empty_delta(self, base, tmp_path):
@@ -152,8 +152,7 @@ class TestApply:
         assert base.entities_for("alfa") == {"e1"}
         assert "alfa" in base.strings_containing_token("alfa")
         applied = apply_delta(base, delta)
-        assert applied.lookup("alfa") == []
-        assert "alfa" not in applied
+        assert applied.entities_for("alfa") == set()
         assert applied.strings_containing_token("alfa") == set()
         assert "alfa" not in applied.strings_for_entity("e1")
         assert applied.entities_for("alef") == {"e1"}
@@ -276,7 +275,7 @@ class TestIncrementalDeltaPublish:
         # ...and so does the delta applied onto the old base.
         manifest = miner.publish(catalog, path, delta=True)
         applied = apply_delta(base, DictionaryDelta.load(delta_path_for(path)))
-        assert applied.lookup("alfa") == []
+        assert applied.entities_for("alfa") == set()
         assert applied.strings_containing_token("alfa") == set()
         compile_dictionary(
             entries, full_path, version=manifest.version,
@@ -335,7 +334,7 @@ class TestIncrementalDeltaPublish:
         assert delta.removed == ["e-beta"]
         assert delta.changed == []
         applied = apply_delta(base, delta)
-        assert applied.lookup("betta") == []
+        assert applied.entities_for("betta") == set()
         assert applied.strings_containing_token("betta") == set()
         reference = compile_dictionary(
             entries_from_mining_result(miner.result, smaller),

@@ -60,7 +60,7 @@ def artifact_path(tmp_path):
 class TestOwnership:
     def test_close_is_deterministic_after_use(self, artifact_path):
         artifact = SynonymArtifact.load(artifact_path)
-        artifact.lookup("indy 4")
+        artifact.entities_for("indy 4")
         list(artifact)
         artifact.priors()
         assert artifact.closed is False
@@ -77,7 +77,7 @@ class TestOwnership:
         assert artifact.is_mapped is False
         assert artifact.close() is True
         assert artifact.closed is False
-        assert artifact.lookup("indy 4")  # still serving
+        assert artifact.entities_for("indy 4")  # still serving
 
     def test_closed_mapping_refuses_block_access(self, artifact_path):
         _manifest, mapping = read_artifact(artifact_path)
@@ -96,7 +96,8 @@ class TestOwnership:
 
     def test_mapping_context_manager(self, artifact_path):
         with read_artifact(artifact_path)[1] as mapping:
-            assert mapping.size == artifact_path.stat().st_size
+            assert not mapping.closed
+            assert set(mapping) == set(mapping.manifest.blocks)
         assert mapping.closed
 
 
@@ -168,8 +169,8 @@ class TestServiceMmap:
         )
         assert service.maybe_reload() is True
         # Old state still fully readable after being swapped out.
-        assert old_artifact.lookup("indy 4")
-        assert "brand new" not in old_artifact
+        assert old_artifact.entities_for("indy 4")
+        assert old_artifact.entities_for("brand new") == set()
         assert service.match("brand new").matched
         service.close()
 

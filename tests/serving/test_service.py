@@ -188,6 +188,25 @@ class TestDeltaHotSwap:
         assert service.maybe_reload() is False
         assert service.stats.deltas_skipped == 1
 
+    def test_unreadable_sidecar_skipped_at_start_and_not_retried(
+        self, artifact_path, dictionary
+    ):
+        # A sidecar path that cannot be read as a file (here a directory)
+        # must not stop a restart: the service serves the full file.
+        delta_path_for(artifact_path).mkdir()
+        service = MatchService(artifact_path)
+        assert service.manifest.version == "gen-1"
+        assert service.stats.deltas_skipped == 1
+        assert service.maybe_reload() is False
+        assert service.maybe_reload() is False
+        assert service.stats.deltas_skipped == 1
+        # A valid sidecar in its place is applied by the next poll.
+        delta_path_for(artifact_path).rmdir()
+        self._publish_delta(artifact_path, self._grown_dictionary(dictionary), "gen-2")
+        assert service.maybe_reload() is True
+        assert service.manifest.version == "gen-2"
+        assert service.stats.deltas_applied == 1
+
     def test_full_republish_beats_stale_sidecar(self, service, artifact_path, dictionary):
         self._publish_delta(artifact_path, self._grown_dictionary(dictionary), "gen-2")
         assert service.maybe_reload() is True

@@ -66,15 +66,14 @@ class TestCompile:
             path,
         )
         artifact = SynonymArtifact.load(path)
-        (entry,) = artifact.lookup("indy 4")
-        assert (entry.weight, entry.source) == (120.0, "mined")
+        assert list(artifact) == [("indy 4", "m1", "mined", 120.0)]
 
     def test_empty_dictionary(self, tmp_path):
         path = tmp_path / "empty.synart"
         compile_dictionary([], path)
         artifact = SynonymArtifact.load(path)
         assert len(artifact) == 0
-        assert artifact.lookup("anything") == []
+        assert artifact.entities_for("anything") == set()
         assert artifact.max_entry_tokens == 0
         assert list(artifact) == []
 
@@ -100,12 +99,13 @@ class TestDictionaryIndexProtocol:
         assert isinstance(artifact, DictionaryIndex)
 
     def test_entries_survive_round_trip(self, artifact):
-        assert list(artifact) == self.INDEX
+        assert list(artifact) == reference.rows(self.INDEX)
 
     def test_lookup_matches_dictionary(self, artifact):
         for entry in self.INDEX:
-            assert artifact.lookup(entry.text) == reference.lookup(self.INDEX, entry.text)
-        assert artifact.lookup("not in there") == []
+            expected = reference.entities_for(self.INDEX, entry.text)
+            assert artifact.entities_for(entry.text) == expected, entry.text
+        assert artifact.entities_for("not in there") == set()
 
     def test_token_shortlist_matches_dictionary(self, artifact):
         for token in {token for entry in self.INDEX for token in entry.text.split()}:
@@ -122,11 +122,6 @@ class TestDictionaryIndexProtocol:
 
     def test_lookup_normalizes_input(self, artifact):
         assert artifact.entities_for("  Indy 4! ") == {"m1"}
-
-    def test_contains(self, artifact):
-        assert "indy 4" in artifact
-        assert "INDY 4" in artifact
-        assert "missing" not in artifact
 
     def test_ambiguous_string_keeps_all_entities(self, artifact):
         assert artifact.entities_for("shared name") == {"m1", "m2"}
