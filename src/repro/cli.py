@@ -57,7 +57,6 @@ from repro.core.pipeline import SynonymMiner
 from repro.matching.index import DictionaryEntry, entries_from_mined_rows, mined_row
 from repro.matching.matcher import QueryMatcher
 from repro.server.daemon import DEFAULT_PORT, MatchDaemon, match_payload
-from repro.server.metrics import AccessLog
 from repro.server.supervisor import ServerSupervisor
 from repro.serving.artifact import SynonymArtifact, compile_dictionary
 from repro.storage.jsonl import read_jsonl_as, write_jsonl
@@ -452,7 +451,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         else "watcher disabled"
     )
 
-    # The worker options, spelled once: a supervisor forwards them to each
+    # The daemon options, spelled once: a supervisor forwards them to each
     # worker's MatchDaemon verbatim.
     options: dict[str, Any] = {
         "host": args.host,
@@ -461,6 +460,8 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
         "enable_fuzzy": not args.no_fuzzy,
         "watch_interval": args.watch_interval,
         "max_batch": args.max_batch,
+        "access_log_path": args.access_log,
+        "access_log_sample": access_log_sample,
     }
     server: MatchDaemon | ServerSupervisor
     if args.procs > 1:
@@ -468,21 +469,12 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
             # Every worker is listening before the address line goes out —
             # the same bind-before-banner promise the single-process path
             # makes, so a wrapper may connect the moment it reads it.
-            server = ServerSupervisor(
-                args.artifact,
-                procs=args.procs,
-                access_log_path=args.access_log,
-                access_log_sample=access_log_sample,
-                **options,
-            ).start()
+            server = ServerSupervisor(args.artifact, procs=args.procs, **options).start()
         except RuntimeError as exc:  # no SO_REUSEPORT, or startup failure
             raise SystemExit(f"repro server: error: {exc}") from exc
         detail = f"{args.procs} procs via SO_REUSEPORT"
     else:
-        access_log = None
-        if access_log_sample > 0:
-            access_log = AccessLog(access_log_sample, path=args.access_log)
-        server = MatchDaemon(args.artifact, access_log=access_log, **options)
+        server = MatchDaemon(args.artifact, **options)
         detail = f"artifact version {server.service.manifest.version}"
     # The address line is machine-readable on purpose: with --port 0 it is
     # the only way a wrapper (tests, CI) learns the bound port.

@@ -98,12 +98,6 @@ class Catalog:
     multilingual_aliases: frozenset[str]
     multilingual_entities: int
 
-    def click_log(self) -> ClickLog:
-        return click_log_from_rows(self.rows)
-
-    def fingerprint(self) -> str:
-        return catalog_fingerprint(self.rows)
-
 
 def _canonical_name(rank: int) -> str:
     adjective = _ADJECTIVES[rank % len(_ADJECTIVES)]

@@ -18,11 +18,15 @@ where live Web queries arrive over the wire:
   records every request into: per-endpoint **latency histograms**
   (``/stats`` ``"latency"``: count + p50/p90/p99/max over fixed
   log-spaced buckets) and an optional **sampled JSONL access log**
-  (:class:`~repro.server.metrics.AccessLog`, off by default).
+  (:class:`~repro.server.metrics.AccessLog`, off by default), which the
+  daemon builds from its ``access_log_path`` / ``access_log_sample``
+  options.
 * :class:`~repro.server.supervisor.ServerSupervisor` is the
-  multi-process front end: ``--procs N`` binds N worker processes to one
-  port via ``SO_REUSEPORT`` and the kernel spreads connections across
-  them; the parent propagates SIGINT/SIGTERM and reaps every worker.
+  multi-process front end: ``--procs N`` runs N worker processes, each a
+  ``MatchDaemon`` with the caller's options and a ``worker_id`` (which
+  binds it with ``SO_REUSEPORT``), on one port, and the kernel spreads
+  connections across them; the parent propagates SIGINT/SIGTERM and reaps
+  every worker.
 * :class:`~repro.server.client.ServerClient` is the matching stdlib-only
   client, used by the tests, the benchmark load generator and the CI
   smoke job.

@@ -46,10 +46,11 @@ Endpoints (all JSON):
 ``POST /admin/reload``  force a reload of the artifact file
 ====================  ======================================================
 
-Scale-out: ``reuse_port=True`` binds the listening socket with
-``SO_REUSEPORT`` so N daemon processes can share one port — that is what
-:mod:`repro.server.supervisor` (CLI ``--procs N``) builds on, with
-``worker_id`` telling the processes apart in ``/stats`` and the access log.
+Scale-out: a daemon with a ``worker_id`` is one member of a ``--procs N``
+group (:mod:`repro.server.supervisor`), so it binds the listening socket
+with ``SO_REUSEPORT`` to share the group's port; the id tells the
+processes apart in ``/stats`` and the access log.  A daemon without one
+binds its port alone.
 """
 
 from __future__ import annotations
@@ -271,16 +272,19 @@ class MatchDaemon:
         are rejected with HTTP 413 instead of tying a request thread up.
     cache_size / enable_fuzzy:
         Forwarded to :class:`MatchService`.
-    access_log:
-        A configured :class:`~repro.server.metrics.AccessLog`, or None
-        (the default) for no access logging at all.
+    access_log_path / access_log_sample:
+        The sampled JSONL access log
+        (:class:`~repro.server.metrics.AccessLog`): a sample above ``0``
+        logs that fraction of requests, appended to the path (several
+        workers share one file) or written to stderr when it is None; the
+        default ``0`` logs nothing.  A sample outside ``[0, 1]`` raises
+        :class:`ValueError`.
     worker_id:
         Identity of this process in a ``--procs N`` group, surfaced in
         ``/healthz``/``/stats`` (``server.worker``) and stamped into
-        access-log lines; None for a standalone daemon.
-    reuse_port:
-        Bind with ``SO_REUSEPORT`` so sibling processes can listen on the
-        same port (raises :class:`RuntimeError` where unsupported).
+        access-log lines.  It also binds the socket with ``SO_REUSEPORT``,
+        so the group's workers listen on one port.  None (the default) is
+        a standalone daemon, which binds its port alone.
 
     The service maps the artifact file read-only, so sibling ``--procs``
     workers share its physical pages and per-worker RSS stays O(1) in
@@ -298,9 +302,9 @@ class MatchDaemon:
         enable_fuzzy: bool = True,
         watch_interval: float = 2.0,
         max_batch: int = 1024,
-        access_log: AccessLog | None = None,
+        access_log_path: str | Path | None = None,
+        access_log_sample: float = 0.0,
         worker_id: int | None = None,
-        reuse_port: bool = False,
     ) -> None:
         if watch_interval < 0:
             raise ValueError(f"watch_interval must be >= 0, got {watch_interval}")
@@ -313,15 +317,10 @@ class MatchDaemon:
             )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if reuse_port and not reuse_port_supported():
-            raise RuntimeError(
-                "SO_REUSEPORT is not supported on this platform; "
-                "run a single process (no --procs) instead"
-            )
         self.service = MatchService(artifact, cache_size=cache_size, enable_fuzzy=enable_fuzzy)
         self.watch_interval = watch_interval
         self.max_batch = max_batch
-        self.access_log = access_log
+        self.access_log: AccessLog | None = None
         self.worker_id = worker_id
         self.metrics = MetricsRegistry()
         # Wall-clock start is display-only; uptime is computed from the
@@ -334,9 +333,19 @@ class MatchDaemon:
         self._date = (0, b"")  # (unix second, its formatted ``Date`` value)
         self._watcher: _Watcher | None = None
         self._serve_thread: threading.Thread | None = None
-        server_cls = _ReusePortHTTPServer if reuse_port else ThreadingHTTPServer
+        server_cls = ThreadingHTTPServer if worker_id is None else _ReusePortHTTPServer
         self._httpd = server_cls((host, port), _make_handler(self))
         self._httpd.daemon_threads = True
+        # Opened after the bind, so a failed bind leaves no open file.  Any
+        # nonzero sample reaches AccessLog, which refuses one outside [0, 1].
+        if access_log_sample != 0:
+            try:
+                self.access_log = AccessLog(
+                    access_log_sample, path=access_log_path, worker=worker_id
+                )
+            except Exception:
+                self._release()
+                raise
 
     # ------------------------------------------------------------------ #
     # Addressing

@@ -9,10 +9,11 @@ connections across the listening sockets by connection hash.
 Topology::
 
     supervisor (parent)          workers (children, one process each)
-    ─ reserves host:port  ──►    MatchDaemon(reuse_port=True, worker_id=i)
-    ─ spawns N workers           own MatchService + artifact watcher
-    ─ propagates SIGINT/SIGTERM  own latency histograms + access log
-    ─ reaps, exits last          run_forever() → clean exit 0
+    ─ reserves host:port  ──►    MatchDaemon(worker_id=i, **daemon_options)
+    ─ spawns N workers           SO_REUSEPORT on the reserved port
+    ─ propagates SIGINT/SIGTERM  own MatchService + artifact watcher
+    ─ reaps, exits last          own latency histograms + access log
+                                 run_forever() → clean exit 0
 
 Design points:
 
@@ -20,13 +21,17 @@ Design points:
   ``SO_REUSEPORT`` socket first, so ``port=0`` resolves to one concrete
   port every worker then joins; a bound-but-not-listening socket never
   receives connections, so the parent steals no traffic.
-* **Independent workers** — each worker runs today's single-process
-  daemon unchanged over the same artifact path, with its own watcher
-  polling for republishes; hot swap therefore needs no cross-process
-  coordination (each worker swaps within a poll interval of the others).
-* **Worker identity** — ``/healthz``/``/stats`` report ``worker`` and
-  access-log lines carry ``worker`` + ``pid``, which is how tests and CI
-  prove traffic actually spreads across processes.
+* **Independent workers** — each worker runs the single-process daemon
+  over the same artifact path with the caller's options, verbatim, with
+  its own watcher polling for republishes; hot swap therefore needs no
+  cross-process coordination (each worker swaps within a poll interval of
+  the others).
+* **Worker identity** — the one option the parent adds is ``worker_id``,
+  which also makes the daemon bind with ``SO_REUSEPORT``.
+  ``/healthz``/``/stats`` report ``worker`` and access-log lines (every
+  worker appends to the one ``access_log_path``) carry ``worker`` +
+  ``pid``, which is how tests and CI prove traffic actually spreads
+  across processes.
 * **Shutdown** — SIGINT/SIGTERM to the parent is forwarded to every
   worker as SIGTERM; workers exit 0 through the daemon's own clean
   shutdown, the parent reaps them all (escalating to SIGKILL only after
@@ -53,7 +58,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.server.daemon import DEFAULT_PORT, MatchDaemon, reuse_port_supported
-from repro.server.metrics import AccessLog
 
 __all__ = ["ServerSupervisor"]
 
@@ -62,30 +66,16 @@ SHUTDOWN_TIMEOUT_S = 10.0
 
 
 def _worker_main(
-    worker_id: int,
-    artifact: str,
-    access_log_path: str | None,
-    access_log_sample: float,
-    daemon_options: dict[str, Any],
-    ready: Any,
+    worker_id: int, artifact: str, daemon_options: dict[str, Any], ready: Any
 ) -> None:
     """Entry point of one worker process (module-level: spawn pickles it).
 
-    Builds this worker's own access log and daemon, signals *ready* — the
-    daemon's listening socket is bound and active once construction
-    returns — then serves until SIGTERM; ``run_forever`` installs the
-    usual clean-shutdown handlers in the child's main thread.
+    Builds this worker's daemon, signals *ready* — the daemon's listening
+    socket is bound and active once construction returns — then serves
+    until SIGTERM; ``run_forever`` installs the usual clean-shutdown
+    handlers in the child's main thread.
     """
-    access_log = None
-    if access_log_sample > 0:
-        access_log = AccessLog(access_log_sample, path=access_log_path, worker=worker_id)
-    daemon = MatchDaemon(
-        artifact,
-        **daemon_options,
-        access_log=access_log,
-        worker_id=worker_id,
-        reuse_port=True,
-    )
+    daemon = MatchDaemon(artifact, **daemon_options, worker_id=worker_id)
     ready.set()
     sys.exit(daemon.run_forever())
 
@@ -93,14 +83,15 @@ def _worker_main(
 class ServerSupervisor:
     """Parent process of a ``--procs N`` daemon group.
 
-    The parent consumes ``procs``, ``host``/``port`` (resolved at
+    The parent consumes ``procs`` and ``host``/``port`` (resolved at
     construction — ``port=0`` picks a free port — so the address can be
-    printed before :meth:`run_forever`) and
-    ``access_log_path``/``access_log_sample`` (per-worker access logs
-    appending to one shared file).  Every other keyword is a
+    printed before :meth:`run_forever`).  Every other keyword is a
     :class:`MatchDaemon` option, handed verbatim to each worker's daemon;
-    one it does not accept raises :class:`TypeError` here, before any
-    process is spawned.  Every worker maps the same published file: one
+    one it does not accept (``worker_id`` included: the parent numbers
+    the workers) raises :class:`TypeError` here, before any process is
+    spawned.  A value the daemon refuses (say an access-log sample
+    outside ``[0, 1]``) is refused in each worker, and :meth:`start`
+    reports it as a start-up failure.  Every worker maps the same published file: one
     set of physical pages serves the whole group, so adding workers does
     not add copies of the catalog (until a delta sidecar lands; then each
     worker serves its own in-memory copy until the next full publish).
@@ -113,16 +104,10 @@ class ServerSupervisor:
         procs: int,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        access_log_path: str | Path | None = None,
-        access_log_sample: float = 0.0,
         **daemon_options: Any,
     ) -> None:
         if procs < 1:
             raise ValueError(f"procs must be >= 1, got {procs}")
-        if not 0.0 <= access_log_sample <= 1.0:
-            raise ValueError(
-                f"access_log_sample must be in [0, 1], got {access_log_sample}"
-            )
         if not reuse_port_supported():
             raise RuntimeError(
                 "cannot run a multi-process server: SO_REUSEPORT is not "
@@ -131,7 +116,7 @@ class ServerSupervisor:
         # The worker's exact call, bound now: an option MatchDaemon does not
         # take (or one the worker sets itself) fails here, not in N children.
         inspect.signature(MatchDaemon).bind_partial(
-            artifact, access_log=None, worker_id=0, reuse_port=True, **daemon_options
+            artifact, worker_id=0, **daemon_options
         )
         self.procs = procs
         # Reserve the address: bound (never listening) with SO_REUSEPORT,
@@ -144,8 +129,6 @@ class ServerSupervisor:
         # _worker_main's arguments between worker_id and ready (all picklable).
         self._worker_args = (
             str(artifact),
-            str(access_log_path) if access_log_path is not None else None,
-            access_log_sample,
             {**daemon_options, "host": self.host, "port": self.port},
         )
         # spawn, not fork: workers re-import and build their own state, so

@@ -772,3 +772,8 @@ class SynonymArtifact:
             map(strings, self._entry_source),
             self._entry_weight,
         )
+
+    # Not a container: without this, ``text in artifact`` would fall back
+    # to ``__iter__`` and compare the string with each entry tuple, False
+    # for every string.  Membership is ``entities_for(text)``.
+    __contains__ = None

@@ -203,21 +203,24 @@ class TestDaemonLatencyStats:
             assert 0 < summary["p50_ms"] <= summary["p90_ms"] <= summary["p99_ms"]
             assert summary["p99_ms"] <= summary["max_ms"] * 10 ** 0.1 + 1e-9
 
-    def test_errors_are_recorded_with_their_status(self, artifact_path):
-        stream = io.StringIO()
+    def test_errors_are_recorded_with_their_status(self, artifact_path, tmp_path):
+        access_log = tmp_path / "access.log"
         with daemon_server(
             artifact_path, watch_interval=0, max_batch=2,
-            access_log=AccessLog(1.0, stream=stream),
+            access_log_path=access_log, access_log_sample=1.0,
         ) as (_daemon, client):
             client.match("indy 4")
             with pytest.raises(Exception):
                 client.match_many(["q"] * 3)  # 413 over max_batch
             latency = client.stats()["latency"]
         assert latency["match"]["count"] == 2  # the 413 is latency too
-        statuses = [
-            json.loads(line)["status"] for line in stream.getvalue().splitlines()
+        lines = [
+            json.loads(line)
+            for line in access_log.read_text(encoding="utf-8").splitlines()
         ]
+        statuses = [line["status"] for line in lines]
         assert 200 in statuses and 413 in statuses
+        assert all(line["worker"] is None for line in lines)
 
     def test_single_process_daemon_reports_null_worker(self, artifact_path):
         with daemon_server(artifact_path, watch_interval=0) as (_daemon, client):
@@ -253,10 +256,29 @@ class TestMultiProcessFrontEnd:
         # One the worker sets itself is refused the same way.
         with pytest.raises(TypeError, match="worker_id"):
             ServerSupervisor(artifact_path, procs=2, port=0, worker_id=7)
+        # The port is shared because each worker has an id, not by option.
+        with pytest.raises(TypeError, match="reuse_port"):
+            ServerSupervisor(artifact_path, procs=2, port=0, reuse_port=True)
         assert not [
             child for child in multiprocessing.active_children()
             if child.name.startswith("repro-server-worker")
         ]
+
+    def test_worker_id_implies_shared_port(self, artifact_path):
+        """Daemons with a worker id share a port; one without cannot join."""
+        first = MatchDaemon(artifact_path, port=0, watch_interval=0, worker_id=1)
+        second = None
+        try:
+            second = MatchDaemon(
+                artifact_path, port=first.port, watch_interval=0, worker_id=2
+            )
+            assert second.port == first.port
+            with pytest.raises(OSError):
+                MatchDaemon(artifact_path, port=first.port, watch_interval=0)
+        finally:
+            first.stop()
+            if second is not None:
+                second.stop()
 
     def test_two_workers_share_one_port_and_spread_traffic(self, artifact_path, monkeypatch):
         """In-process --procs 2: one port, both workers answer, clean stop."""
@@ -302,6 +324,18 @@ class TestMultiProcessFrontEnd:
         with pytest.raises(RuntimeError, match="during startup"):
             supervisor.start()
         assert all(not worker.is_alive() for worker in supervisor._workers)
+
+    def test_sample_the_daemon_refuses_fails_start(self, artifact_path, tmp_path, monkeypatch):
+        """The parent forwards access-log options; each worker refuses 2.0."""
+        monkeypatch.setenv("PYTHONPATH", SRC_DIR + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        supervisor = ServerSupervisor(
+            artifact_path, procs=2, port=0, watch_interval=0,
+            access_log_path=tmp_path / "access.log", access_log_sample=2.0,
+        )
+        with pytest.raises(RuntimeError, match="during startup"):
+            supervisor.start()
+        assert all(not worker.is_alive() for worker in supervisor._workers)
+        assert not (tmp_path / "access.log").exists()
 
     def test_procs_cli_serves_and_sigterm_leaves_no_orphans(self, artifact_path, tmp_path):
         """The acceptance path: `server --procs 2` over one port, SIGTERM.

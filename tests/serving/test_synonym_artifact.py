@@ -123,6 +123,11 @@ class TestDictionaryIndexProtocol:
     def test_lookup_normalizes_input(self, artifact):
         assert artifact.entities_for("  Indy 4! ") == {"m1"}
 
+    def test_membership_is_refused_not_silently_false(self, artifact):
+        """``in`` would compare the string with each entry tuple."""
+        with pytest.raises(TypeError):
+            "indy 4" in artifact  # noqa: B015
+
     def test_ambiguous_string_keeps_all_entities(self, artifact):
         assert artifact.entities_for("shared name") == {"m1", "m2"}
 
